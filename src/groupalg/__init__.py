@@ -7,7 +7,7 @@ from .builders import (disjoint_union, group_groupoid, pair_groupoid, product)
 from .errors import (DomainMismatch, FileFormatError, GroupalgError, NotClosed,
                      NotRelationGroupoid, NotTransitive, ShapeMismatch,
                      SystemInvalid, UndefinedProduct, UnknownLabel,
-                     UnknownObject)
+                     UnknownObject, UsageError)
 from .groupoid import (Arrow, FiniteGroupoid, GroupoidMorphism, IsotropyGroup,
                        MultiplierSets, build_from_relation, isotropy,
                        isotropy_bundle, morphism_report, multipliers,

@@ -83,10 +83,9 @@ def _bisection_count_bound(G: FiniteGroupoid, cap: int) -> bool:
     return True
 
 
-def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20,
-                exact: float | None = None, accum: float | None = None) -> BatteryRun:
-    exact = tolerances.exact_tol(exact)
-    accum = tolerances.accum_tol(accum)
+def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> BatteryRun:
+    exact = tolerances.exact_tol()
+    accum = tolerances.accum_tol()
     run = BatteryRun()
     G = gdoc.groupoid
     rng = SplitMix64(seed)
@@ -111,7 +110,7 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20,
     if gdoc.nu_raw is not None:
         bad = not np.all(gdoc.nu_raw > 0)
         off = abs(float(np.sum(gdoc.nu_raw)) - 1.0)
-        if bad or off > 1e-9:
+        if bad or off > tolerances.NU_SUM_TOL:
             run.record("nu-normalization", False,
                        "nu must be strictly positive and sum to 1", off)
         else:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from .groupoid import FiniteGroupoid
 
 
@@ -16,11 +18,8 @@ def pair_groupoid(labels) -> FiniteGroupoid:
     n = len(labels)
     tgt = [k // n for k in range(n * n)]
     src = [k % n for k in range(n * n)]
-    compose_table = {}
-    for t1 in range(n):
-        for s1 in range(n):
-            for s2 in range(n):
-                compose_table[(t1 * n + s1, s1 * n + s2)] = t1 * n + s2
+    t1, s1, s2 = np.indices((n, n, n)).reshape(3, -1)
+    compose_table = np.stack([t1 * n + s1, s1 * n + s2, t1 * n + s2], axis=1)
     inverse = [src[k] * n + tgt[k] for k in range(n * n)]
     unit_of = [x * n + x for x in range(n)]
     return FiniteGroupoid(labels, src, tgt, compose_table, inverse, unit_of)
@@ -43,7 +42,8 @@ def group_groupoid(elements, table, object_label: str = "*") -> FiniteGroupoid:
         if len(js) != 1:
             raise ValueError(f"element {elements[i]} has no unique inverse")
         inverse.append(js[0])
-    compose_table = {(i, j): table[i][j] for i in range(n) for j in range(n)}
+    i, j = np.indices((n, n)).reshape(2, -1)
+    compose_table = np.stack([i, j, np.asarray(table, dtype=np.intp)[i, j]], axis=1)
     return FiniteGroupoid([object_label], [0] * n, [0] * n, compose_table,
                           inverse, [unit], arrow_ids=elements)
 
@@ -89,16 +89,12 @@ def product(G: FiniteGroupoid, H: FiniteGroupoid) -> FiniteGroupoid:
     def arr(ga, ha):
         return ga * na_h + ha
 
-    src = [obj(G.src[ga], H.src[ha])
-           for ga in range(G.n_arrows) for ha in range(na_h)]
-    tgt = [obj(G.tgt[ga], H.tgt[ha])
-           for ga in range(G.n_arrows) for ha in range(na_h)]
-    compose_table = {}
-    for (ga, gb), gc in G.compose_table.items():
-        for (ha, hb), hc in H.compose_table.items():
-            compose_table[(arr(ga, ha), arr(gb, hb))] = arr(gc, hc)
-    inverse = [arr(G.inverse[ga], H.inverse[ha])
-               for ga in range(G.n_arrows) for ha in range(na_h)]
+    src = obj(np.array(G.src)[:, None], np.array(H.src)).ravel().tolist()
+    tgt = obj(np.array(G.tgt)[:, None], np.array(H.tgt)).ravel().tolist()
+    # every pair of rows, one from each table, composes componentwise
+    compose_table = arr(G.compose_table[:, None, :],
+                        H.compose_table[None, :, :]).reshape(-1, 3)
+    inverse = arr(np.array(G.inverse)[:, None], np.array(H.inverse)).ravel().tolist()
     unit_of = []
     for gx in range(G.n_objects):
         for hx in range(no_h):
@@ -112,7 +108,7 @@ def disjoint_union(*pieces: FiniteGroupoid) -> FiniteGroupoid:
     all_labels = [lab for P in pieces for lab in P.objects]
     clash = len(set(all_labels)) != len(all_labels)
     labels, src, tgt, inverse, unit_of = [], [], [], [], []
-    compose_table = {}
+    tables = [np.empty((0, 3), dtype=np.intp)]
     obj_off = arr_off = 0
     for k, P in enumerate(pieces):
         labels.extend(f"{k}:{lab}" if clash else lab for lab in P.objects)
@@ -120,8 +116,7 @@ def disjoint_union(*pieces: FiniteGroupoid) -> FiniteGroupoid:
         tgt.extend(t + obj_off for t in P.tgt)
         inverse.extend(i + arr_off for i in P.inverse)
         unit_of.extend(None if u is None else u + arr_off for u in P.unit_of)
-        for (a, b), c in P.compose_table.items():
-            compose_table[(a + arr_off, b + arr_off)] = c + arr_off
+        tables.append(P.compose_table + arr_off)
         obj_off += P.n_objects
         arr_off += P.n_arrows
-    return FiniteGroupoid(labels, src, tgt, compose_table, inverse, unit_of)
+    return FiniteGroupoid(labels, src, tgt, np.concatenate(tables), inverse, unit_of)

@@ -2,9 +2,10 @@
 
 Exit codes: 0 all checks pass, 1 a mathematical invariant is violated (the
 witnesses are printed), 2 the input file cannot be parsed (line/column
-diagnostics for JSON syntax, member names for schema problems).  Numeric
-output is printed with 17 significant digits; GROUPALG_TOL overrides the
-default tolerances (see the tolerances module).
+diagnostics for JSON syntax, member names for schema problems) or a setting
+such as GROUPALG_TOL is malformed.  Numeric output is printed with 17
+significant digits; GROUPALG_TOL overrides the default tolerances (see the
+tolerances module).
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from importlib import resources
 
 import numpy as np
 
-from . import io
+from . import io, tolerances
 from .battery import run_battery
-from .errors import FileFormatError, GroupalgError
+from .errors import FileFormatError, GroupalgError, UsageError
 from .groupoid import multipliers, validate
 from .haar import check_left_invariance, convolve, i_norm, involute
 from .inductive import check_system, limit
@@ -51,7 +52,7 @@ def cmd_validate(args) -> int:
     if gdoc.nu_raw is not None:
         if not np.all(gdoc.nu_raw > 0):
             rep.add("nu-positivity", "a nu weight is not strictly positive")
-        elif abs(float(gdoc.nu_raw.sum()) - 1.0) > 1e-9:
+        elif abs(float(gdoc.nu_raw.sum()) - 1.0) > tolerances.NU_SUM_TOL:
             rep.add("nu-normalization",
                     f"nu sums to {io.fmt(float(gdoc.nu_raw.sum()))}, not 1")
     return _print_report(rep)
@@ -173,9 +174,7 @@ def cmd_rep(args) -> int:
             rows = [G.arrow_ids[k] for k in G.target_fiber(G.tgt[a])]
             cols = [G.arrow_ids[k] for k in G.target_fiber(G.src[a])]
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(io.matrix_document(M, rows, cols), fh, indent=1)
-                fh.write("\n")
+            io.save_json(args.out, io.matrix_document(M, rows, cols))
         else:
             print(io.render_matrix(M))
         return 0
@@ -198,9 +197,7 @@ def cmd_integrate(args) -> int:
         doc["objects"] = list(G.objects)
         doc["dims"] = list(rep.bundle.dims)
         doc["offsets"] = [int(v) for v in rep.bundle.offsets]
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        io.save_json(args.out, doc)
     else:
         print(io.render_matrix(op))
     return 0
@@ -335,6 +332,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
+        return 2
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (GroupalgError, ValueError) as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)

@@ -48,5 +48,9 @@ class UndefinedProduct(GroupalgError):
     """A partial product was evaluated outside its declared domain."""
 
 
+class UsageError(GroupalgError):
+    """A setting, such as the GROUPALG_TOL environment variable, is malformed."""
+
+
 class FileFormatError(GroupalgError):
     """A data file is structurally malformed (schema level, not math level)."""

@@ -13,18 +13,22 @@ set: the ordered pair ``(x, y)`` is an arrow with target ``x`` and source
 ``x`` is ``(x, x)``.  Such groupoids carry at most one arrow per ordered
 pair of objects; general groupoids may have isotropy (parallel loops).
 
-All tables are plain Python lists and dicts; every enumeration follows the
-stored object/arrow order, so reports are reproducible.  Instances are
-treated as immutable after construction.
+Composition is stored once, as int (first, second, composite) rows in
+(composite, first) order; lookups use indexes derived from them.  Every
+enumeration follows the stored object/arrow order, so reports are
+reproducible.  Instances are treated as immutable after construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (GroupalgError, NotClosed, NotRelationGroupoid, UnknownLabel,
-                     UnknownObject)
+import numpy as np
+
+from .errors import NotClosed, NotRelationGroupoid, UnknownLabel, UnknownObject
 from .report import Report
+
+_TRIPLE_BATCH = 1 << 18  # composable triples per associativity batch in validate
 
 
 @dataclass(frozen=True)
@@ -41,13 +45,54 @@ def _auto_ids(n: int) -> list[str]:
     return [f"a{i:0{width}d}" for i in range(n)]
 
 
+class UnionFind:
+    """Disjoint sets on 0..n-1; the root of every set is its smallest member."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        while self.parent[i] != i:
+            self.parent[i] = self.parent[self.parent[i]]
+            i = self.parent[i]
+        return i
+
+    def union(self, i: int, j: int) -> None:
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[max(ri, rj)] = min(ri, rj)
+
+
+def _ranges(starts, counts) -> np.ndarray:
+    """Concatenation of ``arange(s, s + k)`` over the pairs (s, k)."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+
+
+def _fibers(tgt, n_objects: int):
+    """Arrows sorted by target, with the start and size of each target fiber."""
+    tgt = np.asarray(tgt, dtype=np.intp)
+    size = np.bincount(tgt, minlength=n_objects)
+    return np.argsort(tgt, kind="stable"), np.cumsum(size) - size, size
+
+
+def _composable(src, tgt, n_objects: int):
+    """Arrays (a, b) of all pairs with src[a] == tgt[b], in object-then-arrow order."""
+    src = np.asarray(src, dtype=np.intp)
+    into, start, size = _fibers(tgt, n_objects)
+    firsts = np.argsort(src, kind="stable")
+    counts = size[src[firsts]]
+    return np.repeat(firsts, counts), into[_ranges(start[src[firsts]], counts)]
+
+
 class FiniteGroupoid:
     """Explicit-table groupoid; construction checks shapes, not axioms.
 
-    The constructor only verifies that indices are in range, so deliberately
-    corrupted tables can be built and then diagnosed with :func:`validate`.
-    ``unit_of`` entries may be ``None`` for objects whose unit is missing
-    (validate reports them).
+    ``compose_table`` holds (first, second, composite) rows; when a pair
+    repeats, the last row wins.  The constructor only verifies that indices
+    are in range, so deliberately corrupted tables (off-domain, missing or
+    wrong products) can be built and then diagnosed with :func:`validate`.
+    ``unit_of`` entries may be ``None`` for objects whose unit is missing.
     """
 
     def __init__(self, objects, src, tgt, compose_table, inverse, unit_of,
@@ -63,12 +108,17 @@ class FiniteGroupoid:
         for v in self.src + self.tgt:
             if not 0 <= v < n_obj:
                 raise ValueError(f"object index {v} out of range")
-        self.compose_table: dict[tuple[int, int], int] = {
-            (int(a), int(b)): int(c) for (a, b), c in dict(compose_table).items()
-        }
-        for (a, b), c in self.compose_table.items():
-            if not (0 <= a < n_arr and 0 <= b < n_arr and 0 <= c < n_arr):
-                raise ValueError(f"compose entry ({a},{b})->{c} out of range")
+        table = np.asarray(compose_table, dtype=np.intp).reshape(-1, 3)
+        bad = np.flatnonzero(((table < 0) | (table >= n_arr)).any(axis=1))
+        if len(bad):
+            a, b, c = table[bad[0]].tolist()
+            raise ValueError(f"compose entry ({a},{b})->{c} out of range")
+        _, last = np.unique(table[::-1, 0] * n_arr + table[::-1, 1], return_index=True)
+        table = table[len(table) - 1 - last]
+        table = table[np.lexsort((table[:, 1], table[:, 0], table[:, 2]))]
+        # stored column-major, so each column is one contiguous array
+        self.compose_table: np.ndarray = np.ascontiguousarray(table.T).T
+        self.compose_table.flags.writeable = False
         self.inverse: list[int] = [int(i) for i in inverse]
         if len(self.inverse) != n_arr or any(not 0 <= i < n_arr for i in self.inverse):
             raise ValueError("inverse table malformed")
@@ -83,17 +133,18 @@ class FiniteGroupoid:
             raise ValueError("arrow ids must be unique, one per arrow")
         self._object_index = {lab: i for i, lab in enumerate(self.objects)}
         self._arrow_index = {aid: i for i, aid in enumerate(self.arrow_ids)}
-        self._target_fibers: list[tuple[int, ...]] = [() for _ in range(n_obj)]
-        self._source_fibers: list[tuple[int, ...]] = [() for _ in range(n_obj)]
         tf: list[list[int]] = [[] for _ in range(n_obj)]
         sf: list[list[int]] = [[] for _ in range(n_obj)]
+        self._fiber_pos: list[int] = []  # position of each arrow in its target fiber
         for a in range(n_arr):
+            self._fiber_pos.append(len(tf[self.tgt[a]]))
             tf[self.tgt[a]].append(a)
             sf[self.src[a]].append(a)
         self._target_fibers = [tuple(v) for v in tf]
         self._source_fibers = [tuple(v) for v in sf]
-        self._conv_plan = None
         self._by_endpoints: dict[tuple[int, int], int] | None = None
+        self._pair_index: tuple[np.ndarray, np.ndarray] | None = None
+        self._rows: list[list[int]] | None = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -135,22 +186,52 @@ class FiniteGroupoid:
         return self._source_fibers[y]
 
     def compose(self, a: int, b: int) -> int:
-        """Composite ``a o b`` (b first); raises if the pair is not in the table."""
-        try:
-            return self.compose_table[(a, b)]
-        except KeyError:
-            raise ValueError(
-                f"arrows {self.arrow_ids[a]} and {self.arrow_ids[b]} do not compose"
-            ) from None
+        """Composite ``a o b`` (b first); raises unless (a, b) composes."""
+        if self._rows is None:
+            # rows[x][i] is x o (i-th arrow into src x), or -1
+            first, _, composite = self._pair_products()
+            rows: list[list[int]] = [[] for _ in range(self.n_arrows)]
+            for x, c in zip(first.tolist(), composite.tolist()):
+                rows[x].append(c)
+            self._rows = rows  # published whole: readers on other threads never see it partial
+        if self.src[a] == self.tgt[b]:
+            c = self._rows[a][self._fiber_pos[b]]
+            if c >= 0:
+                return c
+        raise ValueError(
+            f"arrows {self.arrow_ids[a]} and {self.arrow_ids[b]} do not compose")
+
+    def composites(self, a, b) -> np.ndarray:
+        """Vectorized lookup: the table's composite of each pair (a[i], b[i]),
+        or -1 where it defines none (negative indices count as undefined)."""
+        if self._pair_index is None:
+            first, second, composite = self.compose_table.T
+            order = np.lexsort((second, first))
+            # a sentinel key above every real pair keeps searchsorted in range
+            keys = np.append(first[order] * self.n_arrows + second[order], self.n_arrows ** 2)
+            self._pair_index = (keys, np.append(composite[order], -1))
+        keys, values = self._pair_index
+        b = np.asarray(b, dtype=np.intp)
+        query = np.asarray(a, dtype=np.intp) * self.n_arrows + b
+        pos = np.searchsorted(keys, query)
+        return np.where((b >= 0) & (keys[pos] == query), values[pos], -1)
+
+    def _pair_products(self):
+        """Arrays (a, b, a o b) over all composable pairs, in
+        :meth:`composable_pairs` order; a o b is -1 where undefined."""
+        a, b = _composable(self.src, self.tgt, self.n_objects)
+        return a, b, self.composites(a, b)
+
+    def products(self):
+        """(first, second, composite) arrays of the products the table defines
+        on composable pairs, in :meth:`composable_pairs` order."""
+        a, b, c = self._pair_products()
+        return a[c >= 0], b[c >= 0], c[c >= 0]
 
     def composable_pairs(self) -> list[tuple[int, int]]:
         """All (a, b) with src(a) == tgt(b), in object-then-arrow order."""
-        pairs = []
-        for y in range(self.n_objects):
-            for a in self._source_fibers[y]:
-                for b in self._target_fibers[y]:
-                    pairs.append((a, b))
-        return pairs
+        a, b = _composable(self.src, self.tgt, self.n_objects)
+        return list(zip(a.tolist(), b.tolist()))
 
     def is_unit(self, a: int) -> bool:
         x = self.tgt[a]
@@ -194,21 +275,12 @@ class FiniteGroupoid:
 
     def orbits(self) -> list[list[int]]:
         """Partition of the objects by arrow reachability, block-sorted."""
-        parent = list(range(self.n_objects))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
+        uf = UnionFind(self.n_objects)
         for a in range(self.n_arrows):
-            ri, rj = find(self.tgt[a]), find(self.src[a])
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
+            uf.union(self.tgt[a], self.src[a])
         blocks: dict[int, list[int]] = {}
         for x in range(self.n_objects):
-            blocks.setdefault(find(x), []).append(x)
+            blocks.setdefault(uf.find(x), []).append(x)
         return [sorted(b) for _, b in sorted(blocks.items())]
 
     def is_transitive(self) -> bool:
@@ -217,28 +289,15 @@ class FiniteGroupoid:
     # -- convolution support -----------------------------------------------
 
     def convolution_plan(self):
-        """Cached triples (out, left, right) with out = left o right.
+        """Triples (out, left, right) with out = left o right: the table's
+        composite, first and second columns, as three parallel int arrays.
 
-        For every arrow ``out`` and every ``left`` in the target fiber of
-        ``tgt(out)``, ``right = inverse(left) o out``.  Returned as three
-        parallel numpy int arrays; used by the convolution kernels.
+        The table's (composite, first) order fixes the summation order of
+        the convolution kernels.  On a groupoid that fails :func:`validate`
+        the plan is as wrong as the table.
         """
-        if self._conv_plan is None:
-            import numpy as np
-
-            outs, lefts, rights = [], [], []
-            for out in range(self.n_arrows):
-                for left in self._target_fibers[self.tgt[out]]:
-                    right = self.compose_table.get((self.inverse[left], out))
-                    if right is None:
-                        raise GroupalgError("compose table incomplete; validate first")
-                    outs.append(out)
-                    lefts.append(left)
-                    rights.append(right)
-            self._conv_plan = (np.asarray(outs, dtype=np.intp),
-                               np.asarray(lefts, dtype=np.intp),
-                               np.asarray(rights, dtype=np.intp))
-        return self._conv_plan
+        first, second, composite = self.compose_table.T
+        return composite, first, second
 
     def __repr__(self) -> str:
         return f"FiniteGroupoid({self.n_objects} objects, {self.n_arrows} arrows)"
@@ -247,33 +306,13 @@ class FiniteGroupoid:
 # ---------------------------------------------------------------------------
 # construction from a relation
 
-def _closure(objects: list[str], pairs: list[tuple[str, str]]):
+def _closure(support: list[str], pairs: list[tuple[str, str]]) -> list[tuple[str, str]]:
     """Reflexive-symmetric-transitive closure on the support, via union-find."""
-    support = []
-    seen = set()
-    for x, y in pairs:
-        for lab in (x, y):
-            if lab not in seen:
-                seen.add(lab)
-                support.append(lab)
-    order = {lab: objects.index(lab) for lab in support}
-    support.sort(key=lambda lab: order[lab])
     idx = {lab: i for i, lab in enumerate(support)}
-    parent = list(range(len(support)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    uf = UnionFind(len(support))
     for x, y in pairs:
-        ri, rj = find(idx[x]), find(idx[y])
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    closed = [(x, y) for x in support for y in support
-              if find(idx[x]) == find(idx[y])]
-    return support, closed
+        uf.union(idx[x], idx[y])
+    return [(x, y) for x in support for y in support if uf.find(idx[x]) == uf.find(idx[y])]
 
 
 def build_from_relation(objects, pairs, closure_policy: str = "strict") -> FiniteGroupoid:
@@ -297,36 +336,36 @@ def build_from_relation(objects, pairs, closure_policy: str = "strict") -> Finit
     if closure_policy not in ("strict", "complete"):
         raise ValueError(f"unknown closure_policy {closure_policy!r}")
 
-    pair_set = set(pairs)
-    support = [o for o in objects if any(o in p for p in pair_set)]
+    touched = {lab for p in pairs for lab in p}
+    support = [o for o in objects if o in touched]
     if closure_policy == "strict":
+        # (x, y) and its inverse (y, x) compose to (x, x), so units need no check
+        pair_set = set(pairs)
+        successors: dict[str, list[str]] = {}
+        for u, z in pairs:
+            successors.setdefault(u, []).append(z)
         for x, y in pairs:
-            for u, z in pairs:
-                if y == u and (x, z) not in pair_set:
+            for z in successors.get(y, ()):
+                if (x, z) not in pair_set:
                     raise NotClosed(f"missing composite pair ({x}, {z})", (x, z))
         for x, y in pairs:
             if (y, x) not in pair_set:
                 raise NotClosed(f"missing inverse pair ({y}, {x})", (y, x))
-        for x in support:
-            if (x, x) not in pair_set:
-                raise NotClosed(f"missing unit pair ({x}, {x})", (x, x))
-        closed = sorted(pair_set, key=lambda p: (objects.index(p[0]), objects.index(p[1])))
+        closed = list(pair_set)
     else:
-        support, closed = _closure(objects, pairs)
-        closed.sort(key=lambda p: (support.index(p[0]), support.index(p[1])))
+        closed = _closure(support, pairs)
 
     idx = {lab: i for i, lab in enumerate(support)}
-    tgt = [idx[x] for x, _ in closed]
-    src = [idx[y] for _, y in closed]
-    by_pair = {(idx[x], idx[y]): a for a, (x, y) in enumerate(closed)}
-    compose_table = {}
-    for a, (x, y) in enumerate(closed):
-        for b, (u, z) in enumerate(closed):
-            if idx[y] == idx[u]:
-                compose_table[(a, b)] = by_pair[(idx[x], idx[z])]
-    inverse = [by_pair[(src[a], tgt[a])] for a in range(len(closed))]
-    unit_of = [by_pair[(x, x)] for x in range(len(support))]
-    return FiniteGroupoid(support, src, tgt, compose_table, inverse, unit_of)
+    closed.sort(key=lambda p: (idx[p[0]], idx[p[1]]))
+    n = len(support)
+    tgt = np.array([idx[x] for x, _ in closed], dtype=np.intp)
+    src = np.array([idx[y] for _, y in closed], dtype=np.intp)
+    by_pair = np.full((n, n), -1, dtype=np.intp)
+    by_pair[tgt, src] = np.arange(len(closed))
+    first, second = _composable(src, tgt, n)
+    table = np.stack([first, second, by_pair[tgt[first], src[second]]], axis=1)
+    return FiniteGroupoid(support, src.tolist(), tgt.tolist(), table,
+                          by_pair[src, tgt].tolist(), by_pair.diagonal().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -341,33 +380,41 @@ def validate(G: FiniteGroupoid) -> Report:
     """
     rep = Report("groupoid-axioms")
     aid = G.arrow_ids
+    src = np.asarray(G.src, dtype=np.intp)
+    tgt = np.asarray(G.tgt, dtype=np.intp)
+    arrows = np.arange(G.n_arrows)
 
-    for (a, b), c in sorted(G.compose_table.items()):
-        if G.src[a] != G.tgt[b]:
+    first, second, _ = G.compose_table.T
+    a, b, c = G.compose_table[np.lexsort((second, first))].T
+    off = src[a] != tgt[b]
+    wrong = (tgt[c] != tgt[a]) | (src[c] != src[b])
+    for i in np.flatnonzero(off | wrong).tolist():
+        if off[i]:
             rep.add("compose-domain",
-                    f"table defines {aid[a]} o {aid[b]} but src/tgt do not match")
+                    f"table defines {aid[a[i]]} o {aid[b[i]]} but src/tgt do not match")
         else:
-            if G.tgt[c] != G.tgt[a] or G.src[c] != G.src[b]:
-                rep.add("compose-endpoints",
-                        f"{aid[a]} o {aid[b]} = {aid[c]} has wrong endpoints")
-    for a, b in G.composable_pairs():
-        if (a, b) not in G.compose_table:
-            rep.add("compose-missing", f"{aid[a]} o {aid[b]} undefined")
+            rep.add("compose-endpoints",
+                    f"{aid[a[i]]} o {aid[b[i]]} = {aid[c[i]]} has wrong endpoints")
+    a, b, ab = G._pair_products()
+    for i in np.flatnonzero(ab < 0).tolist():
+        rep.add("compose-missing", f"{aid[a[i]]} o {aid[b[i]]} undefined")
 
-    for a, b in G.composable_pairs():
-        ab = G.compose_table.get((a, b))
-        if ab is None:
-            continue
-        for c in G._target_fibers[G.src[b]]:
-            bc = G.compose_table.get((b, c))
-            ab_c = G.compose_table.get((ab, c))
-            a_bc = G.compose_table.get((a, bc)) if bc is not None else None
-            if bc is None or ab_c is None or a_bc is None:
-                continue
-            if ab_c != a_bc:
-                rep.add("associativity",
-                        f"({aid[a]} o {aid[b]}) o {aid[c]} = {aid[ab_c]} "
-                        f"!= {aid[a_bc]} = {aid[a]} o ({aid[b]} o {aid[c]})")
+    # every triple (x, y, z) with (x, y) defined and z into src(y), in batches
+    defined = ab >= 0
+    a, b, ab = a[defined], b[defined], ab[defined]
+    into, start, size = _fibers(tgt, G.n_objects)
+    width = size[src[b]]
+    step = max(1, _TRIPLE_BATCH // max(int(width.max(initial=0)), 1))
+    for lo in range(0, len(a), step):
+        k = width[lo:lo + step]
+        x, y, xy = (np.repeat(v[lo:lo + step], k) for v in (a, b, ab))
+        z = into[_ranges(start[src[b[lo:lo + step]]], k)]
+        xy_z = G.composites(xy, z)
+        x_yz = G.composites(x, G.composites(y, z))
+        for i in np.flatnonzero((xy_z >= 0) & (x_yz >= 0) & (xy_z != x_yz)).tolist():
+            rep.add("associativity",
+                    f"({aid[x[i]]} o {aid[y[i]]}) o {aid[z[i]]} = {aid[xy_z[i]]} "
+                    f"!= {aid[x_yz[i]]} = {aid[x[i]]} o ({aid[y[i]]} o {aid[z[i]]})")
 
     for x in range(G.n_objects):
         u = G.unit_of[x]
@@ -376,27 +423,27 @@ def validate(G: FiniteGroupoid) -> Report:
             continue
         if G.tgt[u] != x or G.src[u] != x:
             rep.add("unit-endpoints", f"unit of {G.objects[x]} is {aid[u]}, not a loop at it")
+    unit = np.array([-1 if u is None else u for u in G.unit_of], dtype=np.intp)
+    us, ut, inv = unit[src].tolist(), unit[tgt].tolist(), G.inverse
+    a_us, ut_a, a_inv, inv_a = (G.composites(p, q).tolist() for p, q in
+                                ((arrows, us), (ut, arrows), (arrows, inv), (inv, arrows)))
     for a in range(G.n_arrows):
-        us, ut = G.unit_of[G.src[a]], G.unit_of[G.tgt[a]]
-        if us is not None and G.compose_table.get((a, us)) not in (None, a):
+        if a_us[a] not in (-1, a):
             rep.add("unit-law", f"{aid[a]} o unit({G.objects[G.src[a]]}) != {aid[a]}")
-        if ut is not None and G.compose_table.get((ut, a)) not in (None, a):
+        if ut_a[a] not in (-1, a):
             rep.add("unit-law", f"unit({G.objects[G.tgt[a]]}) o {aid[a]} != {aid[a]}")
 
     for a in range(G.n_arrows):
-        inv = G.inverse[a]
-        if G.tgt[inv] != G.src[a] or G.src[inv] != G.tgt[a]:
-            rep.add("inverse-endpoints", f"inverse({aid[a]}) = {aid[inv]} does not swap endpoints")
+        i = inv[a]
+        if G.tgt[i] != G.src[a] or G.src[i] != G.tgt[a]:
+            rep.add("inverse-endpoints", f"inverse({aid[a]}) = {aid[i]} does not swap endpoints")
             continue
-        if G.inverse[inv] != a:
-            rep.add("inverse-involution", f"inverse(inverse({aid[a]})) = {aid[G.inverse[inv]]}")
-        ut, us = G.unit_of[G.tgt[a]], G.unit_of[G.src[a]]
-        got = G.compose_table.get((a, inv))
-        if ut is not None and got not in (None, ut):
-            rep.add("inverse-law", f"{aid[a]} o {aid[inv]} != unit({G.objects[G.tgt[a]]})")
-        got = G.compose_table.get((inv, a))
-        if us is not None and got not in (None, us):
-            rep.add("inverse-law", f"{aid[inv]} o {aid[a]} != unit({G.objects[G.src[a]]})")
+        if inv[i] != a:
+            rep.add("inverse-involution", f"inverse(inverse({aid[a]})) = {aid[inv[i]]}")
+        if ut[a] >= 0 and a_inv[a] not in (-1, ut[a]):
+            rep.add("inverse-law", f"{aid[a]} o {aid[i]} != unit({G.objects[G.tgt[a]]})")
+        if us[a] >= 0 and inv_a[a] not in (-1, us[a]):
+            rep.add("inverse-law", f"{aid[i]} o {aid[a]} != unit({G.objects[G.src[a]]})")
     return rep
 
 
@@ -481,9 +528,6 @@ class IsotropyGroup:
     def inv(self, i: int) -> int:
         return self.inverse_table[i]
 
-    def index_of(self, arrow: int) -> int:
-        return self.arrows.index(arrow)
-
     def is_abelian(self) -> bool:
         k = self.order
         return all(self.table[i][j] == self.table[j][i]
@@ -498,18 +542,15 @@ def isotropy(G: FiniteGroupoid, x: int) -> IsotropyGroup:
 def isotropy_bundle(G: FiniteGroupoid) -> FiniteGroupoid:
     """The disjoint union of all isotropy groups, as a groupoid on the same objects."""
     loops = [a for a in range(G.n_arrows) if G.tgt[a] == G.src[a]]
-    new_index = {a: i for i, a in enumerate(loops)}
-    src = [G.src[a] for a in loops]
-    tgt = [G.tgt[a] for a in loops]
-    compose_table = {}
-    for a in loops:
-        for b in loops:
-            if G.src[a] == G.tgt[b]:
-                compose_table[(new_index[a], new_index[b])] = new_index[G.compose(a, b)]
-    inverse = [new_index[G.inverse[a]] for a in loops]
-    unit_of = [None if G.unit_of[x] is None else new_index.get(G.unit_of[x])
-               for x in range(G.n_objects)]
-    return FiniteGroupoid(G.objects, src, tgt, compose_table, inverse, unit_of)
+    new_index = np.full(G.n_arrows, -1, dtype=np.intp)
+    new_index[loops] = np.arange(len(loops))
+    table = new_index[np.stack(G.products(), axis=1)]
+    table = table[(table[:, :2] >= 0).all(axis=1)]  # products of two loops
+    ends = [G.src[a] for a in loops]
+    inverse = new_index[[G.inverse[a] for a in loops]].tolist()
+    unit_of = [None if u is None or new_index[u] < 0 else int(new_index[u])
+               for u in G.unit_of]
+    return FiniteGroupoid(G.objects, ends, ends, table, inverse, unit_of)
 
 
 # ---------------------------------------------------------------------------
@@ -549,11 +590,12 @@ def morphism_report(A: FiniteGroupoid, B: FiniteGroupoid, phi: GroupoidMorphism,
         ua, ub = A.unit_of[x], B.unit_of[om[x]]
         if ua is not None and (ub is None or am[ua] != ub):
             rep.add("units", f"unit of {A.objects[x]} not sent to a unit")
-    for (a, b), c in sorted(A.compose_table.items()):
-        got = B.compose_table.get((am[a], am[b]))
-        if got != am[c]:
-            rep.add("composition",
-                    f"{A.arrow_ids[a]} o {A.arrow_ids[b]}: image composite disagrees")
+    first, second, _ = A.compose_table.T
+    a, b, c = A.compose_table[np.lexsort((second, first))].T
+    image = np.asarray(am, dtype=np.intp)
+    for i in np.flatnonzero(B.composites(image[a], image[b]) != image[c]).tolist():
+        rep.add("composition",
+                f"{A.arrow_ids[a[i]]} o {A.arrow_ids[b[i]]}: image composite disagrees")
     return rep
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import SystemInvalid
-from .groupoid import FiniteGroupoid, GroupoidMorphism, morphism_report
+from .groupoid import FiniteGroupoid, GroupoidMorphism, UnionFind, morphism_report
 from .report import Report
 
 
@@ -118,22 +118,6 @@ class LimitResult:
     injections: dict[str, GroupoidMorphism] = field(default_factory=dict)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 def limit(sys: InductiveSystem) -> LimitResult:
     """Colimit groupoid with one injection per piece.
 
@@ -154,8 +138,8 @@ def limit(sys: InductiveSystem) -> LimitResult:
         total_obj += sys.pieces[lab].n_objects
         total_arr += sys.pieces[lab].n_arrows
 
-    uf_obj = _UnionFind(total_obj)
-    uf_arr = _UnionFind(total_arr)
+    uf_obj = UnionFind(total_obj)
+    uf_arr = UnionFind(total_arr)
     for (a, b), phi in sys.embeddings.items():
         Pa = sys.pieces[a]
         for x in range(Pa.n_objects):
@@ -163,34 +147,21 @@ def limit(sys: InductiveSystem) -> LimitResult:
         for r in range(Pa.n_arrows):
             uf_arr.union(arr_off[a] + r, arr_off[b] + phi.arrow_map[r])
 
-    def piece_of_obj(tag: int) -> tuple[str, int]:
-        for lab in reversed(labels):
-            if tag >= obj_off[lab]:
-                return lab, tag - obj_off[lab]
-        raise AssertionError
-
-    def piece_of_arr(tag: int) -> tuple[str, int]:
-        for lab in reversed(labels):
-            if tag >= arr_off[lab]:
-                return lab, tag - arr_off[lab]
-        raise AssertionError
+    def piece_of(tag: int, offsets: dict[str, int]) -> tuple[str, int]:
+        lab = next(lab for lab in reversed(labels) if tag >= offsets[lab])
+        return lab, tag - offsets[lab]
 
     obj_roots = sorted({uf_obj.find(t) for t in range(total_obj)})
     arr_roots = sorted({uf_arr.find(t) for t in range(total_arr)})
     obj_class = {root: i for i, root in enumerate(obj_roots)}
     arr_class = {root: i for i, root in enumerate(arr_roots)}
+    # each class is represented by its smallest tag: (piece, index in the piece)
+    obj_reps = [piece_of(root, obj_off) for root in obj_roots]
+    arr_reps = [piece_of(root, arr_off) for root in arr_roots]
 
-    raw_labels = []
-    for root in obj_roots:
-        lab, x = piece_of_obj(root)
-        raw_labels.append(sys.pieces[lab].objects[x])
-    out_labels = []
-    for root, raw in zip(obj_roots, raw_labels):
-        if raw_labels.count(raw) == 1:
-            out_labels.append(raw)
-        else:
-            lab, _ = piece_of_obj(root)
-            out_labels.append(f"{lab}.{raw}")
+    raw_labels = [sys.pieces[lab].objects[x] for lab, x in obj_reps]
+    out_labels = [raw if raw_labels.count(raw) == 1 else f"{lab}.{raw}"
+                  for (lab, _), raw in zip(obj_reps, raw_labels)]
 
     def obj_of(lab: str, x: int) -> int:
         return obj_class[uf_obj.find(obj_off[lab] + x)]
@@ -198,13 +169,11 @@ def limit(sys: InductiveSystem) -> LimitResult:
     def arr_of(lab: str, r: int) -> int:
         return arr_class[uf_arr.find(arr_off[lab] + r)]
 
-    src = [0] * len(arr_roots)
-    tgt = [0] * len(arr_roots)
-    for root in arr_roots:
-        lab, r = piece_of_arr(root)
-        P = sys.pieces[lab]
-        src[arr_class[root]] = obj_of(lab, P.src[r])
-        tgt[arr_class[root]] = obj_of(lab, P.tgt[r])
+    src = [obj_of(lab, sys.pieces[lab].src[r]) for lab, r in arr_reps]
+    tgt = [obj_of(lab, sys.pieces[lab].tgt[r]) for lab, r in arr_reps]
+    inverse = [arr_of(lab, sys.pieces[lab].inverse[r]) for lab, r in arr_reps]
+    unit_of = [None if sys.pieces[lab].unit_of[x] is None
+               else arr_of(lab, sys.pieces[lab].unit_of[x]) for lab, x in obj_reps]
 
     def upper_bound(a: str, b: str) -> str:
         for c in labels:
@@ -217,35 +186,20 @@ def limit(sys: InductiveSystem) -> LimitResult:
             return r
         return sys.embeddings[(lab, target)].arrow_map[r]
 
-    inverse = [0] * len(arr_roots)
-    unit_of: list[int | None] = [None] * len(obj_roots)
-    for root in arr_roots:
-        lab, r = piece_of_arr(root)
-        inverse[arr_class[root]] = arr_of(lab, sys.pieces[lab].inverse[r])
-    for root in obj_roots:
-        lab, x = piece_of_obj(root)
-        u = sys.pieces[lab].unit_of[x]
-        unit_of[obj_class[root]] = None if u is None else arr_of(lab, u)
-
-    compose_table: dict[tuple[int, int], int] = {}
-    reps = {}
-    for root in arr_roots:
-        reps[arr_class[root]] = piece_of_arr(root)
-    for ca in range(len(arr_roots)):
-        for cb in range(len(arr_roots)):
+    compose_rows = []
+    for ca, (la, ra) in enumerate(arr_reps):
+        for cb, (lb, rb) in enumerate(arr_reps):
             if src[ca] != tgt[cb]:
                 continue
-            la, ra = reps[ca]
-            lb, rb = reps[cb]
             up = upper_bound(la, lb)
-            ia, ib = image_in(la, ra, up), image_in(lb, rb, up)
-            comp = sys.pieces[up].compose_table.get((ia, ib))
-            if comp is None:
+            try:
+                comp = sys.pieces[up].compose(image_in(la, ra, up), image_in(lb, rb, up))
+            except ValueError:
                 raise SystemInvalid(
-                    "identified arrows fail to compose in their upper piece")
-            compose_table[(ca, cb)] = arr_of(up, comp)
+                    "identified arrows fail to compose in their upper piece") from None
+            compose_rows.append((ca, cb, arr_of(up, comp)))
 
-    G = FiniteGroupoid(out_labels, src, tgt, compose_table, inverse, unit_of)
+    G = FiniteGroupoid(out_labels, src, tgt, compose_rows, inverse, unit_of)
     injections = {}
     for lab in labels:
         P = sys.pieces[lab]

@@ -26,7 +26,7 @@ from .groupoid import FiniteGroupoid, GroupoidMorphism, build_from_relation
 from .haar import HaarSystem
 from .inductive import InductiveSystem
 from .partial_algebra import StructureTable
-from .representations import QuasiInvariantMeasure
+from .representations import QuasiInvariantMeasure, uniform_measure
 
 
 def fmt(x: float) -> str:
@@ -41,6 +41,12 @@ def fmt_complex(z: complex) -> str:
 def load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)  # json.JSONDecodeError carries line/column
+
+
+def save_json(path: str, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
 def _require(doc: dict, key: str, kind, where: str):
@@ -72,8 +78,7 @@ class GroupoidDocument:
 
     def nu(self) -> QuasiInvariantMeasure:
         if self.nu_raw is None:
-            n = self.groupoid.n_objects
-            return QuasiInvariantMeasure(np.full(n, 1.0 / n))
+            return uniform_measure(self.groupoid)
         return QuasiInvariantMeasure(self.nu_raw)
 
 
@@ -101,11 +106,11 @@ def _groupoid_from_arrows(doc: dict, where: str) -> FiniteGroupoid:
             raise FileFormatError(f"{where}: unknown arrow id {aid!r}")
         return arrow_index[aid]
 
-    compose_table = {}
+    rows = []
     for triple in _require(doc, "compose", list, where):
         if not isinstance(triple, list) or len(triple) != 3:
             raise FileFormatError(f"{where}: compose entries must be id triples")
-        compose_table[(aidx(triple[0]), aidx(triple[1]))] = aidx(triple[2])
+        rows.append([aidx(t) for t in triple])
     inverse = [0] * len(ids)
     seen = set()
     for pair in _require(doc, "inverse", list, where):
@@ -117,19 +122,19 @@ def _groupoid_from_arrows(doc: dict, where: str) -> FiniteGroupoid:
     if len(seen) != len(ids):
         raise FileFormatError(f"{where}: inverse must cover every arrow exactly once")
 
+    # the unit at x is the first loop u with a o u = a for every arrow a out
+    # of x and u o a = a for every arrow a into x
+    G = FiniteGroupoid(objects, src, tgt, rows, inverse, [None] * len(objects),
+                       arrow_ids=ids)
     unit_of: list[int | None] = []
     for x in range(len(objects)):
-        loops = [a for a in range(len(ids)) if src[a] == x and tgt[a] == x]
-        unit = None
-        for u in loops:
-            outgoing = [a for a in range(len(ids)) if src[a] == x]
-            incoming = [a for a in range(len(ids)) if tgt[a] == x]
-            if all(compose_table.get((a, u)) == a for a in outgoing) and \
-               all(compose_table.get((u, a)) == a for a in incoming):
-                unit = u
-                break
-        unit_of.append(unit)
-    return FiniteGroupoid(objects, src, tgt, compose_table, inverse, unit_of,
+        outgoing = np.array(G.source_fiber(x), dtype=np.intp)
+        incoming = np.array(G.target_fiber(x), dtype=np.intp)
+        unit_of.append(next(
+            (u for u in G.target_fiber(x) if src[u] == x
+             and np.array_equal(G.composites(outgoing, u), outgoing)
+             and np.array_equal(G.composites(u, incoming), incoming)), None))
+    return FiniteGroupoid(objects, src, tgt, G.compose_table, inverse, unit_of,
                           arrow_ids=ids)
 
 
@@ -202,23 +207,20 @@ def load_groupoid(path: str) -> GroupoidDocument:
 def save_groupoid(path: str, gdoc: GroupoidDocument) -> None:
     """Write the explicit-arrows form; value-exact round trip."""
     G = gdoc.groupoid
+    ids = G.arrow_ids
     doc: dict = {
         "objects": list(G.objects),
-        "arrows": [{"id": G.arrow_ids[a], "src": G.objects[G.src[a]],
+        "arrows": [{"id": ids[a], "src": G.objects[G.src[a]],
                     "tgt": G.objects[G.tgt[a]]} for a in range(G.n_arrows)],
-        "compose": [[G.arrow_ids[a], G.arrow_ids[b], G.arrow_ids[c]]
-                    for (a, b), c in sorted(G.compose_table.items())],
-        "inverse": [[G.arrow_ids[a], G.arrow_ids[G.inverse[a]]]
-                    for a in range(G.n_arrows)],
+        "compose": [[ids[a], ids[b], ids[c]] for a, b, c in sorted(G.compose_table.tolist())],
+        "inverse": [[ids[a], ids[G.inverse[a]]] for a in range(G.n_arrows)],
     }
     if gdoc.haar_raw is not None:
         doc["haar"] = {"weights": {G.arrow_ids[a]: float(gdoc.haar_raw[a])
                                    for a in range(G.n_arrows)}}
     if gdoc.nu_raw is not None:
         doc["nu"] = {G.objects[x]: float(gdoc.nu_raw[x]) for x in range(G.n_objects)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    save_json(path, doc)
 
 
 def load_function(path: str, G: FiniteGroupoid, sparse: bool = False) -> np.ndarray:
@@ -251,9 +253,7 @@ def save_function(path: str, G: FiniteGroupoid, f) -> None:
     f = np.asarray(f, dtype=complex)
     doc = {G.arrow_ids[a]: [float(f[a].real), float(f[a].imag)]
            for a in range(G.n_arrows)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    save_json(path, doc)
 
 
 def matrix_document(M: np.ndarray, row_labels: list[str], col_labels: list[str]) -> dict:

@@ -23,7 +23,7 @@ and the convolution algebra with counting weights is *-isomorphic to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class QuasiInvariantMeasure:
         object.__setattr__(self, "nu", v)
         if v.ndim != 1 or not np.all(v > 0):
             raise ValueError("nu must be a flat, strictly positive vector")
-        if abs(v.sum() - 1.0) > 1e-9:
+        if abs(v.sum() - 1.0) > tolerances.NU_SUM_TOL:
             raise ValueError(f"nu must sum to 1 (got {v.sum()!r})")
 
 
@@ -178,10 +178,7 @@ def check_representation(G: FiniteGroupoid, rep: BundleRep,
         if err > atol:
             rep_out.add("units", f"op(unit {G.objects[x]}) is not the identity",
                         residual=float(err))
-    for a, b in G.composable_pairs():
-        c = G.compose_table.get((a, b))
-        if c is None:
-            continue
+    for a, b, c in zip(*(v.tolist() for v in G.products())):
         err = np.abs(rep.ops[c] - rep.ops[a] @ rep.ops[b]).max()
         if err > atol:
             rep_out.add("multiplicativity",
@@ -294,21 +291,21 @@ def operator_norm_bound_check(G: FiniteGroupoid, mu: HaarSystem,
 
 @dataclass(frozen=True)
 class TransitiveDecomposition:
-    """Base object, trivializing arrows, and the base isotropy group.
+    """Base object, trivializing arrows, the base isotropy group, and the
+    factorization of every arrow.
 
     ``taus[x]`` runs base -> x; the factorization of an arrow a: y -> x is
     the unique triple (x, g, y) with a = taus[x] o g o taus[y]^-1 and g a
-    loop at the base.
+    loop at the base; ``g_index[a]`` is the index of g in ``iso``.
     """
 
     base: int
     taus: tuple[int, ...]
     iso: IsotropyGroup
+    g_index: np.ndarray = field(compare=False, repr=False)
 
     def factor(self, G: FiniteGroupoid, a: int) -> tuple[int, int, int]:
-        x, y = G.tgt[a], G.src[a]
-        g = G.compose(G.compose(G.inverse[self.taus[x]], a), self.taus[y])
-        return x, self.iso.index_of(g), y
+        return G.tgt[a], int(self.g_index[a]), G.src[a]
 
     def recompose(self, G: FiniteGroupoid, x: int, g_index: int, y: int) -> int:
         g = self.iso.arrows[g_index]
@@ -326,7 +323,16 @@ def decompose_transitive(G: FiniteGroupoid) -> TransitiveDecomposition:
         if not cands:
             raise NotTransitive(f"no arrow from base into {G.objects[x]}")
         taus.append(min(cands))
-    return TransitiveDecomposition(base, tuple(taus), isotropy(G, base))
+    iso = isotropy(G, base)
+    tau, inverse = np.asarray(taus), np.asarray(G.inverse)
+    g = G.composites(G.composites(inverse[tau[G.tgt]], np.arange(G.n_arrows)), tau[G.src])
+    position = np.full(G.n_arrows + 1, -1)  # the last entry catches g == -1 (undefined)
+    position[list(iso.arrows)] = np.arange(iso.order)
+    g_index = position[g]
+    if (g_index < 0).any():
+        a = int(np.argmin(g_index))
+        raise ValueError(f"arrow {G.arrow_ids[a]} does not factor through the base isotropy")
+    return TransitiveDecomposition(base, tuple(taus), iso, g_index)
 
 
 def _group_algebra_product(iso: IsotropyGroup, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -348,14 +354,11 @@ def tensor_of_function(G: FiniteGroupoid, dec: TransitiveDecomposition, f) -> np
     """Image of an arrow function in M_n tensor C[iso] via the factorization."""
     f = _as_function(G, f)
     out = np.zeros((G.n_objects, G.n_objects, dec.iso.order), dtype=complex)
-    for a in range(G.n_arrows):
-        x, g, y = dec.factor(G, a)
-        out[x, y, g] += f[a]
+    np.add.at(out, (G.tgt, G.src, dec.g_index), f)
     return out
 
 
 def transitive_isomorphism_check(G: FiniteGroupoid, mu: HaarSystem | None = None,
-                                 nu: QuasiInvariantMeasure | None = None,
                                  atol: float | None = None) -> Report:
     """Verify the transitive-case isomorphism onto matrices tensor group algebra.
 
@@ -382,8 +385,7 @@ def transitive_isomorphism_check(G: FiniteGroupoid, mu: HaarSystem | None = None
     if len(set(triples)) != G.n_arrows:
         out.add("injectivity", "two arrows factor to the same (tgt, g, src) triple")
         return out
-    for a in range(G.n_arrows):
-        x, g, y = triples[a]
+    for a, (x, g, y) in enumerate(triples):
         if dec.recompose(G, x, g, y) != a:
             out.add("factorization", f"arrow {G.arrow_ids[a]} does not recompose")
             return out

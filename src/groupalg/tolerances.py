@@ -3,26 +3,34 @@
 Two tiers: EXACT (1e-12) for identities that are permutation-plus-conjugation
 exact in floating point, ACCUM (1e-9) for identities built from sums of
 products, where rounding accumulates.  Set GROUPALG_TOL to a single number to
-override both, or to "exact,accum" to set them separately.
+override both, or to "exact,accum" to set them separately; anything else is
+a UsageError.  NU_SUM_TOL, how far an object measure may sum from 1, is
+fixed.
 """
 
 from __future__ import annotations
 
 import os
 
+from .errors import UsageError
+
 EXACT = 1e-12
 ACCUM = 1e-9
+NU_SUM_TOL = 1e-9
 
 
 def _parse_env() -> tuple[float, float]:
     raw = os.environ.get("GROUPALG_TOL", "").strip()
     if not raw:
         return EXACT, ACCUM
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) == 1:
-        v = float(parts[0])
-        return v, v
-    return float(parts[0]), float(parts[1])
+    try:
+        values = [float(p) for p in raw.split(",")]
+    except ValueError:
+        values = []
+    if len(values) not in (1, 2):
+        raise UsageError(
+            f"GROUPALG_TOL must be a number or two comma-separated numbers, got {raw!r}")
+    return values[0], values[-1]
 
 
 def exact_tol(override: float | None = None) -> float:

@@ -61,7 +61,7 @@ class TestRoundTrips:
         assert G.objects == H.objects
         assert G.arrow_ids == H.arrow_ids
         assert G.src == H.src and G.tgt == H.tgt
-        assert G.compose_table == H.compose_table
+        assert np.array_equal(G.compose_table, H.compose_table)
         assert G.inverse == H.inverse and G.unit_of == H.unit_of
         assert np.array_equal(gdoc.haar_raw, back.haar_raw)
         assert np.array_equal(gdoc.nu_raw, back.nu_raw)
@@ -215,3 +215,11 @@ class TestToleranceOverride:
         assert code == 1
         monkeypatch.delenv("GROUPALG_TOL")
         assert main(["check", fx("pair3.json"), "--seed", "1", "--trials", "4"]) == 0
+
+    @pytest.mark.parametrize("value", ["abc", "1e-12,x", "1,2,3"])
+    def test_malformed_value_is_a_usage_error(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("GROUPALG_TOL", value)
+        assert main(["check", fx("pair3.json"), "--seed", "1", "--trials", "4"]) == 2
+        captured = capsys.readouterr()
+        assert "GROUPALG_TOL" in captured.err
+        assert "invariant violated" not in captured.err

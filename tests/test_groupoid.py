@@ -1,7 +1,11 @@
 """Groupoid kernel: construction, validation, fibers, multipliers, isotropy."""
 
+import copy
 import itertools
+import json
+import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +16,9 @@ from groupalg import (NotClosed, NotRelationGroupoid, UnknownLabel,
 from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
                                pair_groupoid, product)
 from groupalg.groupoid import FiniteGroupoid, relation_isomorphism
+from groupalg.io import parse_groupoid_document
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "groupalg", "fixtures")
 
 
 def brute_force_closure(pairs):
@@ -54,6 +61,12 @@ class TestBuildFromRelation:
         assert G.n_arrows == 9
         assert validate(G).ok
 
+    def test_strict_witness_follows_pair_order(self):
+        pairs = [("a", "b"), ("b", "d"), ("b", "c"), ("b", "b")]
+        with pytest.raises(NotClosed) as exc:
+            build_from_relation(list("abcd"), pairs, "strict")
+        assert exc.value.witness == ("a", "d")
+
     def test_unknown_label(self):
         with pytest.raises(UnknownLabel):
             build_from_relation(["a"], [("a", "z")], "strict")
@@ -88,11 +101,10 @@ class TestValidate:
 
     def test_corrupted_composition_detected(self):
         G = pair_groupoid("abc")
-        table = dict(G.compose_table)
+        table = sorted(G.compose_table.tolist())
         # redirect one non-unit composite to a wrong arrow with same endpoints profile
-        (key, old) = next((k, v) for k, v in sorted(table.items())
-                          if not G.is_unit(v))
-        table[key] = G.unit_of[0]
+        row = next(r for r in table if not G.is_unit(r[2]))
+        row[2] = G.unit_of[0]
         bad = FiniteGroupoid(G.objects, G.src, G.tgt, table, G.inverse, G.unit_of)
         rep = validate(bad)
         assert not rep.ok
@@ -115,6 +127,154 @@ class TestValidate:
         bad = FiniteGroupoid(G.objects, G.src, G.tgt, G.compose_table, inv,
                              G.unit_of)
         assert any(e.check == "inverse-endpoints" for e in validate(bad).errors)
+
+
+def _pair3_arrows_doc():
+    """pair(3) as an explicit-arrows document; arrow "ts" runs s -> t."""
+    labels = "abc"
+    return {"objects": list(labels),
+            "arrows": [{"id": t + s, "src": s, "tgt": t} for t in labels for s in labels],
+            "compose": [[t + u, u + s, t + s]
+                        for t in labels for u in labels for s in labels],
+            "inverse": [[t + s, s + t] for t in labels for s in labels]}
+
+
+def _iso_z2_doc():
+    with open(os.path.join(FIXTURES, "iso-z2.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _edit_compose(doc, first, second, composite=None):
+    """Redirect (or, with no composite, drop) the product first o second."""
+    doc = copy.deepcopy(doc)
+    k = next(i for i, t in enumerate(doc["compose"]) if t[:2] == [first, second])
+    if composite is None:
+        del doc["compose"][k]
+    else:
+        doc["compose"][k][2] = composite
+    return doc
+
+
+def _appended(doc, *triples):
+    doc = copy.deepcopy(doc)
+    doc["compose"].extend(triples)
+    return doc
+
+
+def _loaded(doc):
+    return parse_groupoid_document(doc).groupoid
+
+
+def _rebuilt(G, inverse=None, unit_of=None):
+    return FiniteGroupoid(G.objects, G.src, G.tgt, G.compose_table,
+                          inverse or G.inverse, unit_of or G.unit_of, G.arrow_ids)
+
+
+def _with_inverse(G, arrow, inverse):
+    inv = list(G.inverse)
+    inv[G.arrow_index(arrow)] = G.arrow_index(inverse)
+    return _rebuilt(G, inverse=inv)
+
+
+_ISO_ASSOC = [
+    "(a01 o a01) o a03 = a03 != a02 = a01 o (a01 o a03)",
+    "(a01 o a02) o a06 = a00 != a01 = a01 o (a02 o a06)",
+    "(a01 o a02) o a07 = a01 != a00 = a01 o (a02 o a07)",
+    "(a01 o a02) o a09 = a03 != a02 = a01 o (a02 o a09)",
+    "(a01 o a02) o a10 = a04 != a05 = a01 o (a02 o a10)",
+    "(a01 o a02) o a11 = a05 != a04 = a01 o (a02 o a11)",
+    "(a01 o a03) o a09 = a03 != a02 = a01 o (a03 o a09)",
+    "(a01 o a04) o a14 = a03 != a02 = a01 o (a04 o a14)",
+    "(a01 o a05) o a15 = a03 != a02 = a01 o (a05 o a15)",
+    "(a06 o a01) o a02 = a09 != a08 = a06 o (a01 o a02)",
+    "(a07 o a01) o a02 = a08 != a09 = a07 o (a01 o a02)",
+    "(a12 o a01) o a02 = a15 != a14 = a12 o (a01 o a02)",
+    "(a13 o a01) o a02 = a14 != a15 = a13 o (a01 o a02)",
+    "(a02 o a07) o a02 = a02 != a03 = a02 o (a07 o a02)",
+    "(a03 o a06) o a02 = a02 != a03 = a03 o (a06 o a02)",
+    "(a04 o a13) o a02 = a02 != a03 = a04 o (a13 o a02)",
+    "(a05 o a12) o a02 = a02 != a03 = a05 o (a12 o a02)",
+]
+
+_CORRUPTIONS = {
+    "off-domain": (
+        lambda: _loaded(_appended(_pair3_arrows_doc(), ["ab", "ab", "aa"])),
+        [("compose-domain", "table defines ab o ab but src/tgt do not match")]),
+    "dropped": (
+        lambda: _loaded(_edit_compose(_pair3_arrows_doc(), "ab", "bc")),
+        [("compose-missing", "ab o bc undefined")]),
+    "wrong-endpoints": (
+        lambda: _loaded(_edit_compose(_pair3_arrows_doc(), "ab", "bc", "ba")),
+        [("compose-endpoints", "ab o bc = ba has wrong endpoints"),
+         ("associativity", "(ab o ba) o ac = ac != ba = ab o (ba o ac)"),
+         ("associativity", "(ac o cb) o bc = ba != ac = ac o (cb o bc)")]),
+    "off-domain-read-by-associativity": (
+        lambda: _loaded(_appended(_edit_compose(_pair3_arrows_doc(), "ab", "bc", "ba"),
+                                  ["ba", "cc", "bb"])),
+        [("compose-endpoints", "ab o bc = ba has wrong endpoints"),
+         ("compose-domain", "table defines ba o cc but src/tgt do not match"),
+         ("associativity", "(ab o ba) o ac = ac != ba = ab o (ba o ac)"),
+         ("associativity", "(ab o bc) o cc = bb != ba = ab o (bc o cc)"),
+         ("associativity", "(ac o cb) o bc = ba != ac = ac o (cb o bc)")]),
+    "repeated-product-last-wins": (
+        lambda: _loaded(_appended(_pair3_arrows_doc(), ["ab", "bc", "ba"])),
+        [("compose-endpoints", "ab o bc = ba has wrong endpoints"),
+         ("associativity", "(ab o ba) o ac = ac != ba = ab o (ba o ac)"),
+         ("associativity", "(ac o cb) o bc = ba != ac = ac o (cb o bc)")]),
+    "repeated-product-repaired": (
+        lambda: _loaded(_appended(_edit_compose(_pair3_arrows_doc(), "ab", "bc", "ba"),
+                                  ["ab", "bc", "ac"])),
+        []),
+    "iso-wrong-endpoints": (
+        lambda: _loaded(_edit_compose(_iso_z2_doc(), "a01", "a02", "a06")),
+        [("compose-endpoints", "a01 o a02 = a06 has wrong endpoints"),
+         ("associativity", "(a01 o a01) o a03 = a03 != a06 = a01 o (a01 o a03)"),
+         ("associativity", "(a01 o a03) o a09 = a03 != a06 = a01 o (a03 o a09)"),
+         ("associativity", "(a01 o a04) o a14 = a03 != a06 = a01 o (a04 o a14)"),
+         ("associativity", "(a01 o a05) o a15 = a03 != a06 = a01 o (a05 o a15)"),
+         ("associativity", "(a02 o a07) o a02 = a06 != a03 = a02 o (a07 o a02)"),
+         ("associativity", "(a03 o a06) o a02 = a06 != a03 = a03 o (a06 o a02)"),
+         ("associativity", "(a04 o a13) o a02 = a06 != a03 = a04 o (a13 o a02)"),
+         ("associativity", "(a05 o a12) o a02 = a06 != a03 = a05 o (a12 o a02)")]),
+    "iso-associativity": (
+        lambda: _loaded(_edit_compose(_iso_z2_doc(), "a01", "a02", "a02")),
+        [("associativity", w) for w in _ISO_ASSOC]),
+    "unit-missing": (
+        lambda: _rebuilt(_loaded(_pair3_arrows_doc()), unit_of=[0, None, 8]),
+        [("unit-missing", "object b has no unit arrow")]),
+    "unit-misplaced": (
+        lambda: _rebuilt(_loaded(_pair3_arrows_doc()), unit_of=[1, 4, 8]),
+        [("unit-endpoints", "unit of a is ab, not a loop at it"),
+         ("unit-law", "aa o unit(a) != aa"),
+         ("unit-law", "ba o unit(a) != ba"),
+         ("unit-law", "ca o unit(a) != ca"),
+         ("inverse-law", "aa o aa != unit(a)"),
+         ("inverse-law", "aa o aa != unit(a)"),
+         ("inverse-law", "ab o ba != unit(a)"),
+         ("inverse-law", "ac o ca != unit(a)"),
+         ("inverse-law", "ab o ba != unit(a)"),
+         ("inverse-law", "ac o ca != unit(a)")]),
+    "inverse-endpoints": (
+        lambda: _with_inverse(_loaded(_pair3_arrows_doc()), "ab", "ab"),
+        [("inverse-endpoints", "inverse(ab) = ab does not swap endpoints"),
+         ("inverse-involution", "inverse(inverse(ba)) = ab")]),
+    "iso-inverse-involution": (
+        lambda: _with_inverse(_loaded(_iso_z2_doc()), "a01", "a00"),
+        [("inverse-involution", "inverse(inverse(a01)) = a00"),
+         ("inverse-law", "a01 o a00 != unit(a)"),
+         ("inverse-law", "a00 o a01 != unit(a)")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CORRUPTIONS))
+def test_validate_pins_every_witness_in_order(case):
+    build, want = _CORRUPTIONS[case]
+    assert [(e.check, e.witness) for e in validate(build()).entries] == want
+
+
+def test_validate_clean_explicit_documents():
+    assert validate(_loaded(_pair3_arrows_doc())).entries == []
+    assert validate(_loaded(_iso_z2_doc())).entries == []
 
 
 class TestFibers:
@@ -268,5 +428,34 @@ def test_pair_groupoid_agrees_with_relation_constructor():
                                   "strict")
         assert direct.objects == rel.objects
         assert direct.relation_pairs() == rel.relation_pairs()
-        assert direct.compose_table == rel.compose_table
+        assert np.array_equal(direct.compose_table, rel.compose_table)
         assert direct.inverse == rel.inverse
+
+
+def _mixed_groupoids():
+    return [pair_groupoid("abcd"),
+            product(pair_groupoid("abc"), group_groupoid(*cyclic_table(3))),
+            disjoint_union(product(pair_groupoid("ab"), group_groupoid(*cyclic_table(2))),
+                           pair_groupoid("xyz"))]
+
+
+def test_convolution_plan_is_the_fiberwise_enumeration():
+    # oracle: for every arrow out and every left into tgt(out), in fiber order,
+    # the factor right = inverse(left) o out; this order fixes convolve's sums
+    for G in _mixed_groupoids():
+        want = [(out, left, G.compose(G.inverse[left], out))
+                for out in range(G.n_arrows) for left in G.target_fiber(G.tgt[out])]
+        outs, lefts, rights = G.convolution_plan()
+        assert list(zip(outs.tolist(), lefts.tolist(), rights.tolist())) == want
+
+
+def test_vectorized_and_scalar_lookups_agree():
+    for G in _mixed_groupoids():
+        a, b = np.array(G.composable_pairs()).T
+        assert G.composites(a, b).tolist() == [G.compose(x, y) for x, y in zip(a, b)]
+        off = [(x, y) for x in range(G.n_arrows) for y in range(G.n_arrows)
+               if G.src[x] != G.tgt[y]][:20]
+        assert G.composites(*np.array(off).T).tolist() == [-1] * len(off)
+        with pytest.raises(ValueError):
+            G.compose(*off[0])
+        assert G.composites([-1, 0], [0, -1]).tolist() == [-1, -1]

@@ -17,7 +17,7 @@ from groupalg.randgen import SplitMix64, random_function, random_invariant_weigh
 def brute_force_convolve(G, weights, f, g):
     """Oracle: sum f(a) g(b) weight(a) over every factorization a o b = c."""
     out = np.zeros(G.n_arrows, dtype=complex)
-    for (a, b), c in G.compose_table.items():
+    for a, b, c in G.compose_table.tolist():
         out[c] += f[a] * g[b] * weights[a]
     return out
 

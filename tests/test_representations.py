@@ -95,7 +95,7 @@ class TestLeftRegular:
     def test_multiplicativity_matrix_oracle(self):
         G = product(pair_groupoid("ab"), group_groupoid(*cyclic_table(2)))
         mu = HaarSystem(random_invariant_weights(G, SplitMix64(3)))
-        for (a, b), c in sorted(G.compose_table.items())[:50]:
+        for a, b, c in sorted(G.compose_table.tolist())[:50]:
             lhs = left_regular(G, mu, c)
             rhs = left_regular(G, mu, a) @ left_regular(G, mu, b)
             assert np.array_equal(lhs, rhs)
