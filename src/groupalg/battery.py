@@ -69,6 +69,20 @@ class BatteryRun:
         return "\n".join(line.render() for line in self.lines)
 
 
+# every suite after groupoid-axioms, in report order
+SUITES = (
+    "haar-positivity", "haar-left-invariance", "nu-normalization",
+    "convolution-associativity", "involution-antihomomorphism", "convolution-unit",
+    "involution-involutive", "inorm-involution-isometry", "inorm-submultiplicative",
+    "haar-integral-invariance", "pair-matrix-oracle", "left-regular-axioms",
+    "trivial-rep-axioms", "integrated-homomorphism", "integrated-star",
+    "integrated-norm-bound", "equivalence-transport", "bisection-group",
+    "multiplier-ideal", "isotropy-bundle", "transitive-isomorphism",
+    "inorm-convergence-bound", "fundamental-family", "half-density-positivity",
+    "fiber-integration",
+)
+
+
 def _is_full_pair(G: FiniteGroupoid) -> bool:
     return (G.is_relation_groupoid() and G.is_transitive()
             and G.n_arrows == G.n_objects ** 2)
@@ -94,6 +108,10 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
     run.record_report("groupoid-axioms", axioms)
     if not axioms.ok:
         return run  # everything downstream assumes a groupoid
+    if G.n_objects == 0:  # no measure on no objects; every law holds vacuously
+        for name in SUITES:
+            run.skip(name, "empty groupoid")
+        return run
 
     # Haar system and nu
     haar_ok = True
@@ -235,36 +253,9 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
     if _bisection_count_bound(G, 5000):
         sigmas = bisections.enumerate_bisections(G)
         if sigmas:
-            index = {s: i for i, s in enumerate(sigmas)}
-            k = len(sigmas)
-            table = np.zeros((k, k), dtype=np.intp)
-            closed = True
-            for i, s in enumerate(sigmas):
-                for j, t in enumerate(sigmas):
-                    st = bisections.bisection_compose(G, s, t)
-                    if st not in index:
-                        closed = False
-                        break
-                    table[i, j] = index[st]
-                if not closed:
-                    break
-            group_ok = closed
-            if closed:
-                assoc = np.array_equal(table[table, :],
-                                       table[np.arange(k)[:, None, None], table])
-                e = index[bisections.unit_bisection(G)]
-                ident = np.all(table[e, :] == np.arange(k)) and \
-                    np.all(table[:, e] == np.arange(k))
-                invs = all(any(table[i, j] == e and table[j, i] == e for j in range(k))
-                           for i in range(k))
-                hom = all(
-                    bisections.target_map(G, sigmas[int(table[i, j])])
-                    == {x: bisections.target_map(G, sigmas[i])[y]
-                        for x, y in bisections.target_map(G, sigmas[j]).items()}
-                    for i in range(k) for j in range(k))
-                group_ok = bool(assoc and ident and invs and hom)
-            run.record("bisection-group", group_ok,
-                       f"{k} full bisections form a group; targets are a homomorphism")
+            run.record("bisection-group", bisections.forms_group(G, sigmas),
+                       f"{len(sigmas)} full bisections form a group; "
+                       "targets are a homomorphism")
         else:
             run.record("bisection-group", False, "no full bisection exists")
     else:

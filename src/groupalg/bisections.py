@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainMismatch
 from .groupoid import FiniteGroupoid
 
@@ -98,6 +100,40 @@ def bisection_compose(G: FiniteGroupoid, sigma: Bisection, tau: Bisection) -> Bi
                 f"target {G.objects[t]} of tau is outside the domain of sigma")
         arrows.append(G.compose(spick[t], a))
     return Bisection(tau.domain, tuple(arrows))
+
+
+def forms_group(G: FiniteGroupoid, sigmas: list[Bisection]) -> bool:
+    """True when the full bisections ``sigmas`` form a group under the star
+    product and taking targets is a homomorphism into object permutations.
+
+    The k^2 star products fill a k x k index table, which stops at the
+    first product outside ``sigmas``; associativity, the unit, inverses and
+    the homomorphism are then whole-table comparisons, the last one against
+    the k x n array of target maps.
+    """
+    index = {s: i for i, s in enumerate(sigmas)}
+    k = len(sigmas)
+    table = np.zeros((k, k), dtype=np.intp)
+    for i, s in enumerate(sigmas):
+        for j, t in enumerate(sigmas):
+            st = bisection_compose(G, s, t)
+            if st not in index:
+                return False
+            table[i, j] = index[st]
+    e = index[unit_bisection(G)]
+    rows = np.arange(k)
+    if not np.array_equal(table[table, :], table[rows[:, None, None], table]):
+        return False
+    if not (np.all(table[e, :] == rows) and np.all(table[:, e] == rows)):
+        return False
+    if not ((table == e) & (table.T == e)).any(axis=1).all():
+        return False
+    # targets[i, x] is the target of sigma_i at x; full bisections share one domain
+    maps = [target_map(G, s) for s in sigmas]
+    targets = np.array([[m[x] for x in range(G.n_objects)] for m in maps],
+                       dtype=np.intp).reshape(k, G.n_objects)
+    composed = targets[rows[:, None, None], targets[None, :, :]]  # [i, j, x] = T_i(T_j(x))
+    return bool(np.array_equal(targets[table], composed))
 
 
 def bisection_inverse(G: FiniteGroupoid, sigma: Bisection) -> Bisection:

@@ -517,6 +517,10 @@ class IsotropyGroup:
         self.table = [[index[G.compose(a, b)] for b in self.arrows]
                       for a in self.arrows]
         self.inverse_table = [index[G.inverse[a]] for a in self.arrows]
+        # left_div[i, g] = mult(inv(i), g), the g1-th row of the group algebra product
+        self.left_div = np.array(self.table, dtype=np.intp).reshape(-1, self.order)[
+            self.inverse_table]
+        self.left_div.flags.writeable = False
 
     @property
     def order(self) -> int:

@@ -7,9 +7,11 @@ import pytest
 
 from groupalg import DomainMismatch
 from groupalg.bisections import (bisection_compose, bisection_inverse,
-                                 enumerate_bisections, left_translate,
+                                 enumerate_bisections, forms_group, left_translate,
                                  make_bisection, target_map, unit_bisection)
-from groupalg.builders import cyclic_table, group_groupoid, pair_groupoid, product
+from groupalg.builders import (cyclic_table, group_groupoid, klein_table,
+                               pair_groupoid, product)
+from groupalg.groupoid import FiniteGroupoid
 
 
 def test_counts_are_factorials():
@@ -102,3 +104,79 @@ def test_rejects_non_injective_targets():
     with pytest.raises(ValueError):
         make_bisection(G, {a: G.arrow_by_endpoints(a, a),
                            b: G.arrow_by_endpoints(a, b)})
+
+
+def _brute_force_forms_group(G, sigmas):
+    """The group and homomorphism laws pair by pair, with target-map dicts."""
+    index = {s: i for i, s in enumerate(sigmas)}
+    k = len(sigmas)
+    table = [[0] * k for _ in range(k)]
+    for i, s in enumerate(sigmas):
+        for j, t in enumerate(sigmas):
+            st = bisection_compose(G, s, t)
+            if st not in index:
+                return False
+            table[i][j] = index[st]
+    e = index[unit_bisection(G)]
+    assoc = all(table[table[i][j]][m] == table[i][table[j][m]]
+                for i in range(k) for j in range(k) for m in range(k))
+    ident = all(table[e][i] == i == table[i][e] for i in range(k))
+    invs = all(any(table[i][j] == e and table[j][i] == e for j in range(k))
+               for i in range(k))
+    hom = all(target_map(G, sigmas[table[i][j]])
+              == {x: target_map(G, sigmas[i])[y] for x, y in target_map(G, sigmas[j]).items()}
+              for i in range(k) for j in range(k))
+    return assoc and ident and invs and hom
+
+
+def _outcome(G, sigmas, check):
+    try:
+        return check(G, sigmas)
+    except Exception as exc:  # noqa: BLE001 - both sides must raise alike
+        return f"raised {type(exc).__name__}: {exc}"
+
+
+def test_forms_group_on_clean_groupoids():
+    for G in (pair_groupoid("abc"), pair_groupoid("abcd"),
+              product(pair_groupoid("ab"), group_groupoid(*klein_table())),
+              group_groupoid(*cyclic_table(5))):
+        assert forms_group(G, enumerate_bisections(G)) is True
+
+
+def test_forms_group_rejects_a_set_that_is_not_closed():
+    G = pair_groupoid("abc")
+    sigmas = enumerate_bisections(G)
+    assert forms_group(G, sigmas[:-1]) is False
+    assert _brute_force_forms_group(G, sigmas[:-1]) is False
+
+
+def test_forms_group_agrees_with_the_pairwise_laws_on_corrupted_tables():
+    G = product(pair_groupoid("abc"), group_groupoid(*cyclic_table(2)))
+    rows = G.compose_table
+    verdicts = set()
+    # a composite redirected to its parallel arrow (the bisections stay
+    # closed) or to the next arrow (they need not)
+    for i in range(0, len(rows), 7):
+        table = rows.copy()
+        table[i, 2] = table[i, 2] ^ 1 if i % 2 else (table[i, 2] + 1) % G.n_arrows
+        H = FiniteGroupoid(G.objects, G.src, G.tgt, table, G.inverse, G.unit_of)
+        sigmas = enumerate_bisections(H)
+        got = _outcome(H, sigmas, forms_group)
+        assert got == _outcome(H, sigmas, _brute_force_forms_group), i
+        verdicts.add(got if isinstance(got, bool) else "raised")
+    assert False in verdicts
+
+
+def test_forms_group_sees_targets_that_reverse_the_product(monkeypatch):
+    # inverse target permutations make an anti-homomorphism on pair(3): the
+    # star table is still a group, the target law fails (S3 is not abelian)
+    from groupalg import bisections
+    real = bisections.target_map
+
+    def inverted(G, sigma):
+        return {t: x for x, t in real(G, sigma).items()}
+    G = pair_groupoid("abc")
+    sigmas = enumerate_bisections(G)
+    assert forms_group(G, sigmas)
+    monkeypatch.setattr(bisections, "target_map", inverted)
+    assert not forms_group(G, sigmas)

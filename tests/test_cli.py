@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from groupalg import convolve, counting_haar, validate
+from groupalg.battery import SUITES, run_battery
 from groupalg.builders import cyclic_table, group_groupoid, pair_groupoid, product
 from groupalg.cli import main
 from groupalg.io import (GroupoidDocument, load_function, load_groupoid,
@@ -184,6 +185,20 @@ class TestCommands:
         assert "FAIL  groupoid-axioms" in out
         assert any(word in out for word in ("associativity", "compose-endpoints",
                                             "unit-law", "inverse-law"))
+
+    def test_check_empty_groupoid(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text('{"objects": [], "relation": []}')
+        assert main(["validate", str(path)]) == 0
+        assert main(["check", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].startswith("PASS  groupoid-axioms")
+        assert [line.split()[1] for line in lines[3:]] == list(SUITES)
+        assert all(line.endswith("skipped: empty groupoid") for line in lines[3:])
+
+    def test_suites_lists_every_suite_in_order(self):
+        run = run_battery(load_groupoid(fx("pair3-weighted.json")), seed=1, trials=2)
+        assert [line.name for line in run.lines] == ["groupoid-axioms", *SUITES]
 
     def test_algebra_command(self, capsys):
         assert main(["algebra", fx("st-m2-units.json")]) == 0

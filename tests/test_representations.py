@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from groupalg import representations, tolerances
 from groupalg import (HaarSystem, NotTransitive, QuasiInvariantMeasure,
                       ShapeMismatch, adjoint_operator, canonical_bundle,
                       check_representation, conjugate_rep_on, convolve,
@@ -13,11 +14,15 @@ from groupalg import (HaarSystem, NotTransitive, QuasiInvariantMeasure,
                       operator_norm_bound_check, trivial_rep,
                       uniform_measure)
 from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
-                               pair_groupoid, product)
+                               klein_table, pair_groupoid, product,
+                               symmetric_table)
+from groupalg.groupoid import FiniteGroupoid
 from groupalg.randgen import (SplitMix64, random_function,
                               random_invariant_weights, random_probability,
                               random_unitary_field)
-from groupalg.representations import BundleRep, bundle_metric
+from groupalg.report import Report
+from groupalg.representations import (BundleRep, _group_algebra_star,
+                                      bundle_metric, tensor_of_function)
 
 
 def weighted_inner(bundle, nu, u, v):
@@ -267,6 +272,216 @@ class TestTransitiveIsomorphism:
         G = disjoint_union(pair_groupoid("ab"), pair_groupoid("cd"))
         with pytest.raises(NotTransitive):
             transitive_isomorphism_check(G)
+
+
+def _brute_force_group_algebra_product(iso, A, B):
+    """Product in M_n tensor C[iso], one Cayley-table lookup per element."""
+    h = iso.order
+    out = np.zeros_like(A)
+    for g1 in range(h):
+        k = [iso.mult(iso.inv(g1), g) for g in range(h)]
+        out += np.einsum("xy,yzg->xzg", A[:, :, g1], B[:, :, k])
+    return out
+
+
+def _brute_force_transitive_check(G, mu=None, atol=None):
+    """The isomorphism check by convolving every pair of arrow deltas and
+    multiplying their images: the oracle for transitive_isomorphism_check."""
+    atol = tolerances.exact_tol(atol)
+    out = Report("transitive-isomorphism")
+    dec = decompose_transitive(G)
+    counting = counting_haar(G)
+    if mu is not None and not np.allclose(mu.weights, 1.0):
+        out.add("weights", "comparison uses counting weights, not the supplied system",
+                severity="note")
+    n, h = G.n_objects, dec.iso.order
+    if G.n_arrows != n * n * h:
+        out.add("dimension",
+                f"|arrows| = {G.n_arrows} != {n}^2 * {h} = {n * n * h}")
+        return out
+    triples = [dec.factor(G, a) for a in range(G.n_arrows)]
+    if len(set(triples)) != G.n_arrows:
+        out.add("injectivity", "two arrows factor to the same (tgt, g, src) triple")
+        return out
+    for a, (x, g, y) in enumerate(triples):
+        if dec.recompose(G, x, g, y) != a:
+            out.add("factorization", f"arrow {G.arrow_ids[a]} does not recompose")
+            return out
+
+    worst = 0.0
+    for a in range(G.n_arrows):
+        fa = delta(G, a)
+        for b in range(G.n_arrows):
+            lhs = tensor_of_function(G, dec, convolve(G, counting, fa, delta(G, b)))
+            rhs = _brute_force_group_algebra_product(
+                dec.iso, tensor_of_function(G, dec, fa), tensor_of_function(G, dec, delta(G, b)))
+            err = float(np.abs(lhs - rhs).max())
+            worst = max(worst, err)
+            if err > atol:
+                out.add("structure-constants",
+                        f"delta product at ({G.arrow_ids[a]}, {G.arrow_ids[b]})",
+                        residual=err)
+        star_lhs = tensor_of_function(G, dec, involute(G, fa))
+        star_rhs = _group_algebra_star(dec.iso, tensor_of_function(G, dec, fa))
+        err = float(np.abs(star_lhs - star_rhs).max())
+        worst = max(worst, err)
+        if err > atol:
+            out.add("involution", f"star image of {G.arrow_ids[a]} disagrees",
+                    residual=err)
+
+    rng = SplitMix64(0xC0FFEE)
+    for _ in range(2):
+        f = random_function(G, rng)
+        g = random_function(G, rng)
+        lhs = tensor_of_function(G, dec, convolve(G, counting, f, g))
+        rhs = _brute_force_group_algebra_product(dec.iso, tensor_of_function(G, dec, f),
+                                                 tensor_of_function(G, dec, g))
+        err = float(np.abs(lhs - rhs).max())
+        worst = max(worst, err)
+        if err > atol:
+            out.add("linearity", "random linear inputs disagree under the map",
+                    residual=err)
+    out.add("summary",
+            f"bijective *-homomorphism onto M_{n} tensor C[iso of order {h}]",
+            severity="note", residual=worst)
+    return out
+
+
+def _outcome(check, G):
+    """The rendered report, or the type and message of what was raised."""
+    try:
+        return str(check(G))
+    except Exception as exc:  # noqa: BLE001 - the oracle must raise the same
+        return f"raised {type(exc).__name__}: {exc}"
+
+
+def _rebuilt(G, table=None, inverse=None):
+    return FiniteGroupoid(G.objects, G.src, G.tgt,
+                          G.compose_table if table is None else table,
+                          G.inverse if inverse is None else inverse,
+                          G.unit_of, G.arrow_ids)
+
+
+def _differential_groupoids():
+    return {
+        "pair3": pair_groupoid("abc"),
+        "pair2xS3": product(pair_groupoid("ab"), group_groupoid(*symmetric_table(3))),
+        "pair3xKlein": product(pair_groupoid("abc"), group_groupoid(*klein_table())),
+        "Z6": group_groupoid(*cyclic_table(6)),
+        "Z8": group_groupoid(*cyclic_table(8)),
+    }
+
+
+def _corruptions(G):
+    """Corrupted copies of a transitive groupoid, keyed by the corruption."""
+    rows = G.compose_table[np.lexsort((G.compose_table[:, 1], G.compose_table[:, 0]))]
+    units = set(G.unit_of)
+    dec = decompose_transitive(G)
+    loops = set(dec.iso.arrows)
+    out = {}
+    # a composite away from the base object (the factorization reads the
+    # products there) redirected to another arrow with the same endpoints,
+    # or to one with other endpoints where there is none
+    for i, (a, b, c) in enumerate(rows.tolist()):
+        if a in units or b in units or dec.base in (G.tgt[a], G.src[a], G.src[b]):
+            continue
+        same = [d for d in range(G.n_arrows) if d != c
+                and (G.tgt[d], G.src[d]) == (G.tgt[c], G.src[c])]
+        table = rows.copy()
+        table[i, 2] = same[0] if same else (c + 1) % G.n_arrows
+        out["redirected"] = _rebuilt(G, table)
+        break
+    # a product of two base loops redirected to another base loop
+    for i, (a, b, c) in enumerate(rows.tolist()):
+        if a in loops and b in loops and a not in units and b not in units:
+            table = rows.copy()
+            table[i, 2] = next(d for d in dec.iso.arrows if d not in (c, G.unit_of[0]))
+            out["redirected-in-isotropy"] = _rebuilt(G, table)
+            break
+    # the last row off the base loops dropped (on a group, the last row:
+    # then the isotropy group cannot be built and both checks raise)
+    drop = max((i for i, (a, b, _) in enumerate(rows.tolist())
+                if not (a in loops and b in loops)), default=len(rows) - 1)
+    out["dropped"] = _rebuilt(G, np.delete(rows, drop, axis=0))
+    # an extra row on a pair that does not compose
+    off = [(a, b) for a in range(G.n_arrows) for b in range(G.n_arrows)
+           if G.src[a] != G.tgt[b]]
+    if off:
+        a, b = off[len(off) // 2]
+        out["off-domain"] = _rebuilt(G, np.vstack([rows, [[a, b, a]]]))
+    # two non-unit base loops swap their inverses, or with too few loops the
+    # last arrow's inverse becomes an arrow into its source from elsewhere
+    if dec.iso.order > 2:
+        g1, g2 = [g for g in dec.iso.arrows if g != G.unit_of[0]][:2]
+        inverse = list(G.inverse)
+        inverse[g1], inverse[g2] = inverse[g2], inverse[g1]
+        out["broken-inverse"] = _rebuilt(G, inverse=inverse)
+    else:
+        inverse = list(G.inverse)
+        a = G.n_arrows - 1
+        inverse[a] = next(d for d in range(G.n_arrows)
+                          if d != inverse[a] and G.tgt[d] == G.src[a]
+                          and G.src[d] != G.tgt[a])
+        out["broken-inverse"] = _rebuilt(G, inverse=inverse)
+    return out
+
+
+class TestStructureConstantOracle:
+    @pytest.mark.parametrize("name", list(_differential_groupoids()))
+    def test_clean_reports_match_the_oracle(self, name):
+        G = _differential_groupoids()[name]
+        got = _outcome(transitive_isomorphism_check, G)
+        assert got == _outcome(_brute_force_transitive_check, G)
+        assert got.startswith("transitive-isomorphism: ok")
+
+    @pytest.mark.parametrize("name", list(_differential_groupoids()))
+    def test_corrupted_reports_match_the_oracle(self, name):
+        cases = _corruptions(_differential_groupoids()[name])
+        assert {"dropped", "broken-inverse"} <= set(cases)
+        assert {"redirected", "redirected-in-isotropy"} & set(cases)
+        for case, H in cases.items():
+            got = _outcome(transitive_isomorphism_check, H)
+            assert got == _outcome(_brute_force_transitive_check, H), case
+            assert not got.startswith("transitive-isomorphism: ok"), case
+
+    def test_redirect_inside_the_isotropy_group(self):
+        # the left-division table of the corrupted Cayley table is what finds
+        # every mismatch; the corrupted entry itself reads the same on both sides
+        H = _corruptions(group_groupoid(*cyclic_table(6)))["redirected-in-isotropy"]
+        got = transitive_isomorphism_check(H)
+        assert str(got) == str(_brute_force_transitive_check(H))
+        assert [e.witness for e in got.errors if e.check == "structure-constants"] == [
+            "delta product at (g1, g1)", "delta product at (g5, g1)",
+            "delta product at (g5, g2)"]
+
+    def test_arrow_that_does_not_factor_raises_alike(self):
+        G = product(pair_groupoid("ab"), group_groupoid(*symmetric_table(3)))
+        dec = decompose_transitive(G)
+        a = next(a for a in range(G.n_arrows)
+                 if G.tgt[a] != dec.base and G.src[a] != dec.base)
+        first = G.inverse[dec.taus[G.tgt[a]]]
+        keep = ~((G.compose_table[:, 0] == first) & (G.compose_table[:, 1] == a))
+        H = _rebuilt(G, G.compose_table[keep])
+        got = _outcome(transitive_isomorphism_check, H)
+        assert got == _outcome(_brute_force_transitive_check, H)
+        assert got.startswith("raised ValueError: arrow")
+
+    def test_a_tolerance_of_one_hides_the_structure_constants(self):
+        H = _corruptions(pair_groupoid("abc"))["dropped"]
+        for atol in (0.5, 1.0):
+            got = transitive_isomorphism_check(H, atol=atol)
+            assert str(got) == str(_brute_force_transitive_check(H, atol=atol))
+
+    def test_no_delta_convolutions(self, monkeypatch):
+        calls = []
+        real = representations.convolve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(representations, "convolve", counted)
+        assert transitive_isomorphism_check(pair_groupoid("abcdef")).ok
+        assert len(calls) <= 2
 
 
 class TestFundamentalFamily:
