@@ -9,6 +9,7 @@ on multi-orbit ones) are reported as skipped notes, not failures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,15 +87,6 @@ SUITES = (
 def _is_full_pair(G: FiniteGroupoid) -> bool:
     return (G.is_relation_groupoid() and G.is_transitive()
             and G.n_arrows == G.n_objects ** 2)
-
-
-def _bisection_count_bound(G: FiniteGroupoid, cap: int) -> bool:
-    total = 1
-    for x in range(G.n_objects):
-        total *= max(len(G.source_fiber(x)), 1)
-        if total > cap:
-            return False
-    return True
 
 
 def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> BatteryRun:
@@ -249,17 +241,18 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
     run.record("equivalence-transport", ok_conj and worst_equiv <= accum,
                "conjugating the rep conjugates the integrated rep", worst_equiv)
 
-    # bisections
-    if _bisection_count_bound(G, 5000):
-        sigmas = bisections.enumerate_bisections(G)
-        if sigmas:
-            run.record("bisection-group", bisections.forms_group(G, sigmas),
-                       f"{len(sigmas)} full bisections form a group; "
-                       "targets are a homomorphism")
-        else:
-            run.record("bisection-group", False, "no full bisection exists")
-    else:
+    # bisections, enumerated once for the group laws and the fundamental
+    # family; the product of the source-fiber sizes bounds their number
+    bound = math.prod(max(len(G.source_fiber(x)), 1) for x in range(G.n_objects))
+    sigmas = bisections.enumerate_bisections(G) if bound <= 5000 else []
+    if bound > 5000:
         run.skip("bisection-group", "too many bisections to enumerate")
+    elif sigmas:
+        run.record("bisection-group", bisections.forms_group(G, sigmas),
+                   f"{len(sigmas)} full bisections form a group; "
+                   "targets are a homomorphism")
+    else:
+        run.record("bisection-group", False, "no full bisection exists")
 
     # multipliers and ideal closure
     if G.is_relation_groupoid():
@@ -304,18 +297,11 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
     fam = [delta(G, a) for a in range(G.n_arrows)]
     rep_fam = fundamental_family_check(G, mu, fam)
     bis_note = ""
-    if _bisection_count_bound(G, 600) and G.n_objects > 0:
-        sigmas = bisections.enumerate_bisections(G)
-        if sigmas:
-            images = []
-            for s in sigmas:
-                ind = np.zeros(G.n_arrows, dtype=complex)
-                for a in s.arrows:
-                    ind[a] = 1.0
-                images.append(ind)
-            rep_bis = fundamental_family_check(G, mu, images)
-            rep_fam.merge(rep_bis)
-            bis_note = " (arrow indicators and bisection images)"
+    if bound <= 600 and sigmas:
+        images = np.zeros((len(sigmas), G.n_arrows), dtype=complex)
+        images[np.arange(len(sigmas))[:, None], bisections.arrow_array(G, sigmas)] = 1.0
+        rep_fam.merge(fundamental_family_check(G, mu, list(images)))
+        bis_note = " (arrow indicators and bisection images)"
     run.record("fundamental-family", rep_fam.ok,
                f"families span every target fiber{bis_note}")
 

@@ -102,36 +102,46 @@ def bisection_compose(G: FiniteGroupoid, sigma: Bisection, tau: Bisection) -> Bi
     return Bisection(tau.domain, tuple(arrows))
 
 
+def arrow_array(G: FiniteGroupoid, sigmas: list[Bisection]) -> np.ndarray:
+    """The full bisections as one k x n int array, ``S[i, x] = sigma_i(x)``."""
+    return np.array([s.arrows for s in sigmas], dtype=np.intp).reshape(len(sigmas), G.n_objects)
+
+
 def forms_group(G: FiniteGroupoid, sigmas: list[Bisection]) -> bool:
     """True when the full bisections ``sigmas`` form a group under the star
     product and taking targets is a homomorphism into object permutations.
 
-    The k^2 star products fill a k x k index table, which stops at the
-    first product outside ``sigmas``; associativity, the unit, inverses and
-    the homomorphism are then whole-table comparisons, the last one against
-    the k x n array of target maps.
+    The bisections are the k x n array ``S[i, x] = sigma_i(x)``.  One
+    composite lookup gives all k^2 star products ``S[i, tgt(S[j, x])] o
+    S[j, x]``, and a dict on row bytes maps each back to its index; a product
+    with a missing composite (-1), or a product or unit bisection outside
+    ``sigmas``, makes the answer False.  Associativity compares (ij)m with
+    i(jm) one row i at a time, all k^3 triples in k^2 memory; the unit,
+    inverses and the homomorphism into the target maps are table comparisons.
     """
-    index = {s: i for i, s in enumerate(sigmas)}
-    k = len(sigmas)
-    table = np.zeros((k, k), dtype=np.intp)
-    for i, s in enumerate(sigmas):
-        for j, t in enumerate(sigmas):
-            st = bisection_compose(G, s, t)
-            if st not in index:
-                return False
-            table[i, j] = index[st]
-    e = index[unit_bisection(G)]
-    rows = np.arange(k)
-    if not np.array_equal(table[table, :], table[rows[:, None, None], table]):
+    k, n = len(sigmas), G.n_objects
+    S = arrow_array(G, sigmas)
+    index = {row.tobytes(): i for i, row in enumerate(S)}
+    T = np.asarray(G.tgt, dtype=np.intp)[S]
+    products = G.composites(S[:, T], S)  # [i, j, x] = (sigma_i * sigma_j)(x), or -1
+    found = [index.get(row.tobytes()) for row in products.reshape(k * k, n)]
+    if None in found:
         return False
+    table = np.array(found, dtype=np.intp).reshape(k, k)
+    e = index.get(arrow_array(G, [unit_bisection(G)]).tobytes())
+    if e is None:
+        return False
+    if not all(np.array_equal(table[table[i]], table[i][table]) for i in range(k)):
+        return False
+    rows = np.arange(k)
     if not (np.all(table[e, :] == rows) and np.all(table[:, e] == rows)):
         return False
     if not ((table == e) & (table.T == e)).any(axis=1).all():
         return False
     # targets[i, x] is the target of sigma_i at x; full bisections share one domain
     maps = [target_map(G, s) for s in sigmas]
-    targets = np.array([[m[x] for x in range(G.n_objects)] for m in maps],
-                       dtype=np.intp).reshape(k, G.n_objects)
+    targets = np.array([[m[x] for x in range(n)] for m in maps],
+                       dtype=np.intp).reshape(k, n)
     composed = targets[rows[:, None, None], targets[None, :, :]]  # [i, j, x] = T_i(T_j(x))
     return bool(np.array_equal(targets[table], composed))
 

@@ -16,6 +16,7 @@ Python's shortest round-trip repr, so write-then-read is value-exact.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -138,6 +139,20 @@ def _groupoid_from_arrows(doc: dict, where: str) -> FiniteGroupoid:
                           arrow_ids=ids)
 
 
+def _finite_number(val, what: str) -> float:
+    """A JSON number as a finite float; Python's json also reads the
+    non-standard ``Infinity`` and ``NaN``, and ``1e400`` overflows to inf."""
+    if not isinstance(val, (int, float)):
+        raise FileFormatError(f"{what} is not a number")
+    try:
+        out = float(val)
+    except OverflowError:  # an integer literal beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise FileFormatError(f"{what} is not finite")
+    return out
+
+
 def parse_groupoid_document(doc: dict, where: str = "groupoid file") -> GroupoidDocument:
     if not isinstance(doc, dict):
         raise FileFormatError(f"{where}: top level must be an object")
@@ -172,10 +187,9 @@ def parse_groupoid_document(doc: dict, where: str = "groupoid file") -> Groupoid
             if not isinstance(table, dict):
                 raise FileFormatError(f"{where}: haar weights must be a map")
             for aid, val in table.items():
-                if not isinstance(val, (int, float)):
-                    raise FileFormatError(f"{where}: haar weight for {aid!r} is not a number")
+                val = _finite_number(val, f"{where}: haar weight for {aid!r}")
                 try:
-                    w[G.arrow_index(str(aid))] = float(val)
+                    w[G.arrow_index(str(aid))] = val
                 except UnknownLabel as exc:
                     raise FileFormatError(f"{where}: {exc}") from exc
             if len(table) != G.n_arrows:
@@ -188,10 +202,9 @@ def parse_groupoid_document(doc: dict, where: str = "groupoid file") -> Groupoid
         table = _require(doc, "nu", dict, where)
         v = np.zeros(G.n_objects)
         for lab, val in table.items():
-            if not isinstance(val, (int, float)):
-                raise FileFormatError(f"{where}: nu value for {lab!r} is not a number")
+            val = _finite_number(val, f"{where}: nu value for {lab!r}")
             try:
-                v[G.object_index(str(lab))] = float(val)
+                v[G.object_index(str(lab))] = val
             except UnknownLabel as exc:
                 raise FileFormatError(f"{where}: {exc}") from exc
         if len(table) != G.n_objects:

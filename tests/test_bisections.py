@@ -2,16 +2,20 @@
 
 import itertools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from groupalg import DomainMismatch
+from groupalg.battery import run_battery
 from groupalg.bisections import (bisection_compose, bisection_inverse,
                                  enumerate_bisections, forms_group, left_translate,
                                  make_bisection, target_map, unit_bisection)
 from groupalg.builders import (cyclic_table, group_groupoid, klein_table,
                                pair_groupoid, product)
 from groupalg.groupoid import FiniteGroupoid
+from groupalg.io import GroupoidDocument
 
 
 def test_counts_are_factorials():
@@ -150,21 +154,97 @@ def test_forms_group_rejects_a_set_that_is_not_closed():
     assert _brute_force_forms_group(G, sigmas[:-1]) is False
 
 
+def _parallel(G, a):
+    """The next arrow with the endpoints of ``a``, cyclically."""
+    same = [b for b in range(G.n_arrows) if (G.src[b], G.tgt[b]) == (G.src[a], G.tgt[a])]
+    return same[(same.index(a) + 1) % len(same)]
+
+
+def _with_table(G, table, unit_of=None):
+    return FiniteGroupoid(G.objects, G.src, G.tgt, table, G.inverse,
+                          G.unit_of if unit_of is None else unit_of)
+
+
 def test_forms_group_agrees_with_the_pairwise_laws_on_corrupted_tables():
-    G = product(pair_groupoid("abc"), group_groupoid(*cyclic_table(2)))
-    rows = G.compose_table
-    verdicts = set()
-    # a composite redirected to its parallel arrow (the bisections stay
-    # closed) or to the next arrow (they need not)
-    for i in range(0, len(rows), 7):
-        table = rows.copy()
-        table[i, 2] = table[i, 2] ^ 1 if i % 2 else (table[i, 2] + 1) % G.n_arrows
-        H = FiniteGroupoid(G.objects, G.src, G.tgt, table, G.inverse, G.unit_of)
-        sigmas = enumerate_bisections(H)
-        got = _outcome(H, sigmas, forms_group)
-        assert got == _outcome(H, sigmas, _brute_force_forms_group), i
-        verdicts.add(got if isinstance(got, bool) else "raised")
-    assert False in verdicts
+    for G in (product(pair_groupoid("abc"), group_groupoid(*cyclic_table(2))),
+              product(pair_groupoid("ab"), group_groupoid(*cyclic_table(3)))):
+        rows = G.compose_table
+        verdicts = set()
+        # a composite redirected to a parallel arrow (the bisections stay
+        # closed) or to the next arrow (they need not)
+        for i in range(0, len(rows), 7):
+            table = rows.copy()
+            table[i, 2] = _parallel(G, table[i, 2]) if i % 2 else (table[i, 2] + 1) % G.n_arrows
+            H = _with_table(G, table)
+            sigmas = enumerate_bisections(H)
+            got = _outcome(H, sigmas, forms_group)
+            assert got == _outcome(H, sigmas, _brute_force_forms_group), (G.n_arrows, i)
+            verdicts.add(got if isinstance(got, bool) else "raised")
+        assert False in verdicts, G.n_arrows
+
+
+def test_forms_group_is_false_when_a_composite_is_missing():
+    # every composable pair occurs in some star product of full bisections;
+    # the pairwise compose raises on the missing product, the array form
+    # reads it as -1, a row outside the set
+    for G in (pair_groupoid("abc"), product(pair_groupoid("ab"), group_groupoid(*cyclic_table(3)))):
+        sigmas = enumerate_bisections(G)
+        for i in range(len(G.compose_table)):
+            H = _with_table(G, np.delete(G.compose_table, i, axis=0))
+            assert forms_group(H, sigmas) is False, i
+            with pytest.raises(ValueError):
+                _brute_force_forms_group(H, sigmas)
+
+
+def test_forms_group_is_false_without_the_unit_bisection():
+    # a set closed under the star product that misses the groupoid's unit
+    # bisection, here because unit_of names the other arrow of Z2, and the
+    # empty set: the pairwise index lookup raises KeyError on both
+    G = group_groupoid(*cyclic_table(2))
+    e, g = G.unit_of[0], 1 - G.unit_of[0]
+    H = _with_table(G, G.compose_table, unit_of=[g])
+    only_e = [make_bisection(H, {0: e})]
+    assert forms_group(H, only_e) is False
+    assert forms_group(G, []) is False
+    for args in ((H, only_e), (G, [])):
+        with pytest.raises(KeyError):
+            _brute_force_forms_group(*args)
+
+
+def test_forms_group_memory_is_quadratic_in_the_bisection_count():
+    # pair(3) x Z3 has k = 162 bisections; k^3 int64 tables would take 34 MB each
+    G = product(pair_groupoid("abc"), group_groupoid(*cyclic_table(3)))
+    sigmas = enumerate_bisections(G)
+    assert len(sigmas) == 162
+    tracemalloc.start()
+    try:
+        assert forms_group(G, sigmas) is True
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
+
+
+def test_battery_enumerates_once_and_composes_no_pairs(monkeypatch):
+    from groupalg import bisections
+    calls = {"enumerate": 0, "compose": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+    monkeypatch.setattr(bisections, "enumerate_bisections",
+                        counted("enumerate", bisections.enumerate_bisections))
+    monkeypatch.setattr(bisections, "bisection_compose",
+                        counted("compose", bisections.bisection_compose))
+    G = pair_groupoid("abcd")  # 24 bisections, inside both enumeration caps
+    run = run_battery(GroupoidDocument(G, None, None, "strict"), seed=1, trials=2)
+    lines = {line.name: line for line in run.lines}
+    assert lines["bisection-group"].ok
+    assert lines["bisection-group"].detail.startswith("24 full bisections")
+    assert lines["fundamental-family"].detail.endswith("(arrow indicators and bisection images)")
+    assert calls == {"enumerate": 1, "compose": 0}
 
 
 def test_forms_group_sees_targets_that_reverse_the_product(monkeypatch):

@@ -51,6 +51,24 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == 1
         assert "haar" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["validate", "check"])
+    @pytest.mark.parametrize("member", ["haar", "nu"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 10 ** 400],
+                             ids=["Infinity", "NaN", "1e400-integer"])
+    def test_non_finite_number_is_a_parse_error(self, tmp_path, capsys, command,
+                                                member, value):
+        doc = json.loads(open(fx("pair3.json")).read())
+        G = load_groupoid(fx("pair3.json")).groupoid
+        if member == "haar":
+            doc["haar"] = {"weights": {aid: value for aid in G.arrow_ids}}
+        else:
+            doc["nu"] = {lab: value for lab in G.objects}
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and "is not finite" in err
+
 
 class TestRoundTrips:
     def test_groupoid_file_round_trip(self, tmp_path):
