@@ -84,6 +84,16 @@ SUITES = (
 )
 
 
+def _worst(*residuals: float) -> float:
+    """The largest residual, or NaN when any is NaN.
+
+    Python's ``max`` keeps its running value when a later one is NaN (every
+    comparison with NaN is false), which would let a non-finite residual
+    read as a pass.
+    """
+    return math.nan if any(math.isnan(r) for r in residuals) else max(residuals)
+
+
 def _is_full_pair(G: FiniteGroupoid) -> bool:
     return (G.is_relation_groupoid() and G.is_transitive()
             and G.n_arrows == G.n_objects ** 2)
@@ -142,25 +152,25 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
         h = random_function(G, rng)
         lhs = convolve(G, mu, convolve(G, mu, f, g), h)
         rhs = convolve(G, mu, f, convolve(G, mu, g, h))
-        worst_assoc = max(worst_assoc, float(np.abs(lhs - rhs).max()))
+        worst_assoc = _worst(worst_assoc, float(np.abs(lhs - rhs).max()))
         anti = involute(G, convolve(G, mu, f, g)) - convolve(G, mu, involute(G, g),
                                                              involute(G, f))
-        worst_antihom = max(worst_antihom, float(np.abs(anti).max()))
-        worst_unit = max(worst_unit,
-                         float(np.abs(convolve(G, mu, u, f) - f).max()),
-                         float(np.abs(convolve(G, mu, f, u) - f).max()))
-        worst_inv2 = max(worst_inv2, float(np.abs(involute(G, involute(G, f)) - f).max()))
+        worst_antihom = _worst(worst_antihom, float(np.abs(anti).max()))
+        worst_unit = _worst(worst_unit,
+                            float(np.abs(convolve(G, mu, u, f) - f).max()),
+                            float(np.abs(convolve(G, mu, f, u) - f).max()))
+        worst_inv2 = _worst(worst_inv2, float(np.abs(involute(G, involute(G, f)) - f).max()))
         ni = i_norm(G, mu, f)
-        worst_isom = max(worst_isom, abs(i_norm(G, mu, involute(G, f)) - ni))
+        worst_isom = _worst(worst_isom, abs(i_norm(G, mu, involute(G, f)) - ni))
         over = i_norm(G, mu, convolve(G, mu, f, g)) - ni * i_norm(G, mu, g)
-        worst_subm = max(worst_subm, max(over, 0.0))
+        worst_subm = _worst(worst_subm, over, 0.0)
         # integral form of left invariance, independent of the pointwise check
         for _ in range(3):
             a = rng.randint(G.n_arrows)
             translated = sum(f[G.compose(a, hh)] * mu.weights[hh]
                              for hh in G.target_fiber(G.src[a]))
             direct = sum(f[k] * mu.weights[k] for k in G.target_fiber(G.tgt[a]))
-            worst_integral = max(worst_integral, abs(translated - direct))
+            worst_integral = _worst(worst_integral, abs(translated - direct))
     run.record("convolution-associativity", worst_assoc <= accum,
                f"{max(trials, 1)} random triples", worst_assoc)
     run.record("involution-antihomomorphism", worst_antihom <= exact,
@@ -184,10 +194,10 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
             g = random_function(G, rng)
             got = function_to_matrix(G, convolve(G, counting, f, g))
             want = function_to_matrix(G, f) @ function_to_matrix(G, g)
-            worst = max(worst, float(np.abs(got - want).max()))
+            worst = _worst(worst, float(np.abs(got - want).max()))
             frob = complex(np.sum(function_to_matrix(G, f)
                                   * np.conj(function_to_matrix(G, g))))
-            worst = max(worst, abs(half_density_inner(G, counting, f, g) - frob))
+            worst = _worst(worst, abs(half_density_inner(G, counting, f, g) - frob))
         run.record("pair-matrix-oracle", worst <= exact,
                    "convolution is matrix multiplication", worst)
     else:
@@ -211,12 +221,12 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
                 pf = integrate_rep(G, mu, nu_k, rep, f)
                 pg = integrate_rep(G, mu, nu_k, rep, g)
                 pfg = integrate_rep(G, mu, nu_k, rep, convolve(G, mu, f, g))
-                worst_mult = max(worst_mult, float(np.abs(pfg - pf @ pg).max()))
+                worst_mult = _worst(worst_mult, float(np.abs(pfg - pf @ pg).max()))
                 pstar = integrate_rep(G, mu, nu_k, rep, involute(G, f))
                 adj = adjoint_operator(pf, rep.bundle, nu_k)
-                worst_star = max(worst_star, float(np.abs(pstar - adj).max()))
+                worst_star = _worst(worst_star, float(np.abs(pstar - adj).max()))
                 over = operator_norm(pf, rep.bundle, nu_k) - i_norm(G, mu, f)
-                worst_bound = max(worst_bound, max(over, 0.0))
+                worst_bound = _worst(worst_bound, over, 0.0)
     run.record("integrated-homomorphism", worst_mult <= accum,
                "pi(f*g) = pi(f) pi(g)", worst_mult)
     run.record("integrated-star", worst_star <= exact,
@@ -237,7 +247,7 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
         f = random_function(G, rng)
         lhs = integrate_rep(G, mu, nu, conj, f)
         rhs = big @ integrate_rep(G, mu, nu, lrep, f) @ np.linalg.inv(big)
-        worst_equiv = max(worst_equiv, float(np.abs(lhs - rhs).max()))
+        worst_equiv = _worst(worst_equiv, float(np.abs(lhs - rhs).max()))
     run.record("equivalence-transport", ok_conj and worst_equiv <= accum,
                "conjugating the rep conjugates the integrated rep", worst_equiv)
 
@@ -289,7 +299,7 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
         fk = base + bump / kk
         diff = fk - base
         gap = i_norm(G, mu, diff) - mass * float(np.abs(diff).max())
-        worst_net = max(worst_net, max(gap, 0.0))
+        worst_net = _worst(worst_net, gap, 0.0)
     run.record("inorm-convergence-bound", worst_net <= accum,
                "||f_k - f||_I <= (support fiber mass) * sup norm", worst_net)
 

@@ -1,7 +1,11 @@
 """Bundle representations, integration, norm bounds, transitive isomorphism."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupalg import representations, tolerances
 from groupalg import (HaarSystem, NotTransitive, QuasiInvariantMeasure,
@@ -17,12 +21,12 @@ from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
                                klein_table, pair_groupoid, product,
                                symmetric_table)
 from groupalg.groupoid import FiniteGroupoid
-from groupalg.randgen import (SplitMix64, random_function,
+from groupalg.randgen import (SplitMix64, random_function, random_groupoid,
                               random_invariant_weights, random_probability,
                               random_unitary_field)
 from groupalg.report import Report
-from groupalg.representations import (BundleRep, _group_algebra_star,
-                                      bundle_metric, tensor_of_function)
+from groupalg.representations import (BundleRep, HilbertBundle, bundle_metric,
+                                      support_blocks, tensor_of_function)
 
 
 def weighted_inner(bundle, nu, u, v):
@@ -203,6 +207,172 @@ class TestNormBound:
         assert operator_norm_bound_check(G, counting_haar(G), uniform_measure(G),
                                          rep, np.zeros(4)).ok
 
+    def test_non_finite_operator_fails(self):
+        G = pair_groupoid("abcd")
+        rng = SplitMix64(5)
+        mu = HaarSystem(random_invariant_weights(G, rng) * 1e160)
+        nu = uniform_measure(G)
+        rep = left_regular_rep(G, mu)
+        f = random_function(G, rng)
+        with np.errstate(all="ignore"):
+            assert math.isnan(operator_norm(integrate_rep(G, mu, nu, rep, f), rep.bundle, nu))
+            report = operator_norm_bound_check(G, mu, nu, rep, f)
+        assert not report.ok
+        [entry] = report.errors
+        assert math.isnan(entry.residual)
+
+
+def _dense_operator_norm(op, bundle, nu):
+    """The norm by one dense SVD of the whole flat matrix: the oracle."""
+    root = np.sqrt(bundle_metric(bundle, nu))
+    sim = (op * root[:, None]) / root[None, :]
+    if sim.size == 0:
+        return 0.0
+    return float(np.linalg.svd(sim, compute_uv=False)[0])
+
+
+def _assert_norms_agree(op, bundle, nu):
+    got, want = operator_norm(op, bundle, nu), _dense_operator_norm(op, bundle, nu)
+    assert abs(got - want) <= 1e-12 * want, (got, want)
+    return got
+
+
+def _flat_bundle(n, rng):
+    """One object of dimension n with random positive weights, and its nu."""
+    return (HilbertBundle([n], [0.5 + rng.random(n)]),
+            QuasiInvariantMeasure(np.array([1.0])))
+
+
+def _norm_groupoids():
+    out = {f"pair{k}": pair_groupoid([f"o{i}" for i in range(k)]) for k in (1, 2, 4, 6)}
+    for k in (1, 2, 3):
+        out[f"pair{k}xS3"] = product(pair_groupoid([f"o{i}" for i in range(k)]),
+                                     group_groupoid(*symmetric_table(3)))
+    for seed in (3, 11, 29):
+        out[f"random{seed}"] = random_groupoid(SplitMix64(seed), max_arrows=40)
+    return out
+
+
+class TestBlockOperatorNorm:
+    @pytest.mark.parametrize("name", list(_norm_groupoids()))
+    def test_integrated_reps_agree_with_the_dense_svd(self, name):
+        G = _norm_groupoids()[name]
+        rng = SplitMix64(61)
+        mu = HaarSystem(random_invariant_weights(G, rng))
+        nu = QuasiInvariantMeasure(random_probability(G.n_objects, rng))
+        lrep = left_regular_rep(G, mu)
+        conj = conjugate_rep_on(G, lrep, random_unitary_field(lrep.bundle.weights, rng))
+        for rep in (trivial_rep(G), lrep, conj):
+            for _ in range(3):
+                f = random_function(G, rng)
+                norm = _assert_norms_agree(integrate_rep(G, mu, nu, rep, f), rep.bundle, nu)
+                assert norm <= i_norm(G, mu, f) + 1e-12
+
+    def test_zero_operator(self):
+        bundle, nu = _flat_bundle(5, np.random.default_rng(1))
+        assert operator_norm(np.zeros((5, 5), dtype=complex), bundle, nu) == 0.0
+        assert _dense_operator_norm(np.zeros((5, 5)), bundle, nu) == 0.0
+
+    def test_empty_bundle(self):
+        bundle = HilbertBundle([], [])
+        nu = QuasiInvariantMeasure(np.array([1.0]))
+        assert operator_norm(np.zeros((0, 0), dtype=complex), bundle, nu) == 0.0
+        assert support_blocks(np.zeros((0, 0))) == []
+
+    def test_diagonal(self):
+        rng = np.random.default_rng(2)
+        bundle, nu = _flat_bundle(7, rng)
+        d = rng.normal(size=7) + 1j * rng.normal(size=7)
+        d[[1, 4]] = 0
+        op = np.diag(d)
+        _assert_norms_agree(op, bundle, nu)
+        blocks = support_blocks(op)
+        assert [(r.tolist(), c.tolist()) for r, c in blocks] == [
+            ([i], [i]) for i in (0, 2, 3, 5, 6)]
+
+    def test_permuted_block_diagonal(self):
+        rng = np.random.default_rng(3)
+        shapes = [(3, 2), (1, 4), (2, 2), (4, 1), (2, 3)]
+        n = sum(r for r, _ in shapes)
+        assert n == sum(c for _, c in shapes)
+        M = np.zeros((n, n), dtype=complex)
+        r0 = c0 = 0
+        for r, c in shapes:
+            M[r0:r0 + r, c0:c0 + c] = rng.normal(size=(r, c)) + 1j * rng.normal(size=(r, c))
+            r0, c0 = r0 + r, c0 + c
+        rows, cols = rng.permutation(n), rng.permutation(n)
+        op = M[np.ix_(rows, cols)]
+        bundle, nu = _flat_bundle(n, rng)
+        _assert_norms_agree(op, bundle, nu)
+        blocks = support_blocks(op)
+        assert sorted((len(r), len(c)) for r, c in blocks) == sorted(shapes)
+
+    def test_tridiagonal_is_one_block(self):
+        rng = np.random.default_rng(4)
+        n = 40
+        op = (np.diag(rng.normal(size=n)) + np.diag(rng.normal(size=n - 1), 1)
+              + np.diag(rng.normal(size=n - 1), -1)).astype(complex)
+        bundle, nu = _flat_bundle(n, rng)
+        _assert_norms_agree(op, bundle, nu)
+        [(rows, cols)] = support_blocks(op)
+        assert rows.tolist() == cols.tolist() == list(range(n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12), m=st.none() | st.integers(1, 12),
+           density=st.floats(0.0, 0.5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_sparse_supports(self, n, m, density, seed):
+        m = n if m is None else m
+        rng = np.random.default_rng(seed)
+        M = (rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))) * (
+            rng.random((n, m)) < density)
+        blocks = support_blocks(M)
+        rows = np.concatenate([r for r, _ in blocks] + [np.zeros(0, dtype=int)])
+        cols = np.concatenate([c for _, c in blocks] + [np.zeros(0, dtype=int)])
+        assert sorted(rows.tolist()) == np.flatnonzero(M.any(axis=1)).tolist()
+        assert sorted(cols.tolist()) == np.flatnonzero(M.any(axis=0)).tolist()
+        inside = np.zeros((n, m), dtype=bool)
+        for r, c in blocks:
+            inside[np.ix_(r, c)] = True
+        assert not M[~inside].any()
+        for r, c in blocks:  # each block is connected: a search from its first row reaches all of it
+            sub = M[np.ix_(r, c)] != 0
+            reached = np.zeros(len(r), dtype=bool)
+            reached[0] = True
+            while True:
+                grown = reached | sub[:, sub[reached].any(axis=0)].any(axis=1)
+                if (grown == reached).all():
+                    break
+                reached = grown
+            assert reached.all() and sub[reached].any(axis=0).all()
+        if n == m:  # an operator on a bundle is square
+            _assert_norms_agree(M, *_flat_bundle(n, rng))
+
+    def test_svd_sizes_follow_the_blocks(self, monkeypatch):
+        G = pair_groupoid([f"o{i}" for i in range(12)])
+        mu = counting_haar(G)
+        nu = uniform_measure(G)
+        rep = left_regular_rep(G, mu)
+        op = integrate_rep(G, mu, nu, rep, random_function(G, SplitMix64(67)))
+        shapes = []
+        real = np.linalg.svd
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        operator_norm(op, rep.bundle, nu)
+        assert shapes and max(max(s[-2:]) for s in shapes) <= 12
+        monkeypatch.setattr(np.linalg, "svd", real)
+        _assert_norms_agree(op, rep.bundle, nu)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_gives_nan(self, bad):
+        bundle, nu = _flat_bundle(4, np.random.default_rng(5))
+        op = np.eye(4, dtype=complex)
+        op[2, 1] = bad
+        with np.errstate(invalid="ignore"):  # complex inf / real makes a NaN part
+            assert math.isnan(operator_norm(op, bundle, nu))
+
 
 class TestUnitaryEquivalence:
     def test_conjugation_transports(self):
@@ -284,6 +454,12 @@ def _brute_force_group_algebra_product(iso, A, B):
     return out
 
 
+def _brute_force_group_algebra_star(iso, A):
+    """Star in M_n tensor C[iso]: conjugate transpose, group element inverted."""
+    inv = [iso.inv(g) for g in range(iso.order)]
+    return np.conj(np.transpose(A, (1, 0, 2)))[:, :, inv]
+
+
 def _brute_force_transitive_check(G, mu=None, atol=None):
     """The isomorphism check by convolving every pair of arrow deltas and
     multiplying their images: the oracle for transitive_isomorphism_check."""
@@ -322,7 +498,7 @@ def _brute_force_transitive_check(G, mu=None, atol=None):
                         f"delta product at ({G.arrow_ids[a]}, {G.arrow_ids[b]})",
                         residual=err)
         star_lhs = tensor_of_function(G, dec, involute(G, fa))
-        star_rhs = _group_algebra_star(dec.iso, tensor_of_function(G, dec, fa))
+        star_rhs = _brute_force_group_algebra_star(dec.iso, tensor_of_function(G, dec, fa))
         err = float(np.abs(star_lhs - star_rhs).max())
         worst = max(worst, err)
         if err > atol:
@@ -426,6 +602,29 @@ def _corruptions(G):
     return out
 
 
+def _inverse_corruptions(G):
+    """Copies of a transitive groupoid whose inverse table is corrupted away
+    from the trivializing arrows and the units, keyed by the corruption."""
+    dec = decompose_transitive(G)
+    free = [a for a in range(G.n_arrows)
+            if a not in dec.taus and a not in G.unit_of]
+    out = {}
+    a = next(a for a in free if G.inverse[a] != a)
+    inverse = list(G.inverse)
+    inverse[a] = a
+    out["self-inverse"] = _rebuilt(G, inverse=inverse)
+    a, b = free[:2]
+    inverse = list(G.inverse)
+    inverse[a] = inverse[b]
+    out["two-to-one"] = _rebuilt(G, inverse=inverse)
+    if len(free) >= 3:
+        a, b, c = free[-3:]
+        inverse = list(G.inverse)
+        inverse[a], inverse[b], inverse[c] = inverse[b], inverse[c], inverse[a]
+        out["three-cycle"] = _rebuilt(G, inverse=inverse)
+    return out
+
+
 class TestStructureConstantOracle:
     @pytest.mark.parametrize("name", list(_differential_groupoids()))
     def test_clean_reports_match_the_oracle(self, name):
@@ -443,6 +642,19 @@ class TestStructureConstantOracle:
             got = _outcome(transitive_isomorphism_check, H)
             assert got == _outcome(_brute_force_transitive_check, H), case
             assert not got.startswith("transitive-isomorphism: ok"), case
+
+    @pytest.mark.parametrize("name", list(_differential_groupoids()))
+    def test_corrupted_inverse_tables_match_the_oracle(self, name):
+        G = _differential_groupoids()[name]
+        cases = _inverse_corruptions(G)
+        assert {"self-inverse", "two-to-one"} <= set(cases)
+        for case, H in cases.items():
+            got = _outcome(transitive_isomorphism_check, H)
+            assert got == _outcome(_brute_force_transitive_check, H), case
+            assert not got.startswith("transitive-isomorphism: ok"), case
+            # on a group the isotropy inverses are corrupted alike, and only
+            # the structure constants can tell
+            assert ("involution" in got) == (G.n_objects > 1), case
 
     def test_redirect_inside_the_isotropy_group(self):
         # the left-division table of the corrupted Cayley table is what finds
@@ -467,10 +679,22 @@ class TestStructureConstantOracle:
         assert got.startswith("raised ValueError: arrow")
 
     def test_a_tolerance_of_one_hides_the_structure_constants(self):
-        H = _corruptions(pair_groupoid("abc"))["dropped"]
-        for atol in (0.5, 1.0):
-            got = transitive_isomorphism_check(H, atol=atol)
-            assert str(got) == str(_brute_force_transitive_check(H, atol=atol))
+        G = pair_groupoid("abc")
+        for H in (_corruptions(G)["dropped"], _inverse_corruptions(G)["self-inverse"]):
+            for atol in (0.5, 1.0):
+                got = transitive_isomorphism_check(H, atol=atol)
+                assert str(got) == str(_brute_force_transitive_check(H, atol=atol))
+
+    def test_involution_scatters_no_arrow_deltas(self, monkeypatch):
+        calls = []
+        real = representations.tensor_of_function
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(representations, "tensor_of_function", counted)
+        assert transitive_isomorphism_check(pair_groupoid("abcdef")).ok
+        assert len(calls) <= 6  # the two random linear inputs only
 
     def test_no_delta_convolutions(self, monkeypatch):
         calls = []
