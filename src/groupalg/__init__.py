@@ -8,7 +8,7 @@ from .errors import (DomainMismatch, FileFormatError, GroupalgError, NotClosed,
                      NotRelationGroupoid, NotTransitive, ShapeMismatch,
                      SystemInvalid, UndefinedProduct, UnknownLabel,
                      UnknownObject, UsageError)
-from .groupoid import (Arrow, FiniteGroupoid, GroupoidMorphism, IsotropyGroup,
+from .groupoid import (FiniteGroupoid, GroupoidMorphism, IsotropyGroup,
                        MultiplierSets, build_from_relation, isotropy,
                        isotropy_bundle, morphism_report, multipliers,
                        relation_isomorphism, validate)

@@ -16,12 +16,12 @@ import numpy as np
 
 from . import bisections, tolerances
 from .groupoid import (FiniteGroupoid, isotropy_bundle, multipliers, validate)
-from .haar import (check_left_invariance, convolve, counting_haar, delta,
-                   fiber_integrate, function_to_matrix, half_density_inner,
-                   i_norm, involute, support_fiber_mass, unit_function)
+from .haar import (convolve, counting_haar, delta, fiber_integrate,
+                   function_to_matrix, half_density_inner, i_norm, involute,
+                   support_fiber_mass, unit_function)
 from .io import GroupoidDocument, fmt
 from .randgen import SplitMix64, random_function, random_unitary_field
-from .report import Report
+from .report import Report, SuiteReport, _worst
 from .representations import (adjoint_operator, check_representation,
                               conjugate_rep_on, fundamental_family_check,
                               integrate_rep, left_regular_rep,
@@ -50,12 +50,16 @@ class BatteryRun:
         self.lines.append(SuiteLine(name, ok, detail, residual))
 
     def record_report(self, name: str, rep: Report):
-        res = rep.max_residual() or None
+        self.record_suite(SuiteReport(name, rep))
+
+    def record_suite(self, suite: SuiteReport):
+        rep = suite.report
+        res = (rep.max_residual() or None) if suite.residual is None else suite.residual
         if rep.ok:
-            self.record(name, True, "all checks hold", res)
+            self.record(suite.name, True, suite.passed, res)
         else:
             first = rep.errors[0]
-            self.record(name, False,
+            self.record(suite.name, False,
                         f"{len(rep.errors)} violation(s); first: {first.check}: {first.witness}",
                         res)
 
@@ -84,16 +88,6 @@ SUITES = (
 )
 
 
-def _worst(*residuals: float) -> float:
-    """The largest residual, or NaN when any is NaN.
-
-    Python's ``max`` keeps its running value when a later one is NaN (every
-    comparison with NaN is false), which would let a non-finite residual
-    read as a pass.
-    """
-    return math.nan if any(math.isnan(r) for r in residuals) else max(residuals)
-
-
 def _is_full_pair(G: FiniteGroupoid) -> bool:
     return (G.is_relation_groupoid() and G.is_transitive()
             and G.n_arrows == G.n_objects ** 2)
@@ -106,41 +100,19 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
     G = gdoc.groupoid
     rng = SplitMix64(seed)
 
-    axioms = validate(G)
-    run.record_report("groupoid-axioms", axioms)
-    if not axioms.ok:
+    axioms, *measures = gdoc.check()
+    run.record_suite(axioms)
+    if not axioms.report.ok:
         return run  # everything downstream assumes a groupoid
     if G.n_objects == 0:  # no measure on no objects; every law holds vacuously
         for name in SUITES:
             run.skip(name, "empty groupoid")
         return run
-
-    # Haar system and nu
-    haar_ok = True
-    if gdoc.haar_raw is not None and not np.all(gdoc.haar_raw > 0):
-        run.record("haar-positivity", False, "a weight is not strictly positive")
-        haar_ok = False
-    else:
-        run.record("haar-positivity", True, "weights strictly positive")
-    if haar_ok:
-        mu = gdoc.haar()
-        inv = check_left_invariance(G, mu)
-        run.record_report("haar-left-invariance", inv)
-        haar_ok = inv.ok
-    if gdoc.nu_raw is not None:
-        bad = not np.all(gdoc.nu_raw > 0)
-        off = abs(float(np.sum(gdoc.nu_raw)) - 1.0)
-        if bad or off > tolerances.NU_SUM_TOL:
-            run.record("nu-normalization", False,
-                       "nu must be strictly positive and sum to 1", off)
-        else:
-            run.record("nu-normalization", True, "positive, total mass 1", off)
-    else:
-        run.record("nu-normalization", True, "defaulting to the uniform measure")
-    if not haar_ok:
-        return run
-    mu = gdoc.haar()
-    nu = gdoc.nu()
+    for suite in measures:
+        run.record_suite(suite)
+    if not run.ok:
+        return run  # no Haar system or nu to integrate against
+    mu, nu = gdoc.measures()
 
     # convolution algebra laws on random functions
     worst_assoc = worst_antihom = worst_unit = worst_inv2 = 0.0
@@ -209,11 +181,9 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
     trep = trivial_rep(G)
     run.record_report("trivial-rep-axioms", check_representation(G, trep))
 
-    nus = [("uniform", uniform_measure(G))]
-    if gdoc.nu_raw is not None:
-        nus.append(("file", nu))
+    nus = [uniform_measure(G)] if gdoc.nu_raw is None else [uniform_measure(G), nu]
     worst_mult = worst_star = worst_bound = 0.0
-    for _, nu_k in nus:
+    for nu_k in nus:
         for rep in (trep, lrep):
             for _ in range(max(trials // 4, 1)):
                 f = random_function(G, rng)

@@ -50,10 +50,6 @@ def unit_bisection(G: FiniteGroupoid) -> Bisection:
     return make_bisection(G, pick)
 
 
-def is_full(G: FiniteGroupoid, sigma: Bisection) -> bool:
-    return len(sigma.domain) == G.n_objects
-
-
 def target_map(G: FiniteGroupoid, sigma: Bisection) -> dict[int, int]:
     """The injection x -> tgt(sigma(x)); a permutation for full bisections."""
     return {x: G.tgt[a] for x, a in zip(sigma.domain, sigma.arrows)}
@@ -138,12 +134,8 @@ def forms_group(G: FiniteGroupoid, sigmas: list[Bisection]) -> bool:
         return False
     if not ((table == e) & (table.T == e)).any(axis=1).all():
         return False
-    # targets[i, x] is the target of sigma_i at x; full bisections share one domain
-    maps = [target_map(G, s) for s in sigmas]
-    targets = np.array([[m[x] for x in range(n)] for m in maps],
-                       dtype=np.intp).reshape(k, n)
-    composed = targets[rows[:, None, None], targets[None, :, :]]  # [i, j, x] = T_i(T_j(x))
-    return bool(np.array_equal(targets[table], composed))
+    composed = T[rows[:, None, None], T[None, :, :]]  # [i, j, x] = T_i(T_j(x))
+    return bool(np.array_equal(T[table], composed))
 
 
 def bisection_inverse(G: FiniteGroupoid, sigma: Bisection) -> Bisection:

@@ -17,11 +17,11 @@ from importlib import resources
 
 import numpy as np
 
-from . import io, tolerances
+from . import io
 from .battery import run_battery
 from .errors import FileFormatError, GroupalgError, UsageError
 from .groupoid import multipliers, validate
-from .haar import check_left_invariance, convolve, i_norm, involute
+from .haar import convolve, i_norm, involute
 from .inductive import check_system, limit
 from .partial_algebra import (check_star_compatibility, extract_relation,
                               ideal_closure_check, multiplier_subspace)
@@ -41,20 +41,9 @@ def _print_report(rep: Report) -> int:
 
 
 def cmd_validate(args) -> int:
-    gdoc = _load(args.file)
     rep = Report("file-invariants")
-    rep.merge(validate(gdoc.groupoid))
-    if gdoc.haar_raw is not None:
-        if not np.all(gdoc.haar_raw > 0):
-            rep.add("haar-positivity", "a Haar weight is not strictly positive")
-        else:
-            rep.merge(check_left_invariance(gdoc.groupoid, gdoc.haar()))
-    if gdoc.nu_raw is not None:
-        if not np.all(gdoc.nu_raw > 0):
-            rep.add("nu-positivity", "a nu weight is not strictly positive")
-        elif abs(float(gdoc.nu_raw.sum()) - 1.0) > tolerances.NU_SUM_TOL:
-            rep.add("nu-normalization",
-                    f"nu sums to {io.fmt(float(gdoc.nu_raw.sum()))}, not 1")
+    for suite in _load(args.file).check():
+        rep.merge(suite.report)
     return _print_report(rep)
 
 
@@ -131,7 +120,7 @@ def cmd_convolve(args) -> int:
     G = gdoc.groupoid
     f = io.load_function(args.f, G, sparse=args.sparse)
     g = io.load_function(args.g, G, sparse=args.sparse)
-    out = convolve(G, gdoc.haar(), f, g)
+    out = convolve(G, gdoc.measures()[0], f, g)
     if args.out:
         io.save_function(args.out, G, out)
     else:
@@ -156,14 +145,14 @@ def cmd_involute(args) -> int:
 def cmd_inorm(args) -> int:
     gdoc = _load(args.file)
     f = io.load_function(args.f, gdoc.groupoid, sparse=args.sparse)
-    print(io.fmt(i_norm(gdoc.groupoid, gdoc.haar(), f)))
+    print(io.fmt(i_norm(gdoc.groupoid, gdoc.measures()[0], f)))
     return 0
 
 
 def cmd_rep(args) -> int:
     gdoc = _load(args.file)
     G = gdoc.groupoid
-    mu = gdoc.haar()
+    mu, _ = gdoc.measures()
     if args.arrow is not None:
         a = G.arrow_index(args.arrow)
         if args.kind == "trivial":
@@ -185,7 +174,7 @@ def cmd_rep(args) -> int:
 def cmd_integrate(args) -> int:
     gdoc = _load(args.file)
     G = gdoc.groupoid
-    mu, nu = gdoc.haar(), gdoc.nu()
+    mu, nu = gdoc.measures()
     f = io.load_function(args.f, G, sparse=args.sparse)
     rep = trivial_rep(G) if args.rep == "trivial" else left_regular_rep(G, mu)
     op = integrate_rep(G, mu, nu, rep, f)
@@ -206,12 +195,13 @@ def cmd_integrate(args) -> int:
 def cmd_equiv(args) -> int:
     gdoc = _load(args.file)
     G = gdoc.groupoid
+    mu, _ = gdoc.measures()
     dec = decompose_transitive(G)
     print(f"base object: {G.objects[dec.base]}")
     print(f"isotropy order: {dec.iso.order}")
     print("trivializing arrows:",
           " ".join(G.arrow_ids[t] for t in dec.taus))
-    return _print_report(transitive_isomorphism_check(G, gdoc.haar()))
+    return _print_report(transitive_isomorphism_check(G, mu))
 
 
 def cmd_limit(args) -> int:

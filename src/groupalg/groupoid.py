@@ -31,15 +31,6 @@ from .report import Report
 _TRIPLE_BATCH = 1 << 18  # composable triples per associativity batch in validate
 
 
-@dataclass(frozen=True)
-class Arrow:
-    """One arrow, identified by its integer index within the groupoid."""
-
-    id: int
-    tgt: int
-    src: int
-
-
 def _auto_ids(n: int) -> list[str]:
     width = max(2, len(str(max(n - 1, 0))))
     return [f"a{i:0{width}d}" for i in range(n)]
@@ -155,9 +146,6 @@ class FiniteGroupoid:
     @property
     def n_arrows(self) -> int:
         return len(self.src)
-
-    def arrow(self, a: int) -> Arrow:
-        return Arrow(a, self.tgt[a], self.src[a])
 
     def object_index(self, label: str) -> int:
         try:
@@ -531,11 +519,6 @@ class IsotropyGroup:
 
     def inv(self, i: int) -> int:
         return self.inverse_table[i]
-
-    def is_abelian(self) -> bool:
-        k = self.order
-        return all(self.table[i][j] == self.table[j][i]
-                   for i in range(k) for j in range(k))
 
 
 def isotropy(G: FiniteGroupoid, x: int) -> IsotropyGroup:

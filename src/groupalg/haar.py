@@ -38,11 +38,17 @@ class HaarSystem:
         object.__setattr__(self, "weights", w)
         if w.ndim != 1:
             raise ValueError("weights must be a flat array")
-        if not np.all(w > 0):
-            raise ValueError("Haar weights must be strictly positive")
+        bad = check_haar_positivity(w).errors
+        if bad:
+            raise ValueError(bad[0].witness)
 
-    def weight(self, arrow: int) -> float:
-        return float(self.weights[arrow])
+
+def check_haar_positivity(weights) -> Report:
+    """Whether raw arrow weights can be a Haar system: all strictly positive."""
+    rep = Report("haar-positivity")
+    if not np.all(np.asarray(weights) > 0):
+        rep.add("haar-positivity", "a Haar weight is not strictly positive")
+    return rep
 
 
 def counting_haar(G: FiniteGroupoid) -> HaarSystem:

@@ -23,11 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FileFormatError, UnknownLabel
-from .groupoid import FiniteGroupoid, GroupoidMorphism, build_from_relation
-from .haar import HaarSystem
+from .groupoid import FiniteGroupoid, GroupoidMorphism, build_from_relation, validate
+from .haar import HaarSystem, check_haar_positivity, check_left_invariance
 from .inductive import InductiveSystem
 from .partial_algebra import StructureTable
-from .representations import QuasiInvariantMeasure, uniform_measure
+from .report import Report, SuiteReport
+from .representations import QuasiInvariantMeasure, check_nu, uniform_measure
 
 
 def fmt(x: float) -> str:
@@ -63,8 +64,8 @@ def _require(doc: dict, key: str, kind, where: str):
 class GroupoidDocument:
     """Parsed groupoid file: the groupoid plus optional Haar weights and nu.
 
-    ``haar_raw``/``nu_raw`` keep the unvalidated numbers so that the
-    validate command can report violations instead of failing to load.
+    ``haar_raw``/``nu_raw`` keep the unvalidated numbers so that
+    :meth:`check` can report violations instead of failing to load.
     """
 
     groupoid: FiniteGroupoid
@@ -81,6 +82,29 @@ class GroupoidDocument:
         if self.nu_raw is None:
             return uniform_measure(self.groupoid)
         return QuasiInvariantMeasure(self.nu_raw)
+
+    def measures(self) -> tuple[HaarSystem, QuasiInvariantMeasure]:
+        """The Haar system and nu; a ValueError carrying the witness of the
+        first that is invalid."""
+        return self.haar(), self.nu()
+
+    def check(self) -> list[SuiteReport]:
+        """The file's own invariants, as the battery's first four suites:
+        groupoid-axioms, haar-positivity, haar-left-invariance (only when the
+        weights are positive) and nu-normalization."""
+        G = self.groupoid
+        positive = (Report("haar-positivity") if self.haar_raw is None
+                    else check_haar_positivity(self.haar_raw))
+        suites = [SuiteReport("groupoid-axioms", validate(G)),
+                  SuiteReport("haar-positivity", positive, "weights strictly positive")]
+        if positive.ok:
+            suites.append(SuiteReport("haar-left-invariance",
+                                      check_left_invariance(G, self.haar())))
+        if self.nu_raw is None:
+            return [*suites, SuiteReport("nu-normalization", Report("nu-normalization"),
+                                         "defaulting to the uniform measure")]
+        nu, off = check_nu(self.nu_raw)
+        return [*suites, SuiteReport("nu-normalization", nu, "positive, total mass 1", off)]
 
 
 def _groupoid_from_arrows(doc: dict, where: str) -> FiniteGroupoid:

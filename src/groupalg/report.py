@@ -7,7 +7,18 @@ corrupted table can be diagnosed instead of merely rejected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+
+def _worst(*residuals: float) -> float:
+    """The largest residual, or NaN when any is NaN.
+
+    Python's ``max`` keeps its running value when a later one is NaN (every
+    comparison with NaN is false), which would let a non-finite residual
+    read as a pass.
+    """
+    return math.nan if any(math.isnan(r) for r in residuals) else max(residuals)
 
 
 @dataclass(frozen=True)
@@ -47,11 +58,22 @@ class Report:
         return not self.errors
 
     def max_residual(self) -> float:
-        return max((e.residual for e in self.entries if e.residual is not None),
-                   default=0.0)
+        residuals = [e.residual for e in self.entries if e.residual is not None]
+        return _worst(*residuals) if residuals else 0.0
 
     def __str__(self) -> str:
         head = f"{self.title}: " + ("ok" if self.ok else f"{len(self.errors)} violation(s)")
         if not self.entries:
             return head
         return "\n".join([head] + [f"  {e}" for e in self.entries])
+
+
+@dataclass(frozen=True)
+class SuiteReport:
+    """A report as one suite of the battery: the detail a pass prints, and
+    the residual it shows (None: the report's largest, when nonzero)."""
+
+    name: str
+    report: Report
+    passed: str = "all checks hold"
+    residual: float | None = None

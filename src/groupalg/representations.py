@@ -45,14 +45,29 @@ class QuasiInvariantMeasure:
     def __post_init__(self):
         v = np.asarray(self.nu, dtype=float)
         object.__setattr__(self, "nu", v)
-        if v.ndim != 1 or not np.all(v > 0):
-            raise ValueError("nu must be a flat, strictly positive vector")
-        if abs(v.sum() - 1.0) > tolerances.NU_SUM_TOL:
-            raise ValueError(f"nu must sum to 1 (got {v.sum()!r})")
+        if v.ndim != 1:
+            raise ValueError("nu must be a flat vector")
+        bad = check_nu(v)[0].errors
+        if bad:
+            raise ValueError(bad[0].witness)
+
+
+def check_nu(nu) -> tuple[Report, float]:
+    """Whether raw object weights are a probability measure (all strictly
+    positive, total mass 1; vacuous on no objects), and how far their total
+    mass is from 1."""
+    v = np.asarray(nu, dtype=float)
+    total = float(v.sum())
+    rep = Report("nu-normalization")
+    if not np.all(v > 0):
+        rep.add("nu-positivity", "a nu weight is not strictly positive")
+    elif v.size and abs(total - 1.0) > tolerances.NU_SUM_TOL:
+        rep.add("nu-normalization", f"nu sums to {total:.17g}, not 1")
+    return rep, abs(total - 1.0)
 
 
 def uniform_measure(G: FiniteGroupoid) -> QuasiInvariantMeasure:
-    return QuasiInvariantMeasure(np.full(G.n_objects, 1.0 / G.n_objects))
+    return QuasiInvariantMeasure(np.full(G.n_objects, 1.0 / max(G.n_objects, 1)))
 
 
 @dataclass(frozen=True)
@@ -112,9 +127,6 @@ class BundleRep:
 
     bundle: HilbertBundle
     ops: list[np.ndarray]
-
-    def op(self, arrow: int) -> np.ndarray:
-        return self.ops[arrow]
 
 
 def trivial_rep(G: FiniteGroupoid) -> BundleRep:

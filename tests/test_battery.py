@@ -7,11 +7,12 @@ import re
 import numpy as np
 import pytest
 
-from groupalg.battery import SUITES, _worst, run_battery
+from groupalg.battery import SUITES, BatteryRun, _worst, run_battery
 from groupalg.builders import pair_groupoid
 from groupalg.cli import main
 from groupalg.io import GroupoidDocument
 from groupalg.randgen import SplitMix64, random_invariant_weights, random_probability
+from groupalg.report import Report
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -38,6 +39,17 @@ def test_worst_propagates_nan():
     assert _worst(0.0, 2.0, 1.0) == 2.0
     assert math.isnan(_worst(0.0, math.nan))
     assert math.isnan(_worst(math.nan, 0.0))
+
+
+@pytest.mark.parametrize("residuals", [[math.nan, 1.0], [1.0, math.nan]])
+def test_report_max_residual_propagates_nan(residuals):
+    rep = Report("law")
+    for r in residuals:
+        rep.add("law", "witness", residual=r)
+    assert math.isnan(rep.max_residual())
+    run = BatteryRun()
+    run.record_report("law", rep)
+    assert run.lines[0].render().endswith("max residual nan")
 
 
 def test_huge_haar_weights_fail_instead_of_aborting():

@@ -247,16 +247,27 @@ def test_battery_enumerates_once_and_composes_no_pairs(monkeypatch):
     assert calls == {"enumerate": 1, "compose": 0}
 
 
-def test_forms_group_sees_targets_that_reverse_the_product(monkeypatch):
-    # inverse target permutations make an anti-homomorphism on pair(3): the
-    # star table is still a group, the target law fails (S3 is not abelian)
-    from groupalg import bisections
-    real = bisections.target_map
-
-    def inverted(G, sigma):
-        return {t: x for x, t in real(G, sigma).items()}
-    G = pair_groupoid("abc")
-    sigmas = enumerate_bisections(G)
+def test_forms_group_sees_targets_that_do_not_follow_the_product():
+    # the four bisections of pair(4) whose targets are the Klein four-group,
+    # with the composites rewritten so that their star table is Z4: still a
+    # group, but Klein targets are not a homomorphism image of Z4
+    G = pair_groupoid("abcd")
+    klein = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
+    by_targets = {tuple(target_map(G, s)[x] for x in range(4)): s
+                  for s in enumerate_bisections(G)}
+    sigmas = [by_targets[p] for p in klein]
     assert forms_group(G, sigmas)
-    monkeypatch.setattr(bisections, "target_map", inverted)
-    assert not forms_group(G, sigmas)
+    z4 = {}
+    for i, s in enumerate(sigmas):
+        for j, t in enumerate(sigmas):
+            for x in range(4):
+                z4[s.arrows[target_map(G, t)[x]], t.arrows[x]] = sigmas[(i + j) % 4].arrows[x]
+    table = G.compose_table.copy()
+    for row in table:
+        row[2] = z4.get((row[0], row[1]), row[2])
+    H = _with_table(G, table)
+    index = {s: i for i, s in enumerate(sigmas)}
+    assert [[index[bisection_compose(H, s, t)] for t in sigmas] for s in sigmas] == \
+        [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    assert forms_group(H, sigmas) is False
+    assert _brute_force_forms_group(H, sigmas) is False
