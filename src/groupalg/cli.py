@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks pass, 1 a mathematical invariant is violated (the
 witnesses are printed), 2 the input file cannot be parsed (line/column
-diagnostics for JSON syntax, member names for schema problems) or a setting
-such as GROUPALG_TOL is malformed.  Numeric output is printed with 17
+diagnostics for JSON syntax, member names for schema problems), a setting
+such as GROUPALG_TOL is malformed, or a command-line label (--object,
+--arrow) names nothing in the file.  Numeric output is printed with 17
 significant digits; GROUPALG_TOL overrides the default tolerances (see the
 tolerances module).
 """
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import io
 from .battery import run_battery
-from .errors import FileFormatError, GroupalgError, UsageError
+from .errors import FileFormatError, GroupalgError, UnknownLabel, UsageError
 from .groupoid import multipliers, validate
 from .haar import convolve, i_norm, involute
 from .inductive import check_system, limit
@@ -323,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
-    except UsageError as exc:
+    except (UsageError, UnknownLabel) as exc:  # file labels arrive as FileFormatError
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (GroupalgError, ValueError) as exc:

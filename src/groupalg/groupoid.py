@@ -36,22 +36,25 @@ def _auto_ids(n: int) -> list[str]:
     return [f"a{i:0{width}d}" for i in range(n)]
 
 
-class UnionFind:
-    """Disjoint sets on 0..n-1; the root of every set is its smallest member."""
+def components(n: int, i, j) -> np.ndarray:
+    """Label each vertex 0..n-1 with the smallest vertex of its connected
+    component in the undirected graph with the edges (i[k], j[k]).
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
+    The smallest label spreads one edge further, both ways, each round
+    until nothing changes, so the rounds are one more than the longest
+    distance from a vertex to the smallest of its component.
+    """
+    i = np.asarray(i, dtype=np.intp)
+    j = np.asarray(j, dtype=np.intp)
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[i], label[j])
+        new = label.copy()
+        np.minimum.at(new, i, low)
+        np.minimum.at(new, j, low)
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 def _ranges(starts, counts) -> np.ndarray:
@@ -262,14 +265,12 @@ class FiniteGroupoid:
     # -- reachability ------------------------------------------------------
 
     def orbits(self) -> list[list[int]]:
-        """Partition of the objects by arrow reachability, block-sorted."""
-        uf = UnionFind(self.n_objects)
-        for a in range(self.n_arrows):
-            uf.union(self.tgt[a], self.src[a])
+        """Partition of the objects by arrow reachability: blocks in the
+        order of their least object, each ascending."""
         blocks: dict[int, list[int]] = {}
-        for x in range(self.n_objects):
-            blocks.setdefault(uf.find(x), []).append(x)
-        return [sorted(b) for _, b in sorted(blocks.items())]
+        for x, root in enumerate(components(self.n_objects, self.tgt, self.src).tolist()):
+            blocks.setdefault(root, []).append(x)
+        return list(blocks.values())
 
     def is_transitive(self) -> bool:
         return len(self.orbits()) <= 1
@@ -295,12 +296,13 @@ class FiniteGroupoid:
 # construction from a relation
 
 def _closure(support: list[str], pairs: list[tuple[str, str]]) -> list[tuple[str, str]]:
-    """Reflexive-symmetric-transitive closure on the support, via union-find."""
+    """Reflexive-symmetric-transitive closure on the support: every pair of
+    labels in one connected component of the relation's graph."""
     idx = {lab: i for i, lab in enumerate(support)}
-    uf = UnionFind(len(support))
-    for x, y in pairs:
-        uf.union(idx[x], idx[y])
-    return [(x, y) for x in support for y in support if uf.find(idx[x]) == uf.find(idx[y])]
+    ends = np.array([(idx[x], idx[y]) for x, y in pairs], dtype=np.intp).reshape(-1, 2)
+    label = components(len(support), ends[:, 0], ends[:, 1]).tolist()
+    return [(x, y) for x, lx in zip(support, label) for y, ly in zip(support, label)
+            if lx == ly]
 
 
 def build_from_relation(objects, pairs, closure_policy: str = "strict") -> FiniteGroupoid:
@@ -502,12 +504,21 @@ class IsotropyGroup:
         if u is None or u not in index:
             raise ValueError(f"object {G.objects[x]} has no unit loop")
         self.unit_index = index[u]
-        self.table = [[index[G.compose(a, b)] for b in self.arrows]
-                      for a in self.arrows]
-        self.inverse_table = [index[G.inverse[a]] for a in self.arrows]
+        table = np.array([[index.get(G.compose(a, b), -1) for b in self.arrows]
+                          for a in self.arrows], dtype=np.intp).reshape(-1, self.order)
+        inverse = np.array([index.get(G.inverse[a], -1) for a in self.arrows], dtype=np.intp)
+        aid, here = G.arrow_ids, G.objects[x]
+        if (table < 0).any():
+            a, b = (self.arrows[k] for k in np.argwhere(table < 0)[0])
+            raise ValueError(f"{aid[a]} o {aid[b]} = {aid[G.compose(a, b)]} "
+                             f"is not a loop at {here}")
+        if (inverse < 0).any():
+            a = self.arrows[np.flatnonzero(inverse < 0)[0]]
+            raise ValueError(f"inverse({aid[a]}) = {aid[G.inverse[a]]} is not a loop at {here}")
+        self.table = table.tolist()
+        self.inverse_table = inverse.tolist()
         # left_div[i, g] = mult(inv(i), g), the g1-th row of the group algebra product
-        self.left_div = np.array(self.table, dtype=np.intp).reshape(-1, self.order)[
-            self.inverse_table]
+        self.left_div = table[inverse]
         self.left_div.flags.writeable = False
 
     @property

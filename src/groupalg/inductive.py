@@ -4,17 +4,21 @@ A system is a finite directed index set, one groupoid per index, and an
 injective structure-preserving embedding for every comparable pair, subject
 to the cocycle condition: embedding along alpha <= beta <= gamma in one hop
 equals the two-hop composite.  The limit glues the disjoint union of the
-pieces along the identifications the embeddings generate; composition of
-two glued arrows is computed inside a common upper piece, which exists by
-directedness and is consistent by the cocycle condition.
+pieces along the identifications the embeddings generate, and its
+composition is the union of the pieces' compositions: the embeddings are
+injective and preserve composition, so two composable glued arrows have
+preimages in a common upper piece (directedness), where they compose, and
+the cocycle condition makes the result independent of the piece.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import SystemInvalid
-from .groupoid import FiniteGroupoid, GroupoidMorphism, UnionFind, morphism_report
+from .groupoid import FiniteGroupoid, GroupoidMorphism, components, morphism_report
 from .report import Report
 
 
@@ -121,90 +125,56 @@ class LimitResult:
 def limit(sys: InductiveSystem) -> LimitResult:
     """Colimit groupoid with one injection per piece.
 
-    Tags every object/arrow with its piece, unions tags along all
-    embeddings, and canonically labels classes by their smallest tag.
+    Tags every object/arrow with its piece, labels each tag with the
+    smallest tag the embeddings connect it to (:func:`components`), and
+    numbers the classes in the order of their smallest tag.  The table is
+    the union of the pieces' tables mapped to classes; a defect of a piece
+    carries into the limit, where :func:`validate` reports it.
     Raises SystemInvalid unless :func:`check_system` passes.
     """
     chk = check_system(sys)
     if not chk.ok:
         raise SystemInvalid(f"system fails coherence checks:\n{chk}")
     labels = sys.labels
-    obj_off: dict[str, int] = {}
-    arr_off: dict[str, int] = {}
-    total_obj = total_arr = 0
-    for lab in labels:
-        obj_off[lab] = total_obj
-        arr_off[lab] = total_arr
-        total_obj += sys.pieces[lab].n_objects
-        total_arr += sys.pieces[lab].n_arrows
+    index = {lab: k for k, lab in enumerate(labels)}
+    pieces = [sys.pieces[lab] for lab in labels]
+    obj_off = np.cumsum([0] + [P.n_objects for P in pieces])
+    arr_off = np.cumsum([0] + [P.n_arrows for P in pieces])
 
-    uf_obj = UnionFind(total_obj)
-    uf_arr = UnionFind(total_arr)
-    for (a, b), phi in sys.embeddings.items():
-        Pa = sys.pieces[a]
-        for x in range(Pa.n_objects):
-            uf_obj.union(obj_off[a] + x, obj_off[b] + phi.object_map[x])
-        for r in range(Pa.n_arrows):
-            uf_arr.union(arr_off[a] + r, arr_off[b] + phi.arrow_map[r])
+    def classes(off, image):
+        """Smallest tag of every class, ascending, and the class of every
+        tag; ``image(phi)`` is an embedding's map on objects or on arrows."""
+        i, j = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        for (a, b), phi in sys.embeddings.items():
+            i.append(off[index[a]] + np.arange(len(image(phi))))
+            j.append(off[index[b]] + np.asarray(image(phi), dtype=np.intp))
+        label = components(int(off[-1]), np.concatenate(i), np.concatenate(j))
+        return np.unique(label, return_inverse=True)
 
-    def piece_of(tag: int, offsets: dict[str, int]) -> tuple[str, int]:
-        lab = next(lab for lab in reversed(labels) if tag >= offsets[lab])
-        return lab, tag - offsets[lab]
+    def stacked(off, column) -> np.ndarray:
+        """``column(piece)`` of every piece, shifted to tags and concatenated."""
+        return np.concatenate([np.zeros(0, dtype=np.intp)] + [
+            off[k] + np.asarray(column(P), dtype=np.intp).ravel()
+            for k, P in enumerate(pieces)])
 
-    obj_roots = sorted({uf_obj.find(t) for t in range(total_obj)})
-    arr_roots = sorted({uf_arr.find(t) for t in range(total_arr)})
-    obj_class = {root: i for i, root in enumerate(obj_roots)}
-    arr_class = {root: i for i, root in enumerate(arr_roots)}
-    # each class is represented by its smallest tag: (piece, index in the piece)
-    obj_reps = [piece_of(root, obj_off) for root in obj_roots]
-    arr_reps = [piece_of(root, arr_off) for root in arr_roots]
+    obj_root, obj_class = classes(obj_off, lambda phi: phi.object_map)
+    arr_root, arr_class = classes(arr_off, lambda phi: phi.arrow_map)
+    # each class is represented by its smallest tag
+    src = obj_class[stacked(obj_off, lambda P: P.src)[arr_root]]
+    tgt = obj_class[stacked(obj_off, lambda P: P.tgt)[arr_root]]
+    inverse = arr_class[stacked(arr_off, lambda P: P.inverse)[arr_root]]
+    table = arr_class[stacked(arr_off, lambda P: P.compose_table)].reshape(-1, 3)
 
-    raw_labels = [sys.pieces[lab].objects[x] for lab, x in obj_reps]
-    out_labels = [raw if raw_labels.count(raw) == 1 else f"{lab}.{raw}"
-                  for (lab, _), raw in zip(obj_reps, raw_labels)]
+    obj_tags = [(k, x) for k, P in enumerate(pieces) for x in range(P.n_objects)]
+    obj_reps = [obj_tags[t] for t in obj_root.tolist()]
+    unit_of = [None if pieces[k].unit_of[x] is None
+               else int(arr_class[arr_off[k] + pieces[k].unit_of[x]]) for k, x in obj_reps]
+    raw_labels = [pieces[k].objects[x] for k, x in obj_reps]
+    out_labels = [raw if raw_labels.count(raw) == 1 else f"{labels[k]}.{raw}"
+                  for (k, _), raw in zip(obj_reps, raw_labels)]
 
-    def obj_of(lab: str, x: int) -> int:
-        return obj_class[uf_obj.find(obj_off[lab] + x)]
-
-    def arr_of(lab: str, r: int) -> int:
-        return arr_class[uf_arr.find(arr_off[lab] + r)]
-
-    src = [obj_of(lab, sys.pieces[lab].src[r]) for lab, r in arr_reps]
-    tgt = [obj_of(lab, sys.pieces[lab].tgt[r]) for lab, r in arr_reps]
-    inverse = [arr_of(lab, sys.pieces[lab].inverse[r]) for lab, r in arr_reps]
-    unit_of = [None if sys.pieces[lab].unit_of[x] is None
-               else arr_of(lab, sys.pieces[lab].unit_of[x]) for lab, x in obj_reps]
-
-    def upper_bound(a: str, b: str) -> str:
-        for c in labels:
-            if (a == c or (a, c) in sys.leq) and (b == c or (b, c) in sys.leq):
-                return c
-        raise AssertionError("directedness was already checked")
-
-    def image_in(lab: str, r: int, target: str) -> int:
-        if lab == target:
-            return r
-        return sys.embeddings[(lab, target)].arrow_map[r]
-
-    compose_rows = []
-    for ca, (la, ra) in enumerate(arr_reps):
-        for cb, (lb, rb) in enumerate(arr_reps):
-            if src[ca] != tgt[cb]:
-                continue
-            up = upper_bound(la, lb)
-            try:
-                comp = sys.pieces[up].compose(image_in(la, ra, up), image_in(lb, rb, up))
-            except ValueError:
-                raise SystemInvalid(
-                    "identified arrows fail to compose in their upper piece") from None
-            compose_rows.append((ca, cb, arr_of(up, comp)))
-
-    G = FiniteGroupoid(out_labels, src, tgt, compose_rows, inverse, unit_of)
-    injections = {}
-    for lab in labels:
-        P = sys.pieces[lab]
-        injections[lab] = GroupoidMorphism(
-            tuple(obj_of(lab, x) for x in range(P.n_objects)),
-            tuple(arr_of(lab, r) for r in range(P.n_arrows)),
-        )
+    G = FiniteGroupoid(out_labels, src, tgt, table, inverse, unit_of)
+    injections = {lab: GroupoidMorphism(tuple(obj_class[obj_off[k]:obj_off[k + 1]].tolist()),
+                                        tuple(arr_class[arr_off[k]:arr_off[k + 1]].tolist()))
+                  for k, lab in enumerate(labels)}
     return LimitResult(G, injections)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import tolerances
 from .errors import NotTransitive, ShapeMismatch
-from .groupoid import FiniteGroupoid, IsotropyGroup, UnionFind, isotropy
+from .groupoid import FiniteGroupoid, IsotropyGroup, components, isotropy
 from .haar import HaarSystem, _as_function, convolve, counting_haar, i_norm
 from .randgen import SplitMix64, random_function
 from .report import Report
@@ -151,7 +151,11 @@ def left_regular(G: FiniteGroupoid, mu: HaarSystem, arrow: int) -> np.ndarray:
     row_of = {a: i for i, a in enumerate(tgt_fiber)}
     out = np.zeros((len(tgt_fiber), len(src_fiber)), dtype=complex)
     for col, h in enumerate(src_fiber):
-        out[row_of[G.compose(arrow, h)], col] = 1.0
+        c = G.compose(arrow, h)
+        if c not in row_of:
+            raise ValueError(f"{G.arrow_ids[arrow]} o {G.arrow_ids[h]} = {G.arrow_ids[c]} "
+                             f"leaves the target fiber of {G.objects[G.tgt[arrow]]}")
+        out[row_of[c], col] = 1.0
     return out
 
 
@@ -279,14 +283,12 @@ def support_blocks(M: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     n = M.shape[0]
     support = M != 0
     r, c = np.nonzero(support)
-    uf = UnionFind(n + M.shape[1])  # the rows, then the columns shifted by n
-    for i, j in zip(r.tolist(), (n + c).tolist()):
-        uf.union(i, j)
+    label = components(n + M.shape[1], r, n + c).tolist()  # rows, then columns shifted by n
     blocks: dict[int, tuple[list[int], list[int]]] = {}
     for i in np.flatnonzero(support.any(axis=1)).tolist():
-        blocks.setdefault(uf.find(i), ([], []))[0].append(i)
+        blocks.setdefault(label[i], ([], []))[0].append(i)
     for j in np.flatnonzero(support.any(axis=0)).tolist():
-        blocks[uf.find(n + j)][1].append(j)
+        blocks[label[n + j]][1].append(j)
     return [(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp))
             for rows, cols in blocks.values()]
 

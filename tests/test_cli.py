@@ -10,6 +10,7 @@ from groupalg import convolve, counting_haar, validate
 from groupalg.battery import SUITES, run_battery
 from groupalg.builders import cyclic_table, group_groupoid, pair_groupoid, product
 from groupalg.cli import main
+from groupalg.groupoid import FiniteGroupoid
 from groupalg.io import (GroupoidDocument, load_function, load_groupoid,
                          save_function, save_groupoid)
 
@@ -187,6 +188,18 @@ class TestCommands:
         assert (G.n_objects, G.n_arrows) == (4, 16)
         assert validate(G).ok
 
+    def test_limit_of_a_defective_piece_fails_validation(self, tmp_path, capsys):
+        for name in ("chain-manifest.json", "pair2.json", "pair3.json"):
+            (tmp_path / name).write_text(open(fx(name)).read())
+        P = load_groupoid(fx("pair4.json")).groupoid
+        ad, da = P.arrow_by_endpoints(0, 3), P.arrow_by_endpoints(3, 0)
+        table = [row for row in P.compose_table.tolist() if row[:2] != [ad, da]]
+        bad = FiniteGroupoid(P.objects, P.src, P.tgt, table, P.inverse, P.unit_of,
+                             P.arrow_ids)
+        save_groupoid(str(tmp_path / "pair4.json"), GroupoidDocument(bad, None, None, "strict"))
+        assert main(["limit", str(tmp_path / "chain-manifest.json")]) == 1
+        assert capsys.readouterr().out.endswith("FAIL: limit does not validate\n")
+
     def test_check_single_file(self, capsys):
         assert main(["check", fx("iso-z2.json"), "--seed", "3",
                      "--trials", "5"]) == 0
@@ -225,6 +238,14 @@ class TestCommands:
 
     def test_missing_file_exit2(self, capsys):
         assert main(["validate", "/nonexistent/g.json"]) == 2
+
+    @pytest.mark.parametrize("argv", [["fibers", fx("pair3.json"), "--object", "zz"],
+                                      ["rep", fx("pair3.json"), "left-regular", "--arrow", "zz"]],
+                             ids=["fibers-object", "rep-arrow"])
+    def test_unknown_command_line_label_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: unknown") and "'zz'" in err
 
 
 class TestDeterminism:

@@ -15,8 +15,10 @@ from groupalg import (NotClosed, NotRelationGroupoid, UnknownLabel,
                       isotropy_bundle, multipliers, validate)
 from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
                                pair_groupoid, product)
-from groupalg.groupoid import FiniteGroupoid, relation_isomorphism
-from groupalg.io import parse_groupoid_document
+from groupalg.cli import main
+from groupalg.groupoid import FiniteGroupoid, components, relation_isomorphism
+from groupalg.io import (GroupoidDocument, parse_groupoid_document, save_function,
+                         save_groupoid)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "groupalg", "fixtures")
 
@@ -277,6 +279,31 @@ def test_validate_clean_explicit_documents():
     assert validate(_loaded(_iso_z2_doc())).entries == []
 
 
+_TABLES_FOR_COMMANDS = {
+    **{case: build for case, (build, _) in _CORRUPTIONS.items()},
+    "iso-composite-off-the-loops":
+        lambda: _loaded(_edit_compose(_iso_z2_doc(), "a01", "a01", "a03")),
+    "iso-inverse-off-the-loops": lambda: _with_inverse(_loaded(_iso_z2_doc()), "a01", "a02"),
+}
+
+_COMMANDS = [["validate"], ["check", "--trials", "2"], ["rep", "trivial"],
+             ["rep", "left-regular"], ["equiv"], ["integrate", "F"],
+             ["integrate", "F", "--rep", "trivial"], ["convolve", "F", "F"],
+             ["inorm", "F"], ["multipliers"]]
+
+
+@pytest.mark.parametrize("case", sorted(_TABLES_FOR_COMMANDS))
+def test_every_command_reports_a_corrupted_table_without_a_traceback(case, tmp_path,
+                                                                     capsys):
+    G = _TABLES_FOR_COMMANDS[case]()
+    path, f = str(tmp_path / "g.json"), str(tmp_path / "f.json")
+    save_groupoid(path, GroupoidDocument(G, None, None, "strict"))
+    save_function(f, G, np.ones(G.n_arrows))
+    for command, *rest in _COMMANDS:
+        argv = [command, path, *(f if arg == "F" else arg for arg in rest)]
+        assert main(argv) in (0, 1, 2), argv
+
+
 class TestFibers:
     def test_pair3_target_fiber_enumeration(self):
         G = pair_groupoid("abc")
@@ -354,6 +381,16 @@ class TestIsotropy:
                    for i in range(2) for j in range(2)}
             assert got == {(i, j): z2[i][j] for i in range(2) for j in range(2)}
 
+    def test_a_composite_off_the_loops_is_named(self):
+        G = _loaded(_edit_compose(_iso_z2_doc(), "a01", "a01", "a03"))
+        with pytest.raises(ValueError, match=r"^a01 o a01 = a03 is not a loop at a$"):
+            isotropy(G, 0)
+
+    def test_an_inverse_off_the_loops_is_named(self):
+        G = _with_inverse(_loaded(_iso_z2_doc()), "a01", "a02")
+        with pytest.raises(ValueError, match=r"^inverse\(a01\) = a02 is not a loop at a$"):
+            isotropy(G, 0)
+
     def test_bundle_counts_and_validates(self):
         G = product(pair_groupoid("abc"), group_groupoid(*cyclic_table(2)))
         xi = isotropy_bundle(G)
@@ -398,6 +435,56 @@ class TestOrbits:
         G = product(pair_groupoid("abc"), group_groupoid(*cyclic_table(3)))
         sizes = {len(G.target_fiber(x)) for x in range(G.n_objects)}
         assert len(sizes) == 1
+
+
+class UnionFind:
+    """Disjoint sets on 0..n-1; the root of every set is its smallest member.
+    The oracle for :func:`components`."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        while self.parent[i] != i:
+            self.parent[i] = self.parent[self.parent[i]]
+            i = self.parent[i]
+        return i
+
+    def union(self, i: int, j: int) -> None:
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[max(ri, rj)] = min(ri, rj)
+
+
+@st.composite
+def _graphs(draw):
+    """(n, i, j): random edges, self-loops, repeated edges and a long path
+    through a random part of the vertices, in a random order."""
+    n = draw(st.integers(0, 60))
+    if n == 0:
+        return 0, [], []
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=n))
+    edges += [(v, v) for v in draw(st.lists(vertex, max_size=3))]
+    path = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    edges += list(zip(path, path[1:]))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=5)) if edges else []
+    edges = draw(st.permutations(edges))
+    return n, [a for a, _ in edges], [b for _, b in edges]
+
+
+class TestComponents:
+    @settings(max_examples=300, deadline=None)
+    @given(_graphs())
+    def test_labels_are_the_union_find_roots(self, graph):
+        n, i, j = graph
+        uf = UnionFind(n)
+        for a, b in zip(i, j):
+            uf.union(a, b)
+        assert components(n, i, j).tolist() == [uf.find(v) for v in range(n)]
+
+    def test_a_path_of_2000_vertices_gets_one_label(self):
+        assert components(2000, np.arange(1999), np.arange(1, 2000)).tolist() == [0] * 2000
 
 
 class TestRelationView:

@@ -1,5 +1,7 @@
 """Inductive systems: coherence checks, colimits, functoriality."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,12 @@ from groupalg import (GroupoidMorphism, InductiveSystem, SystemInvalid,
                       check_system, convolve, counting_haar, limit,
                       morphism_report, validate)
 from groupalg.builders import pair_groupoid
-from groupalg.groupoid import relation_isomorphism
+from groupalg.groupoid import FiniteGroupoid, relation_isomorphism
+from groupalg.io import load_manifest
 from groupalg.randgen import SplitMix64, random_function
+
+CHAIN_MANIFEST = os.path.join(os.path.dirname(__file__), os.pardir, "src", "groupalg",
+                              "fixtures", "chain-manifest.json")
 
 
 def inclusion(A, B):
@@ -29,6 +35,54 @@ def chain_system():
            ("p2", "p4"): inclusion(p2, p4)}
     return InductiveSystem(["p2", "p3", "p4"], leq,
                            {"p2": p2, "p3": p3, "p4": p4}, emb)
+
+
+def merged_overlap_system():
+    """Two pieces glued only through a common upper bound: pair(ab) onto
+    {a, b} and pair(cd) onto {b, c} of pair(abc), so c -> b and d -> c."""
+    pa = pair_groupoid("ab")
+    pc = pair_groupoid("cd")
+    top = pair_groupoid("abc")
+    om_pa = tuple(top.object_index(x) for x in "ab")
+    am_pa = tuple(top.arrow_by_endpoints(om_pa[pa.tgt[r]], om_pa[pa.src[r]])
+                  for r in range(4))
+    om_pc = (top.object_index("b"), top.object_index("c"))
+    am_pc = tuple(top.arrow_by_endpoints(om_pc[pc.tgt[r]], om_pc[pc.src[r]])
+                  for r in range(4))
+    return InductiveSystem(
+        ["pa", "pc", "top"],
+        {("pa", "top"), ("pc", "top")},
+        {"pa": pa, "pc": pc, "top": top},
+        {("pa", "top"): GroupoidMorphism(om_pa, am_pa),
+         ("pc", "top"): GroupoidMorphism(om_pc, am_pc)})
+
+
+def pairwise_limit_table(sys_, res):
+    """Oracle for the limit's table: every composable pair of limit arrows,
+    composed in a common upper piece of their smallest-tag representatives."""
+    L = res.groupoid
+    reps = {}
+    for lab in sys_.labels:
+        for r, c in enumerate(res.injections[lab].arrow_map):
+            reps.setdefault(c, (lab, r))
+
+    def upper_bound(a, b):
+        return next(c for c in sys_.labels
+                    if (a == c or (a, c) in sys_.leq) and (b == c or (b, c) in sys_.leq))
+
+    def image_in(lab, r, target):
+        return r if lab == target else sys_.embeddings[(lab, target)].arrow_map[r]
+
+    rows = []
+    for ca in range(L.n_arrows):
+        for cb in range(L.n_arrows):
+            if L.src[ca] != L.tgt[cb]:
+                continue
+            (la, ra), (lb, rb) = reps[ca], reps[cb]
+            up = upper_bound(la, lb)
+            comp = sys_.pieces[up].compose(image_in(la, ra, up), image_in(lb, rb, up))
+            rows.append([ca, cb, res.injections[up].arrow_map[comp]])
+    return sorted(rows)
 
 
 class TestCheckSystem:
@@ -129,29 +183,35 @@ class TestLimit:
             limit(sys_)
 
     def test_merged_overlap_union_find_oracle(self):
-        # two pieces glued only through a common upper bound
-        pa = pair_groupoid("ab")
-        pc = pair_groupoid("cd")
-        top = pair_groupoid("abc")  # identifies d with c... no: maps below
-        # embed pa on {a,b}; embed pc onto {b,c}: c->b, d->c merges b and c
-        om_pa = tuple(top.object_index(x) for x in "ab")
-        am_pa = tuple(top.arrow_by_endpoints(om_pa[pa.tgt[r]], om_pa[pa.src[r]])
-                      for r in range(4))
-        om_pc = (top.object_index("b"), top.object_index("c"))
-        am_pc = tuple(top.arrow_by_endpoints(om_pc[pc.tgt[r]], om_pc[pc.src[r]])
-                      for r in range(4))
-        sys_ = InductiveSystem(
-            ["pa", "pc", "top"],
-            {("pa", "top"), ("pc", "top")},
-            {"pa": pa, "pc": pc, "top": top},
-            {("pa", "top"): GroupoidMorphism(om_pa, am_pa),
-             ("pc", "top"): GroupoidMorphism(om_pc, am_pc)})
+        sys_ = merged_overlap_system()
         assert check_system(sys_).ok
         res = limit(sys_)
-        # union-find oracle over the tags
+        # counted by hand: b of pa and c of pc both land on b of top
         assert res.groupoid.n_objects == 3
         assert res.groupoid.n_arrows == 9
         assert res.injections["pa"].object_map[1] == res.injections["pc"].object_map[0]
+
+    @pytest.mark.parametrize("system", ["chain-fixture", "merged-overlap", "colimit-square"])
+    def test_table_matches_the_pairwise_upper_piece_oracle(self, system):
+        sys_ = {"chain-fixture": lambda: load_manifest(CHAIN_MANIFEST),
+                "merged-overlap": merged_overlap_system,
+                "colimit-square": chain_system}[system]()
+        res = limit(sys_)
+        assert sorted(res.groupoid.compose_table.tolist()) == pairwise_limit_table(sys_, res)
+
+    def test_a_defective_piece_carries_into_the_limit(self):
+        sys_ = chain_system()
+        p4 = sys_.pieces["p4"]
+        ad, da = p4.arrow_by_endpoints(0, 3), p4.arrow_by_endpoints(3, 0)
+        table = [row for row in p4.compose_table.tolist() if row[:2] != [ad, da]]
+        sys_.pieces["p4"] = FiniteGroupoid(p4.objects, p4.src, p4.tgt, table, p4.inverse,
+                                           p4.unit_of, p4.arrow_ids)
+        assert check_system(sys_).ok  # no embedding reads the dropped product
+        res = limit(sys_)
+        ad_, da_ = (res.injections["p4"].arrow_map[r] for r in (ad, da))
+        L = res.groupoid
+        assert [(e.check, e.witness) for e in validate(L).errors] == [
+            ("compose-missing", f"{L.arrow_ids[ad_]} o {L.arrow_ids[da_]} undefined")]
 
     def test_order_independence_with_canonical_relabeling(self):
         res1 = limit(chain_system())

@@ -115,6 +115,17 @@ class TestLeftRegular:
         rep = left_regular_rep(G, mu)
         assert check_representation(G, rep, atol=0.0).ok
 
+    def test_a_composite_leaving_the_fiber_is_named(self):
+        G = pair_groupoid("abc")
+        ab, bc, ba = (G.arrow_by_endpoints(t, s) for t, s in ((0, 1), (1, 2), (1, 0)))
+        table = [[a, b, ba if (a, b) == (ab, bc) else c]
+                 for a, b, c in G.compose_table.tolist()]
+        bad = FiniteGroupoid(G.objects, G.src, G.tgt, table, G.inverse, G.unit_of)
+        aid = G.arrow_ids
+        with pytest.raises(ValueError, match=rf"^{aid[ab]} o {aid[bc]} = {aid[ba]} "
+                                             r"leaves the target fiber of a$"):
+            left_regular(bad, counting_haar(bad), ab)
+
     def test_transposed_matrix_detected(self):
         # on Z3 the translation matrices are genuine 3-cycles, so a transpose
         # is the inverse matrix and breaks multiplicativity
@@ -334,6 +345,9 @@ class TestBlockOperatorNorm:
         for r, c in blocks:
             inside[np.ix_(r, c)] = True
         assert not M[~inside].any()
+        assert [r[0] for r, _ in blocks] == sorted(r[0] for r, _ in blocks)  # least row first
+        for r, c in blocks:
+            assert r.tolist() == sorted(r.tolist()) and c.tolist() == sorted(c.tolist())
         for r, c in blocks:  # each block is connected: a search from its first row reaches all of it
             sub = M[np.ix_(r, c)] != 0
             reached = np.zeros(len(r), dtype=bool)
