@@ -3,10 +3,12 @@
 Exit codes: 0 all checks pass, 1 a mathematical invariant is violated (the
 witnesses are printed), 2 the input file cannot be parsed (line/column
 diagnostics for JSON syntax, member names for schema problems), a setting
-such as GROUPALG_TOL is malformed, or a command-line label (--object,
---arrow) names nothing in the file.  Numeric output is printed with 17
-significant digits; GROUPALG_TOL overrides the default tolerances (see the
-tolerances module).
+such as GROUPALG_TOL is malformed, a command-line label (--object,
+--arrow) names nothing in the file, or the groupoid is outside the
+command's domain (``equiv`` on a groupoid that is not transitive,
+``multipliers`` on one that is not relation-derived).  Numeric output is
+printed with 17 significant digits; GROUPALG_TOL overrides the default
+tolerances (see the tolerances module).
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import numpy as np
 
 from . import io
 from .battery import run_battery
-from .errors import FileFormatError, GroupalgError, UnknownLabel, UsageError
+from .errors import (FileFormatError, GroupalgError, NotRelationGroupoid, NotTransitive,
+                     UnknownLabel, UsageError)
 from .groupoid import multipliers, validate
 from .haar import convolve, i_norm, involute
 from .inductive import check_system, limit
@@ -324,7 +327,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, UnknownLabel) as exc:  # file labels arrive as FileFormatError
+    except (UsageError, UnknownLabel, NotTransitive, NotRelationGroupoid) as exc:
+        # file labels arrive as FileFormatError; the last two mean the input
+        # is outside the command's domain, not that a law fails
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (GroupalgError, ValueError) as exc:

@@ -70,13 +70,35 @@ def _fibers(tgt, n_objects: int):
     return np.argsort(tgt, kind="stable"), np.cumsum(size) - size, size
 
 
+def _joined(left, right, src, tgt, n_objects: int):
+    """Arrays (a, b) of all pairs with a from ``left``, b from ``right`` and
+    src[a] == tgt[b]: a ordered by src(a), then as in ``left``; for each a,
+    b as in ``right``."""
+    into, start, size = _fibers(tgt[right], n_objects)
+    firsts = left[np.argsort(src[left], kind="stable")]
+    counts = size[src[firsts]]
+    return np.repeat(firsts, counts), right[into[_ranges(start[src[firsts]], counts)]]
+
+
 def _composable(src, tgt, n_objects: int):
     """Arrays (a, b) of all pairs with src[a] == tgt[b], in object-then-arrow order."""
-    src = np.asarray(src, dtype=np.intp)
-    into, start, size = _fibers(tgt, n_objects)
-    firsts = np.argsort(src, kind="stable")
-    counts = size[src[firsts]]
-    return np.repeat(firsts, counts), into[_ranges(start[src[firsts]], counts)]
+    arrows = np.arange(len(src))
+    return _joined(arrows, arrows, np.asarray(src, dtype=np.intp),
+                   np.asarray(tgt, dtype=np.intp), n_objects)
+
+
+def _triples(G: FiniteGroupoid, b):
+    """Batches (rows, z) of the triples (a[i], b[i], z) over pairs i and z
+    into src(b[i]): each pair index i repeated over that fibre in ``rows``,
+    in pair-then-fibre order, about ``_TRIPLE_BATCH`` triples a batch."""
+    src = np.asarray(G.src, dtype=np.intp)
+    into, start, size = _fibers(G.tgt, G.n_objects)
+    width = size[src[b]]
+    step = max(1, _TRIPLE_BATCH // max(int(width.max(initial=0)), 1))
+    for lo in range(0, len(b), step):
+        k = width[lo:lo + step]
+        yield (np.repeat(np.arange(lo, lo + len(k)), k),
+               into[_ranges(start[src[b[lo:lo + step]]], k)])
 
 
 class FiniteGroupoid:
@@ -139,6 +161,7 @@ class FiniteGroupoid:
         self._by_endpoints: dict[tuple[int, int], int] | None = None
         self._pair_index: tuple[np.ndarray, np.ndarray] | None = None
         self._rows: list[list[int]] | None = None
+        self._certificate: GeneratorCertificate | None = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -275,6 +298,12 @@ class FiniteGroupoid:
     def is_transitive(self) -> bool:
         return len(self.orbits()) <= 1
 
+    def certificate(self) -> GeneratorCertificate:
+        """The generating set of the arrows and what it proves, computed once."""
+        if self._certificate is None:
+            self._certificate = _certify(self)
+        return self._certificate
+
     # -- convolution support -----------------------------------------------
 
     def convolution_plan(self):
@@ -359,6 +388,123 @@ def build_from_relation(objects, pairs, closure_policy: str = "strict") -> Finit
 
 
 # ---------------------------------------------------------------------------
+# generator certificate
+
+@dataclass(frozen=True)
+class GeneratorCertificate:
+    """A generating set S of the arrows, and whether it proves the table
+    associative.
+
+    ``generators`` is S, ascending.  ``depth`` is L, the longest
+    right-nested word ``s1 o (s2 o (... o sL))`` over S that the table needs
+    to reach an arrow, or 0 when S does not reach them all.  ``associative``
+    holds when the table defines every composable pair with the right
+    endpoints, S reaches every arrow, and Light's test ``(x o s) o y ==
+    x o (s o y)`` holds for every s in S and composable x, y.  The arrows a
+    that pass the test for every x, y are closed under composition (Clifford
+    & Preston, *Algebraic Theory of Semigroups* I, §1.2), so then every
+    composable triple associates.
+    """
+
+    generators: np.ndarray
+    depth: int
+    associative: bool
+
+
+def _subgroup(table: np.ndarray, have: np.ndarray) -> np.ndarray:
+    """Close the mask ``have`` under the local product table."""
+    while True:
+        members = np.flatnonzero(have)
+        new = have.copy()
+        new[table[np.ix_(members, members)]] = True
+        if np.array_equal(new, have):
+            return have
+        have = new
+
+
+def _isotropy_generators(G: FiniteGroupoid, loops: np.ndarray, made) -> list[int]:
+    """Greedy generators of the group on ``loops``, the loops at one base
+    object: the first loop not yet generated, with its powers g^2, g^4, ...,
+    so every element is a short word.  Generation starts from the loops
+    marked in ``made``."""
+    pos = np.full(G.n_arrows, -1, dtype=np.intp)
+    pos[loops] = np.arange(len(loops))
+    h = len(loops)
+    table = pos[G.composites(np.repeat(loops, h), np.tile(loops, h))].reshape(h, h)
+    have = _subgroup(table, np.asarray(made, dtype=bool))
+    gens: list[int] = []
+    for g in range(h):
+        if have[g]:
+            continue
+        while not have[g]:
+            gens.append(g)
+            have[g] = True
+            g = table[g, g]
+        have = _subgroup(table, have)
+    return loops[gens].tolist()
+
+
+def _certify(G: FiniteGroupoid) -> GeneratorCertificate:
+    src = np.asarray(G.src, dtype=np.intp)
+    tgt = np.asarray(G.tgt, dtype=np.intp)
+    n, arrows = G.n_objects, np.arange(G.n_arrows)
+    a, b, ab = G._pair_products()
+    if (ab < 0).any() or (tgt[ab] != tgt[a]).any() or (src[ab] != src[b]).any():
+        return GeneratorCertificate(np.zeros(0, dtype=np.intp), 0, False)
+
+    # the star of each orbit: the first arrow base -> x in the target fibre
+    # of x, and the first arrow x -> base in its source fibre
+    base = components(n, tgt, src)
+    out_of_base = np.full(n, G.n_arrows)
+    into_base = np.full(n, G.n_arrows)
+    leg = src != tgt
+    from_base, to_base = leg & (src == base[src]), leg & (tgt == base[tgt])
+    np.minimum.at(out_of_base, tgt[from_base], arrows[from_base])
+    np.minimum.at(into_base, src[to_base], arrows[to_base])
+    star = np.concatenate([out_of_base, into_base])
+    star = star[star < G.n_arrows]
+    chosen = np.zeros(G.n_arrows, dtype=bool)
+    chosen[star] = True
+    # the loops at each base the star already makes, (x -> base) o (base -> x),
+    # then greedy generators of what the base's group still lacks
+    both = (out_of_base < G.n_arrows) & (into_base < G.n_arrows)
+    made = np.zeros(G.n_arrows, dtype=bool)
+    made[G.composites(into_base[both], out_of_base[both])] = True
+    loops = arrows[~leg & (src == base[src])]
+    count = np.bincount(src[loops], minlength=n)
+    alone = loops[count[src[loops]] == 1]
+    chosen[alone[~made[alone]]] = True
+    for x in np.flatnonzero(count > 1).tolist():
+        at_x = loops[src[loops] == x]
+        chosen[_isotropy_generators(G, at_x, made[at_x])] = True
+    gens = np.flatnonzero(chosen)
+
+    # right-nested closure: depth k + 1 is S o (depth k), less what is reached
+    reached = chosen.copy()
+    frontier, depth = gens, int(len(gens) > 0)
+    while True:
+        s, f = _joined(gens, frontier, src, tgt, n)
+        new = np.zeros(G.n_arrows, dtype=bool)
+        new[G.composites(s, f)] = True
+        new &= ~reached
+        if not new.any():
+            break
+        reached |= new
+        frontier, depth = np.flatnonzero(new), depth + 1
+    if not reached.all():
+        return GeneratorCertificate(gens, 0, False)
+
+    # Light's test: (x o s) o y == x o (s o y) for s in S and every composable x, y
+    x, s = _joined(arrows, gens, src, tgt, n)
+    xs = G.composites(x, s)
+    for rows, y in _triples(G, s):
+        if (G.composites(xs[rows], y)
+                != G.composites(x[rows], G.composites(s[rows], y))).any():
+            return GeneratorCertificate(gens, depth, False)
+    return GeneratorCertificate(gens, depth, True)
+
+
+# ---------------------------------------------------------------------------
 # axiom validation
 
 def validate(G: FiniteGroupoid) -> Report:
@@ -367,6 +513,8 @@ def validate(G: FiniteGroupoid) -> Report:
     Checks: composition defined exactly on endpoint-matching pairs with the
     right endpoints, associativity on all composable triples, unit laws, and
     inverse laws.  Each entry carries a minimal witness in arrow/object ids.
+    Associativity is proved by the generator certificate when it applies
+    (:meth:`FiniteGroupoid.certificate`); otherwise every triple is scanned.
     """
     rep = Report("groupoid-axioms")
     aid = G.arrow_ids
@@ -389,22 +537,19 @@ def validate(G: FiniteGroupoid) -> Report:
     for i in np.flatnonzero(ab < 0).tolist():
         rep.add("compose-missing", f"{aid[a[i]]} o {aid[b[i]]} undefined")
 
-    # every triple (x, y, z) with (x, y) defined and z into src(y), in batches
+    # the certificate proves every composable triple associative; failing
+    # that, scan every triple (x, y, z) with (x, y) defined and z into src(y)
     defined = ab >= 0
     a, b, ab = a[defined], b[defined], ab[defined]
-    into, start, size = _fibers(tgt, G.n_objects)
-    width = size[src[b]]
-    step = max(1, _TRIPLE_BATCH // max(int(width.max(initial=0)), 1))
-    for lo in range(0, len(a), step):
-        k = width[lo:lo + step]
-        x, y, xy = (np.repeat(v[lo:lo + step], k) for v in (a, b, ab))
-        z = into[_ranges(start[src[b[lo:lo + step]]], k)]
-        xy_z = G.composites(xy, z)
-        x_yz = G.composites(x, G.composites(y, z))
-        for i in np.flatnonzero((xy_z >= 0) & (x_yz >= 0) & (xy_z != x_yz)).tolist():
-            rep.add("associativity",
-                    f"({aid[x[i]]} o {aid[y[i]]}) o {aid[z[i]]} = {aid[xy_z[i]]} "
-                    f"!= {aid[x_yz[i]]} = {aid[x[i]]} o ({aid[y[i]]} o {aid[z[i]]})")
+    if not G.certificate().associative:
+        for rows, z in _triples(G, b):
+            x, y, xy = a[rows], b[rows], ab[rows]
+            xy_z = G.composites(xy, z)
+            x_yz = G.composites(x, G.composites(y, z))
+            for i in np.flatnonzero((xy_z >= 0) & (x_yz >= 0) & (xy_z != x_yz)).tolist():
+                rep.add("associativity",
+                        f"({aid[x[i]]} o {aid[y[i]]}) o {aid[z[i]]} = {aid[xy_z[i]]} "
+                        f"!= {aid[x_yz[i]]} = {aid[x[i]]} o ({aid[y[i]]} o {aid[z[i]]})")
 
     for x in range(G.n_objects):
         u = G.unit_of[x]

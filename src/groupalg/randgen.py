@@ -13,6 +13,7 @@ from . import builders
 from .groupoid import FiniteGroupoid
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
@@ -22,11 +23,29 @@ class SplitMix64:
         self.state = seed & _MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        self.state = (self.state + _GAMMA) & _MASK
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         return z ^ (z >> 31)
+
+    def next_u64s(self, k: int) -> np.ndarray:
+        """The next ``k`` values of :meth:`next_u64`, as a uint64 array.
+
+        The stream is counter-based: draw i is mix(state + (i + 1) gamma)
+        mod 2^64, so all k draws are one array expression.  Array arithmetic
+        wraps modulo 2^64 without a warning, as the masks above do.
+        """
+        z = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(self.state)
+        self.state = (self.state + k * _GAMMA) & _MASK
+        z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> 31)
+
+    def complex_boxes(self, k: int) -> np.ndarray:
+        """``k`` values of :meth:`complex_box`, as a complex array."""
+        unit = (self.next_u64s(2 * k) >> 11) * 2.0 ** -53
+        return (-1.0 + 2.0 * unit).view(complex)
 
     def random(self) -> float:
         return (self.next_u64() >> 11) * (2.0 ** -53)
@@ -94,7 +113,7 @@ def random_groupoid(rng: SplitMix64, max_arrows: int = 64) -> FiniteGroupoid:
 
 def random_function(G: FiniteGroupoid, rng: SplitMix64) -> np.ndarray:
     """Complex-valued arrow function with entries in the unit box."""
-    return np.array([rng.complex_box() for _ in range(G.n_arrows)], dtype=complex)
+    return rng.complex_boxes(G.n_arrows)
 
 
 def random_invariant_weights(G: FiniteGroupoid, rng: SplitMix64,
@@ -114,7 +133,7 @@ def random_unitary_field(weights: list[np.ndarray], rng: SplitMix64) -> list[np.
     out = []
     for w in weights:
         d = len(w)
-        m = np.array([[rng.complex_box() for _ in range(d)] for _ in range(d)])
+        m = rng.complex_boxes(d * d).reshape(d, d)
         q, r = np.linalg.qr(m + 2 * d * np.eye(d))
         q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
         root = np.sqrt(np.asarray(w, dtype=float))

@@ -247,6 +247,15 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("usage error: unknown") and "'zz'" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["equiv", fx("two-orbit.json")], "groupoid is not transitive"),
+        (["multipliers", fx("iso-z2.json")], "multipliers need a relation-derived groupoid")],
+        ids=["equiv-two-orbit", "multipliers-iso-z2"])
+    def test_input_outside_the_command_domain_is_a_usage_error(self, argv, message, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"usage error: {message}\n"
+
 
 class TestDeterminism:
     def test_check_byte_identical_runs(self, capsys):

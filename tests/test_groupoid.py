@@ -14,11 +14,12 @@ from groupalg import (NotClosed, NotRelationGroupoid, UnknownLabel,
                       UnknownObject, build_from_relation, isotropy,
                       isotropy_bundle, multipliers, validate)
 from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
-                               pair_groupoid, product)
+                               klein_table, pair_groupoid, product, symmetric_table)
 from groupalg.cli import main
 from groupalg.groupoid import FiniteGroupoid, components, relation_isomorphism
 from groupalg.io import (GroupoidDocument, parse_groupoid_document, save_function,
                          save_groupoid)
+from groupalg.randgen import SplitMix64, random_groupoid
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "groupalg", "fixtures")
 
@@ -272,6 +273,149 @@ _CORRUPTIONS = {
 def test_validate_pins_every_witness_in_order(case):
     build, want = _CORRUPTIONS[case]
     assert [(e.check, e.witness) for e in validate(build()).entries] == want
+
+
+def _all_triples_associativity(G):
+    """The per-triple associativity scan: every pair (x, y) the table
+    defines on composable arrows, in composable-pair order, then every z
+    into src(y); a triple is a witness when both bracketings are defined
+    and differ.  Lookups read the table as written, off-domain rows too."""
+    table = {(a, b): c for a, b, c in G.compose_table.tolist()}
+    aid, out = G.arrow_ids, []
+    for x, y in G.composable_pairs():
+        xy = table.get((x, y))
+        if xy is None:
+            continue
+        for z in G.target_fiber(G.src[y]):
+            left, yz = table.get((xy, z)), table.get((y, z))
+            right = None if yz is None else table.get((x, yz))
+            if left is not None and right is not None and left != right:
+                out.append(("associativity",
+                            f"({aid[x]} o {aid[y]}) o {aid[z]} = {aid[left]} "
+                            f"!= {aid[right]} = {aid[x]} o ({aid[y]} o {aid[z]})"))
+    return out
+
+
+_DOMAIN_CHECKS = ("compose-domain", "compose-endpoints", "compose-missing")
+
+
+def _validate_with_the_triple_scan(G):
+    """validate's entries with its associativity entries taken from the
+    oracle: they follow the domain checks and precede the unit checks."""
+    rest = [(e.check, e.witness) for e in validate(G).entries if e.check != "associativity"]
+    return ([e for e in rest if e[0] in _DOMAIN_CHECKS] + _all_triples_associativity(G)
+            + [e for e in rest if e[0] not in _DOMAIN_CHECKS])
+
+
+@pytest.mark.parametrize("case", sorted(_CORRUPTIONS))
+def test_validate_matches_the_triple_scan_on_corrupted_tables(case):
+    G = _CORRUPTIONS[case][0]()
+    assert [(e.check, e.witness) for e in validate(G).entries] == \
+        _validate_with_the_triple_scan(G)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(["none", "parallel", "any", "drop"]),
+       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+def test_validate_matches_the_triple_scan_on_random_groupoids(seed, kind, row, pick):
+    # "parallel" redirects one product to an arrow with the same endpoints,
+    # which only Light's test can tell from a groupoid
+    G = random_groupoid(SplitMix64(seed), max_arrows=48)
+    table = np.array(G.compose_table)
+    if kind == "drop":
+        table = np.delete(table, row % len(table), axis=0)
+    elif kind != "none":
+        c = table[row % len(table), 2]
+        pool = [x for x in range(G.n_arrows)
+                if kind == "any" or (G.src[x], G.tgt[x]) == (G.src[c], G.tgt[c])]
+        table[row % len(table), 2] = pool[pick % len(pool)]
+    H = FiniteGroupoid(G.objects, G.src, G.tgt, table, G.inverse, G.unit_of, G.arrow_ids)
+    assert [(e.check, e.witness) for e in validate(H).entries] == \
+        _validate_with_the_triple_scan(H)
+    if kind == "none":
+        assert H.certificate().associative
+
+
+def _right_nested_depths(G, gens):
+    """Independent closure: the least k with every arrow a right-nested
+    word of length at most k over gens, or None."""
+    reached, words, k = set(gens), set(gens), 1
+    while len(reached) < G.n_arrows:
+        words = {G.compose(s, w) for s in gens for w in words if G.src[s] == G.tgt[w]}
+        words -= reached
+        if not words:
+            return None
+        reached |= words
+        k += 1
+    return k
+
+
+class TestGeneratorCertificate:
+    @pytest.mark.parametrize("n", [1, 2, 5, 36])
+    def test_pair_groupoid_star(self, n):
+        G = pair_groupoid([f"x{i}" for i in range(n)])
+        cert = G.certificate()
+        assert cert.associative and G.certificate() is cert
+        # one arrow each way between the base and every other object; at
+        # n = 1 the unit, which no star makes
+        assert len(cert.generators) == max(2 * (n - 1), 1)
+        assert cert.depth == (1 if n == 1 else 2)
+
+    @pytest.mark.parametrize("name, G", [
+        ("z128", group_groupoid(*cyclic_table(128))),
+        ("pair3xz6", product(pair_groupoid("abc"), group_groupoid(*cyclic_table(6)))),
+        ("union", disjoint_union(product(pair_groupoid("ab"), group_groupoid(*klein_table())),
+                                 pair_groupoid("x"), pair_groupoid("uvw"))),
+        ("pair3xs3", product(pair_groupoid("abc"), group_groupoid(*symmetric_table(3)))),
+    ])
+    def test_depth_is_the_least_right_nested_cover(self, name, G):
+        cert = G.certificate()
+        assert cert.associative
+        assert cert.depth == _right_nested_depths(G, cert.generators.tolist())
+
+    def test_isotropy_powers_keep_words_short(self):
+        # Z_128 from one generator would need words of length 127
+        cert = group_groupoid(*cyclic_table(128)).certificate()
+        assert len(cert.generators) <= 8 and cert.depth <= 7
+
+    def test_a_category_the_generators_do_not_reach_gets_the_scan(self):
+        # b -> x by f and h = g o f, loops 1_x and g at x, and no arrow back:
+        # Light's test holds on the generators {1_b, f}, which reach neither
+        # 1_x nor g, and g o 1_x = 1_x breaks (g o 1_x) o g = g o (1_x o g)
+        unit_b, f, unit_x, g, h = range(5)
+        table = [(unit_b, unit_b, unit_b), (f, unit_b, f), (h, unit_b, h),
+                 (unit_x, f, f), (unit_x, h, h), (g, f, h), (g, h, f),
+                 (unit_x, unit_x, unit_x), (unit_x, g, g), (g, unit_x, unit_x),
+                 (g, g, unit_x)]
+        G = FiniteGroupoid("bx", [0, 0, 1, 1, 0], [0, 1, 1, 1, 1], table,
+                           list(range(5)), [unit_b, unit_x])
+        assert not G.certificate().associative
+        entries = [(e.check, e.witness) for e in validate(G).entries]
+        assert ("associativity", "(a03 o a02) o a03 = a03 != a02 = a03 o (a02 o a03)") \
+            in entries
+        assert entries == _validate_with_the_triple_scan(G)
+
+    def test_no_certificate_without_a_complete_table(self):
+        for case in ("dropped", "wrong-endpoints", "iso-associativity"):
+            assert not _CORRUPTIONS[case][0]().certificate().associative
+
+    def test_validate_looks_up_generator_triples_not_all_triples(self, monkeypatch):
+        n = 12
+        G = pair_groupoid([f"x{i}" for i in range(n)])
+        looked = []
+        real = FiniteGroupoid.composites
+
+        def counted(self, a, b):
+            looked.append(np.size(a))
+            return real(self, a, b)
+
+        monkeypatch.setattr(FiniteGroupoid, "composites", counted)
+        assert validate(G).ok
+        size = len(G.certificate().generators)
+        # Light's test makes 3 lookups per triple (s, x, y), |S| n^2 triples;
+        # the triple scan it replaces makes 3 per composable triple, 3 n^4
+        assert size == 2 * (n - 1)
+        assert sum(looked) <= 5 * size * n ** 2 < 3 * n ** 4
 
 
 def test_validate_clean_explicit_documents():

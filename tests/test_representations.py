@@ -24,7 +24,7 @@ from groupalg.groupoid import FiniteGroupoid
 from groupalg.randgen import (SplitMix64, random_function, random_groupoid,
                               random_invariant_weights, random_probability,
                               random_unitary_field)
-from groupalg.report import Report
+from groupalg.report import Report, ReportEntry
 from groupalg.representations import (BundleRep, HilbertBundle, bundle_metric,
                                       support_blocks, tensor_of_function)
 
@@ -755,3 +755,188 @@ def test_canonical_bundle_dims_match_fibers():
     bundle = canonical_bundle(G, mu)
     assert bundle.dims == [len(G.target_fiber(x)) for x in range(G.n_objects)]
     assert bundle.total_dim == G.n_arrows
+
+
+# ---------------------------------------------------------------------------
+# multiplicativity: the generator certificate against the per-pair check
+
+def _all_pairs_multiplicativity(G, rep, atol):
+    """The per-pair check: every product the table defines on composable
+    arrows, in composable-pair order; a residual above atol is an entry."""
+    table = {(a, b): c for a, b, c in G.compose_table.tolist()}
+    aid, out = G.arrow_ids, []
+    for a, b in G.composable_pairs():
+        c = table.get((a, b))
+        if c is None:
+            continue
+        err = np.abs(rep.ops[c] - rep.ops[a] @ rep.ops[b]).max()
+        if err > atol:
+            out.append(ReportEntry("multiplicativity",
+                                   f"op({aid[a]} o {aid[b]}) != op({aid[a]}) op({aid[b]})",
+                                   residual=float(err)))
+    return out
+
+
+def _check_with_the_pair_scan(G, rep, atol):
+    """check_representation's entries with its multiplicativity entries
+    taken from the oracle: they follow the unit checks."""
+    rest = [e for e in check_representation(G, rep, atol=atol).entries
+            if e.check != "multiplicativity"]
+    return ([e for e in rest if e.check == "units"]
+            + _all_pairs_multiplicativity(G, rep, tolerances.exact_tol(atol))
+            + [e for e in rest if e.check != "units"])
+
+
+def _certificate_groupoids():
+    return {
+        "pair1": pair_groupoid("a"),
+        "pair4": pair_groupoid("abcd"),
+        "pair2xZ3": product(pair_groupoid("ab"), group_groupoid(*cyclic_table(3))),
+        "pair3xS3": product(pair_groupoid("abc"), group_groupoid(*symmetric_table(3))),
+        "Z16": group_groupoid(*cyclic_table(16)),
+        "union": disjoint_union(product(pair_groupoid("ab"), group_groupoid(*klein_table())),
+                                pair_groupoid("x"), pair_groupoid("uvw")),
+        **{f"random{seed}": random_groupoid(SplitMix64(seed), max_arrows=40)
+           for seed in (2, 9)},
+    }
+
+
+def _three_reps(G, seed=71):
+    rng = SplitMix64(seed)
+    mu = HaarSystem(random_invariant_weights(G, rng))
+    lrep = left_regular_rep(G, mu)
+    conj = conjugate_rep_on(G, lrep, random_unitary_field(lrep.bundle.weights, rng))
+    return {"left-regular": lrep, "trivial": trivial_rep(G), "conjugated": conj}
+
+
+def _with_entry_moved(rep, arrow, eps):
+    ops = list(rep.ops)
+    ops[arrow] = ops[arrow].copy()
+    ops[arrow][0, 0] += eps
+    return BundleRep(rep.bundle, ops)
+
+
+class _CountingMatrix(np.ndarray):
+    """An op that counts the matrix products it is the left factor of."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountingMatrix.products += 1
+        return np.asarray(self) @ np.asarray(other)
+
+
+class TestMultiplicativityCertificate:
+    @pytest.mark.parametrize("name", sorted(_certificate_groupoids()))
+    @pytest.mark.parametrize("atol", [None, 0.0, 1e-9])
+    def test_reports_match_the_pair_scan(self, name, atol):
+        G = _certificate_groupoids()[name]
+        for rep in _three_reps(G).values():
+            assert check_representation(G, rep, atol=atol).entries == \
+                _check_with_the_pair_scan(G, rep, atol)
+
+    def test_clean_reps_are_certified(self):
+        # the exact tier for the permutation ops, the accumulated one for
+        # the conjugated ops, as the battery checks them
+        for G in _certificate_groupoids().values():
+            reps = _three_reps(G)
+            for kind, atol in (("left-regular", tolerances.EXACT),
+                               ("trivial", tolerances.EXACT), ("conjugated", tolerances.ACCUM)):
+                assert representations.multiplicativity_bound(G, reps[kind]) <= atol / 2
+
+    @pytest.mark.parametrize("kind", ["left-regular", "conjugated", "scaled", "moved"])
+    def test_bound_follows_its_derivation(self, kind):
+        # the docstring's formula recomputed with Python sums; the scaled rep
+        # (a diagonal similarity, exact in binary) has kappa well above 1
+        G = product(pair_groupoid("abc"), group_groupoid(*cyclic_table(4)))
+        rep = _three_reps(G)["conjugated" if kind == "conjugated" else "left-regular"]
+        if kind == "scaled":
+            scale = [np.diag(2.0 ** np.arange(d)) for d in rep.bundle.dims]
+            rep = conjugate_rep_on(G, rep, scale)
+        if kind == "moved":
+            rep = _with_entry_moved(rep, 7, 1e-11)
+            rep.ops[7][1, :] += 1e-11
+        cert = G.certificate()
+        u = 2.0 ** -53
+        m = max(rep.bundle.dims) + 2
+        gamma = math.sqrt(2) * m * u / (1 - m * u)
+
+        def norm(M):
+            return max(sum(abs(v) for v in row) for row in M.tolist())
+
+        kappa = max(norm(op) for op in rep.ops) * (1 + 4 * gamma)
+        r = max(norm(rep.ops[G.compose(s, b)] - rep.ops[s] @ rep.ops[b])
+                for s in cert.generators.tolist()
+                for b in G.target_fiber(G.src[s])) * (1 + 4 * gamma)
+        rho = r + gamma * kappa ** 2
+        e = rho
+        for _ in range(cert.depth - 1):
+            e = rho * (1 + kappa) + kappa * e
+        assert kappa > (4 if kind == "scaled" else 0.99)
+        assert representations.multiplicativity_bound(G, rep) == \
+            pytest.approx(e + gamma * kappa ** 2, rel=1e-12)
+
+    def test_no_bound_without_a_certificate(self):
+        G = pair_groupoid("abc")
+        table = [row for row in G.compose_table.tolist() if row[:2] != [1, 3]]
+        bad = FiniteGroupoid(G.objects, G.src, G.tgt, table, G.inverse, G.unit_of)
+        assert representations.multiplicativity_bound(bad, trivial_rep(bad)) == math.inf
+
+    def test_a_non_finite_op_gives_nan(self):
+        G = pair_groupoid("ab")
+        rep = _with_entry_moved(trivial_rep(G), 1, math.inf)
+        assert math.isnan(representations.multiplicativity_bound(G, rep))
+
+    @pytest.mark.parametrize("arrow", [0, 5, 13])
+    def test_just_under_and_just_over_the_bound(self, arrow, monkeypatch):
+        # move one entry of one op until the bound sits just under atol / 2,
+        # and just over it: the certified verdict and the fallback's both
+        # equal the oracle's
+        G = product(pair_groupoid("abc"), group_groupoid(*cyclic_table(4)))
+        rep, atol = _three_reps(G)["left-regular"], 1e-9
+
+        def bound(eps):
+            return representations.multiplicativity_bound(G, _with_entry_moved(rep, arrow, eps))
+
+        lo, hi = 0.0, 1e-6
+        assert bound(lo) <= atol / 2 < bound(hi)
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if bound(mid) <= atol / 2 else (lo, mid)
+        real, scans = FiniteGroupoid.products, []
+
+        def scanned(self):
+            scans.append(1)
+            return real(self)
+
+        monkeypatch.setattr(FiniteGroupoid, "products", scanned)
+        for eps, certified in ((lo, True), (hi, False)):
+            moved, scans[:] = _with_entry_moved(rep, arrow, eps), []
+            assert (bound(eps) <= atol / 2) == certified
+            report = check_representation(G, moved, atol=atol)
+            assert report.entries == _check_with_the_pair_scan(G, moved, atol)
+            assert (not scans) == certified
+            assert not _all_pairs_multiplicativity(G, moved, atol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from(["left-regular", "conjugated"]),
+           st.integers(0, 10 ** 6), st.integers(-16, -5), st.integers(-14, -6))
+    def test_perturbed_reps_match_the_pair_scan(self, seed, kind, arrow, size, tol):
+        G = random_groupoid(SplitMix64(seed), max_arrows=36)
+        rep = _with_entry_moved(_three_reps(G, seed)[kind], arrow % G.n_arrows, 10.0 ** size)
+        atol = 10.0 ** tol
+        assert check_representation(G, rep, atol=atol).entries == \
+            _check_with_the_pair_scan(G, rep, atol)
+
+    def test_multiplies_generator_pairs_not_all_pairs(self):
+        n = 12
+        G = pair_groupoid([f"x{i}" for i in range(n)])
+        rep = left_regular_rep(G, counting_haar(G))
+        counted = BundleRep(rep.bundle, [op.view(_CountingMatrix) for op in rep.ops])
+        _CountingMatrix.products = 0
+        assert check_representation(G, counted).ok
+        size = len(G.certificate().generators)
+        # |S| n generator pairs, plus one product per arrow for the inverse
+        # law and one for unitarity; the per-pair check makes n^3
+        assert size == 2 * (n - 1)
+        assert _CountingMatrix.products <= size * n + 2 * G.n_arrows < n ** 3
