@@ -25,7 +25,7 @@ def pair_groupoid(labels) -> FiniteGroupoid:
     return FiniteGroupoid(labels, src, tgt, compose_table, inverse, unit_of)
 
 
-def group_groupoid(elements, table, object_label: str = "*") -> FiniteGroupoid:
+def group_groupoid(elements, table) -> FiniteGroupoid:
     """A finite group as a one-object groupoid; ``table[i][j]`` indexes e_i e_j."""
     elements = [str(e) for e in elements]
     n = len(elements)
@@ -44,7 +44,7 @@ def group_groupoid(elements, table, object_label: str = "*") -> FiniteGroupoid:
         inverse.append(js[0])
     i, j = np.indices((n, n)).reshape(2, -1)
     compose_table = np.stack([i, j, np.asarray(table, dtype=np.intp)[i, j]], axis=1)
-    return FiniteGroupoid([object_label], [0] * n, [0] * n, compose_table,
+    return FiniteGroupoid(["*"], [0] * n, [0] * n, compose_table,
                           inverse, [unit], arrow_ids=elements)
 
 

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 all checks pass, 1 a mathematical invariant is violated (the
-witnesses are printed), 2 the input file cannot be parsed (line/column
-diagnostics for JSON syntax, member names for schema problems), a setting
+witnesses are printed), 2 an input file (groupoid, function, structure table
+or manifest) cannot be parsed (line/column diagnostics for JSON syntax,
+member names for schema problems), a setting
 such as GROUPALG_TOL is malformed, a command-line label (--object,
 --arrow) names nothing in the file, or the groupoid is outside the
 command's domain (``equiv`` on a groupoid that is not transitive,
@@ -51,6 +52,22 @@ def cmd_validate(args) -> int:
     return _print_report(rep)
 
 
+def _structure_table_report(T) -> Report:
+    rep = Report("structure-table")
+    rep.merge(check_star_compatibility(T))
+    rep.merge(ideal_closure_check(T))
+    return rep
+
+
+def _write_function(args, G, f) -> None:
+    """To ``--out`` as a function file, else one ``id [real, imag]`` line per arrow."""
+    if args.out:
+        io.save_function(args.out, G, f)
+    else:
+        for a in range(G.n_arrows):
+            print(f"{G.arrow_ids[a]} {io.fmt_complex(complex(f[a]))}")
+
+
 def _fixture_paths() -> list[str]:
     base = resources.files("groupalg") / "fixtures"
     return sorted(str(p) for p in base.iterdir() if p.name.endswith(".json"))
@@ -75,10 +92,7 @@ def cmd_check(args) -> int:
         code = max(code, 0 if run.ok else 1)
     for path in tables:
         print(f"== {path}")
-        T = io.load_structure_table(path)
-        rep = Report("structure-table")
-        rep.merge(check_star_compatibility(T))
-        rep.merge(ideal_closure_check(T))
+        rep = _structure_table_report(io.load_structure_table(path))
         print(rep)
         code = max(code, 0 if rep.ok else 1)
     for path in manifests:
@@ -124,12 +138,7 @@ def cmd_convolve(args) -> int:
     G = gdoc.groupoid
     f = io.load_function(args.f, G, sparse=args.sparse)
     g = io.load_function(args.g, G, sparse=args.sparse)
-    out = convolve(G, gdoc.measures()[0], f, g)
-    if args.out:
-        io.save_function(args.out, G, out)
-    else:
-        for a in range(G.n_arrows):
-            print(f"{G.arrow_ids[a]} {io.fmt_complex(complex(out[a]))}")
+    _write_function(args, G, convolve(G, gdoc.measures()[0], f, g))
     return 0
 
 
@@ -137,12 +146,7 @@ def cmd_involute(args) -> int:
     gdoc = _load(args.file)
     G = gdoc.groupoid
     f = io.load_function(args.f, G, sparse=args.sparse)
-    out = involute(G, f)
-    if args.out:
-        io.save_function(args.out, G, out)
-    else:
-        for a in range(G.n_arrows):
-            print(f"{G.arrow_ids[a]} {io.fmt_complex(complex(out[a]))}")
+    _write_function(args, G, involute(G, f))
     return 0
 
 
@@ -233,9 +237,7 @@ def cmd_limit(args) -> int:
 
 def cmd_algebra(args) -> int:
     T = io.load_structure_table(args.file)
-    rep = Report("structure-table")
-    rep.merge(check_star_compatibility(T))
-    rep.merge(ideal_closure_check(T))
+    rep = _structure_table_report(T)
     left = multiplier_subspace(T, "left")
     right = multiplier_subspace(T, "right")
     print(f"left multiplier rank: {left.rank}")

@@ -158,7 +158,9 @@ class FiniteGroupoid:
             sf[self.src[a]].append(a)
         self._target_fibers = [tuple(v) for v in tf]
         self._source_fibers = [tuple(v) for v in sf]
-        self._by_endpoints: dict[tuple[int, int], int] | None = None
+        # (tgt, src) -> arrow; with parallel arrows the last one wins, and
+        # the map has fewer entries than arrows
+        self._by_endpoints = {(t, s): a for a, (t, s) in enumerate(zip(self.tgt, self.src))}
         self._pair_index: tuple[np.ndarray, np.ndarray] | None = None
         self._rows: list[list[int]] | None = None
         self._certificate: GeneratorCertificate | None = None
@@ -255,27 +257,13 @@ class FiniteGroupoid:
 
     def is_relation_groupoid(self) -> bool:
         """True when every loop is a unit and endpoints identify arrows."""
-        seen: set[tuple[int, int]] = set()
-        for a in range(self.n_arrows):
-            if self.tgt[a] == self.src[a] and not self.is_unit(a):
-                return False
-            key = (self.tgt[a], self.src[a])
-            if key in seen:
-                return False
-            seen.add(key)
-        return True
+        return (len(self._by_endpoints) == self.n_arrows
+                and all(self.is_unit(a) for (t, s), a in self._by_endpoints.items() if t == s))
 
     def arrow_by_endpoints(self, tgt: int, src: int) -> int | None:
         """The unique arrow tgt<-src, for relation-derived groupoids."""
-        if self._by_endpoints is None:
-            table: dict[tuple[int, int], int] = {}
-            for a in range(self.n_arrows):
-                key = (self.tgt[a], self.src[a])
-                if key in table:
-                    raise NotRelationGroupoid(
-                        "groupoid has parallel arrows; endpoints are ambiguous")
-                table[key] = a
-            self._by_endpoints = table
+        if len(self._by_endpoints) < self.n_arrows:
+            raise NotRelationGroupoid("groupoid has parallel arrows; endpoints are ambiguous")
         return self._by_endpoints.get((tgt, src))
 
     def relation_pairs(self) -> list[tuple[str, str]]:
@@ -615,7 +603,7 @@ def multipliers(G: FiniteGroupoid) -> MultiplierSets:
     ideal = tuple(sorted(set(left) & set(right)))
 
     cert = Report("multiplier-ideal-closure")
-    declared = {(G.tgt[a], G.src[a]) for a in range(G.n_arrows)}
+    declared = G._by_endpoints
     for x in ideal:
         incident = sorted(set(G.target_fiber(x)) | set(G.source_fiber(x)))
         for a in incident:

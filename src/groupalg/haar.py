@@ -62,15 +62,14 @@ def source_haar(G: FiniteGroupoid, per_object) -> HaarSystem:
     return HaarSystem(per_object[np.asarray(G.src, dtype=np.intp)])
 
 
-def check_left_invariance(G: FiniteGroupoid, mu: HaarSystem,
-                          atol: float | None = None) -> Report:
+def check_left_invariance(G: FiniteGroupoid, mu: HaarSystem) -> Report:
     """Pointwise invariance weight(g o h) = weight(h), over all composites.
 
     Checking this identity on every composable pair is the same as checking
     the fiber-integral form on all indicator functions, because translation
     by g is a bijection between the two fibers.
     """
-    atol = tolerances.exact_tol(atol)
+    atol = tolerances.exact_tol()
     rep = Report("haar-left-invariance")
     if len(mu.weights) != G.n_arrows:
         rep.add("shape", "weight vector length differs from the arrow count")

@@ -51,13 +51,51 @@ def save_json(path: str, doc) -> None:
         fh.write("\n")
 
 
-def _require(doc: dict, key: str, kind, where: str):
+def _require(doc, key: str, kind, where: str):
+    """Member ``key`` of the record ``doc``, of type ``kind`` when one is
+    given; a JSON boolean is not an int, although Python's bool is one."""
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"{where}: a record holding {key!r} must be an object")
     if key not in doc:
         raise FileFormatError(f"{where}: missing member {key!r}")
     val = doc[key]
-    if kind is not None and not isinstance(val, kind):
+    if kind is not None and (not isinstance(val, kind) or (kind is int and isinstance(val, bool))):
         raise FileFormatError(f"{where}: member {key!r} has the wrong type")
     return val
+
+
+def _finite_number(val, what: str) -> float:
+    """A JSON number (not a boolean) as a finite float; Python's json also
+    reads the non-standard ``Infinity`` and ``NaN``, and ``1e400`` overflows
+    to inf."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise FileFormatError(f"{what} is not a number")
+    try:
+        out = float(val)
+    except OverflowError:  # an integer literal beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise FileFormatError(f"{what} is not finite")
+    return out
+
+
+def _pair(val, what: str) -> complex:
+    """A ``[real, imag]`` pair of finite numbers."""
+    if not (isinstance(val, list) and len(val) == 2):
+        raise FileFormatError(f"{what} must be [real, imag]")
+    return complex(_finite_number(val[0], what), _finite_number(val[1], what))
+
+
+def _label_map(table, index_of, what: str, where: str) -> list[tuple[int, object]]:
+    """(index, value) pairs of a JSON map keyed by labels, in file order;
+    ``index_of`` resolves a label.  JSON object keys are distinct strings,
+    so the indices are too."""
+    if not isinstance(table, dict):
+        raise FileFormatError(f"{where}: {what} must be a map")
+    try:
+        return [(index_of(str(key)), val) for key, val in table.items()]
+    except UnknownLabel as exc:
+        raise FileFormatError(f"{where}: {exc}") from exc
 
 
 @dataclass
@@ -113,8 +151,6 @@ def _groupoid_from_arrows(doc: dict, where: str) -> FiniteGroupoid:
     arrows = _require(doc, "arrows", list, where)
     ids, src, tgt = [], [], []
     for rec in arrows:
-        if not isinstance(rec, dict):
-            raise FileFormatError(f"{where}: arrow records must be objects")
         ids.append(str(_require(rec, "id", None, where)))
         for key, out in (("src", src), ("tgt", tgt)):
             lab = str(_require(rec, key, None, where))
@@ -163,20 +199,6 @@ def _groupoid_from_arrows(doc: dict, where: str) -> FiniteGroupoid:
                           arrow_ids=ids)
 
 
-def _finite_number(val, what: str) -> float:
-    """A JSON number as a finite float; Python's json also reads the
-    non-standard ``Infinity`` and ``NaN``, and ``1e400`` overflows to inf."""
-    if not isinstance(val, (int, float)):
-        raise FileFormatError(f"{what} is not a number")
-    try:
-        out = float(val)
-    except OverflowError:  # an integer literal beyond the float range
-        out = math.inf
-    if not math.isfinite(out):
-        raise FileFormatError(f"{what} is not finite")
-    return out
-
-
 def parse_groupoid_document(doc: dict, where: str = "groupoid file") -> GroupoidDocument:
     if not isinstance(doc, dict):
         raise FileFormatError(f"{where}: top level must be an object")
@@ -189,7 +211,7 @@ def parse_groupoid_document(doc: dict, where: str = "groupoid file") -> Groupoid
     if has_rel:
         objects = [str(o) for o in _require(doc, "objects", list, where)]
         pairs = []
-        for p in doc["relation"]:
+        for p in _require(doc, "relation", list, where):
             if not isinstance(p, list) or len(p) != 2:
                 raise FileFormatError(f"{where}: relation entries must be label pairs")
             pairs.append((str(p[0]), str(p[1])))
@@ -206,34 +228,23 @@ def parse_groupoid_document(doc: dict, where: str = "groupoid file") -> Groupoid
         if entry.get("type") == "counting":
             haar_raw = np.ones(G.n_arrows)
         elif "weights" in entry:
-            w = np.zeros(G.n_arrows)
-            table = entry["weights"]
-            if not isinstance(table, dict):
-                raise FileFormatError(f"{where}: haar weights must be a map")
-            for aid, val in table.items():
-                val = _finite_number(val, f"{where}: haar weight for {aid!r}")
-                try:
-                    w[G.arrow_index(str(aid))] = val
-                except UnknownLabel as exc:
-                    raise FileFormatError(f"{where}: {exc}") from exc
-            if len(table) != G.n_arrows:
+            haar_raw = np.zeros(G.n_arrows)
+            weights = _label_map(entry["weights"], G.arrow_index, "haar weights", where)
+            for a, val in weights:
+                haar_raw[a] = _finite_number(
+                    val, f"{where}: haar weight for {G.arrow_ids[a]!r}")
+            if len(weights) != G.n_arrows:
                 raise FileFormatError(f"{where}: haar weights must cover every arrow")
-            haar_raw = w
         else:
             raise FileFormatError(f"{where}: haar needs type counting or a weights map")
     nu_raw = None
     if "nu" in doc:
-        table = _require(doc, "nu", dict, where)
-        v = np.zeros(G.n_objects)
-        for lab, val in table.items():
-            val = _finite_number(val, f"{where}: nu value for {lab!r}")
-            try:
-                v[G.object_index(str(lab))] = val
-            except UnknownLabel as exc:
-                raise FileFormatError(f"{where}: {exc}") from exc
-        if len(table) != G.n_objects:
+        nu_raw = np.zeros(G.n_objects)
+        values = _label_map(doc["nu"], G.object_index, "nu", where)
+        for x, val in values:
+            nu_raw[x] = _finite_number(val, f"{where}: nu value for {G.objects[x]!r}")
+        if len(values) != G.n_objects:
             raise FileFormatError(f"{where}: nu must cover every object")
-        nu_raw = v
     return GroupoidDocument(G, haar_raw, nu_raw, policy)
 
 
@@ -261,26 +272,14 @@ def save_groupoid(path: str, gdoc: GroupoidDocument) -> None:
 
 
 def load_function(path: str, G: FiniteGroupoid, sparse: bool = False) -> np.ndarray:
-    doc = load_json(path)
     where = os.path.basename(path)
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{where}: function file must be a map")
+    values = _label_map(load_json(path), G.arrow_index, "function file", where)
     out = np.zeros(G.n_arrows, dtype=complex)
-    seen = set()
-    for aid, val in doc.items():
-        try:
-            a = G.arrow_index(str(aid))
-        except UnknownLabel as exc:
-            raise FileFormatError(f"{where}: {exc}") from exc
-        if not (isinstance(val, list) and len(val) == 2
-                and all(isinstance(v, (int, float)) for v in val)):
-            raise FileFormatError(f"{where}: value for {aid!r} must be [real, imag]")
-        if a in seen:
-            raise FileFormatError(f"{where}: duplicate entry for {aid!r}")
-        seen.add(a)
-        out[a] = complex(float(val[0]), float(val[1]))
-    if not sparse and len(seen) != G.n_arrows:
-        missing = next(G.arrow_ids[a] for a in range(G.n_arrows) if a not in seen)
+    for a, val in values:
+        out[a] = _pair(val, f"{where}: value for {G.arrow_ids[a]!r}")
+    if not sparse and len(values) != G.n_arrows:
+        seen = {a for a, _ in values}
+        missing = next(aid for a, aid in enumerate(G.arrow_ids) if a not in seen)
         raise FileFormatError(
             f"{where}: arrow {missing!r} missing (use sparse loading for defaults)")
     return out
@@ -321,27 +320,21 @@ def load_structure_table(path: str) -> StructureTable:
     and the star map.  Basis indices are 1-based in files."""
     doc = load_json(path)
     where = os.path.basename(path)
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{where}: top level must be an object")
     dim = _require(doc, "dim", int, where)
     coeff = {}
     for rec in _require(doc, "products", list, where):
-        if not isinstance(rec, dict):
-            raise FileFormatError(f"{where}: product records must be objects")
-        i = int(_require(rec, "left", int, where)) - 1
-        j = int(_require(rec, "right", int, where)) - 1
+        i = _require(rec, "left", int, where) - 1
+        j = _require(rec, "right", int, where) - 1
         vec = _require(rec, "coeffs", list, where)
         if len(vec) != dim:
             raise FileFormatError(f"{where}: coeffs must have length {dim}")
-        try:
-            coeff[(i, j)] = [complex(float(p[0]), float(p[1])) for p in vec]
-        except (TypeError, IndexError) as exc:
-            raise FileFormatError(f"{where}: coeffs must be [real, imag] pairs") from exc
+        coeff[(i, j)] = [_pair(p, f"{where}: a coefficient of product ({i + 1}, {j + 1})")
+                         for p in vec]
     star = []
     for rec in _require(doc, "star", list, where):
-        k = int(_require(rec, "index", int, where)) - 1
-        phase = rec.get("phase", [1.0, 0.0])
-        star.append((k, complex(float(phase[0]), float(phase[1]))))
+        k = _require(rec, "index", int, where) - 1
+        star.append((k, _pair(rec.get("phase", [1.0, 0.0]),
+                              f"{where}: the phase of star entry {k + 1}")))
     try:
         return StructureTable(dim, coeff, star)
     except ValueError as exc:
@@ -360,8 +353,6 @@ def load_manifest(path: str) -> InductiveSystem:
     doc = load_json(path)
     where = os.path.basename(path)
     base = os.path.dirname(os.path.abspath(path))
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{where}: top level must be an object")
     labels, pieces = [], {}
     for rec in _require(doc, "pieces", list, where):
         name = str(_require(rec, "name", None, where))

@@ -114,9 +114,9 @@ class SubspaceBasis:
         return 0 if self.vectors.size == 0 else self.vectors.shape[0]
 
 
-def check_star_compatibility(T: StructureTable, atol: float | None = None) -> Report:
+def check_star_compatibility(T: StructureTable) -> Report:
     """Verify (x_i x_j)^* = x_j^* x_i^* coefficientwise on the whole domain."""
-    atol = tolerances.exact_tol(atol)
+    atol = tolerances.exact_tol()
     rep = Report("star-compatibility")
     for (i, j) in sorted(T.coeff):
         si, sj = T.star_index[i], T.star_index[j]
@@ -157,14 +157,14 @@ def multiplier_subspace(T: StructureTable, side: str) -> SubspaceBasis:
     return SubspaceBasis(vectors)
 
 
-def ideal_closure_check(T: StructureTable, atol: float | None = None) -> Report:
+def ideal_closure_check(T: StructureTable) -> Report:
     """Two-sided multipliers form an ideal: their products stay in the span.
 
     With I the intersection of the left and right multiplier index sets,
     every product x_i x_j and x_j x_i for i in I must have coefficient
     support inside I; offending pairs are reported with the escaping index.
     """
-    atol = tolerances.exact_tol(atol)
+    atol = tolerances.exact_tol()
     rep = Report("multiplier-ideal")
     ideal = sorted(set(_multiplier_indices(T, "left")) & set(_multiplier_indices(T, "right")))
     iset = set(ideal)

@@ -116,10 +116,9 @@ def random_function(G: FiniteGroupoid, rng: SplitMix64) -> np.ndarray:
     return rng.complex_boxes(G.n_arrows)
 
 
-def random_invariant_weights(G: FiniteGroupoid, rng: SplitMix64,
-                             lo: float = 0.5, hi: float = 2.0) -> np.ndarray:
-    """Left-invariant weights: one positive value per source object."""
-    per_object = [rng.uniform(lo, hi) for _ in range(G.n_objects)]
+def random_invariant_weights(G: FiniteGroupoid, rng: SplitMix64) -> np.ndarray:
+    """Left-invariant weights: one value in [0.5, 2) per source object."""
+    per_object = [rng.uniform(0.5, 2.0) for _ in range(G.n_objects)]
     return np.array([per_object[G.src[a]] for a in range(G.n_arrows)], dtype=float)
 
 

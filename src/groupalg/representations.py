@@ -388,11 +388,10 @@ def operator_norm(op: np.ndarray, bundle: HilbertBundle,
 
 
 def operator_norm_bound_check(G: FiniteGroupoid, mu: HaarSystem,
-                              nu: QuasiInvariantMeasure, rep: BundleRep, f,
-                              atol: float | None = None) -> Report:
+                              nu: QuasiInvariantMeasure, rep: BundleRep, f) -> Report:
     """Check the contraction bound: spectral norm of the integrated operator
     never exceeds the I-norm of the function."""
-    atol = tolerances.accum_tol(atol)
+    atol = tolerances.accum_tol()
     out = Report("integrated-norm-bound")
     op = integrate_rep(G, mu, nu, rep, f)
     norm = operator_norm(op, rep.bundle, nu)

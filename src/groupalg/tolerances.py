@@ -3,13 +3,15 @@
 Two tiers: EXACT (1e-12) for identities that are permutation-plus-conjugation
 exact in floating point, ACCUM (1e-9) for identities built from sums of
 products, where rounding accumulates.  Set GROUPALG_TOL to a single number to
-override both, or to "exact,accum" to set them separately; anything else is
-a UsageError.  NU_SUM_TOL, how far an object measure may sum from 1, is
-fixed.
+override both, or to "exact,accum" to set them separately.  Each value must
+be a finite number >= 0: NaN or infinity would pass every residual and a
+negative value would fail an exact match, so anything else is a UsageError.
+NU_SUM_TOL, how far an object measure may sum from 1, is fixed.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 from .errors import UsageError
@@ -27,9 +29,9 @@ def _parse_env() -> tuple[float, float]:
         values = [float(p) for p in raw.split(",")]
     except ValueError:
         values = []
-    if len(values) not in (1, 2):
-        raise UsageError(
-            f"GROUPALG_TOL must be a number or two comma-separated numbers, got {raw!r}")
+    if len(values) not in (1, 2) or not all(0 <= v < math.inf for v in values):
+        raise UsageError("GROUPALG_TOL must be a finite number >= 0 or two comma-separated "
+                         f"such numbers, got {raw!r}")
     return values[0], values[-1]
 
 
@@ -39,7 +41,5 @@ def exact_tol(override: float | None = None) -> float:
     return _parse_env()[0]
 
 
-def accum_tol(override: float | None = None) -> float:
-    if override is not None:
-        return override
+def accum_tol() -> float:
     return _parse_env()[1]

@@ -22,6 +22,41 @@ def fx(name: str) -> str:
     return os.path.join(FIXTURES, name)
 
 
+def _edited(name: str, edit) -> dict:
+    with open(fx(name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    return doc
+
+
+_PIECE = {"name": "p2", "file": fx("pair2.json")}
+_PAIR2_IDS = ["a00", "a01", "a02", "a03"]
+
+# the command words before the malformed file, and the file's document
+_MALFORMED = {
+    "relation-not-a-list": (["validate"], {"objects": ["a"], "relation": 5}),
+    "star-record": (["algebra"], _edited("st-m2-units.json", lambda d: d.update(star=[5]))),
+    "piece-record": (["limit"], {"pieces": [5], "embeddings": []}),
+    "embedding-record": (["limit"], {"pieces": [_PIECE], "embeddings": [5]}),
+    "top-embedding-record": (["limit"], {"pieces": [_PIECE], "embeddings": [],
+                                         "top": {"file": fx("pair2.json"), "embeddings": [5]}}),
+    "coefficient-string": (["algebra"], _edited(
+        "st-m2-units.json", lambda d: d["products"][0].update(coeffs=[["x", 0]] * 4))),
+    "coefficient-bool": (["algebra"], _edited(
+        "st-m2-units.json", lambda d: d["products"][0].update(coeffs=[[True, 0]] * 4))),
+    "phase-string": (["algebra"], _edited(
+        "st-m2-units.json", lambda d: d["star"][0].update(phase="i"))),
+    "phase-number": (["algebra"], _edited(
+        "st-m2-units.json", lambda d: d["star"][0].update(phase=5))),
+    "function-nan": (["inorm", fx("pair2.json")],
+                     {aid: [float("nan"), 0] for aid in _PAIR2_IDS}),
+    "function-bool": (["inorm", fx("pair2.json")], {aid: [True, 0] for aid in _PAIR2_IDS}),
+    "haar-weight-bool": (["validate"], _edited(
+        "pair3.json", lambda d: d.update(haar={"weights": {f"a{k:02d}": True
+                                                           for k in range(9)}}))),
+}
+
+
 class TestValidateCommand:
     def test_pair3_ok(self, capsys):
         assert main(["validate", fx("pair3.json")]) == 0
@@ -69,6 +104,15 @@ class TestValidateCommand:
         assert main([command, str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("parse error: ") and "is not finite" in err
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_malformed_file_is_a_parse_error(self, tmp_path, capsys, case):
+        head, doc = _MALFORMED[case]
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        assert main([*head, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("parse error: malformed.json: ")
 
 
 class TestRoundTrips:
@@ -279,7 +323,8 @@ class TestToleranceOverride:
         monkeypatch.delenv("GROUPALG_TOL")
         assert main(["check", fx("pair3.json"), "--seed", "1", "--trials", "4"]) == 0
 
-    @pytest.mark.parametrize("value", ["abc", "1e-12,x", "1,2,3"])
+    @pytest.mark.parametrize("value", ["abc", "1e-12,x", "1,2,3", "nan", "inf", "-1",
+                                       "1e-12,nan"])
     def test_malformed_value_is_a_usage_error(self, monkeypatch, capsys, value):
         monkeypatch.setenv("GROUPALG_TOL", value)
         assert main(["check", fx("pair3.json"), "--seed", "1", "--trials", "4"]) == 2
