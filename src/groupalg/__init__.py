@@ -14,8 +14,8 @@ from .groupoid import (FiniteGroupoid, GroupoidMorphism, IsotropyGroup,
                        relation_isomorphism, validate)
 from .haar import (HaarSystem, check_left_invariance, convolve, counting_haar,
                    delta, fiber_integrate, function_to_matrix,
-                   half_density_inner, i_norm, involute, matrix_to_function,
-                   source_haar, support_fiber_mass, unit_function)
+                   half_density_inner, i_norm, involute, source_haar,
+                   support_fiber_mass, unit_function)
 from .inductive import InductiveSystem, LimitResult, check_system, limit
 from .partial_algebra import (StructureTable, SubspaceBasis,
                               check_star_compatibility, extract_relation,

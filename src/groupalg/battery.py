@@ -139,8 +139,9 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
         # integral form of left invariance, independent of the pointwise check
         for _ in range(3):
             a = rng.randint(G.n_arrows)
-            translated = sum(f[G.compose(a, hh)] * mu.weights[hh]
-                             for hh in G.target_fiber(G.src[a]))
+            fiber = G.target_fiber(G.src[a])
+            translated = sum(f[c] * mu.weights[hh]
+                             for c, hh in zip(G.composites(a, fiber).tolist(), fiber))
             direct = sum(f[k] * mu.weights[k] for k in G.target_fiber(G.tgt[a]))
             worst_integral = _worst(worst_integral, abs(translated - direct))
     run.record("convolution-associativity", worst_assoc <= accum,

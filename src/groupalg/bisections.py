@@ -30,12 +30,10 @@ class Bisection:
 def make_bisection(G: FiniteGroupoid, pick: dict[int, int]) -> Bisection:
     domain = tuple(sorted(pick))
     arrows = tuple(pick[x] for x in domain)
-    targets = []
     for x, a in zip(domain, arrows):
         if G.src[a] != x:
             raise ValueError(f"arrow {G.arrow_ids[a]} is not sourced at {G.objects[x]}")
-        targets.append(G.tgt[a])
-    if len(set(targets)) != len(targets):
+    if len(set(G.tgt[list(arrows)].tolist())) != len(arrows):
         raise ValueError("targets of a bisection must be injective")
     return Bisection(domain, arrows)
 
@@ -52,12 +50,12 @@ def unit_bisection(G: FiniteGroupoid) -> Bisection:
 
 def target_map(G: FiniteGroupoid, sigma: Bisection) -> dict[int, int]:
     """The injection x -> tgt(sigma(x)); a permutation for full bisections."""
-    return {x: G.tgt[a] for x, a in zip(sigma.domain, sigma.arrows)}
+    return dict(zip(sigma.domain, G.tgt[list(sigma.arrows)].tolist()))
 
 
 def enumerate_bisections(G: FiniteGroupoid) -> list[Bisection]:
     """All full bisections, by backtracking in object/arrow order."""
-    n = G.n_objects
+    n, tgt = G.n_objects, G.tgt.tolist()
     out: list[Bisection] = []
     chosen: list[int] = []
     used: set[int] = set()
@@ -67,7 +65,7 @@ def enumerate_bisections(G: FiniteGroupoid) -> list[Bisection]:
             out.append(Bisection(tuple(range(n)), tuple(chosen)))
             return
         for a in G.source_fiber(x):
-            t = G.tgt[a]
+            t = tgt[a]
             if t in used:
                 continue
             used.add(t)
@@ -118,7 +116,7 @@ def forms_group(G: FiniteGroupoid, sigmas: list[Bisection]) -> bool:
     k, n = len(sigmas), G.n_objects
     S = arrow_array(G, sigmas)
     index = {row.tobytes(): i for i, row in enumerate(S)}
-    T = np.asarray(G.tgt, dtype=np.intp)[S]
+    T = G.tgt[S]
     products = G.composites(S[:, T], S)  # [i, j, x] = (sigma_i * sigma_j)(x), or -1
     found = [index.get(row.tobytes()) for row in products.reshape(k * k, n)]
     if None in found:
@@ -140,10 +138,8 @@ def forms_group(G: FiniteGroupoid, sigmas: list[Bisection]) -> bool:
 
 def bisection_inverse(G: FiniteGroupoid, sigma: Bisection) -> Bisection:
     """Inverse bisection on the target image: sends tgt(sigma(x)) to sigma(x)^-1."""
-    pick = {}
-    for x, a in zip(sigma.domain, sigma.arrows):
-        pick[G.tgt[a]] = G.inverse[a]
-    return make_bisection(G, pick)
+    arrows = list(sigma.arrows)
+    return make_bisection(G, dict(zip(G.tgt[arrows].tolist(), G.inverse[arrows].tolist())))
 
 
 def left_translate(G: FiniteGroupoid, sigma: Bisection, arrow: int) -> int:

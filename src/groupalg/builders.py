@@ -16,13 +16,11 @@ def pair_groupoid(labels) -> FiniteGroupoid:
     """
     labels = [str(x) for x in labels]
     n = len(labels)
-    tgt = [k // n for k in range(n * n)]
-    src = [k % n for k in range(n * n)]
+    tgt, src = np.indices((n, n)).reshape(2, -1)
     t1, s1, s2 = np.indices((n, n, n)).reshape(3, -1)
     compose_table = np.stack([t1 * n + s1, s1 * n + s2, t1 * n + s2], axis=1)
-    inverse = [src[k] * n + tgt[k] for k in range(n * n)]
     unit_of = [x * n + x for x in range(n)]
-    return FiniteGroupoid(labels, src, tgt, compose_table, inverse, unit_of)
+    return FiniteGroupoid(labels, src, tgt, compose_table, src * n + tgt, unit_of)
 
 
 def group_groupoid(elements, table) -> FiniteGroupoid:
@@ -89,17 +87,14 @@ def product(G: FiniteGroupoid, H: FiniteGroupoid) -> FiniteGroupoid:
     def arr(ga, ha):
         return ga * na_h + ha
 
-    src = obj(np.array(G.src)[:, None], np.array(H.src)).ravel().tolist()
-    tgt = obj(np.array(G.tgt)[:, None], np.array(H.tgt)).ravel().tolist()
+    src = obj(G.src[:, None], H.src).ravel()
+    tgt = obj(G.tgt[:, None], H.tgt).ravel()
     # every pair of rows, one from each table, composes componentwise
     compose_table = arr(G.compose_table[:, None, :],
                         H.compose_table[None, :, :]).reshape(-1, 3)
-    inverse = arr(np.array(G.inverse)[:, None], np.array(H.inverse)).ravel().tolist()
-    unit_of = []
-    for gx in range(G.n_objects):
-        for hx in range(no_h):
-            gu, hu = G.unit_of[gx], H.unit_of[hx]
-            unit_of.append(None if gu is None or hu is None else arr(gu, hu))
+    inverse = arr(G.inverse[:, None], H.inverse).ravel()
+    unit_of = [None if gu is None or hu is None else arr(gu, hu)
+               for gu in G.unit_of for hu in H.unit_of]
     return FiniteGroupoid(labels, src, tgt, compose_table, inverse, unit_of)
 
 
@@ -112,9 +107,9 @@ def disjoint_union(*pieces: FiniteGroupoid) -> FiniteGroupoid:
     obj_off = arr_off = 0
     for k, P in enumerate(pieces):
         labels.extend(f"{k}:{lab}" if clash else lab for lab in P.objects)
-        src.extend(s + obj_off for s in P.src)
-        tgt.extend(t + obj_off for t in P.tgt)
-        inverse.extend(i + arr_off for i in P.inverse)
+        src.extend((P.src + obj_off).tolist())
+        tgt.extend((P.tgt + obj_off).tolist())
+        inverse.extend((P.inverse + arr_off).tolist())
         unit_of.extend(None if u is None else u + arr_off for u in P.unit_of)
         tables.append(P.compose_table + arr_off)
         obj_off += P.n_objects

@@ -36,10 +36,6 @@ from .representations import (check_representation, decompose_transitive,
                               transitive_isomorphism_check, trivial_rep)
 
 
-def _load(path: str) -> io.GroupoidDocument:
-    return io.load_groupoid(path)
-
-
 def _print_report(rep: Report) -> int:
     print(rep)
     return 0 if rep.ok else 1
@@ -47,7 +43,7 @@ def _print_report(rep: Report) -> int:
 
 def cmd_validate(args) -> int:
     rep = Report("file-invariants")
-    for suite in _load(args.file).check():
+    for suite in io.load_groupoid(args.file).check():
         rep.merge(suite.report)
     return _print_report(rep)
 
@@ -87,7 +83,7 @@ def cmd_check(args) -> int:
     code = 0
     for path in files:
         print(f"== {path}")
-        run = run_battery(_load(path), seed=args.seed, trials=args.trials)
+        run = run_battery(io.load_groupoid(path), seed=args.seed, trials=args.trials)
         print(run.render())
         code = max(code, 0 if run.ok else 1)
     for path in tables:
@@ -113,7 +109,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_fibers(args) -> int:
-    gdoc = _load(args.file)
+    gdoc = io.load_groupoid(args.file)
     G = gdoc.groupoid
     x = G.object_index(args.object)
     tf = [G.arrow_ids[a] for a in G.target_fiber(x)]
@@ -124,7 +120,7 @@ def cmd_fibers(args) -> int:
 
 
 def cmd_multipliers(args) -> int:
-    gdoc = _load(args.file)
+    gdoc = io.load_groupoid(args.file)
     G = gdoc.groupoid
     ms = multipliers(G)
     print("left:", " ".join(G.objects[x] for x in ms.left) or "(none)")
@@ -134,7 +130,7 @@ def cmd_multipliers(args) -> int:
 
 
 def cmd_convolve(args) -> int:
-    gdoc = _load(args.file)
+    gdoc = io.load_groupoid(args.file)
     G = gdoc.groupoid
     f = io.load_function(args.f, G, sparse=args.sparse)
     g = io.load_function(args.g, G, sparse=args.sparse)
@@ -143,7 +139,7 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_involute(args) -> int:
-    gdoc = _load(args.file)
+    gdoc = io.load_groupoid(args.file)
     G = gdoc.groupoid
     f = io.load_function(args.f, G, sparse=args.sparse)
     _write_function(args, G, involute(G, f))
@@ -151,14 +147,14 @@ def cmd_involute(args) -> int:
 
 
 def cmd_inorm(args) -> int:
-    gdoc = _load(args.file)
+    gdoc = io.load_groupoid(args.file)
     f = io.load_function(args.f, gdoc.groupoid, sparse=args.sparse)
     print(io.fmt(i_norm(gdoc.groupoid, gdoc.measures()[0], f)))
     return 0
 
 
 def cmd_rep(args) -> int:
-    gdoc = _load(args.file)
+    gdoc = io.load_groupoid(args.file)
     G = gdoc.groupoid
     mu, _ = gdoc.measures()
     if args.arrow is not None:
@@ -180,7 +176,7 @@ def cmd_rep(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    gdoc = _load(args.file)
+    gdoc = io.load_groupoid(args.file)
     G = gdoc.groupoid
     mu, nu = gdoc.measures()
     f = io.load_function(args.f, G, sparse=args.sparse)
@@ -193,7 +189,7 @@ def cmd_integrate(args) -> int:
         doc = io.matrix_document(op, labels, labels)
         doc["objects"] = list(G.objects)
         doc["dims"] = list(rep.bundle.dims)
-        doc["offsets"] = [int(v) for v in rep.bundle.offsets]
+        doc["offsets"] = list(rep.bundle.offsets)
         io.save_json(args.out, doc)
     else:
         print(io.render_matrix(op))
@@ -201,7 +197,7 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    gdoc = _load(args.file)
+    gdoc = io.load_groupoid(args.file)
     G = gdoc.groupoid
     mu, _ = gdoc.measures()
     dec = decompose_transitive(G)

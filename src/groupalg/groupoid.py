@@ -13,9 +13,10 @@ set: the ordered pair ``(x, y)`` is an arrow with target ``x`` and source
 ``x`` is ``(x, x)``.  Such groupoids carry at most one arrow per ordered
 pair of objects; general groupoids may have isotropy (parallel loops).
 
+The structure maps (source, target, inversion) are read-only int arrays.
 Composition is stored once, as int (first, second, composite) rows in
-(composite, first) order; lookups use indexes derived from them.  Every
-enumeration follows the stored object/arrow order, so reports are
+(composite, first) order; lookups go through one index derived from them.
+Every enumeration follows the stored object/arrow order, so reports are
 reproducible.  Instances are treated as immutable after construction.
 """
 
@@ -65,7 +66,6 @@ def _ranges(starts, counts) -> np.ndarray:
 
 def _fibers(tgt, n_objects: int):
     """Arrows sorted by target, with the start and size of each target fiber."""
-    tgt = np.asarray(tgt, dtype=np.intp)
     size = np.bincount(tgt, minlength=n_objects)
     return np.argsort(tgt, kind="stable"), np.cumsum(size) - size, size
 
@@ -83,28 +83,27 @@ def _joined(left, right, src, tgt, n_objects: int):
 def _composable(src, tgt, n_objects: int):
     """Arrays (a, b) of all pairs with src[a] == tgt[b], in object-then-arrow order."""
     arrows = np.arange(len(src))
-    return _joined(arrows, arrows, np.asarray(src, dtype=np.intp),
-                   np.asarray(tgt, dtype=np.intp), n_objects)
+    return _joined(arrows, arrows, src, tgt, n_objects)
 
 
 def _triples(G: FiniteGroupoid, b):
     """Batches (rows, z) of the triples (a[i], b[i], z) over pairs i and z
     into src(b[i]): each pair index i repeated over that fibre in ``rows``,
     in pair-then-fibre order, about ``_TRIPLE_BATCH`` triples a batch."""
-    src = np.asarray(G.src, dtype=np.intp)
     into, start, size = _fibers(G.tgt, G.n_objects)
-    width = size[src[b]]
+    width = size[G.src[b]]
     step = max(1, _TRIPLE_BATCH // max(int(width.max(initial=0)), 1))
     for lo in range(0, len(b), step):
         k = width[lo:lo + step]
         yield (np.repeat(np.arange(lo, lo + len(k)), k),
-               into[_ranges(start[src[b[lo:lo + step]]], k)])
+               into[_ranges(start[G.src[b[lo:lo + step]]], k)])
 
 
 class FiniteGroupoid:
     """Explicit-table groupoid; construction checks shapes, not axioms.
 
-    ``compose_table`` holds (first, second, composite) rows; when a pair
+    ``src``, ``tgt`` and ``inverse`` are read-only int arrays indexed by
+    arrow.  ``compose_table`` holds (first, second, composite) rows; when a pair
     repeats, the last row wins.  The constructor only verifies that indices
     are in range, so deliberately corrupted tables (off-domain, missing or
     wrong products) can be built and then diagnosed with :func:`validate`.
@@ -116,14 +115,15 @@ class FiniteGroupoid:
         self.objects: list[str] = [str(o) for o in objects]
         if len(set(self.objects)) != len(self.objects):
             raise ValueError("object labels must be distinct")
-        self.src: list[int] = [int(s) for s in src]
-        self.tgt: list[int] = [int(t) for t in tgt]
+        self.src: np.ndarray = np.array(src, dtype=np.intp)
+        self.tgt: np.ndarray = np.array(tgt, dtype=np.intp)
         if len(self.src) != len(self.tgt):
             raise ValueError("src and tgt lists differ in length")
         n_obj, n_arr = len(self.objects), len(self.src)
-        for v in self.src + self.tgt:
-            if not 0 <= v < n_obj:
-                raise ValueError(f"object index {v} out of range")
+        ends = np.concatenate([self.src, self.tgt])
+        bad = ends[(ends < 0) | (ends >= n_obj)]
+        if len(bad):
+            raise ValueError(f"object index {bad[0]} out of range")
         table = np.asarray(compose_table, dtype=np.intp).reshape(-1, 3)
         bad = np.flatnonzero(((table < 0) | (table >= n_arr)).any(axis=1))
         if len(bad):
@@ -134,10 +134,11 @@ class FiniteGroupoid:
         table = table[np.lexsort((table[:, 1], table[:, 0], table[:, 2]))]
         # stored column-major, so each column is one contiguous array
         self.compose_table: np.ndarray = np.ascontiguousarray(table.T).T
-        self.compose_table.flags.writeable = False
-        self.inverse: list[int] = [int(i) for i in inverse]
-        if len(self.inverse) != n_arr or any(not 0 <= i < n_arr for i in self.inverse):
+        self.inverse: np.ndarray = np.array(inverse, dtype=np.intp)
+        if len(self.inverse) != n_arr or ((self.inverse < 0) | (self.inverse >= n_arr)).any():
             raise ValueError("inverse table malformed")
+        for v in (self.src, self.tgt, self.compose_table, self.inverse):
+            v.flags.writeable = False
         self.unit_of: list[int | None] = [None if u is None else int(u) for u in unit_of]
         if len(self.unit_of) != n_obj:
             raise ValueError("unit table must have one entry per object")
@@ -151,18 +152,16 @@ class FiniteGroupoid:
         self._arrow_index = {aid: i for i, aid in enumerate(self.arrow_ids)}
         tf: list[list[int]] = [[] for _ in range(n_obj)]
         sf: list[list[int]] = [[] for _ in range(n_obj)]
-        self._fiber_pos: list[int] = []  # position of each arrow in its target fiber
-        for a in range(n_arr):
-            self._fiber_pos.append(len(tf[self.tgt[a]]))
-            tf[self.tgt[a]].append(a)
-            sf[self.src[a]].append(a)
+        ends_of = list(zip(self.tgt.tolist(), self.src.tolist()))
+        for a, (t, s) in enumerate(ends_of):
+            tf[t].append(a)
+            sf[s].append(a)
         self._target_fibers = [tuple(v) for v in tf]
         self._source_fibers = [tuple(v) for v in sf]
         # (tgt, src) -> arrow; with parallel arrows the last one wins, and
         # the map has fewer entries than arrows
-        self._by_endpoints = {(t, s): a for a, (t, s) in enumerate(zip(self.tgt, self.src))}
+        self._by_endpoints = {ts: a for a, ts in enumerate(ends_of)}
         self._pair_index: tuple[np.ndarray, np.ndarray] | None = None
-        self._rows: list[list[int]] | None = None
         self._certificate: GeneratorCertificate | None = None
 
     # -- basic structure ---------------------------------------------------
@@ -202,24 +201,20 @@ class FiniteGroupoid:
         return self._source_fibers[y]
 
     def compose(self, a: int, b: int) -> int:
-        """Composite ``a o b`` (b first); raises unless (a, b) composes."""
-        if self._rows is None:
-            # rows[x][i] is x o (i-th arrow into src x), or -1
-            first, _, composite = self._pair_products()
-            rows: list[list[int]] = [[] for _ in range(self.n_arrows)]
-            for x, c in zip(first.tolist(), composite.tolist()):
-                rows[x].append(c)
-            self._rows = rows  # published whole: readers on other threads never see it partial
+        """Composite ``a o b`` (b first), the scalar form of :meth:`composites`;
+        raises unless (a, b) composes."""
         if self.src[a] == self.tgt[b]:
-            c = self._rows[a][self._fiber_pos[b]]
+            c = int(self.composites(a, b))
             if c >= 0:
                 return c
         raise ValueError(
             f"arrows {self.arrow_ids[a]} and {self.arrow_ids[b]} do not compose")
 
     def composites(self, a, b) -> np.ndarray:
-        """Vectorized lookup: the table's composite of each pair (a[i], b[i]),
-        or -1 where it defines none (negative indices count as undefined)."""
+        """The composition lookup, vectorized: the table's composite of each
+        pair (a[i], b[i]), or -1 where it defines none (negative indices
+        count as undefined).  Rows are read as written, so a corrupted table
+        answers on pairs whose endpoints do not match."""
         if self._pair_index is None:
             first, second, composite = self.compose_table.T
             order = np.lexsort((second, first))
@@ -251,7 +246,7 @@ class FiniteGroupoid:
 
     def is_unit(self, a: int) -> bool:
         x = self.tgt[a]
-        return self.src[a] == x and self.unit_of[x] == a
+        return bool(self.src[a] == x and self.unit_of[x] == a)
 
     # -- relation view -----------------------------------------------------
 
@@ -270,8 +265,8 @@ class FiniteGroupoid:
         """Label pairs (tgt, src) of all arrows, i.e. the declared products."""
         if not self.is_relation_groupoid():
             raise NotRelationGroupoid("groupoid has isotropy beyond units")
-        return [(self.objects[self.tgt[a]], self.objects[self.src[a]])
-                for a in range(self.n_arrows)]
+        return [(self.objects[t], self.objects[s])
+                for t, s in zip(self.tgt.tolist(), self.src.tolist())]
 
     # -- reachability ------------------------------------------------------
 
@@ -371,8 +366,7 @@ def build_from_relation(objects, pairs, closure_policy: str = "strict") -> Finit
     by_pair[tgt, src] = np.arange(len(closed))
     first, second = _composable(src, tgt, n)
     table = np.stack([first, second, by_pair[tgt[first], src[second]]], axis=1)
-    return FiniteGroupoid(support, src.tolist(), tgt.tolist(), table,
-                          by_pair[src, tgt].tolist(), by_pair.diagonal().tolist())
+    return FiniteGroupoid(support, src, tgt, table, by_pair[src, tgt], by_pair.diagonal())
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +404,24 @@ def _subgroup(table: np.ndarray, have: np.ndarray) -> np.ndarray:
         have = new
 
 
+def _cayley(G: FiniteGroupoid, loops: np.ndarray):
+    """The position of every arrow among ``loops`` (-1 off them, and in a
+    last slot that catches the -1 of an undefined product), and the h x h
+    composites of the loops, row-major."""
+    position = np.full(G.n_arrows + 1, -1, dtype=np.intp)
+    position[loops] = np.arange(len(loops))
+    h = len(loops)
+    return position, G.composites(np.repeat(loops, h), np.tile(loops, h)).reshape(h, h)
+
+
 def _isotropy_generators(G: FiniteGroupoid, loops: np.ndarray, made) -> list[int]:
     """Greedy generators of the group on ``loops``, the loops at one base
     object: the first loop not yet generated, with its powers g^2, g^4, ...,
     so every element is a short word.  Generation starts from the loops
     marked in ``made``."""
-    pos = np.full(G.n_arrows, -1, dtype=np.intp)
-    pos[loops] = np.arange(len(loops))
+    position, products = _cayley(G, loops)
+    table = position[products]
     h = len(loops)
-    table = pos[G.composites(np.repeat(loops, h), np.tile(loops, h))].reshape(h, h)
     have = _subgroup(table, np.asarray(made, dtype=bool))
     gens: list[int] = []
     for g in range(h):
@@ -433,8 +436,7 @@ def _isotropy_generators(G: FiniteGroupoid, loops: np.ndarray, made) -> list[int
 
 
 def _certify(G: FiniteGroupoid) -> GeneratorCertificate:
-    src = np.asarray(G.src, dtype=np.intp)
-    tgt = np.asarray(G.tgt, dtype=np.intp)
+    src, tgt = G.src, G.tgt
     n, arrows = G.n_objects, np.arange(G.n_arrows)
     a, b, ab = G._pair_products()
     if (ab < 0).any() or (tgt[ab] != tgt[a]).any() or (src[ab] != src[b]).any():
@@ -506,8 +508,7 @@ def validate(G: FiniteGroupoid) -> Report:
     """
     rep = Report("groupoid-axioms")
     aid = G.arrow_ids
-    src = np.asarray(G.src, dtype=np.intp)
-    tgt = np.asarray(G.tgt, dtype=np.intp)
+    src, tgt = G.src, G.tgt
     arrows = np.arange(G.n_arrows)
 
     first, second, _ = G.compose_table.T
@@ -539,34 +540,35 @@ def validate(G: FiniteGroupoid) -> Report:
                         f"({aid[x[i]]} o {aid[y[i]]}) o {aid[z[i]]} = {aid[xy_z[i]]} "
                         f"!= {aid[x_yz[i]]} = {aid[x[i]]} o ({aid[y[i]]} o {aid[z[i]]})")
 
+    unit = np.array([-1 if u is None else u for u in G.unit_of], dtype=np.intp)
+    us, ut, inv = unit[src], unit[tgt], G.inverse
+    a_us, ut_a, a_inv, inv_a = (G.composites(p, q).tolist() for p, q in
+                                ((arrows, us), (ut, arrows), (arrows, inv), (inv, arrows)))
+    src, tgt, us, ut, inv = (v.tolist() for v in (src, tgt, us, ut, inv))  # ints for the loops
     for x in range(G.n_objects):
         u = G.unit_of[x]
         if u is None:
             rep.add("unit-missing", f"object {G.objects[x]} has no unit arrow")
             continue
-        if G.tgt[u] != x or G.src[u] != x:
+        if tgt[u] != x or src[u] != x:
             rep.add("unit-endpoints", f"unit of {G.objects[x]} is {aid[u]}, not a loop at it")
-    unit = np.array([-1 if u is None else u for u in G.unit_of], dtype=np.intp)
-    us, ut, inv = unit[src].tolist(), unit[tgt].tolist(), G.inverse
-    a_us, ut_a, a_inv, inv_a = (G.composites(p, q).tolist() for p, q in
-                                ((arrows, us), (ut, arrows), (arrows, inv), (inv, arrows)))
     for a in range(G.n_arrows):
         if a_us[a] not in (-1, a):
-            rep.add("unit-law", f"{aid[a]} o unit({G.objects[G.src[a]]}) != {aid[a]}")
+            rep.add("unit-law", f"{aid[a]} o unit({G.objects[src[a]]}) != {aid[a]}")
         if ut_a[a] not in (-1, a):
-            rep.add("unit-law", f"unit({G.objects[G.tgt[a]]}) o {aid[a]} != {aid[a]}")
+            rep.add("unit-law", f"unit({G.objects[tgt[a]]}) o {aid[a]} != {aid[a]}")
 
     for a in range(G.n_arrows):
         i = inv[a]
-        if G.tgt[i] != G.src[a] or G.src[i] != G.tgt[a]:
+        if tgt[i] != src[a] or src[i] != tgt[a]:
             rep.add("inverse-endpoints", f"inverse({aid[a]}) = {aid[i]} does not swap endpoints")
             continue
         if inv[i] != a:
             rep.add("inverse-involution", f"inverse(inverse({aid[a]})) = {aid[inv[i]]}")
         if ut[a] >= 0 and a_inv[a] not in (-1, ut[a]):
-            rep.add("inverse-law", f"{aid[a]} o {aid[i]} != unit({G.objects[G.tgt[a]]})")
+            rep.add("inverse-law", f"{aid[a]} o {aid[i]} != unit({G.objects[tgt[a]]})")
         if us[a] >= 0 and inv_a[a] not in (-1, us[a]):
-            rep.add("inverse-law", f"{aid[i]} o {aid[a]} != unit({G.objects[G.src[a]]})")
+            rep.add("inverse-law", f"{aid[i]} o {aid[a]} != unit({G.objects[src[a]]})")
     return rep
 
 
@@ -594,12 +596,10 @@ def multipliers(G: FiniteGroupoid) -> MultiplierSets:
     """
     if not G.is_relation_groupoid():
         raise NotRelationGroupoid("multipliers need a relation-derived groupoid")
-    n = G.n_objects
-    everything = set(range(n))
-    left = tuple(x for x in range(n)
-                 if {G.src[a] for a in G.target_fiber(x)} == everything)
-    right = tuple(y for y in range(n)
-                  if {G.tgt[a] for a in G.source_fiber(y)} == everything)
+    n, src, tgt = G.n_objects, G.src.tolist(), G.tgt.tolist()
+    # one arrow per (tgt, src) pair, so a fiber reaches every object when it has n arrows
+    left = tuple(np.flatnonzero(np.bincount(G.tgt, minlength=n) == n).tolist())
+    right = tuple(np.flatnonzero(np.bincount(G.src, minlength=n) == n).tolist())
     ideal = tuple(sorted(set(left) & set(right)))
 
     cert = Report("multiplier-ideal-closure")
@@ -607,15 +607,15 @@ def multipliers(G: FiniteGroupoid) -> MultiplierSets:
     for x in ideal:
         incident = sorted(set(G.target_fiber(x)) | set(G.source_fiber(x)))
         for a in incident:
-            for b in G.source_fiber(G.tgt[a]):
-                if (G.tgt[b], G.src[a]) not in declared:
+            for b in G.source_fiber(tgt[a]):
+                if (tgt[b], src[a]) not in declared:
                     cert.add("ideal-closure",
-                             f"pair ({G.objects[G.tgt[b]]}, {G.objects[G.src[a]]}) "
+                             f"pair ({G.objects[tgt[b]]}, {G.objects[src[a]]}) "
                              f"missing for ideal object {G.objects[x]}")
-            for b in G.target_fiber(G.src[a]):
-                if (G.tgt[a], G.src[b]) not in declared:
+            for b in G.target_fiber(src[a]):
+                if (tgt[a], src[b]) not in declared:
                     cert.add("ideal-closure",
-                             f"pair ({G.objects[G.tgt[a]]}, {G.objects[G.src[b]]}) "
+                             f"pair ({G.objects[tgt[a]]}, {G.objects[src[b]]}) "
                              f"missing for ideal object {G.objects[x]}")
     return MultiplierSets(left, right, ideal, cert)
 
@@ -624,29 +624,37 @@ def multipliers(G: FiniteGroupoid) -> MultiplierSets:
 # isotropy
 
 class IsotropyGroup:
-    """The group of loops at one object, with an index-level Cayley table."""
+    """The group of loops at one object, with an index-level Cayley table.
+
+    ``position`` maps every arrow to its index among the loops, -1 off
+    them, and has one more slot, -1, so that reading it at the -1 of an
+    undefined product gives -1.
+    """
 
     def __init__(self, G: FiniteGroupoid, x: int):
         G._check_object(x)
         self.groupoid = G
         self.object = x
-        self.arrows: tuple[int, ...] = tuple(
-            a for a in G.target_fiber(x) if G.src[a] == x)
-        index = {a: i for i, a in enumerate(self.arrows)}
+        loops = np.array(G.target_fiber(x), dtype=np.intp)
+        loops = loops[G.src[loops] == x]
+        self.arrows: tuple[int, ...] = tuple(loops.tolist())
         u = G.unit_of[x]
-        if u is None or u not in index:
+        if u is None or u not in self.arrows:
             raise ValueError(f"object {G.objects[x]} has no unit loop")
-        self.unit_index = index[u]
-        table = np.array([[index.get(G.compose(a, b), -1) for b in self.arrows]
-                          for a in self.arrows], dtype=np.intp).reshape(-1, self.order)
-        inverse = np.array([index.get(G.inverse[a], -1) for a in self.arrows], dtype=np.intp)
+        self.unit_index = self.arrows.index(u)
+        self.position, products = _cayley(G, loops)
+        self.position.flags.writeable = False
+        if (products < 0).any():  # compose raises on the first undefined product
+            G.compose(*loops[np.argwhere(products < 0)[0]])
+        table = self.position[products]
+        inverse = self.position[G.inverse[loops]]
         aid, here = G.arrow_ids, G.objects[x]
         if (table < 0).any():
-            a, b = (self.arrows[k] for k in np.argwhere(table < 0)[0])
-            raise ValueError(f"{aid[a]} o {aid[b]} = {aid[G.compose(a, b)]} "
+            i, j = np.argwhere(table < 0)[0]
+            raise ValueError(f"{aid[loops[i]]} o {aid[loops[j]]} = {aid[products[i, j]]} "
                              f"is not a loop at {here}")
         if (inverse < 0).any():
-            a = self.arrows[np.flatnonzero(inverse < 0)[0]]
+            a = loops[np.flatnonzero(inverse < 0)[0]]
             raise ValueError(f"inverse({aid[a]}) = {aid[G.inverse[a]]} is not a loop at {here}")
         self.table = table.tolist()
         self.inverse_table = inverse.tolist()
@@ -672,13 +680,13 @@ def isotropy(G: FiniteGroupoid, x: int) -> IsotropyGroup:
 
 def isotropy_bundle(G: FiniteGroupoid) -> FiniteGroupoid:
     """The disjoint union of all isotropy groups, as a groupoid on the same objects."""
-    loops = [a for a in range(G.n_arrows) if G.tgt[a] == G.src[a]]
+    loops = np.flatnonzero(G.tgt == G.src)
     new_index = np.full(G.n_arrows, -1, dtype=np.intp)
     new_index[loops] = np.arange(len(loops))
     table = new_index[np.stack(G.products(), axis=1)]
     table = table[(table[:, :2] >= 0).all(axis=1)]  # products of two loops
-    ends = [G.src[a] for a in loops]
-    inverse = new_index[[G.inverse[a] for a in loops]].tolist()
+    ends = G.src[loops]
+    inverse = new_index[G.inverse[loops]]
     unit_of = [None if u is None or new_index[u] < 0 else int(new_index[u])
                for u in G.unit_of]
     return FiniteGroupoid(G.objects, ends, ends, table, inverse, unit_of)
@@ -712,10 +720,13 @@ def morphism_report(A: FiniteGroupoid, B: FiniteGroupoid, phi: GroupoidMorphism,
             rep.add("injectivity", "object map identifies two objects")
         if len(set(am)) != len(am):
             rep.add("injectivity", "arrow map identifies two arrows")
-    for a in range(A.n_arrows):
-        if B.src[am[a]] != om[A.src[a]] or B.tgt[am[a]] != om[A.tgt[a]]:
+    image, omap = np.asarray(am, dtype=np.intp), np.asarray(om, dtype=np.intp)
+    ends = (B.src[image] != omap[A.src]) | (B.tgt[image] != omap[A.tgt])
+    inverse = B.inverse[image] != image[A.inverse]
+    for a in np.flatnonzero(ends | inverse).tolist():
+        if ends[a]:
             rep.add("endpoints", f"arrow {A.arrow_ids[a]} maps with wrong src/tgt")
-        if B.inverse[am[a]] != am[A.inverse[a]]:
+        if inverse[a]:
             rep.add("inverse", f"arrow {A.arrow_ids[a]}: inverse not preserved")
     for x in range(A.n_objects):
         ua, ub = A.unit_of[x], B.unit_of[om[x]]
@@ -723,7 +734,6 @@ def morphism_report(A: FiniteGroupoid, B: FiniteGroupoid, phi: GroupoidMorphism,
             rep.add("units", f"unit of {A.objects[x]} not sent to a unit")
     first, second, _ = A.compose_table.T
     a, b, c = A.compose_table[np.lexsort((second, first))].T
-    image = np.asarray(am, dtype=np.intp)
     for i in np.flatnonzero(B.composites(image[a], image[b]) != image[c]).tolist():
         rep.add("composition",
                 f"{A.arrow_ids[a[i]]} o {A.arrow_ids[b[i]]}: image composite disagrees")
@@ -757,8 +767,8 @@ def relation_isomorphism(G: FiniteGroupoid, H: FiniteGroupoid) -> GroupoidMorphi
         for x, y in zip(gs, hs):
             obj_map[x] = y
     arrow_map = []
-    for a in range(G.n_arrows):
-        b = H.arrow_by_endpoints(obj_map[G.tgt[a]], obj_map[G.src[a]])
+    for t, s in zip(G.tgt.tolist(), G.src.tolist()):
+        b = H.arrow_by_endpoints(obj_map[t], obj_map[s])
         if b is None:
             return None
         arrow_map.append(b)

@@ -59,7 +59,7 @@ def counting_haar(G: FiniteGroupoid) -> HaarSystem:
 def source_haar(G: FiniteGroupoid, per_object) -> HaarSystem:
     """Weights depending only on the source object; always left-invariant."""
     per_object = np.asarray(per_object, dtype=float)
-    return HaarSystem(per_object[np.asarray(G.src, dtype=np.intp)])
+    return HaarSystem(per_object[G.src])
 
 
 def check_left_invariance(G: FiniteGroupoid, mu: HaarSystem) -> Report:
@@ -101,7 +101,7 @@ def fiber_integrate(G: FiniteGroupoid, mu: HaarSystem, f) -> np.ndarray:
     """Per-object integral of f over the target fiber."""
     f = _as_function(G, f)
     out = np.zeros(G.n_objects, dtype=complex)
-    np.add.at(out, np.asarray(G.tgt, dtype=np.intp), f * mu.weights)
+    np.add.at(out, G.tgt, f * mu.weights)
     return out
 
 
@@ -116,7 +116,7 @@ def convolve(G: FiniteGroupoid, mu: HaarSystem, f, g) -> np.ndarray:
 
 def involute(G: FiniteGroupoid, f) -> np.ndarray:
     f = _as_function(G, f)
-    return np.conj(f[np.asarray(G.inverse, dtype=np.intp)])
+    return np.conj(f[G.inverse])
 
 
 def unit_function(G: FiniteGroupoid, mu: HaarSystem) -> np.ndarray:
@@ -133,9 +133,8 @@ def unit_function(G: FiniteGroupoid, mu: HaarSystem) -> np.ndarray:
 def _fiber_masses(G: FiniteGroupoid, mu: HaarSystem, absf: np.ndarray):
     tmass = np.zeros(G.n_objects)
     smass = np.zeros(G.n_objects)
-    inv = np.asarray(G.inverse, dtype=np.intp)
-    np.add.at(tmass, np.asarray(G.tgt, dtype=np.intp), absf * mu.weights)
-    np.add.at(smass, np.asarray(G.src, dtype=np.intp), absf * mu.weights[inv])
+    np.add.at(tmass, G.tgt, absf * mu.weights)
+    np.add.at(smass, G.src, absf * mu.weights[G.inverse])
     return tmass, smass
 
 
@@ -173,13 +172,5 @@ def function_to_matrix(G: FiniteGroupoid, f) -> np.ndarray:
     """Matrix picture of a function on a relation groupoid: F[t, s] = f(arrow s->t)."""
     f = _as_function(G, f)
     out = np.zeros((G.n_objects, G.n_objects), dtype=complex)
-    for a in range(G.n_arrows):
-        out[G.tgt[a], G.src[a]] = f[a]
+    out[G.tgt, G.src] = f
     return out
-
-
-def matrix_to_function(G: FiniteGroupoid, M) -> np.ndarray:
-    M = np.asarray(M, dtype=complex)
-    if M.shape != (G.n_objects, G.n_objects):
-        raise ShapeMismatch("matrix shape does not match the object count")
-    return M[G.tgt, G.src]

@@ -258,10 +258,10 @@ def save_groupoid(path: str, gdoc: GroupoidDocument) -> None:
     ids = G.arrow_ids
     doc: dict = {
         "objects": list(G.objects),
-        "arrows": [{"id": ids[a], "src": G.objects[G.src[a]],
-                    "tgt": G.objects[G.tgt[a]]} for a in range(G.n_arrows)],
+        "arrows": [{"id": aid, "src": G.objects[s], "tgt": G.objects[t]}
+                   for aid, s, t in zip(ids, G.src.tolist(), G.tgt.tolist())],
         "compose": [[ids[a], ids[b], ids[c]] for a, b, c in sorted(G.compose_table.tolist())],
-        "inverse": [[ids[a], ids[G.inverse[a]]] for a in range(G.n_arrows)],
+        "inverse": [[aid, ids[i]] for aid, i in zip(ids, G.inverse.tolist())],
     }
     if gdoc.haar_raw is not None:
         doc["haar"] = {"weights": {G.arrow_ids[a]: float(gdoc.haar_raw[a])
@@ -317,7 +317,8 @@ def render_matrix(M: np.ndarray) -> str:
 
 def load_structure_table(path: str) -> StructureTable:
     """Structure-table file: dim, declared products with coefficient vectors,
-    and the star map.  Basis indices are 1-based in files."""
+    and the star map.  Basis indices are 1-based in files; a (left, right)
+    pair may carry one product record only."""
     doc = load_json(path)
     where = os.path.basename(path)
     dim = _require(doc, "dim", int, where)
@@ -328,6 +329,8 @@ def load_structure_table(path: str) -> StructureTable:
         vec = _require(rec, "coeffs", list, where)
         if len(vec) != dim:
             raise FileFormatError(f"{where}: coeffs must have length {dim}")
+        if (i, j) in coeff:
+            raise FileFormatError(f"{where}: two product records for ({i + 1}, {j + 1})")
         coeff[(i, j)] = [_pair(p, f"{where}: a coefficient of product ({i + 1}, {j + 1})")
                          for p in vec]
     star = []
@@ -348,7 +351,8 @@ def load_manifest(path: str) -> InductiveSystem:
     """Manifest: named piece files plus explicit embedding maps.
 
     Piece paths are resolved relative to the manifest.  The order relation
-    is exactly the set of (from, to) pairs carrying embeddings.
+    is exactly the set of (from, to) pairs carrying embeddings; two pieces
+    carry at most one embedding, and a piece at most one into the top.
     """
     doc = load_json(path)
     where = os.path.basename(path)
@@ -386,6 +390,8 @@ def load_manifest(path: str) -> InductiveSystem:
             raise FileFormatError(f"{where}: embedding references unknown piece")
         if a == b:
             continue  # identity embeddings are implicit
+        if (a, b) in leq:
+            raise FileFormatError(f"{where}: two embeddings from {a!r} to {b!r}")
         leq.add((a, b))
         embeddings[(a, b)] = parse_map(rec, a, pieces[b])
 
@@ -398,6 +404,8 @@ def load_manifest(path: str) -> InductiveSystem:
             a = str(_require(rec, "from", None, where))
             if a not in pieces:
                 raise FileFormatError(f"{where}: top embedding references unknown piece")
+            if a in top_maps:
+                raise FileFormatError(f"{where}: two top embeddings from {a!r}")
             top_maps[a] = parse_map(rec, a, top_g)
         top = (top_g, top_maps)
     return InductiveSystem(labels, leq, pieces, embeddings, top)

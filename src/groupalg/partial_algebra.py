@@ -43,31 +43,31 @@ class StructureTable:
         for (i, j), v in dict(coeff).items():
             i, j = int(i), int(j)
             if not (0 <= i < self.dim and 0 <= j < self.dim):
-                raise ValueError(f"product index ({i}, {j}) out of range")
+                raise ValueError(f"product ({_label(i)}, {_label(j)}) out of range")
             v = np.asarray(v, dtype=complex)
             if v.shape != (self.dim,):
-                raise ValueError(f"coefficients of ({i}, {j}) must have length {self.dim}")
+                raise ValueError(f"coefficients of ({_label(i)}, {_label(j)}) "
+                                 f"must have length {self.dim}")
             self.coeff[(i, j)] = v
         if len(star) != self.dim:
             raise ValueError("star must map every basis index")
         self.star_index: list[int] = []
         self.star_phase: list[complex] = []
-        for entry in star:
-            k, phase = entry
+        for i, (k, phase) in enumerate(star):
             k = int(k)
             phase = complex(phase)
             if not 0 <= k < self.dim:
-                raise ValueError(f"star index {k} out of range")
+                raise ValueError(f"star of {_label(i)} is {_label(k)}, out of range")
             if abs(abs(phase) - 1.0) > 1e-12:
-                raise ValueError("star phases must have unit modulus")
+                raise ValueError(f"star phase of {_label(i)} must have unit modulus")
             self.star_index.append(k)
             self.star_phase.append(phase)
         for i in range(self.dim):
             j = self.star_index[i]
             if self.star_index[j] != i:
-                raise ValueError(f"star is not involutive on index {i}")
+                raise ValueError(f"star is not involutive on {_label(i)}")
             if abs(np.conj(self.star_phase[i]) * self.star_phase[j] - 1.0) > 1e-12:
-                raise ValueError(f"star phases at {i} do not cancel")
+                raise ValueError(f"star phases at {_label(i)} do not cancel")
 
     @property
     def domain(self) -> set[tuple[int, int]]:

@@ -118,8 +118,8 @@ def random_function(G: FiniteGroupoid, rng: SplitMix64) -> np.ndarray:
 
 def random_invariant_weights(G: FiniteGroupoid, rng: SplitMix64) -> np.ndarray:
     """Left-invariant weights: one value in [0.5, 2) per source object."""
-    per_object = [rng.uniform(0.5, 2.0) for _ in range(G.n_objects)]
-    return np.array([per_object[G.src[a]] for a in range(G.n_arrows)], dtype=float)
+    per_object = np.array([rng.uniform(0.5, 2.0) for _ in range(G.n_objects)], dtype=float)
+    return per_object[G.src]
 
 
 def random_probability(n: int, rng: SplitMix64) -> np.ndarray:

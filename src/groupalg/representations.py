@@ -82,8 +82,8 @@ class InducedMeasures:
 
 def induced_measures(G: FiniteGroupoid, mu: HaarSystem,
                      nu: QuasiInvariantMeasure) -> InducedMeasures:
-    m = nu.nu[np.asarray(G.tgt, dtype=np.intp)] * mu.weights
-    m_inv = m[np.asarray(G.inverse, dtype=np.intp)]
+    m = nu.nu[G.tgt] * mu.weights
+    m_inv = m[G.inverse]
     dlt = m / m_inv
     m_o = np.sqrt(m * m_inv)
     return InducedMeasures(m, m_inv, dlt, m_o)
@@ -103,11 +103,11 @@ class HilbertBundle:
         for d, w in zip(self.dims, self.weights):
             if d <= 0 or w.shape != (d,) or not np.all(w > 0):
                 raise ValueError("each fiber needs a positive weight per dimension")
-        self.offsets = np.concatenate([[0], np.cumsum(self.dims)])
-        self.total_dim = int(self.offsets[-1])
+        self.offsets = [0, *np.cumsum(self.dims, dtype=int).tolist()]
+        self.total_dim = self.offsets[-1]
 
     def slice_of(self, x: int) -> slice:
-        return slice(int(self.offsets[x]), int(self.offsets[x + 1]))
+        return slice(self.offsets[x], self.offsets[x + 1])
 
 
 def canonical_bundle(G: FiniteGroupoid, mu: HaarSystem) -> HilbertBundle:
@@ -146,16 +146,18 @@ def left_regular(G: FiniteGroupoid, mu: HaarSystem, arrow: int) -> np.ndarray:
     the fiber bijection; unitary for the weighted inner products whenever
     the Haar system is left-invariant.
     """
-    src_fiber = G.target_fiber(G.src[arrow])
+    src_fiber = np.array(G.target_fiber(G.src[arrow]), dtype=np.intp)
     tgt_fiber = G.target_fiber(G.tgt[arrow])
-    row_of = {a: i for i, a in enumerate(tgt_fiber)}
+    c = G.composites(arrow, src_fiber)
+    bad = (c < 0) | (G.tgt[c] != G.tgt[arrow])
+    if bad.any():
+        h = src_fiber[np.argmax(bad)]
+        c = G.compose(arrow, h)  # raises when the product is undefined
+        raise ValueError(f"{G.arrow_ids[arrow]} o {G.arrow_ids[h]} = {G.arrow_ids[c]} "
+                         f"leaves the target fiber of {G.objects[G.tgt[arrow]]}")
     out = np.zeros((len(tgt_fiber), len(src_fiber)), dtype=complex)
-    for col, h in enumerate(src_fiber):
-        c = G.compose(arrow, h)
-        if c not in row_of:
-            raise ValueError(f"{G.arrow_ids[arrow]} o {G.arrow_ids[h]} = {G.arrow_ids[c]} "
-                             f"leaves the target fiber of {G.objects[G.tgt[arrow]]}")
-        out[row_of[c], col] = 1.0
+    # fibres ascend, so a composite's row is its position in the target fibre
+    out[np.searchsorted(tgt_fiber, c), np.arange(len(src_fiber))] = 1.0
     return out
 
 
@@ -212,8 +214,7 @@ def multiplicativity_bound(G: FiniteGroupoid, rep: BundleRep) -> float:
     kappa = float(_inf_norms(ops).max(initial=0.0)) * (1 + 4 * gamma)
     if not math.isfinite(kappa):
         return math.nan
-    s, b = _joined(cert.generators, np.arange(G.n_arrows), np.asarray(G.src, dtype=np.intp),
-                   np.asarray(G.tgt, dtype=np.intp), G.n_objects)
+    s, b = _joined(cert.generators, np.arange(G.n_arrows), G.src, G.tgt, G.n_objects)
     pairs = zip(s.tolist(), b.tolist(), G.composites(s, b).tolist())
     r = _inf_norms(ops[sb] - ops[s] @ ops[b]
                    for s, b, sb in pairs).max(initial=0.0) * (1 + 4 * gamma)
@@ -245,8 +246,9 @@ def check_representation(G: FiniteGroupoid, rep: BundleRep,
     if len(rep.ops) != G.n_arrows:
         rep_out.add("shape", "one matrix per arrow is required")
         return rep_out
+    src, tgt, inverse = G.src.tolist(), G.tgt.tolist(), G.inverse.tolist()
     for a in range(G.n_arrows):
-        want = (bundle.dims[G.tgt[a]], bundle.dims[G.src[a]])
+        want = (bundle.dims[tgt[a]], bundle.dims[src[a]])
         if rep.ops[a].shape != want:
             rep_out.add("shape",
                         f"op({G.arrow_ids[a]}) has shape {rep.ops[a].shape}, wants {want}")
@@ -269,16 +271,16 @@ def check_representation(G: FiniteGroupoid, rep: BundleRep,
                             f"op({G.arrow_ids[a]}) op({G.arrow_ids[b]})",
                             residual=float(err))
     for a in range(G.n_arrows):
-        inv = G.inverse[a]
-        d = bundle.dims[G.tgt[a]]
+        inv = inverse[a]
+        d = bundle.dims[tgt[a]]
         err = np.abs(rep.ops[a] @ rep.ops[inv] - np.eye(d)).max()
         if err > atol:
             rep_out.add("inverses",
                         f"op({G.arrow_ids[a]}) op({G.arrow_ids[inv]}) != identity",
                         residual=float(err))
     for a in range(G.n_arrows):
-        wt = bundle.weights[G.tgt[a]]
-        ws = bundle.weights[G.src[a]]
+        wt = bundle.weights[tgt[a]]
+        ws = bundle.weights[src[a]]
         gram = rep.ops[a].conj().T * wt @ rep.ops[a]
         err = np.abs(gram - np.diag(ws)).max()
         if err > atol:
@@ -296,8 +298,8 @@ def conjugate_rep_on(G: FiniteGroupoid, rep: BundleRep,
     if len(unitaries) != G.n_objects:
         raise ShapeMismatch("need one unitary per object")
     inv = [np.linalg.inv(u) for u in unitaries]
-    ops = [unitaries[G.tgt[a]] @ rep.ops[a] @ inv[G.src[a]]
-           for a in range(G.n_arrows)]
+    ops = [unitaries[t] @ rep.ops[a] @ inv[s]
+           for a, (t, s) in enumerate(zip(G.tgt.tolist(), G.src.tolist()))]
     return BundleRep(rep.bundle, ops)
 
 
@@ -319,10 +321,9 @@ def integrate_rep(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure,
         raise ShapeMismatch("representation does not match the groupoid")
     ind = induced_measures(G, mu, nu)
     out = np.zeros((bundle.total_dim, bundle.total_dim), dtype=complex)
-    for a in range(G.n_arrows):
+    for a, (t, s) in enumerate(zip(G.tgt.tolist(), G.src.tolist())):
         if f[a] == 0:
             continue
-        t, s = G.tgt[a], G.src[a]
         coeff = f[a] * ind.m_o[a] / nu.nu[t]
         out[bundle.slice_of(t), bundle.slice_of(s)] += coeff * rep.ops[a]
     return out
@@ -424,7 +425,7 @@ class TransitiveDecomposition:
     g_index: np.ndarray = field(compare=False, repr=False)
 
     def factor(self, G: FiniteGroupoid, a: int) -> tuple[int, int, int]:
-        return G.tgt[a], int(self.g_index[a]), G.src[a]
+        return int(G.tgt[a]), int(self.g_index[a]), int(G.src[a])
 
     def recompose(self, G: FiniteGroupoid, x: int, g_index: int, y: int) -> int:
         g = self.iso.arrows[g_index]
@@ -436,18 +437,17 @@ def decompose_transitive(G: FiniteGroupoid) -> TransitiveDecomposition:
     if not G.is_transitive() or G.n_objects == 0:
         raise NotTransitive("groupoid is not transitive")
     base = 0
+    src = G.src.tolist()
     taus = []
     for x in range(G.n_objects):
-        cands = [a for a in G.target_fiber(x) if G.src[a] == base]
+        cands = [a for a in G.target_fiber(x) if src[a] == base]
         if not cands:
             raise NotTransitive(f"no arrow from base into {G.objects[x]}")
         taus.append(min(cands))
     iso = isotropy(G, base)
-    tau, inverse = np.asarray(taus), np.asarray(G.inverse)
-    g = G.composites(G.composites(inverse[tau[G.tgt]], np.arange(G.n_arrows)), tau[G.src])
-    position = np.full(G.n_arrows + 1, -1)  # the last entry catches g == -1 (undefined)
-    position[list(iso.arrows)] = np.arange(iso.order)
-    g_index = position[g]
+    tau = np.asarray(taus)
+    g = G.composites(G.composites(G.inverse[tau[G.tgt]], np.arange(G.n_arrows)), tau[G.src])
+    g_index = iso.position[g]
     if (g_index < 0).any():
         a = int(np.argmin(g_index))
         raise ValueError(f"arrow {G.arrow_ids[a]} does not factor through the base isotropy")
@@ -486,9 +486,7 @@ def _structure_constant_mismatches(G: FiniteGroupoid, dec: TransitiveDecompositi
     # size[i, j] = |{g : left_div[i, g] == j}|
     size = np.bincount(np.arange(h).repeat(h) * h + left_div.ravel(),
                        minlength=h * h).reshape(h, h)
-    src = np.asarray(G.src, dtype=np.intp)
-    tgt = np.asarray(G.tgt, dtype=np.intp)
-    gi = dec.g_index
+    src, tgt, gi = G.src, G.tgt, dec.g_index
     a, b, c = G._pair_products()  # the composable pairs, y == y'
     k = size[gi[a], gi[b]]
     cc = np.where(c >= 0, c, 0)
@@ -516,14 +514,12 @@ def _involution_mismatches(G: FiniteGroupoid, dec: TransitiveDecomposition) -> n
     pair is coded as one integer; a code found once is in one set only.
     """
     n, h = G.n_objects, dec.iso.order
-    src = np.asarray(G.src, dtype=np.intp)
-    tgt = np.asarray(G.tgt, dtype=np.intp)
-    gi = dec.g_index
+    src, tgt, gi = G.src, G.tgt, dec.g_index
     cells = n * n * h
     inv = np.asarray(dec.iso.inverse_table, dtype=np.intp)
     a, g = np.nonzero(inv[None, :] == gi[:, None])
     codes = np.concatenate([
-        np.asarray(G.inverse, dtype=np.intp) * cells + (tgt * n + src) * h + gi,
+        G.inverse * cells + (tgt * n + src) * h + gi,
         a * cells + (src[a] * n + tgt[a]) * h + g])
     code, count = np.unique(codes, return_counts=True)
     bad = np.zeros(G.n_arrows, dtype=bool)
@@ -561,14 +557,19 @@ def transitive_isomorphism_check(G: FiniteGroupoid, mu: HaarSystem | None = None
         out.add("dimension",
                 f"|arrows| = {G.n_arrows} != {n}^2 * {h} = {n * n * h}")
         return out
-    triples = [dec.factor(G, a) for a in range(G.n_arrows)]
-    if len(set(triples)) != G.n_arrows:
+    codes = np.sort((G.tgt * h + dec.g_index) * n + G.src)  # one per (tgt, g, src) triple
+    if (codes[1:] == codes[:-1]).any():
         out.add("injectivity", "two arrows factor to the same (tgt, g, src) triple")
         return out
-    for a, (x, g, y) in enumerate(triples):
-        if dec.recompose(G, x, g, y) != a:
-            out.add("factorization", f"arrow {G.arrow_ids[a]} does not recompose")
-            return out
+    # a = tau_x o g o tau_y^-1, where tau_x o g composes (g is a loop at the base)
+    tau, loops = np.asarray(dec.taus), np.asarray(dec.iso.arrows)
+    left, right = G.composites(tau[G.tgt], loops[dec.g_index]), G.inverse[tau[G.src]]
+    fails = (G.composites(left, right) != np.arange(G.n_arrows)) | (G.src[left] != G.tgt[right])
+    if fails.any():  # the first failure goes through compose, to raise what it raises
+        a = int(np.argmax(fails))
+        dec.recompose(G, *dec.factor(G, a))
+        out.add("factorization", f"arrow {G.arrow_ids[a]} does not recompose")
+        return out
 
     bad_a, bad_b = _structure_constant_mismatches(G, dec)
     bad_star = _involution_mismatches(G, dec)

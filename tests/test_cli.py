@@ -31,6 +31,9 @@ def _edited(name: str, edit) -> dict:
 
 _PIECE = {"name": "p2", "file": fx("pair2.json")}
 _PAIR2_IDS = ["a00", "a01", "a02", "a03"]
+# the identity map of pair2, as an embedding record without its "to"
+_PAIR2_ONTO = {"from": "p2", "objects": {"a": "a", "b": "b"},
+               "arrows": {aid: aid for aid in _PAIR2_IDS}}
 
 # the command words before the malformed file, and the file's document
 _MALFORMED = {
@@ -51,6 +54,15 @@ _MALFORMED = {
     "function-nan": (["inorm", fx("pair2.json")],
                      {aid: [float("nan"), 0] for aid in _PAIR2_IDS}),
     "function-bool": (["inorm", fx("pair2.json")], {aid: [True, 0] for aid in _PAIR2_IDS}),
+    "product-repeated": (["algebra"], _edited(
+        "st-m2-units.json",
+        lambda d: d["products"].append(dict(d["products"][0], coeffs=[[0, 0]] * 4)))),
+    "embedding-repeated": (["limit"], {
+        "pieces": [_PIECE, {"name": "q2", "file": fx("pair2.json")}],
+        "embeddings": [dict(_PAIR2_ONTO, to="q2")] * 2}),
+    "top-embedding-repeated": (["limit"], {
+        "pieces": [_PIECE], "embeddings": [],
+        "top": {"file": fx("pair2.json"), "embeddings": [_PAIR2_ONTO] * 2}}),
     "haar-weight-bool": (["validate"], _edited(
         "pair3.json", lambda d: d.update(haar={"weights": {f"a{k:02d}": True
                                                            for k in range(9)}}))),
@@ -115,6 +127,16 @@ class TestValidateCommand:
         assert out == "" and err.startswith("parse error: malformed.json: ")
 
 
+    @pytest.mark.parametrize("left, label", [(0, "e0"), (5, "e5")])
+    def test_structure_table_messages_count_from_one(self, tmp_path, capsys, left, label):
+        path = tmp_path / "st.json"
+        path.write_text(json.dumps(_edited(
+            "st-m2-units.json", lambda d: d["products"][0].update(left=left))))
+        assert main(["algebra", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"parse error: st.json: product ({label}, e1) out of range\n")
+
+
 class TestRoundTrips:
     def test_groupoid_file_round_trip(self, tmp_path):
         gdoc = load_groupoid(fx("pair3-weighted.json"))
@@ -124,9 +146,9 @@ class TestRoundTrips:
         G, H = gdoc.groupoid, back.groupoid
         assert G.objects == H.objects
         assert G.arrow_ids == H.arrow_ids
-        assert G.src == H.src and G.tgt == H.tgt
+        assert G.src.tolist() == H.src.tolist() and G.tgt.tolist() == H.tgt.tolist()
         assert np.array_equal(G.compose_table, H.compose_table)
-        assert G.inverse == H.inverse and G.unit_of == H.unit_of
+        assert G.inverse.tolist() == H.inverse.tolist() and G.unit_of == H.unit_of
         assert np.array_equal(gdoc.haar_raw, back.haar_raw)
         assert np.array_equal(gdoc.nu_raw, back.nu_raw)
 

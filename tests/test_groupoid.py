@@ -17,8 +17,9 @@ from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
                                klein_table, pair_groupoid, product, symmetric_table)
 from groupalg.cli import main
 from groupalg.groupoid import FiniteGroupoid, components, relation_isomorphism
-from groupalg.io import (GroupoidDocument, parse_groupoid_document, save_function,
-                         save_groupoid)
+from groupalg.inductive import limit
+from groupalg.io import (GroupoidDocument, load_manifest, parse_groupoid_document,
+                         save_function, save_groupoid)
 from groupalg.randgen import SplitMix64, random_groupoid
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "groupalg", "fixtures")
@@ -660,7 +661,43 @@ def test_pair_groupoid_agrees_with_relation_constructor():
         assert direct.objects == rel.objects
         assert direct.relation_pairs() == rel.relation_pairs()
         assert np.array_equal(direct.compose_table, rel.compose_table)
-        assert direct.inverse == rel.inverse
+        assert direct.inverse.tolist() == rel.inverse.tolist()
+
+
+_MADE = {
+    "pair_groupoid": lambda: pair_groupoid("abc"),
+    "group_groupoid": lambda: group_groupoid(*cyclic_table(3)),
+    "product": lambda: product(pair_groupoid("ab"), group_groupoid(*klein_table())),
+    "disjoint_union": lambda: disjoint_union(pair_groupoid("ab"),
+                                             group_groupoid(*cyclic_table(2))),
+    "relation-strict": lambda: build_from_relation(
+        list("abc"), [(x, y) for x in "ab" for y in "ab"], "strict"),
+    "relation-complete": lambda: build_from_relation(
+        list("abc"), [("a", "b"), ("b", "c")], "complete"),
+    "arrows-file": lambda: parse_groupoid_document(_iso_z2_doc()).groupoid,
+    "isotropy_bundle": lambda: isotropy_bundle(
+        product(pair_groupoid("ab"), group_groupoid(*cyclic_table(3)))),
+    "limit": lambda: limit(load_manifest(os.path.join(FIXTURES, "chain-manifest.json"))).groupoid,
+}
+
+
+@pytest.mark.parametrize("how", list(_MADE))
+def test_structure_maps_are_read_only_int_arrays(how):
+    G = _MADE[how]()
+    assert G.n_arrows > 0
+    for table in (G.src, G.tgt, G.inverse):
+        assert isinstance(table, np.ndarray) and table.dtype == np.intp
+        assert table.shape == (G.n_arrows,) and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = table[0]
+
+
+def test_the_constructor_copies_the_structure_maps():
+    ends = np.zeros(1, dtype=np.intp)
+    G = FiniteGroupoid(["a"], ends, ends, [[0, 0, 0]], ends, [0])
+    ends[0] = 5
+    assert ends.flags.writeable
+    assert G.src.tolist() == G.tgt.tolist() == G.inverse.tolist() == [0]
 
 
 def _mixed_groupoids():

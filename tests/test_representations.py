@@ -20,7 +20,7 @@ from groupalg import (HaarSystem, NotTransitive, QuasiInvariantMeasure,
 from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
                                klein_table, pair_groupoid, product,
                                symmetric_table)
-from groupalg.groupoid import FiniteGroupoid
+from groupalg.groupoid import FiniteGroupoid, isotropy
 from groupalg.randgen import (SplitMix64, random_function, random_groupoid,
                               random_invariant_weights, random_probability,
                               random_unitary_field)
@@ -537,6 +537,40 @@ def _brute_force_transitive_check(G, mu=None, atol=None):
     return out
 
 
+def _brute_force_left_regular(G, arrow):
+    """Translation by ``arrow``, one compose per column: the oracle for
+    left_regular."""
+    src_fiber = G.target_fiber(G.src[arrow])
+    tgt_fiber = G.target_fiber(G.tgt[arrow])
+    out = np.zeros((len(tgt_fiber), len(src_fiber)), dtype=complex)
+    for col, h in enumerate(src_fiber):
+        c = G.compose(arrow, h)
+        if c not in tgt_fiber:
+            raise ValueError(f"{G.arrow_ids[arrow]} o {G.arrow_ids[h]} = {G.arrow_ids[c]} "
+                             f"leaves the target fiber of {G.objects[G.tgt[arrow]]}")
+        out[tgt_fiber.index(c), col] = 1.0
+    return out
+
+
+def _brute_force_cayley(G, x):
+    """The Cayley and inverse tables of the loops at x, one compose per
+    pair: the oracle for IsotropyGroup."""
+    loops = [a for a in G.target_fiber(x) if G.src[a] == x]
+    if G.unit_of[x] not in loops:
+        raise ValueError(f"object {G.objects[x]} has no unit loop")
+    products = [[G.compose(a, b) for b in loops] for a in loops]
+    aid, here = G.arrow_ids, G.objects[x]
+    for a, row in zip(loops, products):
+        for b, c in zip(loops, row):
+            if c not in loops:
+                raise ValueError(f"{aid[a]} o {aid[b]} = {aid[c]} is not a loop at {here}")
+    for a in loops:
+        if G.inverse[a] not in loops:
+            raise ValueError(f"inverse({aid[a]}) = {aid[G.inverse[a]]} is not a loop at {here}")
+    return ([[loops.index(c) for c in row] for row in products],
+            [loops.index(G.inverse[a]) for a in loops])
+
+
 def _outcome(check, G):
     """The rendered report, or the type and message of what was raised."""
     try:
@@ -616,6 +650,12 @@ def _corruptions(G):
     return out
 
 
+def _one_row_dropped(G):
+    """One copy of G per row of its table, with that row dropped."""
+    rows = G.compose_table[np.lexsort((G.compose_table[:, 1], G.compose_table[:, 0]))]
+    return [_rebuilt(G, np.delete(rows, i, axis=0)) for i in range(len(rows))]
+
+
 def _inverse_corruptions(G):
     """Copies of a transitive groupoid whose inverse table is corrupted away
     from the trivializing arrows and the units, keyed by the corruption."""
@@ -669,6 +709,31 @@ class TestStructureConstantOracle:
             # on a group the isotropy inverses are corrupted alike, and only
             # the structure constants can tell
             assert ("involution" in got) == (G.n_objects > 1), case
+
+    def test_one_row_dropped_tables_match_the_oracle(self):
+        tables = _one_row_dropped(product(pair_groupoid("ab"), group_groupoid(*cyclic_table(2))))
+        assert len(tables) == 32
+        got = [_outcome(transitive_isomorphism_check, H) for H in tables]
+        assert got == [_outcome(_brute_force_transitive_check, H) for H in tables]
+        # six drops leave the base isotropy group whole and are found when an
+        # arrow is recomposed, through a product that is not defined
+        base = [_outcome(lambda K: isotropy(K, 0).table, H) for H in tables]
+        assert sum(not b.startswith("raised") and "do not compose" in g
+                   for g, b in zip(got, base)) == 6
+
+    def test_one_row_dropped_tables_raise_like_the_per_pair_oracles(self):
+        tables = _one_row_dropped(product(pair_groupoid("ab"), group_groupoid(*cyclic_table(2))))
+        raised = 0
+        for H in tables:
+            got = _outcome(lambda K: [op.tolist() for op in
+                                      left_regular_rep(K, counting_haar(K)).ops], H)
+            assert got == _outcome(lambda K: [_brute_force_left_regular(K, a).tolist()
+                                              for a in range(K.n_arrows)], H)
+            raised += got.startswith("raised")
+            for x in range(H.n_objects):
+                iso = _outcome(lambda K: (isotropy(K, x).table, isotropy(K, x).inverse_table), H)
+                assert iso == _outcome(lambda K: _brute_force_cayley(K, x), H)
+        assert raised == len(tables)  # every dropped product is some translation's
 
     def test_redirect_inside_the_isotropy_group(self):
         # the left-division table of the corrupted Cayley table is what finds
