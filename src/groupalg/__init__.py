@@ -22,12 +22,12 @@ from .partial_algebra import (StructureTable, SubspaceBasis,
                               ideal_closure_check, matrix_units_table,
                               multiplier_subspace)
 from .report import Report, ReportEntry
-from .representations import (BundleRep, HilbertBundle, InducedMeasures,
+from .representations import (BundleRep, HilbertBundle, IndexRep, InducedMeasures,
                               QuasiInvariantMeasure, TransitiveDecomposition,
                               adjoint_operator, canonical_bundle,
                               check_representation, conjugate_rep_on,
                               decompose_transitive, fundamental_family_check,
-                              induced_measures, integrate_rep, left_regular,
+                              induced_measures, integrate_rep,
                               left_regular_rep, transitive_isomorphism_check,
                               operator_norm, operator_norm_bound_check,
                               trivial_rep, uniform_measure)

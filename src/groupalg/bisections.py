@@ -85,15 +85,20 @@ def bisection_compose(G: FiniteGroupoid, sigma: Bisection, tau: Bisection) -> Bi
     result lives on the domain of ``tau``, and its target map is the
     composite of the two target maps.
     """
-    spick = sigma.pick()
-    arrows = []
-    for x, a in zip(tau.domain, tau.arrows):
-        t = G.tgt[a]
-        if t not in spick:
+    tau_arrows = np.array(tau.arrows, dtype=np.intp)
+    t = G.tgt[tau_arrows]
+    pick = np.full(G.n_objects, -1, dtype=np.intp)  # sigma by object, -1 off its domain
+    pick[np.array(sigma.domain, dtype=np.intp)] = sigma.arrows
+    first = pick[t]
+    arrows = G.composites(first, tau_arrows)
+    bad = (first < 0) | (arrows < 0) | (G.src[first] != t)
+    if bad.any():  # the first failing object of tau's domain raises
+        x = int(np.argmax(bad))
+        if first[x] < 0:
             raise DomainMismatch(
-                f"target {G.objects[t]} of tau is outside the domain of sigma")
-        arrows.append(G.compose(spick[t], a))
-    return Bisection(tau.domain, tuple(arrows))
+                f"target {G.objects[t[x]]} of tau is outside the domain of sigma")
+        G.compose(int(first[x]), int(tau_arrows[x]))  # raises: the product is undefined
+    return Bisection(tau.domain, tuple(arrows.tolist()))
 
 
 def arrow_array(G: FiniteGroupoid, sigmas: list[Bisection]) -> np.ndarray:

@@ -32,7 +32,7 @@ from .partial_algebra import (check_star_compatibility, extract_relation,
                               ideal_closure_check, multiplier_subspace)
 from .report import Report
 from .representations import (check_representation, decompose_transitive,
-                              integrate_rep, left_regular, left_regular_rep,
+                              integrate_rep, left_regular_rep,
                               transitive_isomorphism_check, trivial_rep)
 
 
@@ -163,7 +163,7 @@ def cmd_rep(args) -> int:
             M = np.ones((1, 1), dtype=complex)
             rows = cols = ["1"]
         else:
-            M = left_regular(G, mu, a)
+            M = left_regular_rep(G, mu).ops[a]
             rows = [G.arrow_ids[k] for k in G.target_fiber(G.tgt[a])]
             cols = [G.arrow_ids[k] for k in G.target_fiber(G.src[a])]
         if args.out:

@@ -388,8 +388,9 @@ def load_manifest(path: str) -> InductiveSystem:
         b = str(_require(rec, "to", None, where))
         if a not in pieces or b not in pieces:
             raise FileFormatError(f"{where}: embedding references unknown piece")
-        if a == b:
-            continue  # identity embeddings are implicit
+        if a == b:  # identity embeddings are implicit, but must still parse
+            parse_map(rec, a, pieces[b])
+            continue
         if (a, b) in leq:
             raise FileFormatError(f"{where}: two embeddings from {a!r} to {b!r}")
         leq.add((a, b))

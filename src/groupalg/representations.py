@@ -5,7 +5,9 @@ diagonal weighted inner product; a unitary bundle representation assigns
 each arrow a unitary H_src -> H_tgt compatibly with units, composition and
 inversion.  Two canonical examples: the trivial representation on the line
 bundle, and the left regular representation on the target-fiber bundle,
-where an arrow acts by translating fiber indicators.
+where an arrow acts by translating fiber indicators.  Both are monomial,
+one 1 per column, and are kept as index data (:class:`IndexRep`) that the
+checks and the integration read without building a dense matrix.
 
 A probability measure nu on the objects induces arrow measures
 m(a) = nu(tgt a) weight(a), its inverse image m_inv, the modular function
@@ -24,13 +26,16 @@ and the convolution algebra with counting weights is *-isomorphic to
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tolerances
 from .errors import NotTransitive, ShapeMismatch
-from .groupoid import FiniteGroupoid, IsotropyGroup, _joined, components, isotropy
+from .groupoid import (FiniteGroupoid, IsotropyGroup, _fibers, _joined, _ranges, components,
+                       isotropy)
 from .haar import HaarSystem, _as_function, convolve, counting_haar, i_norm
 from .randgen import SplitMix64, random_function
 from .report import Report
@@ -129,41 +134,91 @@ class BundleRep:
     ops: list[np.ndarray]
 
 
-def trivial_rep(G: FiniteGroupoid) -> BundleRep:
+@dataclass(frozen=True)
+class IndexRep:
+    """A monomial representation: op(a) is a 0/1 matrix with one 1 per
+    column, kept as the row of each column.
+
+    Column j of op(a) has its 1 in row ``rows[starts[a] + j]``, for j below
+    ``starts[a + 1] - starts[a]``; op(a) has ``bundle.dims[tgt[a]]`` rows.
+    ``ops`` reads the same matrices densely, each built when it is read.
+    """
+
+    bundle: HilbertBundle
+    tgt: np.ndarray
+    rows: np.ndarray
+    starts: np.ndarray
+
+    @property
+    def ops(self) -> _DenseOps:
+        return _DenseOps(self)
+
+    def dense_op(self, a: int) -> np.ndarray:
+        cols = self.rows[self.starts[a]:self.starts[a + 1]]
+        out = np.zeros((self.bundle.dims[self.tgt[a]], len(cols)), dtype=complex)
+        out[cols, np.arange(len(cols))] = 1.0
+        return out
+
+
+class _DenseOps(Sequence):
+    """The ops of an :class:`IndexRep` as a sequence of dense matrices."""
+
+    def __init__(self, rep: IndexRep):
+        self._rep = rep
+
+    def __len__(self) -> int:
+        return len(self._rep.starts) - 1
+
+    def __getitem__(self, a):
+        a = operator.index(a)
+        if not -len(self) <= a < len(self):
+            raise IndexError(f"arrow index {a} out of range")
+        return self._rep.dense_op(a % len(self))
+
+
+def _index_rep(bundle: HilbertBundle, tgt: np.ndarray, rows, counts) -> IndexRep:
+    starts = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=starts[1:])
+    rows = np.array(rows, dtype=np.intp)
+    for v in (rows, starts):
+        v.flags.writeable = False
+    return IndexRep(bundle, tgt, rows, starts)
+
+
+def trivial_rep(G: FiniteGroupoid) -> IndexRep:
     """Every arrow acts as 1 on the line bundle.
 
     Complex scalars throughout; restricting the line fiber to a real unit
     interval would change nothing checkable at this scale.
     """
-    one = np.ones((1, 1), dtype=complex)
-    return BundleRep(line_bundle(G), [one] * G.n_arrows)
+    return _index_rep(line_bundle(G), G.tgt, np.zeros(G.n_arrows, dtype=np.intp),
+                      np.ones(G.n_arrows, dtype=np.intp))
 
 
-def left_regular(G: FiniteGroupoid, mu: HaarSystem, arrow: int) -> np.ndarray:
-    """Matrix of translation by ``arrow`` from fiber(src) to fiber(tgt).
+def left_regular_rep(G: FiniteGroupoid, mu: HaarSystem) -> IndexRep:
+    """Translation on the target-fiber bundle, as index data.
 
-    On indicators: delta_h maps to delta_(arrow o h), a 0/1 matrix realizing
-    the fiber bijection; unitary for the weighted inner products whenever
-    the Haar system is left-invariant.
+    op(a) maps the indicator of the j-th arrow h of the fiber of src(a) to
+    the indicator of a o h, so ``rows[starts[a] + j]`` is the position of
+    a o h in the fiber of tgt(a) (fibers ascend); unitary for the weighted
+    inner products whenever the Haar system is left-invariant.  Raises
+    ValueError at the first arrow, then column, whose composite is undefined
+    or leaves the target fiber.
     """
-    src_fiber = np.array(G.target_fiber(G.src[arrow]), dtype=np.intp)
-    tgt_fiber = G.target_fiber(G.tgt[arrow])
-    c = G.composites(arrow, src_fiber)
+    into, first, size = _fibers(G.tgt, G.n_objects)
+    counts = size[G.src]
+    arrow = np.repeat(np.arange(G.n_arrows), counts)
+    h = into[_ranges(first[G.src], counts)]
+    c = G.composites(arrow, h)
     bad = (c < 0) | (G.tgt[c] != G.tgt[arrow])
     if bad.any():
-        h = src_fiber[np.argmax(bad)]
-        c = G.compose(arrow, h)  # raises when the product is undefined
-        raise ValueError(f"{G.arrow_ids[arrow]} o {G.arrow_ids[h]} = {G.arrow_ids[c]} "
-                         f"leaves the target fiber of {G.objects[G.tgt[arrow]]}")
-    out = np.zeros((len(tgt_fiber), len(src_fiber)), dtype=complex)
-    # fibres ascend, so a composite's row is its position in the target fibre
-    out[np.searchsorted(tgt_fiber, c), np.arange(len(src_fiber))] = 1.0
-    return out
-
-
-def left_regular_rep(G: FiniteGroupoid, mu: HaarSystem) -> BundleRep:
-    bundle = canonical_bundle(G, mu)
-    return BundleRep(bundle, [left_regular(G, mu, a) for a in range(G.n_arrows)])
+        a, h = (int(v[np.argmax(bad)]) for v in (arrow, h))
+        c = G.compose(a, h)  # raises when the product is undefined
+        raise ValueError(f"{G.arrow_ids[a]} o {G.arrow_ids[h]} = {G.arrow_ids[c]} "
+                         f"leaves the target fiber of {G.objects[G.tgt[a]]}")
+    position = np.empty(G.n_arrows, dtype=np.intp)
+    position[into] = np.arange(G.n_arrows) - np.repeat(first, size)
+    return _index_rep(canonical_bundle(G, mu), G.tgt, position[c], counts)
 
 
 def _inf_norms(mats) -> np.ndarray:
@@ -225,81 +280,176 @@ def multiplicativity_bound(G: FiniteGroupoid, rep: BundleRep) -> float:
     return float(bound + gamma * kappa ** 2)
 
 
-def check_representation(G: FiniteGroupoid, rep: BundleRep,
+def _gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """``max |lhs - rhs|`` (NaN when an entry is NaN), or inf when the two
+    sides are maps between different spaces."""
+    if lhs.shape != rhs.shape:
+        return math.inf
+    return float(np.abs(lhs - rhs).max())
+
+
+def _dense_residuals(G: FiniteGroupoid, rep: BundleRep, atol: float):
+    """The residual of each law on dense ops: per object (units), per
+    composable pair with a composite (pairs and residuals; none when the
+    certificate proves every residual at most atol), per arrow (inverses,
+    unitarity)."""
+    ops, dims, weights = rep.ops, rep.bundle.dims, rep.bundle.weights
+    src, tgt, inverse = G.src.tolist(), G.tgt.tolist(), G.inverse.tolist()
+    units = [math.nan if u is None else _gap(ops[u], np.eye(dims[x]))
+             for x, u in enumerate(G.unit_of)]
+    if multiplicativity_bound(G, rep) <= atol / 2:
+        a = b = c = np.zeros(0, dtype=np.intp)
+    else:
+        a, b, c = G.products()
+    mult = [_gap(ops[z], ops[x] @ ops[y]) for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())]
+    inverses = [_gap(ops[x] @ ops[inverse[x]], np.eye(dims[tgt[x]]))
+                if ops[x].shape[1] == ops[inverse[x]].shape[0] else math.inf
+                for x in range(G.n_arrows)]
+    unitarity = [_gap(ops[x].conj().T * weights[tgt[x]] @ ops[x], np.diag(weights[src[x]]))
+                 for x in range(G.n_arrows)]
+    return units, a, b, mult, inverses, unitarity
+
+
+_ENTRY_BATCH = 1 << 20  # matrix columns compared per batch in _column_gaps
+
+
+def _column_gaps(ok, width, lhs, rhs) -> np.ndarray:
+    """Residuals of items i comparing two 0/1 matrices with one 1 per column:
+    inf where ``ok[i]`` is False (the shapes differ), else 1.0 where the row
+    ``lhs(i, j)`` of some column j < ``width[i]`` differs from ``rhs(i, j)``,
+    else 0.0, which is ``max |lhs - rhs|`` exactly.
+
+    Items of one width go together, i as a column and j as a row, so each
+    row lookup is one broadcast gather.
+    """
+    bad = np.zeros(len(width), dtype=bool)
+    for w in np.flatnonzero(np.bincount(width[ok])).tolist():
+        items, j = np.flatnonzero(ok & (width == w)), np.arange(w)
+        step = max(1, _ENTRY_BATCH // max(w, 1))
+        for lo in range(0, len(items), step):
+            i = items[lo:lo + step, None]
+            bad[i[:, 0]] = (lhs(i, j) != rhs(i, j)).any(axis=1)
+    return np.where(ok, bad.astype(float), math.inf)
+
+
+def _index_residuals(G: FiniteGroupoid, rep: IndexRep):
+    """The residuals of :func:`_dense_residuals` from the index data, on
+    every composable pair, without building an op.
+
+    Products of 0/1 matrices with one 1 per column are such matrices again,
+    exactly: op(a) op(b) picks the rows ``rows_a[rows_b]``.  So each law but
+    unitarity compares row arrays, with residual 0 or 1.  The Gram matrix
+    op(a)^H W_tgt op(a) is diagonal with entries W_tgt[rows_a], plus
+    W_tgt[r] off the diagonal wherever two columns share the row r; a
+    non-finite weight in the target fiber makes it NaN.
+    """
+    rows, lo = rep.rows, rep.starts[:-1]
+    width = np.diff(rep.starts)
+    dims = np.array(rep.bundle.dims, dtype=np.intp)
+    src, tgt, inv = G.src, G.tgt, G.inverse
+    unit = np.array([-1 if u is None else u for u in G.unit_of], dtype=np.intp)
+    has = unit >= 0
+    u = unit[has]
+    units = np.full(G.n_objects, math.nan)
+    units[has] = _column_gaps((dims[tgt[u]] == dims[has]) & (width[u] == dims[has]), width[u],
+                              lambda i, j: rows[lo[u[i]] + j], lambda i, j: j)
+    a, b, c = G.products()
+    mult = _column_gaps((dims[tgt[c]] == dims[tgt[a]]) & (width[c] == width[b]), width[b],
+                        lambda i, j: rows[lo[c[i]] + j],
+                        lambda i, j: rows[lo[a[i]] + rows[lo[b[i]] + j]])
+    inverses = _column_gaps((width == dims[tgt[inv]]) & (width[inv] == dims[tgt]), width[inv],
+                            lambda i, j: rows[lo[i] + rows[lo[inv[i]] + j]], lambda i, j: j)
+    w = np.concatenate([np.zeros(0)] + rep.bundle.weights)
+    off = np.array(rep.bundle.offsets[:-1], dtype=np.intp)
+    arrow = np.repeat(np.arange(G.n_arrows), width)
+    at = off[tgt[arrow]] + rows
+    gaps = np.abs(w[at] - w[off[src[arrow]] + _ranges(np.zeros_like(width), width)])
+    unitarity = np.zeros(G.n_arrows)
+    np.maximum.at(unitarity, arrow, gaps)
+    key = np.sort(arrow * len(w) + at)
+    shared = key[1:][key[1:] == key[:-1]]  # (arrow, row) pairs that two columns share
+    np.maximum.at(unitarity, shared // len(w), w[shared % len(w)])
+    finite = np.array([np.isfinite(v).all() for v in rep.bundle.weights], dtype=bool)
+    unitarity[~finite[tgt]] = math.nan
+    return units, a, b, mult, inverses, unitarity
+
+
+def check_representation(G: FiniteGroupoid, rep: BundleRep | IndexRep,
                          atol: float | None = None) -> Report:
     """Representation axioms, checked everywhere (not almost-everywhere).
 
     Units act as identities, composition is preserved on every composable
     pair, inverses invert, and each matrix is unitary for the weighted
     inner products.  Measurability is vacuous on a finite groupoid and is
-    recorded as a note.
+    recorded as a note.  A residual above atol, or NaN, is an entry; two
+    sides of a law that are maps between different spaces have residual inf.
 
-    Multiplicativity is proved from the generator pairs when
+    An :class:`IndexRep` is checked on its index data, every law on every
+    composable pair or arrow, as integer comparisons (:func:`_index_residuals`).
+    On dense ops, multiplicativity is proved from the generator pairs when
     :func:`multiplicativity_bound` is at most atol / 2: then no pair can
     have a residual above atol.  Otherwise (no certificate, a NaN, atol 0,
-    or a bound too large) every composable pair is computed and each
-    residual above atol is reported.
+    or a bound too large) every composable pair is computed.  Both give the
+    same entries on the same matrices.
     """
     atol = tolerances.exact_tol(atol)
-    rep_out = Report("representation-axioms")
-    bundle = rep.bundle
+    out = Report("representation-axioms")
+    dims = rep.bundle.dims
     if len(rep.ops) != G.n_arrows:
-        rep_out.add("shape", "one matrix per arrow is required")
-        return rep_out
-    src, tgt, inverse = G.src.tolist(), G.tgt.tolist(), G.inverse.tolist()
-    for a in range(G.n_arrows):
-        want = (bundle.dims[tgt[a]], bundle.dims[src[a]])
-        if rep.ops[a].shape != want:
-            rep_out.add("shape",
-                        f"op({G.arrow_ids[a]}) has shape {rep.ops[a].shape}, wants {want}")
-            return rep_out
-    for x in range(G.n_objects):
-        u = G.unit_of[x]
-        if u is None:
-            rep_out.add("units", f"object {G.objects[x]} has no unit arrow")
-            continue
-        err = np.abs(rep.ops[u] - np.eye(bundle.dims[x])).max()
-        if err > atol:
-            rep_out.add("units", f"op(unit {G.objects[x]}) is not the identity",
-                        residual=float(err))
-    if not multiplicativity_bound(G, rep) <= atol / 2:  # also when the bound is NaN
-        for a, b, c in zip(*(v.tolist() for v in G.products())):
-            err = np.abs(rep.ops[c] - rep.ops[a] @ rep.ops[b]).max()
-            if err > atol:
-                rep_out.add("multiplicativity",
-                            f"op({G.arrow_ids[a]} o {G.arrow_ids[b]}) != "
-                            f"op({G.arrow_ids[a]}) op({G.arrow_ids[b]})",
-                            residual=float(err))
-    for a in range(G.n_arrows):
-        inv = inverse[a]
-        d = bundle.dims[tgt[a]]
-        err = np.abs(rep.ops[a] @ rep.ops[inv] - np.eye(d)).max()
-        if err > atol:
-            rep_out.add("inverses",
-                        f"op({G.arrow_ids[a]}) op({G.arrow_ids[inv]}) != identity",
-                        residual=float(err))
-    for a in range(G.n_arrows):
-        wt = bundle.weights[tgt[a]]
-        ws = bundle.weights[src[a]]
-        gram = rep.ops[a].conj().T * wt @ rep.ops[a]
-        err = np.abs(gram - np.diag(ws)).max()
-        if err > atol:
-            rep_out.add("unitarity",
-                        f"op({G.arrow_ids[a]}) is not unitary for the fiber weights",
-                        residual=float(err))
-    rep_out.add("measurability", "finite groupoid: every section is measurable",
-                severity="note")
-    return rep_out
+        out.add("shape", "one matrix per arrow is required")
+        return out
+    index = isinstance(rep, IndexRep)
+    tgt = G.tgt.tolist()
+    shapes = (zip((dims[t] for t in tgt), np.diff(rep.starts).tolist()) if index
+              else (op.shape for op in rep.ops))
+    for a, (t, s, shape) in enumerate(zip(tgt, G.src.tolist(), shapes)):
+        want = (dims[t], dims[s])
+        if shape != want:
+            out.add("shape", f"op({G.arrow_ids[a]}) has shape {shape}, wants {want}")
+            return out
+    units, a, b, mult, inverses, unitarity = (
+        _index_residuals(G, rep) if index else _dense_residuals(G, rep, atol))
+    aid, inverse = G.arrow_ids, G.inverse.tolist()
+
+    def failing(residuals):  # indices and residuals above atol, NaN included
+        residuals = np.asarray(residuals, dtype=float)
+        bad = np.flatnonzero(~(residuals <= atol))
+        return zip(bad.tolist(), residuals[bad].tolist())
+
+    for x, err in failing(units):
+        if G.unit_of[x] is None:
+            out.add("units", f"object {G.objects[x]} has no unit arrow")
+        else:
+            out.add("units", f"op(unit {G.objects[x]}) is not the identity", residual=err)
+    for k, err in failing(mult):
+        x, y = aid[a[k]], aid[b[k]]
+        out.add("multiplicativity", f"op({x} o {y}) != op({x}) op({y})", residual=err)
+    for x, err in failing(inverses):
+        out.add("inverses", f"op({aid[x]}) op({aid[inverse[x]]}) != identity", residual=err)
+    for x, err in failing(unitarity):
+        out.add("unitarity", f"op({aid[x]}) is not unitary for the fiber weights",
+                residual=err)
+    out.add("measurability", "finite groupoid: every section is measurable",
+            severity="note")
+    return out
 
 
-def conjugate_rep_on(G: FiniteGroupoid, rep: BundleRep,
+def conjugate_rep_on(G: FiniteGroupoid, rep: BundleRep | IndexRep,
                      unitaries: list[np.ndarray]) -> BundleRep:
-    """Conjugate ``rep`` by a field of unitaries, one per object."""
+    """Conjugate ``rep`` by a field of unitaries, one per object.
+
+    For an :class:`IndexRep`, U_tgt op(a) is the columns of U_tgt that op(a)
+    picks, so no op is built densely.
+    """
     if len(unitaries) != G.n_objects:
         raise ShapeMismatch("need one unitary per object")
     inv = [np.linalg.inv(u) for u in unitaries]
-    ops = [unitaries[t] @ rep.ops[a] @ inv[s]
-           for a, (t, s) in enumerate(zip(G.tgt.tolist(), G.src.tolist()))]
+    ends = enumerate(zip(G.tgt.tolist(), G.src.tolist()))
+    if isinstance(rep, IndexRep):
+        ops = [unitaries[t][:, rep.rows[rep.starts[a]:rep.starts[a + 1]]] @ inv[s]
+               for a, (t, s) in ends]
+    else:
+        ops = [unitaries[t] @ rep.ops[a] @ inv[s] for a, (t, s) in ends]
     return BundleRep(rep.bundle, ops)
 
 
@@ -307,13 +457,15 @@ def conjugate_rep_on(G: FiniteGroupoid, rep: BundleRep,
 # integrated representation
 
 def integrate_rep(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure,
-                  rep: BundleRep, f) -> np.ndarray:
+                  rep: BundleRep | IndexRep, f) -> np.ndarray:
     """Block operator of f on the nu-weighted direct sum of the fibers.
 
     The block at (tgt, src) accumulates f(a) m_o(a) / nu(tgt) times op(a);
     this is the unique operator representing the pairing
     sum_a f(a) <op(a) xi(src a), eta(tgt a)> m_o(a) against the bundle inner
-    product sum_x nu(x) <xi(x), eta(x)>_x.
+    product sum_x nu(x) <xi(x), eta(x)>_x.  For an :class:`IndexRep` each
+    coefficient goes straight to the (row, column) of its op's ones, in
+    arrow order, in one scatter.
     """
     f = _as_function(G, f)
     bundle = rep.bundle
@@ -321,11 +473,18 @@ def integrate_rep(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure,
         raise ShapeMismatch("representation does not match the groupoid")
     ind = induced_measures(G, mu, nu)
     out = np.zeros((bundle.total_dim, bundle.total_dim), dtype=complex)
-    for a, (t, s) in enumerate(zip(G.tgt.tolist(), G.src.tolist())):
-        if f[a] == 0:
-            continue
-        coeff = f[a] * ind.m_o[a] / nu.nu[t]
-        out[bundle.slice_of(t), bundle.slice_of(s)] += coeff * rep.ops[a]
+    used = np.flatnonzero(f != 0)
+    coeff = f[used] * ind.m_o[used] / nu.nu[G.tgt[used]]
+    if isinstance(rep, IndexRep):
+        offsets = np.array(bundle.offsets, dtype=np.intp)
+        width = np.diff(rep.starts)[used]
+        k = np.repeat(np.arange(len(used)), width)
+        cols = _ranges(np.zeros_like(width), width)
+        at = rep.rows[_ranges(rep.starts[used], width)]
+        np.add.at(out, (offsets[G.tgt[used]][k] + at, offsets[G.src[used]][k] + cols), coeff[k])
+        return out
+    for a, t, s, co in zip(used.tolist(), G.tgt[used].tolist(), G.src[used].tolist(), coeff):
+        out[bundle.slice_of(t), bundle.slice_of(s)] += co * rep.ops[a]
     return out
 
 

@@ -92,6 +92,29 @@ def test_domain_mismatch_on_partial_bisections():
         left_translate(G, sigma, loop_c)
 
 
+def test_an_undefined_star_product_raises_at_the_first_failing_object():
+    # drop the products of the last two objects: the middle one is named;
+    # a target outside sigma's domain before it raises DomainMismatch instead
+    G = pair_groupoid("abc")
+    cycle = {x: G.arrow_by_endpoints((x + 1) % 3, x) for x in range(3)}
+    sigma = tau = make_bisection(G, cycle)
+    pairs = [(cycle[G.tgt[a]], a) for a in tau.arrows]
+    H = _with_table(G, [row for row in G.compose_table.tolist()
+                        if tuple(row[:2]) not in pairs[1:]])
+    first, second = (G.arrow_ids[a] for a in pairs[1])
+    with pytest.raises(ValueError, match=rf"^arrows {first} and {second} do not compose$"):
+        bisection_compose(H, sigma, tau)
+    tail = make_bisection(H, {1: cycle[1], 2: cycle[2]})  # objects b and c
+    # at b the product is undefined, at c the target a is outside the domain
+    with pytest.raises(ValueError, match=rf"^arrows {first} and {second} do not compose$"):
+        bisection_compose(H, tail, tail)
+    # at b the target c is outside the domain, at c the product is undefined
+    with pytest.raises(DomainMismatch, match="^target c of tau is outside the domain of sigma$"):
+        bisection_compose(H, make_bisection(H, {0: cycle[0]}), tail)
+    assert bisection_compose(G, sigma, tau).arrows == tuple(
+        G.compose(s, t) for s, t in pairs)
+
+
 def test_local_bisection_inverse_round_trip():
     G = pair_groupoid("abc")
     a, b = G.object_index("a"), G.object_index("b")

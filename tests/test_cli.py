@@ -57,6 +57,11 @@ _MALFORMED = {
     "product-repeated": (["algebra"], _edited(
         "st-m2-units.json",
         lambda d: d["products"].append(dict(d["products"][0], coeffs=[[0, 0]] * 4)))),
+    "identity-embedding-arrows": (["limit"], {
+        "pieces": [_PIECE], "embeddings": [dict(_PAIR2_ONTO, to="p2", arrows="x")]}),
+    "identity-embedding-unknown-label": (["limit"], {
+        "pieces": [_PIECE],
+        "embeddings": [dict(_PAIR2_ONTO, to="p2", objects={"a": "a", "b": "z"})]}),
     "embedding-repeated": (["limit"], {
         "pieces": [_PIECE, {"name": "q2", "file": fx("pair2.json")}],
         "embeddings": [dict(_PAIR2_ONTO, to="q2")] * 2}),
@@ -246,6 +251,13 @@ class TestCommands:
         assert main(["limit", fx("chain-manifest.json")]) == 0
         out = capsys.readouterr().out
         assert "limit: 4 objects, 16 arrows" in out
+
+    def test_limit_reads_a_well_formed_identity_embedding(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"pieces": [_PIECE],
+                                    "embeddings": [dict(_PAIR2_ONTO, to="p2")]}))
+        assert main(["limit", str(path)]) == 0
+        assert "limit: 2 objects, 4 arrows" in capsys.readouterr().out
 
     def test_limit_out_round_trips(self, tmp_path, capsys):
         out = tmp_path / "limit.json"

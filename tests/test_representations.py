@@ -1,6 +1,8 @@
 """Bundle representations, integration, norm bounds, transitive isomorphism."""
 
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -8,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupalg import representations, tolerances
-from groupalg import (HaarSystem, NotTransitive, QuasiInvariantMeasure,
+from groupalg import (HaarSystem, IndexRep, NotTransitive, QuasiInvariantMeasure,
                       ShapeMismatch, adjoint_operator, canonical_bundle,
                       check_representation, conjugate_rep_on, convolve,
                       counting_haar, decompose_transitive, delta,
                       fundamental_family_check, i_norm, induced_measures,
-                      integrate_rep, involute, left_regular, left_regular_rep,
+                      integrate_rep, involute, left_regular_rep,
                       transitive_isomorphism_check, operator_norm,
                       operator_norm_bound_check, trivial_rep,
                       uniform_measure)
@@ -21,7 +23,8 @@ from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
                                klein_table, pair_groupoid, product,
                                symmetric_table)
 from groupalg.groupoid import FiniteGroupoid, isotropy
-from groupalg.randgen import (SplitMix64, random_function, random_groupoid,
+from groupalg.io import load_groupoid
+from groupalg.randgen import (SplitMix64, _group_table, random_function, random_groupoid,
                               random_invariant_weights, random_probability,
                               random_unitary_field)
 from groupalg.report import Report, ReportEntry
@@ -83,15 +86,15 @@ class TestLeftRegular:
     def test_unit_arrow_identity(self):
         G = pair_groupoid("abc")
         mu = counting_haar(G)
+        ops = left_regular_rep(G, mu).ops
         for x in range(3):
-            M = left_regular(G, mu, G.unit_of[x])
-            assert np.array_equal(M, np.eye(3))
+            assert np.array_equal(ops[G.unit_of[x]], np.eye(3))
 
     def test_pair2_permutation_matrix(self):
         G = pair_groupoid("ab")
         mu = counting_haar(G)
         a_ab = G.arrow_by_endpoints(0, 1)  # arrow b -> a
-        M = left_regular(G, mu, a_ab)
+        M = left_regular_rep(G, mu).ops[a_ab]
         assert M.shape == (2, 2)
         assert sorted(M.reshape(-1).real.tolist()) == [0.0, 0.0, 1.0, 1.0]
         # explicit fiber bijection oracle: column h goes to row index of (a_ab o h)
@@ -104,10 +107,9 @@ class TestLeftRegular:
     def test_multiplicativity_matrix_oracle(self):
         G = product(pair_groupoid("ab"), group_groupoid(*cyclic_table(2)))
         mu = HaarSystem(random_invariant_weights(G, SplitMix64(3)))
+        ops = left_regular_rep(G, mu).ops
         for a, b, c in sorted(G.compose_table.tolist())[:50]:
-            lhs = left_regular(G, mu, c)
-            rhs = left_regular(G, mu, a) @ left_regular(G, mu, b)
-            assert np.array_equal(lhs, rhs)
+            assert np.array_equal(ops[c], ops[a] @ ops[b])
 
     def test_full_axioms_zero_residual(self):
         G = product(pair_groupoid("abc"), group_groupoid(*cyclic_table(2)))
@@ -124,7 +126,7 @@ class TestLeftRegular:
         aid = G.arrow_ids
         with pytest.raises(ValueError, match=rf"^{aid[ab]} o {aid[bc]} = {aid[ba]} "
                                              r"leaves the target fiber of a$"):
-            left_regular(bad, counting_haar(bad), ab)
+            left_regular_rep(bad, counting_haar(bad))
 
     def test_transposed_matrix_detected(self):
         # on Z3 the translation matrices are genuine 3-cycles, so a transpose
@@ -538,8 +540,8 @@ def _brute_force_transitive_check(G, mu=None, atol=None):
 
 
 def _brute_force_left_regular(G, arrow):
-    """Translation by ``arrow``, one compose per column: the oracle for
-    left_regular."""
+    """Translation by ``arrow`` as a dense matrix, one compose per column:
+    the oracle for the ops of left_regular_rep."""
     src_fiber = G.target_fiber(G.src[arrow])
     tgt_fiber = G.target_fiber(G.tgt[arrow])
     out = np.zeros((len(tgt_fiber), len(src_fiber)), dtype=complex)
@@ -550,6 +552,19 @@ def _brute_force_left_regular(G, arrow):
                              f"leaves the target fiber of {G.objects[G.tgt[arrow]]}")
         out[tgt_fiber.index(c), col] = 1.0
     return out
+
+
+def _dense_left_regular_rep(G, mu):
+    """The left regular representation with dense ops: the oracle for the
+    index data of left_regular_rep."""
+    return BundleRep(canonical_bundle(G, mu),
+                     [_brute_force_left_regular(G, a) for a in range(G.n_arrows)])
+
+
+def _dense_trivial_rep(G):
+    """The trivial representation with dense ops: the oracle for trivial_rep."""
+    return BundleRep(HilbertBundle([1] * G.n_objects, [np.ones(1)] * G.n_objects),
+                     [np.ones((1, 1), dtype=complex) for _ in range(G.n_arrows)])
 
 
 def _brute_force_cayley(G, x):
@@ -827,15 +842,17 @@ def test_canonical_bundle_dims_match_fibers():
 
 def _all_pairs_multiplicativity(G, rep, atol):
     """The per-pair check: every product the table defines on composable
-    arrows, in composable-pair order; a residual above atol is an entry."""
+    arrows, in composable-pair order; a residual above atol, or NaN, is an
+    entry, and op(a o b) of another shape than op(a) op(b) has residual inf."""
     table = {(a, b): c for a, b, c in G.compose_table.tolist()}
     aid, out = G.arrow_ids, []
     for a, b in G.composable_pairs():
         c = table.get((a, b))
         if c is None:
             continue
-        err = np.abs(rep.ops[c] - rep.ops[a] @ rep.ops[b]).max()
-        if err > atol:
+        lhs, rhs = rep.ops[c], rep.ops[a] @ rep.ops[b]
+        err = np.abs(lhs - rhs).max() if lhs.shape == rhs.shape else math.inf
+        if not err <= atol:
             out.append(ReportEntry("multiplicativity",
                                    f"op({aid[a]} o {aid[b]}) != op({aid[a]}) op({aid[b]})",
                                    residual=float(err)))
@@ -867,11 +884,13 @@ def _certificate_groupoids():
 
 
 def _three_reps(G, seed=71):
+    """The dense left regular and trivial reps, and the conjugated rep."""
     rng = SplitMix64(seed)
     mu = HaarSystem(random_invariant_weights(G, rng))
     lrep = left_regular_rep(G, mu)
     conj = conjugate_rep_on(G, lrep, random_unitary_field(lrep.bundle.weights, rng))
-    return {"left-regular": lrep, "trivial": trivial_rep(G), "conjugated": conj}
+    return {"left-regular": _dense_left_regular_rep(G, mu), "trivial": _dense_trivial_rep(G),
+            "conjugated": conj}
 
 
 def _with_entry_moved(rep, arrow, eps):
@@ -1005,3 +1024,243 @@ class TestMultiplicativityCertificate:
         # law and one for unitarity; the per-pair check makes n^3
         assert size == 2 * (n - 1)
         assert _CountingMatrix.products <= size * n + 2 * G.n_arrows < n ** 3
+
+
+# ---------------------------------------------------------------------------
+# the index reps against the dense oracle
+
+def _entries(report_entries):
+    """Entries as text, so NaN residuals compare equal."""
+    return [str(e) for e in report_entries]
+
+
+def _index_and_dense(G, mu, atol=None):
+    """The index check's entries of the left regular and trivial reps, and
+    the dense oracle's with its full pair scan; or what each build raised."""
+    builds = {"left-regular": (lambda K: left_regular_rep(K, mu),
+                               lambda K: _dense_left_regular_rep(K, mu)),
+              "trivial": (trivial_rep, _dense_trivial_rep)}
+    def outcome(check):
+        try:
+            return _entries(check())
+        except ValueError as exc:  # the two builds must raise the same
+            return f"raised {exc}"
+
+    return {kind: (outcome(lambda: check_representation(G, index(G), atol=atol).entries),
+                   outcome(lambda: _check_with_the_pair_scan(G, dense(G), atol)))
+            for kind, (index, dense) in builds.items()}
+
+
+def _redirects(G, same_target):
+    """Copies of G with one composite redirected, keyed by (row, new
+    composite): to every arrow into the composite's target whose source
+    differs from the second factor's (``same_target``), or else to the next
+    arrow."""
+    rows = G.compose_table[np.lexsort((G.compose_table[:, 1], G.compose_table[:, 0]))]
+    out = {}
+    for i, (a, b, c) in enumerate(rows.tolist()):
+        if same_target:
+            news = [d for d in G.target_fiber(G.tgt[c]) if G.src[d] != G.src[b]]
+        else:
+            news = [(c + 1) % G.n_arrows]
+        for d in news:
+            table = rows.copy()
+            table[i, 2] = d
+            out[i, d] = _rebuilt(G, table)
+    return out
+
+
+_UNION_SHAPES = [  # the unions of the benchmark's mixed-small workload
+    [(3, "s3")], [(2, "z2"), (3, "z2"), (3, "klein")], [(1, "z3")], [(2, "1")],
+    [(1, "s3"), (3, "z2")], [(1, "1"), (1, "s3"), (3, "z3")], [(4, "z3")],
+    [(4, "z2"), (1, "z4"), (1, "z3")], [(3, "s3"), (2, "z2"), (1, "z2")], [(1, "1")],
+    [(3, "z4"), (1, "z3"), (1, "z3")], [(2, "s3"), (1, "klein")],
+]
+def _union(shape):
+    pieces = []
+    for c, (k, group) in enumerate(shape):
+        base = pair_groupoid([f"c{c}x{i}" for i in range(k)])
+        group = None if group == "1" else group_groupoid(*_group_table(group))
+        pieces.append(base if group is None else product(base, group))
+    return pieces[0] if len(pieces) == 1 else disjoint_union(*pieces)
+
+
+class TestIndexReps:
+    def test_storage(self):
+        G = product(pair_groupoid("ab"), group_groupoid(*cyclic_table(3)))
+        rep = left_regular_rep(G, counting_haar(G))
+        assert isinstance(rep, IndexRep) and isinstance(trivial_rep(G), IndexRep)
+        assert rep.starts.tolist() == [6 * a for a in range(G.n_arrows + 1)]
+        assert not rep.rows.flags.writeable and not rep.starts.flags.writeable
+        assert len(rep.ops) == G.n_arrows
+        assert [op.tolist() for op in rep.ops] == \
+            [op.tolist() for op in _dense_left_regular_rep(G, counting_haar(G)).ops]
+        assert np.array_equal(rep.ops[-1], rep.ops[G.n_arrows - 1])
+        with pytest.raises(IndexError):
+            rep.ops[G.n_arrows]
+
+    @pytest.mark.parametrize("name", sorted(_certificate_groupoids()))
+    @pytest.mark.parametrize("atol", [None, 0.0, 1e-9])
+    def test_clean_reports_match_the_dense_oracle(self, name, atol):
+        G = _certificate_groupoids()[name]
+        mu = HaarSystem(random_invariant_weights(G, SplitMix64(71)))
+        for kind, (index, dense) in _index_and_dense(G, mu, atol).items():
+            assert index == dense, kind
+            assert index == [str(ReportEntry("measurability", "finite groupoid: every "
+                                             "section is measurable", "note"))]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32),
+           st.sampled_from(["dropped", "redirected", "redirected-source", "weight"]),
+           st.integers(0, 10 ** 6), st.sampled_from([2.0, 0.5, 1 + 2.0 ** -40]),
+           st.sampled_from([None, 0.0, 1e-9, 1.0]))
+    def test_corrupted_reports_match_the_dense_oracle(self, seed, kind, pick, scale, atol):
+        G = random_groupoid(SplitMix64(seed), max_arrows=36)
+        weights = random_invariant_weights(G, SplitMix64(seed + 1))
+        rows = G.compose_table[np.lexsort((G.compose_table[:, 1], G.compose_table[:, 0]))]
+        H = G
+        if kind == "dropped":
+            H = _rebuilt(G, np.delete(rows, pick % len(rows), axis=0))
+        elif kind == "weight":
+            weights = weights.copy()
+            weights[pick % G.n_arrows] *= scale
+        else:
+            cases = _redirects(G, kind == "redirected-source") or _redirects(G, False)
+            H = list(cases.values())[pick % len(cases)]
+        for kind, (index, dense) in _index_and_dense(H, HaarSystem(weights), atol).items():
+            assert index == dense, kind
+
+    def test_every_redirect_to_another_source_matches_the_dense_oracle(self):
+        # a composite into the right target fiber from the wrong source builds;
+        # its op is compared column by column with the product of the factors
+        G = product(pair_groupoid("ab"), group_groupoid(*cyclic_table(2)))
+        mu = HaarSystem(random_invariant_weights(G, SplitMix64(3)))
+        cases = _redirects(G, True)
+        assert len(cases) == 64
+        for key, H in cases.items():
+            got = _index_and_dense(H, mu)
+            assert got["left-regular"][0] == got["left-regular"][1], key
+            assert got["trivial"][0] == got["trivial"][1], key
+            assert any("multiplicativity" in e for e in got["left-regular"][0]), key
+
+    def test_an_inverse_into_a_smaller_fiber_has_residual_inf(self):
+        # op(a) op(inverse a) would multiply a 2-column op by a 3-row one
+        G = disjoint_union(pair_groupoid("ab"), pair_groupoid("xyz"))
+        a = G.arrow_by_endpoints(0, 1)
+        inverse = list(G.inverse)
+        inverse[a] = G.arrow_by_endpoints(2, 3)
+        H = _rebuilt(G, inverse=inverse)
+        index, dense = _index_and_dense(H, counting_haar(H))["left-regular"]
+        assert index == dense
+        assert f"[error] inverses: op({H.arrow_ids[a]}) op({H.arrow_ids[inverse[a]]}) " \
+               "!= identity (residual inf)" in index
+
+    def test_a_non_finite_weight_matches_the_dense_oracle(self):
+        G = product(pair_groupoid("ab"), group_groupoid(*cyclic_table(2)))
+        weights = np.ones(G.n_arrows)
+        weights[3] = math.inf
+        with np.errstate(invalid="ignore"):
+            index, dense = _index_and_dense(G, HaarSystem(weights))["left-regular"]
+        assert index == dense
+        assert sum("unitarity" in e and "residual nan" in e for e in index) == 4
+
+    @pytest.mark.parametrize("name", ["pair2.json", "pair3.json", "pair3-weighted.json",
+                                      "pair4.json", "iso-z2.json", "two-orbit.json",
+                                      *[f"union{i:02d}" for i in range(len(_UNION_SHAPES))]])
+    def test_integrated_operators_equal_the_dense_ones(self, name):
+        rng = SplitMix64(83)
+        if name.endswith(".json"):
+            gdoc = load_groupoid(os.path.join(os.path.dirname(__file__), os.pardir,
+                                              "src", "groupalg", "fixtures", name))
+            G, (mu, nu) = gdoc.groupoid, gdoc.measures()
+        else:
+            G = _union(_UNION_SHAPES[int(name[5:])])
+            mu = HaarSystem(random_invariant_weights(G, rng))
+            nu = QuasiInvariantMeasure(random_probability(G.n_objects, rng))
+        pairs = [(left_regular_rep(G, mu), _dense_left_regular_rep(G, mu)),
+                 (trivial_rep(G), _dense_trivial_rep(G))]
+        for index, dense in pairs:
+            for f in [random_function(G, rng), delta(G, G.n_arrows - 1), np.zeros(G.n_arrows)]:
+                assert np.array_equal(integrate_rep(G, mu, nu, index, f),
+                                      integrate_rep(G, mu, nu, dense, f))
+
+    def test_conjugation_equals_the_dense_conjugation(self):
+        G = _union(_UNION_SHAPES[1])
+        rng = SplitMix64(89)
+        mu = HaarSystem(random_invariant_weights(G, rng))
+        index = left_regular_rep(G, mu)
+        field = random_unitary_field(index.bundle.weights, rng)
+        got = conjugate_rep_on(G, index, field)
+        want = conjugate_rep_on(G, _dense_left_regular_rep(G, mu), field)
+        assert all(np.array_equal(x, y) for x, y in zip(got.ops, want.ops, strict=True))
+
+    def test_build_check_and_integrate_build_no_dense_op(self, monkeypatch):
+        def refuse(self, a):
+            raise AssertionError(f"op({a}) built densely")
+        monkeypatch.setattr(IndexRep, "dense_op", refuse)
+        G = pair_groupoid([f"o{i}" for i in range(12)])
+        rng = SplitMix64(97)
+        mu = HaarSystem(random_invariant_weights(G, rng))
+        nu = QuasiInvariantMeasure(random_probability(G.n_objects, rng))
+        for rep in (left_regular_rep(G, mu), trivial_rep(G)):
+            assert len(rep.ops) == G.n_arrows
+            assert check_representation(G, rep).ok
+            assert np.isfinite(integrate_rep(G, mu, nu, rep, random_function(G, rng))).all()
+        with pytest.raises(AssertionError, match="built densely"):
+            left_regular_rep(G, mu).ops[0]
+
+    def test_cyclic_256_is_checked_exhaustively_in_seconds(self, monkeypatch):
+        # the dense certificate does not certify Z_256, and its fallback
+        # multiplied all 65,536 pairs of 256 x 256 matrices
+        G = group_groupoid(*cyclic_table(256))
+        mu = HaarSystem(random_invariant_weights(G, SplitMix64(101)))
+        scanned, real = [], FiniteGroupoid.products
+
+        def products(self):
+            out = real(self)
+            scanned.append(len(out[0]))
+            return out
+
+        def no_certificate(self):
+            raise AssertionError("the certificate was consulted")
+        monkeypatch.setattr(FiniteGroupoid, "products", products)
+        monkeypatch.setattr(FiniteGroupoid, "certificate", no_certificate)
+        start = time.perf_counter()
+        report = check_representation(G, left_regular_rep(G, mu))
+        assert time.perf_counter() - start < 10
+        assert report.ok and scanned == [256 ** 2]
+
+
+# ---------------------------------------------------------------------------
+# non-finite ops are violations of the dense check
+
+def _with_nan(rep, arrows, everywhere=False):
+    ops = [op.copy() for op in rep.ops]
+    for a in arrows:
+        if everywhere:
+            ops[a][:] = math.nan
+        else:
+            ops[a][0, 0] = math.nan
+    return BundleRep(rep.bundle, ops)
+
+
+class TestNonFiniteOps:
+    @pytest.mark.parametrize("everywhere", [False, True])
+    def test_nan_in_every_op_fails_every_law(self, everywhere):
+        G = pair_groupoid("abc")
+        rep = _with_nan(_dense_left_regular_rep(G, counting_haar(G)), range(G.n_arrows),
+                        everywhere)
+        report = check_representation(G, rep)
+        assert {e.check for e in report.errors} == {
+            "units", "multiplicativity", "inverses", "unitarity"}
+        assert all(math.isnan(e.residual) for e in report.errors)
+
+    @pytest.mark.parametrize("law", ["units", "multiplicativity", "inverses", "unitarity"])
+    def test_one_nan_op_is_an_entry_of_each_law(self, law):
+        G = pair_groupoid("abc")
+        a = G.unit_of[1] if law == "units" else G.arrow_by_endpoints(0, 2)
+        rep = _with_nan(_dense_left_regular_rep(G, counting_haar(G)), [a], everywhere=True)
+        entries = [e for e in check_representation(G, rep).errors if e.check == law]
+        assert entries and all(math.isnan(e.residual) for e in entries)
+        if law == "multiplicativity":
+            assert _entries(entries) == _entries(_all_pairs_multiplicativity(G, rep, 1e-12))
