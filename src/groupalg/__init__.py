@@ -3,6 +3,7 @@
 from .bisections import (Bisection, bisection_compose, bisection_inverse,
                          enumerate_bisections, left_translate, make_bisection,
                          target_map, unit_bisection)
+from .blocks import BlockOperator
 from .builders import (disjoint_union, group_groupoid, pair_groupoid, product)
 from .errors import (DomainMismatch, FileFormatError, GroupalgError, NotClosed,
                      NotRelationGroupoid, NotTransitive, ShapeMismatch,
@@ -22,12 +23,13 @@ from .partial_algebra import (StructureTable, SubspaceBasis,
                               ideal_closure_check, matrix_units_table,
                               multiplier_subspace)
 from .report import Report, ReportEntry
-from .representations import (BundleRep, HilbertBundle, IndexRep, InducedMeasures,
-                              QuasiInvariantMeasure, TransitiveDecomposition,
-                              adjoint_operator, canonical_bundle,
-                              check_representation, conjugate_rep_on,
-                              decompose_transitive, fundamental_family_check,
-                              induced_measures, integrate_rep,
+from .representations import (BundleRep, HilbertBundle, IndexRep,
+                              InducedMeasures, QuasiInvariantMeasure,
+                              TransitiveDecomposition, adjoint_operator,
+                              canonical_bundle, check_representation,
+                              conjugate_rep_on, decompose_transitive,
+                              fundamental_family_check, induced_measures,
+                              integrate_rep, integrated_blocks,
                               left_regular_rep, transitive_isomorphism_check,
                               operator_norm, operator_norm_bound_check,
                               trivial_rep, uniform_measure)

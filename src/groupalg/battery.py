@@ -15,18 +15,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bisections, tolerances
+from .blocks import BlockOperator
 from .groupoid import (FiniteGroupoid, isotropy_bundle, multipliers, validate)
-from .haar import (convolve, counting_haar, delta, fiber_integrate,
+from .haar import (HaarSystem, convolve, counting_haar, delta, fiber_integrate,
                    function_to_matrix, half_density_inner, i_norm, involute,
                    support_fiber_mass, unit_function)
 from .io import GroupoidDocument, fmt
 from .randgen import SplitMix64, random_function, random_unitary_field
 from .report import Report, SuiteReport, _worst
-from .representations import (adjoint_operator, check_representation,
+from .representations import (HilbertBundle, IndexRep,
+                              QuasiInvariantMeasure, check_representation,
                               conjugate_rep_on, fundamental_family_check,
-                              integrate_rep, left_regular_rep,
-                              transitive_isomorphism_check, operator_norm,
-                              trivial_rep, uniform_measure)
+                              integrated_blocks, left_regular_rep,
+                              transitive_isomorphism_check, trivial_rep,
+                              uniform_measure)
 
 
 @dataclass
@@ -86,6 +88,74 @@ SUITES = (
     "inorm-convergence-bound", "fundamental-family", "half-density-positivity",
     "fiber-integration",
 )
+
+
+def _transport_gaps(conj: BlockOperator, plain: BlockOperator, bundle: HilbertBundle,
+                    field: list[np.ndarray], field_inv: list[np.ndarray]) -> np.ndarray:
+    """``max |conj[i] - U plain[i] U^-1|`` per operator i, with U the
+    block-diagonal field, orbit by orbit and object by object.
+
+    ``conj`` has one block per orbit (a dense rep), whose objects all have
+    one fibre dimension d; the (x, y) slice of U plain U^-1 is
+    U_x plain[x, y] U_y^-1, so each object x of an orbit takes two stacked
+    products: U_x with its rows of plain on the orbit, and then their d x d
+    slices with the U_y^-1.
+    """
+    k = len(conj)
+    owner = np.repeat(np.arange(len(bundle.dims)), bundle.dims)
+    out = np.zeros(k)
+    for positions, data in conj.groups:
+        for pos, block in zip(positions, data.swapaxes(0, 1)):
+            objects = list(dict.fromkeys(owner[pos].tolist()))  # ascending, as pos is
+            m, d = len(objects), len(pos) // len(objects)
+            inverses = np.stack([field_inv[y] for y in objects])
+            for i, x in enumerate(objects):
+                rows = slice(i * d, (i + 1) * d)
+                left = np.matmul(field[x], plain.dense(pos[rows])[:, :, pos])
+                want = np.matmul(left.reshape(k, d, m, d).swapaxes(1, 2), inverses)
+                got = block[:, rows].reshape(k, d, m, d).swapaxes(1, 2)
+                out = np.maximum(out, np.abs(got - want).max(axis=(1, 2, 3)))
+    return out
+
+
+def _integrated_residuals(G: FiniteGroupoid, mu: HaarSystem,
+                          nus: list[QuasiInvariantMeasure], reps, rng: SplitMix64,
+                          t: int) -> tuple[float, float, float]:
+    """The worst residuals of pi(f*g) = pi(f) pi(g), pi(f^*) = pi(f)^* and
+    ||pi(f)|| <= ||f||_I over t trials per (nu, rep).
+
+    The trials of one (nu, rep) are stacks: the t (f, g) pairs are drawn as
+    2t functions in a row, and f, g, f*g and f^* are integrated together,
+    multiplied and adjoined block by block, with one batched SVD per block
+    size for the norms.
+    """
+    worst_mult = worst_star = worst_bound = 0.0
+    for nu in nus:
+        for rep in reps:
+            f, g = rng.complex_boxes(2 * t * G.n_arrows).reshape(t, 2, G.n_arrows).swapaxes(0, 1)
+            ops = integrated_blocks(G, mu, nu, rep,
+                                    np.concatenate([f, g, convolve(G, mu, f, g), involute(G, f)]))
+            pf, pg, pfg, pstar = (ops[i * t:(i + 1) * t] for i in range(4))
+            worst_mult = _worst(worst_mult, *pfg.gaps(pf @ pg).tolist())
+            worst_star = _worst(worst_star, *pstar.gaps(pf.adjoint()).tolist())
+            over = pf.norms() - [i_norm(G, mu, fi) for fi in f]
+            worst_bound = _worst(worst_bound, *over.tolist(), 0.0)
+    return worst_mult, worst_star, worst_bound
+
+
+def _transport_residual(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure,
+                        lrep: IndexRep, rng: SplitMix64, atol: float) -> tuple[bool, float]:
+    """Whether lrep conjugated by a random unitary field passes the
+    representation axioms at atol, and the worst gap between its integrated
+    operators and the conjugated ones of lrep, over two random functions."""
+    field = random_unitary_field(lrep.bundle.weights, rng)
+    field_inv = [np.linalg.inv(u) for u in field]
+    conj = conjugate_rep_on(G, lrep, field, field_inv)
+    ok = check_representation(G, conj, atol=atol).ok
+    fs = rng.complex_boxes(2 * G.n_arrows).reshape(2, G.n_arrows)
+    gaps = _transport_gaps(integrated_blocks(G, mu, nu, conj, fs),
+                           integrated_blocks(G, mu, nu, lrep, fs), lrep.bundle, field, field_inv)
+    return ok, _worst(0.0, *gaps.tolist())
 
 
 def _is_full_pair(G: FiniteGroupoid) -> bool:
@@ -183,21 +253,8 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
     run.record_report("trivial-rep-axioms", check_representation(G, trep))
 
     nus = [uniform_measure(G)] if gdoc.nu_raw is None else [uniform_measure(G), nu]
-    worst_mult = worst_star = worst_bound = 0.0
-    for nu_k in nus:
-        for rep in (trep, lrep):
-            for _ in range(max(trials // 4, 1)):
-                f = random_function(G, rng)
-                g = random_function(G, rng)
-                pf = integrate_rep(G, mu, nu_k, rep, f)
-                pg = integrate_rep(G, mu, nu_k, rep, g)
-                pfg = integrate_rep(G, mu, nu_k, rep, convolve(G, mu, f, g))
-                worst_mult = _worst(worst_mult, float(np.abs(pfg - pf @ pg).max()))
-                pstar = integrate_rep(G, mu, nu_k, rep, involute(G, f))
-                adj = adjoint_operator(pf, rep.bundle, nu_k)
-                worst_star = _worst(worst_star, float(np.abs(pstar - adj).max()))
-                over = operator_norm(pf, rep.bundle, nu_k) - i_norm(G, mu, f)
-                worst_bound = _worst(worst_bound, over, 0.0)
+    worst_mult, worst_star, worst_bound = _integrated_residuals(
+        G, mu, nus, (trep, lrep), rng, max(trials // 4, 1))
     run.record("integrated-homomorphism", worst_mult <= accum,
                "pi(f*g) = pi(f) pi(g)", worst_mult)
     run.record("integrated-star", worst_star <= exact,
@@ -205,20 +262,7 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
     run.record("integrated-norm-bound", worst_bound <= accum,
                "||pi(f)|| <= ||f||_I", worst_bound)
 
-    # unitary equivalence transport
-    field = random_unitary_field(lrep.bundle.weights, rng)
-    conj = conjugate_rep_on(G, lrep, field)
-    conj_check = check_representation(G, conj, atol=accum)
-    ok_conj = conj_check.ok
-    big = np.zeros((lrep.bundle.total_dim, lrep.bundle.total_dim), dtype=complex)
-    for x in range(G.n_objects):
-        big[lrep.bundle.slice_of(x), lrep.bundle.slice_of(x)] = field[x]
-    worst_equiv = 0.0
-    for _ in range(2):
-        f = random_function(G, rng)
-        lhs = integrate_rep(G, mu, nu, conj, f)
-        rhs = big @ integrate_rep(G, mu, nu, lrep, f) @ np.linalg.inv(big)
-        worst_equiv = _worst(worst_equiv, float(np.abs(lhs - rhs).max()))
+    ok_conj, worst_equiv = _transport_residual(G, mu, nu, lrep, rng, accum)
     run.record("equivalence-transport", ok_conj and worst_equiv <= accum,
                "conjugating the rep conjugates the integrated rep", worst_equiv)
 

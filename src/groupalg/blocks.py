@@ -1,0 +1,189 @@
+"""Stacks of small matrices: products in batches of one shape, and
+operators stored by diagonal blocks.
+
+Many products of small matrices of one shape go through one stacked
+``np.matmul`` each batch, each item the same product as a single ``@``.
+An operator that is block diagonal after one permutation of the basis is
+kept as its blocks: the basis positions of each block and a small dense
+matrix per block.  Products, weighted adjoints and spectral norms then work
+block by block, and the singular values of the whole matrix are those of
+its blocks.  The integrated representations of a groupoid have this shape
+(:func:`groupalg.representations.integrated_blocks`).
+"""
+
+from __future__ import annotations
+
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import ShapeMismatch
+from .groupoid import _ranges
+
+_STACK_ENTRIES = 1 << 13  # matrix entries per operand of one stacked product
+
+
+def _stacked(ops: Sequence[np.ndarray], items: np.ndarray) -> np.ndarray:
+    """The ops ``items``, all of one shape, as one (len(items), m, n) array:
+    a view for one item, or for a run of consecutive items of an array."""
+    if len(items) == 1:
+        return ops[items[0]][None]
+    if isinstance(ops, np.ndarray):
+        if items[-1] - items[0] == len(items) - 1 and (np.diff(items) == 1).all():
+            return ops[items[0]:items[-1] + 1]
+        return ops[items]
+    return np.stack([ops[i] for i in items.tolist()])
+
+
+def _batches(keys: Sequence, entries):
+    """(key, items) runs of the item indices with one key, ascending, each
+    at most ``_STACK_ENTRIES // entries(key)`` items long (one at least), so
+    that items of one shape class go through one stacked product and a
+    stack of large matrices is cut into a few."""
+    runs: dict = {}
+    for i, key in enumerate(keys):
+        runs.setdefault(key, []).append(i)
+    for key, items in runs.items():
+        step = max(1, _STACK_ENTRIES // max(entries(key), 1))
+        for lo in range(0, len(items), step):
+            yield key, np.array(items[lo:lo + step], dtype=np.intp)
+
+
+@dataclass(frozen=True, eq=False)
+class BlockPartition:
+    """The positions 0..n-1 split into blocks, the blocks grouped by size.
+
+    ``groups[g]`` is the (nb, s) array of the positions of the nb blocks of
+    size ``sizes[g]`` = s, each block ascending; position p is
+    ``groups[group[p]][block[p], place[p]]``.
+    """
+
+    groups: tuple[np.ndarray, ...]
+    sizes: np.ndarray
+    group: np.ndarray
+    block: np.ndarray
+    place: np.ndarray
+
+    @staticmethod
+    def of(label: np.ndarray) -> BlockPartition:
+        """One block per value of the non-negative int ``label``, in the
+        order of the values; groups by ascending size."""
+        order = np.argsort(label, kind="stable")
+        size = np.bincount(label)
+        size = size[size > 0]  # per block, in the order of the labels
+        first = np.cumsum(size) - size
+        group, block, place = (np.empty(len(label), dtype=np.intp) for _ in range(3))
+        place[order] = np.arange(len(label)) - np.repeat(first, size)
+        groups, sizes = [], np.flatnonzero(np.bincount(size))
+        for g, s in enumerate(sizes.tolist()):
+            which = np.flatnonzero(size == s)
+            positions = order[_ranges(first[which], np.full(len(which), s))].reshape(-1, s)
+            positions.flags.writeable = False
+            group[positions] = g
+            block[positions] = np.arange(len(which))[:, None]
+            groups.append(positions)
+        return BlockPartition(tuple(groups), sizes.astype(np.intp), group, block, place)
+
+    def cells(self, r: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The group of each entry (r[i], c[i]), whose two positions share a
+        block, and its cell in one operator's data of that group, read as
+        a flat (nb, s, s) array."""
+        group = self.group[r]
+        size = self.sizes[group]
+        return group, (self.block[r] * size + self.place[r]) * size + self.place[c]
+
+
+@dataclass(frozen=True, eq=False)
+class BlockOperator:
+    """k operators on one space with a diagonal inner product, block
+    diagonal after one permutation of the positions, stored by blocks.
+
+    ``groups`` holds, per block size s, the (nb, s) positions of the blocks
+    (:attr:`BlockPartition.groups`) and their (k, nb, s, s) ``data``:
+    ``data[i, b]`` is operator i on the rows and columns ``positions[b]``.
+    Every entry outside the blocks is 0.  ``metric`` is the diagonal of the
+    inner product (for a Hilbert bundle, :func:`~groupalg.representations.bundle_metric`).
+    """
+
+    metric: np.ndarray
+    partition: BlockPartition
+    data: tuple[np.ndarray, ...]
+    k: int
+
+    @property
+    def groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        return tuple(zip(self.partition.groups, self.data))
+
+    def __len__(self) -> int:
+        return self.k
+
+    def _with(self, data, k: int | None = None) -> BlockOperator:
+        return BlockOperator(self.metric, self.partition, tuple(data),
+                             self.k if k is None else k)
+
+    def __getitem__(self, rows: slice) -> BlockOperator:
+        """The operators ``rows`` of the stack, on the same blocks."""
+        return self._with((d[rows] for d in self.data), len(range(*rows.indices(self.k))))
+
+    def _paired(self, other: BlockOperator):
+        if self.partition is not other.partition and (
+                len(self.data) != len(other.data) or not all(
+                    np.array_equal(p, q) for p, q in zip(self.partition.groups,
+                                                         other.partition.groups))):
+            raise ShapeMismatch("block operators on different blocks")
+        return zip(self.data, other.data)
+
+    def __matmul__(self, other: BlockOperator) -> BlockOperator:
+        """The products, operator by operator and block by block."""
+        return self._with((np.matmul(d, e) for d, e in self._paired(other)),
+                          max(self.k, other.k))
+
+    def adjoint(self) -> BlockOperator:
+        """The adjoints for the weighted inner product, M^-1 op^H M, as
+        :func:`~groupalg.representations.adjoint_operator` computes them on
+        the dense matrix."""
+        def adjoined(p, d):
+            m = self.metric[p]
+            return d.conj().swapaxes(-1, -2) * m[:, None, :] / m[:, :, None]
+        return self._with(adjoined(p, d) for p, d in self.groups)
+
+    def gaps(self, other: BlockOperator) -> np.ndarray:
+        """``max |self[i] - other[i]|`` per operator i (NaN when an entry is)."""
+        out = np.zeros(max(self.k, other.k))
+        for d, e in self._paired(other):
+            out = np.maximum(out, np.abs(d - e).max(axis=(1, 2, 3)))
+        return out
+
+    def norms(self) -> np.ndarray:
+        """The spectral norm of each operator in the weighted geometry: the
+        largest singular value of its flat similar matrix, over one batched
+        SVD per block size, exact because the blocks' singular values are
+        the matrix's.  NaN for an operator with a non-finite entry of the
+        flat matrix, and for all of them when the metric has a zero or
+        infinite root."""
+        root = np.sqrt(self.metric)
+        if not (np.isfinite(root).all() and root.all()):
+            return np.full(self.k, math.nan)
+        out = np.zeros(self.k)
+        for p, d in self.groups:
+            r = root[p]
+            sim = d * r[:, :, None] / r[:, None, :]
+            bad = ~np.isfinite(sim).all(axis=(1, 2, 3))
+            sim[bad] = 0.0
+            top = np.linalg.svd(sim, compute_uv=False)[..., 0].max(axis=1)
+            out = np.maximum(out, np.where(bad, math.nan, top))
+        return out
+
+    def dense(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """The (k, n, n) stack of dense matrices, or their ``rows`` only."""
+        n = len(self.metric)
+        rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
+        part = self.partition
+        group, block, place = part.group[rows], part.block[rows], part.place[rows]
+        out = np.zeros((self.k, len(rows), n), dtype=complex)
+        for g, (p, d) in enumerate(self.groups):
+            i = np.flatnonzero(group == g)
+            out[:, i[:, None], p[block[i]]] = d[:, block[i], place[i]]
+        return out

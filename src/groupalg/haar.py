@@ -44,10 +44,14 @@ class HaarSystem:
 
 
 def check_haar_positivity(weights) -> Report:
-    """Whether raw arrow weights can be a Haar system: all strictly positive."""
+    """Whether raw arrow weights can be a Haar system: all strictly positive
+    and finite."""
+    w = np.asarray(weights)
     rep = Report("haar-positivity")
-    if not np.all(np.asarray(weights) > 0):
+    if not np.all(w > 0):
         rep.add("haar-positivity", "a Haar weight is not strictly positive")
+    elif not np.isfinite(w).all():
+        rep.add("haar-positivity", "a Haar weight is not finite")
     return rep
 
 
@@ -76,19 +80,26 @@ def check_left_invariance(G: FiniteGroupoid, mu: HaarSystem) -> Report:
         return rep
     g, h, gh = G.products()
     err = np.abs(mu.weights[gh] - mu.weights[h])
-    for i in np.flatnonzero(err > atol).tolist():
+    for i in np.flatnonzero(~(err <= atol)).tolist():  # NaN fails too
         rep.add("left-invariance",
                 f"weight({G.arrow_ids[g[i]]} o {G.arrow_ids[h[i]]}) != "
                 f"weight({G.arrow_ids[h[i]]})", residual=float(err[i]))
     return rep
 
 
-def _as_function(G: FiniteGroupoid, f) -> np.ndarray:
+def _as_function(G: FiniteGroupoid, f, stack: bool = False) -> np.ndarray:
+    """f as a complex (A,) vector, or with ``stack`` also a (k, A) stack of
+    functions, one per row."""
     f = np.asarray(f, dtype=complex)
-    if f.shape != (G.n_arrows,):
-        raise ShapeMismatch(
-            f"function has shape {f.shape}, expected ({G.n_arrows},)")
+    if f.shape != (G.n_arrows,) and not (stack and f.ndim == 2 and f.shape[1] == G.n_arrows):
+        want = f"({G.n_arrows},) or (k, {G.n_arrows})" if stack else f"({G.n_arrows},)"
+        raise ShapeMismatch(f"function has shape {f.shape}, expected {want}")
     return f
+
+
+def _gather(f: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``f[..., index]`` for a function or a stack of them."""
+    return f[index] if f.ndim == 1 else np.take(f, index, axis=1)
 
 
 def delta(G: FiniteGroupoid, arrow: int) -> np.ndarray:
@@ -106,17 +117,25 @@ def fiber_integrate(G: FiniteGroupoid, mu: HaarSystem, f) -> np.ndarray:
 
 
 def convolve(G: FiniteGroupoid, mu: HaarSystem, f, g) -> np.ndarray:
-    f = _as_function(G, f)
-    g = _as_function(G, g)
+    """f * g; for (k, A) stacks (one may be a single function) row by row,
+    each row summed in the same order as a single call."""
+    f = _as_function(G, f, stack=True)
+    g = _as_function(G, g, stack=True)
     outs, lefts, rights = G.convolution_plan()
-    out = np.zeros(G.n_arrows, dtype=complex)
-    np.add.at(out, outs, f[lefts] * g[rights] * mu.weights[lefts])
+    terms = _gather(f, lefts) * _gather(g, rights) * mu.weights[lefts]
+    out = np.zeros(terms.shape[:-1] + (G.n_arrows,), dtype=complex)
+    if terms.ndim == 1:
+        np.add.at(out, outs, terms)
+    else:  # row i of the stack at i * A onwards in the flat output
+        at = np.arange(len(terms))[:, None] * G.n_arrows + outs
+        np.add.at(out.reshape(-1), at.ravel(), terms.ravel())
     return out
 
 
 def involute(G: FiniteGroupoid, f) -> np.ndarray:
-    f = _as_function(G, f)
-    return np.conj(f[G.inverse])
+    """f^*; row by row for a (k, A) stack."""
+    f = _as_function(G, f, stack=True)
+    return np.conj(_gather(f, G.inverse))
 
 
 def unit_function(G: FiniteGroupoid, mu: HaarSystem) -> np.ndarray:

@@ -29,10 +29,12 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import tolerances
+from .blocks import BlockOperator, BlockPartition, _batches, _stacked
 from .errors import NotTransitive, ShapeMismatch
 from .groupoid import (FiniteGroupoid, IsotropyGroup, _fibers, _joined, _ranges, components,
                        isotropy)
@@ -128,10 +130,11 @@ def line_bundle(G: FiniteGroupoid) -> HilbertBundle:
 
 @dataclass(frozen=True)
 class BundleRep:
-    """A matrix per arrow, shaped dim(tgt) x dim(src) over the given bundle."""
+    """A matrix per arrow, shaped dim(tgt) x dim(src) over the given bundle:
+    a list, or one (A, m, n) array when all have one shape."""
 
     bundle: HilbertBundle
-    ops: list[np.ndarray]
+    ops: Sequence[np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -140,11 +143,13 @@ class IndexRep:
     column, kept as the row of each column.
 
     Column j of op(a) has its 1 in row ``rows[starts[a] + j]``, for j below
-    ``starts[a + 1] - starts[a]``; op(a) has ``bundle.dims[tgt[a]]`` rows.
-    ``ops`` reads the same matrices densely, each built when it is read.
+    ``starts[a + 1] - starts[a]``; op(a) maps the fiber of ``src[a]`` into
+    the fiber of ``tgt[a]`` and has ``bundle.dims[tgt[a]]`` rows.  ``ops``
+    reads the same matrices densely, each built when it is read.
     """
 
     bundle: HilbertBundle
+    src: np.ndarray
     tgt: np.ndarray
     rows: np.ndarray
     starts: np.ndarray
@@ -152,6 +157,21 @@ class IndexRep:
     @property
     def ops(self) -> _DenseOps:
         return _DenseOps(self)
+
+    @cached_property
+    def blocks(self) -> tuple[BlockPartition, np.ndarray, np.ndarray]:
+        """The blocks of every integrated operator of this rep, and where
+        each 1 of the ops falls in them: the connected components of the
+        bundle positions, joined by the (row, column) of each 1, and the
+        group and cell (:meth:`BlockPartition.cells`) of each entry of ``rows``.
+        """
+        width = np.diff(self.starts)
+        arrow = np.repeat(np.arange(len(width)), width)
+        offsets = np.array(self.bundle.offsets[:-1], dtype=np.intp)
+        r = offsets[self.tgt[arrow]] + self.rows
+        c = offsets[self.src[arrow]] + _ranges(np.zeros_like(width), width)
+        part = BlockPartition.of(components(self.bundle.total_dim, r, c))
+        return (part, *part.cells(r, c))
 
     def dense_op(self, a: int) -> np.ndarray:
         cols = self.rows[self.starts[a]:self.starts[a + 1]]
@@ -176,13 +196,13 @@ class _DenseOps(Sequence):
         return self._rep.dense_op(a % len(self))
 
 
-def _index_rep(bundle: HilbertBundle, tgt: np.ndarray, rows, counts) -> IndexRep:
+def _index_rep(bundle: HilbertBundle, G: FiniteGroupoid, rows, counts) -> IndexRep:
     starts = np.zeros(len(counts) + 1, dtype=np.intp)
     np.cumsum(counts, out=starts[1:])
     rows = np.array(rows, dtype=np.intp)
     for v in (rows, starts):
         v.flags.writeable = False
-    return IndexRep(bundle, tgt, rows, starts)
+    return IndexRep(bundle, G.src, G.tgt, rows, starts)
 
 
 def trivial_rep(G: FiniteGroupoid) -> IndexRep:
@@ -191,7 +211,7 @@ def trivial_rep(G: FiniteGroupoid) -> IndexRep:
     Complex scalars throughout; restricting the line fiber to a real unit
     interval would change nothing checkable at this scale.
     """
-    return _index_rep(line_bundle(G), G.tgt, np.zeros(G.n_arrows, dtype=np.intp),
+    return _index_rep(line_bundle(G), G, np.zeros(G.n_arrows, dtype=np.intp),
                       np.ones(G.n_arrows, dtype=np.intp))
 
 
@@ -218,7 +238,7 @@ def left_regular_rep(G: FiniteGroupoid, mu: HaarSystem) -> IndexRep:
                          f"leaves the target fiber of {G.objects[G.tgt[a]]}")
     position = np.empty(G.n_arrows, dtype=np.intp)
     position[into] = np.arange(G.n_arrows) - np.repeat(first, size)
-    return _index_rep(canonical_bundle(G, mu), G.tgt, position[c], counts)
+    return _index_rep(canonical_bundle(G, mu), G, position[c], counts)
 
 
 def _inf_norms(mats) -> np.ndarray:
@@ -259,6 +279,10 @@ def multiplicativity_bound(G: FiniteGroupoid, rep: BundleRep) -> float:
     report is at most (1 + 3u) (E_L + gamma kappa^2), and when that sum is
     at most atol / 2, none exceeds atol.  The return value is
     E_L + gamma kappa^2 (NaN when an op is not finite).
+
+    The products op(s) op(b) of one generator s are one stacked product
+    over the b of its source fibre (per shape of their ops), each item the
+    same product as a single ``op(s) @ op(b)``.
     """
     cert = G.certificate()
     if not cert.associative:
@@ -270,9 +294,13 @@ def multiplicativity_bound(G: FiniteGroupoid, rep: BundleRep) -> float:
     if not math.isfinite(kappa):
         return math.nan
     s, b = _joined(cert.generators, np.arange(G.n_arrows), G.src, G.tgt, G.n_objects)
-    pairs = zip(s.tolist(), b.tolist(), G.composites(s, b).tolist())
-    r = _inf_norms(ops[sb] - ops[s] @ ops[b]
-                   for s, b, sb in pairs).max(initial=0.0) * (1 + 4 * gamma)
+    sb = G.composites(s, b)
+    shapes = [ops[x].shape for x in b.tolist()]
+    r = 0.0
+    for _, i in _batches(list(zip(s.tolist(), shapes)), lambda key: math.prod(key[1])):
+        defect = _stacked(ops, sb[i]) - np.matmul(ops[s[i[0]]], _stacked(ops, b[i]))
+        r = np.maximum(r, np.abs(defect).sum(axis=2).max(axis=1).max(initial=0.0))
+    r = float(r) * (1 + 4 * gamma)
     rho = r + gamma * kappa ** 2
     bound = rho
     for _ in range(cert.depth - 1):
@@ -292,7 +320,8 @@ def _dense_residuals(G: FiniteGroupoid, rep: BundleRep, atol: float):
     """The residual of each law on dense ops: per object (units), per
     composable pair with a composite (pairs and residuals; none when the
     certificate proves every residual at most atol), per arrow (inverses,
-    unitarity)."""
+    unitarity).  The per-arrow products are stacked, one np.matmul per
+    shape class of their factors."""
     ops, dims, weights = rep.ops, rep.bundle.dims, rep.bundle.weights
     src, tgt, inverse = G.src.tolist(), G.tgt.tolist(), G.inverse.tolist()
     units = [math.nan if u is None else _gap(ops[u], np.eye(dims[x]))
@@ -302,11 +331,22 @@ def _dense_residuals(G: FiniteGroupoid, rep: BundleRep, atol: float):
     else:
         a, b, c = G.products()
     mult = [_gap(ops[z], ops[x] @ ops[y]) for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())]
-    inverses = [_gap(ops[x] @ ops[inverse[x]], np.eye(dims[tgt[x]]))
-                if ops[x].shape[1] == ops[inverse[x]].shape[0] else math.inf
-                for x in range(G.n_arrows)]
-    unitarity = [_gap(ops[x].conj().T * weights[tgt[x]] @ ops[x], np.diag(weights[src[x]]))
-                 for x in range(G.n_arrows)]
+    shapes = [op.shape for op in ops]
+    inverses = np.full(G.n_arrows, math.inf)  # stays inf where op(x) op(inverse x) is not square
+    pairs = [(shapes[x], shapes[inverse[x]]) for x in range(G.n_arrows)]
+    for (left, right), x in _batches(pairs, lambda key: max(map(math.prod, key))):
+        if left[1] == right[0] and right[1] == left[0]:
+            product = np.matmul(_stacked(ops, x), _stacked(ops, G.inverse[x]))
+            inverses[x] = np.abs(product - np.eye(left[0])).max(axis=(1, 2))
+    unitarity = np.zeros(G.n_arrows)
+    for shape, x in _batches(shapes, math.prod):
+        stack = _stacked(ops, x)
+        tgt_weights = np.stack([weights[tgt[i]] for i in x.tolist()])
+        gram = np.matmul(stack.conj().transpose(0, 2, 1) * tgt_weights[:, None, :], stack)
+        diag = np.zeros_like(gram)
+        d = np.arange(shape[1])
+        diag[:, d, d] = [weights[src[i]] for i in x.tolist()]
+        unitarity[x] = np.abs(gram - diag).max(axis=(1, 2))
     return units, a, b, mult, inverses, unitarity
 
 
@@ -435,26 +475,93 @@ def check_representation(G: FiniteGroupoid, rep: BundleRep | IndexRep,
 
 
 def conjugate_rep_on(G: FiniteGroupoid, rep: BundleRep | IndexRep,
-                     unitaries: list[np.ndarray]) -> BundleRep:
-    """Conjugate ``rep`` by a field of unitaries, one per object.
+                     unitaries: list[np.ndarray],
+                     inverses: list[np.ndarray] | None = None) -> BundleRep:
+    """Conjugate ``rep`` by a field of unitaries, one per object, with the
+    given inverses of the unitaries or else ``np.linalg.inv`` of each.
 
     For an :class:`IndexRep`, U_tgt op(a) is the columns of U_tgt that op(a)
-    picks, so no op is built densely.
+    picks, so no op is built densely.  The ops are one array when they all
+    have one shape.
     """
     if len(unitaries) != G.n_objects:
         raise ShapeMismatch("need one unitary per object")
-    inv = [np.linalg.inv(u) for u in unitaries]
-    ends = enumerate(zip(G.tgt.tolist(), G.src.tolist()))
-    if isinstance(rep, IndexRep):
-        ops = [unitaries[t][:, rep.rows[rep.starts[a]:rep.starts[a + 1]]] @ inv[s]
-               for a, (t, s) in ends]
-    else:
-        ops = [unitaries[t] @ rep.ops[a] @ inv[s] for a, (t, s) in ends]
+    inv = [np.linalg.inv(u) for u in unitaries] if inverses is None else inverses
+    ends = list(zip(G.tgt.tolist(), G.src.tolist()))
+    dims = rep.bundle.dims
+    shapes = {(dims[t], dims[s]) for t, s in ends}
+    ops = (np.empty((G.n_arrows, *shapes.pop()), dtype=complex) if len(shapes) == 1
+           else [None] * G.n_arrows)
+    for a, (t, s) in enumerate(ends):
+        if isinstance(rep, IndexRep):
+            ops[a] = unitaries[t][:, rep.rows[rep.starts[a]:rep.starts[a + 1]]] @ inv[s]
+        else:
+            ops[a] = unitaries[t] @ rep.ops[a] @ inv[s]
     return BundleRep(rep.bundle, ops)
 
 
 # ---------------------------------------------------------------------------
 # integrated representation
+
+def integrated_blocks(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure,
+                      rep: BundleRep | IndexRep, f) -> BlockOperator:
+    """The integrated operators of an (A,) function or a (k, A) stack of
+    functions, by blocks: operator i accumulates f_i(a) m_o(a) / nu(tgt a)
+    times op(a) into the (tgt a, src a) slot of the nu-weighted direct sum
+    of the fibers (:func:`integrate_rep`).
+
+    The blocks are fixed once per rep.  An :class:`IndexRep` splits by the
+    connected components of the bundle positions joined by the (row,
+    column) of every 1 of its ops (:attr:`IndexRep.blocks`): for the left
+    regular rep one block per source object of the fiber arrows, for the
+    trivial rep one per orbit.  A dense rep splits by orbits.  Either way
+    the entries come from the same data as the blocks, so none falls
+    outside them.  The coefficients are added to their entries in arrow
+    order, in one scatter for an index rep and one per batch of ops of one
+    shape for a dense rep, and where f is 0 nothing is added: the dense
+    matrices equal those of one slice addition per arrow.
+    """
+    f = _as_function(G, f, stack=True)
+    fs = np.atleast_2d(f)
+    k, bundle = len(fs), rep.bundle
+    if len(bundle.dims) != G.n_objects or len(rep.ops) != G.n_arrows:
+        raise ShapeMismatch("representation does not match the groupoid")
+    ind = induced_measures(G, mu, nu)
+    row, used = np.nonzero(fs != 0)  # row by row, arrows ascending
+    coeff = fs[row, used] * ind.m_o[used] / nu.nu[G.tgt[used]]
+    index = isinstance(rep, IndexRep)
+    if index:
+        part, group, cell = rep.blocks
+    else:
+        orbit = components(G.n_objects, G.tgt, G.src)
+        part = BlockPartition.of(np.repeat(orbit, bundle.dims))
+    slab = np.array([p.size for p in part.groups], dtype=np.intp) * part.sizes
+    start = np.concatenate([[0], np.cumsum(k * slab)]).astype(np.intp)
+    flat = np.zeros(start[-1], dtype=complex)
+    if index:
+        width = np.diff(rep.starts)[used]
+        entry = _ranges(rep.starts[used], width)
+        term = np.repeat(np.arange(len(used)), width)
+        g = group[entry]
+        np.add.at(flat, start[g] + row[term] * slab[g] + cell[entry], coeff[term])
+    else:  # every entry of each op; the terms of one op shape stacked
+        offsets = np.array(bundle.offsets[:-1], dtype=np.intp)
+        dims = np.array(bundle.dims, dtype=np.intp)
+        t, s = G.tgt[used], G.src[used]
+        for (h, w), i in _batches(list(zip(dims[t].tolist(), dims[s].tolist())),
+                                  lambda key: key[0] * key[1]):
+            terms = coeff[i, None, None] * _stacked(rep.ops, used[i])
+            # an object's fiber is contiguous in its block: entry (y, z) of
+            # op(a) is y rows and z columns past that of entry (0, 0)
+            g, corner = part.cells(offsets[t[i]], offsets[s[i]])
+            size = part.sizes[g][:, None, None]
+            at = ((start[g] + row[i] * slab[g] + corner)[:, None, None]
+                  + size * np.arange(h)[:, None] + np.arange(w))
+            np.add.at(flat, at.ravel(), terms.ravel())
+    data = (flat[start[g]:start[g + 1]].reshape(k, *p.shape, p.shape[1])
+            for g, p in enumerate(part.groups))
+    return BlockOperator(bundle_metric(bundle, nu), part, tuple(data), k)
+
 
 def integrate_rep(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure,
                   rep: BundleRep | IndexRep, f) -> np.ndarray:
@@ -463,29 +570,10 @@ def integrate_rep(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure,
     The block at (tgt, src) accumulates f(a) m_o(a) / nu(tgt) times op(a);
     this is the unique operator representing the pairing
     sum_a f(a) <op(a) xi(src a), eta(tgt a)> m_o(a) against the bundle inner
-    product sum_x nu(x) <xi(x), eta(x)>_x.  For an :class:`IndexRep` each
-    coefficient goes straight to the (row, column) of its op's ones, in
-    arrow order, in one scatter.
+    product sum_x nu(x) <xi(x), eta(x)>_x.  The dense matrix of
+    :func:`integrated_blocks`.
     """
-    f = _as_function(G, f)
-    bundle = rep.bundle
-    if len(bundle.dims) != G.n_objects or len(rep.ops) != G.n_arrows:
-        raise ShapeMismatch("representation does not match the groupoid")
-    ind = induced_measures(G, mu, nu)
-    out = np.zeros((bundle.total_dim, bundle.total_dim), dtype=complex)
-    used = np.flatnonzero(f != 0)
-    coeff = f[used] * ind.m_o[used] / nu.nu[G.tgt[used]]
-    if isinstance(rep, IndexRep):
-        offsets = np.array(bundle.offsets, dtype=np.intp)
-        width = np.diff(rep.starts)[used]
-        k = np.repeat(np.arange(len(used)), width)
-        cols = _ranges(np.zeros_like(width), width)
-        at = rep.rows[_ranges(rep.starts[used], width)]
-        np.add.at(out, (offsets[G.tgt[used]][k] + at, offsets[G.src[used]][k] + cols), coeff[k])
-        return out
-    for a, t, s, co in zip(used.tolist(), G.tgt[used].tolist(), G.src[used].tolist(), coeff):
-        out[bundle.slice_of(t), bundle.slice_of(s)] += co * rep.ops[a]
-    return out
+    return integrated_blocks(G, mu, nu, rep, _as_function(G, f)).dense()[0]
 
 
 def bundle_metric(bundle: HilbertBundle, nu: QuasiInvariantMeasure) -> np.ndarray:
@@ -523,14 +611,16 @@ def support_blocks(M: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def operator_norm(op: np.ndarray, bundle: HilbertBundle,
                   nu: QuasiInvariantMeasure) -> float:
-    """Spectral norm in the weighted geometry, via similarity to the flat one.
+    """Spectral norm of a dense operator in the weighted geometry, via
+    similarity to the flat one.
 
     The operator is block diagonal up to permuting its rows and columns (for
     the left regular representation, one block per source object of the
     fiber arrows), and the singular values of the flat similar matrix are
     those of its blocks: the norm is the largest over one small SVD per
     support block, and a single block is the whole matrix.  A non-finite
-    entry of the flat matrix gives NaN.
+    entry of the flat matrix gives NaN.  :meth:`BlockOperator.norms` gives
+    the same norms from the blocks of an integrated operator.
     """
     root = np.sqrt(bundle_metric(bundle, nu))
     if not (np.isfinite(root).all() and root.all()):
@@ -548,13 +638,13 @@ def operator_norm(op: np.ndarray, bundle: HilbertBundle,
 
 
 def operator_norm_bound_check(G: FiniteGroupoid, mu: HaarSystem,
-                              nu: QuasiInvariantMeasure, rep: BundleRep, f) -> Report:
+                              nu: QuasiInvariantMeasure, rep: BundleRep | IndexRep,
+                              f) -> Report:
     """Check the contraction bound: spectral norm of the integrated operator
     never exceeds the I-norm of the function."""
     atol = tolerances.accum_tol()
     out = Report("integrated-norm-bound")
-    op = integrate_rep(G, mu, nu, rep, f)
-    norm = operator_norm(op, rep.bundle, nu)
+    norm = float(integrated_blocks(G, mu, nu, rep, _as_function(G, f)).norms()[0])
     bound = i_norm(G, mu, f)
     if not norm <= bound + atol:  # a NaN norm fails too
         out.add("norm-bound", f"operator norm {norm:.17g} exceeds I-norm {bound:.17g}",

@@ -1,0 +1,79 @@
+"""Dense whole-space oracles for the integrated representations.
+
+These are the paths that the block operators replaced: the integrated
+operator scattered into one (sum of dims)^2 matrix, and the battery's
+integrated suites run one trial at a time on those matrices, with the
+unitary field applied as one block-diagonal matrix and its inverse.
+"""
+
+import numpy as np
+
+from groupalg.groupoid import _ranges
+from groupalg.haar import _as_function, convolve, i_norm, involute
+from groupalg.randgen import random_function, random_unitary_field
+from groupalg.report import _worst
+from groupalg.representations import (IndexRep, adjoint_operator, check_representation,
+                                      conjugate_rep_on, induced_measures, operator_norm)
+
+
+def scatter_integrate(G, mu, nu, rep, f):
+    """The integrated operator of one function as a dense matrix: for an
+    IndexRep one scatter of every coefficient to the (row, column) of its
+    op's ones, in arrow order; for dense ops one slice addition per arrow."""
+    f = _as_function(G, f)
+    bundle = rep.bundle
+    ind = induced_measures(G, mu, nu)
+    out = np.zeros((bundle.total_dim, bundle.total_dim), dtype=complex)
+    used = np.flatnonzero(f != 0)
+    coeff = f[used] * ind.m_o[used] / nu.nu[G.tgt[used]]
+    if isinstance(rep, IndexRep):
+        offsets = np.array(bundle.offsets, dtype=np.intp)
+        width = np.diff(rep.starts)[used]
+        k = np.repeat(np.arange(len(used)), width)
+        cols = _ranges(np.zeros_like(width), width)
+        at = rep.rows[_ranges(rep.starts[used], width)]
+        np.add.at(out, (offsets[G.tgt[used]][k] + at, offsets[G.src[used]][k] + cols), coeff[k])
+        return out
+    for a, t, s, co in zip(used.tolist(), G.tgt[used].tolist(), G.src[used].tolist(), coeff):
+        out[bundle.slice_of(t), bundle.slice_of(s)] += co * rep.ops[a]
+    return out
+
+
+def per_trial_integrated(G, mu, nus, reps, rng, t):
+    """The worst residuals of the integrated homomorphism, star and norm
+    bound laws, one trial at a time on dense matrices."""
+    worst_mult = worst_star = worst_bound = 0.0
+    for nu_k in nus:
+        for rep in reps:
+            for _ in range(t):
+                f = random_function(G, rng)
+                g = random_function(G, rng)
+                pf = scatter_integrate(G, mu, nu_k, rep, f)
+                pg = scatter_integrate(G, mu, nu_k, rep, g)
+                pfg = scatter_integrate(G, mu, nu_k, rep, convolve(G, mu, f, g))
+                worst_mult = _worst(worst_mult, float(np.abs(pfg - pf @ pg).max()))
+                pstar = scatter_integrate(G, mu, nu_k, rep, involute(G, f))
+                adj = adjoint_operator(pf, rep.bundle, nu_k)
+                worst_star = _worst(worst_star, float(np.abs(pstar - adj).max()))
+                over = operator_norm(pf, rep.bundle, nu_k) - i_norm(G, mu, f)
+                worst_bound = _worst(worst_bound, over, 0.0)
+    return worst_mult, worst_star, worst_bound
+
+
+def big_matrix_transport(G, mu, nu, lrep, rng, atol):
+    """Whether the conjugated rep passes its axioms, and the worst gap
+    between its integrated operators and big pi(f) big^-1, with big the
+    block-diagonal unitary field, over two functions."""
+    field = random_unitary_field(lrep.bundle.weights, rng)
+    conj = conjugate_rep_on(G, lrep, field)
+    ok = check_representation(G, conj, atol=atol).ok
+    big = np.zeros((lrep.bundle.total_dim, lrep.bundle.total_dim), dtype=complex)
+    for x in range(G.n_objects):
+        big[lrep.bundle.slice_of(x), lrep.bundle.slice_of(x)] = field[x]
+    worst = 0.0
+    for _ in range(2):
+        f = random_function(G, rng)
+        lhs = scatter_integrate(G, mu, nu, conj, f)
+        rhs = big @ scatter_integrate(G, mu, nu, lrep, f) @ np.linalg.inv(big)
+        worst = _worst(worst, float(np.abs(lhs - rhs).max()))
+    return ok, worst

@@ -7,12 +7,18 @@ import re
 import numpy as np
 import pytest
 
+from groupalg import battery, tolerances
 from groupalg.battery import SUITES, BatteryRun, _worst, run_battery
-from groupalg.builders import pair_groupoid
+from groupalg.builders import cyclic_table, group_groupoid, pair_groupoid, product
 from groupalg.cli import main
-from groupalg.io import GroupoidDocument
+from groupalg.haar import HaarSystem
+from groupalg.io import GroupoidDocument, load_groupoid
 from groupalg.randgen import SplitMix64, random_invariant_weights, random_probability
 from groupalg.report import Report
+from groupalg.representations import (BundleRep, QuasiInvariantMeasure, left_regular_rep,
+                                      trivial_rep, uniform_measure)
+
+from oracles import big_matrix_transport, per_trial_integrated
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -33,6 +39,73 @@ def test_check_all_matches_the_committed_report(seed, capsys):
     assert RESIDUAL.sub("*", got) == RESIDUAL.sub("*", want)
     for g, w in zip(RESIDUAL.findall(got), RESIDUAL.findall(want)):
         assert math.isclose(float(g), float(w), rel_tol=1e-6, abs_tol=1e-13), (g, w)
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "src", "groupalg", "fixtures")
+GROUPOIDS = ["iso-z2.json", "pair2.json", "pair3-weighted.json", "pair3.json", "pair4.json",
+             "two-orbit.json"]
+INTEGRATED = ["integrated-homomorphism", "integrated-star", "integrated-norm-bound",
+              "equivalence-transport"]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("name", GROUPOIDS)
+def test_integrated_suites_match_the_per_trial_dense_loop(name, seed, monkeypatch):
+    # the battery's stream at the integrated suites, replayed through the
+    # per-trial loop on dense (sum of dims)^2 matrices
+    calls, states = [], []
+    real_integrated, real_transport = battery._integrated_residuals, battery._transport_residual
+
+    def integrated(G, mu, nus, reps, rng, t):
+        calls.append((G, mu, nus, reps, SplitMix64(0), t))
+        calls[-1][4].state = rng.state
+        out = real_integrated(G, mu, nus, reps, rng, t)
+        states.append(rng.state)
+        return out
+
+    def transport(*args):
+        out = real_transport(*args)
+        states.append(args[4].state)
+        return out
+
+    monkeypatch.setattr(battery, "_integrated_residuals", integrated)
+    monkeypatch.setattr(battery, "_transport_residual", transport)
+    gdoc = load_groupoid(os.path.join(FIXTURES, name))
+    run = run_battery(gdoc, seed=seed, trials=20)
+    [(G, mu, nus, (trep, lrep), rng, t)] = calls
+    want = [*per_trial_integrated(G, mu, nus, (trep, lrep), rng, t)]
+    assert rng.state == states[0]  # the stacked draws are the per-trial draws
+    ok, equiv = big_matrix_transport(G, mu, gdoc.measures()[1], lrep, rng,
+                                     tolerances.accum_tol())
+    assert rng.state == states[1]
+    want.append(equiv)
+    lines = {line.name: line for line in run.lines}
+    for suite, w in zip(INTEGRATED, want):
+        got = lines[suite].residual
+        assert math.isclose(got, w, rel_tol=1e-6, abs_tol=1e-13), (suite, got, w)
+        assert lines[suite].ok
+    assert ok and t == 5
+
+
+def test_stacked_trials_equal_the_per_trial_loop_on_a_broken_rep():
+    # an op scaled by 20 breaks every integrated law by an amount that
+    # depends on the drawn functions, so the residuals pin which draws
+    # make up each trial
+    G = product(pair_groupoid("abc"), group_groupoid(*cyclic_table(2)))
+    rng = SplitMix64(11)
+    mu = HaarSystem(random_invariant_weights(G, rng))
+    nus = [uniform_measure(G), QuasiInvariantMeasure(random_probability(G.n_objects, rng))]
+    lrep = left_regular_rep(G, mu)
+    ops = [op.copy() for op in lrep.ops]
+    ops[5] *= 20.0
+    reps = (trivial_rep(G), lrep, BundleRep(lrep.bundle, ops))
+    stacked, looped = SplitMix64(3), SplitMix64(3)
+    got = battery._integrated_residuals(G, mu, nus, reps, stacked, 5)
+    want = per_trial_integrated(G, mu, nus, reps, looped, 5)
+    assert stacked.state == looped.state
+    assert min(got) > 1e-3
+    for g, w in zip(got, want, strict=True):
+        assert math.isclose(g, w, rel_tol=1e-9), (got, want)
 
 
 def test_worst_propagates_nan():

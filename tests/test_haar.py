@@ -11,7 +11,10 @@ from groupalg import (HaarSystem, check_left_invariance, convolve,
                       source_haar, support_fiber_mass, unit_function)
 from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
                                pair_groupoid, product)
-from groupalg.randgen import SplitMix64, random_function, random_invariant_weights
+from groupalg.errors import ShapeMismatch
+from groupalg.haar import check_haar_positivity
+from groupalg.randgen import (SplitMix64, random_function, random_groupoid,
+                              random_invariant_weights)
 
 
 def brute_force_convolve(G, weights, f, g):
@@ -53,6 +56,29 @@ class TestHaarSystems:
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
             HaarSystem(np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_weights_are_refused(self, bad):
+        weights = np.ones(9)
+        weights[4] = bad
+        [entry] = check_haar_positivity(weights).errors
+        assert entry.witness == ("a Haar weight is not finite" if bad == np.inf
+                                 else "a Haar weight is not strictly positive")
+        with pytest.raises(ValueError, match="a Haar weight is not"):
+            HaarSystem(weights)
+        assert check_haar_positivity(np.ones(9)).ok
+
+    def test_left_invariance_fails_on_a_nan_residual(self):
+        # inf - inf is NaN: the judgment must read NaN as a failure; the
+        # system is built around HaarSystem, which refuses these weights
+        G = pair_groupoid("abc")
+        mu = object.__new__(HaarSystem)
+        object.__setattr__(mu, "weights", np.full(G.n_arrows, np.inf))
+        with np.errstate(invalid="ignore"):
+            rep = check_left_invariance(G, mu)
+        assert not rep.ok
+        assert len(rep.errors) == len(G.products()[0])
+        assert all(np.isnan(e.residual) for e in rep.errors)
 
 
 class TestFiberIntegrate:
@@ -138,6 +164,39 @@ class TestConvolve:
         f = random_function(G, rng)
         assert np.abs(convolve(G, mu, u, f) - f).max() <= 1e-12
         assert np.abs(convolve(G, mu, f, u) - f).max() <= 1e-12
+
+
+class TestStacks:
+    """A (k, A) stack goes row by row, each row as a single call."""
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_stacked_convolve_equals_single_calls(self, seed):
+        G = random_groupoid(SplitMix64(seed), max_arrows=40)
+        rng = SplitMix64(seed)
+        mu = HaarSystem(random_invariant_weights(G, rng))
+        F = np.array([random_function(G, rng) for _ in range(5)])
+        Gs = np.array([random_function(G, rng) for _ in range(5)])
+        got = convolve(G, mu, F, Gs)
+        assert got.shape == F.shape
+        assert all(np.array_equal(got[i], convolve(G, mu, F[i], Gs[i])) for i in range(5))
+        one = convolve(G, mu, F[0], Gs)  # a single function against a stack
+        assert all(np.array_equal(one[i], convolve(G, mu, F[0], Gs[i])) for i in range(5))
+
+    def test_stacked_involute_equals_single_calls(self):
+        G = product(pair_groupoid("abc"), group_groupoid(*cyclic_table(3)))
+        rng = SplitMix64(5)
+        F = np.array([random_function(G, rng) for _ in range(4)])
+        got = involute(G, F)
+        assert all(np.array_equal(got[i], involute(G, F[i])) for i in range(4))
+
+    def test_empty_stack_and_bad_shapes(self):
+        G = pair_groupoid("ab")
+        mu = counting_haar(G)
+        assert convolve(G, mu, np.zeros((0, 4)), np.zeros((0, 4))).shape == (0, 4)
+        with pytest.raises(ShapeMismatch, match=r"expected \(4,\) or \(k, 4\)"):
+            convolve(G, mu, np.zeros((2, 5)), np.zeros((2, 5)))
+        with pytest.raises(ShapeMismatch):
+            i_norm(G, mu, np.zeros((2, 4)))  # the norms take one function
 
 
 class TestInvolute:

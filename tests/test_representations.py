@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupalg import representations, tolerances
+from groupalg import blocks, representations, tolerances
 from groupalg import (HaarSystem, IndexRep, NotTransitive, QuasiInvariantMeasure,
                       ShapeMismatch, adjoint_operator, canonical_bundle,
                       check_representation, conjugate_rep_on, convolve,
@@ -22,14 +22,17 @@ from groupalg import (HaarSystem, IndexRep, NotTransitive, QuasiInvariantMeasure
 from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
                                klein_table, pair_groupoid, product,
                                symmetric_table)
-from groupalg.groupoid import FiniteGroupoid, isotropy
+from groupalg.groupoid import FiniteGroupoid, _joined, isotropy
 from groupalg.io import load_groupoid
 from groupalg.randgen import (SplitMix64, _group_table, random_function, random_groupoid,
                               random_invariant_weights, random_probability,
                               random_unitary_field)
 from groupalg.report import Report, ReportEntry
+from groupalg.blocks import BlockOperator, BlockPartition
 from groupalg.representations import (BundleRep, HilbertBundle, bundle_metric,
-                                      support_blocks, tensor_of_function)
+                                      integrated_blocks, support_blocks, tensor_of_function)
+
+from oracles import scatter_integrate
 
 
 def weighted_inner(bundle, nu, u, v):
@@ -1159,8 +1162,10 @@ class TestIndexReps:
         G = product(pair_groupoid("ab"), group_groupoid(*cyclic_table(2)))
         weights = np.ones(G.n_arrows)
         weights[3] = math.inf
+        mu = object.__new__(HaarSystem)  # HaarSystem itself refuses the weight
+        object.__setattr__(mu, "weights", weights)
         with np.errstate(invalid="ignore"):
-            index, dense = _index_and_dense(G, HaarSystem(weights))["left-regular"]
+            index, dense = _index_and_dense(G, mu)["left-regular"]
         assert index == dense
         assert sum("unitarity" in e and "residual nan" in e for e in index) == 4
 
@@ -1264,3 +1269,262 @@ class TestNonFiniteOps:
         assert entries and all(math.isnan(e.residual) for e in entries)
         if law == "multiplicativity":
             assert _entries(entries) == _entries(_all_pairs_multiplicativity(G, rep, 1e-12))
+
+
+# ---------------------------------------------------------------------------
+# integrated operators by blocks against the dense scatter and loops
+
+def _measured(name, rng):
+    """A fixture or a mixed-small union shape, with its Haar system and nu."""
+    if name.endswith(".json"):
+        gdoc = load_groupoid(os.path.join(os.path.dirname(__file__), os.pardir,
+                                          "src", "groupalg", "fixtures", name))
+        return gdoc.groupoid, *gdoc.measures()
+    G = _union(_UNION_SHAPES[int(name[5:])])
+    return (G, HaarSystem(random_invariant_weights(G, rng)),
+            QuasiInvariantMeasure(random_probability(G.n_objects, rng)))
+
+
+_MEASURED = ["pair2.json", "pair3.json", "pair3-weighted.json", "pair4.json", "iso-z2.json",
+             "two-orbit.json", *[f"union{i:02d}" for i in range(len(_UNION_SHAPES))]]
+
+
+def _reps_of(G, mu, rng):
+    lrep = left_regular_rep(G, mu)
+    field = random_unitary_field(lrep.bundle.weights, rng)
+    return {"left-regular": lrep, "trivial": trivial_rep(G),
+            "conjugated": conjugate_rep_on(G, lrep, field),
+            "dense-left-regular": _dense_left_regular_rep(G, mu)}
+
+
+def _functions(G, rng):
+    """A random function, one with every third value 0, a delta and zero."""
+    sparse = random_function(G, rng)
+    sparse[::3] = 0
+    return np.array([random_function(G, rng), sparse, delta(G, G.n_arrows - 1),
+                     np.zeros(G.n_arrows)])
+
+
+class TestIntegratedBlocks:
+    @pytest.mark.parametrize("name", _MEASURED)
+    def test_integrate_rep_equals_the_dense_scatter(self, name):
+        rng = SplitMix64(83)
+        G, mu, nu = _measured(name, rng)
+        for kind, rep in _reps_of(G, mu, rng).items():
+            fs = _functions(G, rng)
+            for f in fs:
+                assert np.array_equal(integrate_rep(G, mu, nu, rep, f),
+                                      scatter_integrate(G, mu, nu, rep, f)), kind
+            # one stack, whose rows use different arrows
+            dense = integrated_blocks(G, mu, nu, rep, fs).dense()
+            assert all(np.array_equal(d, scatter_integrate(G, mu, nu, rep, f))
+                       for d, f in zip(dense, fs, strict=True)), kind
+
+    @pytest.mark.parametrize("entries", [1, 16])
+    @pytest.mark.parametrize("name", ["pair3-weighted.json", "iso-z2.json", "union01",
+                                      "union07", "union10"])
+    def test_dense_ops_in_small_batches_give_the_same_matrices(self, name, entries,
+                                                                monkeypatch):
+        # one op a batch, and a few: the sums per entry keep arrow order
+        monkeypatch.setattr(blocks, "_STACK_ENTRIES", entries)
+        rng = SplitMix64(91)
+        G, mu, nu = _measured(name, rng)
+        for kind in ("conjugated", "dense-left-regular"):
+            rep = _reps_of(G, mu, rng)[kind]
+            fs = _functions(G, rng)
+            dense = integrated_blocks(G, mu, nu, rep, fs).dense()
+            assert all(np.array_equal(d, scatter_integrate(G, mu, nu, rep, f))
+                       for d, f in zip(dense, fs, strict=True)), kind
+
+    @pytest.mark.parametrize("name", _MEASURED)
+    def test_index_blocks_are_the_support_blocks(self, name):
+        # with f > 0 no two terms cancel, so the support of the operator
+        # is every entry of the ops
+        G, mu, nu = _measured(name, SplitMix64(89))
+        for rep in (left_regular_rep(G, mu), trivial_rep(G)):
+            op = integrated_blocks(G, mu, nu, rep, np.ones(G.n_arrows))
+            got = sorted(p.tolist() for positions, _ in op.groups for p in positions)
+            support = support_blocks(op.dense()[0])
+            assert all(np.array_equal(r, c) for r, c in support)
+            assert got == sorted(r.tolist() for r, _ in support)
+            assert rep.blocks is rep.blocks  # computed once per rep
+
+    def test_left_regular_blocks_are_the_source_objects(self):
+        G = product(pair_groupoid("abcd"), group_groupoid(*symmetric_table(3)))
+        mu = counting_haar(G)
+        op = integrated_blocks(G, mu, uniform_measure(G), left_regular_rep(G, mu),
+                               np.ones(G.n_arrows))
+        [(positions, data)] = op.groups
+        assert positions.shape == (4, 4 * 6) and data.shape == (1, 4, 24, 24)
+        # the trivial rep of a transitive groupoid is one block of all objects
+        [(positions, _)] = integrated_blocks(G, mu, uniform_measure(G), trivial_rep(G),
+                                             np.ones(G.n_arrows)).groups
+        assert positions.tolist() == [list(range(4))]
+
+    @pytest.mark.parametrize("name", ["two-orbit.json", "union01", "union07", "union10"])
+    def test_products_adjoints_gaps_and_norms_agree_with_the_dense_matrices(self, name):
+        rng = SplitMix64(97)
+        G, mu, nu = _measured(name, rng)
+        for kind, rep in _reps_of(G, mu, rng).items():
+            ops = integrated_blocks(G, mu, nu, rep, _functions(G, rng)[:3])
+            dense = ops.dense()
+            assert len(ops) == 3 and len(ops[1:3]) == 2
+            assert np.abs((ops @ ops).dense() - dense @ dense).max() <= 1e-13, kind
+            assert np.array_equal(ops.adjoint().dense(),
+                                  [adjoint_operator(d, rep.bundle, nu) for d in dense]), kind
+            assert np.array_equal(ops[:2].gaps(ops[1:]),
+                                  np.abs(dense[:2] - dense[1:]).max(axis=(1, 2))), kind
+            for norm, d in zip(ops.norms(), dense, strict=True):
+                assert norm == pytest.approx(_dense_operator_norm(d, rep.bundle, nu),
+                                             rel=1e-12, abs=1e-15), kind
+
+    def test_a_non_finite_entry_makes_its_norm_nan(self):
+        G = pair_groupoid("abcd")
+        rng = SplitMix64(101)
+        mu = HaarSystem(random_invariant_weights(G, rng))
+        nu = uniform_measure(G)
+        f = random_function(G, rng)
+        bad = f.copy()
+        bad[5] = complex(math.inf, 0.0)
+        for rep in (trivial_rep(G), left_regular_rep(G, mu)):
+            with np.errstate(invalid="ignore"):
+                norms = integrated_blocks(G, mu, nu, rep, [f, bad, f]).norms()
+                want = operator_norm(integrate_rep(G, mu, nu, rep, f), rep.bundle, nu)
+            assert norms[0] == norms[2] == pytest.approx(want, rel=1e-12)
+            assert math.isnan(norms[1])
+            with np.errstate(invalid="ignore"):
+                ops = integrated_blocks(G, mu, nu, rep, [f, bad, f])
+                gaps = ops.gaps(ops[::-1])
+            assert gaps[0] == gaps[2] == 0.0
+            assert math.isnan(gaps[1])
+
+    def test_operators_on_different_blocks_do_not_combine(self):
+        G = pair_groupoid("abc")
+        mu, nu = counting_haar(G), uniform_measure(G)
+        f = np.ones(G.n_arrows)
+        lrep = left_regular_rep(G, mu)
+        ops = integrated_blocks(G, mu, nu, lrep, f)
+        other = integrated_blocks(G, mu, nu, conjugate_rep_on(
+            G, lrep, random_unitary_field(lrep.bundle.weights, SplitMix64(3))), f)
+        with pytest.raises(ShapeMismatch):
+            ops @ other
+        with pytest.raises(ShapeMismatch):
+            ops.gaps(other)
+
+    def test_an_empty_bundle(self):
+        empty = BlockPartition.of(np.zeros(0, dtype=int))
+        ops = BlockOperator(np.zeros(0), empty, (), 3)
+        assert ops.dense().shape == (3, 0, 0)
+        assert ops.norms().tolist() == [0.0, 0.0, 0.0]
+        assert ops.gaps(ops).tolist() == [0.0, 0.0, 0.0]
+
+    def test_norm_bound_check_makes_no_dense_operator(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense operator built")
+        monkeypatch.setattr(BlockOperator, "dense", refuse)
+        G = pair_groupoid([f"o{i}" for i in range(6)])
+        rng = SplitMix64(103)
+        mu = HaarSystem(random_invariant_weights(G, rng))
+        nu = QuasiInvariantMeasure(random_probability(G.n_objects, rng))
+        for rep in (trivial_rep(G), left_regular_rep(G, mu)):
+            assert operator_norm_bound_check(G, mu, nu, rep, random_function(G, rng)).ok
+
+
+# ---------------------------------------------------------------------------
+# the stacked products of the dense check against the per-pair and
+# per-arrow loops
+
+def _per_pair_bound(G, rep):
+    """multiplicativity_bound with one matrix product per generator pair."""
+    cert = G.certificate()
+    if not cert.associative:
+        return math.inf
+    ops = rep.ops
+    dim = max(rep.bundle.dims, default=0) + 2
+    gamma = math.sqrt(2) * dim * 2.0 ** -53 / (1 - dim * 2.0 ** -53)
+    kappa = float(representations._inf_norms(ops).max(initial=0.0)) * (1 + 4 * gamma)
+    if not math.isfinite(kappa):
+        return math.nan
+    s, b = _joined(cert.generators, np.arange(G.n_arrows), G.src, G.tgt, G.n_objects)
+    pairs = zip(s.tolist(), b.tolist(), G.composites(s, b).tolist())
+    r = representations._inf_norms(ops[sb] - ops[s] @ ops[b]
+                                   for s, b, sb in pairs).max(initial=0.0) * (1 + 4 * gamma)
+    rho = r + gamma * kappa ** 2
+    bound = rho
+    for _ in range(cert.depth - 1):
+        bound = rho * (1 + kappa) + kappa * bound
+    return float(bound + gamma * kappa ** 2)
+
+
+def _per_arrow_residuals(G, rep):
+    """The inverse and unitarity residuals with two products per arrow."""
+    ops, dims, weights = rep.ops, rep.bundle.dims, rep.bundle.weights
+    src, tgt, inverse = G.src.tolist(), G.tgt.tolist(), G.inverse.tolist()
+    inverses = [representations._gap(ops[x] @ ops[inverse[x]], np.eye(dims[tgt[x]]))
+                if ops[x].shape[1] == ops[inverse[x]].shape[0] else math.inf
+                for x in range(G.n_arrows)]
+    unitarity = [representations._gap(ops[x].conj().T * weights[tgt[x]] @ ops[x],
+                                      np.diag(weights[src[x]]))
+                 for x in range(G.n_arrows)]
+    return inverses, unitarity
+
+
+def _stacked_and_looped_reps():
+    for name, G in _certificate_groupoids().items():
+        for kind, rep in _three_reps(G).items():
+            yield f"{name}-{kind}", G, rep
+            yield f"{name}-{kind}-moved", G, _with_entry_moved(rep, G.n_arrows // 2, 1e-7)
+            yield f"{name}-{kind}-list", G, BundleRep(rep.bundle, list(rep.ops))
+
+
+class TestStackedProducts:
+    def test_the_bound_equals_the_per_pair_loop(self):
+        for label, G, rep in _stacked_and_looped_reps():
+            got, want = representations.multiplicativity_bound(G, rep), _per_pair_bound(G, rep)
+            assert got == want, label
+
+    def test_the_bound_is_nan_on_a_non_finite_op_as_the_loop(self):
+        G = product(pair_groupoid("ab"), group_groupoid(*cyclic_table(3)))
+        rep = _with_nan(_three_reps(G)["conjugated"], [4])
+        assert math.isnan(representations.multiplicativity_bound(G, rep))
+        assert math.isnan(_per_pair_bound(G, rep))
+
+    def test_small_stack_batches_give_the_same_bound(self, monkeypatch):
+        G = product(pair_groupoid("abc"), group_groupoid(*cyclic_table(4)))
+        rep = _three_reps(G)["conjugated"]
+        want = _per_pair_bound(G, rep)
+        for entries in (1, 200, 1000):  # one op a batch, a few, a fibre and more
+            monkeypatch.setattr(blocks, "_STACK_ENTRIES", entries)
+            assert representations.multiplicativity_bound(G, rep) == want
+
+    def test_inverse_and_unitarity_residuals_equal_the_per_arrow_loop(self, monkeypatch):
+        monkeypatch.setattr(representations, "multiplicativity_bound", lambda G, rep: 0.0)
+        for label, G, rep in _stacked_and_looped_reps():
+            _, _, _, _, inverses, unitarity = representations._dense_residuals(G, rep, 1e-9)
+            want_inverses, want_unitarity = _per_arrow_residuals(G, rep)
+            assert np.array_equal(inverses, want_inverses), label
+            assert np.array_equal(unitarity, want_unitarity), label
+
+    def test_residuals_of_non_finite_and_mismatched_ops_equal_the_loop(self):
+        G = pair_groupoid("abc")
+        rep = _with_nan(_dense_left_regular_rep(G, counting_haar(G)), [2, 5], everywhere=True)
+        H = disjoint_union(pair_groupoid("ab"), pair_groupoid("xyz"))
+        inverse = list(H.inverse)
+        inverse[H.arrow_by_endpoints(0, 1)] = H.arrow_by_endpoints(2, 3)
+        H = _rebuilt(H, inverse=inverse)
+        for K, r in ((G, rep), (H, _dense_left_regular_rep(H, counting_haar(H)))):
+            _, _, _, _, inverses, unitarity = representations._dense_residuals(K, r, 1e-9)
+            want_inverses, want_unitarity = _per_arrow_residuals(K, r)
+            assert np.array_equal(inverses, want_inverses, equal_nan=True)
+            assert np.array_equal(unitarity, want_unitarity, equal_nan=True)
+
+    def test_conjugated_ops_are_one_array(self):
+        G = product(pair_groupoid("ab"), group_groupoid(*cyclic_table(3)))
+        conj = _three_reps(G)["conjugated"]
+        assert isinstance(conj.ops, np.ndarray) and conj.ops.shape == (G.n_arrows, 6, 6)
+        U = disjoint_union(pair_groupoid("ab"), pair_groupoid("xyz"))
+        lrep = left_regular_rep(U, counting_haar(U))
+        mixed = conjugate_rep_on(U, lrep, random_unitary_field(lrep.bundle.weights,
+                                                               SplitMix64(7)))
+        assert isinstance(mixed.ops, list)
+        assert [op.shape for op in mixed.ops] == [op.shape for op in lrep.ops]
