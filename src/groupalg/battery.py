@@ -95,26 +95,23 @@ def _transport_gaps(conj: BlockOperator, plain: BlockOperator, bundle: HilbertBu
     """``max |conj[i] - U plain[i] U^-1|`` per operator i, with U the
     block-diagonal field, orbit by orbit and object by object.
 
-    ``conj`` has one block per orbit (a dense rep), whose objects all have
-    one fibre dimension d; the (x, y) slice of U plain U^-1 is
-    U_x plain[x, y] U_y^-1, so each object x of an orbit takes two stacked
-    products: U_x with its rows of plain on the orbit, and then their d x d
-    slices with the U_y^-1.
+    ``conj`` has one block per orbit (a dense rep), in which each object's
+    fiber is contiguous; the (x, y) slice of U plain U^-1 is
+    U_x plain[x, y] U_y^-1, taken from U_x times the rows of x in plain.
     """
-    k = len(conj)
     owner = np.repeat(np.arange(len(bundle.dims)), bundle.dims)
-    out = np.zeros(k)
+    out = np.zeros(len(conj))
     for positions, data in conj.groups:
         for pos, block in zip(positions, data.swapaxes(0, 1)):
-            objects = list(dict.fromkeys(owner[pos].tolist()))  # ascending, as pos is
-            m, d = len(objects), len(pos) // len(objects)
-            inverses = np.stack([field_inv[y] for y in objects])
-            for i, x in enumerate(objects):
-                rows = slice(i * d, (i + 1) * d)
-                left = np.matmul(field[x], plain.dense(pos[rows])[:, :, pos])
-                want = np.matmul(left.reshape(k, d, m, d).swapaxes(1, 2), inverses)
-                got = block[:, rows].reshape(k, d, m, d).swapaxes(1, 2)
-                out = np.maximum(out, np.abs(got - want).max(axis=(1, 2, 3)))
+            objects = owner[pos]  # ascending, as pos is
+            first = np.flatnonzero(np.diff(objects, prepend=-1))
+            spans = [(x, slice(lo, lo + bundle.dims[x]))
+                     for x, lo in zip(objects[first].tolist(), first.tolist())]
+            for x, rows in spans:
+                want = np.matmul(field[x], plain.dense(pos[rows])[:, :, pos])
+                for y, cols in spans:
+                    want[:, :, cols] = np.matmul(want[:, :, cols], field_inv[y])
+                out = np.maximum(out, np.abs(block[:, rows] - want).max(axis=(1, 2)))
     return out
 
 
@@ -149,8 +146,8 @@ def _transport_residual(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMea
     representation axioms at atol, and the worst gap between its integrated
     operators and the conjugated ones of lrep, over two random functions."""
     field = random_unitary_field(lrep.bundle.weights, rng)
+    conj = conjugate_rep_on(G, lrep, field)
     field_inv = [np.linalg.inv(u) for u in field]
-    conj = conjugate_rep_on(G, lrep, field, field_inv)
     ok = check_representation(G, conj, atol=atol).ok
     fs = rng.complex_boxes(2 * G.n_arrows).reshape(2, G.n_arrows)
     gaps = _transport_gaps(integrated_blocks(G, mu, nu, conj, fs),

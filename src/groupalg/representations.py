@@ -475,10 +475,8 @@ def check_representation(G: FiniteGroupoid, rep: BundleRep | IndexRep,
 
 
 def conjugate_rep_on(G: FiniteGroupoid, rep: BundleRep | IndexRep,
-                     unitaries: list[np.ndarray],
-                     inverses: list[np.ndarray] | None = None) -> BundleRep:
-    """Conjugate ``rep`` by a field of unitaries, one per object, with the
-    given inverses of the unitaries or else ``np.linalg.inv`` of each.
+                     unitaries: list[np.ndarray]) -> BundleRep:
+    """Conjugate ``rep`` by a field of unitaries, one per object.
 
     For an :class:`IndexRep`, U_tgt op(a) is the columns of U_tgt that op(a)
     picks, so no op is built densely.  The ops are one array when they all
@@ -486,7 +484,7 @@ def conjugate_rep_on(G: FiniteGroupoid, rep: BundleRep | IndexRep,
     """
     if len(unitaries) != G.n_objects:
         raise ShapeMismatch("need one unitary per object")
-    inv = [np.linalg.inv(u) for u in unitaries] if inverses is None else inverses
+    inv = [np.linalg.inv(u) for u in unitaries]
     ends = list(zip(G.tgt.tolist(), G.src.tolist()))
     dims = rep.bundle.dims
     shapes = {(dims[t], dims[s]) for t, s in ends}
@@ -517,9 +515,9 @@ def integrated_blocks(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasu
     trivial rep one per orbit.  A dense rep splits by orbits.  Either way
     the entries come from the same data as the blocks, so none falls
     outside them.  The coefficients are added to their entries in arrow
-    order, in one scatter for an index rep and one per batch of ops of one
-    shape for a dense rep, and where f is 0 nothing is added: the dense
-    matrices equal those of one slice addition per arrow.
+    order, in one scatter for an index rep and one slice addition per term
+    for a dense rep, and where f is 0 nothing is added: the dense matrices
+    equal those of one slice addition per arrow.
     """
     f = _as_function(G, f, stack=True)
     fs = np.atleast_2d(f)
@@ -538,29 +536,24 @@ def integrated_blocks(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasu
     slab = np.array([p.size for p in part.groups], dtype=np.intp) * part.sizes
     start = np.concatenate([[0], np.cumsum(k * slab)]).astype(np.intp)
     flat = np.zeros(start[-1], dtype=complex)
+    data = tuple(flat[start[g]:start[g + 1]].reshape(k, *p.shape, p.shape[1])
+                 for g, p in enumerate(part.groups))
     if index:
         width = np.diff(rep.starts)[used]
         entry = _ranges(rep.starts[used], width)
         term = np.repeat(np.arange(len(used)), width)
         g = group[entry]
         np.add.at(flat, start[g] + row[term] * slab[g] + cell[entry], coeff[term])
-    else:  # every entry of each op; the terms of one op shape stacked
-        offsets = np.array(bundle.offsets[:-1], dtype=np.intp)
-        dims = np.array(bundle.dims, dtype=np.intp)
-        t, s = G.tgt[used], G.src[used]
-        for (h, w), i in _batches(list(zip(dims[t].tolist(), dims[s].tolist())),
-                                  lambda key: key[0] * key[1]):
-            terms = coeff[i, None, None] * _stacked(rep.ops, used[i])
-            # an object's fiber is contiguous in its block: entry (y, z) of
-            # op(a) is y rows and z columns past that of entry (0, 0)
-            g, corner = part.cells(offsets[t[i]], offsets[s[i]])
-            size = part.sizes[g][:, None, None]
-            at = ((start[g] + row[i] * slab[g] + corner)[:, None, None]
-                  + size * np.arange(h)[:, None] + np.arange(w))
-            np.add.at(flat, at.ravel(), terms.ravel())
-    data = (flat[start[g]:start[g + 1]].reshape(k, *p.shape, p.shape[1])
-            for g, p in enumerate(part.groups))
-    return BlockOperator(bundle_metric(bundle, nu), part, tuple(data), k)
+    else:  # an object's fiber is contiguous in its orbit's block
+        first = np.array(bundle.offsets[:-1], dtype=np.intp)
+        group, block, place = (part.group[first].tolist(), part.block[first].tolist(),
+                               part.place[first].tolist())
+        ends = zip(row.tolist(), used.tolist(), G.tgt[used].tolist(), G.src[used].tolist())
+        for (i, a, t, s), c in zip(ends, coeff):
+            rows = slice(place[t], place[t] + bundle.dims[t])
+            cols = slice(place[s], place[s] + bundle.dims[s])
+            data[group[t]][i, block[t], rows, cols] += c * rep.ops[a]
+    return BlockOperator(bundle_metric(bundle, nu), part, data, k)
 
 
 def integrate_rep(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure,

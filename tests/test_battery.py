@@ -1,5 +1,6 @@
 """The battery end to end: committed golden reports and non-finite residuals."""
 
+import json
 import math
 import os
 import re
@@ -9,13 +10,16 @@ import pytest
 
 from groupalg import battery, tolerances
 from groupalg.battery import SUITES, BatteryRun, _worst, run_battery
-from groupalg.builders import cyclic_table, group_groupoid, pair_groupoid, product
+from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid, pair_groupoid,
+                               product)
 from groupalg.cli import main
 from groupalg.haar import HaarSystem
 from groupalg.io import GroupoidDocument, load_groupoid
-from groupalg.randgen import SplitMix64, random_invariant_weights, random_probability
+from groupalg.randgen import (SplitMix64, random_invariant_weights, random_probability,
+                              random_unitary_field)
 from groupalg.report import Report
-from groupalg.representations import (BundleRep, QuasiInvariantMeasure, left_regular_rep,
+from groupalg.representations import (BundleRep, HilbertBundle, QuasiInvariantMeasure,
+                                      conjugate_rep_on, integrated_blocks, left_regular_rep,
                                       trivial_rep, uniform_measure)
 
 from oracles import big_matrix_transport, per_trial_integrated
@@ -106,6 +110,57 @@ def test_stacked_trials_equal_the_per_trial_loop_on_a_broken_rep():
     assert min(got) > 1e-3
     for g, w in zip(got, want, strict=True):
         assert math.isclose(g, w, rel_tol=1e-9), (got, want)
+
+
+def test_transport_gaps_take_each_objects_own_fiber_dimension():
+    # fibers of dimensions 1 and 2 in one orbit and 2, 1, 3 in another:
+    # no groupoid's left regular rep has them, but the gaps are linear
+    # algebra on any ops, and equal those of the whole block-diagonal field
+    G = disjoint_union(pair_groupoid("ab"), pair_groupoid("cde"))
+    rng = SplitMix64(13)
+    dims = [1, 2, 2, 1, 3]
+    bundle = HilbertBundle(dims, [1.0 + np.arange(d) for d in dims])
+    rep = BundleRep(bundle, [rng.complex_boxes(dims[t] * dims[s]).reshape(dims[t], dims[s])
+                             for t, s in zip(G.tgt.tolist(), G.src.tolist())])
+    field = random_unitary_field(bundle.weights, rng)
+    field_inv = [np.linalg.inv(u) for u in field]
+    mu, nu = HaarSystem(np.ones(G.n_arrows)), uniform_measure(G)
+    fs = rng.complex_boxes(2 * G.n_arrows).reshape(2, G.n_arrows)
+    plain = integrated_blocks(G, mu, nu, rep, fs)
+    big = np.zeros((bundle.total_dim, bundle.total_dim), dtype=complex)
+    for x, u in enumerate(field):
+        big[bundle.slice_of(x), bundle.slice_of(x)] = u
+    want = big @ plain.dense() @ np.linalg.inv(big)
+    conj = conjugate_rep_on(G, rep, field)
+    ops = [op.copy() for op in conj.ops]
+    ops[2][1, 0] += 1e-3  # an op of the first orbit, 2 x 1
+    for ops_, moved in ((conj.ops, False), (ops, True)):
+        got = battery._transport_gaps(
+            integrated_blocks(G, mu, nu, BundleRep(bundle, ops_), fs), plain, bundle,
+            field, field_inv)
+        oracle = np.abs(integrated_blocks(G, mu, nu, BundleRep(bundle, ops_), fs).dense()
+                        - want).max(axis=(1, 2))
+        np.testing.assert_allclose(got, oracle, rtol=1e-9, atol=1e-13)
+        assert (got > 1e-6).all() if moved else (got < 1e-13).all()
+
+
+def test_an_arrows_document_failing_the_axioms_stops_the_battery(tmp_path, capsys):
+    # the inverse of ab is ab itself: loadable, not a groupoid, and its
+    # left-regular bundle would have fibers of dimensions 1 and 2 in one orbit
+    doc = {"objects": ["a", "b"],
+           "arrows": [{"id": "aa", "src": "a", "tgt": "a"}, {"id": "bb", "src": "b", "tgt": "b"},
+                      {"id": "ab", "src": "a", "tgt": "b"}],
+           "compose": [["aa", "aa", "aa"], ["bb", "bb", "bb"], ["ab", "aa", "ab"],
+                       ["bb", "ab", "ab"], ["ab", "ab", "ab"]],
+           "inverse": [["aa", "aa"], ["bb", "bb"], ["ab", "ab"]],
+           "haar": {"type": "counting"}}
+    path = tmp_path / "not-a-groupoid.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    run = run_battery(load_groupoid(str(path)), seed=1)
+    assert [(line.name, line.ok) for line in run.lines] == [("groupoid-axioms", False)]
+    assert main(["check", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  groupoid-axioms" in out and "invariant violated" not in out
 
 
 def test_worst_propagates_nan():

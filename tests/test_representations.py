@@ -1320,22 +1320,6 @@ class TestIntegratedBlocks:
             assert all(np.array_equal(d, scatter_integrate(G, mu, nu, rep, f))
                        for d, f in zip(dense, fs, strict=True)), kind
 
-    @pytest.mark.parametrize("entries", [1, 16])
-    @pytest.mark.parametrize("name", ["pair3-weighted.json", "iso-z2.json", "union01",
-                                      "union07", "union10"])
-    def test_dense_ops_in_small_batches_give_the_same_matrices(self, name, entries,
-                                                                monkeypatch):
-        # one op a batch, and a few: the sums per entry keep arrow order
-        monkeypatch.setattr(blocks, "_STACK_ENTRIES", entries)
-        rng = SplitMix64(91)
-        G, mu, nu = _measured(name, rng)
-        for kind in ("conjugated", "dense-left-regular"):
-            rep = _reps_of(G, mu, rng)[kind]
-            fs = _functions(G, rng)
-            dense = integrated_blocks(G, mu, nu, rep, fs).dense()
-            assert all(np.array_equal(d, scatter_integrate(G, mu, nu, rep, f))
-                       for d, f in zip(dense, fs, strict=True)), kind
-
     @pytest.mark.parametrize("name", _MEASURED)
     def test_index_blocks_are_the_support_blocks(self, name):
         # with f > 0 no two terms cancel, so the support of the operator
