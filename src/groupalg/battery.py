@@ -17,7 +17,7 @@ import numpy as np
 from . import bisections, tolerances
 from .blocks import BlockOperator
 from .groupoid import (FiniteGroupoid, isotropy_bundle, multipliers, validate)
-from .haar import (HaarSystem, convolve, counting_haar, delta, fiber_integrate,
+from .haar import (HaarSystem, convolve, counting_haar, fiber_integrate,
                    function_to_matrix, half_density_inner, i_norm, involute,
                    support_fiber_mass, unit_function)
 from .io import GroupoidDocument, fmt
@@ -316,13 +316,12 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
                "||f_k - f||_I <= (support fiber mass) * sup norm", worst_net)
 
     # fundamental families
-    fam = [delta(G, a) for a in range(G.n_arrows)]
-    rep_fam = fundamental_family_check(G, mu, fam)
+    rep_fam = fundamental_family_check(G, mu, np.eye(G.n_arrows, dtype=complex))
     bis_note = ""
     if bound <= 600 and sigmas:
         images = np.zeros((len(sigmas), G.n_arrows), dtype=complex)
         images[np.arange(len(sigmas))[:, None], bisections.arrow_array(G, sigmas)] = 1.0
-        rep_fam.merge(fundamental_family_check(G, mu, list(images)))
+        rep_fam.merge(fundamental_family_check(G, mu, images))
         bis_note = " (arrow indicators and bisection images)"
     run.record("fundamental-family", rep_fam.ok,
                f"families span every target fiber{bis_note}")

@@ -13,7 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainMismatch
-from .groupoid import FiniteGroupoid
+from .groupoid import FiniteGroupoid, _subgroup
+
+# entries in one block of the star table's products and Light's test
+_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -106,39 +109,76 @@ def arrow_array(G: FiniteGroupoid, sigmas: list[Bisection]) -> np.ndarray:
     return np.array([s.arrows for s in sigmas], dtype=np.intp).reshape(len(sigmas), G.n_objects)
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-d int array as one big-endian bytes key, equal to
+    another row's key exactly when the rows are equal."""
+    rows = np.ascontiguousarray(rows, dtype=">i8")
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
 def forms_group(G: FiniteGroupoid, sigmas: list[Bisection]) -> bool:
     """True when the full bisections ``sigmas`` form a group under the star
     product and taking targets is a homomorphism into object permutations.
 
-    The bisections are the k x n array ``S[i, x] = sigma_i(x)``.  One
-    composite lookup gives all k^2 star products ``S[i, tgt(S[j, x])] o
-    S[j, x]``, and a dict on row bytes maps each back to its index; a product
-    with a missing composite (-1), or a product or unit bisection outside
-    ``sigmas``, makes the answer False.  Associativity compares (ij)m with
-    i(jm) one row i at a time, all k^3 triples in k^2 memory; the unit,
-    inverses and the homomorphism into the target maps are table comparisons.
+    The bisections are the k x n array ``S[i, x] = sigma_i(x)``.  The star
+    products ``S[i, tgt(S[j, x])] o S[j, x]`` come from one composite lookup
+    per block of rows i, about ``_BLOCK`` entries each, and each product row
+    is found among the sorted row keys of ``S``; a product with a missing
+    composite (-1), or a product or unit bisection outside ``sigmas``, makes
+    the answer False.  The unit, the inverses and the homomorphism into the
+    target maps are table comparisons.  Associativity is Light's test over
+    greedy generators (see :class:`~groupalg.groupoid.GeneratorCertificate`):
+    the s with ``(x s) y == x (s y)`` for all x, y are closed under the
+    product, so when they generate the table every one of the k^3 triples
+    associates.  A group on g generators costs O(g k^2), never more than k^3.
     """
     k, n = len(sigmas), G.n_objects
+    if n == 0:  # the empty bisection is the only one
+        return k == 1
     S = arrow_array(G, sigmas)
-    index = {row.tobytes(): i for i, row in enumerate(S)}
     T = G.tgt[S]
-    products = G.composites(S[:, T], S)  # [i, j, x] = (sigma_i * sigma_j)(x), or -1
-    found = [index.get(row.tobytes()) for row in products.reshape(k * k, n)]
-    if None in found:
+    keys = _row_keys(S)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    # one spare slot past the end answers "not found" for every key
+    padded, at = np.append(ordered, np.zeros(1, keys.dtype)), np.append(order, -1)
+
+    def index_of(rows):
+        query = _row_keys(rows)
+        pos = np.searchsorted(ordered, query)
+        return np.where(padded[pos] == query, at[pos], -1)
+
+    step = max(_BLOCK // max(k * n, 1), 1)
+    table = np.empty((k, k), dtype=np.intp)
+    hom = True
+    for lo in range(0, k, step):
+        rows = slice(lo, lo + step)
+        products = G.composites(S[rows][:, T], S)  # [i, j, x] = (sigma_i * sigma_j)(x), or -1
+        block = index_of(products.reshape(-1, n)).reshape(-1, k)
+        if (block < 0).any():
+            return False
+        table[rows] = block
+        hom = hom and np.array_equal(T[block], T[rows][:, T])  # T_ij(x) = T_i(T_j(x))
+    e = int(index_of(arrow_array(G, [unit_bisection(G)]))[0])
+    if e < 0 or not hom:
         return False
-    table = np.array(found, dtype=np.intp).reshape(k, k)
-    e = index.get(arrow_array(G, [unit_bisection(G)]).tobytes())
-    if e is None:
-        return False
-    if not all(np.array_equal(table[table[i]], table[i][table]) for i in range(k)):
-        return False
-    rows = np.arange(k)
-    if not (np.all(table[e, :] == rows) and np.all(table[:, e] == rows)):
+    every = np.arange(k)
+    if not (np.array_equal(table[e], every) and np.array_equal(table[:, e], every)):
         return False
     if not ((table == e) & (table.T == e)).any(axis=1).all():
         return False
-    composed = T[rows[:, None, None], T[None, :, :]]  # [i, j, x] = T_i(T_j(x))
-    return bool(np.array_equal(T[table], composed))
+    # Light's test, generator by generator: the unit passes by the unit law
+    have = np.zeros(k, dtype=bool)
+    have[e] = True
+    while not have.all():
+        s = int(np.argmin(have))
+        for lo in range(0, k, step):
+            rows = slice(lo, lo + step)
+            if not np.array_equal(table[table[rows, s]], table[rows][:, table[s]]):
+                return False
+        have[s] = True
+        have = _subgroup(table, have)
+    return True
 
 
 def bisection_inverse(G: FiniteGroupoid, sigma: Bisection) -> Bisection:

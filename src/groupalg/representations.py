@@ -858,14 +858,14 @@ def fundamental_family_check(G: FiniteGroupoid, mu: HaarSystem,
     must have rank equal to the fiber size at every object.
     """
     out = Report("fundamental-family")
+    F = np.asarray(family, dtype=complex)  # (m, arrows), one row per function
     for x in range(G.n_objects):
         fiber = list(G.target_fiber(x))
         if not fiber:
             out.add("fiber", f"object {G.objects[x]} has an empty target fiber")
             continue
         root = np.sqrt(mu.weights[fiber])
-        rows = [np.asarray(f, dtype=complex)[fiber] * root for f in family]
-        rank = int(np.linalg.matrix_rank(np.array(rows))) if rows else 0
+        rank = int(np.linalg.matrix_rank(F[:, fiber] * root)) if len(F) else 0
         if rank < len(fiber):
             out.add("spanning",
                     f"object {G.objects[x]}: rank {rank} < fiber size {len(fiber)}")

@@ -1,13 +1,16 @@
-"""Dense whole-space oracles for the integrated representations.
+"""Oracles: the slower paths that faster code in ``src/`` replaced.
 
-These are the paths that the block operators replaced: the integrated
-operator scattered into one (sum of dims)^2 matrix, and the battery's
-integrated suites run one trial at a time on those matrices, with the
-unitary field applied as one block-diagonal matrix and its inverse.
+For the integrated representations, the paths that the block operators
+replaced: the integrated operator scattered into one (sum of dims)^2 matrix,
+and the battery's integrated suites run one trial at a time on those
+matrices, with the unitary field applied as one block-diagonal matrix and its
+inverse.  For the bisection group, the star table from a dict on row bytes
+with associativity over all k^3 triples, and the group laws pair by pair.
 """
 
 import numpy as np
 
+from groupalg.bisections import arrow_array, bisection_compose, target_map, unit_bisection
 from groupalg.groupoid import _ranges
 from groupalg.haar import _as_function, convolve, i_norm, involute
 from groupalg.randgen import random_function, random_unitary_field
@@ -77,3 +80,53 @@ def big_matrix_transport(G, mu, nu, lrep, rng, atol):
         rhs = big @ scatter_integrate(G, mu, nu, lrep, f) @ np.linalg.inv(big)
         worst = _worst(worst, float(np.abs(lhs - rhs).max()))
     return ok, worst
+
+
+def row_by_row_forms_group(G, sigmas):
+    """The bisection group laws on the k x k star table: one composite lookup
+    for all k^2 products, a dict on row bytes mapping each back to its index,
+    and associativity compared one row i at a time over all k^3 triples."""
+    k, n = len(sigmas), G.n_objects
+    S = arrow_array(G, sigmas)
+    index = {row.tobytes(): i for i, row in enumerate(S)}
+    T = G.tgt[S]
+    products = G.composites(S[:, T], S)  # [i, j, x] = (sigma_i * sigma_j)(x), or -1
+    found = [index.get(row.tobytes()) for row in products.reshape(k * k, n)]
+    if None in found:
+        return False
+    table = np.array(found, dtype=np.intp).reshape(k, k)
+    e = index.get(arrow_array(G, [unit_bisection(G)]).tobytes())
+    if e is None:
+        return False
+    if not all(np.array_equal(table[table[i]], table[i][table]) for i in range(k)):
+        return False
+    rows = np.arange(k)
+    if not (np.all(table[e, :] == rows) and np.all(table[:, e] == rows)):
+        return False
+    if not ((table == e) & (table.T == e)).any(axis=1).all():
+        return False
+    composed = T[rows[:, None, None], T[None, :, :]]  # [i, j, x] = T_i(T_j(x))
+    return bool(np.array_equal(T[table], composed))
+
+
+def brute_force_forms_group(G, sigmas):
+    """The group and homomorphism laws pair by pair, with target-map dicts."""
+    index = {s: i for i, s in enumerate(sigmas)}
+    k = len(sigmas)
+    table = [[0] * k for _ in range(k)]
+    for i, s in enumerate(sigmas):
+        for j, t in enumerate(sigmas):
+            st = bisection_compose(G, s, t)
+            if st not in index:
+                return False
+            table[i][j] = index[st]
+    e = index[unit_bisection(G)]
+    assoc = all(table[table[i][j]][m] == table[i][table[j][m]]
+                for i in range(k) for j in range(k) for m in range(k))
+    ident = all(table[e][i] == i == table[i][e] for i in range(k))
+    invs = all(any(table[i][j] == e and table[j][i] == e for j in range(k))
+               for i in range(k))
+    hom = all(target_map(G, sigmas[table[i][j]])
+              == {x: target_map(G, sigmas[i])[y] for x, y in target_map(G, sigmas[j]).items()}
+              for i in range(k) for j in range(k))
+    return assoc and ident and invs and hom

@@ -12,10 +12,12 @@ from groupalg.battery import run_battery
 from groupalg.bisections import (bisection_compose, bisection_inverse,
                                  enumerate_bisections, forms_group, left_translate,
                                  make_bisection, target_map, unit_bisection)
-from groupalg.builders import (cyclic_table, group_groupoid, klein_table,
-                               pair_groupoid, product)
+from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
+                               klein_table, pair_groupoid, product)
 from groupalg.groupoid import FiniteGroupoid
 from groupalg.io import GroupoidDocument
+
+from oracles import brute_force_forms_group, row_by_row_forms_group
 
 
 def test_counts_are_factorials():
@@ -133,29 +135,6 @@ def test_rejects_non_injective_targets():
                            b: G.arrow_by_endpoints(a, b)})
 
 
-def _brute_force_forms_group(G, sigmas):
-    """The group and homomorphism laws pair by pair, with target-map dicts."""
-    index = {s: i for i, s in enumerate(sigmas)}
-    k = len(sigmas)
-    table = [[0] * k for _ in range(k)]
-    for i, s in enumerate(sigmas):
-        for j, t in enumerate(sigmas):
-            st = bisection_compose(G, s, t)
-            if st not in index:
-                return False
-            table[i][j] = index[st]
-    e = index[unit_bisection(G)]
-    assoc = all(table[table[i][j]][m] == table[i][table[j][m]]
-                for i in range(k) for j in range(k) for m in range(k))
-    ident = all(table[e][i] == i == table[i][e] for i in range(k))
-    invs = all(any(table[i][j] == e and table[j][i] == e for j in range(k))
-               for i in range(k))
-    hom = all(target_map(G, sigmas[table[i][j]])
-              == {x: target_map(G, sigmas[i])[y] for x, y in target_map(G, sigmas[j]).items()}
-              for i in range(k) for j in range(k))
-    return assoc and ident and invs and hom
-
-
 def _outcome(G, sigmas, check):
     try:
         return check(G, sigmas)
@@ -167,14 +146,17 @@ def test_forms_group_on_clean_groupoids():
     for G in (pair_groupoid("abc"), pair_groupoid("abcd"),
               product(pair_groupoid("ab"), group_groupoid(*klein_table())),
               group_groupoid(*cyclic_table(5))):
-        assert forms_group(G, enumerate_bisections(G)) is True
+        sigmas = enumerate_bisections(G)
+        assert forms_group(G, sigmas) is True
+        assert row_by_row_forms_group(G, sigmas) is True
 
 
 def test_forms_group_rejects_a_set_that_is_not_closed():
     G = pair_groupoid("abc")
     sigmas = enumerate_bisections(G)
     assert forms_group(G, sigmas[:-1]) is False
-    assert _brute_force_forms_group(G, sigmas[:-1]) is False
+    assert brute_force_forms_group(G, sigmas[:-1]) is False
+    assert row_by_row_forms_group(G, sigmas[:-1]) is False
 
 
 def _parallel(G, a):
@@ -201,7 +183,8 @@ def test_forms_group_agrees_with_the_pairwise_laws_on_corrupted_tables():
             H = _with_table(G, table)
             sigmas = enumerate_bisections(H)
             got = _outcome(H, sigmas, forms_group)
-            assert got == _outcome(H, sigmas, _brute_force_forms_group), (G.n_arrows, i)
+            assert got == _outcome(H, sigmas, brute_force_forms_group), (G.n_arrows, i)
+            assert got == _outcome(H, sigmas, row_by_row_forms_group), (G.n_arrows, i)
             verdicts.add(got if isinstance(got, bool) else "raised")
         assert False in verdicts, G.n_arrows
 
@@ -215,8 +198,9 @@ def test_forms_group_is_false_when_a_composite_is_missing():
         for i in range(len(G.compose_table)):
             H = _with_table(G, np.delete(G.compose_table, i, axis=0))
             assert forms_group(H, sigmas) is False, i
+            assert row_by_row_forms_group(H, sigmas) is False, i
             with pytest.raises(ValueError):
-                _brute_force_forms_group(H, sigmas)
+                brute_force_forms_group(H, sigmas)
 
 
 def test_forms_group_is_false_without_the_unit_bisection():
@@ -230,8 +214,9 @@ def test_forms_group_is_false_without_the_unit_bisection():
     assert forms_group(H, only_e) is False
     assert forms_group(G, []) is False
     for args in ((H, only_e), (G, [])):
+        assert row_by_row_forms_group(*args) is False
         with pytest.raises(KeyError):
-            _brute_force_forms_group(*args)
+            brute_force_forms_group(*args)
 
 
 def test_forms_group_memory_is_quadratic_in_the_bisection_count():
@@ -246,6 +231,63 @@ def test_forms_group_memory_is_quadratic_in_the_bisection_count():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20, peak
+
+
+def _z5_bundle(count):
+    return disjoint_union(*[group_groupoid(*cyclic_table(5)) for _ in range(count)])
+
+
+def test_forms_group_agrees_with_the_row_by_row_oracle_on_larger_sets():
+    # k = 162 and k = 625, each in enumeration order, shuffled, with one
+    # bisection dropped and with one repeated
+    rng = np.random.default_rng(7)
+    for G in (product(pair_groupoid("abc"), group_groupoid(*cyclic_table(3))), _z5_bundle(4)):
+        sigmas = enumerate_bisections(G)
+        assert len(sigmas) in (162, 625)
+        shuffled = [sigmas[i] for i in rng.permutation(len(sigmas))]
+        for case, expected in ((sigmas, True), (shuffled, True), (shuffled[1:], False),
+                               (shuffled + shuffled[:1], False)):
+            assert forms_group(G, case) is expected
+            assert row_by_row_forms_group(G, case) is expected
+
+
+def test_forms_group_on_the_empty_groupoid():
+    # no objects: the empty bisection alone is the trivial group
+    G = disjoint_union()
+    sigmas = enumerate_bisections(G)
+    assert len(sigmas) == 1
+    for case, expected in ((sigmas, True), ([], False), (sigmas * 2, False)):
+        assert forms_group(G, case) is expected
+        assert row_by_row_forms_group(G, case) is expected
+
+
+def test_only_lights_test_rejects_a_non_associative_loop():
+    # a loop of order 5: unit, two-sided inverses and (one object) the
+    # homomorphism all hold, but (1 * 1) * 2 = 2 and 1 * (1 * 2) = 4
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    G = group_groupoid([f"g{i}" for i in range(5)], loop)
+    sigmas = enumerate_bisections(G)
+    assert [s.arrows for s in sigmas] == [(a,) for a in range(5)]
+    assert all(bisection_compose(G, s, t).arrows == (loop[i][j],)
+               for i, s in enumerate(sigmas) for j, t in enumerate(sigmas))
+    assert forms_group(G, sigmas) is False
+    assert row_by_row_forms_group(G, sigmas) is False
+    assert brute_force_forms_group(G, sigmas) is False
+
+
+def test_forms_group_memory_on_a_bundle_of_four_z5_loops():
+    # k = 625 over 4 objects: whole k^2 x n int64 product arrays take 12.5 MB
+    # each and the row-by-row form peaks near 60 MB; row blocks keep the
+    # peak near the k^2 table itself
+    G = _z5_bundle(4)
+    sigmas = enumerate_bisections(G)
+    tracemalloc.start()
+    try:
+        assert forms_group(G, sigmas) is True
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20, peak
 
 
 def test_battery_enumerates_once_and_composes_no_pairs(monkeypatch):
@@ -293,4 +335,5 @@ def test_forms_group_sees_targets_that_do_not_follow_the_product():
     assert [[index[bisection_compose(H, s, t)] for t in sigmas] for s in sigmas] == \
         [[(i + j) % 4 for j in range(4)] for i in range(4)]
     assert forms_group(H, sigmas) is False
-    assert _brute_force_forms_group(H, sigmas) is False
+    assert brute_force_forms_group(H, sigmas) is False
+    assert row_by_row_forms_group(H, sigmas) is False

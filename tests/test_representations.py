@@ -831,6 +831,36 @@ class TestFundamentalFamily:
                 family.append(ind)
             assert fundamental_family_check(G, mu, family).ok
 
+    def test_the_family_array_gives_the_row_by_row_matrices(self, monkeypatch):
+        # each rank is taken of exactly the matrix that one weighted row per
+        # function, restricted to the fiber, made; an empty family has rank 0
+        G = disjoint_union(product(pair_groupoid("ab"), group_groupoid(*cyclic_table(2))),
+                           group_groupoid(*cyclic_table(3)))
+        mu = HaarSystem(random_invariant_weights(G, SplitMix64(3)))
+        family = [random_function(G, SplitMix64(i)) for i in range(5)]
+        seen = []
+        real = np.linalg.matrix_rank
+
+        def recorded(M):
+            seen.append(M)
+            return real(M)
+        monkeypatch.setattr(np.linalg, "matrix_rank", recorded)
+        for fam in (family, np.array(family)):
+            seen.clear()
+            fundamental_family_check(G, mu, fam)
+            assert len(seen) == G.n_objects
+            for x, M in enumerate(seen):
+                fiber = list(G.target_fiber(x))
+                root = np.sqrt(mu.weights[fiber])
+                rows = np.array([np.asarray(f, dtype=complex)[fiber] * root for f in family])
+                assert M.dtype == rows.dtype and np.array_equal(M, rows), x
+        seen.clear()
+        rep = fundamental_family_check(G, mu, [])
+        assert not seen
+        assert [e.witness for e in rep.errors] == [
+            f"object {G.objects[x]}: rank 0 < fiber size {len(G.target_fiber(x))}"
+            for x in range(G.n_objects)]
+
 
 def test_canonical_bundle_dims_match_fibers():
     G = product(pair_groupoid("ab"), group_groupoid(*cyclic_table(3)))
