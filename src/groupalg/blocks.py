@@ -8,7 +8,9 @@ kept as its blocks: the basis positions of each block and a small dense
 matrix per block.  Products, weighted adjoints and spectral norms then work
 block by block, and the singular values of the whole matrix are those of
 its blocks.  The integrated representations of a groupoid have this shape
-(:func:`groupalg.representations.integrated_blocks`).
+(:func:`groupalg.representations.integrated_blocks`), and
+:func:`groupalg.representations.operator_norm` splits a dense operator into
+the blocks of its nonzero pattern to take its norm here.
 """
 
 from __future__ import annotations
@@ -162,7 +164,9 @@ class BlockOperator:
         SVD per block size, exact because the blocks' singular values are
         the matrix's.  NaN for an operator with a non-finite entry of the
         flat matrix, and for all of them when the metric has a zero or
-        infinite root."""
+        infinite root.  The one weighted norm of the package: a dense
+        operator's (:func:`~groupalg.representations.operator_norm`) is
+        taken here too."""
         root = np.sqrt(self.metric)
         if not (np.isfinite(root).all() and root.all()):
             return np.full(self.k, math.nan)

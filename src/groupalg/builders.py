@@ -27,29 +27,25 @@ def group_groupoid(elements, table) -> FiniteGroupoid:
     """A finite group as a one-object groupoid; ``table[i][j]`` indexes e_i e_j."""
     elements = [str(e) for e in elements]
     n = len(elements)
-    unit = None
-    for e in range(n):
-        if all(table[e][j] == j and table[j][e] == j for j in range(n)):
-            unit = e
-            break
-    if unit is None:
+    table = np.asarray(table, dtype=np.intp).reshape(n, n)
+    ids = np.arange(n)
+    units = np.flatnonzero((table == ids).all(axis=1) & (table == ids[:, None]).all(axis=0))
+    if not len(units):
         raise ValueError("multiplication table has no identity element")
-    inverse = []
-    for i in range(n):
-        js = [j for j in range(n) if table[i][j] == unit and table[j][i] == unit]
-        if len(js) != 1:
-            raise ValueError(f"element {elements[i]} has no unique inverse")
-        inverse.append(js[0])
-    i, j = np.indices((n, n)).reshape(2, -1)
-    compose_table = np.stack([i, j, np.asarray(table, dtype=np.intp)[i, j]], axis=1)
+    unit = int(units[0])
+    inverts = (table == unit) & (table.T == unit)  # e_i e_j = e_j e_i = unit
+    bad = np.flatnonzero(inverts.sum(axis=1) != 1)
+    if len(bad):
+        raise ValueError(f"element {elements[bad[0]]} has no unique inverse")
+    compose_table = np.stack([*np.indices((n, n)).reshape(2, -1), table.ravel()], axis=1)
     return FiniteGroupoid(["*"], [0] * n, [0] * n, compose_table,
-                          inverse, [unit], arrow_ids=elements)
+                          inverts.argmax(axis=1), [unit], arrow_ids=elements)
 
 
 def cyclic_table(n: int) -> tuple[list[str], list[list[int]]]:
     elements = [f"g{k}" for k in range(n)]
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return elements, table
+    i = np.arange(n)
+    return elements, ((i[:, None] + i) % n).tolist()
 
 
 def klein_table() -> tuple[list[str], list[list[int]]]:

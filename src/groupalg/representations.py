@@ -438,6 +438,9 @@ def check_representation(G: FiniteGroupoid, rep: BundleRep | IndexRep,
     if len(rep.ops) != G.n_arrows:
         out.add("shape", "one matrix per arrow is required")
         return out
+    if len(dims) != G.n_objects:
+        out.add("shape", "one fiber per object is required")
+        return out
     index = isinstance(rep, IndexRep)
     tgt = G.tgt.tolist()
     shapes = (zip((dims[t] for t in tgt), np.diff(rep.starts).tolist()) if index
@@ -582,52 +585,21 @@ def adjoint_operator(op: np.ndarray, bundle: HilbertBundle,
     return (op.conj().T * m) / m[:, None]
 
 
-def support_blocks(M: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Rows and columns of each connected block of the support of ``M``.
-
-    Row i and column j are joined when ``M[i, j] != 0``; a row or column
-    with no nonzero entry is in no block.  Blocks come in the order of their
-    least row, rows and columns ascending within a block.
-    """
-    n = M.shape[0]
-    support = M != 0
-    r, c = np.nonzero(support)
-    label = components(n + M.shape[1], r, n + c).tolist()  # rows, then columns shifted by n
-    blocks: dict[int, tuple[list[int], list[int]]] = {}
-    for i in np.flatnonzero(support.any(axis=1)).tolist():
-        blocks.setdefault(label[i], ([], []))[0].append(i)
-    for j in np.flatnonzero(support.any(axis=0)).tolist():
-        blocks[label[n + j]][1].append(j)
-    return [(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp))
-            for rows, cols in blocks.values()]
-
-
 def operator_norm(op: np.ndarray, bundle: HilbertBundle,
                   nu: QuasiInvariantMeasure) -> float:
-    """Spectral norm of a dense operator in the weighted geometry, via
-    similarity to the flat one.
-
-    The operator is block diagonal up to permuting its rows and columns (for
-    the left regular representation, one block per source object of the
-    fiber arrows), and the singular values of the flat similar matrix are
-    those of its blocks: the norm is the largest over one small SVD per
-    support block, and a single block is the whole matrix.  A non-finite
-    entry of the flat matrix gives NaN.  :meth:`BlockOperator.norms` gives
-    the same norms from the blocks of an integrated operator.
+    """Spectral norm of a dense operator on the bundle in the weighted
+    geometry: :meth:`BlockOperator.norms` of the operator split into the
+    connected blocks of its nonzero pattern, rows and columns one index set
+    (for the left regular representation, one block per source object of
+    the fiber arrows).  NaN for a non-finite entry of the flat similar
+    matrix, or a zero or infinite root of the metric.
     """
-    root = np.sqrt(bundle_metric(bundle, nu))
-    if not (np.isfinite(root).all() and root.all()):
-        return math.nan  # a zero or infinite root spoils its row of the flat matrix
-    blocks = support_blocks(op)
-    if len(blocks) == 1:
-        blocks = [(np.arange(op.shape[0]), np.arange(op.shape[1]))]
-    norm = 0.0
-    for rows, cols in blocks:
-        sim = op[np.ix_(rows, cols)] * root[rows, None] / root[cols]
-        if not np.isfinite(sim).all():
-            return math.nan
-        norm = max(norm, float(np.linalg.svd(sim, compute_uv=False)[0]))
-    return norm
+    n = bundle.total_dim
+    if op.shape != (n, n):
+        raise ShapeMismatch(f"operator has shape {op.shape}, expected {(n, n)}")
+    part = BlockPartition.of(components(n, *np.nonzero(op != 0)))
+    data = tuple(op[p[:, :, None], p[:, None, :]][None] for p in part.groups)
+    return float(BlockOperator(bundle_metric(bundle, nu), part, data, 1).norms()[0])
 
 
 def operator_norm_bound_check(G: FiniteGroupoid, mu: HaarSystem,

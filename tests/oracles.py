@@ -4,14 +4,17 @@ For the integrated representations, the paths that the block operators
 replaced: the integrated operator scattered into one (sum of dims)^2 matrix,
 and the battery's integrated suites run one trial at a time on those
 matrices, with the unitary field applied as one block-diagonal matrix and its
-inverse.  For the bisection group, the star table from a dict on row bytes
-with associativity over all k^3 triples, and the group laws pair by pair.
+inverse.  For the dense operator norm, the connected blocks of a matrix's
+support with rows and columns apart, one SVD each, which ``operator_norm``
+took before it read a block operator.  For the bisection group, the star
+table from a dict on row bytes with associativity over all k^3 triples, and
+the group laws pair by pair.
 """
 
 import numpy as np
 
 from groupalg.bisections import arrow_array, bisection_compose, target_map, unit_bisection
-from groupalg.groupoid import _ranges
+from groupalg.groupoid import _ranges, components
 from groupalg.haar import _as_function, convolve, i_norm, involute
 from groupalg.randgen import random_function, random_unitary_field
 from groupalg.report import _worst
@@ -40,6 +43,26 @@ def scatter_integrate(G, mu, nu, rep, f):
     for a, t, s, co in zip(used.tolist(), G.tgt[used].tolist(), G.src[used].tolist(), coeff):
         out[bundle.slice_of(t), bundle.slice_of(s)] += co * rep.ops[a]
     return out
+
+
+def support_blocks(M: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Rows and columns of each connected block of the support of ``M``.
+
+    Row i and column j are joined when ``M[i, j] != 0``; a row or column
+    with no nonzero entry is in no block.  Blocks come in the order of their
+    least row, rows and columns ascending within a block.
+    """
+    n = M.shape[0]
+    support = M != 0
+    r, c = np.nonzero(support)
+    label = components(n + M.shape[1], r, n + c).tolist()  # rows, then columns shifted by n
+    blocks: dict[int, tuple[list[int], list[int]]] = {}
+    for i in np.flatnonzero(support.any(axis=1)).tolist():
+        blocks.setdefault(label[i], ([], []))[0].append(i)
+    for j in np.flatnonzero(support.any(axis=0)).tolist():
+        blocks[label[n + j]][1].append(j)
+    return [(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp))
+            for rows, cols in blocks.values()]
 
 
 def per_trial_integrated(G, mu, nus, reps, rng, t):

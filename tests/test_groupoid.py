@@ -664,6 +664,59 @@ def test_pair_groupoid_agrees_with_relation_constructor():
         assert direct.inverse.tolist() == rel.inverse.tolist()
 
 
+def _pairwise_unit_and_inverses(table):
+    """The first two-sided identity and each element's two-sided inverses,
+    by scanning the table pair by pair."""
+    n = len(table)
+    unit = next(e for e in range(n) if all(table[e][j] == j == table[j][e] for j in range(n)))
+    return unit, [[j for j in range(n) if table[i][j] == unit == table[j][i]]
+                  for i in range(n)]
+
+
+_LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+_TABLES = {**{f"z{n}": (lambda n=n: cyclic_table(n)) for n in (1, 2, 5, 6)},
+           "klein": klein_table, "s3": lambda: symmetric_table(3),
+           "loop5": lambda: ([f"g{i}" for i in range(5)], _LOOP5)}
+
+
+@pytest.mark.parametrize("group", list(_TABLES))
+def test_group_groupoid_unit_and_inverses_agree_with_the_pairwise_scan(group):
+    elements, table = _TABLES[group]()
+    unit, inverses = _pairwise_unit_and_inverses(table)
+    G = group_groupoid(elements, table)
+    assert G.unit_of == [unit]
+    assert [[a] for a in G.inverse.tolist()] == inverses
+    n = len(table)
+    assert [[G.compose(i, j) for j in range(n)] for i in range(n)] == table
+
+
+def test_cyclic_table_is_lists_of_ints():
+    elements, table = cyclic_table(7)
+    assert elements == [f"g{k}" for k in range(7)]
+    assert table == [[(i + j) % 7 for j in range(7)] for i in range(7)]
+    assert all(type(x) is int for row in table for x in row)
+
+
+@pytest.mark.parametrize("table, message", [
+    # no identity, and no inverses either: the identity is named first
+    ([[0, 0], [0, 0]], "multiplication table has no identity element"),
+    ([[1, 0], [0, 0]], "multiplication table has no identity element"),
+    ([], "multiplication table has no identity element"),
+    # a and b both lack an inverse: the first element is named
+    ([[0, 1, 2], [1, 1, 2], [2, 2, 2]], "element a has no unique inverse"),
+    # a is its own inverse, b has none
+    ([[0, 1, 2], [1, 0, 2], [2, 2, 2]], "element b has no unique inverse"),
+    # ab = e but ba = b: b is only a right inverse of a
+    ([[0, 1, 2], [1, 2, 0], [2, 2, 2]], "element a has no unique inverse"),
+    # a has two inverses, a and b
+    ([[0, 1, 2], [1, 0, 0], [2, 0, 0]], "element a has no unique inverse"),
+])
+def test_group_groupoid_names_a_missing_identity_or_inverse(table, message):
+    elements = ["e", "a", "b"][:len(table)]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        group_groupoid(elements, table)
+
+
 _MADE = {
     "pair_groupoid": lambda: pair_groupoid("abc"),
     "group_groupoid": lambda: group_groupoid(*cyclic_table(3)),

@@ -30,9 +30,9 @@ from groupalg.randgen import (SplitMix64, _group_table, random_function, random_
 from groupalg.report import Report, ReportEntry
 from groupalg.blocks import BlockOperator, BlockPartition
 from groupalg.representations import (BundleRep, HilbertBundle, bundle_metric,
-                                      integrated_blocks, support_blocks, tensor_of_function)
+                                      integrated_blocks, tensor_of_function)
 
-from oracles import scatter_integrate
+from oracles import scatter_integrate, support_blocks
 
 
 def weighted_inner(bundle, nu, u, v):
@@ -144,6 +144,20 @@ class TestLeftRegular:
         report = check_representation(G, BundleRep(rep.bundle, ops))
         assert not report.ok
         assert any(G.arrow_ids[bad_arrow] in e.witness for e in report.errors)
+
+    @pytest.mark.parametrize("fibers", [2, 4])
+    def test_a_bundle_with_another_fiber_count_is_a_shape_entry(self, fibers):
+        G = pair_groupoid("abc")
+        mu = counting_haar(G)
+        rep = left_regular_rep(G, mu)
+        bundle = HilbertBundle([3] * fibers, [np.ones(3)] * fibers)
+        for wrong in (BundleRep(bundle, list(rep.ops)),
+                      IndexRep(bundle, rep.src, rep.tgt, rep.rows, rep.starts)):
+            report = check_representation(G, wrong)
+            assert [(e.check, e.witness) for e in report.errors] == [
+                ("shape", "one fiber per object is required")]
+            with pytest.raises(ShapeMismatch):
+                integrated_blocks(G, mu, uniform_measure(G), wrong, np.ones(G.n_arrows))
 
 
 class TestIntegrateRep:
@@ -283,6 +297,8 @@ class TestBlockOperatorNorm:
                 f = random_function(G, rng)
                 norm = _assert_norms_agree(integrate_rep(G, mu, nu, rep, f), rep.bundle, nu)
                 assert norm <= i_norm(G, mu, f) + 1e-12
+                if f.all():  # the support is the rep's blocks: the same SVDs
+                    assert norm == integrated_blocks(G, mu, nu, rep, f).norms()[0]
 
     def test_zero_operator(self):
         bundle, nu = _flat_bundle(5, np.random.default_rng(1))
@@ -383,6 +399,13 @@ class TestBlockOperatorNorm:
         assert shapes and max(max(s[-2:]) for s in shapes) <= 12
         monkeypatch.setattr(np.linalg, "svd", real)
         _assert_norms_agree(op, rep.bundle, nu)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 4), (4, 5), (6, 6)])
+    def test_an_operator_of_another_shape_is_refused(self, shape):
+        # a 3x3 identity on a 5-dim bundle would read the first three metric entries
+        bundle, nu = _flat_bundle(5, np.random.default_rng(6))
+        with pytest.raises(ShapeMismatch, match=r"expected \(5, 5\)"):
+            operator_norm(np.eye(*shape, dtype=complex), bundle, nu)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entry_gives_nan(self, bad):
