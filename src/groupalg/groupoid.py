@@ -15,7 +15,7 @@ pair of objects; general groupoids may have isotropy (parallel loops).
 
 The structure maps (source, target, inversion) are read-only int arrays.
 Composition is stored once, as int (first, second, composite) rows in
-(composite, first) order; lookups go through one index derived from them.
+(first, second) order; that order is also the lookup index.
 Every enumeration follows the stored object/arrow order, so reports are
 reproducible.  Instances are treated as immutable after construction.
 """
@@ -103,10 +103,11 @@ class FiniteGroupoid:
     """Explicit-table groupoid; construction checks shapes, not axioms.
 
     ``src``, ``tgt`` and ``inverse`` are read-only int arrays indexed by
-    arrow.  ``compose_table`` holds (first, second, composite) rows; when a pair
-    repeats, the last row wins.  The constructor only verifies that indices
-    are in range, so deliberately corrupted tables (off-domain, missing or
-    wrong products) can be built and then diagnosed with :func:`validate`.
+    arrow.  ``compose_table`` holds (first, second, composite) rows sorted by
+    pair; when a pair repeats, the last row wins.  The constructor only
+    verifies that indices are in range, so deliberately corrupted tables
+    (off-domain, missing or wrong products) can be built and then diagnosed
+    with :func:`validate`.
     ``unit_of`` entries may be ``None`` for objects whose unit is missing.
     """
 
@@ -129,11 +130,13 @@ class FiniteGroupoid:
         if len(bad):
             a, b, c = table[bad[0]].tolist()
             raise ValueError(f"compose entry ({a},{b})->{c} out of range")
-        _, last = np.unique(table[::-1, 0] * n_arr + table[::-1, 1], return_index=True)
-        table = table[len(table) - 1 - last]
-        table = table[np.lexsort((table[:, 1], table[:, 0], table[:, 2]))]
+        # unique over the reversed rows keeps the last row of each pair; its keys index them
+        keys, last = np.unique(table[::-1, 0] * n_arr + table[::-1, 1], return_index=True)
         # stored column-major, so each column is one contiguous array
-        self.compose_table: np.ndarray = np.ascontiguousarray(table.T).T
+        self.compose_table: np.ndarray = np.ascontiguousarray(table[len(table) - 1 - last].T).T
+        # a sentinel key above every real pair keeps searchsorted in range
+        self._keys = np.append(keys, n_arr ** 2)
+        self._values = np.append(self.compose_table[:, 2], -1)
         self.inverse: np.ndarray = np.array(inverse, dtype=np.intp)
         if len(self.inverse) != n_arr or ((self.inverse < 0) | (self.inverse >= n_arr)).any():
             raise ValueError("inverse table malformed")
@@ -161,7 +164,6 @@ class FiniteGroupoid:
         # (tgt, src) -> arrow; with parallel arrows the last one wins, and
         # the map has fewer entries than arrows
         self._by_endpoints = {ts: a for a, ts in enumerate(ends_of)}
-        self._pair_index: tuple[np.ndarray, np.ndarray] | None = None
         self._certificate: GeneratorCertificate | None = None
 
     # -- basic structure ---------------------------------------------------
@@ -212,20 +214,15 @@ class FiniteGroupoid:
 
     def composites(self, a, b) -> np.ndarray:
         """The composition lookup, vectorized: the table's composite of each
-        pair (a[i], b[i]), or -1 where it defines none (negative indices
-        count as undefined).  Rows are read as written, so a corrupted table
-        answers on pairs whose endpoints do not match."""
-        if self._pair_index is None:
-            first, second, composite = self.compose_table.T
-            order = np.lexsort((second, first))
-            # a sentinel key above every real pair keeps searchsorted in range
-            keys = np.append(first[order] * self.n_arrows + second[order], self.n_arrows ** 2)
-            self._pair_index = (keys, np.append(composite[order], -1))
-        keys, values = self._pair_index
-        b = np.asarray(b, dtype=np.intp)
-        query = np.asarray(a, dtype=np.intp) * self.n_arrows + b
-        pos = np.searchsorted(keys, query)
-        return np.where((b >= 0) & (keys[pos] == query), values[pos], -1)
+        pair (a[i], b[i]), or -1 where it defines none (indices outside
+        0..A-1 count as undefined).  Rows are read as written, so a
+        corrupted table answers on pairs whose endpoints do not match."""
+        a, b, n = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp), self.n_arrows
+        # a pair out of range (as unsigned, negatives too) asks for the sentinel
+        inside = (a.view(np.uintp) < n) & (b.view(np.uintp) < n)
+        query = np.where(inside, a * n + b, n * n)
+        pos = self._keys.searchsorted(query)
+        return np.where(self._keys[pos] == query, self._values[pos], -1)
 
     def _pair_products(self):
         """Arrays (a, b, a o b) over all composable pairs, in
@@ -293,9 +290,10 @@ class FiniteGroupoid:
         """Triples (out, left, right) with out = left o right: the table's
         composite, first and second columns, as three parallel int arrays.
 
-        The table's (composite, first) order fixes the summation order of
-        the convolution kernels.  On a groupoid that fails :func:`validate`
-        the plan is as wrong as the table.
+        The table's (first, second) order fixes the summation order of the
+        convolution kernels: the terms of each output arrive in ascending
+        ``first``, which is target-fibre order.  On a groupoid that fails
+        :func:`validate` the plan is as wrong as the table.
         """
         first, second, composite = self.compose_table.T
         return composite, first, second
@@ -511,8 +509,7 @@ def validate(G: FiniteGroupoid) -> Report:
     src, tgt = G.src, G.tgt
     arrows = np.arange(G.n_arrows)
 
-    first, second, _ = G.compose_table.T
-    a, b, c = G.compose_table[np.lexsort((second, first))].T
+    a, b, c = G.compose_table.T
     off = src[a] != tgt[b]
     wrong = (tgt[c] != tgt[a]) | (src[c] != src[b])
     for i in np.flatnonzero(off | wrong).tolist():
@@ -732,8 +729,7 @@ def morphism_report(A: FiniteGroupoid, B: FiniteGroupoid, phi: GroupoidMorphism,
         ua, ub = A.unit_of[x], B.unit_of[om[x]]
         if ua is not None and (ub is None or am[ua] != ub):
             rep.add("units", f"unit of {A.objects[x]} not sent to a unit")
-    first, second, _ = A.compose_table.T
-    a, b, c = A.compose_table[np.lexsort((second, first))].T
+    a, b, c = A.compose_table.T
     for i in np.flatnonzero(B.composites(image[a], image[b]) != image[c]).tolist():
         rep.add("composition",
                 f"{A.arrow_ids[a[i]]} o {A.arrow_ids[b[i]]}: image composite disagrees")

@@ -260,7 +260,7 @@ def save_groupoid(path: str, gdoc: GroupoidDocument) -> None:
         "objects": list(G.objects),
         "arrows": [{"id": aid, "src": G.objects[s], "tgt": G.objects[t]}
                    for aid, s, t in zip(ids, G.src.tolist(), G.tgt.tolist())],
-        "compose": [[ids[a], ids[b], ids[c]] for a, b, c in sorted(G.compose_table.tolist())],
+        "compose": [[ids[a], ids[b], ids[c]] for a, b, c in G.compose_table.tolist()],
         "inverse": [[aid, ids[i]] for aid, i in zip(ids, G.inverse.tolist())],
     }
     if gdoc.haar_raw is not None:

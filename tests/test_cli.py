@@ -157,6 +157,28 @@ class TestRoundTrips:
         assert np.array_equal(gdoc.haar_raw, back.haar_raw)
         assert np.array_equal(gdoc.nu_raw, back.nu_raw)
 
+    @pytest.mark.parametrize("name", ["iso-z2.json", "pair2.json", "pair3.json",
+                                      "pair3-weighted.json", "pair4.json", "two-orbit.json",
+                                      "chain-manifest.json"])
+    def test_saved_compose_lists_ascend_by_pair(self, name, tmp_path, capsys):
+        # the file lists the table as its sorted rows, so each pair of arrow
+        # indices comes once and in ascending order
+        out = tmp_path / "g.json"
+        if name == "chain-manifest.json":
+            assert main(["limit", fx(name), "--out", str(out)]) == 0
+            G = load_groupoid(str(out)).groupoid
+        else:
+            gdoc = load_groupoid(fx(name))
+            G = gdoc.groupoid
+            save_groupoid(str(out), gdoc)
+        with open(out, encoding="utf-8") as fh:
+            compose = json.load(fh)["compose"]
+        ids = G.arrow_ids
+        rows = sorted(G.compose_table.tolist())
+        assert compose == [[ids[a], ids[b], ids[c]] for a, b, c in rows]
+        pairs = [(G.arrow_index(a), G.arrow_index(b)) for a, b, _ in compose]
+        assert all(p < q for p, q in zip(pairs, pairs[1:]))
+
     def test_function_file_round_trip(self, tmp_path):
         G = load_groupoid(fx("pair3.json")).groupoid
         f = np.array([0.1 * k + 1j * (1.0 / (k + 3)) for k in range(9)])

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupalg import (NotClosed, NotRelationGroupoid, UnknownLabel,
-                      UnknownObject, build_from_relation, isotropy,
+from groupalg import (HaarSystem, NotClosed, NotRelationGroupoid, UnknownLabel,
+                      UnknownObject, build_from_relation, convolve, isotropy,
                       isotropy_bundle, multipliers, validate)
 from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
                                klein_table, pair_groupoid, product, symmetric_table)
@@ -762,12 +762,44 @@ def _mixed_groupoids():
 
 def test_convolution_plan_is_the_fiberwise_enumeration():
     # oracle: for every arrow out and every left into tgt(out), in fiber order,
-    # the factor right = inverse(left) o out; this order fixes convolve's sums
+    # the factor right = inverse(left) o out; the order of each output's
+    # terms fixes convolve's sums, so the plan is compared grouped by out
     for G in _mixed_groupoids():
         want = [(out, left, G.compose(G.inverse[left], out))
                 for out in range(G.n_arrows) for left in G.target_fiber(G.tgt[out])]
         outs, lefts, rights = G.convolution_plan()
-        assert list(zip(outs.tolist(), lefts.tolist(), rights.tolist())) == want
+        by_out = np.argsort(outs, kind="stable")
+        assert list(zip(outs[by_out].tolist(), lefts[by_out].tolist(),
+                        rights[by_out].tolist())) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 2 ** 32), st.integers(0, 10 ** 6),
+       st.integers(0, 10 ** 6))
+def test_the_stored_order_does_not_depend_on_the_input_order(seed, shuffle, row, pick):
+    G = random_groupoid(SplitMix64(seed), max_arrows=48)
+    n = G.n_arrows
+    rng = np.random.default_rng(shuffle)
+    shuffled = np.array(G.compose_table)[rng.permutation(len(G.compose_table))]
+    a, b, c = shuffled[row % len(shuffled)].tolist()
+    repeated = np.vstack([shuffled, [[a, b, (c + 1 + pick % max(n - 1, 1)) % n]]])
+    mu = HaarSystem(rng.uniform(0.5, 2.0, n))
+    f, g = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    for table in (shuffled, repeated):
+        H = FiniteGroupoid(G.objects, G.src, G.tgt, table, G.inverse, G.unit_of, G.arrow_ids)
+        first, second, _ = H.compose_table.T
+        assert (np.diff(first * n + second) > 0).all()
+        last_wins = {(x, y): z for x, y, z in table.tolist()}
+        rows = np.array([[x, y, z] for (x, y), z in sorted(last_wins.items())])
+        assert H.compose_table.tolist() == rows.tolist()
+        # the terms of each output, added one by one in ascending first
+        terms = f[rows[:, 0]] * g[rows[:, 1]] * mu.weights[rows[:, 0]]
+        want = np.zeros(n, dtype=complex)
+        for out in range(n):
+            for i in np.flatnonzero(rows[:, 2] == out).tolist():
+                want[out] += terms[i]
+        assert np.array_equal(convolve(H, mu, f, g), want)
+        assert np.array_equal(convolve(H, mu, np.stack([f, f]), g), np.stack([want, want]))
 
 
 def test_vectorized_and_scalar_lookups_agree():
@@ -780,3 +812,14 @@ def test_vectorized_and_scalar_lookups_agree():
         with pytest.raises(ValueError):
             G.compose(*off[0])
         assert G.composites([-1, 0], [0, -1]).tolist() == [-1, -1]
+
+
+def test_indices_outside_the_arrows_compose_to_nothing():
+    # on pair(2), A = 4: the key of (0, 6) is the key of (1, 2), which composes,
+    # and (5, 0) lies past every key
+    G = pair_groupoid("ab")
+    assert G.composites(1, 2) == 0
+    a = [0, 5, 4, 0, -1, 2, 3, 100, -100]
+    b = [6, 0, 0, 4, 5, -3, 2**20, -100, 100]
+    assert G.composites(a, b).tolist() == [-1] * len(a)
+    assert G.composites(np.array([[0], [5]]), np.array([0, 6])).tolist() == [[0, -1], [-1, -1]]
