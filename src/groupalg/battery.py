@@ -16,12 +16,14 @@ import numpy as np
 
 from . import bisections, tolerances
 from .blocks import BlockOperator
-from .groupoid import (FiniteGroupoid, isotropy_bundle, multipliers, validate)
+from .groupoid import (FiniteGroupoid, _fibers, _ranges, isotropy_bundle, multipliers,
+                       validate)
 from .haar import (HaarSystem, convolve, counting_haar, fiber_integrate,
                    function_to_matrix, half_density_inner, i_norm, involute,
                    support_fiber_mass, unit_function)
 from .io import GroupoidDocument, fmt
-from .randgen import SplitMix64, random_function, random_unitary_field
+from .randgen import (SplitMix64, below, boxes, random_function, random_unitary_field,
+                      units)
 from .report import Report, SuiteReport, _worst
 from .representations import (HilbertBundle, IndexRep,
                               QuasiInvariantMeasure, check_representation,
@@ -135,9 +137,68 @@ def _integrated_residuals(G: FiniteGroupoid, mu: HaarSystem,
             pf, pg, pfg, pstar = (ops[i * t:(i + 1) * t] for i in range(4))
             worst_mult = _worst(worst_mult, *pfg.gaps(pf @ pg).tolist())
             worst_star = _worst(worst_star, *pstar.gaps(pf.adjoint()).tolist())
-            over = pf.norms() - [i_norm(G, mu, fi) for fi in f]
-            worst_bound = _worst(worst_bound, *over.tolist(), 0.0)
+            worst_bound = _worst(worst_bound, *(pf.norms() - i_norm(G, mu, f)).tolist(), 0.0)
     return worst_mult, worst_star, worst_bound
+
+
+def _algebra_residuals(G: FiniteGroupoid, mu: HaarSystem, rng: SplitMix64,
+                       t: int) -> tuple[float, ...]:
+    """The worst residuals of associativity, the antihomomorphism, the unit,
+    f^** = f, the I-norm isometry and submultiplicativity, and the integral
+    form of left invariance (the fiber sum of f over tgt(a) against the one
+    translated by a from src(a), each in fiber order), over t trials: trial i
+    is f, g, h and three arrows a, all t trials one block, run as stacks."""
+    A = G.n_arrows
+    block = rng.next_u64s(t * (6 * A + 3)).reshape(t, 6 * A + 3)
+    f, g, h = boxes(block[:, :6 * A]).reshape(t, 3, A).swapaxes(0, 1)
+    u, fg, fstar = unit_function(G, mu), convolve(G, mu, f, g), involute(G, f)
+    # I-norm residuals in Python floats, where an overflow is inf or nan without a warning
+    ni, nstar, nfg, ng = (i_norm(G, mu, x).tolist() for x in (f, fstar, fg, g))
+    gaps = [convolve(G, mu, fg, h) - convolve(G, mu, f, convolve(G, mu, g, h)),
+            involute(G, fg) - convolve(G, mu, involute(G, g), fstar),
+            np.hstack([convolve(G, mu, u, f) - f, convolve(G, mu, f, u) - f]),
+            involute(G, fstar) - f]
+    a = below(block[:, 6 * A:], A).ravel()  # three arrows per trial
+    into, start, size = _fibers(G.tgt, G.n_objects)
+    sums = np.zeros((2, len(a)), dtype=complex)
+    for side, x in enumerate((G.src[a], G.tgt[a])):
+        owner = np.repeat(np.arange(len(a)), size[x])
+        fiber = into[_ranges(start[x], size[x])]
+        at = fiber if side else G.composites(a[owner], fiber)
+        np.add.at(sums[side], owner, f[owner // 3, at] * mu.weights[fiber])
+    return (*(_worst(0.0, *np.abs(d).max(axis=1).tolist()) for d in gaps),
+            _worst(0.0, *(abs(x - y) for x, y in zip(nstar, ni))),
+            _worst(0.0, *(x - y * z for x, y, z in zip(nfg, ni, ng)), 0.0),
+            # Python's abs on each numpy complex: np.abs may differ in the last bit
+            _worst(0.0, *(abs(d) for d in sums[0] - sums[1])))
+
+
+def _pair_matrix_residual(G: FiniteGroupoid, rng: SplitMix64, t: int) -> float:
+    """The worst gap between convolution under counting weights and the
+    matrix product, and between the half-density pairing and the Frobenius
+    pairing, over t (f, g) pairs drawn as one block."""
+    counting = counting_haar(G)
+    f, g = rng.complex_boxes(2 * t * G.n_arrows).reshape(t, 2, G.n_arrows).swapaxes(0, 1)
+    F, Gm = function_to_matrix(G, f), function_to_matrix(G, g)
+    got = function_to_matrix(G, convolve(G, counting, f, g))
+    frob = (F * np.conj(Gm)).reshape(t, -1).sum(axis=1).tolist()
+    inner = (f * np.conj(g) * counting.weights).sum(axis=1).tolist()
+    return _worst(0.0, *np.abs(got - F @ Gm).max(axis=(1, 2)).tolist(),
+                  *(abs(x - y) for x, y in zip(inner, frob)))
+
+
+def _convergence_residual(G: FiniteGroupoid, mu: HaarSystem, rng: SplitMix64) -> float:
+    """The worst excess of ||f_k - f||_I over (support fiber mass) * sup
+    |f_k - f| on the net f_k = f + bump / k, k = 1..5, the bump on each
+    arrow with probability 0.6 (or on arrow 0 alone)."""
+    support = np.flatnonzero(units(rng.next_u64s(G.n_arrows)) < 0.6)
+    support = support if len(support) else np.zeros(1, dtype=np.intp)
+    mass = support_fiber_mass(G, mu, support)
+    base = random_function(G, rng)
+    bump = np.zeros(G.n_arrows, dtype=complex)
+    bump[support] = rng.complex_boxes(len(support))
+    diff = np.stack([base + bump / kk - base for kk in range(1, 6)])
+    return _worst(0.0, *(i_norm(G, mu, diff) - mass * np.abs(diff).max(axis=1)).tolist(), 0.0)
 
 
 def _transport_residual(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure,
@@ -155,14 +216,8 @@ def _transport_residual(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMea
     return ok, _worst(0.0, *gaps.tolist())
 
 
-def _is_full_pair(G: FiniteGroupoid) -> bool:
-    return (G.is_relation_groupoid() and G.is_transitive()
-            and G.n_arrows == G.n_objects ** 2)
-
-
 def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> BatteryRun:
-    exact = tolerances.exact_tol()
-    accum = tolerances.accum_tol()
+    exact, accum = tolerances.exact_tol(), tolerances.accum_tol()
     run = BatteryRun()
     G = gdoc.groupoid
     rng = SplitMix64(seed)
@@ -182,62 +237,20 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
     mu, nu = gdoc.measures()
 
     # convolution algebra laws on random functions
-    worst_assoc = worst_antihom = worst_unit = worst_inv2 = 0.0
-    worst_subm = worst_isom = worst_integral = 0.0
-    u = unit_function(G, mu)
-    for _ in range(max(trials, 1)):
-        f = random_function(G, rng)
-        g = random_function(G, rng)
-        h = random_function(G, rng)
-        lhs = convolve(G, mu, convolve(G, mu, f, g), h)
-        rhs = convolve(G, mu, f, convolve(G, mu, g, h))
-        worst_assoc = _worst(worst_assoc, float(np.abs(lhs - rhs).max()))
-        anti = involute(G, convolve(G, mu, f, g)) - convolve(G, mu, involute(G, g),
-                                                             involute(G, f))
-        worst_antihom = _worst(worst_antihom, float(np.abs(anti).max()))
-        worst_unit = _worst(worst_unit,
-                            float(np.abs(convolve(G, mu, u, f) - f).max()),
-                            float(np.abs(convolve(G, mu, f, u) - f).max()))
-        worst_inv2 = _worst(worst_inv2, float(np.abs(involute(G, involute(G, f)) - f).max()))
-        ni = i_norm(G, mu, f)
-        worst_isom = _worst(worst_isom, abs(i_norm(G, mu, involute(G, f)) - ni))
-        over = i_norm(G, mu, convolve(G, mu, f, g)) - ni * i_norm(G, mu, g)
-        worst_subm = _worst(worst_subm, over, 0.0)
-        # integral form of left invariance, independent of the pointwise check
-        for _ in range(3):
-            a = rng.randint(G.n_arrows)
-            fiber = G.target_fiber(G.src[a])
-            translated = sum(f[c] * mu.weights[hh]
-                             for c, hh in zip(G.composites(a, fiber).tolist(), fiber))
-            direct = sum(f[k] * mu.weights[k] for k in G.target_fiber(G.tgt[a]))
-            worst_integral = _worst(worst_integral, abs(translated - direct))
-    run.record("convolution-associativity", worst_assoc <= accum,
-               f"{max(trials, 1)} random triples", worst_assoc)
-    run.record("involution-antihomomorphism", worst_antihom <= exact,
-               "(f*g)^* = g^* * f^*", worst_antihom)
-    run.record("convolution-unit", worst_unit <= exact,
-               "weighted unit indicator is a two-sided unit", worst_unit)
-    run.record("involution-involutive", worst_inv2 <= exact, "f^** = f", worst_inv2)
-    run.record("inorm-involution-isometry", worst_isom <= exact,
-               "||f^*||_I = ||f||_I", worst_isom)
-    run.record("inorm-submultiplicative", worst_subm <= accum,
-               "||f*g||_I <= ||f||_I ||g||_I", worst_subm)
-    run.record("haar-integral-invariance", worst_integral <= accum,
-               "fiber integrals agree under translation", worst_integral)
+    for (name, tol, detail), worst in zip((
+            ("convolution-associativity", accum, f"{max(trials, 1)} random triples"),
+            ("involution-antihomomorphism", exact, "(f*g)^* = g^* * f^*"),
+            ("convolution-unit", exact, "weighted unit indicator is a two-sided unit"),
+            ("involution-involutive", exact, "f^** = f"),
+            ("inorm-involution-isometry", exact, "||f^*||_I = ||f||_I"),
+            ("inorm-submultiplicative", accum, "||f*g||_I <= ||f||_I ||g||_I"),
+            ("haar-integral-invariance", accum, "fiber integrals agree under translation")),
+            _algebra_residuals(G, mu, rng, max(trials, 1)), strict=True):
+        run.record(name, worst <= tol, detail, worst)
 
     # matrix picture of a full pair groupoid (counting weights)
-    if _is_full_pair(G):
-        counting = counting_haar(G)
-        worst = 0.0
-        for _ in range(max(trials // 2, 1)):
-            f = random_function(G, rng)
-            g = random_function(G, rng)
-            got = function_to_matrix(G, convolve(G, counting, f, g))
-            want = function_to_matrix(G, f) @ function_to_matrix(G, g)
-            worst = _worst(worst, float(np.abs(got - want).max()))
-            frob = complex(np.sum(function_to_matrix(G, f)
-                                  * np.conj(function_to_matrix(G, g))))
-            worst = _worst(worst, abs(half_density_inner(G, counting, f, g) - frob))
+    if G.is_relation_groupoid() and G.is_transitive() and G.n_arrows == G.n_objects ** 2:
+        worst = _pair_matrix_residual(G, rng, max(trials // 2, 1))
         run.record("pair-matrix-oracle", worst <= exact,
                    "convolution is matrix multiplication", worst)
     else:
@@ -250,14 +263,13 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
     run.record_report("trivial-rep-axioms", check_representation(G, trep))
 
     nus = [uniform_measure(G)] if gdoc.nu_raw is None else [uniform_measure(G), nu]
-    worst_mult, worst_star, worst_bound = _integrated_residuals(
-        G, mu, nus, (trep, lrep), rng, max(trials // 4, 1))
-    run.record("integrated-homomorphism", worst_mult <= accum,
-               "pi(f*g) = pi(f) pi(g)", worst_mult)
-    run.record("integrated-star", worst_star <= exact,
-               "pi(f^*) is the weighted adjoint", worst_star)
-    run.record("integrated-norm-bound", worst_bound <= accum,
-               "||pi(f)|| <= ||f||_I", worst_bound)
+    for (name, tol, detail), worst in zip((
+            ("integrated-homomorphism", accum, "pi(f*g) = pi(f) pi(g)"),
+            ("integrated-star", exact, "pi(f^*) is the weighted adjoint"),
+            ("integrated-norm-bound", accum, "||pi(f)|| <= ||f||_I")),
+            _integrated_residuals(G, mu, nus, (trep, lrep), rng, max(trials // 4, 1)),
+            strict=True):
+        run.record(name, worst <= tol, detail, worst)
 
     ok_conj, worst_equiv = _transport_residual(G, mu, nu, lrep, rng, accum)
     run.record("equivalence-transport", ok_conj and worst_equiv <= accum,
@@ -286,10 +298,9 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
 
     # isotropy bundle and orbit structure
     xi = isotropy_bundle(G)
-    xi_rep = validate(xi)
     orbit_ok = all(len(set(len(G.target_fiber(x)) for x in block)) == 1
                    for block in G.orbits())
-    run.record("isotropy-bundle", xi_rep.ok and orbit_ok,
+    run.record("isotropy-bundle", validate(xi).ok and orbit_ok,
                f"bundle with {xi.n_arrows} loops validates; "
                f"fiber sizes constant on orbits")
 
@@ -300,18 +311,7 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
         run.skip("transitive-isomorphism", "groupoid is not transitive")
 
     # I-norm convergence bound on a constructed net
-    support = [a for a in range(G.n_arrows) if rng.random() < 0.6] or [0]
-    mass = support_fiber_mass(G, mu, support)
-    base = random_function(G, rng)
-    bump = np.zeros(G.n_arrows, dtype=complex)
-    for a in support:
-        bump[a] = rng.complex_box()
-    worst_net = 0.0
-    for kk in range(1, 6):
-        fk = base + bump / kk
-        diff = fk - base
-        gap = i_norm(G, mu, diff) - mass * float(np.abs(diff).max())
-        worst_net = _worst(worst_net, gap, 0.0)
+    worst_net = _convergence_residual(G, mu, rng)
     run.record("inorm-convergence-bound", worst_net <= accum,
                "||f_k - f||_I <= (support fiber mass) * sup norm", worst_net)
 

@@ -205,12 +205,12 @@ class FiniteGroupoid:
     def compose(self, a: int, b: int) -> int:
         """Composite ``a o b`` (b first), the scalar form of :meth:`composites`;
         raises unless (a, b) composes."""
-        if self.src[a] == self.tgt[b]:
-            c = int(self.composites(a, b))
-            if c >= 0:
-                return c
-        raise ValueError(
-            f"arrows {self.arrow_ids[a]} and {self.arrow_ids[b]} do not compose")
+        n = self.n_arrows
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"arrows {a} and {b} do not compose: indices run over 0..{n - 1}")
+        if self.src[a] == self.tgt[b] and (c := int(self.composites(a, b))) >= 0:
+            return c
+        raise ValueError(f"arrows {self.arrow_ids[a]} and {self.arrow_ids[b]} do not compose")
 
     def composites(self, a, b) -> np.ndarray:
         """The composition lookup, vectorized: the table's composite of each

@@ -26,6 +26,8 @@ from .errors import ShapeMismatch
 from .groupoid import FiniteGroupoid
 from .report import Report
 
+_TERM_BATCH = 1 << 16  # convolution terms per chunk of a stacked convolve
+
 
 @dataclass(frozen=True)
 class HaarSystem:
@@ -97,11 +99,6 @@ def _as_function(G: FiniteGroupoid, f, stack: bool = False) -> np.ndarray:
     return f
 
 
-def _gather(f: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``f[..., index]`` for a function or a stack of them."""
-    return f[index] if f.ndim == 1 else np.take(f, index, axis=1)
-
-
 def delta(G: FiniteGroupoid, arrow: int) -> np.ndarray:
     out = np.zeros(G.n_arrows, dtype=complex)
     out[arrow] = 1.0
@@ -116,26 +113,41 @@ def fiber_integrate(G: FiniteGroupoid, mu: HaarSystem, f) -> np.ndarray:
     return out
 
 
+def _add_rows(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
+    """``np.add.at(out, index, values)``, row by row on a contiguous stack."""
+    if out.ndim == 1:
+        np.add.at(out, index, values)
+    else:  # row i of the stack at i * width onwards in the flat output
+        at = np.arange(len(out))[:, None] * out.shape[1] + index
+        np.add.at(out.reshape(-1), at.ravel(), values.ravel())
+
+
 def convolve(G: FiniteGroupoid, mu: HaarSystem, f, g) -> np.ndarray:
     """f * g; for (k, A) stacks (one may be a single function) row by row,
-    each row summed in the same order as a single call."""
-    f = _as_function(G, f, stack=True)
-    g = _as_function(G, g, stack=True)
+    each row summed in the same order as a single call, in chunks of about
+    ``_TERM_BATCH`` terms."""
+    f, g = _as_function(G, f, stack=True), _as_function(G, g, stack=True)
     outs, lefts, rights = G.convolution_plan()
-    terms = _gather(f, lefts) * _gather(g, rights) * mu.weights[lefts]
-    out = np.zeros(terms.shape[:-1] + (G.n_arrows,), dtype=complex)
-    if terms.ndim == 1:
-        np.add.at(out, outs, terms)
-    else:  # row i of the stack at i * A onwards in the flat output
-        at = np.arange(len(terms))[:, None] * G.n_arrows + outs
-        np.add.at(out.reshape(-1), at.ravel(), terms.ravel())
+    if f.ndim == g.ndim == 1:
+        out = np.zeros(G.n_arrows, dtype=complex)
+        _add_rows(out, outs, f[lefts] * g[rights] * mu.weights[lefts])
+        return out
+    f, g = np.broadcast_arrays(np.atleast_2d(f), np.atleast_2d(g))
+    step = _TERM_BATCH // max(len(outs), 1)
+    if step < 2:  # a chunk of one row: single calls gather and add faster
+        return np.array([convolve(G, mu, a, b) for a, b in zip(f, g)]).reshape(f.shape)
+    out = np.zeros(f.shape, dtype=complex)
+    for lo in range(0, len(f), step):
+        rows = slice(lo, lo + step)
+        terms = np.take(f[rows], lefts, axis=1) * np.take(g[rows], rights, axis=1)
+        _add_rows(out[rows], outs, terms * mu.weights[lefts])
     return out
 
 
 def involute(G: FiniteGroupoid, f) -> np.ndarray:
     """f^*; row by row for a (k, A) stack."""
     f = _as_function(G, f, stack=True)
-    return np.conj(_gather(f, G.inverse))
+    return np.conj(f[..., G.inverse])
 
 
 def unit_function(G: FiniteGroupoid, mu: HaarSystem) -> np.ndarray:
@@ -149,25 +161,19 @@ def unit_function(G: FiniteGroupoid, mu: HaarSystem) -> np.ndarray:
     return out
 
 
-def _fiber_masses(G: FiniteGroupoid, mu: HaarSystem, absf: np.ndarray):
-    tmass = np.zeros(G.n_objects)
-    smass = np.zeros(G.n_objects)
-    np.add.at(tmass, G.tgt, absf * mu.weights)
-    np.add.at(smass, G.src, absf * mu.weights[G.inverse])
-    return tmass, smass
-
-
-def i_norm(G: FiniteGroupoid, mu: HaarSystem, f) -> float:
-    """Max of the two sup-over-objects fiber integrals of |f|.
+def i_norm(G: FiniteGroupoid, mu: HaarSystem, f):
+    """Max of the two sup-over-objects fiber integrals of |f|; for a (k, A)
+    stack one float per row, each as a single call.
 
     The target form weighs an arrow by its own weight, the source form by
     the weight of its inverse (the image measure under inversion).
     """
-    f = _as_function(G, f)
-    if G.n_arrows == 0:
-        return 0.0
-    tmass, smass = _fiber_masses(G, mu, np.abs(f))
-    return float(max(tmass.max(), smass.max()))
+    f = _as_function(G, f, stack=True)
+    absf, masses = np.abs(f), np.zeros((2,) + f.shape[:-1] + (G.n_objects,))
+    _add_rows(masses[0], G.tgt, absf * mu.weights)
+    _add_rows(masses[1], G.src, absf * mu.weights[G.inverse])
+    out = masses.max(axis=(0, -1), initial=0.0)  # masses are >= 0
+    return float(out) if f.ndim == 1 else out
 
 
 def support_fiber_mass(G: FiniteGroupoid, mu: HaarSystem, support) -> float:
@@ -182,14 +188,14 @@ def support_fiber_mass(G: FiniteGroupoid, mu: HaarSystem, support) -> float:
 
 def half_density_inner(G: FiniteGroupoid, mu: HaarSystem, f, g) -> complex:
     """Weighted sesquilinear pairing sum f(a) conj(g(a)) weight(a)."""
-    f = _as_function(G, f)
-    g = _as_function(G, g)
+    f, g = _as_function(G, f), _as_function(G, g)
     return complex(np.sum(f * np.conj(g) * mu.weights))
 
 
 def function_to_matrix(G: FiniteGroupoid, f) -> np.ndarray:
-    """Matrix picture of a function on a relation groupoid: F[t, s] = f(arrow s->t)."""
-    f = _as_function(G, f)
-    out = np.zeros((G.n_objects, G.n_objects), dtype=complex)
-    out[G.tgt, G.src] = f
+    """Matrix picture of a function on a relation groupoid: F[t, s] = f(arrow s->t);
+    one matrix per row of a (k, A) stack."""
+    f = _as_function(G, f, stack=True)
+    out = np.zeros(f.shape[:-1] + (G.n_objects, G.n_objects), dtype=complex)
+    out[..., G.tgt, G.src] = f
     return out

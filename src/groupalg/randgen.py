@@ -17,24 +17,19 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
-    """Deterministic 64-bit stream; float output uses the top 53 bits."""
+    """Deterministic 64-bit stream; every value is a conversion of a block
+    of draws (:func:`units`, :func:`boxes`, :func:`below`)."""
 
     def __init__(self, seed: int):
         self.state = seed & _MASK
 
-    def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
-
     def next_u64s(self, k: int) -> np.ndarray:
-        """The next ``k`` values of :meth:`next_u64`, as a uint64 array.
+        """The next ``k`` draws, as a uint64 array.
 
-        The stream is counter-based: draw i is mix(state + (i + 1) gamma)
-        mod 2^64, so all k draws are one array expression.  Array arithmetic
-        wraps modulo 2^64 without a warning, as the masks above do.
+        The stream is counter-based: draw i is the splitmix64 mix of
+        state + (i + 1) gamma mod 2^64, so k draws are one array expression,
+        and one block of k draws is the same as k blocks of one.  Array
+        arithmetic wraps modulo 2^64 without a warning.
         """
         z = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(self.state)
         self.state = (self.state + k * _GAMMA) & _MASK
@@ -44,39 +39,44 @@ class SplitMix64:
 
     def complex_boxes(self, k: int) -> np.ndarray:
         """``k`` values of :meth:`complex_box`, as a complex array."""
-        unit = (self.next_u64s(2 * k) >> 11) * 2.0 ** -53
-        return (-1.0 + 2.0 * unit).view(complex)
+        return boxes(self.next_u64s(2 * k))
 
     def random(self) -> float:
-        return (self.next_u64() >> 11) * (2.0 ** -53)
+        return float(units(self.next_u64s(1))[0])
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.random()
 
     def randint(self, n: int) -> int:
-        return self.next_u64() % n
-
-    def choice(self, seq):
-        return seq[self.randint(len(seq))]
+        return int(below(self.next_u64s(1), n)[0])
 
     def complex_box(self) -> complex:
-        return complex(self.uniform(-1.0, 1.0), self.uniform(-1.0, 1.0))
+        return complex(self.complex_boxes(1)[0])
 
 
-_GROUP_MENU = [
-    ("1", 1), ("z2", 2), ("z3", 3), ("z4", 4), ("klein", 4), ("s3", 6),
-]
+def units(u: np.ndarray) -> np.ndarray:
+    """Draws as floats in [0, 1): the top 53 bits of each."""
+    return (u >> 11) * 2.0 ** -53
+
+
+def boxes(u: np.ndarray) -> np.ndarray:
+    """Pairs of draws (real, imaginary) as points of the unit box."""
+    return (-1.0 + 2.0 * units(u)).view(complex)
+
+
+def below(u: np.ndarray, n: int) -> np.ndarray:
+    """Draws as ints in 0..n-1."""
+    return (u % np.uint64(n)).astype(np.intp)
+
+
+_GROUP_MENU = [("1", 1), ("z2", 2), ("z3", 3), ("z4", 4), ("klein", 4), ("s3", 6)]
 
 
 def _group_table(name: str):
     if name == "1":
         return ["e"], [[0]]
-    if name == "z2":
-        return builders.cyclic_table(2)
-    if name == "z3":
-        return builders.cyclic_table(3)
-    if name == "z4":
-        return builders.cyclic_table(4)
+    if name in ("z2", "z3", "z4"):
+        return builders.cyclic_table(int(name[1]))
     if name == "klein":
         return builders.klein_table()
     if name == "s3":
@@ -90,20 +90,15 @@ def random_groupoid(rng: SplitMix64, max_arrows: int = 64) -> FiniteGroupoid:
     budget = max_arrows
     n_components = 1 + rng.randint(3)
     for _ in range(n_components):
-        options = []
-        for k in range(1, 5):
-            for gname, gorder in _GROUP_MENU:
-                if k * k * gorder <= budget:
-                    options.append((k, gname, gorder))
+        options = [(k, gname, gorder) for k in range(1, 5) for gname, gorder in _GROUP_MENU
+                   if k * k * gorder <= budget]
         if not options:
             break
-        k, gname, gorder = rng.choice(options)
+        k, gname, gorder = options[rng.randint(len(options))]
         budget -= k * k * gorder
         base = builders.pair_groupoid([f"c{len(pieces)}x{i}" for i in range(k)])
-        if gname == "1":
-            pieces.append(base)
-        else:
-            pieces.append(builders.product(base, builders.group_groupoid(*_group_table(gname))))
+        pieces.append(base if gname == "1" else
+                      builders.product(base, builders.group_groupoid(*_group_table(gname))))
     if not pieces:
         pieces = [builders.pair_groupoid(["c0x0"])]
     if len(pieces) == 1:
@@ -118,12 +113,11 @@ def random_function(G: FiniteGroupoid, rng: SplitMix64) -> np.ndarray:
 
 def random_invariant_weights(G: FiniteGroupoid, rng: SplitMix64) -> np.ndarray:
     """Left-invariant weights: one value in [0.5, 2) per source object."""
-    per_object = np.array([rng.uniform(0.5, 2.0) for _ in range(G.n_objects)], dtype=float)
-    return per_object[G.src]
+    return (0.5 + (2.0 - 0.5) * units(rng.next_u64s(G.n_objects)))[G.src]
 
 
 def random_probability(n: int, rng: SplitMix64) -> np.ndarray:
-    raw = np.array([rng.uniform(0.2, 1.0) for _ in range(n)], dtype=float)
+    raw = 0.2 + (1.0 - 0.2) * units(rng.next_u64s(n))
     return raw / raw.sum()
 
 

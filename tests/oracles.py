@@ -8,18 +8,33 @@ inverse.  For the dense operator norm, the connected blocks of a matrix's
 support with rows and columns apart, one SVD each, which ``operator_norm``
 took before it read a block operator.  For the bisection group, the star
 table from a dict on row bytes with associativity over all k^3 triples, and
-the group laws pair by pair.
+the group laws pair by pair.  For the battery's other randomized suites,
+which now draw each suite's trials as one block of the stream and run them
+as stacks: the loops that drew and checked one trial at a time.
 """
 
 import numpy as np
 
 from groupalg.bisections import arrow_array, bisection_compose, target_map, unit_bisection
 from groupalg.groupoid import _ranges, components
-from groupalg.haar import _as_function, convolve, i_norm, involute
-from groupalg.randgen import random_function, random_unitary_field
+from groupalg.haar import (_as_function, convolve, counting_haar, function_to_matrix,
+                           half_density_inner, i_norm, involute, support_fiber_mass,
+                           unit_function)
+from groupalg.randgen import SplitMix64, random_function, random_unitary_field
 from groupalg.report import _worst
 from groupalg.representations import (IndexRep, adjoint_operator, check_representation,
                                       conjugate_rep_on, induced_measures, operator_norm)
+
+
+def next_u64(rng: SplitMix64) -> int:
+    """The stream's next draw in Python ints, one splitmix64 step at a time:
+    the reference for the array draws of ``SplitMix64.next_u64s``."""
+    mask = (1 << 64) - 1
+    rng.state = (rng.state + 0x9E3779B97F4A7C15) & mask
+    z = rng.state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
 
 
 def scatter_integrate(G, mu, nu, rep, f):
@@ -153,3 +168,73 @@ def brute_force_forms_group(G, sigmas):
               == {x: target_map(G, sigmas[i])[y] for x, y in target_map(G, sigmas[j]).items()}
               for i in range(k) for j in range(k))
     return assoc and ident and invs and hom
+
+
+def per_trial_algebra(G, mu, rng, trials):
+    """The worst residuals of associativity, the antihomomorphism, the unit,
+    f^** = f, the I-norm isometry, submultiplicativity and the integral form
+    of left invariance, drawing and checking one trial at a time."""
+    worst_assoc = worst_antihom = worst_unit = worst_inv2 = 0.0
+    worst_subm = worst_isom = worst_integral = 0.0
+    u = unit_function(G, mu)
+    for _ in range(trials):
+        f = random_function(G, rng)
+        g = random_function(G, rng)
+        h = random_function(G, rng)
+        lhs = convolve(G, mu, convolve(G, mu, f, g), h)
+        rhs = convolve(G, mu, f, convolve(G, mu, g, h))
+        worst_assoc = _worst(worst_assoc, float(np.abs(lhs - rhs).max()))
+        anti = involute(G, convolve(G, mu, f, g)) - convolve(G, mu, involute(G, g),
+                                                             involute(G, f))
+        worst_antihom = _worst(worst_antihom, float(np.abs(anti).max()))
+        worst_unit = _worst(worst_unit,
+                            float(np.abs(convolve(G, mu, u, f) - f).max()),
+                            float(np.abs(convolve(G, mu, f, u) - f).max()))
+        worst_inv2 = _worst(worst_inv2, float(np.abs(involute(G, involute(G, f)) - f).max()))
+        ni = i_norm(G, mu, f)
+        worst_isom = _worst(worst_isom, abs(i_norm(G, mu, involute(G, f)) - ni))
+        over = i_norm(G, mu, convolve(G, mu, f, g)) - ni * i_norm(G, mu, g)
+        worst_subm = _worst(worst_subm, over, 0.0)
+        for _ in range(3):
+            a = rng.randint(G.n_arrows)
+            fiber = G.target_fiber(G.src[a])
+            translated = sum(f[c] * mu.weights[hh]
+                             for c, hh in zip(G.composites(a, fiber).tolist(), fiber))
+            direct = sum(f[k] * mu.weights[k] for k in G.target_fiber(G.tgt[a]))
+            worst_integral = _worst(worst_integral, abs(translated - direct))
+    return (worst_assoc, worst_antihom, worst_unit, worst_inv2, worst_isom, worst_subm,
+            worst_integral)
+
+
+def per_trial_pair_matrix(G, rng, t):
+    """The worst gap between convolution and the matrix product, and between
+    the half-density and Frobenius pairings, one (f, g) pair at a time."""
+    counting = counting_haar(G)
+    worst = 0.0
+    for _ in range(t):
+        f = random_function(G, rng)
+        g = random_function(G, rng)
+        got = function_to_matrix(G, convolve(G, counting, f, g))
+        want = function_to_matrix(G, f) @ function_to_matrix(G, g)
+        worst = _worst(worst, float(np.abs(got - want).max()))
+        frob = complex(np.sum(function_to_matrix(G, f) * np.conj(function_to_matrix(G, g))))
+        worst = _worst(worst, abs(half_density_inner(G, counting, f, g) - frob))
+    return worst
+
+
+def per_trial_convergence(G, mu, rng):
+    """The I-norm convergence bound on the net base + bump / k, one draw and
+    one k at a time."""
+    support = [a for a in range(G.n_arrows) if rng.random() < 0.6] or [0]
+    mass = support_fiber_mass(G, mu, support)
+    base = random_function(G, rng)
+    bump = np.zeros(G.n_arrows, dtype=complex)
+    for a in support:
+        bump[a] = rng.complex_box()
+    worst_net = 0.0
+    for kk in range(1, 6):
+        fk = base + bump / kk
+        diff = fk - base
+        gap = i_norm(G, mu, diff) - mass * float(np.abs(diff).max())
+        worst_net = _worst(worst_net, gap, 0.0)
+    return worst_net

@@ -3,7 +3,9 @@
 import json
 import math
 import os
+import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -14,15 +16,16 @@ from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid, pai
                                product)
 from groupalg.cli import main
 from groupalg.haar import HaarSystem
-from groupalg.io import GroupoidDocument, load_groupoid
-from groupalg.randgen import (SplitMix64, random_invariant_weights, random_probability,
-                              random_unitary_field)
+from groupalg.io import GroupoidDocument, load_groupoid, parse_groupoid_document
+from groupalg.randgen import (SplitMix64, random_groupoid, random_invariant_weights,
+                              random_probability, random_unitary_field)
 from groupalg.report import Report
 from groupalg.representations import (BundleRep, HilbertBundle, QuasiInvariantMeasure,
                                       conjugate_rep_on, integrated_blocks, left_regular_rep,
                                       trivial_rep, uniform_measure)
 
-from oracles import big_matrix_transport, per_trial_integrated
+from oracles import (big_matrix_transport, per_trial_algebra, per_trial_convergence,
+                     per_trial_integrated, per_trial_pair_matrix)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -89,6 +92,80 @@ def test_integrated_suites_match_the_per_trial_dense_loop(name, seed, monkeypatc
         assert math.isclose(got, w, rel_tol=1e-6, abs_tol=1e-13), (suite, got, w)
         assert lines[suite].ok
     assert ok and t == 5
+
+
+# each stacked suite helper, its per-trial oracle (same arguments) and the
+# battery lines that report its residuals
+STACKED = {
+    "_algebra_residuals": (per_trial_algebra, [
+        "convolution-associativity", "involution-antihomomorphism", "convolution-unit",
+        "involution-involutive", "inorm-involution-isometry", "inorm-submultiplicative",
+        "haar-integral-invariance"]),
+    "_pair_matrix_residual": (per_trial_pair_matrix, ["pair-matrix-oracle"]),
+    "_convergence_residual": (per_trial_convergence, ["inorm-convergence-bound"]),
+}
+
+
+def _random_document(G, rng):
+    return GroupoidDocument(G, random_invariant_weights(G, rng),
+                            random_probability(G.n_objects, rng), "strict")
+
+
+def _stacked_documents():
+    """(label, document, battery seed): a pair groupoid, a pair x group, a
+    one-object Z_n and a random union at seeds 1-10, and unions 0, 4 and 6
+    of the benchmark's mixed-small workload at its seed 3, where np.abs and
+    Python's abs on a complex differ in the last bit of an integral residual."""
+    for seed in range(1, 11):
+        rng = SplitMix64(seed)
+        for label, G in (("pair4", pair_groupoid("abcd")),
+                         ("pair3xz2", product(pair_groupoid("abc"),
+                                              group_groupoid(*cyclic_table(2)))),
+                         ("z6", group_groupoid(*cyclic_table(6))),
+                         ("union", random_groupoid(SplitMix64(100 + seed), max_arrows=32))):
+            yield f"{label}-seed{seed}", _random_document(G, rng), seed
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    try:
+        import inputs
+        from workloads import MIXED_UNIONS, UNIONS
+    finally:
+        sys.path.pop(0)
+    rng = random.Random(3)  # the workload draws every union's weights in turn
+    for i in MIXED_UNIONS:
+        doc = inputs.union_arrows_doc(UNIONS[i], rng)
+        if i in (0, 4, 6):
+            yield f"mixed-small-union{i}", parse_groupoid_document(doc, where=str(i)), 3
+
+
+def test_stacked_suites_equal_the_per_trial_oracles_bit_for_bit(monkeypatch):
+    calls = []
+    for name in STACKED:
+        def wrapped(*args, real=getattr(battery, name), name=name):
+            [rng] = [a for a in args if isinstance(a, SplitMix64)]
+            calls.append([name, args, rng.state])
+            out = real(*args)
+            calls[-1].extend([rng.state, out])
+            return out
+        monkeypatch.setattr(battery, name, wrapped)
+    checked = []
+    for label, gdoc, seed in _stacked_documents():
+        calls.clear()
+        lines = {line.name: line.residual for line in run_battery(gdoc, seed=seed).lines}
+        assert [c[0] for c in calls] == [n for n in STACKED if n != "_pair_matrix_residual"
+                                         or lines["pair-matrix-oracle"] is not None], label
+        for name, args, before, after, got in calls:
+            oracle, suites = STACKED[name]
+            replay = SplitMix64(0)
+            replay.state = before
+            want = oracle(*(replay if isinstance(a, SplitMix64) else a for a in args))
+            want = want if isinstance(want, tuple) else (want,)
+            assert replay.state == after, (label, name)
+            assert (got if isinstance(got, tuple) else (got,)) == want, (label, name)
+            assert [lines[s] for s in suites] == list(want), (label, name)
+            checked.append(name)
+    counts = {name: checked.count(name) for name in STACKED}
+    assert counts["_algebra_residuals"] == counts["_convergence_residual"] == 43
+    assert counts["_pair_matrix_residual"] >= 10  # pair(4) and random single pair(k)
 
 
 def test_stacked_trials_equal_the_per_trial_loop_on_a_broken_rep():

@@ -823,3 +823,16 @@ def test_indices_outside_the_arrows_compose_to_nothing():
     b = [6, 0, 0, 4, 5, -3, 2**20, -100, 100]
     assert G.composites(a, b).tolist() == [-1] * len(a)
     assert G.composites(np.array([[0], [5]]), np.array([0, 6])).tolist() == [[0, -1], [-1, -1]]
+
+
+@pytest.mark.parametrize("a, b", [(-1, 3), (3, -1), (0, 6), (6, 0), (4, 4), (-5, 0)])
+def test_compose_refuses_indices_outside_the_arrows(a, b):
+    # on pair(2), A = 4: Python's negative indexing would read -1 as arrow 3,
+    # and a03 o a03 is defined
+    G = pair_groupoid("ab")
+    assert G.compose(3, 3) == 3
+    with pytest.raises(ValueError, match=rf"^arrows {a} and {b} do not compose: "
+                                         r"indices run over 0\.\.3$"):
+        G.compose(a, b)
+    with pytest.raises(ValueError, match="^arrows a00 and a03 do not compose$"):
+        G.compose(0, 3)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupalg import haar
 from groupalg import (HaarSystem, check_left_invariance, convolve,
                       counting_haar, delta, fiber_integrate,
                       function_to_matrix, half_density_inner, i_norm, involute,
@@ -182,6 +183,33 @@ class TestStacks:
         one = convolve(G, mu, F[0], Gs)  # a single function against a stack
         assert all(np.array_equal(one[i], convolve(G, mu, F[0], Gs[i])) for i in range(5))
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 6))
+    def test_stacked_i_norm_equals_single_calls(self, seed, k):
+        rng = SplitMix64(seed)
+        G = random_groupoid(rng, max_arrows=40)
+        mu = HaarSystem(random_invariant_weights(G, rng))
+        F = rng.complex_boxes(k * G.n_arrows).reshape(k, G.n_arrows)
+        got = i_norm(G, mu, F)
+        assert got.shape == (k,)
+        assert [x.tobytes() for x in got] == [np.float64(i_norm(G, mu, f)).tobytes() for f in F]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 9), st.integers(1, 3))
+    def test_stacked_convolve_over_several_chunks_equals_single_calls(self, seed, k, rows):
+        # a budget of one row's terms takes single calls; of two or three
+        # rows', chunks, the last one possibly short
+        rng = SplitMix64(seed)
+        G = random_groupoid(rng, max_arrows=40)
+        mu = HaarSystem(random_invariant_weights(G, rng))
+        F = rng.complex_boxes(k * G.n_arrows).reshape(k, G.n_arrows)
+        Gs = rng.complex_boxes(k * G.n_arrows).reshape(k, G.n_arrows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(haar, "_TERM_BATCH", rows * len(G.compose_table))
+            got, one = convolve(G, mu, F, Gs), convolve(G, mu, F[0], Gs)
+        assert got.tobytes() == np.array([convolve(G, mu, f, g) for f, g in zip(F, Gs)]).tobytes()
+        assert one.tobytes() == np.array([convolve(G, mu, F[0], g) for g in Gs]).tobytes()
+
     def test_stacked_involute_equals_single_calls(self):
         G = product(pair_groupoid("abc"), group_groupoid(*cyclic_table(3)))
         rng = SplitMix64(5)
@@ -195,8 +223,12 @@ class TestStacks:
         assert convolve(G, mu, np.zeros((0, 4)), np.zeros((0, 4))).shape == (0, 4)
         with pytest.raises(ShapeMismatch, match=r"expected \(4,\) or \(k, 4\)"):
             convolve(G, mu, np.zeros((2, 5)), np.zeros((2, 5)))
+        for bad in (np.zeros((2, 5)), np.zeros((2, 2, 4))):
+            with pytest.raises(ShapeMismatch, match=r"expected \(4,\) or \(k, 4\)"):
+                i_norm(G, mu, bad)
+        assert i_norm(G, mu, np.zeros((0, 4))).shape == (0,)
         with pytest.raises(ShapeMismatch):
-            i_norm(G, mu, np.zeros((2, 4)))  # the norms take one function
+            half_density_inner(G, mu, np.zeros((2, 4)), np.zeros((2, 4)))  # one function
 
 
 class TestInvolute:
