@@ -23,7 +23,7 @@ from .partial_algebra import (StructureTable, SubspaceBasis,
                               ideal_closure_check, matrix_units_table,
                               multiplier_subspace)
 from .report import Report, ReportEntry
-from .representations import (BundleRep, HilbertBundle, IndexRep,
+from .representations import (ConjugatedRep, HilbertBundle, IndexRep,
                               InducedMeasures, QuasiInvariantMeasure,
                               TransitiveDecomposition, adjoint_operator,
                               canonical_bundle, check_representation,

@@ -25,7 +25,7 @@ from .io import GroupoidDocument, fmt
 from .randgen import (SplitMix64, below, boxes, random_function, random_unitary_field,
                       units)
 from .report import Report, SuiteReport, _worst
-from .representations import (HilbertBundle, IndexRep,
+from .representations import (ConjugatedRep, IndexRep,
                               QuasiInvariantMeasure, check_representation,
                               conjugate_rep_on, fundamental_family_check,
                               integrated_blocks, left_regular_rep,
@@ -92,15 +92,17 @@ SUITES = (
 )
 
 
-def _transport_gaps(conj: BlockOperator, plain: BlockOperator, bundle: HilbertBundle,
-                    field: list[np.ndarray], field_inv: list[np.ndarray]) -> np.ndarray:
+def _transport_gaps(conj: BlockOperator, plain: BlockOperator,
+                    rep: ConjugatedRep) -> np.ndarray:
     """``max |conj[i] - U plain[i] U^-1|`` per operator i, with U the
-    block-diagonal field, orbit by orbit and object by object.
+    block-diagonal field of ``rep`` and U^-1 its computed inverses, orbit
+    by orbit and object by object.
 
-    ``conj`` has one block per orbit (a dense rep), in which each object's
-    fiber is contiguous; the (x, y) slice of U plain U^-1 is
+    ``conj`` has one block per orbit (the integrated ``rep``), in which each
+    object's fiber is contiguous; the (x, y) slice of U plain U^-1 is
     U_x plain[x, y] U_y^-1, taken from U_x times the rows of x in plain.
     """
+    bundle, field, field_inv = rep.bundle, rep.field, rep.inverses
     owner = np.repeat(np.arange(len(bundle.dims)), bundle.dims)
     out = np.zeros(len(conj))
     for positions, data in conj.groups:
@@ -206,13 +208,11 @@ def _transport_residual(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMea
     """Whether lrep conjugated by a random unitary field passes the
     representation axioms at atol, and the worst gap between its integrated
     operators and the conjugated ones of lrep, over two random functions."""
-    field = random_unitary_field(lrep.bundle.weights, rng)
-    conj = conjugate_rep_on(G, lrep, field)
-    field_inv = [np.linalg.inv(u) for u in field]
+    conj = conjugate_rep_on(G, lrep, random_unitary_field(lrep.bundle.weights, rng))
     ok = check_representation(G, conj, atol=atol).ok
     fs = rng.complex_boxes(2 * G.n_arrows).reshape(2, G.n_arrows)
     gaps = _transport_gaps(integrated_blocks(G, mu, nu, conj, fs),
-                           integrated_blocks(G, mu, nu, lrep, fs), lrep.bundle, field, field_inv)
+                           integrated_blocks(G, mu, nu, lrep, fs), conj)
     return ok, _worst(0.0, *gaps.tolist())
 
 

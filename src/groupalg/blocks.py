@@ -1,8 +1,5 @@
-"""Stacks of small matrices: products in batches of one shape, and
-operators stored by diagonal blocks.
+"""Operators stored by diagonal blocks.
 
-Many products of small matrices of one shape go through one stacked
-``np.matmul`` each batch, each item the same product as a single ``@``.
 An operator that is block diagonal after one permutation of the basis is
 kept as its blocks: the basis positions of each block and a small dense
 matrix per block.  Products, weighted adjoints and spectral norms then work
@@ -16,41 +13,12 @@ the blocks of its nonzero pattern to take its norm here.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeMismatch
 from .groupoid import _ranges
-
-_STACK_ENTRIES = 1 << 13  # matrix entries per operand of one stacked product
-
-
-def _stacked(ops: Sequence[np.ndarray], items: np.ndarray) -> np.ndarray:
-    """The ops ``items``, all of one shape, as one (len(items), m, n) array:
-    a view for one item, or for a run of consecutive items of an array."""
-    if len(items) == 1:
-        return ops[items[0]][None]
-    if isinstance(ops, np.ndarray):
-        if items[-1] - items[0] == len(items) - 1 and (np.diff(items) == 1).all():
-            return ops[items[0]:items[-1] + 1]
-        return ops[items]
-    return np.stack([ops[i] for i in items.tolist()])
-
-
-def _batches(keys: Sequence, entries):
-    """(key, items) runs of the item indices with one key, ascending, each
-    at most ``_STACK_ENTRIES // entries(key)`` items long (one at least), so
-    that items of one shape class go through one stacked product and a
-    stack of large matrices is cut into a few."""
-    runs: dict = {}
-    for i, key in enumerate(keys):
-        runs.setdefault(key, []).append(i)
-    for key, items in runs.items():
-        step = max(1, _STACK_ENTRIES // max(entries(key), 1))
-        for lo in range(0, len(items), step):
-            yield key, np.array(items[lo:lo + step], dtype=np.intp)
 
 
 @dataclass(frozen=True, eq=False)

@@ -375,19 +375,16 @@ class GeneratorCertificate:
     """A generating set S of the arrows, and whether it proves the table
     associative.
 
-    ``generators`` is S, ascending.  ``depth`` is L, the longest
-    right-nested word ``s1 o (s2 o (... o sL))`` over S that the table needs
-    to reach an arrow, or 0 when S does not reach them all.  ``associative``
-    holds when the table defines every composable pair with the right
-    endpoints, S reaches every arrow, and Light's test ``(x o s) o y ==
-    x o (s o y)`` holds for every s in S and composable x, y.  The arrows a
-    that pass the test for every x, y are closed under composition (Clifford
-    & Preston, *Algebraic Theory of Semigroups* I, §1.2), so then every
-    composable triple associates.
+    ``generators`` is S, ascending.  ``associative`` holds when the table
+    defines every composable pair with the right endpoints, S reaches every
+    arrow by right-nested words ``s1 o (s2 o (... o sk))``, and Light's test
+    ``(x o s) o y == x o (s o y)`` holds for every s in S and composable x, y.
+    The arrows a that pass the test for every x, y are closed under
+    composition (Clifford & Preston, *Algebraic Theory of Semigroups* I,
+    §1.2), so then every composable triple associates.
     """
 
     generators: np.ndarray
-    depth: int
     associative: bool
 
 
@@ -438,7 +435,7 @@ def _certify(G: FiniteGroupoid) -> GeneratorCertificate:
     n, arrows = G.n_objects, np.arange(G.n_arrows)
     a, b, ab = G._pair_products()
     if (ab < 0).any() or (tgt[ab] != tgt[a]).any() or (src[ab] != src[b]).any():
-        return GeneratorCertificate(np.zeros(0, dtype=np.intp), 0, False)
+        return GeneratorCertificate(np.zeros(0, dtype=np.intp), False)
 
     # the star of each orbit: the first arrow base -> x in the target fibre
     # of x, and the first arrow x -> base in its source fibre
@@ -467,9 +464,10 @@ def _certify(G: FiniteGroupoid) -> GeneratorCertificate:
         chosen[_isotropy_generators(G, at_x, made[at_x])] = True
     gens = np.flatnonzero(chosen)
 
-    # right-nested closure: depth k + 1 is S o (depth k), less what is reached
+    # right-nested closure: the words of length k + 1 are S o (those of
+    # length k), less what is reached
     reached = chosen.copy()
-    frontier, depth = gens, int(len(gens) > 0)
+    frontier = gens
     while True:
         s, f = _joined(gens, frontier, src, tgt, n)
         new = np.zeros(G.n_arrows, dtype=bool)
@@ -478,9 +476,9 @@ def _certify(G: FiniteGroupoid) -> GeneratorCertificate:
         if not new.any():
             break
         reached |= new
-        frontier, depth = np.flatnonzero(new), depth + 1
+        frontier = np.flatnonzero(new)
     if not reached.all():
-        return GeneratorCertificate(gens, 0, False)
+        return GeneratorCertificate(gens, False)
 
     # Light's test: (x o s) o y == x o (s o y) for s in S and every composable x, y
     x, s = _joined(arrows, gens, src, tgt, n)
@@ -488,8 +486,8 @@ def _certify(G: FiniteGroupoid) -> GeneratorCertificate:
     for rows, y in _triples(G, s):
         if (G.composites(xs[rows], y)
                 != G.composites(x[rows], G.composites(s[rows], y))).any():
-            return GeneratorCertificate(gens, depth, False)
-    return GeneratorCertificate(gens, depth, True)
+            return GeneratorCertificate(gens, False)
+    return GeneratorCertificate(gens, True)
 
 
 # ---------------------------------------------------------------------------

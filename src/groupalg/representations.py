@@ -7,7 +7,9 @@ inversion.  Two canonical examples: the trivial representation on the line
 bundle, and the left regular representation on the target-fiber bundle,
 where an arrow acts by translating fiber indicators.  Both are monomial,
 one 1 per column, and are kept as index data (:class:`IndexRep`) that the
-checks and the integration read without building a dense matrix.
+checks and the integration read without building a dense matrix.  A field
+of unitaries conjugates such a rep into a :class:`ConjugatedRep`, whose
+laws are bounded from per-object quantities of the field.
 
 A probability measure nu on the objects induces arrow measures
 m(a) = nu(tgt a) weight(a), its inverse image m_inv, the modular function
@@ -34,9 +36,9 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances
-from .blocks import BlockOperator, BlockPartition, _batches, _stacked
+from .blocks import BlockOperator, BlockPartition
 from .errors import NotTransitive, ShapeMismatch
-from .groupoid import (FiniteGroupoid, IsotropyGroup, _fibers, _joined, _ranges, components,
+from .groupoid import (FiniteGroupoid, IsotropyGroup, _fibers, _ranges, components,
                        isotropy)
 from .haar import HaarSystem, _as_function, convolve, counting_haar, i_norm
 from .randgen import SplitMix64, random_function
@@ -129,15 +131,6 @@ def line_bundle(G: FiniteGroupoid) -> HilbertBundle:
 
 
 @dataclass(frozen=True)
-class BundleRep:
-    """A matrix per arrow, shaped dim(tgt) x dim(src) over the given bundle:
-    a list, or one (A, m, n) array when all have one shape."""
-
-    bundle: HilbertBundle
-    ops: Sequence[np.ndarray]
-
-
-@dataclass(frozen=True)
 class IndexRep:
     """A monomial representation: op(a) is a 0/1 matrix with one 1 per
     column, kept as the row of each column.
@@ -196,6 +189,25 @@ class _DenseOps(Sequence):
         return self._rep.dense_op(a % len(self))
 
 
+@dataclass(frozen=True)
+class ConjugatedRep:
+    """An :class:`IndexRep` conjugated by a field of unitaries, one per
+    object, as :func:`conjugate_rep_on` builds it: ``field[x]`` is U_x,
+    ``inverses[x]`` its computed inverse V_x, and ``ops[a]`` is
+    fl(U_tgt P_a V_src) for the 0/1 op P_a of ``base``: one (A, m, n) array
+    when all have one shape, else a list.
+    """
+
+    base: IndexRep
+    field: tuple[np.ndarray, ...]
+    inverses: tuple[np.ndarray, ...]
+    ops: Sequence[np.ndarray]
+
+    @property
+    def bundle(self) -> HilbertBundle:
+        return self.base.bundle
+
+
 def _index_rep(bundle: HilbertBundle, G: FiniteGroupoid, rows, counts) -> IndexRep:
     starts = np.zeros(len(counts) + 1, dtype=np.intp)
     np.cumsum(counts, out=starts[1:])
@@ -241,115 +253,6 @@ def left_regular_rep(G: FiniteGroupoid, mu: HaarSystem) -> IndexRep:
     return _index_rep(canonical_bundle(G, mu), G, position[c], counts)
 
 
-def _inf_norms(mats) -> np.ndarray:
-    """The max row sum of each matrix, as a float array (NaN stays NaN)."""
-    return np.array([np.abs(m).sum(axis=1).max(initial=0.0) for m in mats], dtype=float)
-
-
-def multiplicativity_bound(G: FiniteGroupoid, rep: BundleRep) -> float:
-    """A bound on every residual ``max |op(a o b) - op(a) op(b)|`` that the
-    per-pair check would compute, from the generator pairs alone; ``inf``
-    when the table has no certificate (:meth:`FiniteGroupoid.certificate`).
-
-    Norms are max row sums.  Let S be the certificate's generators, L its
-    depth, kappa the largest norm of an op, d the largest fibre dimension,
-    u = 2^-53 and gamma = sqrt(2) (d+2) u / (1 - (d+2) u), which bounds the
-    rounding of a complex matrix product of inner dimension d entrywise:
-    |fl(AB) - AB| <= gamma |A||B| (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, §3.6), so ||fl(AB) - AB|| <= gamma kappa^2.  Let
-    r be the largest computed ||op(s o b) - fl(op(s) op(b))|| over s in S
-    and every b into src(s), widened by (1 + 4 gamma) for the rounding of
-    its own subtraction, moduli and sums.  Then rho = r + gamma kappa^2
-    bounds the exact defect ||op(s o b) - op(s) op(b)|| of every generator
-    pair.
-
-    Every arrow a of depth k > 1 is s o w with s in S and w of depth k - 1,
-    and the certificate proves the table associative, so for b composable
-    with a, a o b = s o (w o b) and
-
-        op(a o b) - op(a) op(b) = [op(s o (w o b)) - op(s) op(w o b)]
-                                  + op(s) [op(w o b) - op(w) op(b)]
-                                  + [op(s) op(w) - op(s o w)] op(b).
-
-    Hence the defects E_k of depth-k arrows obey E_1 <= rho and
-    E_k <= rho (1 + kappa) + kappa E_(k-1), an increasing sequence, and
-    every pair has defect at most E_L.  The check computes
-    fl(op(a o b) - fl(op(a) op(b))), which is within gamma kappa^2 of the
-    exact difference before its last rounding; so every residual it would
-    report is at most (1 + 3u) (E_L + gamma kappa^2), and when that sum is
-    at most atol / 2, none exceeds atol.  The return value is
-    E_L + gamma kappa^2 (NaN when an op is not finite).
-
-    The products op(s) op(b) of one generator s are one stacked product
-    over the b of its source fibre (per shape of their ops), each item the
-    same product as a single ``op(s) @ op(b)``.
-    """
-    cert = G.certificate()
-    if not cert.associative:
-        return math.inf
-    ops = rep.ops
-    dim = max(rep.bundle.dims, default=0) + 2
-    gamma = math.sqrt(2) * dim * 2.0 ** -53 / (1 - dim * 2.0 ** -53)
-    kappa = float(_inf_norms(ops).max(initial=0.0)) * (1 + 4 * gamma)
-    if not math.isfinite(kappa):
-        return math.nan
-    s, b = _joined(cert.generators, np.arange(G.n_arrows), G.src, G.tgt, G.n_objects)
-    sb = G.composites(s, b)
-    shapes = [ops[x].shape for x in b.tolist()]
-    r = 0.0
-    for _, i in _batches(list(zip(s.tolist(), shapes)), lambda key: math.prod(key[1])):
-        defect = _stacked(ops, sb[i]) - np.matmul(ops[s[i[0]]], _stacked(ops, b[i]))
-        r = np.maximum(r, np.abs(defect).sum(axis=2).max(axis=1).max(initial=0.0))
-    r = float(r) * (1 + 4 * gamma)
-    rho = r + gamma * kappa ** 2
-    bound = rho
-    for _ in range(cert.depth - 1):
-        bound = rho * (1 + kappa) + kappa * bound
-    return float(bound + gamma * kappa ** 2)
-
-
-def _gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """``max |lhs - rhs|`` (NaN when an entry is NaN), or inf when the two
-    sides are maps between different spaces."""
-    if lhs.shape != rhs.shape:
-        return math.inf
-    return float(np.abs(lhs - rhs).max())
-
-
-def _dense_residuals(G: FiniteGroupoid, rep: BundleRep, atol: float):
-    """The residual of each law on dense ops: per object (units), per
-    composable pair with a composite (pairs and residuals; none when the
-    certificate proves every residual at most atol), per arrow (inverses,
-    unitarity).  The per-arrow products are stacked, one np.matmul per
-    shape class of their factors."""
-    ops, dims, weights = rep.ops, rep.bundle.dims, rep.bundle.weights
-    src, tgt, inverse = G.src.tolist(), G.tgt.tolist(), G.inverse.tolist()
-    units = [math.nan if u is None else _gap(ops[u], np.eye(dims[x]))
-             for x, u in enumerate(G.unit_of)]
-    if multiplicativity_bound(G, rep) <= atol / 2:
-        a = b = c = np.zeros(0, dtype=np.intp)
-    else:
-        a, b, c = G.products()
-    mult = [_gap(ops[z], ops[x] @ ops[y]) for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())]
-    shapes = [op.shape for op in ops]
-    inverses = np.full(G.n_arrows, math.inf)  # stays inf where op(x) op(inverse x) is not square
-    pairs = [(shapes[x], shapes[inverse[x]]) for x in range(G.n_arrows)]
-    for (left, right), x in _batches(pairs, lambda key: max(map(math.prod, key))):
-        if left[1] == right[0] and right[1] == left[0]:
-            product = np.matmul(_stacked(ops, x), _stacked(ops, G.inverse[x]))
-            inverses[x] = np.abs(product - np.eye(left[0])).max(axis=(1, 2))
-    unitarity = np.zeros(G.n_arrows)
-    for shape, x in _batches(shapes, math.prod):
-        stack = _stacked(ops, x)
-        tgt_weights = np.stack([weights[tgt[i]] for i in x.tolist()])
-        gram = np.matmul(stack.conj().transpose(0, 2, 1) * tgt_weights[:, None, :], stack)
-        diag = np.zeros_like(gram)
-        d = np.arange(shape[1])
-        diag[:, d, d] = [weights[src[i]] for i in x.tolist()]
-        unitarity[x] = np.abs(gram - diag).max(axis=(1, 2))
-    return units, a, b, mult, inverses, unitarity
-
-
 _ENTRY_BATCH = 1 << 20  # matrix columns compared per batch in _column_gaps
 
 
@@ -373,8 +276,9 @@ def _column_gaps(ok, width, lhs, rhs) -> np.ndarray:
 
 
 def _index_residuals(G: FiniteGroupoid, rep: IndexRep):
-    """The residuals of :func:`_dense_residuals` from the index data, on
-    every composable pair, without building an op.
+    """The residual of each law from the index data, without building an
+    op: per object (units), per composable pair with a composite (pairs and
+    residuals), per arrow (inverses, unitarity).
 
     Products of 0/1 matrices with one 1 per column are such matrices again,
     exactly: op(a) op(b) picks the rows ``rows_a[rows_b]``.  So each law but
@@ -414,7 +318,94 @@ def _index_residuals(G: FiniteGroupoid, rep: IndexRep):
     return units, a, b, mult, inverses, unitarity
 
 
-def check_representation(G: FiniteGroupoid, rep: BundleRep | IndexRep,
+def _conjugation_bounds(G: FiniteGroupoid, rep: ConjugatedRep, residuals) -> np.ndarray:
+    """Per object, bounds on the residuals that the dense check would find
+    on the stored ops of ``rep``, as rows units, multiplicativity, inverses
+    and unitarity; ``residuals`` are the base's (:func:`_index_residuals`).
+
+    Write P_a for the 0/1 op of the base, U_x, V_x and W_x for the field,
+    its computed inverse and the fiber weights, and ||.|| for the max row
+    sum, which bounds the largest entry modulus, the residual the dense
+    check reports.  Let u = 2^-53 and gamma = sqrt(2) (d+2) u / (1 - (d+2) u),
+    d the largest fiber dimension: it bounds the rounding of a complex
+    product of inner dimension d entrywise, |fl(AB) - AB| <= gamma |A||B|
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.5-3.6).
+    Per object, from one product each for the last four, and each widened by
+    (1 + 4 gamma) for the rounding of its moduli and sums:
+
+        al = ||U||, al* = ||U^H||, be = ||V||, be* = ||V^H||, om = max W,
+        e = ||VU - I||, f = ||UV - I||, g = ||U^H W U - W||, h = ||V^H W V - W||.
+
+    When the base passes units, multiplicativity and inverses exactly, every
+    P_a is a permutation, P_a P_b = P_(a o b) and P_a P_(a^-1) = I, and
+    permuting the rows or columns of a matrix keeps both its norms.  The
+    stored op of a: s -> t is O_a = fl(U_t[:, rows_a] V_s) = X_a + E_a with
+    X_a = U_t P_a V_s and ||E_a|| <= gamma al_t be_s.  For a: m -> t and
+    b: s -> m,
+
+        O_a O_b - O_(a o b) = U_t P_a (V_m U_m - I) P_b V_s + E_a O_b + X_a E_b - E_(a o b);
+
+    with the rounding of the check's product O_a O_b, at most
+    gamma ||O_a|| ||O_b||, and of e's own product, every residual of the
+    pair is at most al_t be_s mu_m, where mu_m = e_m + gamma + 5 gamma al_m be_m.
+    The inverse law is the same with O_(a o b) replaced by I, where
+    U_t P_a P_(a^-1) V_t - I = U_t V_t - I, so al_t be_t mu_s + f_t bounds
+    it; the op of a unit is fl(U_x V_x), within f_x + 2 gamma al_x be_x of I.
+    For unitarity, with rho_a = ||P_a^H W_t P_a - W_s|| the base's residual,
+
+        X_a^H W_t X_a - W_s = (V_s^H W_s V_s - W_s) + V_s^H (P_a^H W_t P_a - W_s) V_s
+                              + V_s^H P_a^H (U_t^H W_t U_t - W_t) P_a V_s,
+
+    and E_a, the check's scaling and product, and the products behind g and
+    h add at most 6 gamma om_t al_t al*_t be_s be*_s + 2 gamma om_s be_s be*_s,
+    so h_s + be_s be*_s (rho_a + g_t + 2 gamma om_s + 6 gamma om_t al_t al*_t)
+    bounds the residual of a.
+
+    The two ends of a law range over one orbit independently, so the bound
+    at an object takes the orbit's largest factors of the other end: units
+    at x, multiplicativity at the middle object m, inverses and unitarity
+    at the target t.  Each is widened by (1 + 4 gamma) for the check's
+    subtraction and modulus.  Where the base fails an exact law the premise
+    fails, and every bound at the objects of that failure is inf.
+    """
+    units, a, _, mult, inverses, unitarity = residuals
+    n = G.n_objects
+    d = max(rep.bundle.dims, default=0) + 2
+    gamma = math.sqrt(2) * d * 2.0 ** -53 / (1 - d * 2.0 ** -53)
+
+    def norm(m):  # the max row sum
+        return np.abs(m).sum(axis=1).max()
+
+    q = np.zeros((9, n))
+    for x, (u, v, w) in enumerate(zip(rep.field, rep.inverses, rep.bundle.weights)):
+        uh, vh, eye, diag = u.conj().T, v.conj().T, np.eye(len(w)), np.diag(w)
+        q[:, x] = [*(norm(m) for m in (u, uh, v, vh, v @ u - eye, u @ v - eye,
+                                       (uh * w) @ u - diag, (vh * w) @ v - diag)), w.max()]
+    al, al_h, be, be_h, e, f, g, h, om = q * (1 + 4 * gamma)
+    orbit = components(n, G.tgt, G.src)
+    order = np.argsort(orbit, kind="stable")
+    starts = np.flatnonzero(np.diff(orbit[order], prepend=-1))
+    which = np.searchsorted(orbit[order][starts], orbit)
+
+    def top(v):  # the largest value over each object's orbit, NaN when one is
+        return np.maximum.reduceat(v[order], starts)[which]
+
+    ab = al * be
+    mu = e + gamma + 5 * gamma * ab
+    rho = np.zeros(n)
+    with np.errstate(invalid="ignore"):  # a NaN weight's residual stays NaN
+        np.maximum.at(rho, G.tgt, unitarity)
+    out = np.stack([f + 2 * gamma * ab, top(al) * top(be) * mu, ab * top(mu) + f,
+                    top(h) + top(be * be_h) * (rho + g + 2 * gamma * top(om)
+                                               + 6 * gamma * om * al * al_h)])
+    broken = ~(units == 0)
+    broken[G.src[a[~(mult == 0)]]] = True
+    broken[G.tgt[~(inverses == 0)]] = True
+    out[:, broken] = math.inf
+    return out * (1 + 4 * gamma)
+
+
+def check_representation(G: FiniteGroupoid, rep: IndexRep | ConjugatedRep,
                          atol: float | None = None) -> Report:
     """Representation axioms, checked everywhere (not almost-everywhere).
 
@@ -426,36 +417,35 @@ def check_representation(G: FiniteGroupoid, rep: BundleRep | IndexRep,
 
     An :class:`IndexRep` is checked on its index data, every law on every
     composable pair or arrow, as integer comparisons (:func:`_index_residuals`).
-    On dense ops, multiplicativity is proved from the generator pairs when
-    :func:`multiplicativity_bound` is at most atol / 2: then no pair can
-    have a residual above atol.  Otherwise (no certificate, a NaN, atol 0,
-    or a bound too large) every composable pair is computed.  Both give the
-    same entries on the same matrices.
+    A :class:`ConjugatedRep` is checked so on its base, and each law of its
+    stored ops is bounded from per-object quantities of the field
+    (:func:`_conjugation_bounds`): a law whose bound exceeds atol, or is
+    NaN, is one entry, witnessed by the object that sets the bound, with
+    the bound as its residual.  No op is read or multiplied.
     """
     atol = tolerances.exact_tol(atol)
     out = Report("representation-axioms")
-    dims = rep.bundle.dims
-    if len(rep.ops) != G.n_arrows:
+    conjugated = isinstance(rep, ConjugatedRep)
+    index = rep.base if conjugated else rep
+    dims = index.bundle.dims
+    if len(index.starts) != G.n_arrows + 1:
         out.add("shape", "one matrix per arrow is required")
         return out
     if len(dims) != G.n_objects:
         out.add("shape", "one fiber per object is required")
         return out
-    index = isinstance(rep, IndexRep)
     tgt = G.tgt.tolist()
-    shapes = (zip((dims[t] for t in tgt), np.diff(rep.starts).tolist()) if index
-              else (op.shape for op in rep.ops))
+    shapes = zip((dims[t] for t in tgt), np.diff(index.starts).tolist())
     for a, (t, s, shape) in enumerate(zip(tgt, G.src.tolist(), shapes)):
         want = (dims[t], dims[s])
         if shape != want:
             out.add("shape", f"op({G.arrow_ids[a]}) has shape {shape}, wants {want}")
             return out
-    units, a, b, mult, inverses, unitarity = (
-        _index_residuals(G, rep) if index else _dense_residuals(G, rep, atol))
+    residuals = _index_residuals(G, index)
+    units, a, b, mult, inverses, unitarity = residuals
     aid, inverse = G.arrow_ids, G.inverse.tolist()
 
     def failing(residuals):  # indices and residuals above atol, NaN included
-        residuals = np.asarray(residuals, dtype=float)
         bad = np.flatnonzero(~(residuals <= atol))
         return zip(bad.tolist(), residuals[bad].tolist())
 
@@ -472,40 +462,53 @@ def check_representation(G: FiniteGroupoid, rep: BundleRep | IndexRep,
     for x, err in failing(unitarity):
         out.add("unitarity", f"op({aid[x]}) is not unitary for the fiber weights",
                 residual=err)
+    if conjugated:
+        laws = ("units", "multiplicativity", "inverses", "unitarity")
+        for law, bound in zip(laws, _conjugation_bounds(G, rep, residuals)):
+            if not (bound <= atol).all():
+                nan = np.isnan(bound)
+                x = int(np.argmax(nan if nan.any() else bound))
+                out.add(law, f"conjugated ops: the bound at object {G.objects[x]} exceeds atol",
+                        residual=float(bound[x]))
     out.add("measurability", "finite groupoid: every section is measurable",
             severity="note")
     return out
 
 
-def conjugate_rep_on(G: FiniteGroupoid, rep: BundleRep | IndexRep,
-                     unitaries: list[np.ndarray]) -> BundleRep:
+def conjugate_rep_on(G: FiniteGroupoid, rep: IndexRep,
+                     unitaries: list[np.ndarray]) -> ConjugatedRep:
     """Conjugate ``rep`` by a field of unitaries, one per object.
 
-    For an :class:`IndexRep`, U_tgt op(a) is the columns of U_tgt that op(a)
-    picks, so no op is built densely.  The ops are one array when they all
-    have one shape.
+    U_tgt op(a) is the columns of U_tgt that op(a) picks, so no op of
+    ``rep`` is built densely.  Raises ShapeMismatch unless the field has
+    one dims[x] x dims[x] matrix per object x, and LinAlgError when one is
+    singular.
     """
+    dims = rep.bundle.dims
+    if len(dims) != G.n_objects or len(rep.starts) != G.n_arrows + 1:
+        raise ShapeMismatch("representation does not match the groupoid")
     if len(unitaries) != G.n_objects:
         raise ShapeMismatch("need one unitary per object")
-    inv = [np.linalg.inv(u) for u in unitaries]
+    field = tuple(np.asarray(u) for u in unitaries)
+    for x, (u, d) in enumerate(zip(field, dims)):
+        if u.shape != (d, d):
+            raise ShapeMismatch(f"the unitary at object {G.objects[x]} has shape {u.shape}, "
+                                f"wants {(d, d)}")
+    inverses = tuple(np.linalg.inv(u) for u in field)
     ends = list(zip(G.tgt.tolist(), G.src.tolist()))
-    dims = rep.bundle.dims
     shapes = {(dims[t], dims[s]) for t, s in ends}
     ops = (np.empty((G.n_arrows, *shapes.pop()), dtype=complex) if len(shapes) == 1
            else [None] * G.n_arrows)
     for a, (t, s) in enumerate(ends):
-        if isinstance(rep, IndexRep):
-            ops[a] = unitaries[t][:, rep.rows[rep.starts[a]:rep.starts[a + 1]]] @ inv[s]
-        else:
-            ops[a] = unitaries[t] @ rep.ops[a] @ inv[s]
-    return BundleRep(rep.bundle, ops)
+        ops[a] = field[t][:, rep.rows[rep.starts[a]:rep.starts[a + 1]]] @ inverses[s]
+    return ConjugatedRep(rep, field, inverses, ops)
 
 
 # ---------------------------------------------------------------------------
 # integrated representation
 
 def integrated_blocks(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure,
-                      rep: BundleRep | IndexRep, f) -> BlockOperator:
+                      rep: IndexRep | ConjugatedRep, f) -> BlockOperator:
     """The integrated operators of an (A,) function or a (k, A) stack of
     functions, by blocks: operator i accumulates f_i(a) m_o(a) / nu(tgt a)
     times op(a) into the (tgt a, src a) slot of the nu-weighted direct sum
@@ -515,12 +518,12 @@ def integrated_blocks(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasu
     connected components of the bundle positions joined by the (row,
     column) of every 1 of its ops (:attr:`IndexRep.blocks`): for the left
     regular rep one block per source object of the fiber arrows, for the
-    trivial rep one per orbit.  A dense rep splits by orbits.  Either way
-    the entries come from the same data as the blocks, so none falls
-    outside them.  The coefficients are added to their entries in arrow
-    order, in one scatter for an index rep and one slice addition per term
-    for a dense rep, and where f is 0 nothing is added: the dense matrices
-    equal those of one slice addition per arrow.
+    trivial rep one per orbit.  A :class:`ConjugatedRep` splits by orbits.
+    Either way the entries come from the same data as the blocks, so none
+    falls outside them.  The coefficients are added to their entries in
+    arrow order, in one scatter for an index rep and one slice addition of
+    a stored op per term for a conjugated rep, and where f is 0 nothing is
+    added: the dense matrices equal those of one slice addition per arrow.
     """
     f = _as_function(G, f, stack=True)
     fs = np.atleast_2d(f)
@@ -560,7 +563,7 @@ def integrated_blocks(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasu
 
 
 def integrate_rep(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure,
-                  rep: BundleRep | IndexRep, f) -> np.ndarray:
+                  rep: IndexRep | ConjugatedRep, f) -> np.ndarray:
     """Block operator of f on the nu-weighted direct sum of the fibers.
 
     The block at (tgt, src) accumulates f(a) m_o(a) / nu(tgt) times op(a);
@@ -603,7 +606,7 @@ def operator_norm(op: np.ndarray, bundle: HilbertBundle,
 
 
 def operator_norm_bound_check(G: FiniteGroupoid, mu: HaarSystem,
-                              nu: QuasiInvariantMeasure, rep: BundleRep | IndexRep,
+                              nu: QuasiInvariantMeasure, rep: IndexRep | ConjugatedRep,
                               f) -> Report:
     """Check the contraction bound: spectral norm of the integrated operator
     never exceeds the I-norm of the function."""

@@ -1,5 +1,11 @@
 """Oracles: the slower paths that faster code in ``src/`` replaced.
 
+For the representation checks, the dense check: every law computed on dense
+ops, one matrix product per composable pair and two per arrow.  It is the
+oracle of the index check, which must give the same entries, and of the
+per-object bounds of a conjugated rep, which must give the same verdicts
+and bound every residual.  With it, the generator-pair bound on
+multiplicativity that the dense check of the conjugated rep once used.
 For the integrated representations, the paths that the block operators
 replaced: the integrated operator scattered into one (sum of dims)^2 matrix,
 and the battery's integrated suites run one trial at a time on those
@@ -13,17 +19,163 @@ which now draw each suite's trials as one block of the stream and run them
 as stacks: the loops that drew and checked one trial at a time.
 """
 
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass
+
 import numpy as np
 
+from groupalg import tolerances
 from groupalg.bisections import arrow_array, bisection_compose, target_map, unit_bisection
-from groupalg.groupoid import _ranges, components
+from groupalg.groupoid import _joined, _ranges, components
 from groupalg.haar import (_as_function, convolve, counting_haar, function_to_matrix,
                            half_density_inner, i_norm, involute, support_fiber_mass,
                            unit_function)
 from groupalg.randgen import SplitMix64, random_function, random_unitary_field
-from groupalg.report import _worst
-from groupalg.representations import (IndexRep, adjoint_operator, check_representation,
-                                      conjugate_rep_on, induced_measures, operator_norm)
+from groupalg.report import Report, _worst
+from groupalg.representations import (ConjugatedRep, HilbertBundle, IndexRep,
+                                      adjoint_operator, conjugate_rep_on, induced_measures,
+                                      operator_norm)
+
+
+@dataclass(frozen=True)
+class DenseRep:
+    """A matrix per arrow, shaped dim(tgt) x dim(src) over the bundle."""
+
+    bundle: HilbertBundle
+    ops: Sequence[np.ndarray]
+
+
+def dense_of(rep) -> DenseRep:
+    """The ops of an index or conjugated rep, read densely."""
+    return DenseRep(rep.bundle, [np.asarray(op) for op in rep.ops])
+
+
+def conjugated_with(G, base, field, inverses) -> ConjugatedRep:
+    """``base`` conjugated by ``field`` with the given ``inverses`` in place
+    of the computed ones, its ops built as ``conjugate_rep_on`` builds them."""
+    ops = [field[t][:, base.rows[base.starts[a]:base.starts[a + 1]]] @ inverses[s]
+           for a, (t, s) in enumerate(zip(G.tgt.tolist(), G.src.tolist()))]
+    return ConjugatedRep(base, tuple(field), tuple(inverses), ops)
+
+
+def _gap(lhs, rhs) -> float:
+    """max |lhs - rhs| (NaN when an entry is NaN), or inf when the two
+    sides are maps between different spaces."""
+    return float(np.abs(lhs - rhs).max()) if lhs.shape == rhs.shape else math.inf
+
+
+def dense_residuals(G, rep):
+    """The residual of each law on dense ops: per object (units), per
+    composable pair with a composite, in composable-pair order (the (a, b, c)
+    triples and their residuals), per arrow (inverses, unitarity)."""
+    ops, dims, weights = rep.ops, rep.bundle.dims, rep.bundle.weights
+    src, tgt, inverse = G.src.tolist(), G.tgt.tolist(), G.inverse.tolist()
+    units = [math.nan if u is None else _gap(ops[u], np.eye(dims[x]))
+             for x, u in enumerate(G.unit_of)]
+    table = {(a, b): c for a, b, c in G.compose_table.tolist()}
+    triples = [(a, b, table[a, b]) for a, b in G.composable_pairs() if (a, b) in table]
+    mult = [_gap(ops[c], ops[a] @ ops[b]) for a, b, c in triples]
+    inverses = [_gap(ops[x] @ ops[inverse[x]], np.eye(dims[tgt[x]]))
+                if ops[x].shape[1] == ops[inverse[x]].shape[0] else math.inf
+                for x in range(G.n_arrows)]
+    unitarity = [_gap(ops[x].conj().T * weights[tgt[x]] @ ops[x], np.diag(weights[src[x]]))
+                 for x in range(G.n_arrows)]
+    return units, triples, mult, inverses, unitarity
+
+
+def dense_check(G, rep, atol=None) -> Report:
+    """``check_representation``'s report from :func:`dense_residuals`."""
+    atol = tolerances.exact_tol(atol)
+    out = Report("representation-axioms")
+    dims, aid = rep.bundle.dims, G.arrow_ids
+    if len(rep.ops) != G.n_arrows:
+        out.add("shape", "one matrix per arrow is required")
+        return out
+    if len(dims) != G.n_objects:
+        out.add("shape", "one fiber per object is required")
+        return out
+    for a, op in enumerate(rep.ops):
+        want = (dims[G.tgt[a]], dims[G.src[a]])
+        if op.shape != want:
+            out.add("shape", f"op({aid[a]}) has shape {op.shape}, wants {want}")
+            return out
+    units, triples, mult, inverses, unitarity = dense_residuals(G, rep)
+    for x, err in enumerate(units):
+        if G.unit_of[x] is None:
+            out.add("units", f"object {G.objects[x]} has no unit arrow")
+        elif not err <= atol:
+            out.add("units", f"op(unit {G.objects[x]}) is not the identity", residual=err)
+    for (a, b, _), err in zip(triples, mult):
+        if not err <= atol:
+            out.add("multiplicativity", f"op({aid[a]} o {aid[b]}) != op({aid[a]}) op({aid[b]})",
+                    residual=err)
+    for x, err in enumerate(inverses):
+        if not err <= atol:
+            out.add("inverses", f"op({aid[x]}) op({aid[G.inverse[x]]}) != identity",
+                    residual=err)
+    for x, err in enumerate(unitarity):
+        if not err <= atol:
+            out.add("unitarity", f"op({aid[x]}) is not unitary for the fiber weights",
+                    residual=err)
+    out.add("measurability", "finite groupoid: every section is measurable",
+            severity="note")
+    return out
+
+
+def right_nested_depths(G, gens):
+    """Independent closure: the least k with every arrow a right-nested
+    word of length at most k over gens, or None."""
+    reached, words, k = set(gens), set(gens), 1
+    while len(reached) < G.n_arrows:
+        words = {G.compose(s, w) for s in gens for w in words if G.src[s] == G.tgt[w]}
+        words -= reached
+        if not words:
+            return None
+        reached |= words
+        k += 1
+    return k
+
+
+def generator_bound(G, rep) -> float:
+    """A bound on every multiplicativity residual of dense ops from the
+    generator pairs alone; inf when the table has no certificate, NaN when
+    an op is not finite.
+
+    Norms are max row sums.  With S the certificate's generators, L the
+    longest right-nested word over S needed to reach an arrow, kappa the
+    largest norm of an op and gamma the rounding bound of a complex product
+    of inner dimension d (the largest fiber dimension; Higham §3.6), let r
+    be the largest computed ||op(s o b) - op(s) op(b)|| over s in S and b
+    into src(s), widened by (1 + 4 gamma).  rho = r + gamma kappa^2 bounds
+    the exact defect of every generator pair.  Every arrow of depth k > 1 is
+    s o w with w of depth k - 1, and the table is associative, so the
+    defects E_k of depth-k arrows obey E_1 <= rho and
+    E_k <= rho (1 + kappa) + kappa E_(k-1); every computed residual is at
+    most (1 + 3u) (E_L + gamma kappa^2), and E_L + gamma kappa^2 is returned.
+    """
+    cert = G.certificate()
+    if not cert.associative:
+        return math.inf
+    ops = rep.ops
+    dim = max(rep.bundle.dims, default=0) + 2
+    gamma = math.sqrt(2) * dim * 2.0 ** -53 / (1 - dim * 2.0 ** -53)
+
+    def norm(m):
+        return float(np.abs(m).sum(axis=1).max(initial=0.0))
+
+    kappa = max((norm(op) for op in ops), default=0.0) * (1 + 4 * gamma)
+    if not math.isfinite(kappa):
+        return math.nan
+    s, b = _joined(cert.generators, np.arange(G.n_arrows), G.src, G.tgt, G.n_objects)
+    r = max((norm(ops[sb] - ops[x] @ ops[y])
+             for x, y, sb in zip(s.tolist(), b.tolist(), G.composites(s, b).tolist())),
+            default=0.0) * (1 + 4 * gamma)
+    rho = r + gamma * kappa ** 2
+    bound = rho
+    for _ in range(right_nested_depths(G, cert.generators.tolist()) - 1):
+        bound = rho * (1 + kappa) + kappa * bound
+    return float(bound + gamma * kappa ** 2)
 
 
 def next_u64(rng: SplitMix64) -> int:
@@ -40,7 +192,8 @@ def next_u64(rng: SplitMix64) -> int:
 def scatter_integrate(G, mu, nu, rep, f):
     """The integrated operator of one function as a dense matrix: for an
     IndexRep one scatter of every coefficient to the (row, column) of its
-    op's ones, in arrow order; for dense ops one slice addition per arrow."""
+    op's ones, in arrow order; for stored ops (a conjugated or dense rep)
+    one slice addition per arrow."""
     f = _as_function(G, f)
     bundle = rep.bundle
     ind = induced_measures(G, mu, nu)
@@ -102,12 +255,12 @@ def per_trial_integrated(G, mu, nus, reps, rng, t):
 
 
 def big_matrix_transport(G, mu, nu, lrep, rng, atol):
-    """Whether the conjugated rep passes its axioms, and the worst gap
+    """Whether the conjugated rep passes the dense check, and the worst gap
     between its integrated operators and big pi(f) big^-1, with big the
     block-diagonal unitary field, over two functions."""
     field = random_unitary_field(lrep.bundle.weights, rng)
     conj = conjugate_rep_on(G, lrep, field)
-    ok = check_representation(G, conj, atol=atol).ok
+    ok = dense_check(G, dense_of(conj), atol=atol).ok
     big = np.zeros((lrep.bundle.total_dim, lrep.bundle.total_dim), dtype=complex)
     for x in range(G.n_objects):
         big[lrep.bundle.slice_of(x), lrep.bundle.slice_of(x)] = field[x]

@@ -1,5 +1,6 @@
 """The battery end to end: committed golden reports and non-finite residuals."""
 
+import dataclasses
 import json
 import math
 import os
@@ -13,19 +14,19 @@ import pytest
 from groupalg import battery, tolerances
 from groupalg.battery import SUITES, BatteryRun, _worst, run_battery
 from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid, pair_groupoid,
-                               product)
+                               product, symmetric_table)
 from groupalg.cli import main
 from groupalg.haar import HaarSystem
 from groupalg.io import GroupoidDocument, load_groupoid, parse_groupoid_document
 from groupalg.randgen import (SplitMix64, random_groupoid, random_invariant_weights,
                               random_probability, random_unitary_field)
 from groupalg.report import Report
-from groupalg.representations import (BundleRep, HilbertBundle, QuasiInvariantMeasure,
+from groupalg.representations import (HilbertBundle, IndexRep, QuasiInvariantMeasure,
                                       conjugate_rep_on, integrated_blocks, left_regular_rep,
                                       trivial_rep, uniform_measure)
 
-from oracles import (big_matrix_transport, per_trial_algebra, per_trial_convergence,
-                     per_trial_integrated, per_trial_pair_matrix)
+from oracles import (big_matrix_transport, conjugated_with, per_trial_algebra,
+                     per_trial_convergence, per_trial_integrated, per_trial_pair_matrix)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -177,9 +178,10 @@ def test_stacked_trials_equal_the_per_trial_loop_on_a_broken_rep():
     mu = HaarSystem(random_invariant_weights(G, rng))
     nus = [uniform_measure(G), QuasiInvariantMeasure(random_probability(G.n_objects, rng))]
     lrep = left_regular_rep(G, mu)
-    ops = [op.copy() for op in lrep.ops]
+    conj = conjugate_rep_on(G, lrep, random_unitary_field(lrep.bundle.weights, rng))
+    ops = conj.ops.copy()
     ops[5] *= 20.0
-    reps = (trivial_rep(G), lrep, BundleRep(lrep.bundle, ops))
+    reps = (trivial_rep(G), lrep, dataclasses.replace(conj, ops=ops))
     stacked, looped = SplitMix64(3), SplitMix64(3)
     got = battery._integrated_residuals(G, mu, nus, reps, stacked, 5)
     want = per_trial_integrated(G, mu, nus, reps, looped, 5)
@@ -190,33 +192,33 @@ def test_stacked_trials_equal_the_per_trial_loop_on_a_broken_rep():
 
 
 def test_transport_gaps_take_each_objects_own_fiber_dimension():
-    # fibers of dimensions 1 and 2 in one orbit and 2, 1, 3 in another:
-    # no groupoid's left regular rep has them, but the gaps are linear
-    # algebra on any ops, and equal those of the whole block-diagonal field
+    # fibers of dimensions 1 and 2 in one orbit and 2, 1, 3 in another: no
+    # groupoid's left regular rep has them, but the gaps are linear algebra
+    # on any 0/1 ops with one 1 per column, and equal those of the whole
+    # block-diagonal field
     G = disjoint_union(pair_groupoid("ab"), pair_groupoid("cde"))
     rng = SplitMix64(13)
     dims = [1, 2, 2, 1, 3]
     bundle = HilbertBundle(dims, [1.0 + np.arange(d) for d in dims])
-    rep = BundleRep(bundle, [rng.complex_boxes(dims[t] * dims[s]).reshape(dims[t], dims[s])
-                             for t, s in zip(G.tgt.tolist(), G.src.tolist())])
-    field = random_unitary_field(bundle.weights, rng)
-    field_inv = [np.linalg.inv(u) for u in field]
+    rows = np.concatenate([rng.next_u64s(dims[s]) % np.uint64(dims[t])
+                           for t, s in zip(G.tgt.tolist(), G.src.tolist())]).astype(np.intp)
+    starts = np.concatenate([[0], np.cumsum(np.array(dims)[G.src])])
+    rep = IndexRep(bundle, G.src, G.tgt, rows, starts)
+    conj = conjugate_rep_on(G, rep, random_unitary_field(bundle.weights, rng))
     mu, nu = HaarSystem(np.ones(G.n_arrows)), uniform_measure(G)
     fs = rng.complex_boxes(2 * G.n_arrows).reshape(2, G.n_arrows)
     plain = integrated_blocks(G, mu, nu, rep, fs)
     big = np.zeros((bundle.total_dim, bundle.total_dim), dtype=complex)
-    for x, u in enumerate(field):
+    for x, u in enumerate(conj.field):
         big[bundle.slice_of(x), bundle.slice_of(x)] = u
     want = big @ plain.dense() @ np.linalg.inv(big)
-    conj = conjugate_rep_on(G, rep, field)
     ops = [op.copy() for op in conj.ops]
     ops[2][1, 0] += 1e-3  # an op of the first orbit, 2 x 1
-    for ops_, moved in ((conj.ops, False), (ops, True)):
-        got = battery._transport_gaps(
-            integrated_blocks(G, mu, nu, BundleRep(bundle, ops_), fs), plain, bundle,
-            field, field_inv)
-        oracle = np.abs(integrated_blocks(G, mu, nu, BundleRep(bundle, ops_), fs).dense()
-                        - want).max(axis=(1, 2))
+    for moved in (False, True):
+        blocks = integrated_blocks(G, mu, nu, dataclasses.replace(conj, ops=ops) if moved
+                                   else conj, fs)
+        got = battery._transport_gaps(blocks, plain, conj)
+        oracle = np.abs(blocks.dense() - want).max(axis=(1, 2))
         np.testing.assert_allclose(got, oracle, rtol=1e-9, atol=1e-13)
         assert (got > 1e-6).all() if moved else (got < 1e-13).all()
 
@@ -271,3 +273,85 @@ def test_huge_haar_weights_fail_instead_of_aborting():
     assoc = lines["convolution-associativity"]
     assert not assoc.ok and not math.isfinite(assoc.residual)
     assert not run.ok
+
+
+# ---------------------------------------------------------------------------
+# every suite can fail: faults monkeypatched into the names battery imports
+
+def _fault_documents():
+    """pair(5), and the union pair(3) x S3 + pair(2) x Z2 + pair(1) x Z3,
+    each with random invariant weights and nu."""
+    pieces = [product(pair_groupoid([f"c{c}x{i}" for i in range(k)]), group_groupoid(*table))
+              for c, (k, table) in enumerate([(3, symmetric_table(3)), (2, cyclic_table(2)),
+                                              (1, cyclic_table(3))])]
+    return {"pair5": _random_document(pair_groupoid("abcde"), SplitMix64(1)),
+            "union": _random_document(disjoint_union(*pieces), SplitMix64(1))}
+
+
+def _columns_swapped(real):
+    def conjugate_rep_on(G, rep, field):  # columns 0 and 1 of the stored op of arrow 0
+        conj = real(G, rep, field)
+        ops = [np.array(op) for op in conj.ops]
+        ops[0][:, [0, 1]] = ops[0][:, [1, 0]]
+        return dataclasses.replace(conj, ops=ops)
+    return conjugate_rep_on
+
+
+def _inverse_moved(real):
+    def conjugate_rep_on(G, rep, field):  # V_0[0, 0] moved by 1e-6, the ops built from it
+        conj = real(G, rep, field)
+        inverses = list(conj.inverses)
+        inverses[0] = inverses[0].copy()
+        inverses[0][0, 0] += 1e-6
+        return conjugated_with(G, rep, conj.field, inverses)
+    return conjugate_rep_on
+
+
+def _field_scaled(real):
+    def random_unitary_field(weights, rng):  # U_0 scaled by 1.01
+        field = real(weights, rng)
+        field[0] = field[0] * 1.01
+        return field
+    return random_unitary_field
+
+
+def _rows_swapped(real):
+    def left_regular_rep(G, mu):  # the first two entries of the rows of arrow 0
+        rep = real(G, mu)
+        rows = rep.rows.copy()
+        rows[[0, 1]] = rows[[1, 0]]
+        return IndexRep(rep.bundle, rep.src, rep.tgt, rows, rep.starts)
+    return left_regular_rep
+
+
+def _blocks_scaled(real):
+    def integrated_blocks(*args):  # every integrated operator times 1 + 1e-6
+        ops = real(*args)
+        return dataclasses.replace(ops, data=tuple(d * (1 + 1e-6) for d in ops.data))
+    return integrated_blocks
+
+
+# fault: (the name it replaces in battery, the replacement, the suites that must fail)
+FAULTS = {
+    "none": (None, None, []),
+    "conjugated-op-columns-swapped": ("conjugate_rep_on", _columns_swapped,
+                                      ["equivalence-transport"]),
+    "inverse-moved": ("conjugate_rep_on", _inverse_moved, ["equivalence-transport"]),
+    "field-scaled": ("random_unitary_field", _field_scaled, ["equivalence-transport"]),
+    "left-regular-rows-swapped": ("left_regular_rep", _rows_swapped, ["left-regular-axioms"]),
+    "integrated-blocks-scaled": ("integrated_blocks", _blocks_scaled,
+                                 ["integrated-homomorphism"]),
+}
+
+
+@pytest.mark.parametrize("doc", ["pair5", "union"])
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_each_fault_fails_its_suites(fault, doc, monkeypatch):
+    name, make, suites = FAULTS[fault]
+    if name is not None:
+        monkeypatch.setattr(battery, name, make(getattr(battery, name)))
+    run = run_battery(_fault_documents()[doc], seed=1, trials=8)
+    failed = {line.name for line in run.lines if not line.ok}
+    if name is None:
+        assert not failed
+    assert set(suites) <= failed, failed

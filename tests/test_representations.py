@@ -1,17 +1,22 @@
 """Bundle representations, integration, norm bounds, transitive isomorphism."""
 
+import dataclasses
+import functools
 import math
 import os
+import random
+import sys
 import time
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupalg import blocks, representations, tolerances
-from groupalg import (HaarSystem, IndexRep, NotTransitive, QuasiInvariantMeasure,
-                      ShapeMismatch, adjoint_operator, canonical_bundle,
+from groupalg import representations, tolerances
+from groupalg import (ConjugatedRep, HaarSystem, IndexRep, NotTransitive,
+                      QuasiInvariantMeasure, ShapeMismatch, adjoint_operator, canonical_bundle,
                       check_representation, conjugate_rep_on, convolve,
                       counting_haar, decompose_transitive, delta,
                       fundamental_family_check, i_norm, induced_measures,
@@ -22,17 +27,18 @@ from groupalg import (HaarSystem, IndexRep, NotTransitive, QuasiInvariantMeasure
 from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
                                klein_table, pair_groupoid, product,
                                symmetric_table)
-from groupalg.groupoid import FiniteGroupoid, _joined, isotropy
-from groupalg.io import load_groupoid
+from groupalg.groupoid import FiniteGroupoid, isotropy
+from groupalg.io import load_groupoid, parse_groupoid_document
 from groupalg.randgen import (SplitMix64, _group_table, random_function, random_groupoid,
                               random_invariant_weights, random_probability,
                               random_unitary_field)
-from groupalg.report import Report, ReportEntry
+from groupalg.report import Report, ReportEntry, _worst
 from groupalg.blocks import BlockOperator, BlockPartition
-from groupalg.representations import (BundleRep, HilbertBundle, bundle_metric,
-                                      integrated_blocks, tensor_of_function)
+from groupalg.representations import (HilbertBundle, bundle_metric, integrated_blocks,
+                                      tensor_of_function)
 
-from oracles import scatter_integrate, support_blocks
+from oracles import (DenseRep, conjugated_with, dense_check, dense_of, dense_residuals,
+                     generator_bound, scatter_integrate, support_blocks)
 
 
 def weighted_inner(bundle, nu, u, v):
@@ -133,17 +139,22 @@ class TestLeftRegular:
 
     def test_transposed_matrix_detected(self):
         # on Z3 the translation matrices are genuine 3-cycles, so a transpose
-        # is the inverse matrix and breaks multiplicativity
+        # is the inverse matrix and breaks multiplicativity; the transpose of
+        # a permutation picks the rows argsort(rows)
         G = group_groupoid(*cyclic_table(3))
         mu = counting_haar(G)
         rep = left_regular_rep(G, mu)
-        ops = list(rep.ops)
         bad_arrow = 1
-        assert not np.array_equal(ops[bad_arrow], ops[bad_arrow].T)
-        ops[bad_arrow] = ops[bad_arrow].T.copy()
-        report = check_representation(G, BundleRep(rep.bundle, ops))
+        rows = rep.rows.copy()
+        cols = slice(rep.starts[bad_arrow], rep.starts[bad_arrow + 1])
+        rows[cols] = np.argsort(rows[cols])
+        transposed = IndexRep(rep.bundle, rep.src, rep.tgt, rows, rep.starts)
+        assert np.array_equal(transposed.ops[bad_arrow], rep.ops[bad_arrow].T)
+        assert not np.array_equal(rep.ops[bad_arrow], rep.ops[bad_arrow].T)
+        report = check_representation(G, transposed)
         assert not report.ok
         assert any(G.arrow_ids[bad_arrow] in e.witness for e in report.errors)
+        assert report.entries == dense_check(G, dense_of(transposed)).entries
 
     @pytest.mark.parametrize("fibers", [2, 4])
     def test_a_bundle_with_another_fiber_count_is_a_shape_entry(self, fibers):
@@ -151,13 +162,18 @@ class TestLeftRegular:
         mu = counting_haar(G)
         rep = left_regular_rep(G, mu)
         bundle = HilbertBundle([3] * fibers, [np.ones(3)] * fibers)
-        for wrong in (BundleRep(bundle, list(rep.ops)),
-                      IndexRep(bundle, rep.src, rep.tgt, rep.rows, rep.starts)):
-            report = check_representation(G, wrong)
-            assert [(e.check, e.witness) for e in report.errors] == [
+        index = IndexRep(bundle, rep.src, rep.tgt, rep.rows, rep.starts)
+        conj = conjugate_rep_on(G, rep, [np.eye(3, dtype=complex)] * 3)
+        for wrong in (index, ConjugatedRep(index, conj.field, conj.inverses, conj.ops),
+                      DenseRep(bundle, list(rep.ops))):
+            check = dense_check if isinstance(wrong, DenseRep) else check_representation
+            assert [(e.check, e.witness) for e in check(G, wrong).errors] == [
                 ("shape", "one fiber per object is required")]
-            with pytest.raises(ShapeMismatch):
-                integrated_blocks(G, mu, uniform_measure(G), wrong, np.ones(G.n_arrows))
+            if not isinstance(wrong, DenseRep):
+                with pytest.raises(ShapeMismatch):
+                    integrated_blocks(G, mu, uniform_measure(G), wrong, np.ones(G.n_arrows))
+        with pytest.raises(ShapeMismatch, match="does not match the groupoid"):
+            conjugate_rep_on(G, index, [np.eye(3, dtype=complex)] * 3)
 
 
 class TestIntegrateRep:
@@ -583,14 +599,14 @@ def _brute_force_left_regular(G, arrow):
 def _dense_left_regular_rep(G, mu):
     """The left regular representation with dense ops: the oracle for the
     index data of left_regular_rep."""
-    return BundleRep(canonical_bundle(G, mu),
-                     [_brute_force_left_regular(G, a) for a in range(G.n_arrows)])
+    return DenseRep(canonical_bundle(G, mu),
+                    [_brute_force_left_regular(G, a) for a in range(G.n_arrows)])
 
 
 def _dense_trivial_rep(G):
     """The trivial representation with dense ops: the oracle for trivial_rep."""
-    return BundleRep(HilbertBundle([1] * G.n_objects, [np.ones(1)] * G.n_objects),
-                     [np.ones((1, 1), dtype=complex) for _ in range(G.n_arrows)])
+    return DenseRep(HilbertBundle([1] * G.n_objects, [np.ones(1)] * G.n_objects),
+                    [np.ones((1, 1), dtype=complex) for _ in range(G.n_arrows)])
 
 
 def _brute_force_cayley(G, x):
@@ -894,38 +910,9 @@ def test_canonical_bundle_dims_match_fibers():
 
 
 # ---------------------------------------------------------------------------
-# multiplicativity: the generator certificate against the per-pair check
+# the conjugated rep: per-object bounds against the dense check
 
-def _all_pairs_multiplicativity(G, rep, atol):
-    """The per-pair check: every product the table defines on composable
-    arrows, in composable-pair order; a residual above atol, or NaN, is an
-    entry, and op(a o b) of another shape than op(a) op(b) has residual inf."""
-    table = {(a, b): c for a, b, c in G.compose_table.tolist()}
-    aid, out = G.arrow_ids, []
-    for a, b in G.composable_pairs():
-        c = table.get((a, b))
-        if c is None:
-            continue
-        lhs, rhs = rep.ops[c], rep.ops[a] @ rep.ops[b]
-        err = np.abs(lhs - rhs).max() if lhs.shape == rhs.shape else math.inf
-        if not err <= atol:
-            out.append(ReportEntry("multiplicativity",
-                                   f"op({aid[a]} o {aid[b]}) != op({aid[a]}) op({aid[b]})",
-                                   residual=float(err)))
-    return out
-
-
-def _check_with_the_pair_scan(G, rep, atol):
-    """check_representation's entries with its multiplicativity entries
-    taken from the oracle: they follow the unit checks."""
-    rest = [e for e in check_representation(G, rep, atol=atol).entries
-            if e.check != "multiplicativity"]
-    return ([e for e in rest if e.check == "units"]
-            + _all_pairs_multiplicativity(G, rep, tolerances.exact_tol(atol))
-            + [e for e in rest if e.check != "units"])
-
-
-def _certificate_groupoids():
+def _check_groupoids():
     return {
         "pair1": pair_groupoid("a"),
         "pair4": pair_groupoid("abcd"),
@@ -939,147 +926,214 @@ def _certificate_groupoids():
     }
 
 
-def _three_reps(G, seed=71):
-    """The dense left regular and trivial reps, and the conjugated rep."""
+def _conjugated(G, seed=71):
+    """The left regular rep under random invariant weights, conjugated by a
+    random unitary field."""
     rng = SplitMix64(seed)
-    mu = HaarSystem(random_invariant_weights(G, rng))
-    lrep = left_regular_rep(G, mu)
-    conj = conjugate_rep_on(G, lrep, random_unitary_field(lrep.bundle.weights, rng))
-    return {"left-regular": _dense_left_regular_rep(G, mu), "trivial": _dense_trivial_rep(G),
-            "conjugated": conj}
+    lrep = left_regular_rep(G, HaarSystem(random_invariant_weights(G, rng)))
+    return conjugate_rep_on(G, lrep, random_unitary_field(lrep.bundle.weights, rng))
 
 
-def _with_entry_moved(rep, arrow, eps):
-    ops = list(rep.ops)
-    ops[arrow] = ops[arrow].copy()
-    ops[arrow][0, 0] += eps
-    return BundleRep(rep.bundle, ops)
+def _corrupted_fields(G, conj):
+    """conj with the first column of U_x scaled by 1.01 (V_x its inverse),
+    and with one entry of V_x moved by 1e-6, at the last object x whose
+    fiber has dimension 2 or more (else the last object)."""
+    dims = conj.bundle.dims
+    x = max((y for y in range(G.n_objects) if dims[y] > 1), default=G.n_objects - 1)
+    field, inverses = list(conj.field), list(conj.inverses)
+    field[x] = field[x] * np.r_[1.01, np.ones(dims[x] - 1)]
+    inverses[x] = inverses[x].copy()
+    inverses[x][0, 0] += 1e-6
+    return {"non-unitary": conjugate_rep_on(G, conj.base, field),
+            "moved-inverse": conjugated_with(G, conj.base, conj.field, inverses)}
 
 
-class _CountingMatrix(np.ndarray):
-    """An op that counts the matrix products it is the left factor of."""
-
-    products = 0
-
-    def __matmul__(self, other):
-        _CountingMatrix.products += 1
-        return np.asarray(self) @ np.asarray(other)
+def _failing_laws(report):
+    return sorted({e.check for e in report.errors})
 
 
-class TestMultiplicativityCertificate:
-    @pytest.mark.parametrize("name", sorted(_certificate_groupoids()))
-    @pytest.mark.parametrize("atol", [None, 0.0, 1e-9])
-    def test_reports_match_the_pair_scan(self, name, atol):
-        G = _certificate_groupoids()[name]
-        for rep in _three_reps(G).values():
-            assert check_representation(G, rep, atol=atol).entries == \
-                _check_with_the_pair_scan(G, rep, atol)
+def _assert_dense_verdicts(G, conj):
+    """The laws that check_representation fails on conj and on its
+    corrupted fields at the accumulated tier are those the dense check fails.
 
-    def test_clean_reps_are_certified(self):
-        # the exact tier for the permutation ops, the accumulated one for
-        # the conjugated ops, as the battery checks them
-        for G in _certificate_groupoids().values():
-            reps = _three_reps(G)
-            for kind, atol in (("left-regular", tolerances.EXACT),
-                               ("trivial", tolerances.EXACT), ("conjugated", tolerances.ACCUM)):
-                assert representations.multiplicativity_bound(G, reps[kind]) <= atol / 2
+    Where every fiber has dimension 1 (one-object orbits without isotropy),
+    every U_x is a multiple of a unitary and conjugating by it changes no
+    op; the bound reads U_x, not the ops, and fails unitarity all the same.
+    """
+    every = ["inverses", "multiplicativity", "unitarity", "units"]
+    for kind, rep in {"clean": conj, **_corrupted_fields(G, conj)}.items():
+        got = _failing_laws(check_representation(G, rep, atol=tolerances.ACCUM))
+        want = _failing_laws(dense_check(G, dense_of(rep), atol=tolerances.ACCUM))
+        assert got == {"clean": [], "non-unitary": ["unitarity"]}.get(kind, every), kind
+        if kind == "non-unitary" and max(conj.bundle.dims) == 1:
+            assert want == []
+        else:
+            assert got == want, kind
 
-    @pytest.mark.parametrize("kind", ["left-regular", "conjugated", "scaled", "moved"])
-    def test_bound_follows_its_derivation(self, kind):
-        # the docstring's formula recomputed with Python sums; the scaled rep
-        # (a diagonal similarity, exact in binary) has kappa well above 1
-        G = product(pair_groupoid("abc"), group_groupoid(*cyclic_table(4)))
-        rep = _three_reps(G)["conjugated" if kind == "conjugated" else "left-regular"]
-        if kind == "scaled":
-            scale = [np.diag(2.0 ** np.arange(d)) for d in rep.bundle.dims]
-            rep = conjugate_rep_on(G, rep, scale)
-        if kind == "moved":
-            rep = _with_entry_moved(rep, 7, 1e-11)
-            rep.ops[7][1, :] += 1e-11
-        cert = G.certificate()
-        u = 2.0 ** -53
-        m = max(rep.bundle.dims) + 2
-        gamma = math.sqrt(2) * m * u / (1 - m * u)
 
-        def norm(M):
-            return max(sum(abs(v) for v in row) for row in M.tolist())
+@functools.cache
+def _benchmark_documents():
+    """The benchmark's transitive-ladder and mixed-small documents at seeds
+    1-3, as (seed, document) lists by label."""
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    try:
+        import inputs
+        from workloads import LADDER, MIXED_UNIONS, UNIONS
+    finally:
+        sys.path.pop(0)
+    out = {}
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for label, n, group in LADDER:
+            doc = (inputs.pair_relation_doc(n, rng) if group is None
+                   else inputs.union_arrows_doc([(n, group)], rng))
+            out.setdefault(label, []).append((seed, doc))
+        rng = random.Random(seed)
+        for i in MIXED_UNIONS:
+            doc = inputs.union_arrows_doc(UNIONS[i], rng)
+            out.setdefault(f"union{i:02d}", []).append((seed, doc))
+    return out
 
-        kappa = max(norm(op) for op in rep.ops) * (1 + 4 * gamma)
-        r = max(norm(rep.ops[G.compose(s, b)] - rep.ops[s] @ rep.ops[b])
-                for s in cert.generators.tolist()
-                for b in G.target_fiber(G.src[s])) * (1 + 4 * gamma)
-        rho = r + gamma * kappa ** 2
-        e = rho
-        for _ in range(cert.depth - 1):
-            e = rho * (1 + kappa) + kappa * e
-        assert kappa > (4 if kind == "scaled" else 0.99)
-        assert representations.multiplicativity_bound(G, rep) == \
-            pytest.approx(e + gamma * kappa ** 2, rel=1e-12)
 
-    def test_no_bound_without_a_certificate(self):
-        G = pair_groupoid("abc")
-        table = [row for row in G.compose_table.tolist() if row[:2] != [1, 3]]
-        bad = FiniteGroupoid(G.objects, G.src, G.tgt, table, G.inverse, G.unit_of)
-        assert representations.multiplicativity_bound(bad, trivial_rep(bad)) == math.inf
+def _worst_by_law(G, rep):
+    """The dense check's largest residual of each law on the stored ops."""
+    units, _, mult, inverses, unitarity = dense_residuals(G, dense_of(rep))
+    return [_worst(0.0, *r) for r in (units, mult, inverses, unitarity)]
 
-    def test_a_non_finite_op_gives_nan(self):
-        G = pair_groupoid("ab")
-        rep = _with_entry_moved(trivial_rep(G), 1, math.inf)
-        assert math.isnan(representations.multiplicativity_bound(G, rep))
 
-    @pytest.mark.parametrize("arrow", [0, 5, 13])
-    def test_just_under_and_just_over_the_bound(self, arrow, monkeypatch):
-        # move one entry of one op until the bound sits just under atol / 2,
-        # and just over it: the certified verdict and the fallback's both
-        # equal the oracle's
-        G = product(pair_groupoid("abc"), group_groupoid(*cyclic_table(4)))
-        rep, atol = _three_reps(G)["left-regular"], 1e-9
+def _bounds_by_law(G, rep):
+    bounds = representations._conjugation_bounds(
+        G, rep, representations._index_residuals(G, rep.base))
+    return [_worst(0.0, *b.tolist()) for b in bounds]
 
-        def bound(eps):
-            return representations.multiplicativity_bound(G, _with_entry_moved(rep, arrow, eps))
 
-        lo, hi = 0.0, 1e-6
-        assert bound(lo) <= atol / 2 < bound(hi)
-        for _ in range(80):
-            mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if bound(mid) <= atol / 2 else (lo, mid)
-        real, scans = FiniteGroupoid.products, []
+class _Unreadable(Sequence):
+    """Stored ops that raise when read."""
 
-        def scanned(self):
-            scans.append(1)
-            return real(self)
+    def __len__(self):
+        raise AssertionError("the ops were read")
 
-        monkeypatch.setattr(FiniteGroupoid, "products", scanned)
-        for eps, certified in ((lo, True), (hi, False)):
-            moved, scans[:] = _with_entry_moved(rep, arrow, eps), []
-            assert (bound(eps) <= atol / 2) == certified
-            report = check_representation(G, moved, atol=atol)
-            assert report.entries == _check_with_the_pair_scan(G, moved, atol)
-            assert (not scans) == certified
-            assert not _all_pairs_multiplicativity(G, moved, atol)
+    def __getitem__(self, a):
+        raise AssertionError("the ops were read")
+
+
+class TestConjugatedRep:
+    @pytest.mark.parametrize("name", sorted(_check_groupoids()))
+    @pytest.mark.parametrize("atol", [tolerances.EXACT, tolerances.ACCUM])
+    def test_clean_fields_pass_as_in_the_dense_check(self, name, atol):
+        G = _check_groupoids()[name]
+        conj = _conjugated(G)
+        assert [str(e) for e in check_representation(G, conj, atol=atol).entries] == [
+            str(ReportEntry("measurability", "finite groupoid: every section is measurable",
+                            "note"))]
+        assert dense_check(G, dense_of(conj), atol=atol).ok
+        bounds, worst = _bounds_by_law(G, conj), _worst_by_law(G, conj)
+        assert all(w <= b <= tolerances.ACCUM / 2 for w, b in zip(worst, bounds)), name
+
+    @pytest.mark.parametrize("name", sorted(_check_groupoids()))
+    def test_corrupted_fields_fail_the_laws_the_dense_check_fails(self, name):
+        G = _check_groupoids()[name]
+        _assert_dense_verdicts(G, _conjugated(G))
+
+    @pytest.mark.parametrize("label", sorted(_benchmark_documents()))
+    def test_the_dense_verdicts_on_the_benchmark_documents(self, label):
+        # every transitive-ladder and mixed-small document at seeds 1-3, its
+        # field drawn as the battery draws one
+        for seed, doc in _benchmark_documents()[label]:
+            gdoc = parse_groupoid_document(doc, where=label)
+            G, (mu, _) = gdoc.groupoid, gdoc.measures()
+            lrep = left_regular_rep(G, mu)
+            field = random_unitary_field(lrep.bundle.weights, SplitMix64(seed))
+            _assert_dense_verdicts(G, conjugate_rep_on(G, lrep, field))
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2 ** 32), st.sampled_from(["left-regular", "conjugated"]),
-           st.integers(0, 10 ** 6), st.integers(-16, -5), st.integers(-14, -6))
-    def test_perturbed_reps_match_the_pair_scan(self, seed, kind, arrow, size, tol):
+    @given(st.integers(0, 2 ** 32), st.sampled_from(["U", "V"]), st.integers(0, 10 ** 6),
+           st.integers(-16, -5))
+    def test_the_bounds_bound_the_dense_residuals(self, seed, which, pick, size):
+        # a bound below the dense check's residual could pass a rep the
+        # dense check fails
         G = random_groupoid(SplitMix64(seed), max_arrows=36)
-        rep = _with_entry_moved(_three_reps(G, seed)[kind], arrow % G.n_arrows, 10.0 ** size)
-        atol = 10.0 ** tol
-        assert check_representation(G, rep, atol=atol).entries == \
-            _check_with_the_pair_scan(G, rep, atol)
+        conj = _conjugated(G, seed)
+        x = pick % G.n_objects
+        field, inverses = list(conj.field), list(conj.inverses)
+        moved = field if which == "U" else inverses
+        d = len(moved[x])
+        moved[x] = moved[x] + 10.0 ** size * SplitMix64(pick).complex_boxes(d * d).reshape(d, d)
+        rep = conjugated_with(G, conj.base, field, inverses)
+        worst = _worst_by_law(G, rep)
+        assert all(w <= b for w, b in zip(worst, _bounds_by_law(G, rep))), worst
+        assert worst[1] <= generator_bound(G, dense_of(rep))
+        for atol in (tolerances.EXACT, tolerances.ACCUM):
+            if not dense_check(G, dense_of(rep), atol=atol).ok:
+                assert not check_representation(G, rep, atol=atol).ok
 
-    def test_multiplies_generator_pairs_not_all_pairs(self):
-        n = 12
-        G = pair_groupoid([f"x{i}" for i in range(n)])
-        rep = left_regular_rep(G, counting_haar(G))
-        counted = BundleRep(rep.bundle, [op.view(_CountingMatrix) for op in rep.ops])
-        _CountingMatrix.products = 0
-        assert check_representation(G, counted).ok
-        size = len(G.certificate().generators)
-        # |S| n generator pairs, plus one product per arrow for the inverse
-        # law and one for unitarity; the per-pair check makes n^3
-        assert size == 2 * (n - 1)
-        assert _CountingMatrix.products <= size * n + 2 * G.n_arrows < n ** 3
+    def test_the_check_reads_no_op(self):
+        G = product(pair_groupoid("abc"), group_groupoid(*cyclic_table(4)))
+        conj = _conjugated(G)
+        for rep in (conj, *_corrupted_fields(G, conj).values()):
+            unread = dataclasses.replace(rep, ops=_Unreadable())
+            assert check_representation(G, unread).entries == \
+                check_representation(G, rep).entries
+
+    def test_a_failing_base_makes_every_bound_inf(self):
+        # two rows of one op of the base swapped: at atol 1 the base passes
+        # with residual 1, and only the bounds can fail the conjugated rep
+        G = product(pair_groupoid("ab"), group_groupoid(*cyclic_table(2)))
+        conj = _conjugated(G)
+        base, a = conj.base, int(np.flatnonzero(G.src != G.tgt)[0])
+        rows = base.rows.copy()
+        rows[base.starts[a]:base.starts[a] + 2] = rows[base.starts[a]:base.starts[a] + 2][::-1]
+        rep = conjugate_rep_on(G, IndexRep(base.bundle, base.src, base.tgt, rows, base.starts),
+                               conj.field)
+        assert not dense_check(G, dense_of(rep), atol=1.0).ok
+        for atol in (1e-9, 1.0):
+            report = check_representation(G, rep, atol=atol)
+            bounds = [e for e in report.errors if e.witness.startswith("conjugated ops")]
+            assert [e.check for e in bounds] == [
+                "units", "multiplicativity", "inverses", "unitarity"]
+            assert all(e.residual == math.inf for e in bounds)
+            assert (len(report.errors) > 4) == (atol < 1)
+
+    def test_a_field_of_the_wrong_shape_is_refused(self):
+        G = pair_groupoid("abc")
+        lrep = left_regular_rep(G, counting_haar(G))
+        for size in (2, 4):
+            with pytest.raises(ShapeMismatch, match=rf"^the unitary at object a has shape "
+                                                    rf"\({size}, {size}\), wants \(3, 3\)$"):
+                conjugate_rep_on(G, lrep, [np.eye(size)] * 3)
+        with pytest.raises(ShapeMismatch, match=r"object c has shape \(3, 2\)"):
+            conjugate_rep_on(G, lrep, [np.eye(3), np.eye(3), np.eye(3, 2)])
+        with pytest.raises(ShapeMismatch, match="one unitary per object"):
+            conjugate_rep_on(G, lrep, [np.eye(3)] * 2)
+        with pytest.raises(np.linalg.LinAlgError):
+            conjugate_rep_on(G, lrep, [np.eye(3), np.zeros((3, 3)), np.eye(3)])
+
+    @pytest.mark.parametrize("everywhere", [False, True])
+    def test_a_nan_field_fails_every_law_as_in_the_dense_check(self, everywhere):
+        G = pair_groupoid("abc")
+        conj = _conjugated(G)
+        field, inverses = list(conj.field), list(conj.inverses)
+        for x in range(G.n_objects) if everywhere else [1]:
+            field[x] = np.full_like(field[x], math.nan)
+            inverses[x] = np.full_like(inverses[x], math.nan)
+        rep = conjugated_with(G, conj.base, field, inverses)
+        report = check_representation(G, rep)
+        assert _failing_laws(report) == _failing_laws(dense_check(G, dense_of(rep))) == [
+            "inverses", "multiplicativity", "unitarity", "units"]
+        assert all(math.isnan(e.residual) for e in report.errors)
+        assert report.errors[0].witness == \
+            f"conjugated ops: the bound at object {'a' if everywhere else 'b'} exceeds atol"
+
+    def test_conjugated_ops_are_one_array(self):
+        G = product(pair_groupoid("ab"), group_groupoid(*cyclic_table(3)))
+        conj = _conjugated(G)
+        assert isinstance(conj.ops, np.ndarray) and conj.ops.shape == (G.n_arrows, 6, 6)
+        U = disjoint_union(pair_groupoid("ab"), pair_groupoid("xyz"))
+        lrep = left_regular_rep(U, counting_haar(U))
+        mixed = conjugate_rep_on(U, lrep, random_unitary_field(lrep.bundle.weights,
+                                                               SplitMix64(7)))
+        assert isinstance(mixed.ops, list)
+        assert [op.shape for op in mixed.ops] == [op.shape for op in lrep.ops]
 
 
 # ---------------------------------------------------------------------------
@@ -1092,7 +1146,7 @@ def _entries(report_entries):
 
 def _index_and_dense(G, mu, atol=None):
     """The index check's entries of the left regular and trivial reps, and
-    the dense oracle's with its full pair scan; or what each build raised."""
+    the dense check's; or what each build raised."""
     builds = {"left-regular": (lambda K: left_regular_rep(K, mu),
                                lambda K: _dense_left_regular_rep(K, mu)),
               "trivial": (trivial_rep, _dense_trivial_rep)}
@@ -1103,7 +1157,7 @@ def _index_and_dense(G, mu, atol=None):
             return f"raised {exc}"
 
     return {kind: (outcome(lambda: check_representation(G, index(G), atol=atol).entries),
-                   outcome(lambda: _check_with_the_pair_scan(G, dense(G), atol)))
+                   outcome(lambda: dense_check(G, dense(G), atol=atol).entries))
             for kind, (index, dense) in builds.items()}
 
 
@@ -1155,10 +1209,10 @@ class TestIndexReps:
         with pytest.raises(IndexError):
             rep.ops[G.n_arrows]
 
-    @pytest.mark.parametrize("name", sorted(_certificate_groupoids()))
+    @pytest.mark.parametrize("name", sorted(_check_groupoids()))
     @pytest.mark.parametrize("atol", [None, 0.0, 1e-9])
     def test_clean_reports_match_the_dense_oracle(self, name, atol):
-        G = _certificate_groupoids()[name]
+        G = _check_groupoids()[name]
         mu = HaarSystem(random_invariant_weights(G, SplitMix64(71)))
         for kind, (index, dense) in _index_and_dense(G, mu, atol).items():
             assert index == dense, kind
@@ -1240,7 +1294,7 @@ class TestIndexReps:
         for index, dense in pairs:
             for f in [random_function(G, rng), delta(G, G.n_arrows - 1), np.zeros(G.n_arrows)]:
                 assert np.array_equal(integrate_rep(G, mu, nu, index, f),
-                                      integrate_rep(G, mu, nu, dense, f))
+                                      scatter_integrate(G, mu, nu, dense, f))
 
     def test_conjugation_equals_the_dense_conjugation(self):
         G = _union(_UNION_SHAPES[1])
@@ -1249,8 +1303,12 @@ class TestIndexReps:
         index = left_regular_rep(G, mu)
         field = random_unitary_field(index.bundle.weights, rng)
         got = conjugate_rep_on(G, index, field)
-        want = conjugate_rep_on(G, _dense_left_regular_rep(G, mu), field)
-        assert all(np.array_equal(x, y) for x, y in zip(got.ops, want.ops, strict=True))
+        ends = zip(_dense_left_regular_rep(G, mu).ops, G.tgt.tolist(), G.src.tolist())
+        want = [field[t] @ op @ np.linalg.inv(field[s]) for op, t, s in ends]
+        assert all(np.array_equal(x, y) for x, y in zip(got.ops, want, strict=True))
+        assert all(np.array_equal(v, np.linalg.inv(u))
+                   for u, v in zip(field, got.inverses, strict=True))
+        assert got.base is index and got.bundle is index.bundle
 
     def test_build_check_and_integrate_build_no_dense_op(self, monkeypatch):
         def refuse(self, a):
@@ -1268,8 +1326,8 @@ class TestIndexReps:
             left_regular_rep(G, mu).ops[0]
 
     def test_cyclic_256_is_checked_exhaustively_in_seconds(self, monkeypatch):
-        # the dense certificate does not certify Z_256, and its fallback
-        # multiplied all 65,536 pairs of 256 x 256 matrices
+        # a check of dense ops multiplied all 65,536 pairs of 256 x 256
+        # matrices; the index check consults no certificate
         G = group_groupoid(*cyclic_table(256))
         mu = HaarSystem(random_invariant_weights(G, SplitMix64(101)))
         scanned, real = [], FiniteGroupoid.products
@@ -1287,41 +1345,6 @@ class TestIndexReps:
         report = check_representation(G, left_regular_rep(G, mu))
         assert time.perf_counter() - start < 10
         assert report.ok and scanned == [256 ** 2]
-
-
-# ---------------------------------------------------------------------------
-# non-finite ops are violations of the dense check
-
-def _with_nan(rep, arrows, everywhere=False):
-    ops = [op.copy() for op in rep.ops]
-    for a in arrows:
-        if everywhere:
-            ops[a][:] = math.nan
-        else:
-            ops[a][0, 0] = math.nan
-    return BundleRep(rep.bundle, ops)
-
-
-class TestNonFiniteOps:
-    @pytest.mark.parametrize("everywhere", [False, True])
-    def test_nan_in_every_op_fails_every_law(self, everywhere):
-        G = pair_groupoid("abc")
-        rep = _with_nan(_dense_left_regular_rep(G, counting_haar(G)), range(G.n_arrows),
-                        everywhere)
-        report = check_representation(G, rep)
-        assert {e.check for e in report.errors} == {
-            "units", "multiplicativity", "inverses", "unitarity"}
-        assert all(math.isnan(e.residual) for e in report.errors)
-
-    @pytest.mark.parametrize("law", ["units", "multiplicativity", "inverses", "unitarity"])
-    def test_one_nan_op_is_an_entry_of_each_law(self, law):
-        G = pair_groupoid("abc")
-        a = G.unit_of[1] if law == "units" else G.arrow_by_endpoints(0, 2)
-        rep = _with_nan(_dense_left_regular_rep(G, counting_haar(G)), [a], everywhere=True)
-        entries = [e for e in check_representation(G, rep).errors if e.check == law]
-        assert entries and all(math.isnan(e.residual) for e in entries)
-        if law == "multiplicativity":
-            assert _entries(entries) == _entries(_all_pairs_multiplicativity(G, rep, 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -1346,8 +1369,7 @@ def _reps_of(G, mu, rng):
     lrep = left_regular_rep(G, mu)
     field = random_unitary_field(lrep.bundle.weights, rng)
     return {"left-regular": lrep, "trivial": trivial_rep(G),
-            "conjugated": conjugate_rep_on(G, lrep, field),
-            "dense-left-regular": _dense_left_regular_rep(G, mu)}
+            "conjugated": conjugate_rep_on(G, lrep, field)}
 
 
 def _functions(G, rng):
@@ -1465,103 +1487,3 @@ class TestIntegratedBlocks:
         nu = QuasiInvariantMeasure(random_probability(G.n_objects, rng))
         for rep in (trivial_rep(G), left_regular_rep(G, mu)):
             assert operator_norm_bound_check(G, mu, nu, rep, random_function(G, rng)).ok
-
-
-# ---------------------------------------------------------------------------
-# the stacked products of the dense check against the per-pair and
-# per-arrow loops
-
-def _per_pair_bound(G, rep):
-    """multiplicativity_bound with one matrix product per generator pair."""
-    cert = G.certificate()
-    if not cert.associative:
-        return math.inf
-    ops = rep.ops
-    dim = max(rep.bundle.dims, default=0) + 2
-    gamma = math.sqrt(2) * dim * 2.0 ** -53 / (1 - dim * 2.0 ** -53)
-    kappa = float(representations._inf_norms(ops).max(initial=0.0)) * (1 + 4 * gamma)
-    if not math.isfinite(kappa):
-        return math.nan
-    s, b = _joined(cert.generators, np.arange(G.n_arrows), G.src, G.tgt, G.n_objects)
-    pairs = zip(s.tolist(), b.tolist(), G.composites(s, b).tolist())
-    r = representations._inf_norms(ops[sb] - ops[s] @ ops[b]
-                                   for s, b, sb in pairs).max(initial=0.0) * (1 + 4 * gamma)
-    rho = r + gamma * kappa ** 2
-    bound = rho
-    for _ in range(cert.depth - 1):
-        bound = rho * (1 + kappa) + kappa * bound
-    return float(bound + gamma * kappa ** 2)
-
-
-def _per_arrow_residuals(G, rep):
-    """The inverse and unitarity residuals with two products per arrow."""
-    ops, dims, weights = rep.ops, rep.bundle.dims, rep.bundle.weights
-    src, tgt, inverse = G.src.tolist(), G.tgt.tolist(), G.inverse.tolist()
-    inverses = [representations._gap(ops[x] @ ops[inverse[x]], np.eye(dims[tgt[x]]))
-                if ops[x].shape[1] == ops[inverse[x]].shape[0] else math.inf
-                for x in range(G.n_arrows)]
-    unitarity = [representations._gap(ops[x].conj().T * weights[tgt[x]] @ ops[x],
-                                      np.diag(weights[src[x]]))
-                 for x in range(G.n_arrows)]
-    return inverses, unitarity
-
-
-def _stacked_and_looped_reps():
-    for name, G in _certificate_groupoids().items():
-        for kind, rep in _three_reps(G).items():
-            yield f"{name}-{kind}", G, rep
-            yield f"{name}-{kind}-moved", G, _with_entry_moved(rep, G.n_arrows // 2, 1e-7)
-            yield f"{name}-{kind}-list", G, BundleRep(rep.bundle, list(rep.ops))
-
-
-class TestStackedProducts:
-    def test_the_bound_equals_the_per_pair_loop(self):
-        for label, G, rep in _stacked_and_looped_reps():
-            got, want = representations.multiplicativity_bound(G, rep), _per_pair_bound(G, rep)
-            assert got == want, label
-
-    def test_the_bound_is_nan_on_a_non_finite_op_as_the_loop(self):
-        G = product(pair_groupoid("ab"), group_groupoid(*cyclic_table(3)))
-        rep = _with_nan(_three_reps(G)["conjugated"], [4])
-        assert math.isnan(representations.multiplicativity_bound(G, rep))
-        assert math.isnan(_per_pair_bound(G, rep))
-
-    def test_small_stack_batches_give_the_same_bound(self, monkeypatch):
-        G = product(pair_groupoid("abc"), group_groupoid(*cyclic_table(4)))
-        rep = _three_reps(G)["conjugated"]
-        want = _per_pair_bound(G, rep)
-        for entries in (1, 200, 1000):  # one op a batch, a few, a fibre and more
-            monkeypatch.setattr(blocks, "_STACK_ENTRIES", entries)
-            assert representations.multiplicativity_bound(G, rep) == want
-
-    def test_inverse_and_unitarity_residuals_equal_the_per_arrow_loop(self, monkeypatch):
-        monkeypatch.setattr(representations, "multiplicativity_bound", lambda G, rep: 0.0)
-        for label, G, rep in _stacked_and_looped_reps():
-            _, _, _, _, inverses, unitarity = representations._dense_residuals(G, rep, 1e-9)
-            want_inverses, want_unitarity = _per_arrow_residuals(G, rep)
-            assert np.array_equal(inverses, want_inverses), label
-            assert np.array_equal(unitarity, want_unitarity), label
-
-    def test_residuals_of_non_finite_and_mismatched_ops_equal_the_loop(self):
-        G = pair_groupoid("abc")
-        rep = _with_nan(_dense_left_regular_rep(G, counting_haar(G)), [2, 5], everywhere=True)
-        H = disjoint_union(pair_groupoid("ab"), pair_groupoid("xyz"))
-        inverse = list(H.inverse)
-        inverse[H.arrow_by_endpoints(0, 1)] = H.arrow_by_endpoints(2, 3)
-        H = _rebuilt(H, inverse=inverse)
-        for K, r in ((G, rep), (H, _dense_left_regular_rep(H, counting_haar(H)))):
-            _, _, _, _, inverses, unitarity = representations._dense_residuals(K, r, 1e-9)
-            want_inverses, want_unitarity = _per_arrow_residuals(K, r)
-            assert np.array_equal(inverses, want_inverses, equal_nan=True)
-            assert np.array_equal(unitarity, want_unitarity, equal_nan=True)
-
-    def test_conjugated_ops_are_one_array(self):
-        G = product(pair_groupoid("ab"), group_groupoid(*cyclic_table(3)))
-        conj = _three_reps(G)["conjugated"]
-        assert isinstance(conj.ops, np.ndarray) and conj.ops.shape == (G.n_arrows, 6, 6)
-        U = disjoint_union(pair_groupoid("ab"), pair_groupoid("xyz"))
-        lrep = left_regular_rep(U, counting_haar(U))
-        mixed = conjugate_rep_on(U, lrep, random_unitary_field(lrep.bundle.weights,
-                                                               SplitMix64(7)))
-        assert isinstance(mixed.ops, list)
-        assert [op.shape for op in mixed.ops] == [op.shape for op in lrep.ops]
