@@ -26,7 +26,7 @@ from .randgen import (SplitMix64, below, boxes, random_function, random_unitary_
                       units)
 from .report import Report, SuiteReport, _worst
 from .representations import (ConjugatedRep, IndexRep,
-                              QuasiInvariantMeasure, check_representation,
+                              QuasiInvariantMeasure, _coefficients, check_representation,
                               conjugate_rep_on, fundamental_family_check,
                               integrated_blocks, left_regular_rep,
                               transitive_isomorphism_check, trivial_rep,
@@ -92,30 +92,36 @@ SUITES = (
 )
 
 
-def _transport_gaps(conj: BlockOperator, plain: BlockOperator,
-                    rep: ConjugatedRep) -> np.ndarray:
-    """``max |conj[i] - U plain[i] U^-1|`` per operator i, with U the
-    block-diagonal field of ``rep`` and U^-1 its computed inverses, orbit
-    by orbit and object by object.
-
-    ``conj`` has one block per orbit (the integrated ``rep``), in which each
-    object's fiber is contiguous; the (x, y) slice of U plain U^-1 is
-    U_x plain[x, y] U_y^-1, taken from U_x times the rows of x in plain.
+def _transport_gaps(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure,
+                    conj: ConjugatedRep, plain: BlockOperator, fs: np.ndarray) -> np.ndarray:
+    """``max |pi(f_i) - U plain[i] U^-1|`` per function f_i of the stack
+    ``fs``, pi the integration of ``conj``, U its block-diagonal field and
+    U^-1 the computed inverses, one target object x at a time: the rows of
+    x in pi(f_i), summed over x's orbit from the ops of the arrows a into x
+    (c_i(a) op(a) into the columns of src(a), in arrow order, none where
+    f_i(a) is 0), against U_x plain[x, y] U_y^-1 over the objects y of the
+    orbit, taken from U_x times the rows of x in plain.
     """
-    bundle, field, field_inv = rep.bundle, rep.field, rep.inverses
-    owner = np.repeat(np.arange(len(bundle.dims)), bundle.dims)
-    out = np.zeros(len(conj))
-    for positions, data in conj.groups:
-        for pos, block in zip(positions, data.swapaxes(0, 1)):
-            objects = owner[pos]  # ascending, as pos is
-            first = np.flatnonzero(np.diff(objects, prepend=-1))
-            spans = [(x, slice(lo, lo + bundle.dims[x]))
-                     for x, lo in zip(objects[first].tolist(), first.tolist())]
-            for x, rows in spans:
-                want = np.matmul(field[x], plain.dense(pos[rows])[:, :, pos])
-                for y, cols in spans:
-                    want[:, :, cols] = np.matmul(want[:, :, cols], field_inv[y])
-                out = np.maximum(out, np.abs(block[:, rows] - want).max(axis=(1, 2)))
+    dims, offsets = conj.bundle.dims, conj.bundle.offsets
+    coeff = _coefficients(G, mu, nu, fs)
+    into, first, size = _fibers(G.tgt, G.n_objects)
+    src = G.src.tolist()
+    out = np.zeros(len(fs))
+    for members in G.orbits():
+        pos = np.concatenate([np.arange(offsets[y], offsets[y + 1]) for y in members])
+        lo = np.cumsum([0] + [dims[y] for y in members]).tolist()
+        spans = {y: slice(lo[j], lo[j + 1]) for j, y in enumerate(members)}
+        for x in members:
+            strip = np.zeros((len(fs), dims[x], len(pos)), dtype=complex)
+            for a in into[first[x]:first[x] + size[x]].tolist():
+                used = np.flatnonzero(fs[:, a] != 0).tolist()
+                op = conj.ops[a] if used else None
+                for i in used:
+                    strip[i, :, spans[src[a]]] += coeff[i, a] * op
+            want = np.matmul(conj.field[x], plain.dense(pos[spans[x]])[:, :, pos])
+            for y in members:
+                want[:, :, spans[y]] = np.matmul(want[:, :, spans[y]], conj.inverses[y])
+            out = np.maximum(out, np.abs(strip - want).max(axis=(1, 2)))
     return out
 
 
@@ -211,8 +217,7 @@ def _transport_residual(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMea
     conj = conjugate_rep_on(G, lrep, random_unitary_field(lrep.bundle.weights, rng))
     ok = check_representation(G, conj, atol=atol).ok
     fs = rng.complex_boxes(2 * G.n_arrows).reshape(2, G.n_arrows)
-    gaps = _transport_gaps(integrated_blocks(G, mu, nu, conj, fs),
-                           integrated_blocks(G, mu, nu, lrep, fs), conj)
+    gaps = _transport_gaps(G, mu, nu, conj, integrated_blocks(G, mu, nu, lrep, fs), fs)
     return ok, _worst(0.0, *gaps.tolist())
 
 

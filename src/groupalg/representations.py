@@ -149,7 +149,7 @@ class IndexRep:
 
     @property
     def ops(self) -> _DenseOps:
-        return _DenseOps(self)
+        return _DenseOps(len(self.starts) - 1, self.dense_op)
 
     @cached_property
     def blocks(self) -> tuple[BlockPartition, np.ndarray, np.ndarray]:
@@ -174,19 +174,20 @@ class IndexRep:
 
 
 class _DenseOps(Sequence):
-    """The ops of an :class:`IndexRep` as a sequence of dense matrices."""
+    """The ops of a rep as a sequence of dense matrices, ``build(a)`` the op
+    of arrow a, built each time it is read."""
 
-    def __init__(self, rep: IndexRep):
-        self._rep = rep
+    def __init__(self, n: int, build):
+        self._n, self._build = n, build
 
     def __len__(self) -> int:
-        return len(self._rep.starts) - 1
+        return self._n
 
     def __getitem__(self, a):
         a = operator.index(a)
-        if not -len(self) <= a < len(self):
+        if not -self._n <= a < self._n:
             raise IndexError(f"arrow index {a} out of range")
-        return self._rep.dense_op(a % len(self))
+        return self._build(a % self._n)
 
 
 @dataclass(frozen=True)
@@ -194,8 +195,7 @@ class ConjugatedRep:
     """An :class:`IndexRep` conjugated by a field of unitaries, one per
     object, as :func:`conjugate_rep_on` builds it: ``field[x]`` is U_x,
     ``inverses[x]`` its computed inverse V_x, and ``ops[a]`` is
-    fl(U_tgt P_a V_src) for the 0/1 op P_a of ``base``: one (A, m, n) array
-    when all have one shape, else a list.
+    fl(U_tgt P_a V_src) for the 0/1 op P_a of ``base``, built when it is read.
     """
 
     base: IndexRep
@@ -254,6 +254,7 @@ def left_regular_rep(G: FiniteGroupoid, mu: HaarSystem) -> IndexRep:
 
 
 _ENTRY_BATCH = 1 << 20  # matrix columns compared per batch in _column_gaps
+_SCATTER_BATCH = 1 << 16  # op entries scattered per batch in integrated_blocks
 
 
 def _column_gaps(ok, width, lhs, rhs) -> np.ndarray:
@@ -320,18 +321,23 @@ def _index_residuals(G: FiniteGroupoid, rep: IndexRep):
 
 def _conjugation_bounds(G: FiniteGroupoid, rep: ConjugatedRep, residuals) -> np.ndarray:
     """Per object, bounds on the residuals that the dense check would find
-    on the stored ops of ``rep``, as rows units, multiplicativity, inverses
-    and unitarity; ``residuals`` are the base's (:func:`_index_residuals`).
+    on the ops of ``rep``, as rows units, multiplicativity, inverses and
+    unitarity; ``residuals`` are the base's (:func:`_index_residuals`).
 
     Write P_a for the 0/1 op of the base, U_x, V_x and W_x for the field,
     its computed inverse and the fiber weights, and ||.|| for the max row
     sum, which bounds the largest entry modulus, the residual the dense
-    check reports.  Let u = 2^-53 and gamma = sqrt(2) (d+2) u / (1 - (d+2) u),
+    check reports.  Let u = 2^-53 and gamma = sqrt(2) (d+4) u / (1 - (d+4) u),
     d the largest fiber dimension: it bounds the rounding of a complex
     product of inner dimension d entrywise, |fl(AB) - AB| <= gamma |A||B|
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.5-3.6).
-    Per object, from one product each for the last four, and each widened by
-    (1 + 4 gamma) for the rounding of its moduli and sums:
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, §3.5-3.6),
+    and spares 2 sqrt(2) u for a scaling: U/c and cV, c > 0 on an orbit,
+    make the same ops, so each orbit's Gram scale c, c^2 =
+    tr(U_m^H W_m U_m) / tr(W_m) at its least object m, is divided out of U
+    and into V first (U and V below are the scaled ones), which moves X_a
+    below by at most (2u + O(u^2)) al_t be_s.  Per object, from one product
+    each for the last four, and each widened by (1 + 4 gamma) for the
+    rounding of its moduli and sums:
 
         al = ||U||, al* = ||U^H||, be = ||V||, be* = ||V^H||, om = max W,
         e = ||VU - I||, f = ||UV - I||, g = ||U^H W U - W||, h = ||V^H W V - W||.
@@ -339,7 +345,7 @@ def _conjugation_bounds(G: FiniteGroupoid, rep: ConjugatedRep, residuals) -> np.
     When the base passes units, multiplicativity and inverses exactly, every
     P_a is a permutation, P_a P_b = P_(a o b) and P_a P_(a^-1) = I, and
     permuting the rows or columns of a matrix keeps both its norms.  The
-    stored op of a: s -> t is O_a = fl(U_t[:, rows_a] V_s) = X_a + E_a with
+    op of a: s -> t is O_a = fl(U_t[:, rows_a] V_s) = X_a + E_a with
     X_a = U_t P_a V_s and ||E_a|| <= gamma al_t be_s.  For a: m -> t and
     b: s -> m,
 
@@ -370,22 +376,27 @@ def _conjugation_bounds(G: FiniteGroupoid, rep: ConjugatedRep, residuals) -> np.
     """
     units, a, _, mult, inverses, unitarity = residuals
     n = G.n_objects
-    d = max(rep.bundle.dims, default=0) + 2
+    d = max(rep.bundle.dims, default=0) + 4
     gamma = math.sqrt(2) * d * 2.0 ** -53 / (1 - d * 2.0 ** -53)
+    orbit = components(n, G.tgt, G.src)
+    order = np.argsort(orbit, kind="stable")
+    starts = np.flatnonzero(np.diff(orbit[order], prepend=-1))
+    which = np.searchsorted(orbit[order][starts], orbit)
+    scale = [math.sqrt(float((w @ np.abs(u) ** 2).sum()) / float(w.sum()))
+             for u, w in zip(rep.field, rep.bundle.weights)]
+    scale = [scale[m] for m in order[starts][which].tolist()]  # at each orbit's least object
 
     def norm(m):  # the max row sum
         return np.abs(m).sum(axis=1).max()
 
     q = np.zeros((9, n))
-    for x, (u, v, w) in enumerate(zip(rep.field, rep.inverses, rep.bundle.weights)):
+    for x, (u, v, w, c) in enumerate(zip(rep.field, rep.inverses, rep.bundle.weights, scale)):
+        with np.errstate(invalid="ignore"):  # a NaN scale makes the orbit's quantities NaN
+            u, v = u / c, v * c
         uh, vh, eye, diag = u.conj().T, v.conj().T, np.eye(len(w)), np.diag(w)
         q[:, x] = [*(norm(m) for m in (u, uh, v, vh, v @ u - eye, u @ v - eye,
                                        (uh * w) @ u - diag, (vh * w) @ v - diag)), w.max()]
     al, al_h, be, be_h, e, f, g, h, om = q * (1 + 4 * gamma)
-    orbit = components(n, G.tgt, G.src)
-    order = np.argsort(orbit, kind="stable")
-    starts = np.flatnonzero(np.diff(orbit[order], prepend=-1))
-    which = np.searchsorted(orbit[order][starts], orbit)
 
     def top(v):  # the largest value over each object's orbit, NaN when one is
         return np.maximum.reduceat(v[order], starts)[which]
@@ -418,7 +429,7 @@ def check_representation(G: FiniteGroupoid, rep: IndexRep | ConjugatedRep,
     An :class:`IndexRep` is checked on its index data, every law on every
     composable pair or arrow, as integer comparisons (:func:`_index_residuals`).
     A :class:`ConjugatedRep` is checked so on its base, and each law of its
-    stored ops is bounded from per-object quantities of the field
+    ops is bounded from per-object quantities of the field
     (:func:`_conjugation_bounds`): a law whose bound exceeds atol, or is
     NaN, is one entry, witnessed by the object that sets the bound, with
     the bound as its residual.  No op is read or multiplied.
@@ -479,10 +490,10 @@ def conjugate_rep_on(G: FiniteGroupoid, rep: IndexRep,
                      unitaries: list[np.ndarray]) -> ConjugatedRep:
     """Conjugate ``rep`` by a field of unitaries, one per object.
 
-    U_tgt op(a) is the columns of U_tgt that op(a) picks, so no op of
-    ``rep`` is built densely.  Raises ShapeMismatch unless the field has
-    one dims[x] x dims[x] matrix per object x, and LinAlgError when one is
-    singular.
+    The op of a: s -> t, U_t op(a) V_s, is built when read, from the columns
+    of U_t that op(a) picks; no op of ``rep`` is built densely.  Raises
+    ShapeMismatch unless the field has one dims[x] x dims[x] matrix per
+    object x, and LinAlgError when one is singular.
     """
     dims = rep.bundle.dims
     if len(dims) != G.n_objects or len(rep.starts) != G.n_arrows + 1:
@@ -495,76 +506,60 @@ def conjugate_rep_on(G: FiniteGroupoid, rep: IndexRep,
             raise ShapeMismatch(f"the unitary at object {G.objects[x]} has shape {u.shape}, "
                                 f"wants {(d, d)}")
     inverses = tuple(np.linalg.inv(u) for u in field)
-    ends = list(zip(G.tgt.tolist(), G.src.tolist()))
-    shapes = {(dims[t], dims[s]) for t, s in ends}
-    ops = (np.empty((G.n_arrows, *shapes.pop()), dtype=complex) if len(shapes) == 1
-           else [None] * G.n_arrows)
-    for a, (t, s) in enumerate(ends):
-        ops[a] = field[t][:, rep.rows[rep.starts[a]:rep.starts[a + 1]]] @ inverses[s]
+    ops = _DenseOps(G.n_arrows, lambda a: (
+        field[G.tgt[a]][:, rep.rows[rep.starts[a]:rep.starts[a + 1]]] @ inverses[G.src[a]]))
     return ConjugatedRep(rep, field, inverses, ops)
 
 
 # ---------------------------------------------------------------------------
 # integrated representation
 
+def _coefficients(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure, fs) -> np.ndarray:
+    """The coefficient f_i(a) m_o(a) / nu(tgt a) of op(a) in pi(f_i), per row i."""
+    return fs * induced_measures(G, mu, nu).m_o / nu.nu[G.tgt]
+
+
 def integrated_blocks(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure,
-                      rep: IndexRep | ConjugatedRep, f) -> BlockOperator:
+                      rep: IndexRep, f) -> BlockOperator:
     """The integrated operators of an (A,) function or a (k, A) stack of
     functions, by blocks: operator i accumulates f_i(a) m_o(a) / nu(tgt a)
     times op(a) into the (tgt a, src a) slot of the nu-weighted direct sum
     of the fibers (:func:`integrate_rep`).
 
-    The blocks are fixed once per rep.  An :class:`IndexRep` splits by the
-    connected components of the bundle positions joined by the (row,
-    column) of every 1 of its ops (:attr:`IndexRep.blocks`): for the left
-    regular rep one block per source object of the fiber arrows, for the
-    trivial rep one per orbit.  A :class:`ConjugatedRep` splits by orbits.
-    Either way the entries come from the same data as the blocks, so none
-    falls outside them.  The coefficients are added to their entries in
-    arrow order, in one scatter for an index rep and one slice addition of
-    a stored op per term for a conjugated rep, and where f is 0 nothing is
-    added: the dense matrices equal those of one slice addition per arrow.
+    The blocks are fixed once per rep: the connected components of the
+    bundle positions joined by the (row, column) of every 1 of its ops
+    (:attr:`IndexRep.blocks`), for the left regular rep one block per
+    source object of the fiber arrows, for the trivial rep one per orbit.
+    The entries come from the same data as the blocks, so none falls
+    outside them.  Batches of about ``_SCATTER_BATCH`` op entries add each
+    coefficient to its entries in arrow order, none where f is 0: the dense
+    matrices equal those of one slice addition per arrow.
     """
     f = _as_function(G, f, stack=True)
     fs = np.atleast_2d(f)
     k, bundle = len(fs), rep.bundle
     if len(bundle.dims) != G.n_objects or len(rep.ops) != G.n_arrows:
         raise ShapeMismatch("representation does not match the groupoid")
-    ind = induced_measures(G, mu, nu)
-    row, used = np.nonzero(fs != 0)  # row by row, arrows ascending
-    coeff = fs[row, used] * ind.m_o[used] / nu.nu[G.tgt[used]]
-    index = isinstance(rep, IndexRep)
-    if index:
-        part, group, cell = rep.blocks
-    else:
-        orbit = components(G.n_objects, G.tgt, G.src)
-        part = BlockPartition.of(np.repeat(orbit, bundle.dims))
+    part, group, cell = rep.blocks
     slab = np.array([p.size for p in part.groups], dtype=np.intp) * part.sizes
     start = np.concatenate([[0], np.cumsum(k * slab)]).astype(np.intp)
     flat = np.zeros(start[-1], dtype=complex)
     data = tuple(flat[start[g]:start[g + 1]].reshape(k, *p.shape, p.shape[1])
                  for g, p in enumerate(part.groups))
-    if index:
-        width = np.diff(rep.starts)[used]
-        entry = _ranges(rep.starts[used], width)
-        term = np.repeat(np.arange(len(used)), width)
-        g = group[entry]
-        np.add.at(flat, start[g] + row[term] * slab[g] + cell[entry], coeff[term])
-    else:  # an object's fiber is contiguous in its orbit's block
-        first = np.array(bundle.offsets[:-1], dtype=np.intp)
-        group, block, place = (part.group[first].tolist(), part.block[first].tolist(),
-                               part.place[first].tolist())
-        ends = zip(row.tolist(), used.tolist(), G.tgt[used].tolist(), G.src[used].tolist())
-        for (i, a, t, s), c in zip(ends, coeff):
-            rows = slice(place[t], place[t] + bundle.dims[t])
-            cols = slice(place[s], place[s] + bundle.dims[s])
-            data[group[t]][i, block[t], rows, cols] += c * rep.ops[a]
+    at, width = start[group] + cell, np.diff(rep.starts)  # where each entry falls in operator 0
+    coeff = _coefficients(G, mu, nu, fs)
+    step = max(1, _SCATTER_BATCH // max(len(rep.rows), 1))
+    for lo in range(0, k, step):
+        row, used = np.nonzero(fs[lo:lo + step] != 0)  # row by row, arrows ascending
+        term = np.repeat(np.arange(len(used)), width[used])
+        entry, row = _ranges(rep.starts[used], width[used]), lo + row
+        np.add.at(flat, at[entry] + row[term] * slab[group[entry]], coeff[row, used][term])
     return BlockOperator(bundle_metric(bundle, nu), part, data, k)
 
 
 def integrate_rep(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure,
-                  rep: IndexRep | ConjugatedRep, f) -> np.ndarray:
-    """Block operator of f on the nu-weighted direct sum of the fibers.
+                  rep: IndexRep, f) -> np.ndarray:
+    """Block operator of f on the nu-weighted direct sum of an index rep's fibers.
 
     The block at (tgt, src) accumulates f(a) m_o(a) / nu(tgt) times op(a);
     this is the unique operator representing the pairing
@@ -606,10 +601,9 @@ def operator_norm(op: np.ndarray, bundle: HilbertBundle,
 
 
 def operator_norm_bound_check(G: FiniteGroupoid, mu: HaarSystem,
-                              nu: QuasiInvariantMeasure, rep: IndexRep | ConjugatedRep,
-                              f) -> Report:
+                              nu: QuasiInvariantMeasure, rep: IndexRep, f) -> Report:
     """Check the contraction bound: spectral norm of the integrated operator
-    never exceeds the I-norm of the function."""
+    of an index rep never exceeds the I-norm of the function."""
     atol = tolerances.accum_tol()
     out = Report("integrated-norm-bound")
     norm = float(integrated_blocks(G, mu, nu, rep, _as_function(G, f)).norms()[0])

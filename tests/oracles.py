@@ -8,18 +8,26 @@ and bound every residual.  With it, the generator-pair bound on
 multiplicativity that the dense check of the conjugated rep once used.
 For the integrated representations, the paths that the block operators
 replaced: the integrated operator scattered into one (sum of dims)^2 matrix,
-and the battery's integrated suites run one trial at a time on those
-matrices, with the unitary field applied as one block-diagonal matrix and its
-inverse.  For the dense operator norm, the connected blocks of a matrix's
-support with rows and columns apart, one SVD each, which ``operator_norm``
-took before it read a block operator.  For the bisection group, the star
+the one integration of a conjugated rep left, and the battery's integrated
+suites run one trial at a time on those matrices, with the unitary field
+applied as one block-diagonal matrix and its inverse.  For the dense
+operator norm, the connected blocks of a matrix's support with rows and
+columns apart, one SVD each, which ``operator_norm`` took before it read a
+block operator.  For the bisection group, the star
 table from a dict on row bytes with associativity over all k^3 triples, and
 the group laws pair by pair.  For the battery's other randomized suites,
 which now draw each suite's trials as one block of the stream and run them
 as stacks: the loops that drew and checked one trial at a time.
+
+With them, the benchmark's small documents, on which the battery's reports
+are pinned and the conjugated rep's bounds are compared with the dense check.
 """
 
+import functools
 import math
+import os
+import random
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -176,6 +184,31 @@ def generator_bound(G, rep) -> float:
     for _ in range(right_nested_depths(G, cert.generators.tolist()) - 1):
         bound = rho * (1 + kappa) + kappa * bound
     return float(bound + gamma * kappa ** 2)
+
+
+@functools.cache
+def benchmark_documents():
+    """The benchmark's transitive-ladder and mixed-small documents at seeds
+    1-3, as (seed, document) lists by label."""
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    try:
+        import inputs
+        from workloads import LADDER, MIXED_UNIONS, UNIONS
+    finally:
+        sys.path.pop(0)
+    out = {}
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for label, n, group in LADDER:
+            doc = (inputs.pair_relation_doc(n, rng) if group is None
+                   else inputs.union_arrows_doc([(n, group)], rng))
+            out.setdefault(label, []).append((seed, doc))
+        rng = random.Random(seed)
+        for i in MIXED_UNIONS:
+            doc = inputs.union_arrows_doc(UNIONS[i], rng)
+            out.setdefault(f"union{i:02d}", []).append((seed, doc))
+    return out
+
 
 
 def next_u64(rng: SplitMix64) -> int:

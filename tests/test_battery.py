@@ -1,12 +1,15 @@
 """The battery end to end: committed golden reports and non-finite residuals."""
 
 import dataclasses
+import difflib
+import functools
 import json
 import math
 import os
 import random
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +28,9 @@ from groupalg.representations import (HilbertBundle, IndexRep, QuasiInvariantMea
                                       conjugate_rep_on, integrated_blocks, left_regular_rep,
                                       trivial_rep, uniform_measure)
 
-from oracles import (big_matrix_transport, conjugated_with, per_trial_algebra,
-                     per_trial_convergence, per_trial_integrated, per_trial_pair_matrix)
+from oracles import (benchmark_documents, big_matrix_transport, conjugated_with,
+                     per_trial_algebra, per_trial_convergence, per_trial_integrated,
+                     per_trial_pair_matrix, scatter_integrate)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -47,6 +51,27 @@ def test_check_all_matches_the_committed_report(seed, capsys):
     assert RESIDUAL.sub("*", got) == RESIDUAL.sub("*", want)
     for g, w in zip(RESIDUAL.findall(got), RESIDUAL.findall(want)):
         assert math.isclose(float(g), float(w), rel_tol=1e-6, abs_tol=1e-13), (g, w)
+
+
+@functools.cache
+def _pinned_renders():
+    with open(os.path.join(DATA, "battery_renders_seed1.txt"), encoding="utf-8") as fh:
+        parts = re.split(r"^== (\S+)\n", fh.read(), flags=re.M)
+    return {label: text.removesuffix("\n") for label, text in zip(parts[1::2], parts[2::2])}
+
+
+@pytest.mark.parametrize("label", sorted(benchmark_documents()))
+def test_battery_renders_match_the_pinned_ones(label):
+    # each benchmark document at seed 1, rendered byte for byte as the file
+    # pins it: every residual digit, which any change to the battery's
+    # arithmetic moves; the file holds run_battery(doc, seed=1,
+    # trials=20).render() of each under a "== label" line
+    assert sorted(_pinned_renders()) == sorted(benchmark_documents())
+    [doc] = [doc for seed, doc in benchmark_documents()[label] if seed == 1]
+    got = run_battery(parse_groupoid_document(doc, where=label), seed=1, trials=20).render()
+    want = _pinned_renders()[label]
+    assert got == want, "\n" + "\n".join(difflib.unified_diff(
+        want.splitlines(), got.splitlines(), "pinned", "rendered", lineterm=""))
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "src", "groupalg", "fixtures")
@@ -170,18 +195,19 @@ def test_stacked_suites_equal_the_per_trial_oracles_bit_for_bit(monkeypatch):
 
 
 def test_stacked_trials_equal_the_per_trial_loop_on_a_broken_rep():
-    # an op scaled by 20 breaks every integrated law by an amount that
-    # depends on the drawn functions, so the residuals pin which draws
-    # make up each trial
+    # two columns of one op swapped, and the weights of its target fiber
+    # times 400, break every integrated law by an amount that depends on the
+    # drawn functions, so the residuals pin which draws make up each trial
     G = product(pair_groupoid("abc"), group_groupoid(*cyclic_table(2)))
     rng = SplitMix64(11)
     mu = HaarSystem(random_invariant_weights(G, rng))
     nus = [uniform_measure(G), QuasiInvariantMeasure(random_probability(G.n_objects, rng))]
     lrep = left_regular_rep(G, mu)
-    conj = conjugate_rep_on(G, lrep, random_unitary_field(lrep.bundle.weights, rng))
-    ops = conj.ops.copy()
-    ops[5] *= 20.0
-    reps = (trivial_rep(G), lrep, dataclasses.replace(conj, ops=ops))
+    rows = lrep.rows.copy()
+    rows[lrep.starts[5]:lrep.starts[5] + 2] = rows[lrep.starts[5]:lrep.starts[5] + 2][::-1]
+    weights = [w * 400.0 if x == G.tgt[5] else w for x, w in enumerate(lrep.bundle.weights)]
+    bundle = HilbertBundle(lrep.bundle.dims, weights)
+    reps = (trivial_rep(G), lrep, IndexRep(bundle, lrep.src, lrep.tgt, rows, lrep.starts))
     stacked, looped = SplitMix64(3), SplitMix64(3)
     got = battery._integrated_residuals(G, mu, nus, reps, stacked, 5)
     want = per_trial_integrated(G, mu, nus, reps, looped, 5)
@@ -207,6 +233,7 @@ def test_transport_gaps_take_each_objects_own_fiber_dimension():
     conj = conjugate_rep_on(G, rep, random_unitary_field(bundle.weights, rng))
     mu, nu = HaarSystem(np.ones(G.n_arrows)), uniform_measure(G)
     fs = rng.complex_boxes(2 * G.n_arrows).reshape(2, G.n_arrows)
+    fs[1, 3] = 0  # a term of the second orbit skipped in one function
     plain = integrated_blocks(G, mu, nu, rep, fs)
     big = np.zeros((bundle.total_dim, bundle.total_dim), dtype=complex)
     for x, u in enumerate(conj.field):
@@ -215,12 +242,32 @@ def test_transport_gaps_take_each_objects_own_fiber_dimension():
     ops = [op.copy() for op in conj.ops]
     ops[2][1, 0] += 1e-3  # an op of the first orbit, 2 x 1
     for moved in (False, True):
-        blocks = integrated_blocks(G, mu, nu, dataclasses.replace(conj, ops=ops) if moved
-                                   else conj, fs)
-        got = battery._transport_gaps(blocks, plain, conj)
-        oracle = np.abs(blocks.dense() - want).max(axis=(1, 2))
+        rep_now = dataclasses.replace(conj, ops=ops) if moved else conj
+        got = battery._transport_gaps(G, mu, nu, rep_now, plain, fs)
+        integrated = np.array([scatter_integrate(G, mu, nu, rep_now, f) for f in fs])
+        oracle = np.abs(integrated - want).max(axis=(1, 2))
         np.testing.assert_allclose(got, oracle, rtol=1e-9, atol=1e-13)
         assert (got > 1e-6).all() if moved else (got < 1e-13).all()
+
+
+def test_transport_gaps_hold_one_op_and_one_strip():
+    # pair(32): the parent's stored ops alone took 16 MB, its orbit block 32 MB
+    G = pair_groupoid([f"o{i}" for i in range(32)])
+    rng = SplitMix64(17)
+    mu = HaarSystem(random_invariant_weights(G, rng))
+    nu = QuasiInvariantMeasure(random_probability(G.n_objects, rng))
+    lrep = left_regular_rep(G, mu)
+    conj = conjugate_rep_on(G, lrep, random_unitary_field(lrep.bundle.weights, rng))
+    fs = rng.complex_boxes(2 * G.n_arrows).reshape(2, G.n_arrows)
+    plain = integrated_blocks(G, mu, nu, lrep, fs)
+    tracemalloc.start()
+    try:
+        gaps = battery._transport_gaps(G, mu, nu, conj, plain, fs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (gaps < 1e-12).all()
+    assert peak < 8 * 2 ** 20, peak
 
 
 def test_an_arrows_document_failing_the_axioms_stops_the_battery(tmp_path, capsys):

@@ -1,12 +1,10 @@
 """Bundle representations, integration, norm bounds, transitive isomorphism."""
 
 import dataclasses
-import functools
 import math
 import os
-import random
-import sys
 import time
+import tracemalloc
 from collections.abc import Sequence
 
 import numpy as np
@@ -37,8 +35,8 @@ from groupalg.blocks import BlockOperator, BlockPartition
 from groupalg.representations import (HilbertBundle, bundle_metric, integrated_blocks,
                                       tensor_of_function)
 
-from oracles import (DenseRep, conjugated_with, dense_check, dense_of, dense_residuals,
-                     generator_bound, scatter_integrate, support_blocks)
+from oracles import (DenseRep, benchmark_documents, conjugated_with, dense_check, dense_of,
+                     dense_residuals, generator_bound, scatter_integrate, support_blocks)
 
 
 def weighted_inner(bundle, nu, u, v):
@@ -169,7 +167,7 @@ class TestLeftRegular:
             check = dense_check if isinstance(wrong, DenseRep) else check_representation
             assert [(e.check, e.witness) for e in check(G, wrong).errors] == [
                 ("shape", "one fiber per object is required")]
-            if not isinstance(wrong, DenseRep):
+            if isinstance(wrong, IndexRep):
                 with pytest.raises(ShapeMismatch):
                     integrated_blocks(G, mu, uniform_measure(G), wrong, np.ones(G.n_arrows))
         with pytest.raises(ShapeMismatch, match="does not match the groupoid"):
@@ -309,11 +307,13 @@ class TestBlockOperatorNorm:
         lrep = left_regular_rep(G, mu)
         conj = conjugate_rep_on(G, lrep, random_unitary_field(lrep.bundle.weights, rng))
         for rep in (trivial_rep(G), lrep, conj):
+            index = isinstance(rep, IndexRep)
             for _ in range(3):
                 f = random_function(G, rng)
-                norm = _assert_norms_agree(integrate_rep(G, mu, nu, rep, f), rep.bundle, nu)
+                op = (integrate_rep if index else scatter_integrate)(G, mu, nu, rep, f)
+                norm = _assert_norms_agree(op, rep.bundle, nu)
                 assert norm <= i_norm(G, mu, f) + 1e-12
-                if f.all():  # the support is the rep's blocks: the same SVDs
+                if index and f.all():  # the support is the rep's blocks: the same SVDs
                     assert norm == integrated_blocks(G, mu, nu, rep, f).norms()[0]
 
     def test_zero_operator(self):
@@ -447,7 +447,7 @@ class TestUnitaryEquivalence:
             big[rep.bundle.slice_of(x), rep.bundle.slice_of(x)] = field[x]
         for _ in range(3):
             f = random_function(G, rng)
-            lhs = integrate_rep(G, mu, nu, conj, f)
+            lhs = scatter_integrate(G, mu, nu, conj, f)
             rhs = big @ integrate_rep(G, mu, nu, rep, f) @ np.linalg.inv(big)
             assert np.abs(lhs - rhs).max() <= 1e-9
 
@@ -957,42 +957,15 @@ def _assert_dense_verdicts(G, conj):
     corrupted fields at the accumulated tier are those the dense check fails.
 
     Where every fiber has dimension 1 (one-object orbits without isotropy),
-    every U_x is a multiple of a unitary and conjugating by it changes no
-    op; the bound reads U_x, not the ops, and fails unitarity all the same.
+    the non-unitary U_x is a multiple of a unitary, conjugating by it
+    changes no op, and both checks pass it.
     """
     every = ["inverses", "multiplicativity", "unitarity", "units"]
+    scaled = [] if max(conj.bundle.dims) == 1 else ["unitarity"]
     for kind, rep in {"clean": conj, **_corrupted_fields(G, conj)}.items():
         got = _failing_laws(check_representation(G, rep, atol=tolerances.ACCUM))
         want = _failing_laws(dense_check(G, dense_of(rep), atol=tolerances.ACCUM))
-        assert got == {"clean": [], "non-unitary": ["unitarity"]}.get(kind, every), kind
-        if kind == "non-unitary" and max(conj.bundle.dims) == 1:
-            assert want == []
-        else:
-            assert got == want, kind
-
-
-@functools.cache
-def _benchmark_documents():
-    """The benchmark's transitive-ladder and mixed-small documents at seeds
-    1-3, as (seed, document) lists by label."""
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
-    try:
-        import inputs
-        from workloads import LADDER, MIXED_UNIONS, UNIONS
-    finally:
-        sys.path.pop(0)
-    out = {}
-    for seed in (1, 2, 3):
-        rng = random.Random(seed)
-        for label, n, group in LADDER:
-            doc = (inputs.pair_relation_doc(n, rng) if group is None
-                   else inputs.union_arrows_doc([(n, group)], rng))
-            out.setdefault(label, []).append((seed, doc))
-        rng = random.Random(seed)
-        for i in MIXED_UNIONS:
-            doc = inputs.union_arrows_doc(UNIONS[i], rng)
-            out.setdefault(f"union{i:02d}", []).append((seed, doc))
-    return out
+        assert got == want == {"clean": [], "non-unitary": scaled}.get(kind, every), kind
 
 
 def _worst_by_law(G, rep):
@@ -1035,11 +1008,11 @@ class TestConjugatedRep:
         G = _check_groupoids()[name]
         _assert_dense_verdicts(G, _conjugated(G))
 
-    @pytest.mark.parametrize("label", sorted(_benchmark_documents()))
+    @pytest.mark.parametrize("label", sorted(benchmark_documents()))
     def test_the_dense_verdicts_on_the_benchmark_documents(self, label):
         # every transitive-ladder and mixed-small document at seeds 1-3, its
         # field drawn as the battery draws one
-        for seed, doc in _benchmark_documents()[label]:
+        for seed, doc in benchmark_documents()[label]:
             gdoc = parse_groupoid_document(doc, where=label)
             G, (mu, _) = gdoc.groupoid, gdoc.measures()
             lrep = left_regular_rep(G, mu)
@@ -1124,16 +1097,49 @@ class TestConjugatedRep:
         assert report.errors[0].witness == \
             f"conjugated ops: the bound at object {'a' if everywhere else 'b'} exceeds atol"
 
-    def test_conjugated_ops_are_one_array(self):
-        G = product(pair_groupoid("ab"), group_groupoid(*cyclic_table(3)))
-        conj = _conjugated(G)
-        assert isinstance(conj.ops, np.ndarray) and conj.ops.shape == (G.n_arrows, 6, 6)
-        U = disjoint_union(pair_groupoid("ab"), pair_groupoid("xyz"))
+    def test_the_ops_are_built_when_read(self):
+        U = disjoint_union(product(pair_groupoid("ab"), group_groupoid(*cyclic_table(3))),
+                           pair_groupoid([f"o{i}" for i in range(16)]))
         lrep = left_regular_rep(U, counting_haar(U))
-        mixed = conjugate_rep_on(U, lrep, random_unitary_field(lrep.bundle.weights,
-                                                               SplitMix64(7)))
-        assert isinstance(mixed.ops, list)
-        assert [op.shape for op in mixed.ops] == [op.shape for op in lrep.ops]
+        tracemalloc.start()
+        try:
+            conj = conjugate_rep_on(U, lrep, random_unitary_field(lrep.bundle.weights,
+                                                                  SplitMix64(7)))
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert len(conj.ops) == U.n_arrows
+            grew = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        # the field and its inverses are kept, no op; len builds none
+        assert held < sum(op.nbytes for op in conj.ops) / 4
+        assert grew < 16 * 16 * 16  # the bytes of one op of the pair(16) orbit
+        base, field, inverses = conj.base, conj.field, conj.inverses
+        for a, (t, s) in enumerate(zip(U.tgt.tolist(), U.src.tolist())):
+            want = field[t][:, base.rows[base.starts[a]:base.starts[a + 1]]] @ inverses[s]
+            assert np.array_equal(conj.ops[a], want)
+        assert np.array_equal(conj.ops[-1], conj.ops[U.n_arrows - 1])
+        for a in (U.n_arrows, -U.n_arrows - 1):
+            with pytest.raises(IndexError):
+                conj.ops[a]
+
+    @pytest.mark.parametrize("name", ["pair1", "Z16", "pair2"])
+    def test_a_field_scaled_per_orbit_passes_as_in_the_dense_check(self, name):
+        # U times 2 on pair("a") and times 1.01 on the one object of Z16
+        # leave every op unitary; U_b alone times 1.01 on pair("ab") does not
+        G, scale = {"pair1": (pair_groupoid("a"), [2.0]),
+                    "Z16": (group_groupoid(*cyclic_table(16)), [1.01]),
+                    "pair2": (pair_groupoid("ab"), [1.0, 1.01])}[name]
+        lrep = left_regular_rep(G, counting_haar(G))
+        field = random_unitary_field(lrep.bundle.weights, SplitMix64(3))
+        rep = conjugate_rep_on(G, lrep, [u * c for u, c in zip(field, scale)])
+        for atol in (tolerances.EXACT, tolerances.ACCUM):
+            got = _failing_laws(check_representation(G, rep, atol=atol))
+            assert got == _failing_laws(dense_check(G, dense_of(rep), atol=atol))
+            assert got == (["unitarity"] if name == "pair2" else [])
+        if name == "pair1":
+            rep = conjugate_rep_on(G, lrep, [np.array([[2.0]])])
+            assert check_representation(G, rep, atol=tolerances.EXACT).ok
 
 
 # ---------------------------------------------------------------------------
@@ -1365,11 +1371,8 @@ _MEASURED = ["pair2.json", "pair3.json", "pair3-weighted.json", "pair4.json", "i
              "two-orbit.json", *[f"union{i:02d}" for i in range(len(_UNION_SHAPES))]]
 
 
-def _reps_of(G, mu, rng):
-    lrep = left_regular_rep(G, mu)
-    field = random_unitary_field(lrep.bundle.weights, rng)
-    return {"left-regular": lrep, "trivial": trivial_rep(G),
-            "conjugated": conjugate_rep_on(G, lrep, field)}
+def _reps_of(G, mu):
+    return {"left-regular": left_regular_rep(G, mu), "trivial": trivial_rep(G)}
 
 
 def _functions(G, rng):
@@ -1385,7 +1388,7 @@ class TestIntegratedBlocks:
     def test_integrate_rep_equals_the_dense_scatter(self, name):
         rng = SplitMix64(83)
         G, mu, nu = _measured(name, rng)
-        for kind, rep in _reps_of(G, mu, rng).items():
+        for kind, rep in _reps_of(G, mu).items():
             fs = _functions(G, rng)
             for f in fs:
                 assert np.array_equal(integrate_rep(G, mu, nu, rep, f),
@@ -1394,6 +1397,20 @@ class TestIntegratedBlocks:
             dense = integrated_blocks(G, mu, nu, rep, fs).dense()
             assert all(np.array_equal(d, scatter_integrate(G, mu, nu, rep, f))
                        for d, f in zip(dense, fs, strict=True)), kind
+
+    @pytest.mark.parametrize("per_batch", [1, 2, 3])
+    def test_the_scatter_batches_change_no_bit(self, per_batch, monkeypatch):
+        # batches of one, two or three of the stack's four functions
+        rng = SplitMix64(87)
+        G, mu, nu = _measured("union07", rng)
+        for kind, rep in _reps_of(G, mu).items():
+            fs = _functions(G, rng)
+            whole = integrated_blocks(G, mu, nu, rep, fs).dense()
+            monkeypatch.setattr(representations, "_SCATTER_BATCH", len(rep.rows) * per_batch)
+            assert np.array_equal(integrated_blocks(G, mu, nu, rep, fs).dense(), whole), kind
+            assert all(np.array_equal(d, scatter_integrate(G, mu, nu, rep, f))
+                       for d, f in zip(whole, fs, strict=True)), kind
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("name", _MEASURED)
     def test_index_blocks_are_the_support_blocks(self, name):
@@ -1424,7 +1441,7 @@ class TestIntegratedBlocks:
     def test_products_adjoints_gaps_and_norms_agree_with_the_dense_matrices(self, name):
         rng = SplitMix64(97)
         G, mu, nu = _measured(name, rng)
-        for kind, rep in _reps_of(G, mu, rng).items():
+        for kind, rep in _reps_of(G, mu).items():
             ops = integrated_blocks(G, mu, nu, rep, _functions(G, rng)[:3])
             dense = ops.dense()
             assert len(ops) == 3 and len(ops[1:3]) == 2
@@ -1461,10 +1478,8 @@ class TestIntegratedBlocks:
         G = pair_groupoid("abc")
         mu, nu = counting_haar(G), uniform_measure(G)
         f = np.ones(G.n_arrows)
-        lrep = left_regular_rep(G, mu)
-        ops = integrated_blocks(G, mu, nu, lrep, f)
-        other = integrated_blocks(G, mu, nu, conjugate_rep_on(
-            G, lrep, random_unitary_field(lrep.bundle.weights, SplitMix64(3))), f)
+        ops = integrated_blocks(G, mu, nu, left_regular_rep(G, mu), f)
+        other = integrated_blocks(G, mu, nu, trivial_rep(G), f)
         with pytest.raises(ShapeMismatch):
             ops @ other
         with pytest.raises(ShapeMismatch):
