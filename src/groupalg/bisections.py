@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainMismatch
-from .groupoid import FiniteGroupoid, _subgroup
+from .groupoid import FiniteGroupoid, _subgroup, components
 
 # entries in one block of the star table's products and Light's test
 _BLOCK = 1 << 18
@@ -116,27 +116,56 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
-def forms_group(G: FiniteGroupoid, sigmas: list[Bisection]) -> bool:
-    """True when the full bisections ``sigmas`` form a group under the star
-    product and taking targets is a homomorphism into object permutations.
+def _distinct_rows(rows: np.ndarray):
+    """The distinct rows of a 2-d int array, in key order, and the index of
+    each row among them."""
+    keys = _row_keys(rows)
+    order = np.argsort(keys, kind="stable")
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[order[1:]] != keys[order[:-1]]
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return rows[order[new]], inverse
 
-    The bisections are the k x n array ``S[i, x] = sigma_i(x)``.  The star
-    products ``S[i, tgt(S[j, x])] o S[j, x]`` come from one composite lookup
-    per block of rows i, about ``_BLOCK`` entries each, and each product row
-    is found among the sorted row keys of ``S``; a product with a missing
-    composite (-1), or a product or unit bisection outside ``sigmas``, makes
-    the answer False.  The unit, the inverses and the homomorphism into the
-    target maps are table comparisons.  Associativity is Light's test over
-    greedy generators (see :class:`~groupalg.groupoid.GeneratorCertificate`):
-    the s with ``(x s) y == x (s y)`` for all x, y are closed under the
-    product, so when they generate the table every one of the k^3 triples
-    associates.  A group on g generators costs O(g k^2), never more than k^3.
-    """
-    k, n = len(sigmas), G.n_objects
-    if n == 0:  # the empty bisection is the only one
-        return k == 1
-    S = arrow_array(G, sigmas)
-    T = G.tgt[S]
+
+def _orbit_factors(G: FiniteGroupoid, S: np.ndarray):
+    """The factors of ``S`` as a product over orbits, as pairs (objects,
+    distinct rows of ``S`` on them), or None unless there are two or more
+    and ``S`` is exactly their Cartesian product, with every entry sourced
+    at its column.  Orbits with one row are joined into one factor."""
+    k, n = S.shape
+    label = components(n, G.tgt, G.src)
+    roots = np.flatnonzero(label == np.arange(n))
+    if len(roots) < 2 or k == 0 or S.min() < 0 or not (G.src[S] == np.arange(n)).all():
+        return None
+    factors, fixed, code, size = [], [], np.zeros(k, dtype=np.intp), 1
+    for r in roots.tolist():
+        objs = np.flatnonzero(label == r)
+        rows, inverse = _distinct_rows(S[:, objs])
+        if len(rows) == 1:
+            fixed.append(objs)
+            continue
+        size *= len(rows)
+        if size > k:
+            return None
+        code = code * len(rows) + inverse  # below size: one code per point of the product
+        factors.append((objs, rows))
+    if size != k or np.bincount(code, minlength=k).max() > 1:
+        return None
+    if fixed:
+        objs = np.concatenate(fixed)
+        factors.append((objs, S[:1, objs]))
+    return factors
+
+
+def _star_table(G: FiniteGroupoid, S: np.ndarray, T: np.ndarray):
+    """The k x k star table of the rows of ``S``, ``T`` their targets as
+    column indices of ``S``: entry [i, j] is the index of the row
+    ``S[i, T[j, x]] o S[j, x]``, among the sorted row keys of ``S``.  None
+    when a product is not a row (a missing composite reads -1); else the
+    table, whether targets follow it (``T[table] == T o T``) and the row
+    lookup, which answers -1 for a row outside ``S``."""
+    k, n = S.shape
     keys = _row_keys(S)
     order = np.argsort(keys, kind="stable")
     ordered = keys[order]
@@ -156,14 +185,19 @@ def forms_group(G: FiniteGroupoid, sigmas: list[Bisection]) -> bool:
         products = G.composites(S[rows][:, T], S)  # [i, j, x] = (sigma_i * sigma_j)(x), or -1
         block = index_of(products.reshape(-1, n)).reshape(-1, k)
         if (block < 0).any():
-            return False
+            return None
         table[rows] = block
         hom = hom and np.array_equal(T[block], T[rows][:, T])  # T_ij(x) = T_i(T_j(x))
-    e = int(index_of(arrow_array(G, [unit_bisection(G)]))[0])
-    if e < 0 or not hom:
-        return False
+    return table, hom, index_of
+
+
+def _is_group(table: np.ndarray, e: int, step: int) -> bool:
+    """Whether the star table is a group with unit e (-1: no unit row):
+    the unit law, two-sided inverses, and Light's test over greedy
+    generators, ``step`` rows of the table at a time."""
+    k = len(table)
     every = np.arange(k)
-    if not (np.array_equal(table[e], every) and np.array_equal(table[:, e], every)):
+    if e < 0 or not (np.array_equal(table[e], every) and np.array_equal(table[:, e], every)):
         return False
     if not ((table == e) & (table.T == e)).any(axis=1).all():
         return False
@@ -179,6 +213,52 @@ def forms_group(G: FiniteGroupoid, sigmas: list[Bisection]) -> bool:
         have[s] = True
         have = _subgroup(table, have)
     return True
+
+
+def forms_group(G: FiniteGroupoid, sigmas: list[Bisection]) -> bool:
+    """True when the full bisections ``sigmas`` form a group under the star
+    product and taking targets is a homomorphism into object permutations.
+
+    The bisections are the k x n array ``S[i, x] = sigma_i(x)``.  Column x
+    of a star product reads only the columns of its factors on the orbit of
+    x, so when ``S`` is the Cartesian product of its distinct rows S_c on
+    each orbit c (its rows distinct, k = prod |S_c|, every entry sourced at
+    its column), ``S`` is a group with the target homomorphism exactly when
+    every S_c is one: each law holds componentwise.  Then each factor is
+    checked on its own columns, sum k_c^2 n_c products in place of k^2 n;
+    otherwise, with one orbit or a set that is not such a product, the
+    whole set is the one factor.
+
+    Per factor, the star products ``S[i, tgt(S[j, x])] o S[j, x]`` come from
+    one composite lookup per block of rows i, about ``_BLOCK`` entries each,
+    and each product row is found among the sorted row keys of the factor;
+    a product with a missing composite (-1), or a product outside it, makes
+    the answer False.  Only when every product of every factor is found is
+    the groupoid's unit bisection built (which raises ValueError for an
+    object without a unit) and looked up in each factor.  The unit, the
+    inverses and the homomorphism into the target maps are table
+    comparisons.  Associativity is Light's test over greedy generators (see
+    :class:`~groupalg.groupoid.GeneratorCertificate`): the s with
+    ``(x s) y == x (s y)`` for all x, y are closed under the product, so
+    when they generate the table every one of the k^3 triples associates.
+    A group on g generators costs O(g k^2), never more than k^3.
+    """
+    k, n = len(sigmas), G.n_objects
+    if n == 0:  # the empty bisection is the only one
+        return k == 1
+    S = arrow_array(G, sigmas)
+    local = np.empty(n, dtype=np.intp)  # each object's column in its factor
+    stars = []
+    for objs, rows in _orbit_factors(G, S) or [(np.arange(n), S)]:
+        local[objs] = np.arange(len(objs))
+        star = _star_table(G, rows, local[G.tgt[rows]])
+        if star is None:
+            return False
+        stars.append((objs, *star))
+    unit = arrow_array(G, [unit_bisection(G)])[0]
+    return all(hom and _is_group(table, int(index_of(unit[None, objs])[0]),
+                                 max(_BLOCK // max(len(table) * len(objs), 1), 1))
+               for objs, table, hom, index_of in stars)
 
 
 def bisection_inverse(G: FiniteGroupoid, sigma: Bisection) -> Bisection:

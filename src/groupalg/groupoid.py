@@ -134,9 +134,17 @@ class FiniteGroupoid:
         keys, last = np.unique(table[::-1, 0] * n_arr + table[::-1, 1], return_index=True)
         # stored column-major, so each column is one contiguous array
         self.compose_table: np.ndarray = np.ascontiguousarray(table[len(table) - 1 - last].T).T
-        # a sentinel key above every real pair keeps searchsorted in range
-        self._keys = np.append(keys, n_arr ** 2)
-        self._values = np.append(self.compose_table[:, 2], -1)
+        # in a complete table the row of (a, b) is the first row of a plus
+        # the place of b in its target fiber (index A, where composites
+        # clips a large index, starts at the first sentinel)
+        into, first, size = _fibers(self.tgt, n_obj)
+        self._place = np.zeros(n_arr + 1, dtype=np.intp)
+        self._place[into] = np.arange(n_arr) - np.repeat(first, size)
+        self._start = np.append(keys.searchsorted(np.arange(n_arr) * n_arr), len(keys))
+        # A + 1 sentinel keys above every real pair, answering -1, keep both
+        # searchsorted and every row by position in range
+        self._keys = np.append(keys, np.full(n_arr + 1, n_arr ** 2))
+        self._values = np.append(self.compose_table[:, 2], np.full(n_arr + 1, -1))
         self.inverse: np.ndarray = np.array(inverse, dtype=np.intp)
         if len(self.inverse) != n_arr or ((self.inverse < 0) | (self.inverse >= n_arr)).any():
             raise ValueError("inverse table malformed")
@@ -216,13 +224,23 @@ class FiniteGroupoid:
         """The composition lookup, vectorized: the table's composite of each
         pair (a[i], b[i]), or -1 where it defines none (indices outside
         0..A-1 count as undefined).  Rows are read as written, so a
-        corrupted table answers on pairs whose endpoints do not match."""
+        corrupted table answers on pairs whose endpoints do not match.
+        Each row is read by its position in a complete table and confirmed
+        by its key; a binary search over the keys finds the rest."""
         a, b, n = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp), self.n_arrows
-        # a pair out of range (as unsigned, negatives too) asks for the sentinel
-        inside = (a.view(np.uintp) < n) & (b.view(np.uintp) < n)
+        # a pair out of range (as unsigned, negatives too) asks for a sentinel
+        inside = np.maximum(a.view(np.uintp), b.view(np.uintp)) < n
         query = np.where(inside, a * n + b, n * n)
-        pos = self._keys.searchsorted(query)
-        return np.where(self._keys[pos] == query, self._values[pos], -1)
+        # the row by position; only the rows whose key differs (a corrupted
+        # table, no such pair, or an index out of range, clipped) are searched
+        row = self._start.take(a, mode="clip") + self._place.take(b, mode="clip")
+        hit = self._keys[row] == query
+        if not hit.all():
+            row, miss = np.asarray(row), ~hit  # a 0-d row is a scalar until here
+            missed = query[miss]
+            pos = self._keys.searchsorted(missed)
+            row[miss] = np.where(self._keys[pos] == missed, pos, len(self._keys) - 1)
+        return np.asarray(self._values[row])
 
     def _pair_products(self):
         """Arrays (a, b, a o b) over all composable pairs, in

@@ -319,6 +319,20 @@ def _index_residuals(G: FiniteGroupoid, rep: IndexRep):
     return units, a, b, mult, inverses, unitarity
 
 
+def _residuals_of(G: FiniteGroupoid, rep: IndexRep):
+    """:func:`_index_residuals` of ``rep`` on ``G``, kept read-only on the rep
+    for the last groupoid object it was asked about, so a base rep checked
+    again under a conjugated rep is not checked twice."""
+    memo = rep.__dict__.get("_residuals")
+    if memo is None or memo[0] is not G:
+        residuals = _index_residuals(G, rep)
+        for v in residuals:
+            v.flags.writeable = False
+        memo = (G, residuals)
+        object.__setattr__(rep, "_residuals", memo)  # the rep is frozen
+    return memo[1]
+
+
 def _conjugation_bounds(G: FiniteGroupoid, rep: ConjugatedRep, residuals) -> np.ndarray:
     """Per object, bounds on the residuals that the dense check would find
     on the ops of ``rep``, as rows units, multiplicativity, inverses and
@@ -427,7 +441,8 @@ def check_representation(G: FiniteGroupoid, rep: IndexRep | ConjugatedRep,
     sides of a law that are maps between different spaces have residual inf.
 
     An :class:`IndexRep` is checked on its index data, every law on every
-    composable pair or arrow, as integer comparisons (:func:`_index_residuals`).
+    composable pair or arrow, as integer comparisons (:func:`_index_residuals`,
+    computed once per rep and groupoid).
     A :class:`ConjugatedRep` is checked so on its base, and each law of its
     ops is bounded from per-object quantities of the field
     (:func:`_conjugation_bounds`): a law whose bound exceeds atol, or is
@@ -452,7 +467,7 @@ def check_representation(G: FiniteGroupoid, rep: IndexRep | ConjugatedRep,
         if shape != want:
             out.add("shape", f"op({G.arrow_ids[a]}) has shape {shape}, wants {want}")
             return out
-    residuals = _index_residuals(G, index)
+    residuals = _residuals_of(G, index)
     units, a, b, mult, inverses, unitarity = residuals
     aid, inverse = G.arrow_ids, G.inverse.tolist()
 

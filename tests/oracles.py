@@ -14,8 +14,10 @@ applied as one block-diagonal matrix and its inverse.  For the dense
 operator norm, the connected blocks of a matrix's support with rows and
 columns apart, one SVD each, which ``operator_norm`` took before it read a
 block operator.  For the bisection group, the star
-table from a dict on row bytes with associativity over all k^3 triples, and
-the group laws pair by pair.  For the battery's other randomized suites,
+table of the whole set from a dict on row bytes with associativity over all
+k^3 triples, and the group laws pair by pair.  For the composition lookup,
+which reads each row by its position first: the binary search over the
+sorted pair keys that it replaced.  For the battery's other randomized suites,
 which now draw each suite's trials as one block of the stream and run them
 as stacks: the loops that drew and checked one trial at a time.
 
@@ -304,6 +306,20 @@ def big_matrix_transport(G, mu, nu, lrep, rng, atol):
         rhs = big @ scatter_integrate(G, mu, nu, lrep, f) @ np.linalg.inv(big)
         worst = _worst(worst, float(np.abs(lhs - rhs).max()))
     return ok, worst
+
+
+def searched_composites(G, a, b):
+    """``G.composites(a, b)`` by a binary search over the pair keys
+    first * A + second of the stored table, with a sentinel key A^2 past
+    the end that every pair outside 0..A-1 asks for."""
+    a, b, n = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp), G.n_arrows
+    first, second, composite = G.compose_table.T
+    keys = np.append(first * n + second, n * n)
+    values = np.append(composite, -1)
+    inside = (a >= 0) & (a < n) & (b >= 0) & (b < n)
+    query = np.where(inside, a * n + b, n * n)
+    pos = keys.searchsorted(query)
+    return np.where(keys[pos] == query, values[pos], -1)
 
 
 def row_by_row_forms_group(G, sigmas):

@@ -8,7 +8,9 @@ import math
 import os
 import random
 import re
+import subprocess
 import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -402,3 +404,57 @@ def test_each_fault_fails_its_suites(fault, doc, monkeypatch):
     if name is None:
         assert not failed
     assert set(suites) <= failed, failed
+
+
+def test_the_left_regular_index_check_runs_once_per_battery(monkeypatch):
+    # equivalence-transport checks the conjugated rep on the left-regular
+    # rep that left-regular-axioms has just checked: its exact index check
+    # is reused, and every report line stays as it was
+    from groupalg import representations
+    G = disjoint_union(product(pair_groupoid("ab"), group_groupoid(*cyclic_table(2))),
+                       pair_groupoid("cde"))
+    gdoc = _random_document(G, SplitMix64(3))
+    want = run_battery(gdoc, seed=1, trials=4).lines
+    checked = []
+
+    def counted(G, rep, real=representations._index_residuals):
+        checked.append(rep)
+        return real(G, rep)
+    monkeypatch.setattr(representations, "_index_residuals", counted)
+    made = []
+
+    def kept(*args, real=battery.left_regular_rep):
+        made.append(real(*args))
+        return made[-1]
+    monkeypatch.setattr(battery, "left_regular_rep", kept)
+    assert run_battery(gdoc, seed=1, trials=4).lines == want
+    [lrep] = made
+    assert sum(rep is lrep for rep in checked) == 1
+    assert len(checked) == 2  # and the trivial rep
+
+
+def test_a_battery_and_check_all_never_import_numpy_ma():
+    # the first plain np.unique in a process imports numpy.ma, a cost that
+    # every cold set-up would pay; a two-orbit union takes the bisection
+    # group's product path
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        from groupalg.battery import run_battery
+        from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
+                                       pair_groupoid, product)
+        from groupalg.cli import main
+        from groupalg.io import GroupoidDocument
+        G = disjoint_union(product(pair_groupoid("ab"), group_groupoid(*cyclic_table(2))),
+                           pair_groupoid("cde"))
+        run = run_battery(GroupoidDocument(G, None, None, "strict"), seed=1, trials=2)
+        assert [line.ok for line in run.lines if line.name == "bisection-group"] == [True]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["check", "all", "--seed", "1", "--trials", "2"]) == 0
+        print("numpy.ma" in sys.modules)
+    """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False", out.stderr

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,8 +17,8 @@ from groupalg.bisections import (bisection_compose, bisection_inverse,
                                  make_bisection, target_map, unit_bisection)
 from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
                                klein_table, pair_groupoid, product)
-from groupalg.groupoid import FiniteGroupoid
-from groupalg.io import GroupoidDocument
+from groupalg.groupoid import FiniteGroupoid, components
+from groupalg.io import GroupoidDocument, parse_groupoid_document
 
 from oracles import brute_force_forms_group, row_by_row_forms_group
 
@@ -337,3 +340,113 @@ def test_forms_group_sees_targets_that_do_not_follow_the_product():
     assert forms_group(H, sigmas) is False
     assert brute_force_forms_group(H, sigmas) is False
     assert row_by_row_forms_group(H, sigmas) is False
+
+
+def _benchmark_unions():
+    """The benchmark's union shapes, by index, as groupoids (the weights,
+    which no bisection depends on, drawn from one seeded stream)."""
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    try:
+        import inputs
+        from workloads import UNIONS
+    finally:
+        sys.path.pop(0)
+    rng = random.Random(1)
+    return {i: parse_groupoid_document(inputs.union_arrows_doc(shape, rng), where=str(i)).groupoid
+            for i, shape in enumerate(UNIONS)}
+
+
+def test_forms_group_checks_the_benchmark_unions_orbit_by_orbit(monkeypatch):
+    # unions 4 and 11 are the ones the mixed-small battery checks; union 5
+    # (k = 972) is the one it leaves out; 7 and 10 are the other unions
+    # with k <= 5000 of more than one orbit, too large for the oracle
+    from groupalg import bisections
+    sizes = []  # the row count of each star table built
+
+    def counted(G, S, T, real=bisections._star_table):
+        sizes.append(len(S))
+        return real(G, S, T)
+    monkeypatch.setattr(bisections, "_star_table", counted)
+    unions = _benchmark_unions()
+    for i, k, factors in ((4, 288, [6, 48]), (5, 972, [1, 6, 162]), (11, 288, [72, 4]),
+                          (7, 4608, [384, 4, 3]), (10, 3456, [384, 3, 3]), (2, 3, [3])):
+        sigmas = enumerate_bisections(unions[i])
+        assert len(sigmas) == k
+        sizes.clear()
+        assert forms_group(unions[i], sigmas) is True, i
+        assert sorted(sizes) == sorted(factors), i
+        if k <= 1000:
+            assert row_by_row_forms_group(unions[i], sigmas) is True
+
+
+def test_forms_group_agrees_with_the_oracle_off_the_product_on_the_unions():
+    rng = np.random.default_rng(5)
+    unions = _benchmark_unions()
+    for i in (4, 11):
+        G = unions[i]
+        sigmas = enumerate_bisections(G)
+        sigmas = [sigmas[j] for j in rng.permutation(len(sigmas))]
+        for case in (sigmas, sigmas[1:], sigmas + sigmas[3:4], sigmas[:-1] + sigmas[:1]):
+            assert forms_group(G, case) is row_by_row_forms_group(G, case) is (case is sigmas), i
+
+
+def _three_orbits():
+    """pair(ab) x Z2, Z3 and pair(cd): k = 8 * 3 * 2 = 48 full bisections."""
+    return disjoint_union(product(pair_groupoid("ab"), group_groupoid(*cyclic_table(2))),
+                          group_groupoid(*cyclic_table(3)), pair_groupoid("cd"))
+
+
+def _orbit_of(G):
+    return components(G.n_objects, G.tgt, G.src)[G.src]
+
+
+def test_forms_group_on_corrupted_multi_orbit_unions():
+    # every outcome, raised exceptions included, as the whole-set oracles give it
+    G = _three_orbits()
+    orbit, rows = _orbit_of(G), G.compose_table
+    sigmas = enumerate_bisections(G)
+    assert len(sigmas) == 48
+    cases = {"clean": (G, sigmas), "dropped": (G, sigmas[:17] + sigmas[18:]),
+             "duplicated": (G, sigmas + sigmas[30:31])}
+    for i in range(0, len(rows), 5):
+        # a swapped composite inside one orbit, one redirected into another orbit
+        j = next((j for j in range(i + 1, len(rows)) if orbit[rows[j, 2]] == orbit[rows[i, 2]]
+                  and rows[j, 2] != rows[i, 2]), None)
+        if j is not None:
+            table = rows.copy()
+            table[[i, j], 2] = table[[j, i], 2]
+            cases[f"swapped {i} {j}"] = (_with_table(G, table), sigmas)
+        table = rows.copy()
+        table[i, 2] = np.flatnonzero(orbit != orbit[rows[i, 2]])[i % 3]
+        cases[f"redirected {i}"] = (_with_table(G, table), sigmas)
+        cases[f"missing {i}"] = (_with_table(G, np.delete(rows, i, axis=0)), sigmas)
+    for x in range(G.n_objects):
+        unit_of = list(G.unit_of)
+        unit_of[x] = None
+        cases[f"no-unit at {x}"] = (_with_table(G, rows, unit_of=unit_of), sigmas)
+    verdicts = {}
+    for name, (H, case) in cases.items():
+        got = _outcome(H, case, forms_group)
+        assert got == _outcome(H, case, row_by_row_forms_group), name
+        if not name.startswith("missing"):  # the pairwise compose raises on a missing product
+            assert got == _outcome(H, case, brute_force_forms_group), name
+        verdicts.setdefault(name.split()[0], set()).add(got if isinstance(got, bool) else "raised")
+    assert verdicts["clean"] == {True}
+    assert verdicts["dropped"] == verdicts["duplicated"] == verdicts["missing"] == {False}
+    assert False in verdicts["swapped"] and verdicts["redirected"] == {False}
+    assert verdicts["no-unit"] == {"raised"}
+
+
+def test_forms_group_looks_for_the_unit_only_after_every_product_is_found():
+    # without a unit at one object, a set whose products all lie in it
+    # raises as the whole-set check does; a set missing a product is False
+    G = _three_orbits()
+    unit_of = list(G.unit_of)
+    unit_of[4] = None
+    H = _with_table(G, G.compose_table, unit_of=unit_of)
+    sigmas = enumerate_bisections(H)
+    with pytest.raises(ValueError, match="has no unit arrow"):
+        forms_group(H, sigmas)
+    missing = _with_table(G, G.compose_table[1:], unit_of=unit_of)
+    assert forms_group(missing, sigmas) is False
+    assert row_by_row_forms_group(missing, sigmas) is False

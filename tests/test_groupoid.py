@@ -22,7 +22,7 @@ from groupalg.io import (GroupoidDocument, load_manifest, parse_groupoid_documen
                          save_function, save_groupoid)
 from groupalg.randgen import SplitMix64, random_groupoid
 
-from oracles import right_nested_depths
+from oracles import right_nested_depths, searched_composites
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "groupalg", "fixtures")
 
@@ -812,6 +812,40 @@ def test_indices_outside_the_arrows_compose_to_nothing():
     b = [6, 0, 0, 4, 5, -3, 2**20, -100, 100]
     assert G.composites(a, b).tolist() == [-1] * len(a)
     assert G.composites(np.array([[0], [5]]), np.array([0, 6])).tolist() == [[0, -1], [-1, -1]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 2 ** 32), st.floats(0, 0.5),
+       st.integers(0, 40), st.integers(0, 20))
+def test_lookup_by_position_agrees_with_the_binary_search(seed, draw, drop, repeat, off):
+    # a random table with some rows dropped, some pairs repeated (the last
+    # row wins) and some rows off the domain, in a shuffled order; asked
+    # on pairs inside and outside 0..A-1, in broadcast shapes and as 0-d
+    G = random_groupoid(SplitMix64(seed), max_arrows=40)
+    n = G.n_arrows
+    rng = np.random.default_rng(draw)
+    rows = G.compose_table[rng.uniform(size=len(G.compose_table)) >= drop]
+    again = rows[rng.integers(0, max(len(rows), 1), size=repeat if len(rows) else 0)]
+    again = np.column_stack([again[:, :2], rng.integers(0, n, size=len(again))])
+    stray = rng.integers(0, n, size=(off, 3))
+    table = np.vstack([rows, again, stray])[rng.permutation(len(rows) + len(again) + off)]
+    H = FiniteGroupoid(G.objects, G.src, G.tgt, table, G.inverse, G.unit_of, G.arrow_ids)
+    last_wins = {(x, y): z for x, y, z in table.tolist()}
+    a = rng.integers(-n - 2, 2 * n + 2, size=(24, 1))
+    b = np.concatenate([rng.integers(-n - 2, 2 * n + 2, size=8), table[:8, 1],
+                        np.arange(min(n, 8))])[None, :]
+    got = H.composites(a, b)
+    assert got.shape == np.broadcast_shapes(a.shape, b.shape)
+    assert np.array_equal(got, searched_composites(H, a, b))
+    assert got.tolist() == [[last_wins.get((x, y), -1) for y in b[0].tolist()]
+                            for x in a[:, 0].tolist()]
+    # every stored row answers its own pair, whatever its endpoints
+    first, second, composite = H.compose_table.T
+    assert np.array_equal(H.composites(first, second), composite)
+    for x, y in ((int(a[0, 0]), int(b[0, 0])), (int(first[0]), int(second[0])), (-1, n)):
+        zero_d = H.composites(x, y)
+        assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+        assert int(zero_d) == last_wins.get((x, y), -1) == int(searched_composites(H, x, y))
 
 
 @pytest.mark.parametrize("a, b", [(-1, 3), (3, -1), (0, 6), (6, 0), (4, 4), (-5, 0)])
