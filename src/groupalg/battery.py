@@ -16,8 +16,7 @@ import numpy as np
 
 from . import bisections, tolerances
 from .blocks import BlockOperator
-from .groupoid import (FiniteGroupoid, _fibers, _ranges, isotropy_bundle, multipliers,
-                       validate)
+from .groupoid import FiniteGroupoid, _ranges, isotropy_bundle, multipliers, validate
 from .haar import (HaarSystem, convolve, counting_haar, fiber_integrate,
                    function_to_matrix, half_density_inner, i_norm, involute,
                    support_fiber_mass, unit_function)
@@ -104,7 +103,6 @@ def _transport_gaps(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure
     """
     dims, offsets = conj.bundle.dims, conj.bundle.offsets
     coeff = _coefficients(G, mu, nu, fs)
-    into, first, size = _fibers(G.tgt, G.n_objects)
     src = G.src.tolist()
     out = np.zeros(len(fs))
     for members in G.orbits():
@@ -113,7 +111,7 @@ def _transport_gaps(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure
         spans = {y: slice(lo[j], lo[j + 1]) for j, y in enumerate(members)}
         for x in members:
             strip = np.zeros((len(fs), dims[x], len(pos)), dtype=complex)
-            for a in into[first[x]:first[x] + size[x]].tolist():
+            for a in G.target_fibers.of(x).tolist():
                 used = np.flatnonzero(fs[:, a] != 0).tolist()
                 op = conj.ops[a] if used else None
                 for i in used:
@@ -167,7 +165,7 @@ def _algebra_residuals(G: FiniteGroupoid, mu: HaarSystem, rng: SplitMix64,
             np.hstack([convolve(G, mu, u, f) - f, convolve(G, mu, f, u) - f]),
             involute(G, fstar) - f]
     a = below(block[:, 6 * A:], A).ravel()  # three arrows per trial
-    into, start, size = _fibers(G.tgt, G.n_objects)
+    into, start, size = G.target_fibers
     sums = np.zeros((2, len(a)), dtype=complex)
     for side, x in enumerate((G.src[a], G.tgt[a])):
         owner = np.repeat(np.arange(len(a)), size[x])
@@ -282,7 +280,7 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
 
     # bisections, enumerated once for the group laws and the fundamental
     # family; the product of the source-fiber sizes bounds their number
-    bound = math.prod(max(len(G.source_fiber(x)), 1) for x in range(G.n_objects))
+    bound = math.prod(max(k, 1) for k in G.source_fibers.size.tolist())
     sigmas = bisections.enumerate_bisections(G) if bound <= 5000 else []
     if bound > 5000:
         run.skip("bisection-group", "too many bisections to enumerate")
@@ -303,7 +301,7 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
 
     # isotropy bundle and orbit structure
     xi = isotropy_bundle(G)
-    orbit_ok = all(len(set(len(G.target_fiber(x)) for x in block)) == 1
+    orbit_ok = all(len(set(G.target_fibers.size[block].tolist())) == 1
                    for block in G.orbits())
     run.record("isotropy-bundle", validate(xi).ok and orbit_ok,
                f"bundle with {xi.n_arrows} loops validates; "

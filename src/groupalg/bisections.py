@@ -59,6 +59,7 @@ def target_map(G: FiniteGroupoid, sigma: Bisection) -> dict[int, int]:
 def enumerate_bisections(G: FiniteGroupoid) -> list[Bisection]:
     """All full bisections, by backtracking in object/arrow order."""
     n, tgt = G.n_objects, G.tgt.tolist()
+    fibers = [G.source_fibers.of(x).tolist() for x in range(n)]
     out: list[Bisection] = []
     chosen: list[int] = []
     used: set[int] = set()
@@ -67,7 +68,7 @@ def enumerate_bisections(G: FiniteGroupoid) -> list[Bisection]:
         if x == n:
             out.append(Bisection(tuple(range(n)), tuple(chosen)))
             return
-        for a in G.source_fiber(x):
+        for a in fibers[x]:
             t = tgt[a]
             if t in used:
                 continue

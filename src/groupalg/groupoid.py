@@ -22,7 +22,9 @@ reproducible.  Instances are treated as immutable after construction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,10 +66,20 @@ def _ranges(starts, counts) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
 
 
-def _fibers(tgt, n_objects: int):
-    """Arrows sorted by target, with the start and size of each target fiber."""
-    size = np.bincount(tgt, minlength=n_objects)
-    return np.argsort(tgt, kind="stable"), np.cumsum(size) - size, size
+class Fibers(NamedTuple):
+    """The indices 0..m-1 grouped by a key in 0..n-1, stably sorted by it in
+    ``order``: the fiber of x, ``order[start[x]:start[x] + size[x]]``, ascends."""
+    order: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+
+    def of(self, x) -> np.ndarray:
+        return self.order[self.start[x]:self.start[x] + self.size[x]]
+
+
+def _fibers(key, n: int) -> Fibers:
+    size = np.bincount(key, minlength=n)
+    return Fibers(np.argsort(key, kind="stable"), np.cumsum(size) - size, size)
 
 
 def _joined(left, right, src, tgt, n_objects: int):
@@ -86,25 +98,27 @@ def _composable(src, tgt, n_objects: int):
     return _joined(arrows, arrows, src, tgt, n_objects)
 
 
-def _triples(G: FiniteGroupoid, b):
-    """Batches (rows, z) of the triples (a[i], b[i], z) over pairs i and z
-    into src(b[i]): each pair index i repeated over that fibre in ``rows``,
-    in pair-then-fibre order, about ``_TRIPLE_BATCH`` triples a batch."""
-    into, start, size = _fibers(G.tgt, G.n_objects)
-    width = size[G.src[b]]
+def _triples(fibers: Fibers, ends):
+    """Batches (rows, z) over i and the members z of the fiber of ends[i]:
+    each i repeated over that fiber in ``rows``, in i-then-fiber order,
+    about ``_TRIPLE_BATCH`` pairs a batch."""
+    order, start, size = fibers
+    width = size[ends]
     step = max(1, _TRIPLE_BATCH // max(int(width.max(initial=0)), 1))
-    for lo in range(0, len(b), step):
+    for lo in range(0, len(ends), step):
         k = width[lo:lo + step]
         yield (np.repeat(np.arange(lo, lo + len(k)), k),
-               into[_ranges(start[G.src[b[lo:lo + step]]], k)])
+               order[_ranges(start[ends[lo:lo + step]], k)])
 
 
 class FiniteGroupoid:
     """Explicit-table groupoid; construction checks shapes, not axioms.
 
     ``src``, ``tgt`` and ``inverse`` are read-only int arrays indexed by
-    arrow.  ``compose_table`` holds (first, second, composite) rows sorted by
-    pair; when a pair repeats, the last row wins.  The constructor only
+    arrow, and ``target_fibers`` and ``source_fibers`` (:class:`Fibers`, of
+    read-only arrays) group the arrows by target and by source.
+    ``compose_table`` holds (first, second, composite) rows sorted by pair;
+    when a pair repeats, the last row wins.  The constructor only
     verifies that indices are in range, so deliberately corrupted tables
     (off-domain, missing or wrong products) can be built and then diagnosed
     with :func:`validate`.
@@ -134,10 +148,12 @@ class FiniteGroupoid:
         keys, last = np.unique(table[::-1, 0] * n_arr + table[::-1, 1], return_index=True)
         # stored column-major, so each column is one contiguous array
         self.compose_table: np.ndarray = np.ascontiguousarray(table[len(table) - 1 - last].T).T
+        self.target_fibers = _fibers(self.tgt, n_obj)
+        self.source_fibers = _fibers(self.src, n_obj)
         # in a complete table the row of (a, b) is the first row of a plus
         # the place of b in its target fiber (index A, where composites
         # clips a large index, starts at the first sentinel)
-        into, first, size = _fibers(self.tgt, n_obj)
+        into, first, size = self.target_fibers
         self._place = np.zeros(n_arr + 1, dtype=np.intp)
         self._place[into] = np.arange(n_arr) - np.repeat(first, size)
         self._start = np.append(keys.searchsorted(np.arange(n_arr) * n_arr), len(keys))
@@ -148,7 +164,8 @@ class FiniteGroupoid:
         self.inverse: np.ndarray = np.array(inverse, dtype=np.intp)
         if len(self.inverse) != n_arr or ((self.inverse < 0) | (self.inverse >= n_arr)).any():
             raise ValueError("inverse table malformed")
-        for v in (self.src, self.tgt, self.compose_table, self.inverse):
+        for v in (self.src, self.tgt, self.compose_table, self.inverse,
+                  *self.target_fibers, *self.source_fibers):
             v.flags.writeable = False
         self.unit_of: list[int | None] = [None if u is None else int(u) for u in unit_of]
         if len(self.unit_of) != n_obj:
@@ -161,17 +178,9 @@ class FiniteGroupoid:
             raise ValueError("arrow ids must be unique, one per arrow")
         self._object_index = {lab: i for i, lab in enumerate(self.objects)}
         self._arrow_index = {aid: i for i, aid in enumerate(self.arrow_ids)}
-        tf: list[list[int]] = [[] for _ in range(n_obj)]
-        sf: list[list[int]] = [[] for _ in range(n_obj)]
-        ends_of = list(zip(self.tgt.tolist(), self.src.tolist()))
-        for a, (t, s) in enumerate(ends_of):
-            tf[t].append(a)
-            sf[s].append(a)
-        self._target_fibers = [tuple(v) for v in tf]
-        self._source_fibers = [tuple(v) for v in sf]
         # (tgt, src) -> arrow; with parallel arrows the last one wins, and
         # the map has fewer entries than arrows
-        self._by_endpoints = {ts: a for a, ts in enumerate(ends_of)}
+        self._by_endpoints = dict(zip(zip(self.tgt.tolist(), self.src.tolist()), range(n_arr)))
         self._certificate: GeneratorCertificate | None = None
 
     # -- basic structure ---------------------------------------------------
@@ -201,14 +210,14 @@ class FiniteGroupoid:
             raise UnknownObject(f"object index {x} out of range")
 
     def target_fiber(self, x: int) -> tuple[int, ...]:
-        """All arrows into ``x`` (tgt == x)."""
+        """All arrows into ``x`` (tgt == x), ascending."""
         self._check_object(x)
-        return self._target_fibers[x]
+        return tuple(self.target_fibers.of(x).tolist())
 
     def source_fiber(self, y: int) -> tuple[int, ...]:
-        """All arrows out of ``y`` (src == y)."""
+        """All arrows out of ``y`` (src == y), ascending."""
         self._check_object(y)
-        return self._source_fibers[y]
+        return tuple(self.source_fibers.of(y).tolist())
 
     def compose(self, a: int, b: int) -> int:
         """Composite ``a o b`` (b first), the scalar form of :meth:`composites`;
@@ -288,10 +297,8 @@ class FiniteGroupoid:
     def orbits(self) -> list[list[int]]:
         """Partition of the objects by arrow reachability: blocks in the
         order of their least object, each ascending."""
-        blocks: dict[int, list[int]] = {}
-        for x, root in enumerate(components(self.n_objects, self.tgt, self.src).tolist()):
-            blocks.setdefault(root, []).append(x)
-        return list(blocks.values())
+        blocks = _fibers(components(self.n_objects, self.tgt, self.src), self.n_objects)
+        return [blocks.of(root).tolist() for root in np.flatnonzero(blocks.size).tolist()]
 
     def is_transitive(self) -> bool:
         return len(self.orbits()) <= 1
@@ -323,16 +330,6 @@ class FiniteGroupoid:
 # ---------------------------------------------------------------------------
 # construction from a relation
 
-def _closure(support: list[str], pairs: list[tuple[str, str]]) -> list[tuple[str, str]]:
-    """Reflexive-symmetric-transitive closure on the support: every pair of
-    labels in one connected component of the relation's graph."""
-    idx = {lab: i for i, lab in enumerate(support)}
-    ends = np.array([(idx[x], idx[y]) for x, y in pairs], dtype=np.intp).reshape(-1, 2)
-    label = components(len(support), ends[:, 0], ends[:, 1]).tolist()
-    return [(x, y) for x, lx in zip(support, label) for y, ly in zip(support, label)
-            if lx == ly]
-
-
 def build_from_relation(objects, pairs, closure_policy: str = "strict") -> FiniteGroupoid:
     """Groupoid of a relation: one arrow per declared ordered pair.
 
@@ -341,48 +338,53 @@ def build_from_relation(objects, pairs, closure_policy: str = "strict") -> Finit
     relation that is not reflexive-on-support, symmetric and transitive;
     ``complete`` closes the relation first.  Either way the groupoid lives
     on the objects touched by the pairs, in the order given by ``objects``.
+    The arrows are the sorted keys tgt * n + src over that support, looked
+    up by binary search, so the cost follows the pairs, not n^2.
     """
     objects = [str(o) for o in objects]
-    if len(set(objects)) != len(objects):
+    index = {lab: i for i, lab in enumerate(objects)}
+    if len(index) != len(objects):
         raise ValueError("object labels must be distinct")
-    known = set(objects)
     pairs = [(str(x), str(y)) for x, y in pairs]
     for x, y in pairs:
-        if x not in known or y not in known:
-            bad = x if x not in known else y
+        if x not in index or y not in index:
+            bad = x if x not in index else y
             raise UnknownLabel(f"pair ({x}, {y}) references unknown label {bad!r}")
     if closure_policy not in ("strict", "complete"):
         raise ValueError(f"unknown closure_policy {closure_policy!r}")
 
-    touched = {lab for p in pairs for lab in p}
-    support = [o for o in objects if o in touched]
-    if closure_policy == "strict":
-        # (x, y) and its inverse (y, x) compose to (x, x), so units need no check
-        pair_set = set(pairs)
-        successors: dict[str, list[str]] = {}
-        for u, z in pairs:
-            successors.setdefault(u, []).append(z)
-        for x, y in pairs:
-            for z in successors.get(y, ()):
-                if (x, z) not in pair_set:
-                    raise NotClosed(f"missing composite pair ({x}, {z})", (x, z))
-        for x, y in pairs:
-            if (y, x) not in pair_set:
-                raise NotClosed(f"missing inverse pair ({y}, {x})", (y, x))
-        closed = list(pair_set)
-    else:
-        closed = _closure(support, pairs)
-
-    idx = {lab: i for i, lab in enumerate(support)}
-    closed.sort(key=lambda p: (idx[p[0]], idx[p[1]]))
+    # the support, renumbered in object order, and each pair (t, s) on it
+    ends = np.array([(index[x], index[y]) for x, y in pairs], dtype=np.intp).reshape(-1, 2)
+    touched = np.zeros(len(objects), dtype=bool)
+    touched[ends] = True
+    support = [objects[i] for i in np.flatnonzero(touched).tolist()]
     n = len(support)
-    tgt = np.array([idx[x] for x, _ in closed], dtype=np.intp)
-    src = np.array([idx[y] for _, y in closed], dtype=np.intp)
-    by_pair = np.full((n, n), -1, dtype=np.intp)
-    by_pair[tgt, src] = np.arange(len(closed))
+    t, s = (np.cumsum(touched) - 1)[ends].T
+    if closure_policy == "strict":
+        keys = np.sort(t * n + s)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        probe = np.append(keys, n * n)  # a sentinel above every pair
+        # (x, y) against each (y, z), in pair order, then in y's; then each
+        # inverse (y, x), which composes with (x, y) to the unit (x, x)
+        needed = ((t[rows], s[later], "composite")
+                  for rows, later in _triples(_fibers(t, n), s))
+        for left, right, kind in itertools.chain(needed, [(s, t, "inverse")]):
+            want = left * n + right
+            if len(miss := np.flatnonzero(probe[probe.searchsorted(want)] != want)):
+                x, z = support[left[miss[0]]], support[right[miss[0]]]
+                raise NotClosed(f"missing {kind} pair ({x}, {z})", (x, z))
+    else:
+        # every pair in a class of the relation's graph, already in key order
+        label = components(n, t, s)
+        order, start, size = _fibers(label, n)
+        width = size[label]
+        keys = np.repeat(np.arange(n) * n, width) + order[_ranges(start[label], width)]
+
+    tgt, src = np.divmod(keys, max(n, 1))
     first, second = _composable(src, tgt, n)
-    table = np.stack([first, second, by_pair[tgt[first], src[second]]], axis=1)
-    return FiniteGroupoid(support, src, tgt, table, by_pair[src, tgt], by_pair.diagonal())
+    table = np.stack([first, second, keys.searchsorted(tgt[first] * n + src[second])], axis=1)
+    return FiniteGroupoid(support, src, tgt, table, keys.searchsorted(src * n + tgt),
+                          keys.searchsorted(np.arange(n) * (n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +503,7 @@ def _certify(G: FiniteGroupoid) -> GeneratorCertificate:
     # Light's test: (x o s) o y == x o (s o y) for s in S and every composable x, y
     x, s = _joined(arrows, gens, src, tgt, n)
     xs = G.composites(x, s)
-    for rows, y in _triples(G, s):
+    for rows, y in _triples(G.target_fibers, src[s]):
         if (G.composites(xs[rows], y)
                 != G.composites(x[rows], G.composites(s[rows], y))).any():
             return GeneratorCertificate(gens, False)
@@ -544,7 +546,7 @@ def validate(G: FiniteGroupoid) -> Report:
     defined = ab >= 0
     a, b, ab = a[defined], b[defined], ab[defined]
     if not G.certificate().associative:
-        for rows, z in _triples(G, b):
+        for rows, z in _triples(G.target_fibers, src[b]):
             x, y, xy = a[rows], b[rows], ab[rows]
             xy_z = G.composites(xy, z)
             x_yz = G.composites(x, G.composites(y, z))
@@ -648,7 +650,7 @@ class IsotropyGroup:
         G._check_object(x)
         self.groupoid = G
         self.object = x
-        loops = np.array(G.target_fiber(x), dtype=np.intp)
+        loops = G.target_fibers.of(x)
         loops = loops[G.src[loops] == x]
         self.arrows: tuple[int, ...] = tuple(loops.tolist())
         u = G.unit_of[x]

@@ -100,6 +100,9 @@ def _as_function(G: FiniteGroupoid, f, stack: bool = False) -> np.ndarray:
 
 
 def delta(G: FiniteGroupoid, arrow: int) -> np.ndarray:
+    """The indicator of ``arrow``; raises ValueError outside 0..A-1."""
+    if not 0 <= arrow < G.n_arrows:
+        raise ValueError(f"arrow index {arrow} out of range: indices run over 0..{G.n_arrows - 1}")
     out = np.zeros(G.n_arrows, dtype=complex)
     out[arrow] = 1.0
     return out

@@ -172,15 +172,15 @@ def _groupoid_from_arrows(doc: dict, where: str) -> FiniteGroupoid:
         if not isinstance(triple, list) or len(triple) != 3:
             raise FileFormatError(f"{where}: compose entries must be id triples")
         rows.append([aidx(t) for t in triple])
-    inverse = [0] * len(ids)
-    seen = set()
+    inverse: list[int | None] = [None] * len(ids)
     for pair in _require(doc, "inverse", list, where):
         if not isinstance(pair, list) or len(pair) != 2:
             raise FileFormatError(f"{where}: inverse entries must be id pairs")
         a = aidx(pair[0])
+        if inverse[a] is not None:
+            raise FileFormatError(f"{where}: inverse of arrow {ids[a]!r} given twice")
         inverse[a] = aidx(pair[1])
-        seen.add(a)
-    if len(seen) != len(ids):
+    if None in inverse:
         raise FileFormatError(f"{where}: inverse must cover every arrow exactly once")
 
     # the unit at x is the first loop u with a o u = a for every arrow a out
@@ -189,10 +189,9 @@ def _groupoid_from_arrows(doc: dict, where: str) -> FiniteGroupoid:
                        arrow_ids=ids)
     unit_of: list[int | None] = []
     for x in range(len(objects)):
-        outgoing = np.array(G.source_fiber(x), dtype=np.intp)
-        incoming = np.array(G.target_fiber(x), dtype=np.intp)
+        outgoing, incoming = G.source_fibers.of(x), G.target_fibers.of(x)
         unit_of.append(next(
-            (u for u in G.target_fiber(x) if src[u] == x
+            (u for u in incoming.tolist() if src[u] == x
              and np.array_equal(G.composites(outgoing, u), outgoing)
              and np.array_equal(G.composites(u, incoming), incoming)), None))
     return FiniteGroupoid(objects, src, tgt, G.compose_table, inverse, unit_of,

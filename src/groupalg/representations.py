@@ -38,8 +38,7 @@ import numpy as np
 from . import tolerances
 from .blocks import BlockOperator, BlockPartition
 from .errors import NotTransitive, ShapeMismatch
-from .groupoid import (FiniteGroupoid, IsotropyGroup, _fibers, _ranges, components,
-                       isotropy)
+from .groupoid import FiniteGroupoid, IsotropyGroup, _ranges, components, isotropy
 from .haar import HaarSystem, _as_function, convolve, counting_haar, i_norm
 from .randgen import SplitMix64, random_function
 from .report import Report
@@ -121,9 +120,8 @@ class HilbertBundle:
 
 def canonical_bundle(G: FiniteGroupoid, mu: HaarSystem) -> HilbertBundle:
     """The target-fiber bundle: dimension |fiber|, weights the Haar weights."""
-    dims = [len(G.target_fiber(x)) for x in range(G.n_objects)]
-    weights = [mu.weights[list(G.target_fiber(x))] for x in range(G.n_objects)]
-    return HilbertBundle(dims, weights)
+    fibers = G.target_fibers
+    return HilbertBundle(fibers.size, [mu.weights[fibers.of(x)] for x in range(G.n_objects)])
 
 
 def line_bundle(G: FiniteGroupoid) -> HilbertBundle:
@@ -237,7 +235,7 @@ def left_regular_rep(G: FiniteGroupoid, mu: HaarSystem) -> IndexRep:
     ValueError at the first arrow, then column, whose composite is undefined
     or leaves the target fiber.
     """
-    into, first, size = _fibers(G.tgt, G.n_objects)
+    into, first, size = G.target_fibers
     counts = size[G.src]
     arrow = np.repeat(np.arange(G.n_arrows), counts)
     h = into[_ranges(first[G.src], counts)]
@@ -248,9 +246,7 @@ def left_regular_rep(G: FiniteGroupoid, mu: HaarSystem) -> IndexRep:
         c = G.compose(a, h)  # raises when the product is undefined
         raise ValueError(f"{G.arrow_ids[a]} o {G.arrow_ids[h]} = {G.arrow_ids[c]} "
                          f"leaves the target fiber of {G.objects[G.tgt[a]]}")
-    position = np.empty(G.n_arrows, dtype=np.intp)
-    position[into] = np.arange(G.n_arrows) - np.repeat(first, size)
-    return _index_rep(canonical_bundle(G, mu), G, position[c], counts)
+    return _index_rep(canonical_bundle(G, mu), G, G._place[c], counts)
 
 
 _ENTRY_BATCH = 1 << 20  # matrix columns compared per batch in _column_gaps
@@ -663,21 +659,19 @@ def decompose_transitive(G: FiniteGroupoid) -> TransitiveDecomposition:
     if not G.is_transitive() or G.n_objects == 0:
         raise NotTransitive("groupoid is not transitive")
     base = 0
-    src = G.src.tolist()
-    taus = []
-    for x in range(G.n_objects):
-        cands = [a for a in G.target_fiber(x) if src[a] == base]
-        if not cands:
-            raise NotTransitive(f"no arrow from base into {G.objects[x]}")
-        taus.append(min(cands))
+    # the first arrow base -> x into each object x, A where there is none
+    leaving = np.flatnonzero(G.src == base)
+    tau = np.full(G.n_objects, G.n_arrows)
+    np.minimum.at(tau, G.tgt[leaving], leaving)
+    if (tau == G.n_arrows).any():
+        raise NotTransitive(f"no arrow from base into {G.objects[np.argmax(tau == G.n_arrows)]}")
     iso = isotropy(G, base)
-    tau = np.asarray(taus)
     g = G.composites(G.composites(G.inverse[tau[G.tgt]], np.arange(G.n_arrows)), tau[G.src])
     g_index = iso.position[g]
     if (g_index < 0).any():
         a = int(np.argmin(g_index))
         raise ValueError(f"arrow {G.arrow_ids[a]} does not factor through the base isotropy")
-    return TransitiveDecomposition(base, tuple(taus), iso, g_index)
+    return TransitiveDecomposition(base, tuple(tau.tolist()), iso, g_index)
 
 
 def _group_algebra_product(iso: IsotropyGroup, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -844,8 +838,8 @@ def fundamental_family_check(G: FiniteGroupoid, mu: HaarSystem,
     out = Report("fundamental-family")
     F = np.asarray(family, dtype=complex)  # (m, arrows), one row per function
     for x in range(G.n_objects):
-        fiber = list(G.target_fiber(x))
-        if not fiber:
+        fiber = G.target_fibers.of(x)
+        if not len(fiber):
             out.add("fiber", f"object {G.objects[x]} has an empty target fiber")
             continue
         root = np.sqrt(mu.weights[fiber])

@@ -19,7 +19,11 @@ k^3 triples, and the group laws pair by pair.  For the composition lookup,
 which reads each row by its position first: the binary search over the
 sorted pair keys that it replaced.  For the battery's other randomized suites,
 which now draw each suite's trials as one block of the stream and run them
-as stacks: the loops that drew and checked one trial at a time.
+as stacks: the loops that drew and checked one trial at a time.  For the
+relation build, which works on sorted (tgt, src) keys: the build from label
+sets, a successor dict and an n x n index matrix, with its Python closure.
+For the fibers, which are slices of one index sorted by endpoint: the tuples
+that one loop over the arrows appended to.
 
 With them, the benchmark's small documents, on which the battery's reports
 are pinned and the conjugated rep's bounds are compared with the dense check.
@@ -37,7 +41,8 @@ import numpy as np
 
 from groupalg import tolerances
 from groupalg.bisections import arrow_array, bisection_compose, target_map, unit_bisection
-from groupalg.groupoid import _joined, _ranges, components
+from groupalg.errors import NotClosed, UnknownLabel
+from groupalg.groupoid import FiniteGroupoid, _composable, _joined, _ranges, components
 from groupalg.haar import (_as_function, convolve, counting_haar, function_to_matrix,
                            half_density_inner, i_norm, involute, support_fiber_mass,
                            unit_function)
@@ -440,3 +445,70 @@ def per_trial_convergence(G, mu, rng):
         gap = i_norm(G, mu, diff) - mass * float(np.abs(diff).max())
         worst_net = _worst(worst_net, gap, 0.0)
     return worst_net
+
+
+def closure(support: list[str], pairs: list[tuple[str, str]]) -> list[tuple[str, str]]:
+    """Reflexive-symmetric-transitive closure on the support: every pair of
+    labels in one connected component of the relation's graph."""
+    idx = {lab: i for i, lab in enumerate(support)}
+    ends = np.array([(idx[x], idx[y]) for x, y in pairs], dtype=np.intp).reshape(-1, 2)
+    label = components(len(support), ends[:, 0], ends[:, 1]).tolist()
+    return [(x, y) for x, lx in zip(support, label) for y, ly in zip(support, label)
+            if lx == ly]
+
+
+def set_build_from_relation(objects, pairs, closure_policy: str = "strict") -> FiniteGroupoid:
+    """``build_from_relation`` from label sets: the strict checks loop over
+    pairs and a successor dict, ``complete`` takes :func:`closure`, and an
+    n x n matrix over the support indexes the arrows by (tgt, src)."""
+    objects = [str(o) for o in objects]
+    if len(set(objects)) != len(objects):
+        raise ValueError("object labels must be distinct")
+    known = set(objects)
+    pairs = [(str(x), str(y)) for x, y in pairs]
+    for x, y in pairs:
+        if x not in known or y not in known:
+            bad = x if x not in known else y
+            raise UnknownLabel(f"pair ({x}, {y}) references unknown label {bad!r}")
+    if closure_policy not in ("strict", "complete"):
+        raise ValueError(f"unknown closure_policy {closure_policy!r}")
+
+    touched = {lab for p in pairs for lab in p}
+    support = [o for o in objects if o in touched]
+    if closure_policy == "strict":
+        pair_set = set(pairs)
+        successors: dict[str, list[str]] = {}
+        for u, z in pairs:
+            successors.setdefault(u, []).append(z)
+        for x, y in pairs:
+            for z in successors.get(y, ()):
+                if (x, z) not in pair_set:
+                    raise NotClosed(f"missing composite pair ({x}, {z})", (x, z))
+        for x, y in pairs:
+            if (y, x) not in pair_set:
+                raise NotClosed(f"missing inverse pair ({y}, {x})", (y, x))
+        closed = list(pair_set)
+    else:
+        closed = closure(support, pairs)
+
+    idx = {lab: i for i, lab in enumerate(support)}
+    closed.sort(key=lambda p: (idx[p[0]], idx[p[1]]))
+    n = len(support)
+    tgt = np.array([idx[x] for x, _ in closed], dtype=np.intp)
+    src = np.array([idx[y] for _, y in closed], dtype=np.intp)
+    by_pair = np.full((n, n), -1, dtype=np.intp)
+    by_pair[tgt, src] = np.arange(len(closed))
+    first, second = _composable(src, tgt, n)
+    table = np.stack([first, second, by_pair[tgt[first], src[second]]], axis=1)
+    return FiniteGroupoid(support, src, tgt, table, by_pair[src, tgt], by_pair.diagonal())
+
+
+def tuple_fibers(G):
+    """The target and the source fiber of every object, as tuples that one
+    loop over the arrows appends to."""
+    tf: list[list[int]] = [[] for _ in range(G.n_objects)]
+    sf: list[list[int]] = [[] for _ in range(G.n_objects)]
+    for a, (t, s) in enumerate(zip(G.tgt.tolist(), G.src.tolist())):
+        tf[t].append(a)
+        sf[s].append(a)
+    return [tuple(v) for v in tf], [tuple(v) for v in sf]

@@ -132,6 +132,22 @@ class TestValidateCommand:
         assert out == "" and err.startswith("parse error: malformed.json: ")
 
 
+    @pytest.mark.parametrize("command", ["validate", "check"])
+    @pytest.mark.parametrize("inverse", [[["e", "e"], ["e", "f"], ["f", "f"]],
+                                         [["e", "f"], ["f", "f"], ["e", "e"]]],
+                             ids=["last-wins", "first-wins"])
+    def test_an_inverse_given_twice_is_a_parse_error(self, tmp_path, capsys, command,
+                                                     inverse):
+        loop = {"src": "x", "tgt": "x"}
+        path = tmp_path / "z2.json"
+        path.write_text(json.dumps({
+            "objects": ["x"], "arrows": [dict(loop, id="e"), dict(loop, id="f")],
+            "compose": [["e", "e", "e"], ["e", "f", "f"], ["f", "e", "f"], ["f", "f", "e"]],
+            "inverse": inverse}))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "parse error: z2.json: inverse of arrow 'e' given twice\n")
+
     @pytest.mark.parametrize("left, label", [(0, "e0"), (5, "e5")])
     def test_structure_table_messages_count_from_one(self, tmp_path, capsys, left, label):
         path = tmp_path / "st.json"

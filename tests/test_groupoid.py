@@ -4,6 +4,7 @@ import copy
 import itertools
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from groupalg.io import (GroupoidDocument, load_manifest, parse_groupoid_documen
                          save_function, save_groupoid)
 from groupalg.randgen import SplitMix64, random_groupoid
 
-from oracles import right_nested_depths, searched_composites
+from oracles import (right_nested_depths, searched_composites, set_build_from_relation,
+                     tuple_fibers)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "groupalg", "fixtures")
 
@@ -99,6 +101,59 @@ def test_complete_mode_always_builds_a_groupoid(int_pairs):
     assert validate(G).ok
     got = {(t, s) for t, s in G.relation_pairs()}
     assert got == brute_force_closure(pairs)
+
+
+@st.composite
+def relations(draw):
+    """Objects in a random order and label pairs over them: either any pairs,
+    or the pairs within the classes of a random partition, some dropped,
+    shuffled, some repeated; objects in no class touch no pair."""
+    objects = draw(st.permutations([f"o{i}" for i in range(draw(st.integers(0, 7)))]))
+    if not objects:
+        return objects, []
+    if draw(st.booleans()):
+        return objects, draw(st.lists(st.tuples(st.sampled_from(objects),
+                                                st.sampled_from(objects)), max_size=14))
+    cls = draw(st.lists(st.integers(0, 3), min_size=len(objects), max_size=len(objects)))
+    pairs = [(x, y) for x, cx in zip(objects, cls) for y, cy in zip(objects, cls)
+             if cx == cy < 3]
+    if pairs:
+        drop = draw(st.sets(st.integers(0, len(pairs) - 1), max_size=2))
+        pairs = draw(st.permutations([p for i, p in enumerate(pairs) if i not in drop]))
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    return objects, pairs
+
+
+def _built(build, objects, pairs, policy):
+    try:
+        G = build(objects, pairs, policy)
+    except NotClosed as exc:
+        return str(exc), exc.witness
+    return (G.objects, G.arrow_ids, G.src.tolist(), G.tgt.tolist(), G.compose_table.tolist(),
+            G.inverse.tolist(), G.unit_of)
+
+
+@settings(max_examples=300, deadline=None)
+@given(relations(), st.sampled_from(["strict", "complete"]))
+def test_build_from_relation_agrees_with_the_set_build(relation, policy):
+    objects, pairs = relation
+    assert (_built(build_from_relation, objects, pairs, policy)
+            == _built(set_build_from_relation, objects, pairs, policy))
+
+
+def test_a_discrete_relation_builds_in_memory_linear_in_its_pairs():
+    # an n x n index over the support would take 200 MB here
+    labels = [f"o{i}" for i in range(5000)]
+    pairs = [(x, x) for x in labels]
+    for policy in ("strict", "complete"):
+        tracemalloc.start()
+        try:
+            G = build_from_relation(labels, pairs, policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert G.n_arrows == 5000 and G.unit_of == list(range(5000))
+        assert peak < 20e6, (policy, peak)
 
 
 class TestValidate:
@@ -464,6 +519,34 @@ class TestFibers:
         with pytest.raises(UnknownObject):
             pair_groupoid("ab").target_fiber(5)
 
+    @pytest.mark.parametrize("make", [
+        lambda: product(pair_groupoid("abc"), group_groupoid(*symmetric_table(3))),
+        lambda: disjoint_union(pair_groupoid("ab"), group_groupoid(*cyclic_table(3)),
+                               product(pair_groupoid("cd"), group_groupoid(*klein_table()))),
+        lambda: FiniteGroupoid("abc", [0, 2, 0], [0, 0, 2], [], [0, 1, 2], [None] * 3),
+        lambda: FiniteGroupoid([], [], [], [], [], []),
+    ], ids=["product", "union", "empty-fibers", "empty"])
+    def test_fibers_agree_with_the_per_arrow_loop(self, make):
+        G = make()
+        assert ([G.target_fiber(x) for x in range(G.n_objects)],
+                [G.source_fiber(x) for x in range(G.n_objects)]) == tuple_fibers(G)
+        assert all(type(a) is int for x in range(G.n_objects) for a in G.source_fiber(x))
+        assert not any(v.flags.writeable for v in (*G.target_fibers, *G.source_fibers))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.data())
+def test_fibers_of_random_and_corrupted_groupoids_agree_with_the_loop(seed, data):
+    # random_groupoid, then the same arrows with endpoints redrawn at random
+    # (a corrupted table, objects with empty fibers)
+    G = random_groupoid(SplitMix64(seed))
+    ends = st.lists(st.integers(0, G.n_objects - 1), min_size=G.n_arrows, max_size=G.n_arrows)
+    H = FiniteGroupoid(G.objects, data.draw(ends), data.draw(ends), G.compose_table,
+                       G.inverse, G.unit_of)
+    for K in (G, H):
+        assert ([K.target_fiber(x) for x in range(K.n_objects)],
+                [K.source_fiber(x) for x in range(K.n_objects)]) == tuple_fibers(K)
+
 
 class TestMultipliers:
     def test_full_pair_everything(self):
@@ -540,6 +623,11 @@ class TestOrbits:
     def test_union_two_blocks(self):
         G = disjoint_union(pair_groupoid("ab"), pair_groupoid("cd"))
         assert G.orbits() == [[0, 1], [2, 3]]
+
+    def test_interleaved_blocks_in_the_order_of_their_least_object(self):
+        G = build_from_relation(list("abcd"), [("d", "b"), ("c", "a")], "complete")
+        assert G.orbits() == [[0, 2], [1, 3]]
+        assert FiniteGroupoid("abc", [2], [0], [], [0], [None] * 3).orbits() == [[0, 2], [1]]
 
     def test_reachability_oracle(self):
         G = build_from_relation(

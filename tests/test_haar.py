@@ -273,6 +273,12 @@ class TestINorm:
         G = pair_groupoid("abc")
         assert i_norm(G, counting_haar(G), delta(G, 1)) == 1.0
 
+    @pytest.mark.parametrize("arrow", [-1, -4, 4, 5])
+    def test_delta_outside_the_arrows_raises(self, arrow):
+        # never Python's negative indexing: delta(G, -1) is not the indicator of a03
+        with pytest.raises(ValueError, match=rf"arrow index {arrow} .* 0\.\.3$"):
+            delta(pair_groupoid("ab"), arrow)
+
     def test_fiber_sum_oracle(self):
         G = product(pair_groupoid("ab"), group_groupoid(*cyclic_table(2)))
         rng = SplitMix64(17)

@@ -477,6 +477,25 @@ class TestDecomposeTransitive:
         with pytest.raises(NotTransitive):
             decompose_transitive(G)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_tau_is_the_least_arrow_out_of_the_base(self, seed):
+        # pair(3) x S3 with its arrows renumbered, so the least arrow base -> x
+        # is not the first one the builder made
+        G = product(pair_groupoid("abc"), group_groupoid(*symmetric_table(3)))
+        perm = np.random.default_rng(seed).permutation(G.n_arrows)
+        new = np.argsort(perm)
+        H = FiniteGroupoid(G.objects, G.src[perm], G.tgt[perm], new[G.compose_table],
+                           new[G.inverse[perm]], new[G.unit_of])
+        want = tuple(min(a for a in H.target_fiber(x) if H.src[a] == 0)
+                     for x in range(H.n_objects))
+        assert decompose_transitive(H).taus == want
+
+    def test_no_arrow_out_of_the_base(self):
+        # one orbit, but the only arrow between a and b runs b -> a
+        G = FiniteGroupoid("ab", [0, 1, 1], [0, 0, 1], [], [0, 1, 2], [0, 2])
+        with pytest.raises(NotTransitive, match="^no arrow from base into b$"):
+            decompose_transitive(G)
+
 
 class TestTransitiveIsomorphism:
     def test_pair3_matrix_algebra(self):
