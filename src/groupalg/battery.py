@@ -318,13 +318,11 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
     run.record("inorm-convergence-bound", worst_net <= accum,
                "||f_k - f||_I <= (support fiber mass) * sup norm", worst_net)
 
-    # fundamental families
-    rep_fam = fundamental_family_check(G, mu, np.eye(G.n_arrows, dtype=complex))
+    # fundamental families: the arrow indicators and any enumerated bisections
+    rep_fam = fundamental_family_check(G, mu, np.arange(G.n_arrows)[:, None])
     bis_note = ""
-    if bound <= 600 and sigmas:
-        images = np.zeros((len(sigmas), G.n_arrows), dtype=complex)
-        images[np.arange(len(sigmas))[:, None], bisections.arrow_array(G, sigmas)] = 1.0
-        rep_fam.merge(fundamental_family_check(G, mu, images))
+    if sigmas:
+        rep_fam.merge(fundamental_family_check(G, mu, bisections.arrow_array(G, sigmas)))
         bis_note = " (arrow indicators and bisection images)"
     run.record("fundamental-family", rep_fam.ok,
                f"families span every target fiber{bis_note}")

@@ -611,27 +611,27 @@ def multipliers(G: FiniteGroupoid) -> MultiplierSets:
     """
     if not G.is_relation_groupoid():
         raise NotRelationGroupoid("multipliers need a relation-derived groupoid")
-    n, src, tgt = G.n_objects, G.src.tolist(), G.tgt.tolist()
+    n = G.n_objects
     # one arrow per (tgt, src) pair, so a fiber reaches every object when it has n arrows
     left = tuple(np.flatnonzero(np.bincount(G.tgt, minlength=n) == n).tolist())
     right = tuple(np.flatnonzero(np.bincount(G.src, minlength=n) == n).tolist())
     ideal = tuple(sorted(set(left) & set(right)))
 
     cert = Report("multiplier-ideal-closure")
-    declared = G._by_endpoints
-    for x in ideal:
-        incident = sorted(set(G.target_fiber(x)) | set(G.source_fiber(x)))
-        for a in incident:
-            for b in G.source_fiber(tgt[a]):
-                if (tgt[b], src[a]) not in declared:
-                    cert.add("ideal-closure",
-                             f"pair ({G.objects[tgt[b]]}, {G.objects[src[a]]}) "
-                             f"missing for ideal object {G.objects[x]}")
-            for b in G.target_fiber(src[a]):
-                if (tgt[a], src[b]) not in declared:
-                    cert.add("ideal-closure",
-                             f"pair ({G.objects[tgt[a]]}, {G.objects[src[b]]}) "
-                             f"missing for ideal object {G.objects[x]}")
+    keys = np.append(np.sort(G.tgt * n + G.src), n * n)  # a sentinel above every pair
+    # each arrow a into or out of an ideal object meets each b out of tgt(a) in (tgt b,
+    # src a), then each b into src(a) in (tgt a, src b); source fibers keyed src + n
+    x = np.array(ideal, dtype=np.intp)
+    owner, a = np.nonzero((G.tgt == x[:, None]) | (G.src == x[:, None]))
+    both = _fibers(np.concatenate([G.src + n, G.tgt]), 2 * n)
+    for rows, b in _triples(both, np.stack([G.tgt[a] + n, G.src[a]], axis=1).ravel()):
+        into, b = np.divmod(b, G.n_arrows)
+        first = a[rows // 2]
+        want = G.tgt[np.where(into, first, b)] * n + G.src[np.where(into, b, first)]
+        for i in np.flatnonzero(keys[keys.searchsorted(want)] != want).tolist():
+            t, s = divmod(int(want[i]), n)
+            cert.add("ideal-closure", f"pair ({G.objects[t]}, {G.objects[s]}) missing "
+                     f"for ideal object {G.objects[x[owner[rows[i] // 2]]]}")
     return MultiplierSets(left, right, ideal, cert)
 
 

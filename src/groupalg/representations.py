@@ -828,23 +828,24 @@ def transitive_isomorphism_check(G: FiniteGroupoid, mu: HaarSystem | None = None
 # ---------------------------------------------------------------------------
 # spanning families
 
-def fundamental_family_check(G: FiniteGroupoid, mu: HaarSystem,
-                             family: list) -> Report:
-    """Check that the family restricted to each target fiber spans it.
-
-    Finite fibers make density literal spanning: the weighted restrictions
-    must have rank equal to the fiber size at every object.
-    """
+def fundamental_family_check(G: FiniteGroupoid, mu: HaarSystem, supports) -> Report:
+    """Check that the indicators of the rows of ``supports``, a (k, m) int
+    array of arrows with distinct targets in each row (else ``ValueError``),
+    span every target fiber.  Weighted and restricted to the fiber of x, a
+    row is 0 or sqrt(w_a) e_a, so the rank at x counts the arrows into x of
+    nonzero weight that some row holds."""
     out = Report("fundamental-family")
-    F = np.asarray(family, dtype=complex)  # (m, arrows), one row per function
-    for x in range(G.n_objects):
-        fiber = G.target_fibers.of(x)
-        if not len(fiber):
+    S = np.asarray(supports, dtype=np.intp)
+    if ((S < 0) | (S >= G.n_arrows)).any():
+        raise ValueError(f"supports name arrows outside 0..{G.n_arrows - 1}")
+    ends = np.sort(G.tgt[S], axis=-1)
+    if (ends[..., 1:] == ends[..., :-1]).any():
+        raise ValueError("a support meets a target fiber twice")
+    held = (np.bincount(S.ravel(), minlength=G.n_arrows) > 0) & (mu.weights != 0)
+    rank = np.bincount(G.tgt[held], minlength=G.n_objects)
+    for x, (r, size) in enumerate(zip(rank.tolist(), G.target_fibers.size.tolist())):
+        if not size:
             out.add("fiber", f"object {G.objects[x]} has an empty target fiber")
-            continue
-        root = np.sqrt(mu.weights[fiber])
-        rank = int(np.linalg.matrix_rank(F[:, fiber] * root)) if len(F) else 0
-        if rank < len(fiber):
-            out.add("spanning",
-                    f"object {G.objects[x]}: rank {rank} < fiber size {len(fiber)}")
+        elif r < size:
+            out.add("spanning", f"object {G.objects[x]}: rank {r} < fiber size {size}")
     return out

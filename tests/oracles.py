@@ -23,7 +23,11 @@ as stacks: the loops that drew and checked one trial at a time.  For the
 relation build, which works on sorted (tgt, src) keys: the build from label
 sets, a successor dict and an n x n index matrix, with its Python closure.
 For the fibers, which are slices of one index sorted by endpoint: the tuples
-that one loop over the arrows appended to.
+that one loop over the arrows appended to.  For the fundamental families,
+which are judged by counting the arrows their supports cover: the rank of
+each weighted fiber restriction by SVD, on the dense indicator family.  For
+the multiplier certificate, which looks its pairs up among sorted keys: the
+loops with one endpoint-dict lookup per pair.
 
 With them, the benchmark's small documents, on which the battery's reports
 are pinned and the conjugated rep's bounds are compared with the dense check.
@@ -512,3 +516,55 @@ def tuple_fibers(G):
         tf[t].append(a)
         sf[s].append(a)
     return [tuple(v) for v in tf], [tuple(v) for v in sf]
+
+
+def svd_fundamental_family_check(G, mu, family) -> Report:
+    """``fundamental_family_check`` as a rank per target fiber: the rows of
+    the (k, arrows) function family restricted to the fiber, weighted by
+    sqrt(w), spanning it when ``np.linalg.matrix_rank`` is the fiber size."""
+    out = Report("fundamental-family")
+    F = np.asarray(family, dtype=complex)  # (m, arrows), one row per function
+    for x in range(G.n_objects):
+        fiber = G.target_fibers.of(x)
+        if not len(fiber):
+            out.add("fiber", f"object {G.objects[x]} has an empty target fiber")
+            continue
+        root = np.sqrt(mu.weights[fiber])
+        rank = int(np.linalg.matrix_rank(F[:, fiber] * root)) if len(F) else 0
+        if rank < len(fiber):
+            out.add("spanning",
+                    f"object {G.objects[x]}: rank {rank} < fiber size {len(fiber)}")
+    return out
+
+
+def indicators(G, supports) -> np.ndarray:
+    """The (k, arrows) family of indicators of the rows of ``supports``."""
+    S = np.asarray(supports, dtype=np.intp)
+    F = np.zeros((len(S), G.n_arrows), dtype=complex)
+    F[np.arange(len(S))[:, None], S] = 1.0
+    return F
+
+
+def looped_multiplier_certificate(G) -> Report:
+    """The closure certificate of ``multipliers``, one endpoint-dict lookup
+    per pair: each arrow a incident to an ideal object, against each b out
+    of tgt(a) and each b into src(a)."""
+    n, src, tgt = G.n_objects, G.src.tolist(), G.tgt.tolist()
+    declared = set(zip(tgt, src))
+    full_t = np.bincount(G.tgt, minlength=n) == n
+    full_s = np.bincount(G.src, minlength=n) == n
+    cert = Report("multiplier-ideal-closure")
+    for x in np.flatnonzero(full_t & full_s).tolist():
+        incident = sorted(set(G.target_fiber(x)) | set(G.source_fiber(x)))
+        for a in incident:
+            for b in G.source_fiber(tgt[a]):
+                if (tgt[b], src[a]) not in declared:
+                    cert.add("ideal-closure",
+                             f"pair ({G.objects[tgt[b]]}, {G.objects[src[a]]}) "
+                             f"missing for ideal object {G.objects[x]}")
+            for b in G.target_fiber(src[a]):
+                if (tgt[a], src[b]) not in declared:
+                    cert.add("ideal-closure",
+                             f"pair ({G.objects[tgt[a]]}, {G.objects[src[b]]}) "
+                             f"missing for ideal object {G.objects[x]}")
+    return cert

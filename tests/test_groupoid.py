@@ -23,8 +23,8 @@ from groupalg.io import (GroupoidDocument, load_manifest, parse_groupoid_documen
                          save_function, save_groupoid)
 from groupalg.randgen import SplitMix64, random_groupoid
 
-from oracles import (right_nested_depths, searched_composites, set_build_from_relation,
-                     tuple_fibers)
+from oracles import (looped_multiplier_certificate, right_nested_depths, searched_composites,
+                     set_build_from_relation, tuple_fibers)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "groupalg", "fixtures")
 
@@ -578,6 +578,43 @@ class TestMultipliers:
         Z2 = group_groupoid(*cyclic_table(2))
         with pytest.raises(NotRelationGroupoid):
             multipliers(Z2)
+
+    @staticmethod
+    def _relation_table(labels, ends):
+        """A relation groupoid's arrays, one arrow (t, s) per entry of ends,
+        as a hand-built table: no products, each arrow its own inverse;
+        multipliers reads neither."""
+        t, s = np.array(ends).T
+        units = [ends.index((x, x)) for x in range(len(labels))]
+        return FiniteGroupoid(labels, s, t, np.zeros((0, 3), dtype=np.intp),
+                              np.arange(len(ends)), units)
+
+    def test_certificate_fails_where_the_relation_is_not_transitive(self):
+        # a ~ b ~ c without a ~ c: b multiplies everything, and composing
+        # through b reaches the undeclared (a, c) and (c, a)
+        G = self._relation_table(list("abc"), [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0),
+                                               (1, 2), (2, 1)])
+        ms = multipliers(G)
+        assert ms.left == ms.right == ms.ideal == (1,)
+        witnesses = [e.witness for e in ms.certificate.errors]
+        assert witnesses == [e.witness for e in looped_multiplier_certificate(G).errors]
+        assert witnesses == ["pair (a, c) missing for ideal object b",
+                             "pair (c, a) missing for ideal object b"] * 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_certificate_equals_the_loops(self, seed):
+        # pair(6) with random arrows away from object 0 dropped, so 0 stays
+        # in the ideal, and pair(5) whole
+        rng = SplitMix64(seed)
+        n = 6
+        kept = [(t, s) for t in range(n) for s in range(n)
+                if t == s or 0 in (t, s) or rng.random() < 0.6]
+        G = self._relation_table([f"o{i}" for i in range(n)], kept)
+        ms = multipliers(G)
+        assert 0 in ms.ideal and not ms.certificate.ok
+        assert ms.certificate.errors == looped_multiplier_certificate(G).errors
+        G = pair_groupoid("abcde")
+        assert multipliers(G).certificate.errors == looped_multiplier_certificate(G).errors == []
 
 
 class TestIsotropy:

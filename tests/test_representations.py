@@ -26,17 +26,19 @@ from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
                                klein_table, pair_groupoid, product,
                                symmetric_table)
 from groupalg.groupoid import FiniteGroupoid, isotropy
-from groupalg.io import load_groupoid, parse_groupoid_document
+from groupalg.battery import run_battery
+from groupalg.io import GroupoidDocument, load_groupoid, parse_groupoid_document
 from groupalg.randgen import (SplitMix64, _group_table, random_function, random_groupoid,
                               random_invariant_weights, random_probability,
-                              random_unitary_field)
+                              random_unitary_field, units)
 from groupalg.report import Report, ReportEntry, _worst
 from groupalg.blocks import BlockOperator, BlockPartition
 from groupalg.representations import (HilbertBundle, bundle_metric, integrated_blocks,
                                       tensor_of_function)
 
 from oracles import (DenseRep, benchmark_documents, conjugated_with, dense_check, dense_of,
-                     dense_residuals, generator_bound, scatter_integrate, support_blocks)
+                     dense_residuals, generator_bound, indicators, scatter_integrate,
+                     support_blocks, svd_fundamental_family_check)
 
 
 def weighted_inner(bundle, nu, u, v):
@@ -867,29 +869,111 @@ class TestFundamentalFamily:
     def test_all_indicators_span(self):
         G = product(pair_groupoid("ab"), group_groupoid(*cyclic_table(2)))
         mu = counting_haar(G)
-        fam = [delta(G, a) for a in range(G.n_arrows)]
-        assert fundamental_family_check(G, mu, fam).ok
+        assert fundamental_family_check(G, mu, np.arange(G.n_arrows)[:, None]).ok
 
-    def test_single_constant_deficient(self):
+    def test_one_bisection_is_deficient(self):
         G = pair_groupoid("ab")
-        rep = fundamental_family_check(G, counting_haar(G), [np.ones(4)])
-        assert not rep.ok
-        assert any("rank 1" in e.witness for e in rep.errors)
+        rep = fundamental_family_check(G, counting_haar(G), [G.unit_of])
+        assert [e.witness for e in rep.errors] == [
+            "object a: rank 1 < fiber size 2", "object b: rank 1 < fiber size 2"]
 
     def test_bisection_images_span_pair_groupoids(self):
         from groupalg import enumerate_bisections
+        from groupalg.bisections import arrow_array
         for n in (2, 3, 4):
             G = pair_groupoid([f"o{i}" for i in range(n)])
-            mu = counting_haar(G)
-            family = []
-            for s in enumerate_bisections(G):
-                ind = np.zeros(G.n_arrows, dtype=complex)
-                for a in s.arrows:
-                    ind[a] = 1.0
-                family.append(ind)
-            assert fundamental_family_check(G, mu, family).ok
+            S = arrow_array(G, enumerate_bisections(G))
+            assert fundamental_family_check(G, counting_haar(G), S).ok
 
-    def test_the_family_array_gives_the_row_by_row_matrices(self, monkeypatch):
+    def test_a_support_that_meets_a_fiber_twice_raises(self):
+        # the count holds only when each member meets each fiber at most once
+        G = pair_groupoid("ab")  # arrows 0 and 1 both run into a
+        mu = counting_haar(G)
+        with pytest.raises(ValueError, match="meets a target fiber twice"):
+            fundamental_family_check(G, mu, [[0, 3], [0, 1]])
+        with pytest.raises(ValueError, match="outside 0..3"):
+            fundamental_family_check(G, mu, [[4]])
+        with pytest.raises(ValueError, match="outside 0..3"):
+            fundamental_family_check(G, mu, [[-1]])
+
+    def test_an_empty_family_and_an_empty_fiber(self):
+        G = disjoint_union(pair_groupoid("ab"), group_groupoid(*cyclic_table(3)))
+        mu = counting_haar(G)
+        for empty in ([], np.empty((0, 2), dtype=np.intp)):
+            assert [e.witness for e in fundamental_family_check(G, mu, empty).errors] == [
+                f"object {G.objects[x]}: rank 0 < fiber size {len(G.target_fiber(x))}"
+                for x in range(G.n_objects)]
+        # object b has no arrow: one entry for its fiber and no rank
+        H = FiniteGroupoid(["a", "b"], [0], [0], [(0, 0, 0)], [0], [0, None])
+        for supports in ([[0]], []):
+            got = fundamental_family_check(H, counting_haar(H), supports)
+            want = svd_fundamental_family_check(H, counting_haar(H), indicators(H, supports))
+            assert got.errors == want.errors
+        assert [e.witness for e in got.errors] == [
+            "object a: rank 0 < fiber size 1", "object b has an empty target fiber"]
+
+    def test_the_count_gives_the_svd_oracles_witnesses(self):
+        # arrow indicators, whole bisection-image families and subsets of
+        # their rows, on seeded random groupoids with invariant weights
+        from groupalg import enumerate_bisections
+        from groupalg.bisections import arrow_array
+        families = deficient = 0
+        for seed in range(60):
+            rng = SplitMix64(seed)
+            G = random_groupoid(rng)
+            mu = HaarSystem(random_invariant_weights(G, rng))
+            arrows = np.arange(G.n_arrows)[:, None]
+            tried = [arrows, arrows[units(rng.next_u64s(G.n_arrows)) < 0.8]]
+            if math.prod(G.source_fibers.size.tolist()) <= 2000:
+                S = arrow_array(G, enumerate_bisections(G))
+                tried += [S, S[:1], S[:len(S) // 2]]
+                tried += [S[units(rng.next_u64s(len(S))) < p] for p in (0.05, 0.3, 0.6)]
+            for supports in tried:
+                got = fundamental_family_check(G, mu, supports)
+                want = svd_fundamental_family_check(G, mu, indicators(G, supports))
+                assert got.errors == want.errors, (seed, len(supports))
+                families += 1
+                deficient += not got.ok
+        assert families > 250 and 80 < deficient < families - 80, (families, deficient)
+
+    def test_the_count_where_svd_rounding_drops_a_fiber_direction(self):
+        # Haar weights by source, exactly left-invariant, 300 orders apart:
+        # matrix_rank's tolerance, relative to the largest singular value
+        # 1e75 of each fiber, drops 1 and 1e-75, so the SVD reads rank 1
+        G = pair_groupoid("abc")
+        weights = np.array([1e150, 1e-150, 1.0])[G.src]
+        mu = HaarSystem(weights)
+        arrows = np.arange(G.n_arrows)[:, None]
+        assert fundamental_family_check(G, mu, arrows).ok
+        assert [e.witness for e in svd_fundamental_family_check(
+            G, mu, indicators(G, arrows)).errors] == [
+                f"object {x}: rank 1 < fiber size 3" for x in "abc"]
+        gdoc = GroupoidDocument(G, weights, None, "strict")
+        with np.errstate(all="ignore"):
+            run = run_battery(gdoc, seed=1, trials=4)
+        [line] = [line for line in run.lines if line.name == "fundamental-family"]
+        assert line.ok, line.render()
+        assert line.detail.endswith("(arrow indicators and bisection images)")
+
+    def test_both_families_of_pair32_in_under_a_megabyte(self):
+        # A = 1,024: a dense identity family alone would be 16 MB
+        G = pair_groupoid([f"o{i}" for i in range(32)])
+        mu = HaarSystem(random_invariant_weights(G, SplitMix64(2)))
+        x = np.arange(32)
+        S = np.stack([(x + i) % 32 * 32 + x for i in range(4)])  # row i sends x to x + i
+        tracemalloc.start()
+        try:
+            arrows_ok = fundamental_family_check(G, mu, np.arange(G.n_arrows)[:, None]).ok
+            images = fundamental_family_check(G, mu, S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arrows_ok
+        assert [e.witness for e in images.errors] == [
+            f"object o{x}: rank 4 < fiber size 32" for x in range(32)]
+        assert peak < 1 << 20, peak
+
+    def test_the_svd_oracle_takes_the_rank_of_the_row_by_row_matrices(self, monkeypatch):
         # each rank is taken of exactly the matrix that one weighted row per
         # function, restricted to the fiber, made; an empty family has rank 0
         G = disjoint_union(product(pair_groupoid("ab"), group_groupoid(*cyclic_table(2))),
@@ -905,7 +989,7 @@ class TestFundamentalFamily:
         monkeypatch.setattr(np.linalg, "matrix_rank", recorded)
         for fam in (family, np.array(family)):
             seen.clear()
-            fundamental_family_check(G, mu, fam)
+            svd_fundamental_family_check(G, mu, fam)
             assert len(seen) == G.n_objects
             for x, M in enumerate(seen):
                 fiber = list(G.target_fiber(x))
@@ -913,7 +997,7 @@ class TestFundamentalFamily:
                 rows = np.array([np.asarray(f, dtype=complex)[fiber] * root for f in family])
                 assert M.dtype == rows.dtype and np.array_equal(M, rows), x
         seen.clear()
-        rep = fundamental_family_check(G, mu, [])
+        rep = svd_fundamental_family_check(G, mu, [])
         assert not seen
         assert [e.witness for e in rep.errors] == [
             f"object {G.objects[x]}: rank 0 < fiber size {len(G.target_fiber(x))}"
