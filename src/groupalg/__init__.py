@@ -16,8 +16,9 @@ from .groupoid import (FiniteGroupoid, GroupoidMorphism, IsotropyGroup,
 from .haar import (HaarSystem, check_left_invariance, convolve, counting_haar,
                    delta, fiber_integrate, function_to_matrix,
                    half_density_inner, i_norm, involute, source_haar,
-                   support_fiber_mass, unit_function)
+                   support_fiber_mass, table_convolve, unit_function)
 from .inductive import InductiveSystem, LimitResult, check_system, limit
+from .orbits import OrbitMatrices, orbit_matrices
 from .partial_algebra import (StructureTable, SubspaceBasis,
                               check_star_compatibility, extract_relation,
                               ideal_closure_check, matrix_units_table,

@@ -19,7 +19,7 @@ from .blocks import BlockOperator
 from .groupoid import FiniteGroupoid, _ranges, isotropy_bundle, multipliers, validate
 from .haar import (HaarSystem, convolve, counting_haar, fiber_integrate,
                    function_to_matrix, half_density_inner, i_norm, involute,
-                   support_fiber_mass, unit_function)
+                   support_fiber_mass, table_convolve, unit_function)
 from .io import GroupoidDocument, fmt
 from .randgen import (SplitMix64, below, boxes, random_function, random_unitary_field,
                       units)
@@ -82,8 +82,8 @@ SUITES = (
     "haar-positivity", "haar-left-invariance", "nu-normalization",
     "convolution-associativity", "involution-antihomomorphism", "convolution-unit",
     "involution-involutive", "inorm-involution-isometry", "inorm-submultiplicative",
-    "haar-integral-invariance", "pair-matrix-oracle", "left-regular-axioms",
-    "trivial-rep-axioms", "integrated-homomorphism", "integrated-star",
+    "haar-integral-invariance", "convolution-paths", "pair-matrix-oracle",
+    "left-regular-axioms", "trivial-rep-axioms", "integrated-homomorphism", "integrated-star",
     "integrated-norm-bound", "equivalence-transport", "bisection-group",
     "multiplier-ideal", "isotropy-bundle", "transitive-isomorphism",
     "inorm-convergence-bound", "fundamental-family", "half-density-positivity",
@@ -150,10 +150,11 @@ def _integrated_residuals(G: FiniteGroupoid, mu: HaarSystem,
 def _algebra_residuals(G: FiniteGroupoid, mu: HaarSystem, rng: SplitMix64,
                        t: int) -> tuple[float, ...]:
     """The worst residuals of associativity, the antihomomorphism, the unit,
-    f^** = f, the I-norm isometry and submultiplicativity, and the integral
+    f^** = f, the I-norm isometry and submultiplicativity, the integral
     form of left invariance (the fiber sum of f over tgt(a) against the one
-    translated by a from src(a), each in fiber order), over t trials: trial i
-    is f, g, h and three arrows a, all t trials one block, run as stacks."""
+    translated by a from src(a), each in fiber order), and of f * g by
+    :func:`convolve` against the table sum, over t trials: trial i is f, g,
+    h and three arrows a, all t trials one block, run as stacks."""
     A = G.n_arrows
     block = rng.next_u64s(t * (6 * A + 3)).reshape(t, 6 * A + 3)
     f, g, h = boxes(block[:, :6 * A]).reshape(t, 3, A).swapaxes(0, 1)
@@ -164,6 +165,7 @@ def _algebra_residuals(G: FiniteGroupoid, mu: HaarSystem, rng: SplitMix64,
             involute(G, fg) - convolve(G, mu, involute(G, g), fstar),
             np.hstack([convolve(G, mu, u, f) - f, convolve(G, mu, f, u) - f]),
             involute(G, fstar) - f]
+    paths = np.abs(fg - table_convolve(G, mu, f, g)).max(axis=1)
     a = below(block[:, 6 * A:], A).ravel()  # three arrows per trial
     into, start, size = G.target_fibers
     sums = np.zeros((2, len(a)), dtype=complex)
@@ -176,21 +178,25 @@ def _algebra_residuals(G: FiniteGroupoid, mu: HaarSystem, rng: SplitMix64,
             _worst(0.0, *(abs(x - y) for x, y in zip(nstar, ni))),
             _worst(0.0, *(x - y * z for x, y, z in zip(nfg, ni, ng)), 0.0),
             # Python's abs on each numpy complex: np.abs may differ in the last bit
-            _worst(0.0, *(abs(d) for d in sums[0] - sums[1])))
+            _worst(0.0, *(abs(d) for d in sums[0] - sums[1])),
+            _worst(0.0, *paths.tolist()))
 
 
 def _pair_matrix_residual(G: FiniteGroupoid, rng: SplitMix64, t: int) -> float:
     """The worst gap between convolution under counting weights and the
     matrix product, and between the half-density pairing and the Frobenius
-    pairing, over t (f, g) pairs drawn as one block."""
+    pairing, over t (f, g) pairs drawn as one block.  The convolution is
+    taken both as the table sum, which owes nothing to the orbit matrices,
+    and as :func:`convolve`."""
     counting = counting_haar(G)
     f, g = rng.complex_boxes(2 * t * G.n_arrows).reshape(t, 2, G.n_arrows).swapaxes(0, 1)
     F, Gm = function_to_matrix(G, f), function_to_matrix(G, g)
-    got = function_to_matrix(G, convolve(G, counting, f, g))
+    got = function_to_matrix(G, np.concatenate([table_convolve(G, counting, f, g),
+                                                convolve(G, counting, f, g)]))
     frob = (F * np.conj(Gm)).reshape(t, -1).sum(axis=1).tolist()
     inner = (f * np.conj(g) * counting.weights).sum(axis=1).tolist()
-    return _worst(0.0, *np.abs(got - F @ Gm).max(axis=(1, 2)).tolist(),
-                  *(abs(x - y) for x, y in zip(inner, frob)))
+    gaps = np.abs(got.reshape(2, *F.shape) - F @ Gm).max(axis=(2, 3))
+    return _worst(0.0, *gaps.ravel().tolist(), *(abs(x - y) for x, y in zip(inner, frob)))
 
 
 def _convergence_residual(G: FiniteGroupoid, mu: HaarSystem, rng: SplitMix64) -> float:
@@ -247,7 +253,8 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
             ("involution-involutive", exact, "f^** = f"),
             ("inorm-involution-isometry", exact, "||f^*||_I = ||f||_I"),
             ("inorm-submultiplicative", accum, "||f*g||_I <= ||f||_I ||g||_I"),
-            ("haar-integral-invariance", accum, "fiber integrals agree under translation")),
+            ("haar-integral-invariance", accum, "fiber integrals agree under translation"),
+            ("convolution-paths", accum, "orbit matrix products equal the table sum")),
             _algebra_residuals(G, mu, rng, max(trials, 1)), strict=True):
         run.record(name, worst <= tol, detail, worst)
 

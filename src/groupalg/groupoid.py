@@ -182,6 +182,7 @@ class FiniteGroupoid:
         # the map has fewer entries than arrows
         self._by_endpoints = dict(zip(zip(self.tgt.tolist(), self.src.tolist()), range(n_arr)))
         self._certificate: GeneratorCertificate | None = None
+        self._orbit_matrices = None  # orbits.orbit_matrices keeps its result here
 
     # -- basic structure ---------------------------------------------------
 
@@ -315,10 +316,12 @@ class FiniteGroupoid:
         """Triples (out, left, right) with out = left o right: the table's
         composite, first and second columns, as three parallel int arrays.
 
-        The table's (first, second) order fixes the summation order of the
-        convolution kernels: the terms of each output arrive in ascending
-        ``first``, which is target-fibre order.  On a groupoid that fails
-        :func:`validate` the plan is as wrong as the table.
+        These are the terms of the table sum, :func:`haar.table_convolve`,
+        the convolution's definition on any table, which adds each output's
+        terms in ascending ``first``, target-fibre order.  On a groupoid that
+        fails :func:`validate` the plan is as wrong as the table.
+        :func:`haar.convolve` sums this way only the rows that
+        :func:`orbits.orbit_matrices` leaves to the table (its ``rest``).
         """
         first, second, composite = self.compose_table.T
         return composite, first, second

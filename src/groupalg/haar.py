@@ -13,6 +13,9 @@ the target fiber with the weight of the left factor,
 and the involution is f^*(a) = conj(f(inverse(a))).  The conjugation makes
 the integrated representations *-preserving for complex scalars; the weight
 factor keeps the product associative for non-counting systems.
+:func:`table_convolve` adds the product over the rows of the composition
+table, its definition on any table; :func:`convolve` computes each orbit
+that the table bears out as matrix products in M_n tensor C[H].
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 from . import tolerances
 from .errors import ShapeMismatch
 from .groupoid import FiniteGroupoid
+from .orbits import orbit_matrices
 from .report import Report
 
 _TERM_BATCH = 1 << 16  # convolution terms per chunk of a stacked convolve
@@ -118,33 +122,73 @@ def fiber_integrate(G: FiniteGroupoid, mu: HaarSystem, f) -> np.ndarray:
 
 def _add_rows(out: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
     """``np.add.at(out, index, values)``, row by row on a contiguous stack."""
-    if out.ndim == 1:
-        np.add.at(out, index, values)
+    if out.ndim == 1 or len(out) == 1:
+        np.add.at(out.reshape(-1), index, values.reshape(-1))
     else:  # row i of the stack at i * width onwards in the flat output
         at = np.arange(len(out))[:, None] * out.shape[1] + index
         np.add.at(out.reshape(-1), at.ravel(), values.ravel())
 
 
-def convolve(G: FiniteGroupoid, mu: HaarSystem, f, g) -> np.ndarray:
-    """f * g; for (k, A) stacks (one may be a single function) row by row,
-    each row summed in the same order as a single call, in chunks of about
-    ``_TERM_BATCH`` terms."""
-    f, g = _as_function(G, f, stack=True), _as_function(G, g, stack=True)
-    outs, lefts, rights = G.convolution_plan()
-    if f.ndim == g.ndim == 1:
-        out = np.zeros(G.n_arrows, dtype=complex)
-        _add_rows(out, outs, f[lefts] * g[rights] * mu.weights[lefts])
-        return out
-    f, g = np.broadcast_arrays(np.atleast_2d(f), np.atleast_2d(g))
+def _table_sum(out: np.ndarray, plan, weights: np.ndarray, f: np.ndarray,
+               g: np.ndarray) -> None:
+    """Add the terms f(left) g(right) weight(left) of the rows (out, left,
+    right) of ``plan`` into the (k, A) stack ``out``, each output's terms in
+    plan order, row by row, in chunks of about ``_TERM_BATCH`` terms."""
+    outs, lefts, rights = plan
     step = _TERM_BATCH // max(len(outs), 1)
-    if step < 2:  # a chunk of one row: single calls gather and add faster
-        return np.array([convolve(G, mu, a, b) for a, b in zip(f, g)]).reshape(f.shape)
-    out = np.zeros(f.shape, dtype=complex)
+    if step < 2:  # a chunk of one row: one row at a time gathers and adds faster
+        for o, a, b in zip(out, f, g):
+            np.add.at(o, outs, a[lefts] * b[rights] * weights[lefts])
+        return
     for lo in range(0, len(f), step):
         rows = slice(lo, lo + step)
         terms = np.take(f[rows], lefts, axis=1) * np.take(g[rows], rights, axis=1)
-        _add_rows(out[rows], outs, terms * mu.weights[lefts])
-    return out
+        _add_rows(out[rows], outs, terms * weights[lefts])
+
+
+def _stacks(G: FiniteGroupoid, f, g):
+    """f and g as (k, A) stacks of one shape, and whether both were single."""
+    f, g = _as_function(G, f, stack=True), _as_function(G, g, stack=True)
+    single = f.ndim == g.ndim == 1
+    f, g = np.broadcast_arrays(np.atleast_2d(f), np.atleast_2d(g))
+    return f, g, single
+
+
+def table_convolve(G: FiniteGroupoid, mu: HaarSystem, f, g) -> np.ndarray:
+    """f * g as the sum over the rows (a, b, a o b) of the composition table
+    of f(a) g(b) weight(a) into a o b, each output's terms in ascending a:
+    the definition on any table, corrupted ones included.  For (k, A)
+    stacks (one may be a single function) row by row, each row as a single
+    call."""
+    f, g, single = _stacks(G, f, g)
+    out = np.zeros(f.shape, dtype=complex)
+    _table_sum(out, G.convolution_plan(), mu.weights, f, g)
+    return out[0] if single else out
+
+
+def convolve(G: FiniteGroupoid, mu: HaarSystem, f, g) -> np.ndarray:
+    """f * g; for (k, A) stacks (one may be a single function) row by row,
+    each row bit for bit as a single call.
+
+    Each orbit that :func:`orbits.orbit_matrices` verifies against
+    the table is one product in M_n tensor C[H]: (f w)[left] @ g[right],
+    one batched matrix product per orbit shape, in chunks of about
+    ``_TERM_BATCH`` matrix entries.  The rows of any other orbit are summed
+    as :func:`table_convolve` sums them.  Both add the same terms, in
+    another order, so the results agree to rounding, not bit for bit.
+    """
+    f, g, single = _stacks(G, f, g)
+    blocks = orbit_matrices(G)
+    out = np.zeros(f.shape, dtype=complex)
+    if len(blocks.rest[0]):
+        _table_sum(out, blocks.rest, mu.weights, f, g)
+    fw = f * mu.weights
+    for left, right in zip(blocks.left, blocks.right):
+        step = max(1, _TERM_BATCH // left.size)
+        for lo in range(0, len(f), step):
+            rows = slice(lo, lo + step)
+            out[rows, right] += np.take(fw[rows], left, axis=1) @ np.take(g[rows], right, axis=1)
+    return out[0] if single else out
 
 
 def involute(G: FiniteGroupoid, f) -> np.ndarray:

@@ -15,6 +15,7 @@ Python's shortest round-trip repr, so write-then-read is value-exact.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -145,6 +146,50 @@ class GroupoidDocument:
         return [*suites, SuiteReport("nu-normalization", nu, "positive, total mass 1", off)]
 
 
+def _resolved(entries: list, width: int, arrow_index: dict):
+    """The arrows named by ``entries``, each a list of ``width`` ids, up to
+    the first entry that is not: an (m, width) int array, -1 for an unknown
+    id, and m.  An id is read as ``str(id)``; the string ids take one dict
+    lookup each, in one pass over all of them."""
+    m = len(entries)
+    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {width}):
+        m = next((i for i, e in enumerate(entries)
+                  if not (isinstance(e, list) and len(e) == width)), m)
+    try:
+        rows = np.fromiter(map(arrow_index.get, itertools.chain.from_iterable(entries[:m]),
+                               itertools.repeat(-1)), dtype=np.intp, count=m * width)
+    except TypeError:  # an unhashable id, read by str() below
+        rows = np.full(m * width, -1, dtype=np.intp)
+    for pos in np.flatnonzero(rows < 0).tolist():  # ids that are not strings, or unknown
+        rows[pos] = arrow_index.get(_id_at(entries, width, pos), -1)
+    return rows.reshape(m, width), m
+
+
+def _id_at(entries: list, width: int, pos: int) -> str:
+    return str(entries[pos // width][pos % width])
+
+
+def _units(n_objects: int, src: np.ndarray, tgt: np.ndarray, rows: np.ndarray) -> list:
+    """The unit at each object x: the first loop u at x with a o u = a for
+    every arrow a out of x and u o a = a for every arrow a into x, read from
+    the rows as a groupoid keeps them (the last row of a repeated pair
+    wins); None where no loop is one."""
+    A = len(src)
+    keys = rows[:, 0] * A + rows[:, 1]
+    order = np.argsort(keys, kind="stable")
+    last = np.ones(len(keys), dtype=bool)
+    last[:-1] = keys[order[1:]] != keys[order[:-1]]
+    a, b, c = rows[order[last]].T
+    loop, meets = src == tgt, src[a] == tgt[b]
+    right = np.bincount(b[meets & loop[b] & (c == a)], minlength=A)  # a o u = a
+    left = np.bincount(a[meets & loop[a] & (c == b)], minlength=A)  # u o a = a
+    unit = loop & (right == np.bincount(src, minlength=n_objects)[src]) \
+        & (left == np.bincount(tgt, minlength=n_objects)[tgt])
+    first = np.full(n_objects, A)
+    np.minimum.at(first, src[unit], np.flatnonzero(unit))
+    return [None if u == A else u for u in first.tolist()]
+
+
 def _groupoid_from_arrows(doc: dict, where: str) -> FiniteGroupoid:
     objects = [str(o) for o in _require(doc, "objects", list, where)]
     label_index = {lab: i for i, lab in enumerate(objects)}
@@ -161,41 +206,37 @@ def _groupoid_from_arrows(doc: dict, where: str) -> FiniteGroupoid:
         raise FileFormatError(f"{where}: duplicate arrow ids")
     arrow_index = {aid: i for i, aid in enumerate(ids)}
 
-    def aidx(aid) -> int:
-        aid = str(aid)
-        if aid not in arrow_index:
-            raise FileFormatError(f"{where}: unknown arrow id {aid!r}")
-        return arrow_index[aid]
-
-    rows = []
-    for triple in _require(doc, "compose", list, where):
-        if not isinstance(triple, list) or len(triple) != 3:
-            raise FileFormatError(f"{where}: compose entries must be id triples")
-        rows.append([aidx(t) for t in triple])
-    inverse: list[int | None] = [None] * len(ids)
-    for pair in _require(doc, "inverse", list, where):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise FileFormatError(f"{where}: inverse entries must be id pairs")
-        a = aidx(pair[0])
-        if inverse[a] is not None:
-            raise FileFormatError(f"{where}: inverse of arrow {ids[a]!r} given twice")
-        inverse[a] = aidx(pair[1])
-    if None in inverse:
+    # each entry is read in file order: the first malformed entry or unknown
+    # id before it is the error
+    compose = _require(doc, "compose", list, where)
+    rows, m = _resolved(compose, 3, arrow_index)
+    if len(unknown := np.flatnonzero(rows.ravel() < 0)):
+        raise FileFormatError(f"{where}: unknown arrow id {_id_at(compose, 3, unknown[0])!r}")
+    if m < len(compose):
+        raise FileFormatError(f"{where}: compose entries must be id triples")
+    pairs = _require(doc, "inverse", list, where)
+    inverse_rows, m = _resolved(pairs, 2, arrow_index)
+    a, b = inverse_rows.T
+    # per pair: its first id unknown, given in an earlier pair, its second unknown
+    order = np.argsort(a, kind="stable")
+    again = np.zeros(m, dtype=bool)
+    again[order[1:]] = a[order[1:]] == a[order[:-1]]
+    fails = np.stack([a < 0, again, b < 0], axis=1).ravel()
+    if fails.any():
+        i, check = divmod(int(np.argmax(fails)), 3)
+        if check == 1:
+            raise FileFormatError(f"{where}: inverse of arrow {ids[a[i]]!r} given twice")
+        unknown = _id_at(pairs, 2, 2 * i + check // 2)
+        raise FileFormatError(f"{where}: unknown arrow id {unknown!r}")
+    if m < len(pairs):
+        raise FileFormatError(f"{where}: inverse entries must be id pairs")
+    inverse = np.full(len(ids), -1, dtype=np.intp)
+    inverse[a] = b
+    if (inverse < 0).any():
         raise FileFormatError(f"{where}: inverse must cover every arrow exactly once")
-
-    # the unit at x is the first loop u with a o u = a for every arrow a out
-    # of x and u o a = a for every arrow a into x
-    G = FiniteGroupoid(objects, src, tgt, rows, inverse, [None] * len(objects),
-                       arrow_ids=ids)
-    unit_of: list[int | None] = []
-    for x in range(len(objects)):
-        outgoing, incoming = G.source_fibers.of(x), G.target_fibers.of(x)
-        unit_of.append(next(
-            (u for u in incoming.tolist() if src[u] == x
-             and np.array_equal(G.composites(outgoing, u), outgoing)
-             and np.array_equal(G.composites(u, incoming), incoming)), None))
-    return FiniteGroupoid(objects, src, tgt, G.compose_table, inverse, unit_of,
-                          arrow_ids=ids)
+    src, tgt = np.array(src, dtype=np.intp), np.array(tgt, dtype=np.intp)
+    return FiniteGroupoid(objects, src, tgt, rows, inverse,
+                          _units(len(objects), src, tgt, rows), arrow_ids=ids)
 
 
 def parse_groupoid_document(doc: dict, where: str = "groupoid file") -> GroupoidDocument:

@@ -39,7 +39,7 @@ from . import tolerances
 from .blocks import BlockOperator, BlockPartition
 from .errors import NotTransitive, ShapeMismatch
 from .groupoid import FiniteGroupoid, IsotropyGroup, _ranges, components, isotropy
-from .haar import HaarSystem, _as_function, convolve, counting_haar, i_norm
+from .haar import HaarSystem, _as_function, counting_haar, i_norm, table_convolve
 from .randgen import SplitMix64, random_function
 from .report import Report
 
@@ -763,7 +763,8 @@ def transitive_isomorphism_check(G: FiniteGroupoid, mu: HaarSystem | None = None
     convolving; a pair that fails has residual 1, the entrywise difference
     of the two products.  The involution is compared exactly per arrow, from
     the inverse table and the base isotropy group's inverses, with residual
-    1 where it fails; the linear inputs go through :func:`convolve`.
+    1 where it fails; the linear inputs go through the table sum,
+    :func:`haar.table_convolve`, which owes nothing to the decomposition.
     """
     atol = tolerances.exact_tol(atol)
     out = Report("transitive-isomorphism")
@@ -811,7 +812,7 @@ def transitive_isomorphism_check(G: FiniteGroupoid, mu: HaarSystem | None = None
     for _ in range(2):
         f = random_function(G, rng)
         g = random_function(G, rng)
-        lhs = tensor_of_function(G, dec, convolve(G, counting, f, g))
+        lhs = tensor_of_function(G, dec, table_convolve(G, counting, f, g))
         rhs = _group_algebra_product(dec.iso, tensor_of_function(G, dec, f),
                                      tensor_of_function(G, dec, g))
         err = float(np.abs(lhs - rhs).max())

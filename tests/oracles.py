@@ -27,7 +27,9 @@ that one loop over the arrows appended to.  For the fundamental families,
 which are judged by counting the arrows their supports cover: the rank of
 each weighted fiber restriction by SVD, on the dense indicator family.  For
 the multiplier certificate, which looks its pairs up among sorted keys: the
-loops with one endpoint-dict lookup per pair.
+loops with one endpoint-dict lookup per pair.  For the arrows reader, which
+resolves each id column in one pass and finds the units from the table:
+the reader that looked each id up on its own and built the groupoid twice.
 
 With them, the benchmark's small documents, on which the battery's reports
 are pinned and the conjugated rep's bounds are compared with the dense check.
@@ -45,11 +47,12 @@ import numpy as np
 
 from groupalg import tolerances
 from groupalg.bisections import arrow_array, bisection_compose, target_map, unit_bisection
-from groupalg.errors import NotClosed, UnknownLabel
+from groupalg.errors import FileFormatError, NotClosed, UnknownLabel
 from groupalg.groupoid import FiniteGroupoid, _composable, _joined, _ranges, components
 from groupalg.haar import (_as_function, convolve, counting_haar, function_to_matrix,
                            half_density_inner, i_norm, involute, support_fiber_mass,
-                           unit_function)
+                           table_convolve, unit_function)
+from groupalg.io import _require
 from groupalg.randgen import SplitMix64, random_function, random_unitary_field
 from groupalg.report import Report, _worst
 from groupalg.representations import (ConjugatedRep, HilbertBundle, IndexRep,
@@ -383,10 +386,11 @@ def brute_force_forms_group(G, sigmas):
 
 def per_trial_algebra(G, mu, rng, trials):
     """The worst residuals of associativity, the antihomomorphism, the unit,
-    f^** = f, the I-norm isometry, submultiplicativity and the integral form
-    of left invariance, drawing and checking one trial at a time."""
+    f^** = f, the I-norm isometry, submultiplicativity, the integral form
+    of left invariance and convolve against the table sum, drawing and
+    checking one trial at a time."""
     worst_assoc = worst_antihom = worst_unit = worst_inv2 = 0.0
-    worst_subm = worst_isom = worst_integral = 0.0
+    worst_subm = worst_isom = worst_integral = worst_paths = 0.0
     u = unit_function(G, mu)
     for _ in range(trials):
         f = random_function(G, rng)
@@ -406,6 +410,8 @@ def per_trial_algebra(G, mu, rng, trials):
         worst_isom = _worst(worst_isom, abs(i_norm(G, mu, involute(G, f)) - ni))
         over = i_norm(G, mu, convolve(G, mu, f, g)) - ni * i_norm(G, mu, g)
         worst_subm = _worst(worst_subm, over, 0.0)
+        paths = convolve(G, mu, f, g) - table_convolve(G, mu, f, g)
+        worst_paths = _worst(worst_paths, float(np.abs(paths).max()))
         for _ in range(3):
             a = rng.randint(G.n_arrows)
             fiber = G.target_fiber(G.src[a])
@@ -414,20 +420,22 @@ def per_trial_algebra(G, mu, rng, trials):
             direct = sum(f[k] * mu.weights[k] for k in G.target_fiber(G.tgt[a]))
             worst_integral = _worst(worst_integral, abs(translated - direct))
     return (worst_assoc, worst_antihom, worst_unit, worst_inv2, worst_isom, worst_subm,
-            worst_integral)
+            worst_integral, worst_paths)
 
 
 def per_trial_pair_matrix(G, rng, t):
-    """The worst gap between convolution and the matrix product, and between
-    the half-density and Frobenius pairings, one (f, g) pair at a time."""
+    """The worst gap between convolution, as the table sum and as convolve,
+    and the matrix product, and between the half-density and Frobenius
+    pairings, one (f, g) pair at a time."""
     counting = counting_haar(G)
     worst = 0.0
     for _ in range(t):
         f = random_function(G, rng)
         g = random_function(G, rng)
-        got = function_to_matrix(G, convolve(G, counting, f, g))
         want = function_to_matrix(G, f) @ function_to_matrix(G, g)
-        worst = _worst(worst, float(np.abs(got - want).max()))
+        for conv in (table_convolve, convolve):
+            got = function_to_matrix(G, conv(G, counting, f, g))
+            worst = _worst(worst, float(np.abs(got - want).max()))
         frob = complex(np.sum(function_to_matrix(G, f) * np.conj(function_to_matrix(G, g))))
         worst = _worst(worst, abs(half_density_inner(G, counting, f, g) - frob))
     return worst
@@ -568,3 +576,59 @@ def looped_multiplier_certificate(G) -> Report:
                              f"pair ({G.objects[tgt[a]]}, {G.objects[src[b]]}) "
                              f"missing for ideal object {G.objects[x]}")
     return cert
+
+
+def looped_groupoid_from_arrows(doc: dict, where: str) -> FiniteGroupoid:
+    """The arrows reader with one dict lookup per id of each compose triple
+    and inverse pair, and the groupoid built twice: once to find the units
+    from its lookup, once with them."""
+    objects = [str(o) for o in _require(doc, "objects", list, where)]
+    label_index = {lab: i for i, lab in enumerate(objects)}
+    arrows = _require(doc, "arrows", list, where)
+    ids, src, tgt = [], [], []
+    for rec in arrows:
+        ids.append(str(_require(rec, "id", None, where)))
+        for key, out in (("src", src), ("tgt", tgt)):
+            lab = str(_require(rec, key, None, where))
+            if lab not in label_index:
+                raise FileFormatError(f"{where}: arrow references unknown object {lab!r}")
+            out.append(label_index[lab])
+    if len(set(ids)) != len(ids):
+        raise FileFormatError(f"{where}: duplicate arrow ids")
+    arrow_index = {aid: i for i, aid in enumerate(ids)}
+
+    def aidx(aid) -> int:
+        aid = str(aid)
+        if aid not in arrow_index:
+            raise FileFormatError(f"{where}: unknown arrow id {aid!r}")
+        return arrow_index[aid]
+
+    rows = []
+    for triple in _require(doc, "compose", list, where):
+        if not isinstance(triple, list) or len(triple) != 3:
+            raise FileFormatError(f"{where}: compose entries must be id triples")
+        rows.append([aidx(t) for t in triple])
+    inverse: list[int | None] = [None] * len(ids)
+    for pair in _require(doc, "inverse", list, where):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise FileFormatError(f"{where}: inverse entries must be id pairs")
+        a = aidx(pair[0])
+        if inverse[a] is not None:
+            raise FileFormatError(f"{where}: inverse of arrow {ids[a]!r} given twice")
+        inverse[a] = aidx(pair[1])
+    if None in inverse:
+        raise FileFormatError(f"{where}: inverse must cover every arrow exactly once")
+
+    # the unit at x is the first loop u with a o u = a for every arrow a out
+    # of x and u o a = a for every arrow a into x
+    G = FiniteGroupoid(objects, src, tgt, rows, inverse, [None] * len(objects),
+                       arrow_ids=ids)
+    unit_of: list[int | None] = []
+    for x in range(len(objects)):
+        outgoing, incoming = G.source_fibers.of(x), G.target_fibers.of(x)
+        unit_of.append(next(
+            (u for u in incoming.tolist() if src[u] == x
+             and np.array_equal(G.composites(outgoing, u), outgoing)
+             and np.array_equal(G.composites(u, incoming), incoming)), None))
+    return FiniteGroupoid(objects, src, tgt, G.compose_table, inverse, unit_of,
+                          arrow_ids=ids)

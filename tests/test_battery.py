@@ -1,5 +1,6 @@
 """The battery end to end: committed golden reports and non-finite residuals."""
 
+import copy
 import dataclasses
 import difflib
 import functools
@@ -24,6 +25,7 @@ from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid, pai
 from groupalg.cli import main
 from groupalg.haar import HaarSystem
 from groupalg.io import GroupoidDocument, load_groupoid, parse_groupoid_document
+from groupalg.orbits import orbit_matrices
 from groupalg.randgen import (SplitMix64, random_groupoid, random_invariant_weights,
                               random_probability, random_unitary_field)
 from groupalg.report import Report
@@ -129,7 +131,7 @@ STACKED = {
     "_algebra_residuals": (per_trial_algebra, [
         "convolution-associativity", "involution-antihomomorphism", "convolution-unit",
         "involution-involutive", "inorm-involution-isometry", "inorm-submultiplicative",
-        "haar-integral-invariance"]),
+        "haar-integral-invariance", "convolution-paths"]),
     "_pair_matrix_residual": (per_trial_pair_matrix, ["pair-matrix-oracle"]),
     "_convergence_residual": (per_trial_convergence, ["inorm-convergence-bound"]),
 }
@@ -388,6 +390,23 @@ def _unit_bisection_only(real):
     return module
 
 
+def _convolve_scaled(real):
+    def convolve(*args):  # every product times 1 + 1e-6
+        return real(*args) * (1 + 1e-6)
+    return convolve
+
+
+def _orbit_rows_reversed(real):
+    def convolve(G, mu, f, g):  # the rows (x, h) of one orbit's left matrix reversed
+        blocks = orbit_matrices(G)
+        left = [m.copy() for m in blocks.left]
+        left[0][0] = left[0][0][::-1]
+        H = copy.copy(G)
+        H._orbit_matrices = dataclasses.replace(blocks, left=tuple(left))
+        return real(H, mu, f, g)
+    return convolve
+
+
 BOTH = ("pair5", "union")
 
 # fault: (the name it replaces in battery, the replacement, the suites that
@@ -406,6 +425,14 @@ FAULTS = {
     # 5,832 candidate bisections are never enumerated
     "bisections-unit-only": ("bisections", _unit_bisection_only, ["fundamental-family"],
                              ("pair5",)),
+    # associativity is homogeneous of degree 3 on both sides, so it holds
+    "convolve-scaled": ("convolve", _convolve_scaled,
+                        ["convolution-unit", "integrated-homomorphism", "convolution-paths"],
+                        BOTH),
+    "convolve-scaled-on-pairs": ("convolve", _convolve_scaled, ["pair-matrix-oracle"],
+                                 ("pair5",)),
+    # the table sum is untouched, so only the comparison of the two paths can tell
+    "orbit-rows-reversed": ("convolve", _orbit_rows_reversed, ["convolution-paths"], BOTH),
 }
 
 

@@ -1,18 +1,26 @@
 """Command-line interface: exit codes, round trips, deterministic reports."""
 
+import copy
 import json
 import os
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupalg import convolve, counting_haar, validate
 from groupalg.battery import SUITES, run_battery
 from groupalg.builders import cyclic_table, group_groupoid, pair_groupoid, product
 from groupalg.cli import main
 from groupalg.groupoid import FiniteGroupoid
+from groupalg import io as gio
 from groupalg.io import (GroupoidDocument, load_function, load_groupoid,
                          save_function, save_groupoid)
+from groupalg.randgen import SplitMix64, random_groupoid
+
+from oracles import looped_groupoid_from_arrows
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir,
                         "src", "groupalg", "fixtures")
@@ -71,6 +79,52 @@ _MALFORMED = {
     "haar-weight-bool": (["validate"], _edited(
         "pair3.json", lambda d: d.update(haar={"weights": {f"a{k:02d}": True
                                                            for k in range(9)}}))),
+}
+
+
+def _at(entries, i):
+    return i % len(entries) if entries else None
+
+
+def _edit_entry(key, value):
+    def edit(doc, i, j, ids):
+        if (k := _at(doc[key], i)) is not None:
+            doc[key][k] = value(doc[key][k], j, ids)
+    return edit
+
+
+def _insert(key, value):
+    def edit(doc, i, j, ids):
+        if (k := _at(doc[key], i)) is not None:
+            doc[key].insert(j % (len(doc[key]) + 1), value(doc[key][k], j, ids))
+    return edit
+
+
+def _drop(key):
+    def edit(doc, i, j, ids):
+        if (k := _at(doc[key], i)) is not None:
+            del doc[key][k]
+    return edit
+
+
+# edits of an arrows document: (doc, i, j, arrow ids) -> None, in place
+_EDITS = {
+    "compose-repeated": _insert("compose", lambda e, j, ids: [e[0], e[1], ids[j % len(ids)]]),
+    "compose-redirected": _edit_entry("compose", lambda e, j, ids: [e[0], e[1],
+                                                                    ids[j % len(ids)]]),
+    "compose-unknown-id": _edit_entry("compose", lambda e, j, ids: [
+        "nope" if p == j % 3 else x for p, x in enumerate(e)]),
+    "compose-unhashable-id": _edit_entry("compose", lambda e, j, ids: [
+        [x] if p == j % 3 else x for p, x in enumerate(e)]),
+    "compose-short": _edit_entry("compose", lambda e, j, ids: e[:2]),
+    "compose-tuple": _edit_entry("compose", lambda e, j, ids: tuple(e)),
+    "compose-dropped": _drop("compose"),
+    "compose-shuffled": lambda doc, i, j, ids: random.Random(j).shuffle(doc["compose"]),
+    "inverse-repeated": _insert("inverse", lambda e, j, ids: [e[0], ids[j % len(ids)]]),
+    "inverse-unknown-id": _edit_entry("inverse", lambda e, j, ids: [
+        "nope" if p == j % 2 else x for p, x in enumerate(e)]),
+    "inverse-not-a-list": _edit_entry("inverse", lambda e, j, ids: "e"),
+    "inverse-dropped": _drop("inverse"),
 }
 
 
@@ -147,6 +201,33 @@ class TestValidateCommand:
         assert main([command, str(path)]) == 2
         assert capsys.readouterr().err == (
             "parse error: z2.json: inverse of arrow 'e' given twice\n")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans(),
+           st.lists(st.tuples(st.sampled_from(sorted(_EDITS)), st.integers(0, 10 ** 6),
+                              st.integers(0, 10 ** 6)), max_size=4))
+    def test_the_arrows_reader_reads_as_the_looped_one(self, seed, numeric, edits):
+        # corrupted and duplicate-laden files: the same groupoid, or the same
+        # parse error raised first, as the reader with one lookup per id
+        G = random_groupoid(SplitMix64(seed), max_arrows=24)
+        ids = [str(i) for i in range(G.n_arrows)] if numeric else G.arrow_ids
+        name = (lambda a: a) if numeric else (lambda a: ids[a])  # numeric: JSON ints
+        doc = {"objects": list(G.objects),
+               "arrows": [{"id": aid, "src": G.objects[s], "tgt": G.objects[t]}
+                          for aid, s, t in zip(ids, G.src.tolist(), G.tgt.tolist())],
+               "compose": [[name(a), ids[b], name(c)] for a, b, c in G.compose_table.tolist()],
+               "inverse": [[name(a), ids[i]] for a, i in enumerate(G.inverse.tolist())]}
+        for edit, i, j in edits:
+            _EDITS[edit](doc, i, j, ids)
+
+        def outcome(reader):
+            try:
+                H = reader(copy.deepcopy(doc), "doc.json")
+            except Exception as exc:  # noqa: BLE001 - both must raise the same
+                return type(exc).__name__, str(exc)
+            return (H.objects, H.arrow_ids, H.src.tolist(), H.tgt.tolist(),
+                    H.compose_table.tolist(), H.inverse.tolist(), H.unit_of)
+        assert outcome(gio._groupoid_from_arrows) == outcome(looped_groupoid_from_arrows)
 
     @pytest.mark.parametrize("left, label", [(0, "e0"), (5, "e5")])
     def test_structure_table_messages_count_from_one(self, tmp_path, capsys, left, label):

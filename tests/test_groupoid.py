@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupalg import (HaarSystem, NotClosed, NotRelationGroupoid, UnknownLabel,
-                      UnknownObject, build_from_relation, convolve, isotropy,
-                      isotropy_bundle, multipliers, validate)
+                      UnknownObject, build_from_relation, isotropy, isotropy_bundle,
+                      multipliers, table_convolve, validate)
 from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
                                klein_table, pair_groupoid, product, symmetric_table)
 from groupalg.cli import main
@@ -877,7 +877,7 @@ def _mixed_groupoids():
 def test_convolution_plan_is_the_fiberwise_enumeration():
     # oracle: for every arrow out and every left into tgt(out), in fiber order,
     # the factor right = inverse(left) o out; the order of each output's
-    # terms fixes convolve's sums, so the plan is compared grouped by out
+    # terms fixes the table sum's order, so the plan is compared grouped by out
     for G in _mixed_groupoids():
         want = [(out, left, G.compose(G.inverse[left], out))
                 for out in range(G.n_arrows) for left in G.target_fiber(G.tgt[out])]
@@ -912,8 +912,8 @@ def test_the_stored_order_does_not_depend_on_the_input_order(seed, shuffle, row,
         for out in range(n):
             for i in np.flatnonzero(rows[:, 2] == out).tolist():
                 want[out] += terms[i]
-        assert np.array_equal(convolve(H, mu, f, g), want)
-        assert np.array_equal(convolve(H, mu, np.stack([f, f]), g), np.stack([want, want]))
+        assert np.array_equal(table_convolve(H, mu, f, g), want)
+        assert np.array_equal(table_convolve(H, mu, np.stack([f, f]), g), np.stack([want, want]))
 
 
 def test_vectorized_and_scalar_lookups_agree():
@@ -967,7 +967,8 @@ def test_lookup_by_position_agrees_with_the_binary_search(seed, draw, drop, repe
     # every stored row answers its own pair, whatever its endpoints
     first, second, composite = H.compose_table.T
     assert np.array_equal(H.composites(first, second), composite)
-    for x, y in ((int(a[0, 0]), int(b[0, 0])), (int(first[0]), int(second[0])), (-1, n)):
+    stored = [(int(first[0]), int(second[0]))] if len(first) else []  # all rows may be dropped
+    for x, y in ((int(a[0, 0]), int(b[0, 0])), *stored, (-1, n)):
         zero_d = H.composites(x, y)
         assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
         assert int(zero_d) == last_wins.get((x, y), -1) == int(searched_composites(H, x, y))

@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupalg import haar
-from groupalg import (HaarSystem, check_left_invariance, convolve,
+from groupalg import (FiniteGroupoid, HaarSystem, check_left_invariance, convolve,
                       counting_haar, delta, fiber_integrate,
                       function_to_matrix, half_density_inner, i_norm, involute,
-                      source_haar, support_fiber_mass, unit_function)
+                      source_haar, support_fiber_mass, table_convolve, unit_function)
 from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
-                               pair_groupoid, product)
+                               pair_groupoid, product, symmetric_table)
 from groupalg.errors import ShapeMismatch
 from groupalg.haar import check_haar_positivity
+from groupalg.orbits import orbit_matrices
 from groupalg.randgen import (SplitMix64, random_function, random_groupoid,
                               random_invariant_weights)
 
@@ -206,9 +207,10 @@ class TestStacks:
         Gs = rng.complex_boxes(k * G.n_arrows).reshape(k, G.n_arrows)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(haar, "_TERM_BATCH", rows * len(G.compose_table))
-            got, one = convolve(G, mu, F, Gs), convolve(G, mu, F[0], Gs)
-        assert got.tobytes() == np.array([convolve(G, mu, f, g) for f, g in zip(F, Gs)]).tobytes()
-        assert one.tobytes() == np.array([convolve(G, mu, F[0], g) for g in Gs]).tobytes()
+            got, one = table_convolve(G, mu, F, Gs), table_convolve(G, mu, F[0], Gs)
+        assert got.tobytes() == np.array([table_convolve(G, mu, f, g)
+                                          for f, g in zip(F, Gs)]).tobytes()
+        assert one.tobytes() == np.array([table_convolve(G, mu, F[0], g) for g in Gs]).tobytes()
 
     def test_stacked_involute_equals_single_calls(self):
         G = product(pair_groupoid("abc"), group_groupoid(*cyclic_table(3)))
@@ -229,6 +231,131 @@ class TestStacks:
         assert i_norm(G, mu, np.zeros((0, 4))).shape == (0,)
         with pytest.raises(ShapeMismatch):
             half_density_inner(G, mu, np.zeros((2, 4)), np.zeros((2, 4)))  # one function
+
+
+def _rounding_bound(G, mu, f, g):
+    """8 gamma_(2m+2) (|f| w * |g|) per output, m the largest target fiber:
+    each path is within sqrt(2) 2 gamma_(2m+2) of the exact sum of its m
+    complex terms (each component is a sum of 2m real products, Higham,
+    *Accuracy and Stability*, 3.1 and 3.6), and the two gaps add."""
+    m = int(G.target_fibers.size.max(initial=0))
+    u = np.finfo(float).eps / 2
+    gamma = (2 * m + 2) * u / (1 - (2 * m + 2) * u)
+    return 8 * gamma * table_convolve(G, mu, np.abs(f), np.abs(g)).real
+
+
+class TestOrbitMatrices:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
+    def test_convolve_equals_the_table_sum_to_rounding(self, seed, k):
+        rng = SplitMix64(seed)
+        G = random_groupoid(rng, max_arrows=48)
+        mu = HaarSystem(random_invariant_weights(G, rng))
+        F, Gs = rng.complex_boxes(2 * k * G.n_arrows).reshape(2, k, G.n_arrows)
+        blocks = orbit_matrices(G)
+        assert not len(blocks.rest[0])  # every orbit of a groupoid is verified
+        assert sum(right.size for right in blocks.right) == G.n_arrows
+        gap = np.abs(convolve(G, mu, F, Gs) - table_convolve(G, mu, F, Gs))
+        assert (gap <= _rounding_bound(G, mu, F, Gs)).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 9), st.integers(1, 3))
+    def test_stack_rows_equal_single_calls_bit_for_bit(self, seed, k, rows):
+        # a budget of one row's matrix entries takes one row a chunk; of two
+        # or three rows', chunks, the last one possibly short
+        rng = SplitMix64(seed)
+        G = random_groupoid(rng, max_arrows=40)
+        mu = HaarSystem(random_invariant_weights(G, rng))
+        F, Gs = rng.complex_boxes(2 * k * G.n_arrows).reshape(2, k, G.n_arrows)
+        entries = max(left[0].size for left in orbit_matrices(G).left)
+        for budget in (haar._TERM_BATCH, rows * entries):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(haar, "_TERM_BATCH", budget)
+                got, one = convolve(G, mu, F, Gs), convolve(G, mu, F[0], Gs)
+            assert got.tobytes() == np.array([convolve(G, mu, f, g)
+                                              for f, g in zip(F, Gs)]).tobytes()
+            assert one.tobytes() == np.array([convolve(G, mu, F[0], g) for g in Gs]).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1))
+    def test_shuffled_table_rows_leave_the_result_unchanged(self, seed, shuffle):
+        rng = SplitMix64(seed)
+        G = random_groupoid(rng, max_arrows=48)
+        mu = HaarSystem(random_invariant_weights(G, rng))
+        f, g = rng.complex_boxes(2 * G.n_arrows).reshape(2, G.n_arrows)
+        order = np.random.default_rng(shuffle).permutation(len(G.compose_table))
+        H = FiniteGroupoid(G.objects, G.src, G.tgt, G.compose_table[order], G.inverse,
+                           G.unit_of, G.arrow_ids)
+        assert convolve(H, mu, f, g).tobytes() == convolve(G, mu, f, g).tobytes()
+
+    def test_the_matrices_are_the_factorization(self):
+        # pair(2) x Z3: the arrow (x, h, y) sits at right[0, x |H| + h, y],
+        # and left[0, (x, h), (y, k)] is (x, h k^-1, y)
+        G = product(pair_groupoid("ab"), group_groupoid(*cyclic_table(3)))
+        [left], [right] = orbit_matrices(G).left, orbit_matrices(G).right
+        assert left.shape == (1, 6, 6) and right.shape == (1, 6, 2)
+        tau = [min(a for a in range(G.n_arrows) if G.src[a] == 0 and G.tgt[a] == x)
+               for x in range(2)]
+        loops = [a for a in range(G.n_arrows) if G.src[a] == G.tgt[a] == 0]
+        for x in range(2):
+            for h in range(3):
+                for y in range(2):
+                    a = G.compose(G.compose(tau[x], loops[h]), G.inverse[tau[y]])
+                    assert right[0, 3 * x + h, y] == a
+                    for k in range(3):
+                        hk = G.compose(loops[h], G.inverse[loops[k]])
+                        b = G.compose(G.compose(tau[x], hk), G.inverse[tau[y]])
+                        assert left[0, 3 * x + h, 3 * y + k] == b
+
+    @pytest.mark.parametrize("corrupt", ["dropped", "redirected", "off-domain"])
+    def test_an_orbit_the_table_does_not_bear_out_takes_the_table_sum(self, corrupt):
+        # pair(3) x S3 beside pair(2): corrupting a row of the first orbit
+        # sends its rows to the table sum, bit for bit, and leaves the other
+        # orbit a matrix product
+        G = disjoint_union(product(pair_groupoid("abc"), group_groupoid(*symmetric_table(3))),
+                           pair_groupoid("de"))
+        table = G.compose_table.copy()
+        if corrupt == "dropped":
+            table = table[1:]
+        elif corrupt == "redirected":
+            table[5, 2] = table[6, 2]
+        else:  # a row on a pair that does not compose
+            table = np.vstack([table, [0, G.n_arrows - 1, 0]])
+        H = FiniteGroupoid(G.objects, G.src, G.tgt, table, G.inverse, G.unit_of, G.arrow_ids)
+        blocks = orbit_matrices(H)
+        assert [right.shape for right in blocks.right] == [(1, 2, 2)]
+        assert sorted(blocks.rest[1].tolist()) == sorted(
+            a for a, _, _ in H.compose_table.tolist() if a < 54)
+        rng = SplitMix64(9)
+        mu = counting_haar(H)
+        f, g = rng.complex_boxes(2 * H.n_arrows).reshape(2, H.n_arrows)
+        got, want = convolve(H, mu, f, g), table_convolve(H, mu, f, g)
+        assert got[:54].tobytes() == want[:54].tobytes()
+        assert np.abs(got - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("table", [
+        # the first loop a two-sided unit, every other product the second:
+        # the labels are a bijection and every pair has one row, but right
+        # multiplication does not permute the loops
+        [[a, b, a + b if 0 in (a, b) else 1] for a in range(3) for b in range(3)],
+        # the first loop absorbs from the left, so tau_x^-1 o a o tau_y is
+        # the first loop for every a: two arrows share one label
+        [[a, b, 0 if a == 0 else 2] for a in range(3) for b in range(3)],
+    ], ids=["not-a-group-table", "labels-collide"])
+    def test_a_one_object_table_the_loops_do_not_bear_out_takes_the_table_sum(self, table):
+        G = FiniteGroupoid(["x"], [0] * 3, [0] * 3, table, [0, 1, 2], [0])
+        blocks = orbit_matrices(G)
+        assert blocks.left == () and len(blocks.rest[0]) == 9
+        f, g = np.arange(3) + 1j, np.arange(3) - 2j
+        mu = counting_haar(G)
+        assert convolve(G, mu, f, g).tobytes() == table_convolve(G, mu, f, g).tobytes()
+
+    def test_empty_groupoids(self):
+        for G in (FiniteGroupoid([], [], [], [], [], []),
+                  FiniteGroupoid(["x"], [], [], [], [], [None])):
+            mu = HaarSystem(np.ones(0))
+            assert convolve(G, mu, np.zeros(0), np.zeros(0)).shape == (0,)
+            assert convolve(G, mu, np.zeros((3, 0)), np.zeros((3, 0))).shape == (3, 0)
 
 
 class TestInvolute:

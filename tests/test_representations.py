@@ -20,12 +20,13 @@ from groupalg import (ConjugatedRep, HaarSystem, IndexRep, NotTransitive,
                       fundamental_family_check, i_norm, induced_measures,
                       integrate_rep, involute, left_regular_rep,
                       transitive_isomorphism_check, operator_norm,
-                      operator_norm_bound_check, trivial_rep,
+                      operator_norm_bound_check, table_convolve, trivial_rep,
                       uniform_measure)
 from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
                                klein_table, pair_groupoid, product,
                                symmetric_table)
 from groupalg.groupoid import FiniteGroupoid, isotropy
+from groupalg.orbits import orbit_matrices
 from groupalg.battery import run_battery
 from groupalg.io import GroupoidDocument, load_groupoid, parse_groupoid_document
 from groupalg.randgen import (SplitMix64, _group_table, random_function, random_groupoid,
@@ -540,8 +541,9 @@ def _brute_force_group_algebra_star(iso, A):
 
 
 def _brute_force_transitive_check(G, mu=None, atol=None):
-    """The isomorphism check by convolving every pair of arrow deltas and
-    multiplying their images: the oracle for transitive_isomorphism_check."""
+    """The isomorphism check by convolving every pair of arrow deltas, as the
+    table sums them, and multiplying their images: the oracle for
+    transitive_isomorphism_check."""
     atol = tolerances.exact_tol(atol)
     out = Report("transitive-isomorphism")
     dec = decompose_transitive(G)
@@ -567,7 +569,7 @@ def _brute_force_transitive_check(G, mu=None, atol=None):
     for a in range(G.n_arrows):
         fa = delta(G, a)
         for b in range(G.n_arrows):
-            lhs = tensor_of_function(G, dec, convolve(G, counting, fa, delta(G, b)))
+            lhs = tensor_of_function(G, dec, table_convolve(G, counting, fa, delta(G, b)))
             rhs = _brute_force_group_algebra_product(
                 dec.iso, tensor_of_function(G, dec, fa), tensor_of_function(G, dec, delta(G, b)))
             err = float(np.abs(lhs - rhs).max())
@@ -588,7 +590,7 @@ def _brute_force_transitive_check(G, mu=None, atol=None):
     for _ in range(2):
         f = random_function(G, rng)
         g = random_function(G, rng)
-        lhs = tensor_of_function(G, dec, convolve(G, counting, f, g))
+        lhs = tensor_of_function(G, dec, table_convolve(G, counting, f, g))
         rhs = _brute_force_group_algebra_product(dec.iso, tensor_of_function(G, dec, f),
                                                  tensor_of_function(G, dec, g))
         err = float(np.abs(lhs - rhs).max())
@@ -788,6 +790,24 @@ class TestStructureConstantOracle:
             # the structure constants can tell
             assert ("involution" in got) == (G.n_objects > 1), case
 
+    @pytest.mark.parametrize("name", list(_differential_groupoids()))
+    def test_corrupted_composition_tables_convolve_as_the_table_sums(self, name):
+        # the one orbit is not borne out by its table, so convolve is the
+        # table sum bit for bit; a corrupted inverse table leaves the
+        # composition table, and so the matrix path, whole
+        G = _differential_groupoids()[name]
+        f, g = SplitMix64(5).complex_boxes(2 * G.n_arrows).reshape(2, G.n_arrows)
+        cases = {**_corruptions(G), **{f"one-row-dropped-{i}": H for i, H in
+                                       enumerate(_one_row_dropped(G)[:8])}}
+        for case, H in cases.items():
+            mu = counting_haar(H)
+            if case == "broken-inverse":
+                assert len(orbit_matrices(H).left) == 1, case
+                continue
+            assert orbit_matrices(H).left == (), case
+            assert (convolve(H, mu, f, g).tobytes()
+                    == table_convolve(H, mu, f, g).tobytes()), case
+
     def test_one_row_dropped_tables_match_the_oracle(self):
         tables = _one_row_dropped(product(pair_groupoid("ab"), group_groupoid(*cyclic_table(2))))
         assert len(tables) == 32
@@ -855,12 +875,12 @@ class TestStructureConstantOracle:
 
     def test_no_delta_convolutions(self, monkeypatch):
         calls = []
-        real = representations.convolve
+        real = representations.table_convolve
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
-        monkeypatch.setattr(representations, "convolve", counted)
+        monkeypatch.setattr(representations, "table_convolve", counted)
         assert transitive_isomorphism_check(pair_groupoid("abcdef")).ok
         assert len(calls) <= 2
 
