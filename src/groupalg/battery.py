@@ -308,8 +308,8 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
 
     # isotropy bundle and orbit structure
     xi = isotropy_bundle(G)
-    orbit_ok = all(len(set(G.target_fibers.size[block].tolist())) == 1
-                   for block in G.orbits())
+    sizes = G.target_fibers.size
+    orbit_ok = bool((sizes == sizes[G.orbit_index.label]).all())
     run.record("isotropy-bundle", validate(xi).ok and orbit_ok,
                f"bundle with {xi.n_arrows} loops validates; "
                f"fiber sizes constant on orbits")

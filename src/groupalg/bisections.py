@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainMismatch
-from .groupoid import FiniteGroupoid, _subgroup, components
+from .groupoid import FiniteGroupoid, _subgroup
 
 # entries in one block of the star table's products and Light's test
 _BLOCK = 1 << 18
@@ -135,13 +135,13 @@ def _orbit_factors(G: FiniteGroupoid, S: np.ndarray):
     and ``S`` is exactly their Cartesian product, with every entry sourced
     at its column.  Orbits with one row are joined into one factor."""
     k, n = S.shape
-    label = components(n, G.tgt, G.src)
-    roots = np.flatnonzero(label == np.arange(n))
+    members = G.orbit_index.members
+    roots = np.flatnonzero(members.size)
     if len(roots) < 2 or k == 0 or S.min() < 0 or not (G.src[S] == np.arange(n)).all():
         return None
     factors, fixed, code, size = [], [], np.zeros(k, dtype=np.intp), 1
     for r in roots.tolist():
-        objs = np.flatnonzero(label == r)
+        objs = members.of(r)
         rows, inverse = _distinct_rows(S[:, objs])
         if len(rows) == 1:
             fixed.append(objs)

@@ -117,6 +117,9 @@ class FiniteGroupoid:
     ``src``, ``tgt`` and ``inverse`` are read-only int arrays indexed by
     arrow, and ``target_fibers`` and ``source_fibers`` (:class:`Fibers`, of
     read-only arrays) group the arrows by target and by source.
+    ``orbit_index`` (:class:`OrbitIndex`, of read-only arrays) holds the
+    orbits and each arrow's factorization through its orbit's base, the one
+    decomposition that every orbit-wise reader takes.
     ``compose_table`` holds (first, second, composite) rows sorted by pair;
     when a pair repeats, the last row wins.  The constructor only
     verifies that indices are in range, so deliberately corrupted tables
@@ -181,6 +184,7 @@ class FiniteGroupoid:
         # (tgt, src) -> arrow; with parallel arrows the last one wins, and
         # the map has fewer entries than arrows
         self._by_endpoints = dict(zip(zip(self.tgt.tolist(), self.src.tolist()), range(n_arr)))
+        self.orbit_index = _orbit_index(self)
         self._certificate: GeneratorCertificate | None = None
         self._orbit_matrices = None  # orbits.orbit_matrices keeps its result here
 
@@ -298,11 +302,12 @@ class FiniteGroupoid:
     def orbits(self) -> list[list[int]]:
         """Partition of the objects by arrow reachability: blocks in the
         order of their least object, each ascending."""
-        blocks = _fibers(components(self.n_objects, self.tgt, self.src), self.n_objects)
+        blocks = self.orbit_index.members
         return [blocks.of(root).tolist() for root in np.flatnonzero(blocks.size).tolist()]
 
     def is_transitive(self) -> bool:
-        return len(self.orbits()) <= 1
+        """One orbit or none: every object's base is object 0."""
+        return not self.orbit_index.label.any()
 
     def certificate(self) -> GeneratorCertificate:
         """The generating set of the arrows and what it proves, computed once."""
@@ -328,6 +333,46 @@ class FiniteGroupoid:
 
     def __repr__(self) -> str:
         return f"FiniteGroupoid({self.n_objects} objects, {self.n_arrows} arrows)"
+
+
+# ---------------------------------------------------------------------------
+# orbits
+
+class OrbitIndex(NamedTuple):
+    """Each orbit factored once through its base, its least object.
+
+    ``label[x]`` is the base of x's orbit, ``members`` groups the objects by
+    it, ``tau[x]`` is the first arrow base -> x (A if none) and ``loops[x]``
+    counts the loops at x if x is a base (0 otherwise).  An arrow a: y -> x
+    is tau_x o g o tau_y^-1 for the loop g numbered ``g[a]`` among the loops
+    at its base, in arrow order; ``g[a]`` is -1 where the table gives no
+    such loop or a tau is missing.
+    """
+    label: np.ndarray
+    members: Fibers
+    tau: np.ndarray
+    loops: np.ndarray
+    g: np.ndarray
+
+
+def _orbit_index(G: FiniteGroupoid) -> OrbitIndex:
+    n, A = G.n_objects, G.n_arrows
+    src, tgt, arrows = G.src, G.tgt, np.arange(A)
+    label = components(n, tgt, src)
+    leaves = src == label[src]
+    tau = np.full(n, A)
+    np.minimum.at(tau, tgt[leaves], arrows[leaves])
+    loops = np.flatnonzero(leaves & (src == tgt))
+    at = _fibers(src[loops], n)
+    number = np.full(A + 1, -1, dtype=np.intp)  # the last slot answers an undefined -1
+    number[loops[at.order]] = np.arange(len(loops)) - np.repeat(at.start, at.size)
+    known = (tau[tgt] < A) & (tau[src] < A)
+    into, out = np.where(known, tau[tgt], 0), np.where(known, tau[src], 0)
+    g = np.where(known, number[G.composites(G.composites(G.inverse[into], arrows), out)], -1)
+    index = OrbitIndex(label, _fibers(label, n), tau, at.size, g)
+    for v in (label, *index.members, tau, at.size, g):
+        v.flags.writeable = False
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +505,13 @@ def _certify(G: FiniteGroupoid) -> GeneratorCertificate:
     if (ab < 0).any() or (tgt[ab] != tgt[a]).any() or (src[ab] != src[b]).any():
         return GeneratorCertificate(np.zeros(0, dtype=np.intp), False)
 
-    # the star of each orbit: the first arrow base -> x in the target fibre
-    # of x, and the first arrow x -> base in its source fibre
-    base = components(n, tgt, src)
-    out_of_base = np.full(n, G.n_arrows)
+    # the star of each orbit: tau_x off the base, and the first arrow
+    # x -> base in the source fibre of x
+    base, _, tau, count, _ = G.orbit_index
+    out_of_base = np.where(base == np.arange(n), G.n_arrows, tau)
     into_base = np.full(n, G.n_arrows)
     leg = src != tgt
-    from_base, to_base = leg & (src == base[src]), leg & (tgt == base[tgt])
-    np.minimum.at(out_of_base, tgt[from_base], arrows[from_base])
+    to_base = leg & (tgt == base[tgt])
     np.minimum.at(into_base, src[to_base], arrows[to_base])
     star = np.concatenate([out_of_base, into_base])
     star = star[star < G.n_arrows]
@@ -479,7 +523,6 @@ def _certify(G: FiniteGroupoid) -> GeneratorCertificate:
     made = np.zeros(G.n_arrows, dtype=bool)
     made[G.composites(into_base[both], out_of_base[both])] = True
     loops = arrows[~leg & (src == base[src])]
-    count = np.bincount(src[loops], minlength=n)
     alone = loops[count[src[loops]] == 1]
     chosen[alone[~made[alone]]] = True
     for x in np.flatnonzero(count > 1).tolist():

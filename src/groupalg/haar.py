@@ -226,10 +226,15 @@ def i_norm(G: FiniteGroupoid, mu: HaarSystem, f):
 def support_fiber_mass(G: FiniteGroupoid, mu: HaarSystem, support) -> float:
     """Largest fiber mass of an arrow set; Lipschitz constant for the I-norm.
 
-    For any f supported inside the set, ||f||_I <= mass * max|f|.
+    For any f supported inside the set, ||f||_I <= mass * max|f|.  Raises
+    ValueError on an index outside 0..A-1.
     """
+    support = np.fromiter(support, dtype=np.intp)
+    if len(bad := support[(support < 0) | (support >= G.n_arrows)]):
+        raise ValueError(f"arrow index {bad[0]} out of range: "
+                         f"indices run over 0..{G.n_arrows - 1}")
     mask = np.zeros(G.n_arrows)
-    mask[list(support)] = 1.0
+    mask[support] = 1.0
     return i_norm(G, mu, mask)
 
 

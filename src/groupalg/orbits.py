@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groupoid import FiniteGroupoid, _fibers, components
+from .groupoid import FiniteGroupoid
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,10 @@ class OrbitMatrices:
     """The orbits on which convolution is a matrix product in M_n tensor
     C[H], and the table rows left to the table sum.
 
-    On an orbit with n objects, the least of them its base, every arrow
-    a: y -> x factors as a = tau_x o g o tau_y^-1, tau_x the first arrow
-    base -> x and g one of the |H| base loops, numbered in arrow order.
+    On an orbit with n objects, every arrow a: y -> x factors as
+    a = tau_x o g o tau_y^-1 with g one of the |H| loops at the base, as
+    the groupoid's :class:`~groupalg.groupoid.OrbitIndex` holds it (its
+    ``tau`` and ``g``).
     For the m orbits of one shape (n, |H|), ``right[i]`` holds the arrow
     (y, k, z) at [o, y |H| + k, z] and ``left[i]`` the arrow (x, h k^-1, y)
     at [o, x |H| + h, y |H| + k], so that (f * g)[right] is
@@ -53,23 +54,11 @@ def _build(G: FiniteGroupoid) -> OrbitMatrices:
     n_obj, A = G.n_objects, G.n_arrows
     src, tgt, arrows = G.src, G.tgt, np.arange(A)
     first, second, composite = G.compose_table.T
-    base = components(n_obj, tgt, src)
-    orbit = _fibers(base, n_obj)
+    base, orbit, _, h, g = G.orbit_index
     place = np.empty(n_obj, dtype=np.intp)  # each object's place in its orbit
     place[orbit.order] = np.arange(n_obj) - np.repeat(orbit.start, orbit.size)
-    # tau_x, A where no arrow base -> x exists, and the base loops numbered
-    leaves = src == base[src]
-    tau = np.full(n_obj, A)
-    np.minimum.at(tau, tgt[leaves], arrows[leaves])
-    loops = np.flatnonzero(leaves & (src == tgt))
-    at = _fibers(src[loops], n_obj)
-    number = np.full(A + 1, -1, dtype=np.intp)  # the last slot answers an undefined -1
-    number[loops[at.order]] = np.arange(len(loops)) - np.repeat(at.start, at.size)
     # n and h by base object (0 at every other object), and each arrow's orbit
-    n, h, r = orbit.size, at.size, base[tgt]
-    known = (tau[tgt] < A) & (tau[src] < A)
-    into, out = np.where(known, tau[tgt], 0), np.where(known, tau[src], 0)
-    g = np.where(known, number[G.composites(G.composites(G.inverse[into], arrows), out)], -1)
+    n, r = orbit.size, base[tgt]
 
     # the factorization, a bijection onto the codes (x |H| + g) n + y of each orbit
     good = (h > 0) & (np.bincount(r, minlength=n_obj) == n * n * h)

@@ -388,13 +388,12 @@ def _conjugation_bounds(G: FiniteGroupoid, rep: ConjugatedRep, residuals) -> np.
     n = G.n_objects
     d = max(rep.bundle.dims, default=0) + 4
     gamma = math.sqrt(2) * d * 2.0 ** -53 / (1 - d * 2.0 ** -53)
-    orbit = components(n, G.tgt, G.src)
-    order = np.argsort(orbit, kind="stable")
-    starts = np.flatnonzero(np.diff(orbit[order], prepend=-1))
-    which = np.searchsorted(orbit[order][starts], orbit)
+    orbit, members = G.orbit_index[:2]
+    roots = np.flatnonzero(members.size)
+    order, starts, which = members.order, members.start[roots], np.searchsorted(roots, orbit)
     scale = [math.sqrt(float((w @ np.abs(u) ** 2).sum()) / float(w.sum()))
              for u, w in zip(rep.field, rep.bundle.weights)]
-    scale = [scale[m] for m in order[starts][which].tolist()]  # at each orbit's least object
+    scale = [scale[m] for m in orbit.tolist()]  # at each orbit's least object
 
     def norm(m):  # the max row sum
         return np.abs(m).sum(axis=1).max()
@@ -655,19 +654,16 @@ class TransitiveDecomposition:
 
 
 def decompose_transitive(G: FiniteGroupoid) -> TransitiveDecomposition:
-    """Pick base object 0 and lowest-id arrows base -> x; factor every arrow."""
+    """The factorization of G's orbit index, on base object 0, checked:
+    every object has its tau, the base loops form a group and every arrow
+    factors."""
     if not G.is_transitive() or G.n_objects == 0:
         raise NotTransitive("groupoid is not transitive")
     base = 0
-    # the first arrow base -> x into each object x, A where there is none
-    leaving = np.flatnonzero(G.src == base)
-    tau = np.full(G.n_objects, G.n_arrows)
-    np.minimum.at(tau, G.tgt[leaving], leaving)
+    _, _, tau, _, g_index = G.orbit_index
     if (tau == G.n_arrows).any():
         raise NotTransitive(f"no arrow from base into {G.objects[np.argmax(tau == G.n_arrows)]}")
     iso = isotropy(G, base)
-    g = G.composites(G.composites(G.inverse[tau[G.tgt]], np.arange(G.n_arrows)), tau[G.src])
-    g_index = iso.position[g]
     if (g_index < 0).any():
         a = int(np.argmin(g_index))
         raise ValueError(f"arrow {G.arrow_ids[a]} does not factor through the base isotropy")

@@ -30,6 +30,10 @@ the multiplier certificate, which looks its pairs up among sorted keys: the
 loops with one endpoint-dict lookup per pair.  For the arrows reader, which
 resolves each id column in one pass and finds the units from the table:
 the reader that looked each id up on its own and built the groupoid twice.
+For the orbit index, which factors each orbit once as the groupoid is
+built: the derivations that ``orbits()``, the generator certificate and
+``decompose_transitive`` each made from their own ``components`` call, and
+the index itself one object and one arrow at a time.
 
 With them, the benchmark's small documents, on which the battery's reports
 are pinned and the conjugated rep's bounds are compared with the dense check.
@@ -47,8 +51,9 @@ import numpy as np
 
 from groupalg import tolerances
 from groupalg.bisections import arrow_array, bisection_compose, target_map, unit_bisection
-from groupalg.errors import FileFormatError, NotClosed, UnknownLabel
-from groupalg.groupoid import FiniteGroupoid, _composable, _joined, _ranges, components
+from groupalg.errors import FileFormatError, NotClosed, NotTransitive, UnknownLabel
+from groupalg.groupoid import (FiniteGroupoid, _composable, _fibers, _joined, _ranges,
+                               components, isotropy)
 from groupalg.haar import (_as_function, convolve, counting_haar, function_to_matrix,
                            half_density_inner, i_norm, involute, support_fiber_mass,
                            table_convolve, unit_function)
@@ -56,8 +61,8 @@ from groupalg.io import _require
 from groupalg.randgen import SplitMix64, random_function, random_unitary_field
 from groupalg.report import Report, _worst
 from groupalg.representations import (ConjugatedRep, HilbertBundle, IndexRep,
-                                      adjoint_operator, conjugate_rep_on, induced_measures,
-                                      operator_norm)
+                                      TransitiveDecomposition, adjoint_operator,
+                                      conjugate_rep_on, induced_measures, operator_norm)
 
 
 @dataclass(frozen=True)
@@ -457,6 +462,70 @@ def per_trial_convergence(G, mu, rng):
         gap = i_norm(G, mu, diff) - mass * float(np.abs(diff).max())
         worst_net = _worst(worst_net, gap, 0.0)
     return worst_net
+
+
+def components_orbits(G) -> list[list[int]]:
+    """``G.orbits()`` from a ``components`` labelling of its own."""
+    blocks = _fibers(components(G.n_objects, G.tgt, G.src), G.n_objects)
+    return [blocks.of(root).tolist() for root in np.flatnonzero(blocks.size).tolist()]
+
+
+def certificate_out_of_base(G) -> np.ndarray:
+    """The first arrow base -> x that is no loop, A where there is none, as
+    the generator certificate found it from a ``components`` labelling of
+    its own."""
+    src, tgt = G.src, G.tgt
+    base = components(G.n_objects, tgt, src)
+    out_of_base = np.full(G.n_objects, G.n_arrows)
+    from_base = (src != tgt) & (src == base[src])
+    np.minimum.at(out_of_base, tgt[from_base], np.flatnonzero(from_base))
+    return out_of_base
+
+
+def derived_decomposition(G) -> TransitiveDecomposition:
+    """``decompose_transitive`` with its own orbits and tau, and g numbered
+    by the base isotropy group's positions of a double composites lookup."""
+    if len(components_orbits(G)) > 1 or G.n_objects == 0:
+        raise NotTransitive("groupoid is not transitive")
+    base = 0
+    leaving = np.flatnonzero(G.src == base)
+    tau = np.full(G.n_objects, G.n_arrows)
+    np.minimum.at(tau, G.tgt[leaving], leaving)
+    if (tau == G.n_arrows).any():
+        raise NotTransitive(f"no arrow from base into {G.objects[np.argmax(tau == G.n_arrows)]}")
+    iso = isotropy(G, base)
+    g = G.composites(G.composites(G.inverse[tau[G.tgt]], np.arange(G.n_arrows)), tau[G.src])
+    g_index = iso.position[g]
+    if (g_index < 0).any():
+        a = int(np.argmin(g_index))
+        raise ValueError(f"arrow {G.arrow_ids[a]} does not factor through the base isotropy")
+    return TransitiveDecomposition(base, tuple(tau.tolist()), iso, g_index)
+
+
+def looped_orbit_index(G):
+    """(label, members, tau, loops, g) of ``G.orbit_index`` as lists, one
+    object and one arrow at a time: the orbits of :func:`components_orbits`,
+    tau_x the least arrow base -> x in the target fiber of x, and g[a] the
+    place of tau_x^-1 o a o tau_y, found by :func:`searched_composites`,
+    among the loops at the base that it is a loop at."""
+    n, A = G.n_objects, G.n_arrows
+    label = [0] * n
+    for block in components_orbits(G):
+        for x in block:
+            label[x] = block[0]
+    members = [[y for y in range(n) if label[y] == x] for x in range(n)]
+    tau = [min((a for a in G.target_fiber(x) if G.src[a] == label[x]), default=A)
+           for x in range(n)]
+    at = [[a for a in G.target_fiber(x) if G.src[a] == x] if label[x] == x else []
+          for x in range(n)]
+    g = []
+    for a in range(A):
+        x, y = G.tgt[a], G.src[a]
+        c = -1
+        if tau[x] < A and tau[y] < A:
+            c = int(searched_composites(G, searched_composites(G, G.inverse[tau[x]], a), tau[y]))
+        g.append(at[G.src[c]].index(c) if c >= 0 and c in at[G.src[c]] else -1)
+    return label, members, tau, [len(v) for v in at], g
 
 
 def closure(support: list[str], pairs: list[tuple[str, str]]) -> list[tuple[str, str]]:

@@ -18,11 +18,12 @@ import types
 import numpy as np
 import pytest
 
-from groupalg import battery, tolerances
+from groupalg import battery, groupoid, tolerances
 from groupalg.battery import SUITES, BatteryRun, _worst, run_battery
 from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid, pair_groupoid,
                                product, symmetric_table)
 from groupalg.cli import main
+from groupalg.groupoid import FiniteGroupoid
 from groupalg.haar import HaarSystem
 from groupalg.io import GroupoidDocument, load_groupoid, parse_groupoid_document
 from groupalg.orbits import orbit_matrices
@@ -390,10 +391,10 @@ def _unit_bisection_only(real):
     return module
 
 
-def _convolve_scaled(real):
-    def convolve(*args):  # every product times 1 + 1e-6
+def _scaled(real):
+    def scaled(*args):  # every result times 1 + 1e-6
         return real(*args) * (1 + 1e-6)
-    return convolve
+    return scaled
 
 
 def _orbit_rows_reversed(real):
@@ -426,13 +427,17 @@ FAULTS = {
     "bisections-unit-only": ("bisections", _unit_bisection_only, ["fundamental-family"],
                              ("pair5",)),
     # associativity is homogeneous of degree 3 on both sides, so it holds
-    "convolve-scaled": ("convolve", _convolve_scaled,
+    "convolve-scaled": ("convolve", _scaled,
                         ["convolution-unit", "integrated-homomorphism", "convolution-paths"],
                         BOTH),
-    "convolve-scaled-on-pairs": ("convolve", _convolve_scaled, ["pair-matrix-oracle"],
+    "convolve-scaled-on-pairs": ("convolve", _scaled, ["pair-matrix-oracle"],
                                  ("pair5",)),
     # the table sum is untouched, so only the comparison of the two paths can tell
     "orbit-rows-reversed": ("convolve", _orbit_rows_reversed, ["convolution-paths"], BOTH),
+    "involute-scaled": ("involute", _scaled,
+                        ["involution-antihomomorphism", "involution-involutive",
+                         "inorm-involution-isometry", "integrated-star"], BOTH),
+    "fiber-integrate-scaled": ("fiber_integrate", _scaled, ["fiber-integration"], BOTH),
 }
 
 
@@ -475,6 +480,36 @@ def test_the_left_regular_index_check_runs_once_per_battery(monkeypatch):
     [lrep] = made
     assert sum(rep is lrep for rep in checked) == 1
     assert len(checked) == 2  # and the trivial rep
+
+
+@pytest.mark.parametrize("make", [
+    lambda: pair_groupoid("abcd"),
+    lambda: disjoint_union(product(pair_groupoid("ab"), group_groupoid(*cyclic_table(2))),
+                           pair_groupoid("cde")),
+], ids=["pair4", "two-orbits"])
+def test_a_battery_labels_the_objects_once_per_groupoid_it_builds(make, monkeypatch):
+    # every orbit-wise reader takes the orbit index built with the groupoid:
+    # each groupoid made (the pieces, G, and the battery's isotropy bundle)
+    # has its objects labelled once, as it is built, and never again
+    built, labelled = [], []
+
+    def init(self, *args, real=FiniteGroupoid.__init__, **kwargs):
+        real(self, *args, **kwargs)
+        built.append(self)
+
+    def counted(n, i, j, real=groupoid.components):
+        labelled.append((i, j))
+        return real(n, i, j)
+    monkeypatch.setattr(FiniteGroupoid, "__init__", init)
+    for module in [m for name, m in sys.modules.items() if name.startswith("groupalg")]:
+        if getattr(module, "components", None) is groupoid.components:
+            monkeypatch.setattr(module, "components", counted)
+    G = make()
+    run = run_battery(GroupoidDocument(G, None, None, "strict"), seed=1, trials=4)
+    assert all(line.ok for line in run.lines)
+    on_objects = [H for i, j in labelled for H in built if i is H.tgt and j is H.src]
+    assert on_objects == built
+    assert built[-2] is G and built[-1].n_arrows == (G.src == G.tgt).sum()  # its loops
 
 
 def test_a_battery_and_check_all_never_import_numpy_ma():

@@ -22,9 +22,11 @@ from groupalg.inductive import limit
 from groupalg.io import (GroupoidDocument, load_manifest, parse_groupoid_document,
                          save_function, save_groupoid)
 from groupalg.randgen import SplitMix64, random_groupoid
+from groupalg.representations import decompose_transitive
 
-from oracles import (looped_multiplier_certificate, right_nested_depths, searched_composites,
-                     set_build_from_relation, tuple_fibers)
+from oracles import (certificate_out_of_base, components_orbits, derived_decomposition,
+                     looped_multiplier_certificate, looped_orbit_index, right_nested_depths,
+                     searched_composites, set_build_from_relation, tuple_fibers)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "groupalg", "fixtures")
 
@@ -546,6 +548,61 @@ def test_fibers_of_random_and_corrupted_groupoids_agree_with_the_loop(seed, data
     for K in (G, H):
         assert ([K.target_fiber(x) for x in range(K.n_objects)],
                 [K.source_fiber(x) for x in range(K.n_objects)]) == tuple_fibers(K)
+
+
+def _corrupted(G, kind, data):
+    """G with one corruption drawn from ``data``: a table row dropped or its
+    composite redirected, an inverse redirected, an arrow's source moved, or
+    the arrows renumbered."""
+    def pick(n):
+        return data.draw(st.integers(0, n - 1))
+    src, table, inverse, units = G.src.copy(), G.compose_table.copy(), G.inverse.copy(), G.unit_of
+    if kind == "renumbered":
+        perm = np.array(data.draw(st.permutations(range(G.n_arrows))), dtype=np.intp)
+        new = np.argsort(perm)
+        src, table, inverse = src[perm], new[table], new[inverse[perm]]
+        return FiniteGroupoid(G.objects, src, G.tgt[perm], table, inverse, new[units])
+    if kind == "dropped":
+        table = np.delete(table, pick(len(table)), axis=0)
+    elif kind == "redirected":
+        table[pick(len(table)), 2] = pick(G.n_arrows)
+    elif kind == "inverse":
+        inverse[pick(G.n_arrows)] = pick(G.n_arrows)
+    elif kind == "moved":
+        src[pick(G.n_arrows)] = pick(G.n_objects)
+    return FiniteGroupoid(G.objects, src, G.tgt, table, inverse, units)
+
+
+def _decomposition(decompose, G):
+    try:
+        dec = decompose(G)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return dec.base, dec.taus, dec.iso.arrows, dec.g_index.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32),
+       st.lists(st.sampled_from(["renumbered", "dropped", "redirected", "inverse", "moved"]),
+                max_size=2),
+       st.data())
+def test_the_orbit_index_agrees_with_the_per_module_derivations(seed, kinds, data):
+    G = random_groupoid(SplitMix64(seed), max_arrows=40)
+    for kind in kinds:
+        G = _corrupted(G, kind, data)
+    index, n = G.orbit_index, G.n_objects
+    label, members, tau, loops, g = looped_orbit_index(G)
+    assert index.label.tolist() == label
+    assert [index.members.of(x).tolist() for x in range(n)] == members
+    assert index.tau.tolist() == tau
+    assert index.loops.tolist() == loops
+    assert index.g.tolist() == g
+    assert G.orbits() == components_orbits(G)
+    assert G.is_transitive() == (len(components_orbits(G)) <= 1)
+    off_base = np.where(index.label == np.arange(n), G.n_arrows, index.tau)
+    assert off_base.tolist() == certificate_out_of_base(G).tolist()
+    assert _decomposition(decompose_transitive, G) == _decomposition(derived_decomposition, G)
+    assert not any(v.flags.writeable for v in (*index[:1], *index.members, *index[2:]))
 
 
 class TestMultipliers:

@@ -472,3 +472,10 @@ def test_support_fiber_mass_bounds_inorm():
         for a in support:
             f[a] = rng.complex_box()
         assert i_norm(G, mu, f) <= mass * np.abs(f).max() + 1e-12
+
+
+@pytest.mark.parametrize("support, bad", [([-1], -1), ([4], 4), ((0, 3, 5, -2), 5)])
+def test_support_fiber_mass_outside_the_arrows_raises(support, bad):
+    # never Python's negative indexing: [-1] is not the support {a03}, of mass 1.0
+    with pytest.raises(ValueError, match=rf"^arrow index {bad} .* 0\.\.3$"):
+        support_fiber_mass(pair_groupoid("ab"), counting_haar(pair_groupoid("ab")), support)
