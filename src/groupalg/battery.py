@@ -266,24 +266,32 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
     else:
         run.skip("pair-matrix-oracle", "not a full pair groupoid")
 
-    # representations
-    lrep = left_regular_rep(G, mu)
-    run.record_report("left-regular-axioms", check_representation(G, lrep))
-    trep = trivial_rep(G)
-    run.record_report("trivial-rep-axioms", check_representation(G, trep))
+    # representations; a rep whose index data are not ops of its bundle (a
+    # shape entry) is neither integrated nor conjugated
+    reps = []
+    for name, rep in (("left-regular-axioms", left_regular_rep(G, mu)),
+                      ("trivial-rep-axioms", trivial_rep(G))):
+        report = check_representation(G, rep)
+        run.record_report(name, report)
+        reps.append(None if any(e.check == "shape" for e in report.errors) else rep)
+    lrep, trep = reps
 
     nus = [uniform_measure(G)] if gdoc.nu_raw is None else [uniform_measure(G), nu]
     for (name, tol, detail), worst in zip((
             ("integrated-homomorphism", accum, "pi(f*g) = pi(f) pi(g)"),
             ("integrated-star", exact, "pi(f^*) is the weighted adjoint"),
             ("integrated-norm-bound", accum, "||pi(f)|| <= ||f||_I")),
-            _integrated_residuals(G, mu, nus, (trep, lrep), rng, max(trials // 4, 1)),
+            _integrated_residuals(G, mu, nus, [r for r in (trep, lrep) if r is not None],
+                                  rng, max(trials // 4, 1)),
             strict=True):
         run.record(name, worst <= tol, detail, worst)
 
-    ok_conj, worst_equiv = _transport_residual(G, mu, nu, lrep, rng, accum)
-    run.record("equivalence-transport", ok_conj and worst_equiv <= accum,
-               "conjugating the rep conjugates the integrated rep", worst_equiv)
+    if lrep is None:
+        run.record("equivalence-transport", False, "the left regular rep has no ops to conjugate")
+    else:
+        ok_conj, worst_equiv = _transport_residual(G, mu, nu, lrep, rng, accum)
+        run.record("equivalence-transport", ok_conj and worst_equiv <= accum,
+                   "conjugating the rep conjugates the integrated rep", worst_equiv)
 
     # bisections, enumerated once for the group laws and the fundamental
     # family; the product of the source-fiber sizes bounds their number

@@ -38,7 +38,7 @@ import numpy as np
 from . import tolerances
 from .blocks import BlockOperator, BlockPartition
 from .errors import NotTransitive, ShapeMismatch
-from .groupoid import FiniteGroupoid, IsotropyGroup, _ranges, components, isotropy
+from .groupoid import FiniteGroupoid, IsotropyGroup, _joined, _ranges, components, isotropy
 from .haar import HaarSystem, _as_function, counting_haar, i_norm, table_convolve
 from .randgen import SplitMix64, random_function
 from .report import Report
@@ -272,6 +272,59 @@ def _column_gaps(ok, width, lhs, rhs) -> np.ndarray:
     return np.where(ok, bad.astype(float), math.inf)
 
 
+def _shape_fault(G: FiniteGroupoid, rep: IndexRep) -> str | None:
+    """The witness of the first way the index data fail to give each arrow a
+    dims[tgt] x dims[src] op with its 1s inside its rows, else None: one op
+    per arrow and one fiber per object, then the first arrow whose op has
+    the wrong shape, then the first entry of ``rows`` outside its op's
+    target fiber."""
+    if len(rep.starts) != G.n_arrows + 1:
+        return "one matrix per arrow is required"
+    if len(rep.bundle.dims) != G.n_objects:
+        return "one fiber per object is required"
+    dims, width = np.array(rep.bundle.dims, dtype=np.intp), np.diff(rep.starts)
+    wrong = width != dims[G.src]
+    if wrong.any():
+        a = int(np.argmax(wrong))
+        t, s, w = int(dims[G.tgt[a]]), int(dims[G.src[a]]), int(width[a])
+        return f"op({G.arrow_ids[a]}) has shape {(t, w)}, wants {(t, s)}"
+    outside = (rep.rows < 0) | (rep.rows >= np.repeat(dims[G.tgt], width))
+    if outside.any():
+        k = int(np.argmax(outside))
+        a = int(np.searchsorted(rep.starts, k, side="right")) - 1
+        return (f"op({G.arrow_ids[a]}) has its 1 of column {k - int(rep.starts[a])} in row "
+                f"{int(rep.rows[k])}, wants rows 0..{int(dims[G.tgt[a]]) - 1}")
+    return None
+
+
+def _multiplicative_by_generators(G: FiniteGroupoid, rep: IndexRep) -> bool:
+    """Whether op(a) op(b) = op(a o b) on every composable pair follows from
+    the pairs (s, y) of a generator s and an arrow y into src(s) alone.
+
+    It does when the generator certificate proves the table associative
+    (:meth:`FiniteGroupoid.certificate`), the ops have their shapes and
+    their 1s inside their rows (:func:`_shape_fault`), and every generator
+    pair holds.  Every arrow b is a right-nested word over the generators,
+    b = s o w, and by induction on its length
+
+        op(b) op(y) = op(s) op(w) op(y) = op(s) op(w o y) = op(s o (w o y)) = op(b o y),
+
+    the first and third steps generator pairs and the last associativity
+    (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, ch. 4).
+    0/1 matrices with one 1 per column compose exactly, so no tolerance
+    enters.
+    """
+    cert = G.certificate()
+    if not cert.associative or _shape_fault(G, rep) is not None:
+        return False
+    rows, lo = rep.rows, rep.starts[:-1]
+    s, y = _joined(cert.generators, np.arange(G.n_arrows), G.src, G.tgt, G.n_objects)
+    sy = G.composites(s, y)
+    return not _column_gaps(np.ones(len(s), dtype=bool), np.diff(rep.starts)[y],
+                            lambda i, j: rows[lo[sy[i]] + j],
+                            lambda i, j: rows[lo[s[i]] + rows[lo[y[i]] + j]]).any()
+
+
 def _index_residuals(G: FiniteGroupoid, rep: IndexRep):
     """The residual of each law from the index data, without building an
     op: per object (units), per composable pair with a composite (pairs and
@@ -279,9 +332,12 @@ def _index_residuals(G: FiniteGroupoid, rep: IndexRep):
 
     Products of 0/1 matrices with one 1 per column are such matrices again,
     exactly: op(a) op(b) picks the rows ``rows_a[rows_b]``.  So each law but
-    unitarity compares row arrays, with residual 0 or 1.  The Gram matrix
-    op(a)^H W_tgt op(a) is diagonal with entries W_tgt[rows_a], plus
-    W_tgt[r] off the diagonal wherever two columns share the row r; a
+    unitarity compares row arrays, with residual 0 or 1.  Where the
+    generator pairs prove multiplicativity
+    (:func:`_multiplicative_by_generators`), every pair would have residual
+    0 and the pair arrays are empty; otherwise every pair is scanned.  The
+    Gram matrix op(a)^H W_tgt op(a) is diagonal with entries W_tgt[rows_a],
+    plus W_tgt[r] off the diagonal wherever two columns share the row r; a
     non-finite weight in the target fiber makes it NaN.
     """
     rows, lo = rep.rows, rep.starts[:-1]
@@ -294,10 +350,13 @@ def _index_residuals(G: FiniteGroupoid, rep: IndexRep):
     units = np.full(G.n_objects, math.nan)
     units[has] = _column_gaps((dims[tgt[u]] == dims[has]) & (width[u] == dims[has]), width[u],
                               lambda i, j: rows[lo[u[i]] + j], lambda i, j: j)
-    a, b, c = G.products()
-    mult = _column_gaps((dims[tgt[c]] == dims[tgt[a]]) & (width[c] == width[b]), width[b],
-                        lambda i, j: rows[lo[c[i]] + j],
-                        lambda i, j: rows[lo[a[i]] + rows[lo[b[i]] + j]])
+    if _multiplicative_by_generators(G, rep):
+        a, b, mult = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+    else:
+        a, b, c = G.products()
+        mult = _column_gaps((dims[tgt[c]] == dims[tgt[a]]) & (width[c] == width[b]), width[b],
+                            lambda i, j: rows[lo[c[i]] + j],
+                            lambda i, j: rows[lo[a[i]] + rows[lo[b[i]] + j]])
     inverses = _column_gaps((width == dims[tgt[inv]]) & (width[inv] == dims[tgt]), width[inv],
                             lambda i, j: rows[lo[i] + rows[lo[inv[i]] + j]], lambda i, j: j)
     w = np.concatenate([np.zeros(0)] + rep.bundle.weights)
@@ -435,9 +494,13 @@ def check_representation(G: FiniteGroupoid, rep: IndexRep | ConjugatedRep,
     recorded as a note.  A residual above atol, or NaN, is an entry; two
     sides of a law that are maps between different spaces have residual inf.
 
-    An :class:`IndexRep` is checked on its index data, every law on every
-    composable pair or arrow, as integer comparisons (:func:`_index_residuals`,
-    computed once per rep and groupoid).
+    An :class:`IndexRep` is checked on its index data, as integer
+    comparisons (:func:`_index_residuals`, computed once per rep and
+    groupoid), after its shape: the first op of the wrong shape, or with a
+    1 outside its target fiber, is one ``shape`` entry and ends the check.
+    Multiplicativity is proved from the generator certificate's pairs when
+    they hold, and every composable pair is scanned otherwise; the entries
+    are the same either way.
     A :class:`ConjugatedRep` is checked so on its base, and each law of its
     ops is bounded from per-object quantities of the field
     (:func:`_conjugation_bounds`): a law whose bound exceeds atol, or is
@@ -448,20 +511,9 @@ def check_representation(G: FiniteGroupoid, rep: IndexRep | ConjugatedRep,
     out = Report("representation-axioms")
     conjugated = isinstance(rep, ConjugatedRep)
     index = rep.base if conjugated else rep
-    dims = index.bundle.dims
-    if len(index.starts) != G.n_arrows + 1:
-        out.add("shape", "one matrix per arrow is required")
+    if (fault := _shape_fault(G, index)) is not None:
+        out.add("shape", fault)
         return out
-    if len(dims) != G.n_objects:
-        out.add("shape", "one fiber per object is required")
-        return out
-    tgt = G.tgt.tolist()
-    shapes = zip((dims[t] for t in tgt), np.diff(index.starts).tolist())
-    for a, (t, s, shape) in enumerate(zip(tgt, G.src.tolist(), shapes)):
-        want = (dims[t], dims[s])
-        if shape != want:
-            out.add("shape", f"op({G.arrow_ids[a]}) has shape {shape}, wants {want}")
-            return out
     residuals = _residuals_of(G, index)
     units, a, b, mult, inverses, unitarity = residuals
     aid, inverse = G.arrow_ids, G.inverse.tolist()

@@ -5,7 +5,9 @@ ops, one matrix product per composable pair and two per arrow.  It is the
 oracle of the index check, which must give the same entries, and of the
 per-object bounds of a conjugated rep, which must give the same verdicts
 and bound every residual.  With it, the generator-pair bound on
-multiplicativity that the dense check of the conjugated rep once used.
+multiplicativity that the dense check of the conjugated rep once used, and
+the index check's residuals with every composable pair scanned, which the
+index check now keeps for when its generator pairs prove nothing.
 For the integrated representations, the paths that the block operators
 replaced: the integrated operator scattered into one (sum of dims)^2 matrix,
 the one integration of a conjugated rep left, and the battery's integrated
@@ -61,7 +63,7 @@ from groupalg.io import _require
 from groupalg.randgen import SplitMix64, random_function, random_unitary_field
 from groupalg.report import Report, _worst
 from groupalg.representations import (ConjugatedRep, HilbertBundle, IndexRep,
-                                      TransitiveDecomposition, adjoint_operator,
+                                      TransitiveDecomposition, _column_gaps, adjoint_operator,
                                       conjugate_rep_on, induced_measures, operator_norm)
 
 
@@ -148,6 +150,41 @@ def dense_check(G, rep, atol=None) -> Report:
     out.add("measurability", "finite groupoid: every section is measurable",
             severity="note")
     return out
+
+
+def scanned_index_residuals(G, rep):
+    """``representations._index_residuals`` with every composable pair
+    scanned: the rows of op(a o b) against those of op(a) op(b) on each
+    pair the table defines, however the generator pairs come out."""
+    rows, lo = rep.rows, rep.starts[:-1]
+    width = np.diff(rep.starts)
+    dims = np.array(rep.bundle.dims, dtype=np.intp)
+    src, tgt, inv = G.src, G.tgt, G.inverse
+    unit = np.array([-1 if u is None else u for u in G.unit_of], dtype=np.intp)
+    has = unit >= 0
+    u = unit[has]
+    units = np.full(G.n_objects, math.nan)
+    units[has] = _column_gaps((dims[tgt[u]] == dims[has]) & (width[u] == dims[has]), width[u],
+                              lambda i, j: rows[lo[u[i]] + j], lambda i, j: j)
+    a, b, c = G.products()
+    mult = _column_gaps((dims[tgt[c]] == dims[tgt[a]]) & (width[c] == width[b]), width[b],
+                        lambda i, j: rows[lo[c[i]] + j],
+                        lambda i, j: rows[lo[a[i]] + rows[lo[b[i]] + j]])
+    inverses = _column_gaps((width == dims[tgt[inv]]) & (width[inv] == dims[tgt]), width[inv],
+                            lambda i, j: rows[lo[i] + rows[lo[inv[i]] + j]], lambda i, j: j)
+    w = np.concatenate([np.zeros(0)] + rep.bundle.weights)
+    off = np.array(rep.bundle.offsets[:-1], dtype=np.intp)
+    arrow = np.repeat(np.arange(G.n_arrows), width)
+    at = off[tgt[arrow]] + rows
+    gaps = np.abs(w[at] - w[off[src[arrow]] + _ranges(np.zeros_like(width), width)])
+    unitarity = np.zeros(G.n_arrows)
+    np.maximum.at(unitarity, arrow, gaps)
+    key = np.sort(arrow * len(w) + at)
+    shared = key[1:][key[1:] == key[:-1]]  # (arrow, row) pairs that two columns share
+    np.maximum.at(unitarity, shared // len(w), w[shared % len(w)])
+    finite = np.array([np.isfinite(v).all() for v in rep.bundle.weights], dtype=bool)
+    unitarity[~finite[tgt]] = math.nan
+    return units, a, b, mult, inverses, unitarity
 
 
 def right_nested_depths(G, gens):

@@ -377,6 +377,15 @@ def _rows_swapped(real):
     return left_regular_rep
 
 
+def _row_outside(real, row):
+    def rep(*args):  # the row of the last entry of the rows set to row
+        made = real(*args)
+        rows = made.rows.copy()
+        rows[-1] = row
+        return IndexRep(made.bundle, made.src, made.tgt, rows, made.starts)
+    return rep
+
+
 def _blocks_scaled(real):
     def integrated_blocks(*args):  # every integrated operator times 1 + 1e-6
         ops = real(*args)
@@ -420,6 +429,8 @@ FAULTS = {
     "field-scaled": ("random_unitary_field", _field_scaled, ["equivalence-transport"], BOTH),
     "left-regular-rows-swapped": ("left_regular_rep", _rows_swapped, ["left-regular-axioms"],
                                   BOTH),
+    "trivial-rep-row-outside-the-line": ("trivial_rep", lambda real: _row_outside(real, 1),
+                                         ["trivial-rep-axioms"], BOTH),
     "integrated-blocks-scaled": ("integrated_blocks", _blocks_scaled,
                                  ["integrated-homomorphism"], BOTH),
     # {unit} is a group, so only the bisection images can tell; the union's
@@ -453,6 +464,27 @@ def test_each_fault_fails_its_suites(fault, doc, monkeypatch):
         assert not failed
     if doc in docs:
         assert set(suites) <= failed, failed
+
+
+@pytest.mark.parametrize("doc", ["pair5", "union"])
+@pytest.mark.parametrize("name, suites", [
+    ("trivial_rep", {"trivial-rep-axioms"}),
+    ("left_regular_rep", {"left-regular-axioms", "equivalence-transport"})])
+def test_a_row_outside_its_fiber_fails_its_rep_alone(name, suites, doc, monkeypatch):
+    # the last arrow's op has a 1 one row past its fiber: one shape entry
+    # names it, and the rep is neither integrated nor conjugated, where
+    # reading it raised IndexError
+    gdoc = _fault_documents()[doc]
+    G, real = gdoc.groupoid, getattr(battery, name)
+    dims = real(*((G,) if name == "trivial_rep" else (G, gdoc.measures()[0]))).bundle.dims
+    row, column = dims[G.tgt[-1]], dims[G.src[-1]] - 1
+    monkeypatch.setattr(battery, name, _row_outside(real, row))
+    run = run_battery(gdoc, seed=1, trials=8)
+    assert len(run.lines) == 1 + len(SUITES)
+    assert {line.name for line in run.lines if not line.ok} == suites
+    [axioms] = [line for line in run.lines if line.name in suites and "axioms" in line.name]
+    assert axioms.detail == (f"1 violation(s); first: shape: op({G.arrow_ids[-1]}) has its 1 "
+                             f"of column {column} in row {row}, wants rows 0..{row - 1}")
 
 
 def test_the_left_regular_index_check_runs_once_per_battery(monkeypatch):

@@ -1,6 +1,7 @@
 """Bundle representations, integration, norm bounds, transitive isomorphism."""
 
 import dataclasses
+import itertools
 import math
 import os
 import time
@@ -38,8 +39,8 @@ from groupalg.representations import (HilbertBundle, bundle_metric, integrated_b
                                       tensor_of_function)
 
 from oracles import (DenseRep, benchmark_documents, conjugated_with, dense_check, dense_of,
-                     dense_residuals, generator_bound, indicators, scatter_integrate,
-                     support_blocks, svd_fundamental_family_check)
+                     dense_residuals, generator_bound, indicators, scanned_index_residuals,
+                     scatter_integrate, support_blocks, svd_fundamental_family_check)
 
 
 def weighted_inner(bundle, nu, u, v):
@@ -1439,6 +1440,41 @@ class TestIndexReps:
                    for u, v in zip(field, got.inverses, strict=True))
         assert got.base is index and got.bundle is index.bundle
 
+    def test_the_first_op_of_the_wrong_shape_is_named_as_in_the_dense_check(self):
+        G = pair_groupoid("abc")
+        rep = left_regular_rep(G, counting_haar(G))
+        starts = rep.starts.copy()
+        starts[4] -= 1  # op(arrow 3) one column short, op(arrow 4) one too many
+        bad = IndexRep(rep.bundle, rep.src, rep.tgt, rep.rows, starts)
+        want = [("shape", f"op({G.arrow_ids[3]}) has shape (3, 2), wants (3, 3)")]
+        assert [(e.check, e.witness) for e in dense_check(G, dense_of(bad)).entries] == want
+        rows = rep.rows.copy()
+        rows[0] = 9  # a row outside op(arrow 0)'s fiber comes after every shape
+        for index in (bad, IndexRep(rep.bundle, rep.src, rep.tgt, rows, starts)):
+            assert [(e.check, e.witness) for e in check_representation(G, index).entries] == want
+
+    @pytest.mark.parametrize("kind, k, row", [
+        ("left-regular", -1, 7), ("left-regular", 13, -1),
+        ("trivial", -1, 1), ("trivial", 4, 1), ("trivial", 4, -1)])
+    def test_a_row_outside_its_fiber_is_one_shape_entry(self, kind, k, row):
+        # the row was read from a neighbouring op, or raised IndexError; the
+        # check names the arrow, column and row and stops, for the rep and
+        # for a rep conjugated from it
+        G = pair_groupoid("abc")
+        rep = left_regular_rep(G, counting_haar(G)) if kind == "left-regular" else trivial_rep(G)
+        rows = rep.rows.copy()
+        rows[k] = row
+        bad = IndexRep(rep.bundle, rep.src, rep.tgt, rows, rep.starts)
+        k %= len(rows)
+        a = int(np.searchsorted(rep.starts, k, side="right")) - 1
+        d = rep.bundle.dims[G.tgt[a]]
+        want = [("shape", f"op({G.arrow_ids[a]}) has its 1 of column {k - rep.starts[a]} "
+                          f"in row {row}, wants rows 0..{d - 1}")]
+        conj = conjugate_rep_on(G, bad, [np.eye(n) for n in rep.bundle.dims])
+        for r in (bad, conj):
+            assert [(e.check, e.witness) for e in check_representation(G, r).entries] == want
+        assert not representations._multiplicative_by_generators(G, bad)
+
     def test_build_check_and_integrate_build_no_dense_op(self, monkeypatch):
         def refuse(self, a):
             raise AssertionError(f"op({a}) built densely")
@@ -1454,26 +1490,121 @@ class TestIndexReps:
         with pytest.raises(AssertionError, match="built densely"):
             left_regular_rep(G, mu).ops[0]
 
-    def test_cyclic_256_is_checked_exhaustively_in_seconds(self, monkeypatch):
-        # a check of dense ops multiplied all 65,536 pairs of 256 x 256
-        # matrices; the index check consults no certificate
+    def test_cyclic_256_passes_on_its_generator_pairs_in_seconds(self, monkeypatch):
+        # a dense check multiplied all 65,536 pairs of 256 x 256 matrices;
+        # a passing rep compares the 256 pairs of each generator and scans
+        # no pair, and one corrupted op sends the check to all 65,536 pairs,
+        # with the witnesses of that scan
         G = group_groupoid(*cyclic_table(256))
         mu = HaarSystem(random_invariant_weights(G, SplitMix64(101)))
-        scanned, real = [], FiniteGroupoid.products
+        scanned, compared = [], []
+        real_products, real_gaps = FiniteGroupoid.products, representations._column_gaps
 
         def products(self):
-            out = real(self)
+            out = real_products(self)
             scanned.append(len(out[0]))
             return out
 
-        def no_certificate(self):
-            raise AssertionError("the certificate was consulted")
+        def column_gaps(ok, width, lhs, rhs):
+            compared.append(len(width))
+            return real_gaps(ok, width, lhs, rhs)
         monkeypatch.setattr(FiniteGroupoid, "products", products)
-        monkeypatch.setattr(FiniteGroupoid, "certificate", no_certificate)
+        monkeypatch.setattr(representations, "_column_gaps", column_gaps)
+        rep = left_regular_rep(G, mu)
         start = time.perf_counter()
-        report = check_representation(G, left_regular_rep(G, mu))
+        report = check_representation(G, rep)
         assert time.perf_counter() - start < 10
-        assert report.ok and scanned == [256 ** 2]
+        gens = G.certificate().generators.tolist()
+        assert report.ok and scanned == [] and compared == [1, 256 * len(gens), 256]
+
+        a = next(a for a in range(G.n_arrows) if a not in gens)
+        bad = _swapped(rep, a)
+        scanned.clear()
+        compared.clear()
+        report = check_representation(G, bad)
+        assert scanned == [256 ** 2] and compared == [1, 256 * len(gens), 256 ** 2, 256]
+        x, y = G.arrow_ids[a], G.arrow_ids[1]
+        assert f"op({x} o {y}) != op({x}) op({y})" in [e.witness for e in report.errors]
+        monkeypatch.setattr(representations, "_index_residuals", scanned_index_residuals)
+        assert report.entries == check_representation(G, _swapped(rep, a)).entries
+
+
+def _swapped(rep, a):
+    """A copy of rep with the rows of the first two columns of op(a)
+    swapped, which swaps those two rows of the op; op(a) itself where it
+    has fewer than two columns."""
+    rows, lo = rep.rows.copy(), rep.starts[a]
+    if rep.starts[a + 1] - lo >= 2:
+        rows[[lo, lo + 1]] = rows[[lo + 1, lo]]
+    return IndexRep(rep.bundle, rep.src, rep.tgt, rows, rep.starts)
+
+
+def _first_difference(got, want):
+    """The first line at which two texts differ, with both lines, or None;
+    a short message where a report of thousands of entries fails."""
+    pairs = enumerate(itertools.zip_longest(got.splitlines(), want.splitlines()))
+    return next(((i, g, w) for i, (g, w) in pairs if g != w), None)
+
+
+def _fresh(rep):
+    """rep with no index residuals kept from an earlier check."""
+    if isinstance(rep, ConjugatedRep):
+        return dataclasses.replace(rep, base=_fresh(rep.base))
+    return dataclasses.replace(rep)
+
+
+class TestGeneratorPairs:
+    """Multiplicativity proved from the generator pairs against the scan of
+    every composable pair (``oracles.scanned_index_residuals``)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32),
+           st.sampled_from(["generator", "non-generator", "unit", "redirected", "outside"]),
+           st.integers(0, 10 ** 6), st.sampled_from([None, 1.0]))
+    def test_reports_equal_those_of_the_scan(self, seed, kind, pick, atol):
+        G = random_groupoid(SplitMix64(seed), max_arrows=36)
+        mu = HaarSystem(random_invariant_weights(G, SplitMix64(seed + 1)))
+        H, reps = G, [left_regular_rep(G, mu), trivial_rep(G)]
+        gens = G.certificate().generators.tolist()
+        pools = {"generator": gens,
+                 "non-generator": [a for a in range(G.n_arrows) if a not in gens],
+                 "unit": G.unit_of}
+        if kind in pools and pools[kind]:
+            a = pools[kind][pick % len(pools[kind])]
+            reps = [_swapped(rep, a) for rep in reps]
+        elif kind == "redirected":  # into the right fiber from the wrong source, if any
+            cases = list(_redirects(G, True).values())
+            H = cases[pick % len(cases)] if cases else \
+                list(_redirects(G, False).values())[pick % G.n_arrows]
+            assert not cases or not H.certificate().associative
+        elif kind == "outside":  # one entry below 0 or past its op's rows
+            for i, rep in enumerate(reps):
+                rows, k = rep.rows.copy(), pick % len(rep.rows)
+                a = int(np.searchsorted(rep.starts, k, side="right")) - 1
+                rows[k] = rep.bundle.dims[G.tgt[a]] if pick % 2 else -1
+                reps[i] = IndexRep(rep.bundle, rep.src, rep.tgt, rows, rep.starts)
+        for rep in reps:
+            conj = conjugate_rep_on(H, rep, random_unitary_field(rep.bundle.weights,
+                                                                 SplitMix64(seed)))
+            formed = representations._shape_fault(H, rep) is None
+            proved = representations._multiplicative_by_generators(H, rep)
+            assert not proved or formed
+            if formed:  # the premises hold, and no pair fails, exactly when proved
+                mult = scanned_index_residuals(H, rep)[3]
+                assert proved == (H.certificate().associative and not mult.any())
+            for r in (rep, conj):
+                def lines(K):
+                    return "\n".join(_entries(check_representation(K, _fresh(r), atol).entries))
+                got = _outcome(lines, H)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(representations, "_index_residuals", scanned_index_residuals)
+                    want = _outcome(lines, H)
+                diff = _first_difference(got, want)
+                assert diff is None, kind
+            bounds = [_outcome(lambda K: representations._conjugation_bounds(
+                K, conj, residuals(K, _fresh(rep))).tolist(), H)
+                for residuals in (representations._index_residuals, scanned_index_residuals)]
+            assert bounds[0] == bounds[1], kind
 
 
 # ---------------------------------------------------------------------------
