@@ -120,6 +120,10 @@ class FiniteGroupoid:
     ``orbit_index`` (:class:`OrbitIndex`, of read-only arrays) holds the
     orbits and each arrow's factorization through its orbit's base, the one
     decomposition that every orbit-wise reader takes.
+    The composable pairs and their composites, which :func:`validate`, the
+    generator certificate and :func:`haar.check_left_invariance` all read,
+    are looked up once, on first use, and kept as read-only arrays, as the
+    certificate is kept.
     ``compose_table`` holds (first, second, composite) rows sorted by pair;
     when a pair repeats, the last row wins.  The constructor only
     verifies that indices are in range, so deliberately corrupted tables
@@ -186,6 +190,7 @@ class FiniteGroupoid:
         self._by_endpoints = dict(zip(zip(self.tgt.tolist(), self.src.tolist()), range(n_arr)))
         self.orbit_index = _orbit_index(self)
         self._certificate: GeneratorCertificate | None = None
+        self._pair_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._orbit_matrices = None  # orbits.orbit_matrices keeps its result here
 
     # -- basic structure ---------------------------------------------------
@@ -258,9 +263,14 @@ class FiniteGroupoid:
 
     def _pair_products(self):
         """Arrays (a, b, a o b) over all composable pairs, in
-        :meth:`composable_pairs` order; a o b is -1 where undefined."""
-        a, b = _composable(self.src, self.tgt, self.n_objects)
-        return a, b, self.composites(a, b)
+        :meth:`composable_pairs` order; a o b is -1 where undefined.
+        Computed once and kept read-only, like :meth:`certificate`."""
+        if self._pair_arrays is None:
+            a, b = _composable(self.src, self.tgt, self.n_objects)
+            self._pair_arrays = (a, b, self.composites(a, b))
+            for v in self._pair_arrays:
+                v.flags.writeable = False
+        return self._pair_arrays
 
     def products(self):
         """(first, second, composite) arrays of the products the table defines

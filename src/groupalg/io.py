@@ -99,6 +99,35 @@ def _label_map(table, index_of, what: str, where: str) -> list[tuple[int, object
         raise FileFormatError(f"{where}: {exc}") from exc
 
 
+def _haar_weights(table, G: FiniteGroupoid, where: str) -> np.ndarray:
+    """A haar weights map as an (A,) float vector, arrow by index.
+
+    One pass resolves the ids and one array conversion reads the values,
+    when every id is an arrow's, every arrow has one, and every value is an
+    exact int or float (so no boolean) with a finite float.  Otherwise the
+    map is read again weight by weight, so the first error, its message and
+    the order of the checks are the loop's: ids, then values in file order,
+    then coverage."""
+    if isinstance(table, dict):
+        try:
+            at = np.fromiter(map(G._arrow_index.__getitem__, table), np.intp, len(table))
+            values = list(table.values())
+            if len(at) == G.n_arrows and set(map(type, values)) <= {int, float}:
+                out = np.zeros(G.n_arrows)
+                out[at] = np.array(values, dtype=float)
+                if np.isfinite(out).all():
+                    return out
+        except (KeyError, OverflowError):  # an unknown id; an int past the float range
+            pass
+    out = np.zeros(G.n_arrows)
+    weights = _label_map(table, G.arrow_index, "haar weights", where)
+    for a, val in weights:
+        out[a] = _finite_number(val, f"{where}: haar weight for {G.arrow_ids[a]!r}")
+    if len(weights) != G.n_arrows:
+        raise FileFormatError(f"{where}: haar weights must cover every arrow")
+    return out
+
+
 @dataclass
 class GroupoidDocument:
     """Parsed groupoid file: the groupoid plus optional Haar weights and nu.
@@ -268,13 +297,7 @@ def parse_groupoid_document(doc: dict, where: str = "groupoid file") -> Groupoid
         if entry.get("type") == "counting":
             haar_raw = np.ones(G.n_arrows)
         elif "weights" in entry:
-            haar_raw = np.zeros(G.n_arrows)
-            weights = _label_map(entry["weights"], G.arrow_index, "haar weights", where)
-            for a, val in weights:
-                haar_raw[a] = _finite_number(
-                    val, f"{where}: haar weight for {G.arrow_ids[a]!r}")
-            if len(weights) != G.n_arrows:
-                raise FileFormatError(f"{where}: haar weights must cover every arrow")
+            haar_raw = _haar_weights(entry["weights"], G, where)
         else:
             raise FileFormatError(f"{where}: haar needs type counting or a weights map")
     nu_raw = None

@@ -165,8 +165,16 @@ class IndexRep:
         return (part, *part.cells(r, c))
 
     def dense_op(self, a: int) -> np.ndarray:
+        """op(a) as a dense matrix; raises ShapeMismatch when a column has
+        its 1 outside the ``bundle.dims[tgt[a]]`` rows."""
         cols = self.rows[self.starts[a]:self.starts[a + 1]]
-        out = np.zeros((self.bundle.dims[self.tgt[a]], len(cols)), dtype=complex)
+        d = self.bundle.dims[self.tgt[a]]
+        outside = (cols < 0) | (cols >= d)
+        if outside.any():
+            j = int(np.argmax(outside))
+            raise ShapeMismatch(f"op({a}) has its 1 of column {j} in row {int(cols[j])}, "
+                                f"wants rows 0..{d - 1}")
+        out = np.zeros((d, len(cols)), dtype=complex)
         out[cols, np.arange(len(cols))] = 1.0
         return out
 
@@ -273,6 +281,22 @@ def _column_gaps(ok, width, lhs, rhs) -> np.ndarray:
 
 
 def _shape_fault(G: FiniteGroupoid, rep: IndexRep) -> str | None:
+    """:func:`_first_shape_fault` of ``rep`` on ``G``, kept on the rep for the
+    last groupoid object it was asked about, as :func:`_residuals_of` is."""
+    memo = rep.__dict__.get("_shape")
+    if memo is None or memo[0] is not G:
+        memo = (G, _first_shape_fault(G, rep))
+        object.__setattr__(rep, "_shape", memo)  # the rep is frozen
+    return memo[1]
+
+
+def _require_shape(G: FiniteGroupoid, rep: IndexRep) -> None:
+    """Raise ShapeMismatch with the :func:`_shape_fault` witness, if any."""
+    if (fault := _shape_fault(G, rep)) is not None:
+        raise ShapeMismatch(f"representation does not match the groupoid: {fault}")
+
+
+def _first_shape_fault(G: FiniteGroupoid, rep: IndexRep) -> str | None:
     """The witness of the first way the index data fail to give each arrow a
     dims[tgt] x dims[src] op with its 1s inside its rows, else None: one op
     per arrow and one fiber per object, then the first arrow whose op has
@@ -554,12 +578,13 @@ def conjugate_rep_on(G: FiniteGroupoid, rep: IndexRep,
 
     The op of a: s -> t, U_t op(a) V_s, is built when read, from the columns
     of U_t that op(a) picks; no op of ``rep`` is built densely.  Raises
-    ShapeMismatch unless the field has one dims[x] x dims[x] matrix per
-    object x, and LinAlgError when one is singular.
+    ShapeMismatch with the witness of :func:`_shape_fault` when an op of
+    ``rep`` has the wrong shape or a 1 outside its target fiber, and unless
+    the field has one dims[x] x dims[x] matrix per object x; LinAlgError
+    when one is singular.
     """
+    _require_shape(G, rep)
     dims = rep.bundle.dims
-    if len(dims) != G.n_objects or len(rep.starts) != G.n_arrows + 1:
-        raise ShapeMismatch("representation does not match the groupoid")
     if len(unitaries) != G.n_objects:
         raise ShapeMismatch("need one unitary per object")
     field = tuple(np.asarray(u) for u in unitaries)
@@ -595,13 +620,14 @@ def integrated_blocks(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasu
     The entries come from the same data as the blocks, so none falls
     outside them.  Batches of about ``_SCATTER_BATCH`` op entries add each
     coefficient to its entries in arrow order, none where f is 0: the dense
-    matrices equal those of one slice addition per arrow.
+    matrices equal those of one slice addition per arrow.  Raises
+    ShapeMismatch with the witness of :func:`_shape_fault` when an op has
+    the wrong shape or a 1 outside its target fiber.
     """
     f = _as_function(G, f, stack=True)
     fs = np.atleast_2d(f)
     k, bundle = len(fs), rep.bundle
-    if len(bundle.dims) != G.n_objects or len(rep.ops) != G.n_arrows:
-        raise ShapeMismatch("representation does not match the groupoid")
+    _require_shape(G, rep)
     part, group, cell = rep.blocks
     slab = np.array([p.size for p in part.groups], dtype=np.intp) * part.sizes
     start = np.concatenate([[0], np.cumsum(k * slab)]).astype(np.intp)
@@ -651,13 +677,15 @@ def operator_norm(op: np.ndarray, bundle: HilbertBundle,
     geometry: :meth:`BlockOperator.norms` of the operator split into the
     connected blocks of its nonzero pattern, rows and columns one index set
     (for the left regular representation, one block per source object of
-    the fiber arrows).  NaN for a non-finite entry of the flat similar
-    matrix, or a zero or infinite root of the metric.
+    the fiber arrows).  The pattern's edges come from one flat scan of the
+    nonzero mask, in row-major order whatever the layout of ``op``, the
+    order of the 2-D ``np.nonzero``.  NaN for a non-finite entry of the
+    flat similar matrix, or a zero or infinite root of the metric.
     """
     n = bundle.total_dim
     if op.shape != (n, n):
         raise ShapeMismatch(f"operator has shape {op.shape}, expected {(n, n)}")
-    part = BlockPartition.of(components(n, *np.nonzero(op != 0)))
+    part = BlockPartition.of(components(n, *np.divmod(np.flatnonzero(op != 0), max(n, 1))))
     data = tuple(op[p[:, :, None], p[:, None, :]][None] for p in part.groups)
     return float(BlockOperator(bundle_metric(bundle, nu), part, data, 1).norms()[0])
 

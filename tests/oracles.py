@@ -15,7 +15,11 @@ suites run one trial at a time on those matrices, with the unitary field
 applied as one block-diagonal matrix and its inverse.  For the dense
 operator norm, the connected blocks of a matrix's support with rows and
 columns apart, one SVD each, which ``operator_norm`` took before it read a
-block operator.  For the bisection group, the star
+block operator, and the block operator's norm with the support's edges
+from the 2-D ``np.nonzero`` of its mask, which one flat scan replaced.  For
+the I-norm and the weight pairing: their sums written out per fiber and per
+arrow.  For the haar weights map, which is converted as one array: the
+reader that checked one weight at a time.  For the bisection group, the star
 table of the whole set from a dict on row bytes with associativity over all
 k^3 triples, and the group laws pair by pair.  For the composition lookup,
 which reads each row by its position first: the binary search over the
@@ -53,18 +57,21 @@ import numpy as np
 
 from groupalg import tolerances
 from groupalg.bisections import arrow_array, bisection_compose, target_map, unit_bisection
-from groupalg.errors import FileFormatError, NotClosed, NotTransitive, UnknownLabel
+from groupalg.blocks import BlockOperator, BlockPartition
+from groupalg.errors import (FileFormatError, NotClosed, NotTransitive, ShapeMismatch,
+                             UnknownLabel)
 from groupalg.groupoid import (FiniteGroupoid, _composable, _fibers, _joined, _ranges,
                                components, isotropy)
 from groupalg.haar import (_as_function, convolve, counting_haar, function_to_matrix,
                            half_density_inner, i_norm, involute, support_fiber_mass,
                            table_convolve, unit_function)
-from groupalg.io import _require
+from groupalg.io import _finite_number, _label_map, _require
 from groupalg.randgen import SplitMix64, random_function, random_unitary_field
 from groupalg.report import Report, _worst
 from groupalg.representations import (ConjugatedRep, HilbertBundle, IndexRep,
                                       TransitiveDecomposition, _column_gaps, adjoint_operator,
-                                      conjugate_rep_on, induced_measures, operator_norm)
+                                      bundle_metric, conjugate_rep_on, induced_measures,
+                                      operator_norm)
 
 
 @dataclass(frozen=True)
@@ -266,6 +273,16 @@ def benchmark_documents():
     return out
 
 
+def pair_layers_ops(seed: int) -> dict:
+    """The operations of the benchmark's pair36-layers workload at ``seed``,
+    by name, each run on a shared context dict."""
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    try:
+        from workloads import pair_layers
+    finally:
+        sys.path.pop(0)
+    return {op.label: op.run for op in pair_layers(seed, 20)}
+
 
 def next_u64(rng: SplitMix64) -> int:
     """The stream's next draw in Python ints, one splitmix64 step at a time:
@@ -320,6 +337,17 @@ def support_blocks(M: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         blocks[label[n + j]][1].append(j)
     return [(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp))
             for rows, cols in blocks.values()]
+
+
+def nonzero_operator_norm(op, bundle, nu) -> float:
+    """``operator_norm`` with the support's edges from the 2-D ``np.nonzero``
+    of the mask, as it found them before one flat scan replaced it."""
+    n = bundle.total_dim
+    if op.shape != (n, n):
+        raise ShapeMismatch(f"operator has shape {op.shape}, expected {(n, n)}")
+    part = BlockPartition.of(components(n, *np.nonzero(op != 0)))
+    data = tuple(op[p[:, :, None], p[:, None, :]][None] for p in part.groups)
+    return float(BlockOperator(bundle_metric(bundle, nu), part, data, 1).norms()[0])
 
 
 def per_trial_integrated(G, mu, nus, reps, rng, t):
@@ -738,3 +766,34 @@ def looped_groupoid_from_arrows(doc: dict, where: str) -> FiniteGroupoid:
              and np.array_equal(G.composites(u, incoming), incoming)), None))
     return FiniteGroupoid(objects, src, tgt, G.compose_table, inverse, unit_of,
                           arrow_ids=ids)
+
+
+def looped_haar_weights(table, G, where: str) -> np.ndarray:
+    """The haar weights map read weight by weight, as the reader did before
+    it converted the values as one array: every id resolved, then each value
+    checked in file order, then the coverage of the arrows."""
+    out = np.zeros(G.n_arrows)
+    weights = _label_map(table, G.arrow_index, "haar weights", where)
+    for a, val in weights:
+        out[a] = _finite_number(val, f"{where}: haar weight for {G.arrow_ids[a]!r}")
+    if len(weights) != G.n_arrows:
+        raise FileFormatError(f"{where}: haar weights must cover every arrow")
+    return out
+
+
+def fiber_sum_i_norm(G, mu, f) -> float:
+    """The I-norm by its definition, one Python sum per fiber: the largest of
+    sum |f(a)| w(a) over the arrows a into an object and sum |f(a)| w(a^-1)
+    over the arrows out of one."""
+    w, inv = mu.weights.tolist(), G.inverse.tolist()
+    into = [sum(abs(f[a]) * w[a] for a in G.target_fiber(x)) for x in range(G.n_objects)]
+    out = [sum(abs(f[a]) * w[inv[a]] for a in G.source_fiber(x)) for x in range(G.n_objects)]
+    return float(max(into + out, default=0.0))
+
+
+def arrow_sum_inner(G, mu, f, g) -> complex:
+    """The weight pairing by its definition, sum f(a) conj(g(a)) w(a), one
+    arrow at a time."""
+    w = mu.weights.tolist()
+    return complex(sum(complex(f[a]) * complex(g[a]).conjugate() * w[a]
+                       for a in range(G.n_arrows)))

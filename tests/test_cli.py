@@ -20,7 +20,7 @@ from groupalg.io import (GroupoidDocument, load_function, load_groupoid,
                          save_function, save_groupoid)
 from groupalg.randgen import SplitMix64, random_groupoid
 
-from oracles import looped_groupoid_from_arrows
+from oracles import looped_groupoid_from_arrows, looped_haar_weights
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir,
                         "src", "groupalg", "fixtures")
@@ -36,6 +36,33 @@ def _edited(name: str, edit) -> dict:
     edit(doc)
     return doc
 
+
+def _replaced(value):
+    """An edit of a weight map's (id, value) items: the i-th value, counted
+    round, becomes ``value``."""
+    def edit(items, i):
+        if items:
+            k = i % len(items)
+            items[k] = (items[k][0], value)
+    return edit
+
+
+def _deleted(items, i):
+    if items:
+        del items[i % len(items)]
+
+
+_WEIGHT_EDITS = {
+    "unknown-id": lambda items, i: items.insert(i % (len(items) + 1), ("nowhere", 1.0)),
+    "missing-arrow": _deleted,
+    "true": _replaced(True),
+    "string": _replaced("1.5"),
+    "nan": _replaced(float("nan")),
+    "infinity": _replaced(float("inf")),
+    "huge-int": _replaced(10 ** 400),
+    "above-2**53": _replaced(2 ** 53 + 1),
+    "above-2**64": _replaced(2 ** 64 + 1),
+}
 
 _PIECE = {"name": "p2", "file": fx("pair2.json")}
 _PAIR2_IDS = ["a00", "a01", "a02", "a03"]
@@ -228,6 +255,42 @@ class TestValidateCommand:
             return (H.objects, H.arrow_ids, H.src.tolist(), H.tgt.tolist(),
                     H.compose_table.tolist(), H.inverse.tolist(), H.unit_of)
         assert outcome(gio._groupoid_from_arrows) == outcome(looped_groupoid_from_arrows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.tuples(st.sampled_from(sorted(_WEIGHT_EDITS)), st.integers(0, 10 ** 6)),
+                    max_size=4))
+    def test_the_haar_weights_reader_reads_as_the_looped_one(self, seed, edits):
+        # corrupted weight maps, read from JSON text: the same array to the
+        # bit, or the same parse error raised first, as the reader that
+        # checked one weight at a time
+        G = random_groupoid(SplitMix64(seed), max_arrows=24)
+        rng = random.Random(seed)
+        items = [(aid, rng.choice([rng.randint(1, 9), rng.uniform(0.1, 9.0)]))
+                 for aid in G.arrow_ids]
+        rng.shuffle(items)
+        for edit, i in edits:
+            _WEIGHT_EDITS[edit](items, i)
+        table = json.loads(json.dumps(dict(items)))
+
+        def outcome(reader):
+            try:
+                return "ok", reader(table, G, "doc.json").tobytes()
+            except Exception as exc:  # noqa: BLE001 - both must raise the same
+                return type(exc).__name__, str(exc)
+        assert outcome(gio._haar_weights) == outcome(looped_haar_weights)
+
+    @pytest.mark.parametrize("value, error", [
+        (True, "is not a number"), ("2", "is not a number"), (float("nan"), "is not finite"),
+        (float("-inf"), "is not finite"), (10 ** 400, "is not finite")])
+    def test_a_bad_haar_weight_is_named_in_the_parse_error(self, tmp_path, capsys, value,
+                                                            error):
+        doc = _edited("pair2.json", lambda d: d.update(
+            haar={"weights": {"a00": 1, "a01": 2.5, "a02": value, "a03": 1.0}}))
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"parse error: w.json: haar weight for 'a02' {error}\n"
 
     @pytest.mark.parametrize("left, label", [(0, "e0"), (5, "e5")])
     def test_structure_table_messages_count_from_one(self, tmp_path, capsys, left, label):

@@ -16,8 +16,10 @@ from groupalg import (HaarSystem, NotClosed, NotRelationGroupoid, UnknownLabel,
                       multipliers, table_convolve, validate)
 from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
                                klein_table, pair_groupoid, product, symmetric_table)
+from groupalg import groupoid as gmod
 from groupalg.cli import main
 from groupalg.groupoid import FiniteGroupoid, components, relation_isomorphism
+from groupalg.haar import check_left_invariance, counting_haar
 from groupalg.inductive import limit
 from groupalg.io import (GroupoidDocument, load_manifest, parse_groupoid_document,
                          save_function, save_groupoid)
@@ -463,6 +465,31 @@ class TestGeneratorCertificate:
         # the triple scan it replaces makes 3 per composable triple, 3 n^4
         assert size == 2 * (n - 1)
         assert sum(looked) <= 5 * size * n ** 2 < 3 * n ** 4
+
+
+def test_one_pass_looks_the_pair_products_up_once(monkeypatch):
+    # validate, the generator certificate and the Haar invariance check all
+    # read the composable pairs and their composites, kept on the groupoid
+    made = []
+    real = gmod._composable
+
+    def counted(*args):
+        made.append(args)
+        return real(*args)
+    monkeypatch.setattr(gmod, "_composable", counted)
+    G = pair_groupoid([f"x{i}" for i in range(6)])
+    gdoc = GroupoidDocument(G, np.ones(G.n_arrows), None, "strict")
+    assert validate(G).ok and G.certificate().associative
+    assert check_left_invariance(G, counting_haar(G)).ok
+    assert all(s.report.ok for s in gdoc.check())
+    assert len(made) == 1
+    a, b, c = G._pair_products()
+    assert G._pair_products() is G._pair_products()
+    assert not any(v.flags.writeable for v in (a, b, c))
+    pairs = G.composable_pairs()  # its own enumeration
+    assert len(made) == 2
+    assert list(zip(a.tolist(), b.tolist())) == pairs
+    assert c.tolist() == [G.compose(x, y) for x, y in pairs]
 
 
 def test_validate_clean_explicit_documents():

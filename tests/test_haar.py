@@ -18,6 +18,8 @@ from groupalg.orbits import orbit_matrices
 from groupalg.randgen import (SplitMix64, random_function, random_groupoid,
                               random_invariant_weights)
 
+from oracles import arrow_sum_inner, fiber_sum_i_norm
+
 
 def brute_force_convolve(G, weights, f, g):
     """Oracle: sum f(a) g(b) weight(a) over every factorization a o b = c."""
@@ -472,6 +474,62 @@ def test_support_fiber_mass_bounds_inorm():
         for a in support:
             f[a] = rng.complex_box()
         assert i_norm(G, mu, f) <= mass * np.abs(f).max() + 1e-12
+
+
+class TestINormDefinition:
+    """The I-norm layer against its definition, on random unions of
+    transitive groupoids with left-invariant random weights."""
+
+    @staticmethod
+    def _case(seed):
+        rng = SplitMix64(seed)
+        G = random_groupoid(rng, max_arrows=48)
+        return G, HaarSystem(random_invariant_weights(G, rng)), rng
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_i_norm_is_the_largest_fiber_sum(self, seed):
+        G, mu, rng = self._case(seed)
+        for f in (random_function(G, rng), random_function(G, rng).real,
+                  np.zeros(G.n_arrows)):
+            want = fiber_sum_i_norm(G, mu, f)
+            assert i_norm(G, mu, f) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_an_arrow_indicator_has_the_larger_of_its_two_weights(self, seed):
+        G, mu, _ = self._case(seed)
+        w = mu.weights
+        for a in range(G.n_arrows):
+            assert i_norm(G, mu, delta(G, a)) == max(w[a], w[G.inverse[a]])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1))
+    def test_support_fiber_mass_is_the_i_norm_of_the_indicator(self, seed, draw):
+        G, mu, _ = self._case(seed)
+        pick = np.random.default_rng(draw)
+        support = np.flatnonzero(pick.random(G.n_arrows) < pick.random())
+        indicator = np.zeros(G.n_arrows)
+        indicator[support] = 1.0
+        mass = support_fiber_mass(G, mu, support.tolist())
+        assert mass == i_norm(G, mu, indicator)
+        assert mass == pytest.approx(fiber_sum_i_norm(G, mu, indicator), rel=1e-13, abs=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_the_weight_pairing_is_hermitian_and_its_sum(self, seed):
+        # exactly Hermitian on real functions; on complex ones numpy's
+        # complex product may fuse one of the two products of each part, so
+        # <f, g> and conj(<g, f>) agree to the rounding of the sum
+        G, mu, rng = self._case(seed)
+        f, g = random_function(G, rng), random_function(G, rng)
+        for f, g in ((f, g), (f.real + 0j, g.imag + 0j)):
+            fg, gf = half_density_inner(G, mu, f, g), half_density_inner(G, mu, g, f)
+            scale = float(np.sum(np.abs(f) * np.abs(g) * mu.weights))
+            if not (f.imag.any() or g.imag.any()):
+                assert fg == gf.conjugate()
+            assert abs(fg - gf.conjugate()) <= 1e-13 * scale
+            assert abs(fg - arrow_sum_inner(G, mu, f, g)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("support, bad", [([-1], -1), ([4], 4), ((0, 3, 5, -2), 5)])

@@ -4,13 +4,14 @@ import dataclasses
 import itertools
 import math
 import os
+import re
 import time
 import tracemalloc
 from collections.abc import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupalg import representations, tolerances
@@ -39,8 +40,9 @@ from groupalg.representations import (HilbertBundle, bundle_metric, integrated_b
                                       tensor_of_function)
 
 from oracles import (DenseRep, benchmark_documents, conjugated_with, dense_check, dense_of,
-                     dense_residuals, generator_bound, indicators, scanned_index_residuals,
-                     scatter_integrate, support_blocks, svd_fundamental_family_check)
+                     dense_residuals, generator_bound, indicators, nonzero_operator_norm,
+                     pair_layers_ops, scanned_index_residuals, scatter_integrate, support_blocks,
+                     svd_fundamental_family_check)
 
 
 def weighted_inner(bundle, nu, u, v):
@@ -426,6 +428,53 @@ class TestBlockOperatorNorm:
         bundle, nu = _flat_bundle(5, np.random.default_rng(6))
         with pytest.raises(ShapeMismatch, match=r"expected \(5, 5\)"):
             operator_norm(np.eye(*shape, dtype=complex), bundle, nu)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 5), max_size=5),
+           density=st.sampled_from([0.0, 0.2, 0.6, 1.0]), real=st.booleans(),
+           layout=st.sampled_from(["C", "F", "transposed", "strided"]),
+           special=st.sampled_from([None, math.nan, math.inf, -math.inf, -0.0, 1j]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(sizes=[], density=0.0, real=False, layout="C", special=None, seed=0)
+    @example(sizes=[1], density=1.0, real=True, layout="F", special=None, seed=0)
+    @example(sizes=[1], density=0.0, real=False, layout="C", special=-0.0, seed=0)
+    @example(sizes=[3, 2], density=0.0, real=False, layout="transposed", special=None, seed=0)
+    def test_the_flat_scan_gives_the_norm_of_the_2d_scan(self, sizes, density, real, layout,
+                                                         special, seed):
+        # random blocks, their rows and columns permuted apart, read in any
+        # layout: the norm is the oracle's to the bit, or both are NaN
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        M = np.zeros((n, n), dtype=float if real else complex)
+        lo = 0
+        for k in sizes:
+            block = rng.normal(size=(k, k)) if real else \
+                rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+            M[lo:lo + k, lo:lo + k] = block * (rng.random((k, k)) < density)
+            lo += k
+        if special is not None and n and not (real and isinstance(special, complex)):
+            M[tuple(rng.integers(n, size=(2, 1 + rng.integers(3))))] = special
+        M = M[np.ix_(rng.permutation(n), rng.permutation(n))]
+        op = {"C": M, "F": np.asfortranarray(M), "transposed": np.ascontiguousarray(M.T).T,
+              "strided": np.repeat(np.repeat(M, 2, axis=0), 2, axis=1)[::2, ::2]}[layout]
+        assert np.array_equal(op, M, equal_nan=True)
+        bundle = HilbertBundle([n], [0.5 + rng.random(n)]) if n else HilbertBundle([], [])
+        nu = QuasiInvariantMeasure(np.array([1.0]))
+        with np.errstate(invalid="ignore"):  # complex inf / real makes a NaN part
+            got, want = operator_norm(op, bundle, nu), nonzero_operator_norm(op, bundle, nu)
+        assert (math.isnan(got) and math.isnan(want)) or got.hex() == want.hex(), (got, want)
+
+    def test_the_seed_1_pair36_norm_is_unchanged(self):
+        # the integrated left regular rep of pair(36) whose norm the
+        # benchmark's pair36-layers workload takes, 1,296 x 1,296 with
+        # 46,656 nonzero entries, and its norm to the bit
+        ops, ctx = pair_layers_ops(1), {}
+        for name in ("parse", "left-regular-rep", "integrate-rep"):
+            assert ops[name](ctx) is None
+        pf, bundle, nu = ctx["pf"], ctx["lrep"].bundle, ctx["nu"]
+        assert pf.shape == (1296, 1296) and np.count_nonzero(pf) == 46656
+        assert operator_norm(pf, bundle, nu) == nonzero_operator_norm(pf, bundle, nu) \
+            == 11.537850096063378
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entry_gives_nan(self, bad):
@@ -1459,21 +1508,54 @@ class TestIndexReps:
     def test_a_row_outside_its_fiber_is_one_shape_entry(self, kind, k, row):
         # the row was read from a neighbouring op, or raised IndexError; the
         # check names the arrow, column and row and stops, for the rep and
-        # for a rep conjugated from it
+        # for a rep conjugated from it, and every other reader of the rep
+        # raises ShapeMismatch with the same witness
         G = pair_groupoid("abc")
-        rep = left_regular_rep(G, counting_haar(G)) if kind == "left-regular" else trivial_rep(G)
+        mu, nu = counting_haar(G), uniform_measure(G)
+        rep = left_regular_rep(G, mu) if kind == "left-regular" else trivial_rep(G)
         rows = rep.rows.copy()
         rows[k] = row
         bad = IndexRep(rep.bundle, rep.src, rep.tgt, rows, rep.starts)
         k %= len(rows)
         a = int(np.searchsorted(rep.starts, k, side="right")) - 1
         d = rep.bundle.dims[G.tgt[a]]
-        want = [("shape", f"op({G.arrow_ids[a]}) has its 1 of column {k - rep.starts[a]} "
-                          f"in row {row}, wants rows 0..{d - 1}")]
-        conj = conjugate_rep_on(G, bad, [np.eye(n) for n in rep.bundle.dims])
+        j = k - rep.starts[a]
+        witness = f"has its 1 of column {j} in row {row}, wants rows 0..{d - 1}"
+        want = [("shape", f"op({G.arrow_ids[a]}) {witness}")]
+        eye = [np.eye(n) for n in rep.bundle.dims]
+        good = conjugate_rep_on(G, rep, eye)
+        conj = ConjugatedRep(bad, good.field, good.inverses, good.ops)
         for r in (bad, conj):
             assert [(e.check, e.witness) for e in check_representation(G, r).entries] == want
         assert not representations._multiplicative_by_generators(G, bad)
+        f = np.ones(G.n_arrows)
+        for read in (lambda: conjugate_rep_on(G, bad, eye),
+                     lambda: integrated_blocks(G, mu, nu, bad, f),
+                     lambda: integrate_rep(G, mu, nu, bad, f)):
+            with pytest.raises(ShapeMismatch, match=re.escape(want[0][1])):
+                read()
+        with pytest.raises(ShapeMismatch, match=re.escape(f"op({a}) {witness}")):
+            bad.ops[a]
+        assert all(np.array_equal(bad.ops[b], rep.ops[b]) for b in range(G.n_arrows) if b != a)
+
+    def test_the_shape_witness_is_found_once_per_rep_and_groupoid(self, monkeypatch):
+        G = pair_groupoid("abc")
+        mu, nu = counting_haar(G), uniform_measure(G)
+        found = []
+        real = representations._first_shape_fault
+
+        def counted(G, rep):
+            found.append(G)
+            return real(G, rep)
+        monkeypatch.setattr(representations, "_first_shape_fault", counted)
+        rep = left_regular_rep(G, mu)
+        assert check_representation(G, rep).ok
+        integrate_rep(G, mu, nu, rep, np.ones(G.n_arrows))
+        conjugate_rep_on(G, rep, [np.eye(3)] * 3)
+        assert len(found) == 1
+        H = pair_groupoid("abc")  # another groupoid object asks again
+        integrate_rep(H, mu, nu, rep, np.ones(G.n_arrows))
+        assert len(found) == 2 and found[1] is H
 
     def test_build_check_and_integrate_build_no_dense_op(self, monkeypatch):
         def refuse(self, a):
@@ -1584,9 +1666,14 @@ class TestGeneratorPairs:
                 rows[k] = rep.bundle.dims[G.tgt[a]] if pick % 2 else -1
                 reps[i] = IndexRep(rep.bundle, rep.src, rep.tgt, rows, rep.starts)
         for rep in reps:
-            conj = conjugate_rep_on(H, rep, random_unitary_field(rep.bundle.weights,
-                                                                 SplitMix64(seed)))
+            field = random_unitary_field(rep.bundle.weights, SplitMix64(seed))
             formed = representations._shape_fault(H, rep) is None
+            if formed:
+                conj = conjugate_rep_on(H, rep, field)
+            else:  # which refuses the rep; its laws are checked all the same
+                with pytest.raises(ShapeMismatch):
+                    conjugate_rep_on(H, rep, field)
+                conj = ConjugatedRep(rep, tuple(field), tuple(map(np.linalg.inv, field)), ())
             proved = representations._multiplicative_by_generators(H, rep)
             assert not proved or formed
             if formed:  # the premises hold, and no pair fails, exactly when proved
