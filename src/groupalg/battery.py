@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bisections, tolerances
-from .blocks import BlockOperator
 from .groupoid import FiniteGroupoid, _ranges, isotropy_bundle, multipliers, validate
 from .haar import (HaarSystem, convolve, counting_haar, fiber_integrate,
                    function_to_matrix, half_density_inner, i_norm, involute,
@@ -24,11 +23,10 @@ from .io import GroupoidDocument, fmt
 from .randgen import (SplitMix64, below, boxes, random_function, random_unitary_field,
                       units)
 from .report import Report, SuiteReport, _worst
-from .representations import (ConjugatedRep, IndexRep,
-                              QuasiInvariantMeasure, _coefficients, check_representation,
-                              conjugate_rep_on, fundamental_family_check,
-                              integrated_blocks, left_regular_rep,
-                              transitive_isomorphism_check, trivial_rep,
+from .representations import (ConjugatedRep, IndexRep, QuasiInvariantMeasure, _coefficients,
+                              _field_terms, _gamma, _residuals_of, check_representation,
+                              conjugate_rep_on, fundamental_family_check, integrated_blocks,
+                              left_regular_rep, transitive_isomorphism_check, trivial_rep,
                               uniform_measure)
 
 
@@ -91,36 +89,40 @@ SUITES = (
 )
 
 
-def _transport_gaps(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure,
-                    conj: ConjugatedRep, plain: BlockOperator, fs: np.ndarray) -> np.ndarray:
-    """``max |pi(f_i) - U plain[i] U^-1|`` per function f_i of the stack
-    ``fs``, pi the integration of ``conj``, U its block-diagonal field and
-    U^-1 the computed inverses, one target object x at a time: the rows of
-    x in pi(f_i), summed over x's orbit from the ops of the arrows a into x
-    (c_i(a) op(a) into the columns of src(a), in arrow order, none where
-    f_i(a) is 0), against U_x plain[x, y] U_y^-1 over the objects y of the
-    orbit, taken from U_x times the rows of x in plain.
+def _transport_bounds(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure,
+                      rep: ConjugatedRep, fs: np.ndarray) -> np.ndarray:
+    """Per function f_i of the stack ``fs``, a bound on the largest entry of
+    pi(f_i) - U plain_i V as the dense comparison forms it
+    (``tests/oracles.transport_gaps``): pi and plain_i the integrations of
+    ``rep`` and of its base, U and V its field and computed inverses, block
+    diagonal.  inf where the base fails an exact law, NaN where a term is.
+
+    Block (x, y) of pi(f_i) is sum_(a: y -> x) c_i(a) U_x P_a V_y, which is
+    U_x plain_i[x, y] V_y in exact arithmetic (c_i the coefficients of
+    :func:`integrated_blocks`), so the gap is rounding.  Let gamma =
+    ``_gamma(max(d, m) + 4)``, d the largest fiber dimension and m the most
+    arrows y -> x.  Each of the six roundings (forming, scaling and summing
+    the ops; summing plain, and its two products) is within gamma of
+    |U_x| S' |V_y|, S' = sum_a |c_i(a)| P_a, so the gap is within
+    6 gamma + 6 gamma^2 + 2 gamma^3 of it (Higham, §3.5-3.6).  When the base
+    passes units, multiplicativity and inverses exactly, each P_a is a
+    permutation and |U_x| S' |V_y| is at most al_x S be_y, with
+    S = sum_(a: y -> x) |c_i(a)| and al, be the max row sums of
+    ``_field_terms`` (the orbit's scale cancels).  The bound is
+    8 gamma al_x S be_y: for gamma <= 1/16 the rest covers the rounding of
+    its own terms and of the comparison's subtraction and modulus.
     """
-    dims, offsets = conj.bundle.dims, conj.bundle.offsets
-    coeff = _coefficients(G, mu, nu, fs)
-    src = G.src.tolist()
-    out = np.zeros(len(fs))
-    for members in G.orbits():
-        pos = np.concatenate([np.arange(offsets[y], offsets[y + 1]) for y in members])
-        lo = np.cumsum([0] + [dims[y] for y in members]).tolist()
-        spans = {y: slice(lo[j], lo[j + 1]) for j, y in enumerate(members)}
-        for x in members:
-            strip = np.zeros((len(fs), dims[x], len(pos)), dtype=complex)
-            for a in G.target_fibers.of(x).tolist():
-                used = np.flatnonzero(fs[:, a] != 0).tolist()
-                op = conj.ops[a] if used else None
-                for i in used:
-                    strip[i, :, spans[src[a]]] += coeff[i, a] * op
-            want = np.matmul(conj.field[x], plain.dense(pos[spans[x]])[:, :, pos])
-            for y in members:
-                want[:, :, spans[y]] = np.matmul(want[:, :, spans[y]], conj.inverses[y])
-            out = np.maximum(out, np.abs(strip - want).max(axis=(1, 2)))
-    return out
+    units, _, _, mult, inverses, _ = _residuals_of(G, rep.base)
+    if not ((units == 0).all() and (mult == 0).all() and (inverses == 0).all()):
+        return np.full(len(fs), math.inf)
+    n = G.n_objects
+    pair, at = np.unique(G.tgt * n + G.src, return_inverse=True)
+    sums = np.zeros((len(pair), len(fs)))
+    np.add.at(sums, at, np.abs(_coefficients(G, mu, nu, fs)).T)
+    m = int(np.bincount(at).max(initial=0))
+    gamma = _gamma(max(max(rep.bundle.dims, default=0), m) + 4)
+    al, _, be = _field_terms(G, rep)[:3]
+    return (8 * gamma * al[pair // n, None] * sums * be[pair % n, None]).max(axis=0, initial=0.0)
 
 
 def _integrated_residuals(G: FiniteGroupoid, mu: HaarSystem,
@@ -216,13 +218,13 @@ def _convergence_residual(G: FiniteGroupoid, mu: HaarSystem, rng: SplitMix64) ->
 def _transport_residual(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure,
                         lrep: IndexRep, rng: SplitMix64, atol: float) -> tuple[bool, float]:
     """Whether lrep conjugated by a random unitary field passes the
-    representation axioms at atol, and the worst gap between its integrated
-    operators and the conjugated ones of lrep, over two random functions."""
+    representation axioms at atol, and the worst bound on the gap between
+    its integrated operators and the conjugated ones of lrep, over two
+    random functions (:func:`_transport_bounds`)."""
     conj = conjugate_rep_on(G, lrep, random_unitary_field(lrep.bundle.weights, rng))
     ok = check_representation(G, conj, atol=atol).ok
     fs = rng.complex_boxes(2 * G.n_arrows).reshape(2, G.n_arrows)
-    gaps = _transport_gaps(G, mu, nu, conj, integrated_blocks(G, mu, nu, lrep, fs), fs)
-    return ok, _worst(0.0, *gaps.tolist())
+    return ok, _worst(0.0, *_transport_bounds(G, mu, nu, conj, fs).tolist())
 
 
 def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> BatteryRun:

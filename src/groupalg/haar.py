@@ -239,9 +239,13 @@ def support_fiber_mass(G: FiniteGroupoid, mu: HaarSystem, support) -> float:
 
 
 def half_density_inner(G: FiniteGroupoid, mu: HaarSystem, f, g) -> complex:
-    """Weighted sesquilinear pairing sum f(a) conj(g(a)) weight(a)."""
-    f, g = _as_function(G, f), _as_function(G, g)
-    return complex(np.sum(f * np.conj(g) * mu.weights))
+    """Weighted sesquilinear pairing sum f(a) conj(g(a)) weight(a).
+
+    The real and imaginary parts are sums of separately rounded real
+    products, so <g, f> is conj(<f, g>) and <f, f> is real, exactly."""
+    f, g, w = _as_function(G, f), _as_function(G, g), mu.weights
+    return complex(np.sum((f.real * g.real + f.imag * g.imag) * w),
+                   np.sum((f.imag * g.real - f.real * g.imag) * w))
 
 
 def function_to_matrix(G: FiniteGroupoid, f) -> np.ndarray:

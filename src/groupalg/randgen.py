@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import builders
-from .groupoid import FiniteGroupoid
+from .groupoid import FiniteGroupoid, _ranges
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -122,13 +122,22 @@ def random_probability(n: int, rng: SplitMix64) -> np.ndarray:
 
 
 def random_unitary_field(weights: list[np.ndarray], rng: SplitMix64) -> list[np.ndarray]:
-    """One unitary per object, unitary w.r.t. the weighted inner product."""
-    out = []
-    for w in weights:
-        d = len(w)
-        m = rng.complex_boxes(d * d).reshape(d, d)
+    """One unitary per object, unitary w.r.t. the weighted inner product.
+
+    Object x's d x d draw is the next d^2 values of one block of sum d^2,
+    in object order; each distinct d is one batched QR, whose factors are
+    those of one QR per matrix."""
+    dims = np.array([len(w) for w in weights], dtype=np.intp)
+    draws = rng.complex_boxes(int((dims ** 2).sum()))
+    starts = np.cumsum(dims ** 2) - dims ** 2
+    out = [None] * len(dims)
+    for d in np.flatnonzero(np.bincount(dims)).tolist():
+        xs = np.flatnonzero(dims == d)
+        m = draws[_ranges(starts[xs], np.full(len(xs), d * d))].reshape(-1, d, d)
         q, r = np.linalg.qr(m + 2 * d * np.eye(d))
-        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-        root = np.sqrt(np.asarray(w, dtype=float))
-        out.append((q.T / root).T * root)
+        diag = np.diagonal(r, axis1=1, axis2=2)
+        root = np.sqrt(np.array([weights[x] for x in xs.tolist()], dtype=float))
+        u = q * (diag / np.abs(diag))[:, None, :] / root[:, :, None] * root[:, None, :]
+        for x, ux in zip(xs.tolist(), u):
+            out[x] = ux
     return out

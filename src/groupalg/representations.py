@@ -9,7 +9,8 @@ where an arrow acts by translating fiber indicators.  Both are monomial,
 one 1 per column, and are kept as index data (:class:`IndexRep`) that the
 checks and the integration read without building a dense matrix.  A field
 of unitaries conjugates such a rep into a :class:`ConjugatedRep`, whose
-laws are bounded from per-object quantities of the field.
+laws, and the gap between its integrated operators and those of the base
+conjugated, are bounded from per-object quantities of the field.
 
 A probability measure nu on the objects induces arrow measures
 m(a) = nu(tgt a) weight(a), its inverse image m_inv, the modular function
@@ -199,19 +200,27 @@ class _DenseOps(Sequence):
 @dataclass(frozen=True)
 class ConjugatedRep:
     """An :class:`IndexRep` conjugated by a field of unitaries, one per
-    object, as :func:`conjugate_rep_on` builds it: ``field[x]`` is U_x,
-    ``inverses[x]`` its computed inverse V_x, and ``ops[a]`` is
-    fl(U_tgt P_a V_src) for the 0/1 op P_a of ``base``, built when it is read.
+    object, as :func:`conjugate_rep_on` builds it: ``field[x]`` is U_x and
+    ``inverses[x]`` its computed inverse V_x.  The op of a: s -> t is
+    fl(U_t P_a V_s) for the 0/1 op P_a of ``base``; ``ops`` reads them
+    densely, each built from the columns of U_t that P_a picks when it is
+    read, and holds nothing of its own.
     """
 
     base: IndexRep
     field: tuple[np.ndarray, ...]
     inverses: tuple[np.ndarray, ...]
-    ops: Sequence[np.ndarray]
 
     @property
     def bundle(self) -> HilbertBundle:
         return self.base.bundle
+
+    @property
+    def ops(self) -> _DenseOps:
+        base, field, inverses = self.base, self.field, self.inverses
+        return _DenseOps(len(base.starts) - 1, lambda a: (
+            field[base.tgt[a]][:, base.rows[base.starts[a]:base.starts[a + 1]]]
+            @ inverses[base.src[a]]))
 
 
 def _index_rep(bundle: HilbertBundle, G: FiniteGroupoid, rows, counts) -> IndexRep:
@@ -280,14 +289,19 @@ def _column_gaps(ok, width, lhs, rhs) -> np.ndarray:
     return np.where(ok, bad.astype(float), math.inf)
 
 
-def _shape_fault(G: FiniteGroupoid, rep: IndexRep) -> str | None:
-    """:func:`_first_shape_fault` of ``rep`` on ``G``, kept on the rep for the
-    last groupoid object it was asked about, as :func:`_residuals_of` is."""
-    memo = rep.__dict__.get("_shape")
+def _kept(G: FiniteGroupoid, rep, name: str, compute):
+    """``compute(G, rep)``, kept on the rep under ``name`` for the last
+    groupoid object it was asked about."""
+    memo = rep.__dict__.get(name)
     if memo is None or memo[0] is not G:
-        memo = (G, _first_shape_fault(G, rep))
-        object.__setattr__(rep, "_shape", memo)  # the rep is frozen
+        memo = (G, compute(G, rep))
+        object.__setattr__(rep, name, memo)  # the rep is frozen
     return memo[1]
+
+
+def _shape_fault(G: FiniteGroupoid, rep: IndexRep) -> str | None:
+    """:func:`_first_shape_fault` of ``rep`` on ``G``, :func:`_kept`."""
+    return _kept(G, rep, "_shape", _first_shape_fault)
 
 
 def _require_shape(G: FiniteGroupoid, rep: IndexRep) -> None:
@@ -399,17 +413,51 @@ def _index_residuals(G: FiniteGroupoid, rep: IndexRep):
 
 
 def _residuals_of(G: FiniteGroupoid, rep: IndexRep):
-    """:func:`_index_residuals` of ``rep`` on ``G``, kept read-only on the rep
-    for the last groupoid object it was asked about, so a base rep checked
-    again under a conjugated rep is not checked twice."""
-    memo = rep.__dict__.get("_residuals")
-    if memo is None or memo[0] is not G:
-        residuals = _index_residuals(G, rep)
-        for v in residuals:
+    """:func:`_index_residuals` of ``rep`` on ``G``, read-only and
+    :func:`_kept`, so a base rep checked again under a conjugated rep is not
+    checked twice."""
+    def residuals(G, rep):
+        out = _index_residuals(G, rep)
+        for v in out:
             v.flags.writeable = False
-        memo = (G, residuals)
-        object.__setattr__(rep, "_residuals", memo)  # the rep is frozen
-    return memo[1]
+        return out
+    return _kept(G, rep, "_residuals", residuals)
+
+
+def _gamma(k: int) -> float:
+    """sqrt(2) k u / (1 - k u), u = 2^-53: a bound on the relative rounding
+    of a complex inner product of length k - 2 (Higham, §3.5-3.6)."""
+    return math.sqrt(2) * k * 2.0 ** -53 / (1 - k * 2.0 ** -53)
+
+
+def _field_terms(G: FiniteGroupoid, rep: ConjugatedRep) -> np.ndarray:
+    """The per-object rows al, al*, be, be*, e, f, g, h and om of
+    :func:`_conjugation_bounds`, unwidened and :func:`_kept`: the objects of
+    one fiber dimension as one stack, one batched product per quantity."""
+    def terms(G, rep):
+        dims, groups = np.array(rep.bundle.dims, dtype=np.intp), []
+        for d in np.flatnonzero(np.bincount(dims)).tolist():
+            xs = np.flatnonzero(dims == d)
+            groups.append((xs, *(np.stack([m[x] for x in xs.tolist()])
+                                 for m in (rep.field, rep.inverses, rep.bundle.weights))))
+
+        def norm(m):  # the max row sum of each matrix
+            return np.abs(m).sum(axis=2).max(axis=1)
+
+        gram = np.zeros(len(dims))
+        for xs, u, _, w in groups:
+            gram[xs] = (w[:, :, None] * np.abs(u) ** 2).sum(axis=(1, 2)) / w.sum(axis=1)
+        scale = np.sqrt(gram)[G.orbit_index.label][:, None, None]  # at each orbit's least object
+        q = np.zeros((9, len(dims)))
+        for xs, u, v, w in groups:
+            with np.errstate(invalid="ignore"):  # a NaN scale makes the orbit's quantities NaN
+                u, v = u / scale[xs], v * scale[xs]
+            uh, vh, eye = u.conj().swapaxes(1, 2), v.conj().swapaxes(1, 2), np.eye(w.shape[1])
+            q[:, xs] = [norm(u), norm(uh), norm(v), norm(vh), norm(v @ u - eye), norm(u @ v - eye),
+                        norm((uh * w[:, None, :]) @ u - eye * w[:, :, None]),
+                        norm((vh * w[:, None, :]) @ v - eye * w[:, :, None]), w.max(axis=1)]
+        return q
+    return _kept(G, rep, "_field", terms)
 
 
 def _conjugation_bounds(G: FiniteGroupoid, rep: ConjugatedRep, residuals) -> np.ndarray:
@@ -428,9 +476,9 @@ def _conjugation_bounds(G: FiniteGroupoid, rep: ConjugatedRep, residuals) -> np.
     make the same ops, so each orbit's Gram scale c, c^2 =
     tr(U_m^H W_m U_m) / tr(W_m) at its least object m, is divided out of U
     and into V first (U and V below are the scaled ones), which moves X_a
-    below by at most (2u + O(u^2)) al_t be_s.  Per object, from one product
-    each for the last four, and each widened by (1 + 4 gamma) for the
-    rounding of its moduli and sums:
+    below by at most (2u + O(u^2)) al_t be_s.  Per object
+    (:func:`_field_terms`), from one product each for the last four, and
+    each widened by (1 + 4 gamma) for the rounding of its moduli and sums:
 
         al = ||U||, al* = ||U^H||, be = ||V||, be* = ||V^H||, om = max W,
         e = ||VU - I||, f = ||UV - I||, g = ||U^H W U - W||, h = ||V^H W V - W||.
@@ -469,26 +517,11 @@ def _conjugation_bounds(G: FiniteGroupoid, rep: ConjugatedRep, residuals) -> np.
     """
     units, a, _, mult, inverses, unitarity = residuals
     n = G.n_objects
-    d = max(rep.bundle.dims, default=0) + 4
-    gamma = math.sqrt(2) * d * 2.0 ** -53 / (1 - d * 2.0 ** -53)
+    gamma = _gamma(max(rep.bundle.dims, default=0) + 4)
     orbit, members = G.orbit_index[:2]
     roots = np.flatnonzero(members.size)
     order, starts, which = members.order, members.start[roots], np.searchsorted(roots, orbit)
-    scale = [math.sqrt(float((w @ np.abs(u) ** 2).sum()) / float(w.sum()))
-             for u, w in zip(rep.field, rep.bundle.weights)]
-    scale = [scale[m] for m in orbit.tolist()]  # at each orbit's least object
-
-    def norm(m):  # the max row sum
-        return np.abs(m).sum(axis=1).max()
-
-    q = np.zeros((9, n))
-    for x, (u, v, w, c) in enumerate(zip(rep.field, rep.inverses, rep.bundle.weights, scale)):
-        with np.errstate(invalid="ignore"):  # a NaN scale makes the orbit's quantities NaN
-            u, v = u / c, v * c
-        uh, vh, eye, diag = u.conj().T, v.conj().T, np.eye(len(w)), np.diag(w)
-        q[:, x] = [*(norm(m) for m in (u, uh, v, vh, v @ u - eye, u @ v - eye,
-                                       (uh * w) @ u - diag, (vh * w) @ v - diag)), w.max()]
-    al, al_h, be, be_h, e, f, g, h, om = q * (1 + 4 * gamma)
+    al, al_h, be, be_h, e, f, g, h, om = _field_terms(G, rep) * (1 + 4 * gamma)
 
     def top(v):  # the largest value over each object's orbit, NaN when one is
         return np.maximum.reduceat(v[order], starts)[which]
@@ -576,8 +609,9 @@ def conjugate_rep_on(G: FiniteGroupoid, rep: IndexRep,
                      unitaries: list[np.ndarray]) -> ConjugatedRep:
     """Conjugate ``rep`` by a field of unitaries, one per object.
 
-    The op of a: s -> t, U_t op(a) V_s, is built when read, from the columns
-    of U_t that op(a) picks; no op of ``rep`` is built densely.  Raises
+    Keeps ``rep``, the field and one computed inverse per object, and
+    builds no op: :attr:`ConjugatedRep.ops` derives U_t op(a) V_s from them
+    when read.  Raises
     ShapeMismatch with the witness of :func:`_shape_fault` when an op of
     ``rep`` has the wrong shape or a 1 outside its target fiber, and unless
     the field has one dims[x] x dims[x] matrix per object x; LinAlgError
@@ -592,10 +626,7 @@ def conjugate_rep_on(G: FiniteGroupoid, rep: IndexRep,
         if u.shape != (d, d):
             raise ShapeMismatch(f"the unitary at object {G.objects[x]} has shape {u.shape}, "
                                 f"wants {(d, d)}")
-    inverses = tuple(np.linalg.inv(u) for u in field)
-    ops = _DenseOps(G.n_arrows, lambda a: (
-        field[G.tgt[a]][:, rep.rows[rep.starts[a]:rep.starts[a + 1]]] @ inverses[G.src[a]]))
-    return ConjugatedRep(rep, field, inverses, ops)
+    return ConjugatedRep(rep, field, tuple(np.linalg.inv(u) for u in field))
 
 
 # ---------------------------------------------------------------------------

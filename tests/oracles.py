@@ -12,7 +12,12 @@ For the integrated representations, the paths that the block operators
 replaced: the integrated operator scattered into one (sum of dims)^2 matrix,
 the one integration of a conjugated rep left, and the battery's integrated
 suites run one trial at a time on those matrices, with the unitary field
-applied as one block-diagonal matrix and its inverse.  For the dense
+applied as one block-diagonal matrix and its inverse.  For the per-object
+quantities of a conjugated rep's bounds, which are taken over stacks of the
+objects of one fiber dimension: the loop over the objects.  For the transport
+of a conjugated rep, which the battery judges from a rounding bound: the
+dense comparison of each target object's strip of its integrated operators,
+summed from the conjugated ops, with the field times the base's.  For the dense
 operator norm, the connected blocks of a matrix's support with rows and
 columns apart, one SVD each, which ``operator_norm`` took before it read a
 block operator, and the block operator's norm with the support's edges
@@ -62,16 +67,16 @@ from groupalg.errors import (FileFormatError, NotClosed, NotTransitive, ShapeMis
                              UnknownLabel)
 from groupalg.groupoid import (FiniteGroupoid, _composable, _fibers, _joined, _ranges,
                                components, isotropy)
-from groupalg.haar import (_as_function, convolve, counting_haar, function_to_matrix,
-                           half_density_inner, i_norm, involute, support_fiber_mass,
+from groupalg.haar import (HaarSystem, _as_function, convolve, counting_haar,
+                           function_to_matrix, i_norm, involute, support_fiber_mass,
                            table_convolve, unit_function)
 from groupalg.io import _finite_number, _label_map, _require
-from groupalg.randgen import SplitMix64, random_function, random_unitary_field
+from groupalg.randgen import SplitMix64, random_function
 from groupalg.report import Report, _worst
 from groupalg.representations import (ConjugatedRep, HilbertBundle, IndexRep,
-                                      TransitiveDecomposition, _column_gaps, adjoint_operator,
-                                      bundle_metric, conjugate_rep_on, induced_measures,
-                                      operator_norm)
+                                      QuasiInvariantMeasure, TransitiveDecomposition,
+                                      _coefficients, _column_gaps, adjoint_operator,
+                                      bundle_metric, induced_measures, operator_norm)
 
 
 @dataclass(frozen=True)
@@ -85,14 +90,6 @@ class DenseRep:
 def dense_of(rep) -> DenseRep:
     """The ops of an index or conjugated rep, read densely."""
     return DenseRep(rep.bundle, [np.asarray(op) for op in rep.ops])
-
-
-def conjugated_with(G, base, field, inverses) -> ConjugatedRep:
-    """``base`` conjugated by ``field`` with the given ``inverses`` in place
-    of the computed ones, its ops built as ``conjugate_rep_on`` builds them."""
-    ops = [field[t][:, base.rows[base.starts[a]:base.starts[a + 1]]] @ inverses[s]
-           for a, (t, s) in enumerate(zip(G.tgt.tolist(), G.src.tolist()))]
-    return ConjugatedRep(base, tuple(field), tuple(inverses), ops)
 
 
 def _gap(lhs, rhs) -> float:
@@ -371,23 +368,75 @@ def per_trial_integrated(G, mu, nus, reps, rng, t):
     return worst_mult, worst_star, worst_bound
 
 
-def big_matrix_transport(G, mu, nu, lrep, rng, atol):
+def big_matrix_transport(G, mu, nu, conj, fs, atol):
     """Whether the conjugated rep passes the dense check, and the worst gap
     between its integrated operators and big pi(f) big^-1, with big the
-    block-diagonal unitary field, over two functions."""
-    field = random_unitary_field(lrep.bundle.weights, rng)
-    conj = conjugate_rep_on(G, lrep, field)
+    block-diagonal field and pi the integration of its base, over the
+    functions ``fs``."""
     ok = dense_check(G, dense_of(conj), atol=atol).ok
-    big = np.zeros((lrep.bundle.total_dim, lrep.bundle.total_dim), dtype=complex)
+    big = np.zeros((conj.bundle.total_dim, conj.bundle.total_dim), dtype=complex)
     for x in range(G.n_objects):
-        big[lrep.bundle.slice_of(x), lrep.bundle.slice_of(x)] = field[x]
+        big[conj.bundle.slice_of(x), conj.bundle.slice_of(x)] = conj.field[x]
     worst = 0.0
-    for _ in range(2):
-        f = random_function(G, rng)
+    for f in fs:
         lhs = scatter_integrate(G, mu, nu, conj, f)
-        rhs = big @ scatter_integrate(G, mu, nu, lrep, f) @ np.linalg.inv(big)
+        rhs = big @ scatter_integrate(G, mu, nu, conj.base, f) @ np.linalg.inv(big)
         worst = _worst(worst, float(np.abs(lhs - rhs).max()))
     return ok, worst
+
+
+def looped_field_terms(G, rep) -> np.ndarray:
+    """The per-object quantities of ``_conjugation_bounds``, one object at a
+    time, as the bounds took them before the objects of one dimension were
+    stacked."""
+    orbit = G.orbit_index.label
+    scale = [math.sqrt(float((w @ np.abs(u) ** 2).sum()) / float(w.sum()))
+             for u, w in zip(rep.field, rep.bundle.weights)]
+    scale = [scale[m] for m in orbit.tolist()]  # at each orbit's least object
+
+    def norm(m):  # the max row sum
+        return np.abs(m).sum(axis=1).max()
+
+    q = np.zeros((9, G.n_objects))
+    for x, (u, v, w, c) in enumerate(zip(rep.field, rep.inverses, rep.bundle.weights, scale)):
+        with np.errstate(invalid="ignore"):  # a NaN scale makes the orbit's quantities NaN
+            u, v = u / c, v * c
+        uh, vh, eye, diag = u.conj().T, v.conj().T, np.eye(len(w)), np.diag(w)
+        q[:, x] = [*(norm(m) for m in (u, uh, v, vh, v @ u - eye, u @ v - eye,
+                                       (uh * w) @ u - diag, (vh * w) @ v - diag)), w.max()]
+    return q
+
+
+def transport_gaps(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure,
+                   conj: ConjugatedRep, plain: BlockOperator, fs: np.ndarray) -> np.ndarray:
+    """``max |pi(f_i) - U plain[i] U^-1|`` per function f_i of the stack
+    ``fs``, pi the integration of ``conj``, U its block-diagonal field and
+    U^-1 the computed inverses, one target object x at a time: the rows of
+    x in pi(f_i), summed over x's orbit from the ops of the arrows a into x
+    (c_i(a) op(a) into the columns of src(a), in arrow order, none where
+    f_i(a) is 0), against U_x plain[x, y] U_y^-1 over the objects y of the
+    orbit, taken from U_x times the rows of x in plain.
+    """
+    dims, offsets = conj.bundle.dims, conj.bundle.offsets
+    coeff = _coefficients(G, mu, nu, fs)
+    src = G.src.tolist()
+    out = np.zeros(len(fs))
+    for members in G.orbits():
+        pos = np.concatenate([np.arange(offsets[y], offsets[y + 1]) for y in members])
+        lo = np.cumsum([0] + [dims[y] for y in members]).tolist()
+        spans = {y: slice(lo[j], lo[j + 1]) for j, y in enumerate(members)}
+        for x in members:
+            strip = np.zeros((len(fs), dims[x], len(pos)), dtype=complex)
+            for a in G.target_fibers.of(x).tolist():
+                used = np.flatnonzero(fs[:, a] != 0).tolist()
+                op = conj.ops[a] if used else None
+                for i in used:
+                    strip[i, :, spans[src[a]]] += coeff[i, a] * op
+            want = np.matmul(conj.field[x], plain.dense(pos[spans[x]])[:, :, pos])
+            for y in members:
+                want[:, :, spans[y]] = np.matmul(want[:, :, spans[y]], conj.inverses[y])
+            out = np.maximum(out, np.abs(strip - want).max(axis=(1, 2)))
+    return out
 
 
 def searched_composites(G, a, b):
@@ -507,7 +556,8 @@ def per_trial_pair_matrix(G, rng, t):
             got = function_to_matrix(G, conv(G, counting, f, g))
             worst = _worst(worst, float(np.abs(got - want).max()))
         frob = complex(np.sum(function_to_matrix(G, f) * np.conj(function_to_matrix(G, g))))
-        worst = _worst(worst, abs(half_density_inner(G, counting, f, g) - frob))
+        # the pairing as the battery forms it, from one complex product per arrow
+        worst = _worst(worst, abs(complex(np.sum(f * np.conj(g) * counting.weights)) - frob))
     return worst
 
 

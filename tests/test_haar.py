@@ -518,18 +518,15 @@ class TestINormDefinition:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_the_weight_pairing_is_hermitian_and_its_sum(self, seed):
-        # exactly Hermitian on real functions; on complex ones numpy's
-        # complex product may fuse one of the two products of each part, so
-        # <f, g> and conj(<g, f>) agree to the rounding of the sum
+        # exactly Hermitian, complex functions included, and <f, f> exactly real
         G, mu, rng = self._case(seed)
         f, g = random_function(G, rng), random_function(G, rng)
-        for f, g in ((f, g), (f.real + 0j, g.imag + 0j)):
+        for f, g in ((f, g), (f.real + 0j, g.imag + 0j), (f, f)):
             fg, gf = half_density_inner(G, mu, f, g), half_density_inner(G, mu, g, f)
             scale = float(np.sum(np.abs(f) * np.abs(g) * mu.weights))
-            if not (f.imag.any() or g.imag.any()):
-                assert fg == gf.conjugate()
-            assert abs(fg - gf.conjugate()) <= 1e-13 * scale
+            assert fg == gf.conjugate()
             assert abs(fg - arrow_sum_inner(G, mu, f, g)) <= 1e-13 * scale
+        assert half_density_inner(G, mu, f, f).imag == 0
 
 
 @pytest.mark.parametrize("support, bad", [([-1], -1), ([4], 4), ((0, 3, 5, -2), 5)])

@@ -84,7 +84,8 @@ def test_random_function_and_unitary_field_are_unchanged(seed):
     G = product(pair_groupoid("abc"), group_groupoid(*cyclic_table(2)))
     scalar, vector = SplitMix64(seed), SplitMix64(seed)
     assert random_function(G, vector).tobytes() == _scalar_function(G.n_arrows, scalar).tobytes()
-    weights = [np.linspace(0.5, 2.0, d) for d in (1, 3, 6)]
+    # dimensions repeated out of order: one batched QR per dimension
+    weights = [np.linspace(0.5, 2.0, d) for d in (3, 1, 6, 3, 1, 6, 36)]
     new, old = random_unitary_field(weights, vector), _scalar_unitary_field(weights, scalar)
     assert [u.tobytes() for u in new] == [u.tobytes() for u in old]
     assert vector.state == scalar.state

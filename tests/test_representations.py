@@ -39,10 +39,10 @@ from groupalg.blocks import BlockOperator, BlockPartition
 from groupalg.representations import (HilbertBundle, bundle_metric, integrated_blocks,
                                       tensor_of_function)
 
-from oracles import (DenseRep, benchmark_documents, conjugated_with, dense_check, dense_of,
-                     dense_residuals, generator_bound, indicators, nonzero_operator_norm,
-                     pair_layers_ops, scanned_index_residuals, scatter_integrate, support_blocks,
-                     svd_fundamental_family_check)
+from oracles import (DenseRep, benchmark_documents, dense_check, dense_of,
+                     dense_residuals, generator_bound, indicators, looped_field_terms,
+                     nonzero_operator_norm, pair_layers_ops, scanned_index_residuals,
+                     scatter_integrate, support_blocks, svd_fundamental_family_check)
 
 
 def weighted_inner(bundle, nu, u, v):
@@ -168,7 +168,7 @@ class TestLeftRegular:
         bundle = HilbertBundle([3] * fibers, [np.ones(3)] * fibers)
         index = IndexRep(bundle, rep.src, rep.tgt, rep.rows, rep.starts)
         conj = conjugate_rep_on(G, rep, [np.eye(3, dtype=complex)] * 3)
-        for wrong in (index, ConjugatedRep(index, conj.field, conj.inverses, conj.ops),
+        for wrong in (index, ConjugatedRep(index, conj.field, conj.inverses),
                       DenseRep(bundle, list(rep.ops))):
             check = dense_check if isinstance(wrong, DenseRep) else check_representation
             assert [(e.check, e.witness) for e in check(G, wrong).errors] == [
@@ -1118,7 +1118,7 @@ def _corrupted_fields(G, conj):
     inverses[x] = inverses[x].copy()
     inverses[x][0, 0] += 1e-6
     return {"non-unitary": conjugate_rep_on(G, conj.base, field),
-            "moved-inverse": conjugated_with(G, conj.base, conj.field, inverses)}
+            "moved-inverse": ConjugatedRep(conj.base, conj.field, tuple(inverses))}
 
 
 def _failing_laws(report):
@@ -1154,7 +1154,7 @@ def _bounds_by_law(G, rep):
 
 
 class _Unreadable(Sequence):
-    """Stored ops that raise when read."""
+    """Ops that raise when read."""
 
     def __len__(self):
         raise AssertionError("the ops were read")
@@ -1205,7 +1205,7 @@ class TestConjugatedRep:
         moved = field if which == "U" else inverses
         d = len(moved[x])
         moved[x] = moved[x] + 10.0 ** size * SplitMix64(pick).complex_boxes(d * d).reshape(d, d)
-        rep = conjugated_with(G, conj.base, field, inverses)
+        rep = ConjugatedRep(conj.base, tuple(field), tuple(inverses))
         worst = _worst_by_law(G, rep)
         assert all(w <= b for w, b in zip(worst, _bounds_by_law(G, rep))), worst
         assert worst[1] <= generator_bound(G, dense_of(rep))
@@ -1213,13 +1213,20 @@ class TestConjugatedRep:
             if not dense_check(G, dense_of(rep), atol=atol).ok:
                 assert not check_representation(G, rep, atol=atol).ok
 
-    def test_the_check_reads_no_op(self):
+    def test_the_check_reads_no_op(self, monkeypatch):
         G = product(pair_groupoid("abc"), group_groupoid(*cyclic_table(4)))
         conj = _conjugated(G)
-        for rep in (conj, *_corrupted_fields(G, conj).values()):
-            unread = dataclasses.replace(rep, ops=_Unreadable())
-            assert check_representation(G, unread).entries == \
-                check_representation(G, rep).entries
+        reps = [conj, *_corrupted_fields(G, conj).values()]
+        want = [check_representation(G, rep).entries for rep in reps]
+        monkeypatch.setattr(ConjugatedRep, "ops", property(lambda rep: _Unreadable()))
+        assert [check_representation(G, _fresh(rep)).entries for rep in reps] == want
+
+    @pytest.mark.parametrize("name", sorted(_check_groupoids()))
+    def test_the_field_terms_are_those_of_the_object_loop(self, name):
+        G = _check_groupoids()[name]
+        conj = _conjugated(G)
+        np.testing.assert_allclose(representations._field_terms(G, conj),
+                                   looped_field_terms(G, conj), rtol=1e-12, atol=1e-15)
 
     def test_a_failing_base_makes_every_bound_inf(self):
         # two rows of one op of the base swapped: at atol 1 the base passes
@@ -1262,7 +1269,7 @@ class TestConjugatedRep:
         for x in range(G.n_objects) if everywhere else [1]:
             field[x] = np.full_like(field[x], math.nan)
             inverses[x] = np.full_like(inverses[x], math.nan)
-        rep = conjugated_with(G, conj.base, field, inverses)
+        rep = ConjugatedRep(conj.base, tuple(field), tuple(inverses))
         report = check_representation(G, rep)
         assert _failing_laws(report) == _failing_laws(dense_check(G, dense_of(rep))) == [
             "inverses", "multiplicativity", "unitarity", "units"]
@@ -1524,7 +1531,7 @@ class TestIndexReps:
         want = [("shape", f"op({G.arrow_ids[a]}) {witness}")]
         eye = [np.eye(n) for n in rep.bundle.dims]
         good = conjugate_rep_on(G, rep, eye)
-        conj = ConjugatedRep(bad, good.field, good.inverses, good.ops)
+        conj = ConjugatedRep(bad, good.field, good.inverses)
         for r in (bad, conj):
             assert [(e.check, e.witness) for e in check_representation(G, r).entries] == want
         assert not representations._multiplicative_by_generators(G, bad)
@@ -1673,7 +1680,7 @@ class TestGeneratorPairs:
             else:  # which refuses the rep; its laws are checked all the same
                 with pytest.raises(ShapeMismatch):
                     conjugate_rep_on(H, rep, field)
-                conj = ConjugatedRep(rep, tuple(field), tuple(map(np.linalg.inv, field)), ())
+                conj = ConjugatedRep(rep, tuple(field), tuple(map(np.linalg.inv, field)))
             proved = representations._multiplicative_by_generators(H, rep)
             assert not proved or formed
             if formed:  # the premises hold, and no pair fails, exactly when proved
