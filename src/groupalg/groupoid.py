@@ -125,7 +125,9 @@ class FiniteGroupoid:
     are looked up once, on first use, and kept as read-only arrays, as the
     certificate is kept.
     ``compose_table`` holds (first, second, composite) rows sorted by pair;
-    when a pair repeats, the last row wins.  The constructor only
+    when a pair repeats, the last row wins.  Rows given strictly ascending
+    by pair, as :func:`build_from_relation` gives them, are kept in their
+    order without a sort.  The constructor only
     verifies that indices are in range, so deliberately corrupted tables
     (off-domain, missing or wrong products) can be built and then diagnosed
     with :func:`validate`.
@@ -151,10 +153,13 @@ class FiniteGroupoid:
         if len(bad):
             a, b, c = table[bad[0]].tolist()
             raise ValueError(f"compose entry ({a},{b})->{c} out of range")
-        # unique over the reversed rows keeps the last row of each pair; its keys index them
-        keys, last = np.unique(table[::-1, 0] * n_arr + table[::-1, 1], return_index=True)
-        # stored column-major, so each column is one contiguous array
-        self.compose_table: np.ndarray = np.ascontiguousarray(table[len(table) - 1 - last].T).T
+        keys = table[:, 0] * n_arr + table[:, 1]
+        if not (keys[1:] > keys[:-1]).all():
+            # unique over the reversed rows keeps the last row of each pair; its keys index them
+            keys, last = np.unique(keys[::-1], return_index=True)
+            table = table[len(table) - 1 - last]
+        # a copy stored column-major, so each column is one contiguous array
+        self.compose_table: np.ndarray = np.array(table.T, order="C").T
         self.target_fibers = _fibers(self.tgt, n_obj)
         self.source_fibers = _fibers(self.src, n_obj)
         # in a complete table the row of (a, b) is the first row of a plus
@@ -396,8 +401,12 @@ def build_from_relation(objects, pairs, closure_policy: str = "strict") -> Finit
     relation that is not reflexive-on-support, symmetric and transitive;
     ``complete`` closes the relation first.  Either way the groupoid lives
     on the objects touched by the pairs, in the order given by ``objects``.
-    The arrows are the sorted keys tgt * n + src over that support, looked
-    up by binary search, so the cost follows the pairs, not n^2.
+    The arrows are the sorted keys tgt * n + src over that support.  The
+    table comes out in (first, second) order, as the constructor stores it,
+    with every composite and inverse found by one binary search over the
+    keys, which is also the strict closure check; so the cost follows the
+    pairs, not n^2.  Only a relation that fails the check is scanned again,
+    in pair order, to name its first missing pair.
     """
     objects = [str(o) for o in objects]
     index = {lab: i for i, lab in enumerate(objects)}
@@ -421,16 +430,6 @@ def build_from_relation(objects, pairs, closure_policy: str = "strict") -> Finit
     if closure_policy == "strict":
         keys = np.sort(t * n + s)
         keys = keys[np.diff(keys, prepend=-1) != 0]
-        probe = np.append(keys, n * n)  # a sentinel above every pair
-        # (x, y) against each (y, z), in pair order, then in y's; then each
-        # inverse (y, x), which composes with (x, y) to the unit (x, x)
-        needed = ((t[rows], s[later], "composite")
-                  for rows, later in _triples(_fibers(t, n), s))
-        for left, right, kind in itertools.chain(needed, [(s, t, "inverse")]):
-            want = left * n + right
-            if len(miss := np.flatnonzero(probe[probe.searchsorted(want)] != want)):
-                x, z = support[left[miss[0]]], support[right[miss[0]]]
-                raise NotClosed(f"missing {kind} pair ({x}, {z})", (x, z))
     else:
         # every pair in a class of the relation's graph, already in key order
         label = components(n, t, s)
@@ -438,11 +437,35 @@ def build_from_relation(objects, pairs, closure_policy: str = "strict") -> Finit
         width = size[label]
         keys = np.repeat(np.arange(n) * n, width) + order[_ranges(start[label], width)]
 
+    # the composable pairs in (first, second) order: each arrow a, then the
+    # arrows into src(a), one run of the keys; one search finds every
+    # composite and inverse, and a strict relation must hold them all
     tgt, src = np.divmod(keys, max(n, 1))
-    first, second = _composable(src, tgt, n)
-    table = np.stack([first, second, keys.searchsorted(tgt[first] * n + src[second])], axis=1)
-    return FiniteGroupoid(support, src, tgt, table, keys.searchsorted(src * n + tgt),
-                          keys.searchsorted(np.arange(n) * (n + 1)))
+    size = np.bincount(tgt, minlength=n)
+    width = size[src]
+    first = np.repeat(np.arange(len(keys)), width)
+    second = _ranges((np.cumsum(size) - size)[src], width)
+    probe = np.append(keys, n * n)  # a sentinel above every pair
+    want = np.concatenate([tgt[first] * n + src[second], src * n + tgt])
+    found = probe.searchsorted(want)
+    if (probe[found] != want).any():
+        _name_missing(support, t, s, probe)
+    return FiniteGroupoid(support, src, tgt, np.stack([first, second, found[:len(first)]]).T,
+                          found[len(first):], keys.searchsorted(np.arange(n) * (n + 1)))
+
+
+def _name_missing(support: list[str], t, s, probe) -> None:
+    """Raise NotClosed for the first pair that the relation (t, s) lacks:
+    for each pair (x, y) in the given order, its composite with each (y, z),
+    in that order, then each inverse (y, x), which composes with (x, y) to
+    the unit (x, x)."""
+    n = len(support)
+    needed = ((t[rows], s[later], "composite") for rows, later in _triples(_fibers(t, n), s))
+    for left, right, kind in itertools.chain(needed, [(s, t, "inverse")]):
+        want = left * n + right
+        if len(miss := np.flatnonzero(probe[probe.searchsorted(want)] != want)):
+            x, z = support[left[miss[0]]], support[right[miss[0]]]
+            raise NotClosed(f"missing {kind} pair ({x}, {z})", (x, z))
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +478,16 @@ class GeneratorCertificate:
 
     ``generators`` is S, ascending.  ``associative`` holds when the table
     defines every composable pair with the right endpoints, S reaches every
-    arrow by right-nested words ``s1 o (s2 o (... o sk))``, and Light's test
-    ``(x o s) o y == x o (s o y)`` holds for every s in S and composable x, y.
-    The arrows a that pass the test for every x, y are closed under
-    composition (Clifford & Preston, *Algebraic Theory of Semigroups* I,
-    §1.2), so then every composable triple associates.
+    arrow by right-nested words ``s1 o (s2 o (... o sk))``, and every orbit
+    associates.  On an orbit that :func:`orbits.orbit_matrices` keeps, the
+    table is (x, g, y) o (y, h, z) = (x, gh, z), so the orbit associates
+    exactly when its base's loops do: Light's test ``(x s) y == x (s y)``
+    runs on their |H| x |H| table, over the base's generators and the loops
+    its star makes.  On every other orbit it runs on the whole table, for
+    every s in S and composable x, y.  The elements that pass the test for
+    every x, y are closed under the product (Clifford & Preston, *Algebraic
+    Theory of Semigroups* I, §1.2), so then every composable triple
+    associates.
     """
 
     generators: np.ndarray
@@ -487,17 +515,14 @@ def _cayley(G: FiniteGroupoid, loops: np.ndarray):
     return position, G.composites(np.repeat(loops, h), np.tile(loops, h)).reshape(h, h)
 
 
-def _isotropy_generators(G: FiniteGroupoid, loops: np.ndarray, made) -> list[int]:
-    """Greedy generators of the group on ``loops``, the loops at one base
-    object: the first loop not yet generated, with its powers g^2, g^4, ...,
-    so every element is a short word.  Generation starts from the loops
-    marked in ``made``."""
-    position, products = _cayley(G, loops)
-    table = position[products]
-    h = len(loops)
-    have = _subgroup(table, np.asarray(made, dtype=bool))
+def _isotropy_generators(table: np.ndarray, made: np.ndarray) -> list[int]:
+    """Greedy generators of the group with the product ``table``, the loops
+    at one base object by position: the first loop not yet generated, with
+    its powers g^2, g^4, ..., so every element is a short word.  Generation
+    starts from the loops marked in ``made``, which it overwrites."""
+    have = _subgroup(table, made)
     gens: list[int] = []
-    for g in range(h):
+    for g in range(len(table)):
         if have[g]:
             continue
         while not have[g]:
@@ -505,10 +530,28 @@ def _isotropy_generators(G: FiniteGroupoid, loops: np.ndarray, made) -> list[int
             have[g] = True
             g = table[g, g]
         have = _subgroup(table, have)
-    return loops[gens].tolist()
+    return gens
+
+
+def _light(table: np.ndarray, gens) -> bool:
+    """Light's test on a product table: (x s) y == x (s y) for every s in
+    ``gens`` and all x, y."""
+    return all(np.array_equal(table[table[:, s]], table[:, table[s]]) for s in gens)
+
+
+def _light_on_the_table(G: FiniteGroupoid, gens: np.ndarray) -> bool:
+    """Light's test on the whole table: (x o s) o y == x o (s o y) for s in
+    ``gens`` and every composable x, y."""
+    x, s = _joined(np.arange(G.n_arrows), gens, G.src, G.tgt, G.n_objects)
+    xs = G.composites(x, s)
+    return not any((G.composites(xs[rows], y)
+                    != G.composites(x[rows], G.composites(s[rows], y))).any()
+                   for rows, y in _triples(G.target_fibers, G.src[s]))
 
 
 def _certify(G: FiniteGroupoid) -> GeneratorCertificate:
+    from .orbits import orbit_matrices  # orbits imports this module
+
     src, tgt = G.src, G.tgt
     n, arrows = G.n_objects, np.arange(G.n_arrows)
     a, b, ab = G._pair_products()
@@ -528,16 +571,22 @@ def _certify(G: FiniteGroupoid) -> GeneratorCertificate:
     chosen = np.zeros(G.n_arrows, dtype=bool)
     chosen[star] = True
     # the loops at each base the star already makes, (x -> base) o (base -> x),
-    # then greedy generators of what the base's group still lacks
+    # then greedy generators of what the base's group still lacks; each
+    # base's loop table is kept with the loops that generate it
     both = (out_of_base < G.n_arrows) & (into_base < G.n_arrows)
     made = np.zeros(G.n_arrows, dtype=bool)
     made[G.composites(into_base[both], out_of_base[both])] = True
     loops = arrows[~leg & (src == base[src])]
     alone = loops[count[src[loops]] == 1]
     chosen[alone[~made[alone]]] = True
+    tables = {}
     for x in np.flatnonzero(count > 1).tolist():
         at_x = loops[src[loops] == x]
-        chosen[_isotropy_generators(G, at_x, made[at_x])] = True
+        position, products = _cayley(G, at_x)
+        table = position[products]
+        gens = _isotropy_generators(table, made[at_x])
+        chosen[at_x[gens]] = True
+        tables[x] = table, [*np.flatnonzero(made[at_x]).tolist(), *gens]
     gens = np.flatnonzero(chosen)
 
     # right-nested closure: the words of length k + 1 are S o (those of
@@ -556,14 +605,15 @@ def _certify(G: FiniteGroupoid) -> GeneratorCertificate:
     if not reached.all():
         return GeneratorCertificate(gens, False)
 
-    # Light's test: (x o s) o y == x o (s o y) for s in S and every composable x, y
-    x, s = _joined(arrows, gens, src, tgt, n)
-    xs = G.composites(x, s)
-    for rows, y in _triples(G.target_fibers, src[s]):
-        if (G.composites(xs[rows], y)
-                != G.composites(x[rows], G.composites(s[rows], y))).any():
-            return GeneratorCertificate(gens, False)
-    return GeneratorCertificate(gens, True)
+    # Light's test on the loop table of each kept orbit (one loop alone
+    # associates), on the whole table for the generators of the others
+    kept = np.zeros(n, dtype=bool)
+    for right in orbit_matrices(G).right:
+        kept[tgt[right[:, 0, 0]]] = True  # [o, 0, 0] is a loop at the base of orbit o
+    rest = gens[~kept[base[tgt[gens]]]]
+    associative = (all(_light(*tables[x]) for x in tables if kept[x])
+                   and (not len(rest) or _light_on_the_table(G, rest)))
+    return GeneratorCertificate(gens, associative)
 
 
 # ---------------------------------------------------------------------------
@@ -611,34 +661,42 @@ def validate(G: FiniteGroupoid) -> Report:
                         f"({aid[x[i]]} o {aid[y[i]]}) o {aid[z[i]]} = {aid[xy_z[i]]} "
                         f"!= {aid[x_yz[i]]} = {aid[x[i]]} o ({aid[y[i]]} o {aid[z[i]]})")
 
+    # the unit and inverse laws as masks; only the flagged objects and
+    # arrows are walked, in order, to word their entries
     unit = np.array([-1 if u is None else u for u in G.unit_of], dtype=np.intp)
     us, ut, inv = unit[src], unit[tgt], G.inverse
-    a_us, ut_a, a_inv, inv_a = (G.composites(p, q).tolist() for p, q in
+    a_us, ut_a, a_inv, inv_a = (G.composites(p, q) for p, q in
                                 ((arrows, us), (ut, arrows), (arrows, inv), (inv, arrows)))
-    src, tgt, us, ut, inv = (v.tolist() for v in (src, tgt, us, ut, inv))  # ints for the loops
-    for x in range(G.n_objects):
+    # the object each unit loops at; -1 for a missing unit or one not a loop
+    at = np.append(np.where(src == tgt, tgt, -1), -1)[unit]
+    for x in np.flatnonzero(at != np.arange(G.n_objects)).tolist():
         u = G.unit_of[x]
         if u is None:
             rep.add("unit-missing", f"object {G.objects[x]} has no unit arrow")
-            continue
-        if tgt[u] != x or src[u] != x:
+        else:
             rep.add("unit-endpoints", f"unit of {G.objects[x]} is {aid[u]}, not a loop at it")
-    for a in range(G.n_arrows):
-        if a_us[a] not in (-1, a):
+    right = (a_us >= 0) & (a_us != arrows)
+    left = (ut_a >= 0) & (ut_a != arrows)
+    for a in np.flatnonzero(right | left).tolist():
+        if right[a]:
             rep.add("unit-law", f"{aid[a]} o unit({G.objects[src[a]]}) != {aid[a]}")
-        if ut_a[a] not in (-1, a):
+        if left[a]:
             rep.add("unit-law", f"unit({G.objects[tgt[a]]}) o {aid[a]} != {aid[a]}")
 
-    for a in range(G.n_arrows):
+    swapped = (tgt[inv] == src) & (src[inv] == tgt)
+    involution = inv[inv] != arrows
+    right = (ut >= 0) & (a_inv >= 0) & (a_inv != ut)
+    left = (us >= 0) & (inv_a >= 0) & (inv_a != us)
+    for a in np.flatnonzero(~swapped | involution | right | left).tolist():
         i = inv[a]
-        if tgt[i] != src[a] or src[i] != tgt[a]:
+        if not swapped[a]:
             rep.add("inverse-endpoints", f"inverse({aid[a]}) = {aid[i]} does not swap endpoints")
             continue
-        if inv[i] != a:
+        if involution[a]:
             rep.add("inverse-involution", f"inverse(inverse({aid[a]})) = {aid[inv[i]]}")
-        if ut[a] >= 0 and a_inv[a] not in (-1, ut[a]):
+        if right[a]:
             rep.add("inverse-law", f"{aid[a]} o {aid[i]} != unit({G.objects[tgt[a]]})")
-        if us[a] >= 0 and inv_a[a] not in (-1, us[a]):
+        if left[a]:
             rep.add("inverse-law", f"{aid[i]} o {aid[a]} != unit({G.objects[src[a]]})")
     return rep
 

@@ -6,7 +6,10 @@ C*-Algebras*, LNM 793); a groupoid is the disjoint union of its orbits.
 :func:`orbit_matrices` reads, once per groupoid, the gather indices that
 turn each orbit's convolution into one matrix product, for every orbit
 whose composition table bears the isomorphism out, and leaves the table's
-other rows to the table sum.  It is a module of its own so that no
+other rows to the table sum.  The generator certificate reads the same
+verdict: a kept orbit associates exactly when its labels do, so
+:func:`groupoid.validate` builds the matrices that :func:`haar.convolve`
+then reuses.  It is a module of its own so that no
 module's source grows past the largest: compiling that one sets a floor
 under the peak memory of every process that imports the package from
 source.
@@ -75,30 +78,41 @@ def _build(G: FiniteGroupoid) -> OrbitMatrices:
 
     # the rows of each orbit: exactly its composable pairs, n^3 h^2 of them,
     # each composite labelled by one product table of the labels
+    # (each temporary as large as the table is dropped once read)
     row_orbit = r[first]
     ends = ((src[first] == tgt[second]) & (tgt[composite] == tgt[first])
             & (src[composite] == src[second]))
     good[row_orbit[good[row_orbit] & ~ends]] = False
+    del ends
     size = np.where(good, h * h, 0)
     corner = np.cumsum(size) - size
-    owner = np.repeat(np.arange(n_obj), size)  # the orbit of each table cell
     rows = np.flatnonzero(good[row_orbit])
     ro, gc = row_orbit[rows], g[composite[rows]]
-    cell = corner[ro] + g[first[rows]] * h[ro] + g[second[rows]]
-    table = np.full(len(owner), -1, dtype=np.intp)
+    cell = g[first[rows]]
+    cell *= h[ro]
+    cell += g[second[rows]]
+    cell += corner[ro]
+    del rows
+    table = np.full(size.sum(), -1, dtype=np.intp)
     table[cell] = gc
     good[ro[table[cell] != gc]] = False
+    del cell, gc
     good[np.bincount(ro, minlength=n_obj) != n ** 3 * h * h] = False
+    del ro
+    owner = np.repeat(np.arange(n_obj), size)  # the orbit of each table cell
     # right multiplication by each label k permutes the labels: each column
     # (., k) of the table holds every label once; its inverse, h k^-1 for
     # each label h, is kept at k |H| + h
     row, k = np.divmod(np.arange(len(owner)) - corner[owner], h[owner])
     use = good[owner]
     column = (corner[owner] + k * h[owner] + table)[use]
+    del k, table
     hit = np.bincount(column, minlength=len(owner))
     good[owner[use][hit[column] != 1]] = False
+    del hit
     division = np.zeros(len(owner), dtype=np.intp)
     division[column] = row[use]
+    del row, column, owner
 
     left, right = [], []
     roots = np.flatnonzero(good)

@@ -45,6 +45,10 @@ For the orbit index, which factors each orbit once as the groupoid is
 built: the derivations that ``orbits()``, the generator certificate and
 ``decompose_transitive`` each made from their own ``components`` call, and
 the index itself one object and one arrow at a time.
+For the generator certificate, which runs Light's test on the loop table
+of each orbit that ``orbit_matrices`` keeps: Light's test on the whole
+table.  For ``validate``'s unit and inverse laws, which are array masks:
+the loops that tested them object by object and arrow by arrow.
 
 With them, the benchmark's small documents, on which the battery's reports
 are pinned and the conjugated rep's bounds are compared with the dense check.
@@ -65,13 +69,14 @@ from groupalg.bisections import arrow_array, bisection_compose, target_map, unit
 from groupalg.blocks import BlockOperator, BlockPartition
 from groupalg.errors import (FileFormatError, NotClosed, NotTransitive, ShapeMismatch,
                              UnknownLabel)
+from groupalg.builders import group_groupoid, pair_groupoid, product, symmetric_table
 from groupalg.groupoid import (FiniteGroupoid, _composable, _fibers, _joined, _ranges,
-                               components, isotropy)
+                               _triples, components, isotropy)
 from groupalg.haar import (HaarSystem, _as_function, convolve, counting_haar,
                            function_to_matrix, i_norm, involute, support_fiber_mass,
                            table_convolve, unit_function)
 from groupalg.io import _finite_number, _label_map, _require
-from groupalg.randgen import SplitMix64, random_function
+from groupalg.randgen import SplitMix64, random_function, random_groupoid
 from groupalg.report import Report, _worst
 from groupalg.representations import (ConjugatedRep, HilbertBundle, IndexRep,
                                       QuasiInvariantMeasure, TransitiveDecomposition,
@@ -203,6 +208,77 @@ def right_nested_depths(G, gens):
         reached |= words
         k += 1
     return k
+
+
+def whole_table_light(G) -> bool:
+    """The generator certificate's verdict with Light's test on the whole
+    table, as it was taken before the orbits that ``orbit_matrices`` keeps
+    were judged by their loop tables: every composable pair defined with
+    the right endpoints, the certificate's generators reaching every arrow,
+    and (x o s) o y == x o (s o y) for every generator s and composable x, y."""
+    src, tgt = G.src, G.tgt
+    a, b, ab = G._pair_products()
+    if (ab < 0).any() or (tgt[ab] != tgt[a]).any() or (src[ab] != src[b]).any():
+        return False
+    gens = G.certificate().generators
+    if right_nested_depths(G, gens.tolist()) is None:
+        return False
+    x, s = _joined(np.arange(G.n_arrows), gens, src, tgt, G.n_objects)
+    xs = G.composites(x, s)
+    for rows, y in _triples(G.target_fibers, src[s]):
+        if (G.composites(xs[rows], y)
+                != G.composites(x[rows], G.composites(s[rows], y))).any():
+            return False
+    return True
+
+
+def looped_unit_inverse_laws(G) -> list[tuple[str, str]]:
+    """``validate``'s unit and inverse entries from one loop over the
+    objects and two over the arrows, each law tested arrow by arrow."""
+    aid, out = G.arrow_ids, []
+    unit = [-1 if u is None else u for u in G.unit_of]
+    src, tgt, inv = G.src.tolist(), G.tgt.tolist(), G.inverse.tolist()
+
+    def composite(a, b):
+        return int(G.composites(a, b)) if a >= 0 and b >= 0 else -1
+    for x in range(G.n_objects):
+        u = G.unit_of[x]
+        if u is None:
+            out.append(("unit-missing", f"object {G.objects[x]} has no unit arrow"))
+        elif tgt[u] != x or src[u] != x:
+            out.append(("unit-endpoints",
+                        f"unit of {G.objects[x]} is {aid[u]}, not a loop at it"))
+    for a in range(G.n_arrows):
+        if composite(a, unit[src[a]]) not in (-1, a):
+            out.append(("unit-law", f"{aid[a]} o unit({G.objects[src[a]]}) != {aid[a]}"))
+        if composite(unit[tgt[a]], a) not in (-1, a):
+            out.append(("unit-law", f"unit({G.objects[tgt[a]]}) o {aid[a]} != {aid[a]}"))
+    for a in range(G.n_arrows):
+        i = inv[a]
+        if tgt[i] != src[a] or src[i] != tgt[a]:
+            out.append(("inverse-endpoints",
+                        f"inverse({aid[a]}) = {aid[i]} does not swap endpoints"))
+            continue
+        if inv[i] != a:
+            out.append(("inverse-involution", f"inverse(inverse({aid[a]})) = {aid[inv[i]]}"))
+        ut, us = unit[tgt[a]], unit[src[a]]
+        if ut >= 0 and composite(a, i) not in (-1, ut):
+            out.append(("inverse-law", f"{aid[a]} o {aid[i]} != unit({G.objects[tgt[a]]})"))
+        if us >= 0 and composite(i, a) not in (-1, us):
+            out.append(("inverse-law", f"{aid[i]} o {aid[a]} != unit({G.objects[src[a]]})"))
+    return out
+
+
+def norm_groupoids() -> dict:
+    """Pair groupoids, pair(k) x S3 and random unions: the groupoids the
+    operator norm is compared with the dense SVD on."""
+    out = {f"pair{k}": pair_groupoid([f"o{i}" for i in range(k)]) for k in (1, 2, 4, 6)}
+    for k in (1, 2, 3):
+        out[f"pair{k}xS3"] = product(pair_groupoid([f"o{i}" for i in range(k)]),
+                                     group_groupoid(*symmetric_table(3)))
+    for seed in (3, 11, 29):
+        out[f"random{seed}"] = random_groupoid(SplitMix64(seed), max_arrows=40)
+    return out
 
 
 def generator_bound(G, rep) -> float:

@@ -467,10 +467,15 @@ def _unit_bisection_only(real):
     return module
 
 
-def _scaled(real):
-    def scaled(*args):  # every result times 1 + 1e-6
-        return real(*args) * (1 + 1e-6)
-    return scaled
+def _times(factor):
+    def scale(real):
+        def scaled(*args):  # every result times factor
+            return real(*args) * factor
+        return scaled
+    return scale
+
+
+_scaled = _times(1 + 1e-6)
 
 
 def _orbit_rows_reversed(real):
@@ -515,7 +520,10 @@ FAULTS = {
     "involute-scaled": ("involute", _scaled,
                         ["involution-antihomomorphism", "involution-involutive",
                          "inorm-involution-isometry", "integrated-star"], BOTH),
-    "fiber-integrate-scaled": ("fiber_integrate", _scaled, ["fiber-integration"], BOTH),
+    "fiber-integrate-scaled": ("fiber_integrate", _scaled,
+                               ["fiber-integration", "half-density-positivity"], BOTH),
+    "half-density-inner-scaled": ("half_density_inner", _times(1.1),
+                                  ["half-density-positivity"], BOTH),
 }
 
 
@@ -579,6 +587,31 @@ def test_the_left_regular_index_check_runs_once_per_battery(monkeypatch):
     [lrep] = made
     assert sum(rep is lrep for rep in checked) == 1
     assert len(checked) == 2  # and the trivial rep
+
+
+def test_a_battery_proves_associativity_from_the_orbit_matrices(monkeypatch):
+    # every orbit of a verified document is kept by orbit_matrices, so no
+    # certificate runs Light's test on a whole table, and the matrices that
+    # validate builds are the ones convolve reads: one build per groupoid
+    from groupalg import orbits
+    G = disjoint_union(product(pair_groupoid("ab"), group_groupoid(*cyclic_table(2))),
+                       pair_groupoid("cde"))
+    gdoc = _random_document(G, SplitMix64(3))
+    whole, built = [], []
+
+    def light(G, gens, real=groupoid._light_on_the_table):
+        whole.append(gens)
+        return real(G, gens)
+
+    def build(G, real=orbits._build):
+        built.append(G)
+        return real(G)
+    monkeypatch.setattr(groupoid, "_light_on_the_table", light)
+    monkeypatch.setattr(orbits, "_build", build)
+    run = run_battery(gdoc, seed=1, trials=4)
+    assert all(line.ok for line in run.lines)
+    assert whole == []
+    assert G in built and len({id(H) for H in built}) == len(built) >= 2
 
 
 @pytest.mark.parametrize("make", [

@@ -17,6 +17,7 @@ from groupalg import (HaarSystem, NotClosed, NotRelationGroupoid, UnknownLabel,
 from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
                                klein_table, pair_groupoid, product, symmetric_table)
 from groupalg import groupoid as gmod
+from groupalg import orbits
 from groupalg.cli import main
 from groupalg.groupoid import FiniteGroupoid, components, relation_isomorphism
 from groupalg.haar import check_left_invariance, counting_haar
@@ -27,8 +28,10 @@ from groupalg.randgen import SplitMix64, random_groupoid
 from groupalg.representations import decompose_transitive
 
 from oracles import (certificate_out_of_base, components_orbits, derived_decomposition,
-                     looped_multiplier_certificate, looped_orbit_index, right_nested_depths,
-                     searched_composites, set_build_from_relation, tuple_fibers)
+                     looped_multiplier_certificate, looped_orbit_index,
+                     looped_unit_inverse_laws, norm_groupoids,
+                     right_nested_depths, searched_composites, set_build_from_relation,
+                     tuple_fibers, whole_table_light)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "groupalg", "fixtures")
 
@@ -143,6 +146,49 @@ def test_build_from_relation_agrees_with_the_set_build(relation, policy):
     objects, pairs = relation
     assert (_built(build_from_relation, objects, pairs, policy)
             == _built(set_build_from_relation, objects, pairs, policy))
+
+
+def _index(G):
+    """What the constructor derives from the table: the stored rows, the
+    sorted keys it searches, each arrow's first row, and the maps it keeps."""
+    return (G.compose_table.tolist(), G._keys.tolist(), G._start.tolist(), G.inverse.tolist(),
+            G.unit_of)
+
+
+@settings(max_examples=200, deadline=None)
+@given(relations(), st.sampled_from(["strict", "complete"]), st.randoms(use_true_random=False))
+def test_the_sorted_build_equals_the_sorted_constructor_path(relation, policy, rnd):
+    # the build hands the constructor its rows in (first, second) order,
+    # which it keeps without np.unique; the same rows shuffled, once with a
+    # wrong composite for one pair ahead of the right one, take np.unique
+    # and must give the same groupoid
+    objects, pairs = relation
+    try:
+        G = build_from_relation(objects, pairs, policy)
+    except NotClosed:  # named as the set build names it (the test above)
+        return
+    rows = G.compose_table.tolist()
+    first, second, _ = G.compose_table.T
+    assert (np.diff(first * G.n_arrows + second) > 0).all()
+    shuffled = rnd.sample(rows, len(rows))
+    tables = [shuffled]
+    if rows:
+        a, b, c = rnd.choice(rows)
+        tables.append([[a, b, (c + 1) % G.n_arrows], *shuffled])
+    for table in tables:
+        H = FiniteGroupoid(G.objects, G.src, G.tgt, table, G.inverse, G.unit_of, G.arrow_ids)
+        assert _index(H) == _index(G)
+
+
+def test_a_repeated_pair_in_sorted_rows_keeps_its_last_row():
+    G = pair_groupoid("abc")
+    rows = G.compose_table.tolist()
+    a, b, c = rows[4]
+    for early, late in [(G.unit_of[0], c), (c, G.unit_of[0])]:
+        table = rows[:4] + [[a, b, early], [a, b, late]] + rows[5:]
+        H = FiniteGroupoid(G.objects, G.src, G.tgt, table, G.inverse, G.unit_of)
+        assert H.compose_table.tolist() == rows[:4] + [[a, b, late]] + rows[5:]
+        assert H.composites(a, b) == late
 
 
 def test_a_discrete_relation_builds_in_memory_linear_in_its_pairs():
@@ -396,6 +442,83 @@ def test_validate_matches_the_triple_scan_on_random_groupoids(seed, kind, row, p
         _validate_with_the_triple_scan(H)
     if kind == "none":
         assert H.certificate().associative
+    assert H.certificate().associative == whole_table_light(H)
+
+
+def _fixture_groupoids():
+    out = {}
+    for name in sorted(os.listdir(FIXTURES)):
+        with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if "relation" in doc or "arrows" in doc:
+            out[f"fixture-{name}"] = lambda doc=doc: _loaded(doc)
+    return out
+
+
+_CERTIFIED = {
+    **_fixture_groupoids(),
+    **{f"corrupted-{case}": build for case, (build, _) in _CORRUPTIONS.items()},
+    **{f"norm-{name}": lambda name=name: norm_groupoids()[name] for name in norm_groupoids()},
+    **{f"random-{seed}": lambda seed=seed: random_groupoid(SplitMix64(seed), max_arrows=64)
+       for seed in (1, 2, 5, 17, 40, 99)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CERTIFIED))
+def test_the_orbit_certificate_agrees_with_lights_test_on_the_whole_table(case):
+    G = _CERTIFIED[case]()
+    assert G.certificate().associative == whole_table_light(G)
+
+
+# loops of order 5 that are no groups, Latin squares with identity 0: in
+# the first every element is its own inverse, and (1 1) 2 = 2 != 4 = 1 (1 2);
+# the second is generated by 2 alone, which fails Light's test
+_LOOPS5 = {
+    "self-inverse": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+                     [4, 3, 1, 2, 0]],
+    "generated-by-2": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0],
+                       [4, 2, 0, 1, 3]],
+}
+
+
+def _pair2_times(table, back):
+    """pair(2) x L for the loop table L: arrows (x, g, y) running y -> x,
+    (x, g, y) o (y, h, z) = (x, L[g][h], z); x-major, then y, then g, except
+    that the first arrow b -> a is (a, back, b).  So the star's loop at a,
+    (a, back, b) o (b, 0, a), is (a, back, a).  Each (x, g, y) is given the
+    inverse (y, g, x)."""
+    h = len(table)
+    arrows = [(x, g, y) for x in range(2) for y in range(2)
+              for g in ([back, *(k for k in range(h) if k != back)] if (x, y) == (0, 1)
+                        else range(h))]
+    at = {arrow: i for i, arrow in enumerate(arrows)}
+    rows = [(at[x, g, y], at[y, k, z], at[x, table[g][k], z])
+            for x, g, y in arrows for w, k, z in arrows if w == y]
+    return FiniteGroupoid("ab", [y for _, _, y in arrows], [x for x, _, _ in arrows], rows,
+                          [at[y, g, x] for x, g, y in arrows], [at[0, 0, 0], at[1, 0, 1]])
+
+
+@pytest.mark.parametrize("loop, back", [("self-inverse", 0), ("generated-by-2", 2)])
+def test_a_kept_orbit_with_a_non_associative_label_table_is_refused(loop, back, monkeypatch):
+    L = np.array(_LOOPS5[loop])
+    assert (np.sort(L, axis=0) == np.arange(5)[:, None]).all()
+    assert (np.sort(L, axis=1) == np.arange(5)).all()
+    assert not (L[L] == L[:, L]).all()  # (x y) z == x (y z) fails somewhere
+    G = _pair2_times(_LOOPS5[loop], back)
+    whole = []
+
+    def counted(G, gens, real=gmod._light_on_the_table):
+        whole.append(gens)
+        return real(G, gens)
+    monkeypatch.setattr(gmod, "_light_on_the_table", counted)
+    # the orbit matrices keep the one orbit, so its loop table decides
+    assert len(orbits.orbit_matrices(G).left) == 1 and len(orbits.orbit_matrices(G).rest[0]) == 0
+    assert right_nested_depths(G, G.certificate().generators.tolist()) is not None
+    assert not G.certificate().associative and not whole
+    assert not whole_table_light(G)
+    entries = [(e.check, e.witness) for e in validate(G).entries]
+    assert [e for e in entries if e[0] == "associativity"] == _all_triples_associativity(G) != []
+    assert entries == _validate_with_the_triple_scan(G)
 
 
 class TestGeneratorCertificate:
@@ -522,6 +645,93 @@ def test_every_command_reports_a_corrupted_table_without_a_traceback(case, tmp_p
         assert main(argv) in (0, 1, 2), argv
 
 
+_UNIT_AND_INVERSE = ("unit-missing", "unit-endpoints", "unit-law", "inverse-endpoints",
+                     "inverse-involution", "inverse-law")
+
+
+def _unit_and_inverse_entries(G):
+    return [(e.check, e.witness) for e in validate(G).entries if e.check in _UNIT_AND_INVERSE]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2 ** 32),
+       st.lists(st.sampled_from(["renumbered", "dropped", "redirected", "inverse", "moved"]),
+                max_size=3),
+       st.booleans(), st.data())
+def test_unit_and_inverse_masks_agree_with_the_loops(seed, kinds, unit, data):
+    G = random_groupoid(SplitMix64(seed), max_arrows=40)
+    for kind in kinds:
+        G = _corrupted(G, kind, data)
+    if unit:  # one unit moved to any arrow, or dropped
+        units = list(G.unit_of)
+        units[data.draw(st.integers(0, G.n_objects - 1))] = data.draw(
+            st.one_of(st.none(), st.integers(0, G.n_arrows - 1)))
+        G = FiniteGroupoid(G.objects, G.src, G.tgt, G.compose_table, G.inverse, units)
+    assert _unit_and_inverse_entries(G) == looped_unit_inverse_laws(G)
+
+
+@pytest.mark.parametrize("case", sorted(_TABLES_FOR_COMMANDS) + ["unit-composite-is-arrow-0",
+                                                                 "inverse-swaps-and-repeats"])
+def test_unit_and_inverse_masks_agree_with_the_loops_on_corrupted_tables(case):
+    if case == "unit-composite-is-arrow-0":
+        # aa o unit(a) read as the arrow numbered 0 where another arrow is expected
+        G = _loaded(_edit_compose(_pair3_arrows_doc(), "ab", "bb", "aa"))
+    elif case == "inverse-swaps-and-repeats":
+        # inverse(aa) = ab: wrong endpoints, and inverse(ab) is not aa either
+        G = _with_inverse(_loaded(_pair3_arrows_doc()), "aa", "ab")
+    else:
+        G = _TABLES_FOR_COMMANDS[case]()
+    assert _unit_and_inverse_entries(G) == looped_unit_inverse_laws(G)
+
+
+def _empty():
+    return FiniteGroupoid([], [], [], [], [], [])
+
+
+_DEGENERATE_RELATIONS = {
+    "empty": ([], [], "strict"),
+    "no-pairs": (["a", "b"], [], "complete"),
+    "one-object": (["x"], [("x", "x")], "strict"),
+    "one-object-complete": (["x", "y"], [("x", "x")], "complete"),
+    "units-only": (list("abc"), [("c", "c"), ("a", "a")], "strict"),
+    "complete-union": (list("abcde"), [("a", "b"), ("c", "c"), ("e", "d")], "complete"),
+}
+
+_DEGENERATE = {
+    **{f"relation-{name}": lambda args=args: build_from_relation(*args)
+       for name, args in _DEGENERATE_RELATIONS.items()},
+    "empty": _empty,
+    "one-arrow": lambda: FiniteGroupoid(["x"], [0], [0], [[0, 0, 0]], [0], [0]),
+    "one-arrow-no-table": lambda: FiniteGroupoid(["x"], [0], [0], [], [0], [0]),
+    "one-arrow-no-unit": lambda: FiniteGroupoid(["x"], [0], [0], [[0, 0, 0]], [0], [None]),
+    "object-without-arrows": lambda: FiniteGroupoid("xy", [0], [0], [[0, 0, 0]], [0], [0, None]),
+    "union": lambda: disjoint_union(_empty(), pair_groupoid("x"), _empty(),
+                                    FiniteGroupoid(["y"], [0], [0], [], [0], [0]),
+                                    build_from_relation(list("uv"), [("u", "v")], "complete")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DEGENERATE))
+def test_degenerate_shapes_get_the_oracle_paths_report(case):
+    G = _DEGENERATE[case]()
+    assert G.certificate().associative == whole_table_light(G)
+    assert [(e.check, e.witness) for e in validate(G).entries] == \
+        _validate_with_the_triple_scan(G)
+
+
+@pytest.mark.parametrize("name", sorted(_DEGENERATE_RELATIONS))
+def test_degenerate_relations_build_and_check_as_the_set_build(name, tmp_path):
+    objects, pairs, policy = _DEGENERATE_RELATIONS[name]
+    assert (_built(build_from_relation, objects, pairs, policy)
+            == _built(set_build_from_relation, objects, pairs, policy))
+    path = str(tmp_path / "g.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"objects": objects, "relation": [list(p) for p in pairs],
+                   "closure_policy": policy}, fh)
+    assert main(["validate", path]) == 0
+    assert main(["check", path, "--trials", "2"]) == 0
+
+
 class TestFibers:
     def test_pair3_target_fiber_enumeration(self):
         G = pair_groupoid("abc")
@@ -579,8 +789,8 @@ def test_fibers_of_random_and_corrupted_groupoids_agree_with_the_loop(seed, data
 
 def _corrupted(G, kind, data):
     """G with one corruption drawn from ``data``: a table row dropped or its
-    composite redirected, an inverse redirected, an arrow's source moved, or
-    the arrows renumbered."""
+    composite redirected (where a row is left), an inverse redirected, an
+    arrow's source moved, or the arrows renumbered."""
     def pick(n):
         return data.draw(st.integers(0, n - 1))
     src, table, inverse, units = G.src.copy(), G.compose_table.copy(), G.inverse.copy(), G.unit_of
@@ -589,7 +799,9 @@ def _corrupted(G, kind, data):
         new = np.argsort(perm)
         src, table, inverse = src[perm], new[table], new[inverse[perm]]
         return FiniteGroupoid(G.objects, src, G.tgt[perm], table, inverse, new[units])
-    if kind == "dropped":
+    if not len(table) and kind in ("dropped", "redirected"):
+        pass  # no row left to corrupt
+    elif kind == "dropped":
         table = np.delete(table, pick(len(table)), axis=0)
     elif kind == "redirected":
         table[pick(len(table)), 2] = pick(G.n_arrows)

@@ -41,7 +41,8 @@ from groupalg.representations import (HilbertBundle, bundle_metric, integrated_b
 
 from oracles import (DenseRep, benchmark_documents, dense_check, dense_of,
                      dense_residuals, generator_bound, indicators, looped_field_terms,
-                     nonzero_operator_norm, pair_layers_ops, scanned_index_residuals,
+                     nonzero_operator_norm, norm_groupoids, pair_layers_ops,
+                     scanned_index_residuals,
                      scatter_integrate, support_blocks, svd_fundamental_family_check)
 
 
@@ -293,20 +294,10 @@ def _flat_bundle(n, rng):
             QuasiInvariantMeasure(np.array([1.0])))
 
 
-def _norm_groupoids():
-    out = {f"pair{k}": pair_groupoid([f"o{i}" for i in range(k)]) for k in (1, 2, 4, 6)}
-    for k in (1, 2, 3):
-        out[f"pair{k}xS3"] = product(pair_groupoid([f"o{i}" for i in range(k)]),
-                                     group_groupoid(*symmetric_table(3)))
-    for seed in (3, 11, 29):
-        out[f"random{seed}"] = random_groupoid(SplitMix64(seed), max_arrows=40)
-    return out
-
-
 class TestBlockOperatorNorm:
-    @pytest.mark.parametrize("name", list(_norm_groupoids()))
+    @pytest.mark.parametrize("name", list(norm_groupoids()))
     def test_integrated_reps_agree_with_the_dense_svd(self, name):
-        G = _norm_groupoids()[name]
+        G = norm_groupoids()[name]
         rng = SplitMix64(61)
         mu = HaarSystem(random_invariant_weights(G, rng))
         nu = QuasiInvariantMeasure(random_probability(G.n_objects, rng))
