@@ -89,6 +89,20 @@ SUITES = (
 )
 
 
+def _bisection_images(G: FiniteGroupoid, factors) -> np.ndarray:
+    """Full bisections that hold every arrow some full bisection holds:
+    the first row of every factor, and each factor's rows completed off
+    its objects by that first row."""
+    first = np.empty(G.n_objects, dtype=np.intp)
+    for objs, rows in factors:
+        first[objs] = rows[0]
+    images = [first[None]]
+    for objs, rows in factors:
+        images.append(np.tile(first, (len(rows), 1)))
+        images[-1][:, objs] = rows
+    return np.concatenate(images)
+
+
 def _transport_bounds(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure,
                       rep: ConjugatedRep, fs: np.ndarray) -> np.ndarray:
     """Per function f_i of the stack ``fs``, a bound on the largest entry of
@@ -295,15 +309,16 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
         run.record("equivalence-transport", ok_conj and worst_equiv <= accum,
                    "conjugating the rep conjugates the integrated rep", worst_equiv)
 
-    # bisections, enumerated once for the group laws and the fundamental
+    # full bisections, orbit by orbit, for the group laws and the fundamental
     # family; the product of the source-fiber sizes bounds their number
     bound = math.prod(max(k, 1) for k in G.source_fibers.size.tolist())
-    sigmas = bisections.enumerate_bisections(G) if bound <= 5000 else []
-    if bound > 5000:
+    factors = bisections.orbit_bisections(G) if bound <= 5000 else None
+    count = 0 if factors is None else math.prod(len(rows) for _, rows in factors)
+    if factors is None:
         run.skip("bisection-group", "too many bisections to enumerate")
-    elif sigmas:
-        run.record("bisection-group", bisections.forms_group(G, sigmas),
-                   f"{len(sigmas)} full bisections form a group; "
+    elif count:
+        run.record("bisection-group", bisections.factors_form_group(G, factors),
+                   f"{count} full bisections form a group; "
                    "targets are a homomorphism")
     else:
         run.record("bisection-group", False, "no full bisection exists")
@@ -338,8 +353,8 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
     # fundamental families: the arrow indicators and any enumerated bisections
     rep_fam = fundamental_family_check(G, mu, np.arange(G.n_arrows)[:, None])
     bis_note = ""
-    if sigmas:
-        rep_fam.merge(fundamental_family_check(G, mu, bisections.arrow_array(G, sigmas)))
+    if count:
+        rep_fam.merge(fundamental_family_check(G, mu, _bisection_images(G, factors)))
         bis_note = " (arrow indicators and bisection images)"
     run.record("fundamental-family", rep_fam.ok,
                f"families span every target fiber{bis_note}")

@@ -30,10 +30,20 @@ class Bisection:
         return dict(zip(self.domain, self.arrows))
 
 
+def _check_index(i, count: int, what: str) -> None:
+    if not 0 <= i < count:
+        raise ValueError(f"{what} index {i} out of range: indices run over 0..{count - 1}")
+
+
 def make_bisection(G: FiniteGroupoid, pick: dict[int, int]) -> Bisection:
+    """The bisection picking ``pick[x]`` at each object x of its keys;
+    ValueError for an object or arrow index out of range, an arrow not
+    sourced at its object, or targets that repeat."""
     domain = tuple(sorted(pick))
     arrows = tuple(pick[x] for x in domain)
     for x, a in zip(domain, arrows):
+        _check_index(x, G.n_objects, "object")
+        _check_index(a, G.n_arrows, "arrow")
         if G.src[a] != x:
             raise ValueError(f"arrow {G.arrow_ids[a]} is not sourced at {G.objects[x]}")
     if len(set(G.tgt[list(arrows)].tolist())) != len(arrows):
@@ -56,30 +66,38 @@ def target_map(G: FiniteGroupoid, sigma: Bisection) -> dict[int, int]:
     return dict(zip(sigma.domain, G.tgt[list(sigma.arrows)].tolist()))
 
 
+def _bisection_rows(G: FiniteGroupoid, objects) -> np.ndarray:
+    """The full bisections on ``objects`` (a union of orbits) as rows,
+    ``R[i, j] = sigma_i(objects[j])``, in backtracking order: object by
+    object, every partial row is extended by each arrow of the object's
+    source fiber, ascending, whose target no earlier column holds."""
+    rows = np.zeros((1, 0), dtype=np.intp)
+    used = np.zeros((1, G.n_objects), dtype=bool)  # the targets each row holds
+    for x in objects:
+        fiber = G.source_fibers.of(x)
+        t = G.tgt[fiber]
+        i, j = np.nonzero(~used[:, t])  # by row, then by arrow
+        rows = np.column_stack([rows[i], fiber[j]])
+        used = used[i]
+        used[np.arange(len(i)), t[j]] = True
+    return rows
+
+
+def orbit_bisections(G: FiniteGroupoid) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each orbit's objects, ascending, and its full bisections as rows
+    over them, orbits in the order of their least object.  Arrows never
+    leave their orbit, so the full bisections of G are the Cartesian
+    product of these (Mackenzie, *General Theory of Lie Groupoids and Lie
+    Algebroids*, §1.4)."""
+    members = G.orbit_index.members
+    return [(objs, _bisection_rows(G, objs))
+            for objs in map(members.of, np.flatnonzero(members.size).tolist())]
+
+
 def enumerate_bisections(G: FiniteGroupoid) -> list[Bisection]:
-    """All full bisections, by backtracking in object/arrow order."""
-    n, tgt = G.n_objects, G.tgt.tolist()
-    fibers = [G.source_fibers.of(x).tolist() for x in range(n)]
-    out: list[Bisection] = []
-    chosen: list[int] = []
-    used: set[int] = set()
-
-    def extend(x: int) -> None:
-        if x == n:
-            out.append(Bisection(tuple(range(n)), tuple(chosen)))
-            return
-        for a in fibers[x]:
-            t = tgt[a]
-            if t in used:
-                continue
-            used.add(t)
-            chosen.append(a)
-            extend(x + 1)
-            chosen.pop()
-            used.remove(t)
-
-    extend(0)
-    return out
+    """All full bisections, in backtracking order over objects and arrows."""
+    domain = tuple(range(G.n_objects))
+    return [Bisection(domain, tuple(row)) for row in _bisection_rows(G, domain).tolist()]
 
 
 def bisection_compose(G: FiniteGroupoid, sigma: Bisection, tau: Bisection) -> Bisection:
@@ -115,48 +133,6 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     another row's key exactly when the rows are equal."""
     rows = np.ascontiguousarray(rows, dtype=">i8")
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-
-
-def _distinct_rows(rows: np.ndarray):
-    """The distinct rows of a 2-d int array, in key order, and the index of
-    each row among them."""
-    keys = _row_keys(rows)
-    order = np.argsort(keys, kind="stable")
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = keys[order[1:]] != keys[order[:-1]]
-    inverse = np.empty(len(keys), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return rows[order[new]], inverse
-
-
-def _orbit_factors(G: FiniteGroupoid, S: np.ndarray):
-    """The factors of ``S`` as a product over orbits, as pairs (objects,
-    distinct rows of ``S`` on them), or None unless there are two or more
-    and ``S`` is exactly their Cartesian product, with every entry sourced
-    at its column.  Orbits with one row are joined into one factor."""
-    k, n = S.shape
-    members = G.orbit_index.members
-    roots = np.flatnonzero(members.size)
-    if len(roots) < 2 or k == 0 or S.min() < 0 or not (G.src[S] == np.arange(n)).all():
-        return None
-    factors, fixed, code, size = [], [], np.zeros(k, dtype=np.intp), 1
-    for r in roots.tolist():
-        objs = members.of(r)
-        rows, inverse = _distinct_rows(S[:, objs])
-        if len(rows) == 1:
-            fixed.append(objs)
-            continue
-        size *= len(rows)
-        if size > k:
-            return None
-        code = code * len(rows) + inverse  # below size: one code per point of the product
-        factors.append((objs, rows))
-    if size != k or np.bincount(code, minlength=k).max() > 1:
-        return None
-    if fixed:
-        objs = np.concatenate(fixed)
-        factors.append((objs, S[:1, objs]))
-    return factors
 
 
 def _star_table(G: FiniteGroupoid, S: np.ndarray, T: np.ndarray):
@@ -216,19 +192,17 @@ def _is_group(table: np.ndarray, e: int, step: int) -> bool:
     return True
 
 
-def forms_group(G: FiniteGroupoid, sigmas: list[Bisection]) -> bool:
-    """True when the full bisections ``sigmas`` form a group under the star
+def factors_form_group(G: FiniteGroupoid, factors) -> bool:
+    """True when the product of ``factors`` forms a group under the star
     product and taking targets is a homomorphism into object permutations.
 
-    The bisections are the k x n array ``S[i, x] = sigma_i(x)``.  Column x
-    of a star product reads only the columns of its factors on the orbit of
-    x, so when ``S`` is the Cartesian product of its distinct rows S_c on
-    each orbit c (its rows distinct, k = prod |S_c|, every entry sourced at
-    its column), ``S`` is a group with the target homomorphism exactly when
-    every S_c is one: each law holds componentwise.  Then each factor is
-    checked on its own columns, sum k_c^2 n_c products in place of k^2 n;
-    otherwise, with one orbit or a set that is not such a product, the
-    whole set is the one factor.
+    A factor is a pair (objects, rows): the rows ``S[i, j]`` pick an arrow
+    at each ``objects[j]``, and the objects hold the targets of their
+    arrows, as an orbit or a union of orbits does.  Column x of a star
+    product reads only the columns of its factors on the orbit of x, so the
+    product is a group with the target homomorphism exactly when every
+    factor is one: each law holds componentwise, at sum k_c^2 n_c products
+    in place of k^2 n.
 
     Per factor, the star products ``S[i, tgt(S[j, x])] o S[j, x]`` come from
     one composite lookup per block of rows i, about ``_BLOCK`` entries each,
@@ -244,13 +218,9 @@ def forms_group(G: FiniteGroupoid, sigmas: list[Bisection]) -> bool:
     when they generate the table every one of the k^3 triples associates.
     A group on g generators costs O(g k^2), never more than k^3.
     """
-    k, n = len(sigmas), G.n_objects
-    if n == 0:  # the empty bisection is the only one
-        return k == 1
-    S = arrow_array(G, sigmas)
-    local = np.empty(n, dtype=np.intp)  # each object's column in its factor
+    local = np.empty(G.n_objects, dtype=np.intp)  # each object's column in its factor
     stars = []
-    for objs, rows in _orbit_factors(G, S) or [(np.arange(n), S)]:
+    for objs, rows in factors:
         local[objs] = np.arange(len(objs))
         star = _star_table(G, rows, local[G.tgt[rows]])
         if star is None:
@@ -262,6 +232,17 @@ def forms_group(G: FiniteGroupoid, sigmas: list[Bisection]) -> bool:
                for objs, table, hom, index_of in stars)
 
 
+def forms_group(G: FiniteGroupoid, sigmas: list[Bisection]) -> bool:
+    """True when the full bisections ``sigmas`` form a group under the star
+    product and taking targets is a homomorphism into object permutations:
+    :func:`factors_form_group` on the k x n array ``S[i, x] = sigma_i(x)``
+    as one factor."""
+    n = G.n_objects
+    if n == 0:  # the empty bisection is the only one
+        return len(sigmas) == 1
+    return factors_form_group(G, [(np.arange(n), arrow_array(G, sigmas))])
+
+
 def bisection_inverse(G: FiniteGroupoid, sigma: Bisection) -> Bisection:
     """Inverse bisection on the target image: sends tgt(sigma(x)) to sigma(x)^-1."""
     arrows = list(sigma.arrows)
@@ -270,6 +251,7 @@ def bisection_inverse(G: FiniteGroupoid, sigma: Bisection) -> Bisection:
 
 def left_translate(G: FiniteGroupoid, sigma: Bisection, arrow: int) -> int:
     """L_sigma(arrow) = sigma(tgt(arrow)) o arrow; preserves the source."""
+    _check_index(arrow, G.n_arrows, "arrow")
     spick = sigma.pick()
     t = G.tgt[arrow]
     if t not in spick:

@@ -412,16 +412,18 @@ def build_from_relation(objects, pairs, closure_policy: str = "strict") -> Finit
     index = {lab: i for i, lab in enumerate(objects)}
     if len(index) != len(objects):
         raise ValueError("object labels must be distinct")
-    pairs = [(str(x), str(y)) for x, y in pairs]
-    for x, y in pairs:
-        if x not in index or y not in index:
-            bad = x if x not in index else y
-            raise UnknownLabel(f"pair ({x}, {y}) references unknown label {bad!r}")
+    # each label read once; -1 marks an unknown one, named in a second pass
+    ends = np.array([(index.get(str(x), -1), index.get(str(y), -1)) for x, y in pairs],
+                    dtype=np.intp).reshape(-1, 2)
+    if (ends < 0).any():
+        row = int(np.argmax((ends < 0).any(axis=1)))
+        x, y = (str(p) for p in pairs[row])
+        bad = x if ends[row, 0] < 0 else y
+        raise UnknownLabel(f"pair ({x}, {y}) references unknown label {bad!r}")
     if closure_policy not in ("strict", "complete"):
         raise ValueError(f"unknown closure_policy {closure_policy!r}")
 
     # the support, renumbered in object order, and each pair (t, s) on it
-    ends = np.array([(index[x], index[y]) for x, y in pairs], dtype=np.intp).reshape(-1, 2)
     touched = np.zeros(len(objects), dtype=bool)
     touched[ends] = True
     support = [objects[i] for i in np.flatnonzero(touched).tolist()]

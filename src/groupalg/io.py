@@ -278,13 +278,11 @@ def parse_groupoid_document(doc: dict, where: str = "groupoid file") -> Groupoid
     if policy not in ("strict", "complete"):
         raise FileFormatError(f"{where}: closure_policy must be strict or complete")
     if has_rel:
-        objects = [str(o) for o in _require(doc, "objects", list, where)]
-        pairs = []
-        for p in _require(doc, "relation", list, where):
-            if not isinstance(p, list) or len(p) != 2:
-                raise FileFormatError(f"{where}: relation entries must be label pairs")
-            pairs.append((str(p[0]), str(p[1])))
-        try:
+        objects = _require(doc, "objects", list, where)
+        pairs = _require(doc, "relation", list, where)
+        if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+            raise FileFormatError(f"{where}: relation entries must be label pairs")
+        try:  # build_from_relation reads each label as a string, once
             G = build_from_relation(objects, pairs, policy)
         except UnknownLabel as exc:
             raise FileFormatError(f"{where}: {exc}") from exc

@@ -26,7 +26,9 @@ the I-norm and the weight pairing: their sums written out per fiber and per
 arrow.  For the haar weights map, which is converted as one array: the
 reader that checked one weight at a time.  For the bisection group, the star
 table of the whole set from a dict on row bytes with associativity over all
-k^3 triples, and the group laws pair by pair.  For the composition lookup,
+k^3 triples, and the group laws pair by pair; for their enumeration, which
+builds each orbit's full bisections level by level as one int array: the
+recursive backtracking over all objects.  For the composition lookup,
 which reads each row by its position first: the binary search over the
 sorted pair keys that it replaced.  For the battery's other randomized suites,
 which now draw each suite's trials as one block of the stream and run them
@@ -65,7 +67,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from groupalg import tolerances
-from groupalg.bisections import arrow_array, bisection_compose, target_map, unit_bisection
+from groupalg.bisections import (Bisection, arrow_array, bisection_compose, target_map,
+                                 unit_bisection)
 from groupalg.blocks import BlockOperator, BlockPartition
 from groupalg.errors import (FileFormatError, NotClosed, NotTransitive, ShapeMismatch,
                              UnknownLabel)
@@ -527,6 +530,32 @@ def searched_composites(G, a, b):
     query = np.where(inside, a * n + b, n * n)
     pos = keys.searchsorted(query)
     return np.where(keys[pos] == query, values[pos], -1)
+
+
+def backtracking_bisections(G):
+    """All full bisections, by recursive backtracking in object/arrow order."""
+    n, tgt = G.n_objects, G.tgt.tolist()
+    fibers = [G.source_fibers.of(x).tolist() for x in range(n)]
+    out = []
+    chosen = []
+    used = set()
+
+    def extend(x):
+        if x == n:
+            out.append(Bisection(tuple(range(n)), tuple(chosen)))
+            return
+        for a in fibers[x]:
+            t = tgt[a]
+            if t in used:
+                continue
+            used.add(t)
+            chosen.append(a)
+            extend(x + 1)
+            chosen.pop()
+            used.remove(t)
+
+    extend(0)
+    return out
 
 
 def row_by_row_forms_group(G, sigmas):

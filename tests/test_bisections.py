@@ -11,16 +11,19 @@ import numpy as np
 import pytest
 
 from groupalg import DomainMismatch
-from groupalg.battery import run_battery
-from groupalg.bisections import (bisection_compose, bisection_inverse,
-                                 enumerate_bisections, forms_group, left_translate,
-                                 make_bisection, target_map, unit_bisection)
+from groupalg.battery import _bisection_images, run_battery
+from groupalg.bisections import (_bisection_rows, bisection_compose, bisection_inverse,
+                                 enumerate_bisections, factors_form_group, forms_group,
+                                 left_translate, make_bisection, orbit_bisections,
+                                 target_map, unit_bisection)
 from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
                                klein_table, pair_groupoid, product)
+from groupalg.cli import _fixture_paths
 from groupalg.groupoid import FiniteGroupoid, components
-from groupalg.io import GroupoidDocument, parse_groupoid_document
+from groupalg.io import GroupoidDocument, load_groupoid, parse_groupoid_document
+from groupalg.randgen import SplitMix64, random_groupoid
 
-from oracles import brute_force_forms_group, row_by_row_forms_group
+from oracles import backtracking_bisections, brute_force_forms_group, row_by_row_forms_group
 
 
 def test_counts_are_factorials():
@@ -128,6 +131,22 @@ def test_local_bisection_inverse_round_trip():
     assert inv.domain == (b,)
     back = bisection_compose(G, sigma, inv)
     assert back.arrows == (G.unit_of[b],)
+
+
+@pytest.mark.parametrize("call, index", [
+    (lambda G: make_bisection(G, {1: -1}), "arrow index -1"),
+    (lambda G: make_bisection(G, {1: 7}), "arrow index 7"),
+    (lambda G: make_bisection(G, {5: 0}), "object index 5"),
+    (lambda G: make_bisection(G, {-1: 0}), "object index -1"),
+    (lambda G: left_translate(G, unit_bisection(G), 7), "arrow index 7"),
+    (lambda G: left_translate(G, unit_bisection(G), -1), "arrow index -1"),
+], ids=["negative-arrow", "arrow-past-the-end", "object-past-the-end", "negative-object",
+        "translate-past-the-end", "translate-negative"])
+def test_an_index_out_of_range_raises_value_error_naming_it(call, index):
+    # never read as Python's negative indexing, nor an IndexError
+    G = pair_groupoid("ab")  # objects 0..1, arrows 0..3
+    with pytest.raises(ValueError, match=rf"^{index} out of range: indices run over 0\.\.\d$"):
+        call(G)
 
 
 def test_rejects_non_injective_targets():
@@ -294,25 +313,25 @@ def test_forms_group_memory_on_a_bundle_of_four_z5_loops():
 
 
 def test_battery_enumerates_once_and_composes_no_pairs(monkeypatch):
+    # the battery takes each orbit's bisections once, as int arrays, for
+    # both suites: no Bisection objects and no pairwise star products
     from groupalg import bisections
-    calls = {"enumerate": 0, "compose": 0}
+    calls = {"orbit_bisections": 0, "enumerate_bisections": 0, "bisection_compose": 0}
 
     def counted(name, real):
         def wrapper(*args):
             calls[name] += 1
             return real(*args)
         return wrapper
-    monkeypatch.setattr(bisections, "enumerate_bisections",
-                        counted("enumerate", bisections.enumerate_bisections))
-    monkeypatch.setattr(bisections, "bisection_compose",
-                        counted("compose", bisections.bisection_compose))
+    for name in calls:
+        monkeypatch.setattr(bisections, name, counted(name, getattr(bisections, name)))
     G = pair_groupoid("abcd")  # 24 bisections, inside both enumeration caps
     run = run_battery(GroupoidDocument(G, None, None, "strict"), seed=1, trials=2)
     lines = {line.name: line for line in run.lines}
     assert lines["bisection-group"].ok
     assert lines["bisection-group"].detail.startswith("24 full bisections")
     assert lines["fundamental-family"].detail.endswith("(arrow indicators and bisection images)")
-    assert calls == {"enumerate": 1, "compose": 0}
+    assert calls == {"orbit_bisections": 1, "enumerate_bisections": 0, "bisection_compose": 0}
 
 
 def test_forms_group_sees_targets_that_do_not_follow_the_product():
@@ -359,7 +378,7 @@ def _benchmark_unions():
 def test_forms_group_checks_the_benchmark_unions_orbit_by_orbit(monkeypatch):
     # unions 4 and 11 are the ones the mixed-small battery checks; union 5
     # (k = 972) is the one it leaves out; 7 and 10 are the other unions
-    # with k <= 5000 of more than one orbit, too large for the oracle
+    # with k <= 5000 of more than one orbit, too large for the whole-set check
     from groupalg import bisections
     sizes = []  # the row count of each star table built
 
@@ -370,13 +389,15 @@ def test_forms_group_checks_the_benchmark_unions_orbit_by_orbit(monkeypatch):
     unions = _benchmark_unions()
     for i, k, factors in ((4, 288, [6, 48]), (5, 972, [1, 6, 162]), (11, 288, [72, 4]),
                           (7, 4608, [384, 4, 3]), (10, 3456, [384, 3, 3]), (2, 3, [3])):
-        sigmas = enumerate_bisections(unions[i])
-        assert len(sigmas) == k
+        orbits = orbit_bisections(unions[i])
+        assert math.prod(len(rows) for _, rows in orbits) == k
         sizes.clear()
-        assert forms_group(unions[i], sigmas) is True, i
+        assert factors_form_group(unions[i], orbits) is True, i
         assert sorted(sizes) == sorted(factors), i
         if k <= 1000:
-            assert row_by_row_forms_group(unions[i], sigmas) is True
+            sigmas = enumerate_bisections(unions[i])
+            assert forms_group(unions[i], sigmas) is True, i
+            assert row_by_row_forms_group(unions[i], sigmas) is True, i
 
 
 def test_forms_group_agrees_with_the_oracle_off_the_product_on_the_unions():
@@ -428,6 +449,8 @@ def test_forms_group_on_corrupted_multi_orbit_unions():
     for name, (H, case) in cases.items():
         got = _outcome(H, case, forms_group)
         assert got == _outcome(H, case, row_by_row_forms_group), name
+        if case is sigmas:  # every full bisection: the orbit-by-orbit check applies
+            assert got == _outcome(H, orbit_bisections(H), factors_form_group), name
         if not name.startswith("missing"):  # the pairwise compose raises on a missing product
             assert got == _outcome(H, case, brute_force_forms_group), name
         verdicts.setdefault(name.split()[0], set()).add(got if isinstance(got, bool) else "raised")
@@ -450,3 +473,64 @@ def test_forms_group_looks_for_the_unit_only_after_every_product_is_found():
     missing = _with_table(G, G.compose_table[1:], unit_of=unit_of)
     assert forms_group(missing, sigmas) is False
     assert row_by_row_forms_group(missing, sigmas) is False
+
+
+def _enumeration_cases():
+    """pair(1..6), the fixtures, the benchmark unions, random unions,
+    corrupted tables (their source and target maps stay), the empty
+    groupoid and an object with an empty source fiber."""
+    cases = {f"pair{n}": pair_groupoid([f"o{i}" for i in range(n)]) for n in range(1, 7)}
+    for path in _fixture_paths():
+        name = os.path.basename(path)
+        if not (name.endswith("manifest.json") or name.startswith(("fn-", "st-"))):
+            cases[name] = load_groupoid(path).groupoid
+    cases.update({f"union{i}": G for i, G in _benchmark_unions().items()})
+    cases.update({f"random{seed}": random_groupoid(SplitMix64(seed)) for seed in range(1, 9)})
+    G = _three_orbits()
+    rows = G.compose_table
+    redirected = rows.copy()
+    redirected[0, 2] = np.flatnonzero(_orbit_of(G) != _orbit_of(G)[rows[0, 2]])[0]
+    cases["redirected"] = _with_table(G, redirected)
+    cases["missing"] = _with_table(G, rows[1:])
+    unit_of = list(G.unit_of)
+    unit_of[2] = None
+    cases["no-unit"] = _with_table(G, rows, unit_of=unit_of)
+    cases["empty"] = disjoint_union()
+    # object b has no arrow, so no full bisection exists
+    cases["empty-source-fiber"] = FiniteGroupoid(["a", "b", "c"], np.array([0, 2]),
+                                                 np.array([0, 2]), np.array([[0, 0, 0], [1, 1, 1]]),
+                                                 np.array([0, 1]), [0, None, 1])
+    return cases
+
+
+def _product_rows(G, factors):
+    """The rows of the Cartesian product of the factors, as a set."""
+    out = set()
+    for picks in itertools.product(*(rows.tolist() for _, rows in factors)):
+        row = [0] * G.n_objects
+        for (objs, _), pick in zip(factors, picks):
+            for x, a in zip(objs.tolist(), pick):
+                row[x] = a
+        out.add(tuple(row))
+    return out
+
+
+def test_the_enumeration_and_its_orbit_factors_equal_the_backtracking():
+    for name, G in _enumeration_cases().items():
+        want = backtracking_bisections(G)
+        rows = _bisection_rows(G, range(G.n_objects))
+        assert rows.shape == (len(want), G.n_objects), name
+        assert rows.tolist() == [list(s.arrows) for s in want], name
+        assert enumerate_bisections(G) == want, name
+        factors = orbit_bisections(G)
+        assert [objs.tolist() for objs, _ in factors] == G.orbits(), name
+        assert _product_rows(G, factors) == {s.arrows for s in want}, name
+        if want:  # the battery's bisection images hold every arrow the whole set holds
+            images = _bisection_images(G, factors)
+            assert {tuple(row) for row in images.tolist()} <= {s.arrows for s in want}, name
+            assert set(images.ravel().tolist()) == {a for s in want for a in s.arrows}, name
+        # the unions' verdicts are the orbit-by-orbit test's
+        if len(want) <= 1000 and not name.startswith("union"):
+            got = _outcome(G, factors, factors_form_group)
+            assert got == _outcome(G, want, forms_group), name
+            assert got == _outcome(G, want, row_by_row_forms_group), name

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupalg import (HaarSystem, NotClosed, NotRelationGroupoid, UnknownLabel,
-                      UnknownObject, build_from_relation, isotropy, isotropy_bundle,
-                      multipliers, table_convolve, validate)
+from groupalg import (FileFormatError, HaarSystem, NotClosed, NotRelationGroupoid,
+                      UnknownLabel, UnknownObject, build_from_relation, isotropy,
+                      isotropy_bundle, multipliers, table_convolve, validate)
 from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
                                klein_table, pair_groupoid, product, symmetric_table)
 from groupalg import groupoid as gmod
@@ -85,6 +85,26 @@ class TestBuildFromRelation:
     def test_unknown_label(self):
         with pytest.raises(UnknownLabel):
             build_from_relation(["a"], [("a", "z")], "strict")
+
+    @pytest.mark.parametrize("pairs", [
+        [("a", "z")], [("z", "a")], [("y", "z")], [("a", "a"), ("a", "b"), ("z", "y")],
+        [(1, 2), ("a", 3)], [("a", "a"), (1, "c")]])
+    def test_the_first_unknown_label_is_named_as_the_set_build_names_it(self, pairs):
+        # labels are read as strings: the int 1 is the object "1"
+        def first_error(build):
+            with pytest.raises(UnknownLabel) as exc:
+                build(["a", "b", 1, "2"], pairs, "bogus")  # before the policy check
+            return str(exc.value)
+        assert first_error(build_from_relation) == first_error(set_build_from_relation)
+
+    def test_a_malformed_relation_entry_is_reported_before_any_unknown_label(self):
+        doc = {"objects": ["a", "b"], "relation": [["a", "z"], ["a", "b", "c"]]}
+        with pytest.raises(FileFormatError, match="relation entries must be label pairs$"):
+            parse_groupoid_document(doc, where="g")
+        doc["relation"] = [["a", "a"], [1, "z"]]
+        with pytest.raises(FileFormatError,
+                           match=r"^g: pair \(1, z\) references unknown label '1'$"):
+            parse_groupoid_document(doc, where="g")
 
     def test_support_restriction(self):
         G = build_from_relation(["a", "b", "c"], [("a", "a")], "strict")
