@@ -35,15 +35,22 @@ def _check_index(i, count: int, what: str) -> None:
         raise ValueError(f"{what} index {i} out of range: indices run over 0..{count - 1}")
 
 
+def _check_indices(G: FiniteGroupoid, sigma: Bisection) -> None:
+    """ValueError naming the first object or arrow index of ``sigma``
+    outside G, which numpy would read from the end or not at all."""
+    for x, a in zip(sigma.domain, sigma.arrows):
+        _check_index(x, G.n_objects, "object")
+        _check_index(a, G.n_arrows, "arrow")
+
+
 def make_bisection(G: FiniteGroupoid, pick: dict[int, int]) -> Bisection:
     """The bisection picking ``pick[x]`` at each object x of its keys;
     ValueError for an object or arrow index out of range, an arrow not
     sourced at its object, or targets that repeat."""
     domain = tuple(sorted(pick))
     arrows = tuple(pick[x] for x in domain)
+    _check_indices(G, Bisection(domain, arrows))
     for x, a in zip(domain, arrows):
-        _check_index(x, G.n_objects, "object")
-        _check_index(a, G.n_arrows, "arrow")
         if G.src[a] != x:
             raise ValueError(f"arrow {G.arrow_ids[a]} is not sourced at {G.objects[x]}")
     if len(set(G.tgt[list(arrows)].tolist())) != len(arrows):
@@ -62,7 +69,9 @@ def unit_bisection(G: FiniteGroupoid) -> Bisection:
 
 
 def target_map(G: FiniteGroupoid, sigma: Bisection) -> dict[int, int]:
-    """The injection x -> tgt(sigma(x)); a permutation for full bisections."""
+    """The injection x -> tgt(sigma(x)); a permutation for full bisections.
+    ValueError for an object or arrow index out of range."""
+    _check_indices(G, sigma)
     return dict(zip(sigma.domain, G.tgt[list(sigma.arrows)].tolist()))
 
 
@@ -105,8 +114,11 @@ def bisection_compose(G: FiniteGroupoid, sigma: Bisection, tau: Bisection) -> Bi
 
     Needs the target image of ``tau`` inside the domain of ``sigma``; the
     result lives on the domain of ``tau``, and its target map is the
-    composite of the two target maps.
+    composite of the two target maps.  ValueError for an object or arrow
+    index out of range in either.
     """
+    _check_indices(G, sigma)
+    _check_indices(G, tau)
     tau_arrows = np.array(tau.arrows, dtype=np.intp)
     t = G.tgt[tau_arrows]
     pick = np.full(G.n_objects, -1, dtype=np.intp)  # sigma by object, -1 off its domain
@@ -244,7 +256,9 @@ def forms_group(G: FiniteGroupoid, sigmas: list[Bisection]) -> bool:
 
 
 def bisection_inverse(G: FiniteGroupoid, sigma: Bisection) -> Bisection:
-    """Inverse bisection on the target image: sends tgt(sigma(x)) to sigma(x)^-1."""
+    """Inverse bisection on the target image: sends tgt(sigma(x)) to sigma(x)^-1.
+    ValueError for an object or arrow index out of range."""
+    _check_indices(G, sigma)
     arrows = list(sigma.arrows)
     return make_bisection(G, dict(zip(G.tgt[arrows].tolist(), G.inverse[arrows].tolist())))
 

@@ -12,10 +12,10 @@ import pytest
 
 from groupalg import DomainMismatch
 from groupalg.battery import _bisection_images, run_battery
-from groupalg.bisections import (_bisection_rows, bisection_compose, bisection_inverse,
-                                 enumerate_bisections, factors_form_group, forms_group,
-                                 left_translate, make_bisection, orbit_bisections,
-                                 target_map, unit_bisection)
+from groupalg.bisections import (Bisection, _bisection_rows, bisection_compose,
+                                 bisection_inverse, enumerate_bisections, factors_form_group,
+                                 forms_group, left_translate, make_bisection,
+                                 orbit_bisections, target_map, unit_bisection)
 from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
                                klein_table, pair_groupoid, product)
 from groupalg.cli import _fixture_paths
@@ -140,8 +140,23 @@ def test_local_bisection_inverse_round_trip():
     (lambda G: make_bisection(G, {-1: 0}), "object index -1"),
     (lambda G: left_translate(G, unit_bisection(G), 7), "arrow index 7"),
     (lambda G: left_translate(G, unit_bisection(G), -1), "arrow index -1"),
+    # bisections made by hand, without make_bisection's check
+    (lambda G: bisection_inverse(G, Bisection((1,), (7,))), "arrow index 7"),
+    (lambda G: bisection_inverse(G, Bisection((1,), (-1,))), "arrow index -1"),
+    (lambda G: target_map(G, Bisection((1,), (7,))), "arrow index 7"),
+    (lambda G: target_map(G, Bisection((1,), (-1,))), "arrow index -1"),
+    (lambda G: target_map(G, Bisection((5,), (0,))), "object index 5"),
+    (lambda G: bisection_compose(G, Bisection((0, 1), (0, 7)), unit_bisection(G)),
+     "arrow index 7"),
+    (lambda G: bisection_compose(G, unit_bisection(G), Bisection((0, 1), (0, -1))),
+     "arrow index -1"),
+    (lambda G: bisection_compose(G, Bisection((-1,), (0,)), unit_bisection(G)),
+     "object index -1"),
 ], ids=["negative-arrow", "arrow-past-the-end", "object-past-the-end", "negative-object",
-        "translate-past-the-end", "translate-negative"])
+        "translate-past-the-end", "translate-negative", "inverse-past-the-end",
+        "inverse-negative", "target-map-past-the-end", "target-map-negative",
+        "target-map-object-past-the-end", "compose-sigma-past-the-end", "compose-tau-negative",
+        "compose-negative-object"])
 def test_an_index_out_of_range_raises_value_error_naming_it(call, index):
     # never read as Python's negative indexing, nor an IndexError
     G = pair_groupoid("ab")  # objects 0..1, arrows 0..3
