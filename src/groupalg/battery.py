@@ -170,7 +170,9 @@ def _integrated_residuals(G: FiniteGroupoid, mu: HaarSystem,
     :func:`involute` and one :func:`i_norm` call serve them all.  Per
     (nu, rep), f, g, f*g and f^* are integrated together by one
     :func:`integrated_blocks` call, multiplied and adjoined block by block,
-    with one batched SVD per block size for the norms.
+    with one batched SVD per block size for the norms, over the blocks
+    that differ from the block before them
+    (:meth:`~groupalg.blocks.BlockOperator.norms`).
     """
     pairs = [(nu, rep) for nu in nus for rep in reps]
     A = G.n_arrows

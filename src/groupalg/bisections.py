@@ -36,8 +36,12 @@ def _check_index(i, count: int, what: str) -> None:
 
 
 def _check_indices(G: FiniteGroupoid, sigma: Bisection) -> None:
-    """ValueError naming the first object or arrow index of ``sigma``
+    """ValueError when ``sigma`` has not one arrow per object of its
+    domain, naming both lengths, or naming the first object or arrow index
     outside G, which numpy would read from the end or not at all."""
+    if len(sigma.domain) != len(sigma.arrows):
+        raise ValueError(f"a bisection needs one arrow per object: {len(sigma.domain)} "
+                         f"objects, {len(sigma.arrows)} arrows")
     for x, a in zip(sigma.domain, sigma.arrows):
         _check_index(x, G.n_objects, "object")
         _check_index(a, G.n_arrows, "arrow")
@@ -70,7 +74,8 @@ def unit_bisection(G: FiniteGroupoid) -> Bisection:
 
 def target_map(G: FiniteGroupoid, sigma: Bisection) -> dict[int, int]:
     """The injection x -> tgt(sigma(x)); a permutation for full bisections.
-    ValueError for an object or arrow index out of range."""
+    ValueError for an object or arrow index out of range, or domain and
+    arrows of different lengths."""
     _check_indices(G, sigma)
     return dict(zip(sigma.domain, G.tgt[list(sigma.arrows)].tolist()))
 
@@ -115,7 +120,7 @@ def bisection_compose(G: FiniteGroupoid, sigma: Bisection, tau: Bisection) -> Bi
     Needs the target image of ``tau`` inside the domain of ``sigma``; the
     result lives on the domain of ``tau``, and its target map is the
     composite of the two target maps.  ValueError for an object or arrow
-    index out of range in either.
+    index out of range in either, or domain and arrows of different lengths.
     """
     _check_indices(G, sigma)
     _check_indices(G, tau)
@@ -257,15 +262,19 @@ def forms_group(G: FiniteGroupoid, sigmas: list[Bisection]) -> bool:
 
 def bisection_inverse(G: FiniteGroupoid, sigma: Bisection) -> Bisection:
     """Inverse bisection on the target image: sends tgt(sigma(x)) to sigma(x)^-1.
-    ValueError for an object or arrow index out of range."""
+    ValueError for an object or arrow index out of range, or domain and
+    arrows of different lengths."""
     _check_indices(G, sigma)
     arrows = list(sigma.arrows)
     return make_bisection(G, dict(zip(G.tgt[arrows].tolist(), G.inverse[arrows].tolist())))
 
 
 def left_translate(G: FiniteGroupoid, sigma: Bisection, arrow: int) -> int:
-    """L_sigma(arrow) = sigma(tgt(arrow)) o arrow; preserves the source."""
+    """L_sigma(arrow) = sigma(tgt(arrow)) o arrow; preserves the source.
+    ValueError for an object or arrow index out of range, or a ``sigma``
+    whose domain and arrows differ in length."""
     _check_index(arrow, G.n_arrows, "arrow")
+    _check_indices(G, sigma)
     spick = sigma.pick()
     t = G.tgt[arrow]
     if t not in spick:

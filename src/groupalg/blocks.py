@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,14 +74,23 @@ class BlockOperator:
     ``groups`` holds, per block size s, the (nb, s) positions of the blocks
     (:attr:`BlockPartition.groups`) and their (k, nb, s, s) ``data``:
     ``data[i, b]`` is operator i on the rows and columns ``positions[b]``.
-    Every entry outside the blocks is 0.  ``metric`` is the diagonal of the
-    inner product (for a Hilbert bundle, :func:`~groupalg.representations.bundle_metric`).
+    Every entry outside the blocks is 0.  The inner product is kept as its
+    two diagonal factors, ``nu`` (the measure of each position's object)
+    and ``weight`` (each position's fibre weight), as
+    :func:`~groupalg.representations.bundle_factors` gives them for a
+    Hilbert bundle; ``metric`` is their product, the diagonal of the inner
+    product.
     """
 
-    metric: np.ndarray
+    nu: np.ndarray
+    weight: np.ndarray
     partition: BlockPartition
     data: tuple[np.ndarray, ...]
     k: int
+
+    @cached_property
+    def metric(self) -> np.ndarray:
+        return self.nu * self.weight
 
     @property
     def groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -90,7 +100,7 @@ class BlockOperator:
         return self.k
 
     def _with(self, data, k: int | None = None) -> BlockOperator:
-        return BlockOperator(self.metric, self.partition, tuple(data),
+        return BlockOperator(self.nu, self.weight, self.partition, tuple(data),
                              self.k if k is None else k)
 
     def __getitem__(self, rows: slice) -> BlockOperator:
@@ -128,23 +138,37 @@ class BlockOperator:
 
     def norms(self) -> np.ndarray:
         """The spectral norm of each operator in the weighted geometry: the
-        largest singular value of its flat similar matrix, over one batched
-        SVD per block size, exact because the blocks' singular values are
-        the matrix's.  NaN for an operator with a non-finite entry of the
-        flat matrix, and for all of them when the metric has a zero or
-        infinite root.  The one weighted norm of the package: a dense
-        operator's (:func:`~groupalg.representations.operator_norm`) is
-        taken here too."""
+        largest singular value of its flat similar matrix, exact because the
+        blocks' singular values are the matrix's.  Each flat similar block
+        is ``d * (sqrt(nu_r) / sqrt(nu_c)) * (sqrt(w_r) / sqrt(w_c))``, its
+        ratio matrix formed once per block size.  With Haar weights constant
+        on source fibres the weight ratio of a left regular block is exactly
+        1, so the blocks of one orbit come out equal entry for entry
+        (C*(orbit) = M_n (x) C*(H): Renault, LNM 793; Muhly, Renault and
+        Williams 1987).  One batched SVD per block size takes the blocks
+        that differ from the block before them in the same operator; a
+        block equal to it (``==`` on every entry) reuses its largest
+        singular value, exactly, since equal matrices have equal singular
+        values.  NaN for an operator with a non-finite entry of the flat
+        matrix, and for all of them when the metric has a zero or infinite
+        root.  The one weighted norm of the package: a dense operator's
+        (:func:`~groupalg.representations.operator_norm`) is taken here
+        too."""
         root = np.sqrt(self.metric)
         if not (np.isfinite(root).all() and root.all()):
             return np.full(self.k, math.nan)
+        root_nu, root_w = np.sqrt(self.nu), np.sqrt(self.weight)
         out = np.zeros(self.k)
         for p, d in self.groups:
-            r = root[p]
-            sim = d * r[:, :, None] / r[:, None, :]
+            ratio = root_nu[p][:, :, None] / root_nu[p][:, None, :]
+            ratio *= root_w[p][:, :, None] / root_w[p][:, None, :]
+            sim = d * ratio
             bad = ~np.isfinite(sim).all(axis=(1, 2, 3))
             sim[bad] = 0.0
-            top = np.linalg.svd(sim, compute_uv=False)[..., 0].max(axis=1)
+            new = np.ones(sim.shape[:2], dtype=bool)  # differs from the block before it
+            new[:, 1:] = (sim[:, 1:] != sim[:, :-1]).any(axis=(2, 3))
+            top = np.linalg.svd(sim[new], compute_uv=False)[:, 0]
+            top = top[np.cumsum(new) - 1].reshape(new.shape).max(axis=1)
             out = np.maximum(out, np.where(bad, math.nan, top))
         return out
 

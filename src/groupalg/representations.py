@@ -673,7 +673,7 @@ def integrated_blocks(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasu
         term = np.repeat(np.arange(len(used)), width[used])
         entry, row = _ranges(rep.starts[used], width[used]), lo + row
         np.add.at(flat, at[entry] + row[term] * slab[group[entry]], coeff[row, used][term])
-    return BlockOperator(bundle_metric(bundle, nu), part, data, k)
+    return BlockOperator(*bundle_factors(bundle, nu), part, data, k)
 
 
 def integrate_rep(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure,
@@ -689,10 +689,18 @@ def integrate_rep(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure,
     return integrated_blocks(G, mu, nu, rep, _as_function(G, f)).dense()[0]
 
 
+def bundle_factors(bundle: HilbertBundle,
+                   nu: QuasiInvariantMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """The two diagonal factors of the full inner product, per position:
+    nu of the position's object, and the position's fiber weight."""
+    return (np.repeat(nu.nu[:len(bundle.dims)], bundle.dims),
+            np.concatenate([np.zeros(0), *bundle.weights]))
+
+
 def bundle_metric(bundle: HilbertBundle, nu: QuasiInvariantMeasure) -> np.ndarray:
     """Diagonal of the full inner product: nu(x) * fiber weight, concatenated."""
-    return np.concatenate([np.zeros(0)] + [nu.nu[x] * bundle.weights[x]
-                                           for x in range(len(bundle.dims))])
+    nus, weights = bundle_factors(bundle, nu)
+    return nus * weights
 
 
 def adjoint_operator(op: np.ndarray, bundle: HilbertBundle,
@@ -718,7 +726,7 @@ def operator_norm(op: np.ndarray, bundle: HilbertBundle,
         raise ShapeMismatch(f"operator has shape {op.shape}, expected {(n, n)}")
     part = BlockPartition.of(components(n, *np.divmod(np.flatnonzero(op != 0), max(n, 1))))
     data = tuple(op[p[:, :, None], p[:, None, :]][None] for p in part.groups)
-    return float(BlockOperator(bundle_metric(bundle, nu), part, data, 1).norms()[0])
+    return float(BlockOperator(*bundle_factors(bundle, nu), part, data, 1).norms()[0])
 
 
 def operator_norm_bound_check(G: FiniteGroupoid, mu: HaarSystem,

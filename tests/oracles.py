@@ -84,7 +84,7 @@ from groupalg.report import Report, _worst
 from groupalg.representations import (ConjugatedRep, HilbertBundle, IndexRep,
                                       QuasiInvariantMeasure, TransitiveDecomposition,
                                       _coefficients, _column_gaps, adjoint_operator,
-                                      bundle_metric, induced_measures, operator_norm)
+                                      bundle_factors, induced_measures, operator_norm)
 
 
 @dataclass(frozen=True)
@@ -423,7 +423,25 @@ def nonzero_operator_norm(op, bundle, nu) -> float:
         raise ShapeMismatch(f"operator has shape {op.shape}, expected {(n, n)}")
     part = BlockPartition.of(components(n, *np.nonzero(op != 0)))
     data = tuple(op[p[:, :, None], p[:, None, :]][None] for p in part.groups)
-    return float(BlockOperator(bundle_metric(bundle, nu), part, data, 1).norms()[0])
+    return float(BlockOperator(*bundle_factors(bundle, nu), part, data, 1).norms()[0])
+
+
+def every_block_norms(ops: BlockOperator) -> np.ndarray:
+    """``BlockOperator.norms`` as it was before equal blocks shared an SVD:
+    the flat similar blocks from one root of the product metric,
+    ``d * r_r / r_c``, and one SVD of every block."""
+    root = np.sqrt(ops.metric)
+    if not (np.isfinite(root).all() and root.all()):
+        return np.full(ops.k, math.nan)
+    out = np.zeros(ops.k)
+    for p, d in ops.groups:
+        r = root[p]
+        sim = d * r[:, :, None] / r[:, None, :]
+        bad = ~np.isfinite(sim).all(axis=(1, 2, 3))
+        sim[bad] = 0.0
+        top = np.linalg.svd(sim, compute_uv=False)[..., 0].max(axis=1)
+        out = np.maximum(out, np.where(bad, math.nan, top))
+    return out
 
 
 def per_trial_integrated(G, mu, nus, reps, rng, t):

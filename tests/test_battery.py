@@ -260,6 +260,25 @@ def test_the_law_trials_are_stacked_calls(monkeypatch):
                               "integrated_blocks": 4}  # two nus times two reps
 
 
+def test_the_left_regular_blocks_of_an_orbit_share_one_svd(monkeypatch):
+    # pair(5) with Haar weights constant on source fibres: the five
+    # left-regular blocks of each of the t = 2 operators whose norm is taken
+    # are equal entry for entry, so each operator is one 5x5 SVD, not five
+    shapes = []
+    real = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real(a, *args, **kwargs)
+    G = pair_groupoid("abcde")
+    rng = SplitMix64(5)
+    mu = HaarSystem(random_invariant_weights(G, rng))
+    nus = [uniform_measure(G), QuasiInvariantMeasure(random_probability(G.n_objects, rng))]
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    battery._integrated_residuals(G, mu, nus, [left_regular_rep(G, mu)], rng, 2)
+    assert shapes == [(2, 5, 5)] * 2  # one call per nu, one matrix per operator
+
+
 def test_stacked_trials_equal_the_per_trial_loop_on_a_broken_rep():
     # two columns of one op swapped, and the weights of its target fiber
     # times 400, break every integrated law by an amount that depends on the

@@ -164,6 +164,21 @@ def test_an_index_out_of_range_raises_value_error_naming_it(call, index):
         call(G)
 
 
+@pytest.mark.parametrize("call, objects, arrows", [
+    (lambda G: bisection_compose(G, unit_bisection(G), Bisection((0, 1), (0,))), 2, 1),
+    (lambda G: bisection_compose(G, Bisection((0, 1), (0,)), unit_bisection(G)), 2, 1),
+    (lambda G: target_map(G, Bisection((0, 1), (0,))), 2, 1),
+    (lambda G: bisection_inverse(G, Bisection((0,), (0, 3))), 1, 2),
+    (lambda G: left_translate(G, Bisection((0,), (0, 3)), 0), 1, 2),
+], ids=["compose-tau", "compose-sigma", "target-map", "inverse", "translate"])
+def test_a_bisection_with_more_objects_than_arrows_or_fewer_raises(call, objects, arrows):
+    # zipped, the two would pass every check with the longer one cut short
+    G = pair_groupoid("ab")
+    with pytest.raises(ValueError, match=rf"^a bisection needs one arrow per object: "
+                                         rf"{objects} objects, {arrows} arrows$"):
+        call(G)
+
+
 def test_rejects_non_injective_targets():
     G = pair_groupoid("ab")
     a, b = 0, 1

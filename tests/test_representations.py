@@ -40,7 +40,8 @@ from groupalg.representations import (HilbertBundle, bundle_metric, integrated_b
                                       tensor_of_function)
 
 from oracles import (DenseRep, benchmark_documents, dense_check, dense_of,
-                     dense_residuals, generator_bound, indicators, looped_field_terms,
+                     dense_residuals, every_block_norms, generator_bound, indicators,
+                     looped_field_terms,
                      nonzero_operator_norm, norm_groupoids, pair_layers_ops,
                      scanned_index_residuals,
                      scatter_integrate, support_blocks, svd_fundamental_family_check)
@@ -458,14 +459,102 @@ class TestBlockOperatorNorm:
     def test_the_seed_1_pair36_norm_is_unchanged(self):
         # the integrated left regular rep of pair(36) whose norm the
         # benchmark's pair36-layers workload takes, 1,296 x 1,296 with
-        # 46,656 nonzero entries, and its norm to the bit
+        # 46,656 nonzero entries, and its norm to the bit (one ulp below the
+        # 11.537850096063378 of one root of the product metric: the flat
+        # similar blocks are d * nu ratio * weight ratio)
         ops, ctx = pair_layers_ops(1), {}
         for name in ("parse", "left-regular-rep", "integrate-rep"):
             assert ops[name](ctx) is None
         pf, bundle, nu = ctx["pf"], ctx["lrep"].bundle, ctx["nu"]
         assert pf.shape == (1296, 1296) and np.count_nonzero(pf) == 46656
         assert operator_norm(pf, bundle, nu) == nonzero_operator_norm(pf, bundle, nu) \
-            == 11.537850096063378
+            == 11.537850096063377
+
+    def test_the_seed_1_pair36_norm_is_one_svd(self, monkeypatch):
+        # its 36 left-regular blocks, one per source object, are equal entry
+        # for entry, so one 36x36 SVD serves them all
+        ops, ctx = pair_layers_ops(1), {}
+        for name in ("parse", "left-regular-rep", "integrate-rep"):
+            assert ops[name](ctx) is None
+        shapes = []
+        real = np.linalg.svd
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        operator_norm(ctx["pf"], ctx["lrep"].bundle, ctx["nu"])
+        assert shapes == [(1, 36, 36)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(groups=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 5)), min_size=1,
+                           max_size=3, unique_by=lambda g: g[0]),
+           k=st.integers(0, 3), real=st.booleans(), per_place=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(groups=[(3, 4)], k=2, real=False, per_place=True, seed=0)
+    def test_one_svd_per_run_of_equal_blocks(self, groups, k, real, per_place, seed):
+        # blocks planted equal to the one before them, one ulp apart in one
+        # entry, zero, with signed zeros flipped, or with a NaN, on factors
+        # that are powers of 4: every ratio is a power of 2, so the flat
+        # similar blocks are exact and equal exactly when planted so
+        rng = np.random.default_rng(seed)
+        label = np.concatenate([np.repeat(np.arange(nb) + 10 * g, s)
+                                for g, (s, nb) in enumerate(groups)])
+        label = label[rng.permutation(len(label))]
+        part = BlockPartition.of(label)
+        exps = []
+        for p in part.groups:  # exponents of nu and weight, per place or per position
+            shape = (2, 1, p.shape[1]) if per_place else (2, *p.shape)
+            exps.append(np.broadcast_to(rng.integers(-3, 4, size=shape), (2, *p.shape)))
+        e = np.zeros((2, len(label)), dtype=np.int64)
+        for p, x in zip(part.groups, exps):
+            e[:, p] = x
+        nu, weight = 4.0 ** e
+        data, runs = [], 0
+        for p, x in zip(part.groups, exps):
+            nb, s = p.shape
+            d = rng.normal(size=(k, nb, s, s)) if real else \
+                rng.normal(size=(k, nb, s, s)) + 1j * rng.normal(size=(k, nb, s, s))
+            d[rng.random(d.shape) < 0.3] = 0.0
+            for i, b in itertools.product(range(k), range(1, nb)):
+                kind = rng.integers(6)
+                if kind == 1:  # equal
+                    d[i, b] = d[i, b - 1]
+                elif kind == 2:  # one ulp apart in its largest entry (none if all are 0)
+                    d[i, b] = d[i, b - 1]
+                    at = np.unravel_index(np.argmax(np.abs(d[i, b])), (s, s))
+                    v = d[i, b][at]
+                    if v:
+                        d[i, b][at] = np.nextafter(v.real, np.inf) + (0 if real else 1j * v.imag)
+                elif kind == 3:  # zero
+                    d[i, b] = 0.0
+                elif kind == 4:  # equal up to the signs of its zeros
+                    d[i, b] = np.where(d[i, b - 1] == 0, -d[i, b - 1], d[i, b - 1])
+                elif kind == 5 and rng.random() < 0.3:  # a NaN
+                    d[i, b] = d[i, b - 1]
+                    d[i, b, 0, 0] = math.nan
+            sim = d * 2.0 ** ((x[0][:, :, None] - x[0][:, None, :])
+                              + (x[1][:, :, None] - x[1][:, None, :]))
+            for i in range(k):
+                bad = not np.isfinite(sim[i]).all()
+                runs += 1 if bad else 1 + int((sim[i, 1:] != sim[i, :-1]).any(axis=(1, 2)).sum())
+            data.append(d)
+        ops = BlockOperator(nu, weight, part, tuple(data), k)
+        shapes = []
+        real_svd = np.linalg.svd
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return real_svd(a, *args, **kwargs)
+        with pytest.MonkeyPatch.context() as m:  # hypothesis reruns the body
+            m.setattr(np.linalg, "svd", recorded)
+            with np.errstate(invalid="ignore"):
+                got = ops.norms()
+        want = every_block_norms(ops)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        ok = ~np.isnan(want)
+        assert (np.abs(got[ok] - want[ok]) <= 8 * np.finfo(float).eps * want[ok]).all()
+        assert sum(math.prod(shape[:-2]) for shape in shapes) == runs
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entry_gives_nan(self, bad):
@@ -1826,7 +1915,7 @@ class TestIntegratedBlocks:
 
     def test_an_empty_bundle(self):
         empty = BlockPartition.of(np.zeros(0, dtype=int))
-        ops = BlockOperator(np.zeros(0), empty, (), 3)
+        ops = BlockOperator(np.zeros(0), np.zeros(0), empty, (), 3)
         assert ops.dense().shape == (3, 0, 0)
         assert ops.norms().tolist() == [0.0, 0.0, 0.0]
         assert ops.gaps(ops).tolist() == [0.0, 0.0, 0.0]
