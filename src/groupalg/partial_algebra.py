@@ -2,12 +2,13 @@
 
 The product of two basis elements is declared only on a domain of index
 pairs; where declared, it expands as a complex coefficient vector over the
-basis.  The involution sends a basis element to another basis element times
-a unit-modulus phase, which keeps it exactly involutive under the antilinear
-double application.  Multipliers are computed at basis-index level and
-returned as spans: an under-approximation of multipliers among arbitrary
-vectors, since a combination could in principle multiply everything without
-each basis element of its support doing so.
+basis; the domain is sorted keys i * dim + j with one coefficient row each,
+the form of a groupoid's table.  The involution sends a basis element to
+another basis element times a unit-modulus phase, which keeps it exactly
+involutive under the antilinear double application.  Multipliers are
+computed at basis-index level and returned as spans: an under-approximation
+of multipliers among arbitrary vectors, since a combination could multiply
+everything without each basis element of its support doing so.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .errors import UndefinedProduct
+from .errors import ShapeMismatch, UndefinedProduct
 from .report import Report
 
 
@@ -26,75 +27,83 @@ def _label(i: int) -> str:
 
 
 class StructureTable:
-    """Partial products x_i x_j = sum_k coeff[(i, j)][k] e_k, plus a star map.
-
-    ``star`` maps each basis index to (index, phase); the constructor
-    requires it to be involutive: star(star(i)) returns index i with
-    conj(phase_i) * phase_star(i) = 1 and |phase| = 1.  Whether the product
-    domain is closed under the star swap is a compatibility question and is
-    left to :func:`check_star_compatibility`.
+    """Partial products x_i x_j = sum_k coeffs[r, k] e_k with keys[r] = i * dim + j,
+    from ``coeff``, a dict (or its items) of finite length-dim vectors.  ``star``
+    maps index i to (star(i), phase_i), involutive with conj(phase_i) *
+    phase_star(i) = 1 and |phase_i| = 1; star closure of the domain is
+    :func:`check_star_compatibility`'s question.  The four arrays are read-only.
     """
 
     def __init__(self, dim: int, coeff: dict, star: list):
-        self.dim = int(dim)
-        if self.dim <= 0:
+        self.dim = n = int(dim)
+        if n <= 0:
             raise ValueError("dim must be positive")
-        self.coeff: dict[tuple[int, int], np.ndarray] = {}
-        for (i, j), v in dict(coeff).items():
+        coeff = dict(coeff)
+        keys, rows = np.empty(len(coeff), dtype=np.intp), np.empty((len(coeff), n), dtype=complex)
+        for r, ((i, j), v) in enumerate(coeff.items()):
             i, j = int(i), int(j)
-            if not (0 <= i < self.dim and 0 <= j < self.dim):
+            if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"product ({_label(i)}, {_label(j)}) out of range")
             v = np.asarray(v, dtype=complex)
-            if v.shape != (self.dim,):
+            if v.shape != (n,):
                 raise ValueError(f"coefficients of ({_label(i)}, {_label(j)}) "
-                                 f"must have length {self.dim}")
-            self.coeff[(i, j)] = v
-        if len(star) != self.dim:
+                                 f"must have length {n}")
+            if not np.isfinite(v).all():
+                raise ValueError(f"coefficients of ({_label(i)}, {_label(j)}) must be finite")
+            keys[r], rows[r] = i * n + j, v
+        if len(star) != n:
             raise ValueError("star must map every basis index")
-        self.star_index: list[int] = []
-        self.star_phase: list[complex] = []
+        s, p = np.empty(n, dtype=np.intp), np.empty(n, dtype=complex)
         for i, (k, phase) in enumerate(star):
-            k = int(k)
-            phase = complex(phase)
-            if not 0 <= k < self.dim:
+            k, phase = int(k), complex(phase)
+            if not 0 <= k < n:
                 raise ValueError(f"star of {_label(i)} is {_label(k)}, out of range")
-            if abs(abs(phase) - 1.0) > 1e-12:
+            if not abs(abs(phase) - 1.0) <= 1e-12:
                 raise ValueError(f"star phase of {_label(i)} must have unit modulus")
-            self.star_index.append(k)
-            self.star_phase.append(phase)
-        for i in range(self.dim):
-            j = self.star_index[i]
-            if self.star_index[j] != i:
-                raise ValueError(f"star is not involutive on {_label(i)}")
-            if abs(np.conj(self.star_phase[i]) * self.star_phase[j] - 1.0) > 1e-12:
-                raise ValueError(f"star phases at {_label(i)} do not cancel")
+            s[i], p[i] = k, phase
+        not_involutive = s[s] != np.arange(n)
+        bad = np.flatnonzero(not_involutive | (np.abs(np.conj(p) * p[s] - 1.0) > 1e-12))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"star is not involutive on {_label(i)}" if not_involutive[i]
+                             else f"star phases at {_label(i)} do not cancel")
+        order = np.argsort(keys, kind="stable")
+        keep = order[np.diff(keys[order], append=n * n) != 0]  # of equal keys, the last
+        self._keys, self.coeffs = np.append(keys[keep], n * n), rows[keep]
+        self.star_index, self.star_phase = s, p
+        for a in (self._keys, self.coeffs, s, p):
+            a.flags.writeable = False
+        self.keys = self._keys[:-1]  # a view of a read-only array is read-only
 
-    @property
-    def domain(self) -> set[tuple[int, int]]:
-        return set(self.coeff)
+    def _rows(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row and presence of each key below dim^2; the sentinel dim^2 ends the keys."""
+        pos = self._keys.searchsorted(keys)
+        return pos, self._keys[pos] == keys
+
+    def _vector(self, v) -> np.ndarray:
+        v = np.asarray(v, dtype=complex)
+        if v.shape != (self.dim,):
+            raise ShapeMismatch(f"vector has shape {v.shape}, expected ({self.dim},)")
+        return v
+
+    def _star(self, v: np.ndarray) -> np.ndarray:
+        """The star on the last axis; star(k) is k's preimage, as star is an involution."""
+        return (np.conj(v) * self.star_phase)[..., self.star_index]
 
     def star_vector(self, v) -> np.ndarray:
         """Antilinear star on coordinate vectors."""
-        v = np.asarray(v, dtype=complex)
-        out = np.zeros(self.dim, dtype=complex)
-        for i in range(self.dim):
-            out[self.star_index[i]] += np.conj(v[i]) * self.star_phase[i]
-        return out
+        return self._star(self._vector(v))
 
     def product(self, u, v) -> np.ndarray:
-        """Bilinear product of coordinate vectors; the supports must pair
-        inside the domain."""
-        u = np.asarray(u, dtype=complex)
-        v = np.asarray(v, dtype=complex)
-        out = np.zeros(self.dim, dtype=complex)
-        for i in np.nonzero(u)[0]:
-            for j in np.nonzero(v)[0]:
-                c = self.coeff.get((int(i), int(j)))
-                if c is None:
-                    raise UndefinedProduct(
-                        f"product {_label(int(i))} . {_label(int(j))} is not declared")
-                out += u[i] * v[j] * c
-        return out
+        """Bilinear product of coordinate vectors; the supports must pair inside the domain."""
+        u, v = self._vector(u), self._vector(v)
+        i, j = np.nonzero(u)[0], np.nonzero(v)[0]
+        keys = (i[:, None] * self.dim + j).ravel()
+        rows, found = self._rows(keys)
+        if not found.all():
+            left, right = divmod(int(keys[found.argmin()]), self.dim)
+            raise UndefinedProduct(f"product {_label(left)} . {_label(right)} is not declared")
+        return (u[i, None] * v[j]).ravel() @ self.coeffs[rows]
 
 
 @dataclass(frozen=True)
@@ -118,42 +127,36 @@ def check_star_compatibility(T: StructureTable) -> Report:
     """Verify (x_i x_j)^* = x_j^* x_i^* coefficientwise on the whole domain."""
     atol = tolerances.exact_tol()
     rep = Report("star-compatibility")
-    for (i, j) in sorted(T.coeff):
-        si, sj = T.star_index[i], T.star_index[j]
-        if (sj, si) not in T.coeff:
-            rep.add("domain-not-star-closed",
-                    f"({_label(i)}, {_label(j)}) declared but "
-                    f"({_label(sj)}, {_label(si)}) is not")
-            continue
-        lhs = T.star_vector(T.coeff[(i, j)])
-        rhs = T.star_phase[i] * T.star_phase[j] * T.coeff[(sj, si)]
-        err = float(np.abs(lhs - rhs).max())
-        if err > atol:
+    i, j = np.divmod(T.keys, T.dim)
+    si, sj, phase = T.star_index[i], T.star_index[j], T.star_phase
+    rows, found = T._rows(sj * T.dim + si)
+    err = np.zeros(len(T.keys))
+    err[found] = np.abs(T._star(T.coeffs[found]) - (phase[i] * phase[j])[found, None]
+                        * T.coeffs[rows[found]]).max(axis=1)
+    for r in np.flatnonzero(~found | ~(err <= atol)):
+        if found[r]:
             rep.add("star-compatibility",
-                    f"pair ({_label(i)}, {_label(j)})", residual=err)
+                    f"pair ({_label(i[r])}, {_label(j[r])})", residual=float(err[r]))
+        else:
+            rep.add("domain-not-star-closed",
+                    f"({_label(i[r])}, {_label(j[r])}) declared but "
+                    f"({_label(sj[r])}, {_label(si[r])}) is not")
     return rep
 
 
-def _multiplier_indices(T: StructureTable, side: str) -> list[int]:
+def _multiplier_indices(T: StructureTable, side: str) -> np.ndarray:
+    """Indices whose row (left) or column (right) holds dim of the distinct keys."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    out = []
-    for i in range(T.dim):
-        if side == "left":
-            total = all((i, j) in T.coeff for j in range(T.dim))
-        else:
-            total = all((j, i) in T.coeff for j in range(T.dim))
-        if total:
-            out.append(i)
-    return out
+    ends = T.keys // T.dim if side == "left" else T.keys % T.dim
+    return np.flatnonzero(np.bincount(ends, minlength=T.dim) == T.dim)
 
 
 def multiplier_subspace(T: StructureTable, side: str) -> SubspaceBasis:
     """Span of the basis elements that multiply every basis element on ``side``."""
     idx = _multiplier_indices(T, side)
     vectors = np.zeros((len(idx), T.dim), dtype=complex)
-    for row, i in enumerate(idx):
-        vectors[row, i] = 1.0
+    vectors[np.arange(len(idx)), idx] = 1.0
     return SubspaceBasis(vectors)
 
 
@@ -162,24 +165,25 @@ def ideal_closure_check(T: StructureTable) -> Report:
 
     With I the intersection of the left and right multiplier index sets,
     every product x_i x_j and x_j x_i for i in I must have coefficient
-    support inside I; offending pairs are reported with the escaping index.
+    support inside I.  Each offending pair is reported once with its first
+    escaping index, in the order of a walk over i in I, then j, (i, j) first.
     """
     atol = tolerances.exact_tol()
     rep = Report("multiplier-ideal")
-    ideal = sorted(set(_multiplier_indices(T, "left")) & set(_multiplier_indices(T, "right")))
-    iset = set(ideal)
-    for i in ideal:
-        for j in range(T.dim):
-            for (a, b) in ((i, j), (j, i)):
-                c = T.coeff.get((a, b))
-                if c is None:
-                    continue
-                escape = [k for k in range(T.dim)
-                          if abs(c[k]) > atol and k not in iset]
-                if escape:
-                    rep.add("ideal-closure",
-                            f"product ({_label(a)}, {_label(b)}) has support on "
-                            f"{_label(escape[0])} outside the ideal")
+    n = T.dim
+    both = np.concatenate([_multiplier_indices(T, "left"), _multiplier_indices(T, "right")])
+    ideal = np.bincount(both, minlength=n) == 2  # in both lists
+    a, b = np.divmod(T.keys, n)
+    escapes = ~(np.abs(T.coeffs) <= atol) & ~ideal
+    hit = np.flatnonzero((ideal[a] | ideal[b]) & escapes.any(axis=1))
+    # the walk first meets (a, b) as (i, j) when a is in I and its turn comes
+    # no later than b's, else as (j, i) on b's turn
+    first = ideal[a] & ((a <= b) | ~ideal[b])
+    visit = np.where(first, 2 * (a * n + b), 2 * (b * n + a) + 1)
+    for r in hit[np.argsort(visit[hit])]:
+        rep.add("ideal-closure",
+                f"product ({_label(a[r])}, {_label(b[r])}) has support on "
+                f"{_label(int(escapes[r].argmax()))} outside the ideal")
     return rep
 
 
@@ -191,8 +195,8 @@ def extract_relation(T: StructureTable) -> tuple[list[str], list[tuple[str, str]
     the domain is already an equivalence relation.
     """
     labels = [_label(i) for i in range(T.dim)]
-    pairs = [(labels[i], labels[j]) for (i, j) in sorted(T.coeff)]
-    return labels, pairs
+    i, j = np.divmod(T.keys, T.dim)
+    return labels, [(labels[a], labels[b]) for a, b in zip(i.tolist(), j.tolist())]
 
 
 def matrix_units_table(m: int) -> StructureTable:
@@ -202,14 +206,9 @@ def matrix_units_table(m: int) -> StructureTable:
     delta(b, c) e_(a,d) (declared everywhere), star the transpose.
     """
     n = m * m
-    coeff = {}
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                for d in range(m):
-                    v = np.zeros(n, dtype=complex)
-                    if b == c:
-                        v[a * m + d] = 1.0
-                    coeff[(a * m + b, c * m + d)] = v
-    star = [(b * m + a, 1.0) for a in range(m) for b in range(m)]
-    return StructureTable(n, coeff, star)
+    left, right = np.divmod(np.arange(n * n), n)
+    (a, b), (c, d) = np.divmod(left, m), np.divmod(right, m)
+    coeffs = np.zeros((n * n, n), dtype=complex)
+    coeffs[b == c, (a * m + d)[b == c]] = 1.0
+    star = list(zip(np.arange(n).reshape(m, m).T.ravel(), np.ones(n)))
+    return StructureTable(n, zip(zip(left, right), coeffs), star)

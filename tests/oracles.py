@@ -71,7 +71,7 @@ from groupalg.bisections import (Bisection, arrow_array, bisection_compose, targ
                                  unit_bisection)
 from groupalg.blocks import BlockOperator, BlockPartition
 from groupalg.errors import (FileFormatError, NotClosed, NotTransitive, ShapeMismatch,
-                             UnknownLabel)
+                             UndefinedProduct, UnknownLabel)
 from groupalg.builders import group_groupoid, pair_groupoid, product, symmetric_table
 from groupalg.groupoid import (FiniteGroupoid, _composable, _fibers, _joined, _ranges,
                                _triples, components, isotropy)
@@ -79,6 +79,7 @@ from groupalg.haar import (HaarSystem, _as_function, convolve, counting_haar,
                            function_to_matrix, i_norm, involute, support_fiber_mass,
                            table_convolve, unit_function)
 from groupalg.io import _finite_number, _label_map, _require
+from groupalg.partial_algebra import _label
 from groupalg.randgen import SplitMix64, random_function, random_groupoid
 from groupalg.report import Report, _worst
 from groupalg.representations import (ConjugatedRep, HilbertBundle, IndexRep,
@@ -970,3 +971,129 @@ def arrow_sum_inner(G, mu, f, g) -> complex:
     w = mu.weights.tolist()
     return complex(sum(complex(f[a]) * complex(g[a]).conjugate() * w[a]
                        for a in range(G.n_arrows)))
+
+
+class DictStructureTable:
+    """A structure table kept as a dict of per-pair coefficient vectors and
+    star lists, as :class:`groupalg.partial_algebra.StructureTable` was
+    before it kept sorted pair keys and one coefficient array."""
+
+    def __init__(self, dim: int, coeff: dict, star: list):
+        self.dim = int(dim)
+        if self.dim <= 0:
+            raise ValueError("dim must be positive")
+        self.coeff: dict[tuple[int, int], np.ndarray] = {}
+        for (i, j), v in dict(coeff).items():
+            i, j = int(i), int(j)
+            if not (0 <= i < self.dim and 0 <= j < self.dim):
+                raise ValueError(f"product ({_label(i)}, {_label(j)}) out of range")
+            v = np.asarray(v, dtype=complex)
+            if v.shape != (self.dim,):
+                raise ValueError(f"coefficients of ({_label(i)}, {_label(j)}) "
+                                 f"must have length {self.dim}")
+            self.coeff[(i, j)] = v
+        if len(star) != self.dim:
+            raise ValueError("star must map every basis index")
+        self.star_index: list[int] = []
+        self.star_phase: list[complex] = []
+        for i, (k, phase) in enumerate(star):
+            k = int(k)
+            phase = complex(phase)
+            if not 0 <= k < self.dim:
+                raise ValueError(f"star of {_label(i)} is {_label(k)}, out of range")
+            if abs(abs(phase) - 1.0) > 1e-12:
+                raise ValueError(f"star phase of {_label(i)} must have unit modulus")
+            self.star_index.append(k)
+            self.star_phase.append(phase)
+        for i in range(self.dim):
+            j = self.star_index[i]
+            if self.star_index[j] != i:
+                raise ValueError(f"star is not involutive on {_label(i)}")
+            if abs(np.conj(self.star_phase[i]) * self.star_phase[j] - 1.0) > 1e-12:
+                raise ValueError(f"star phases at {_label(i)} do not cancel")
+
+    def star_vector(self, v) -> np.ndarray:
+        v = np.asarray(v, dtype=complex)
+        out = np.zeros(self.dim, dtype=complex)
+        for i in range(self.dim):
+            out[self.star_index[i]] += np.conj(v[i]) * self.star_phase[i]
+        return out
+
+    def product(self, u, v) -> np.ndarray:
+        u = np.asarray(u, dtype=complex)
+        v = np.asarray(v, dtype=complex)
+        out = np.zeros(self.dim, dtype=complex)
+        for i in np.nonzero(u)[0]:
+            for j in np.nonzero(v)[0]:
+                c = self.coeff.get((int(i), int(j)))
+                if c is None:
+                    raise UndefinedProduct(
+                        f"product {_label(int(i))} . {_label(int(j))} is not declared")
+                out += u[i] * v[j] * c
+        return out
+
+
+def dict_star_compatibility(T: DictStructureTable) -> Report:
+    """Star compatibility pair by pair over the sorted dict keys."""
+    atol = tolerances.exact_tol()
+    rep = Report("star-compatibility")
+    for (i, j) in sorted(T.coeff):
+        si, sj = T.star_index[i], T.star_index[j]
+        if (sj, si) not in T.coeff:
+            rep.add("domain-not-star-closed",
+                    f"({_label(i)}, {_label(j)}) declared but "
+                    f"({_label(sj)}, {_label(si)}) is not")
+            continue
+        lhs = T.star_vector(T.coeff[(i, j)])
+        rhs = T.star_phase[i] * T.star_phase[j] * T.coeff[(sj, si)]
+        err = float(np.abs(lhs - rhs).max())
+        if err > atol:
+            rep.add("star-compatibility",
+                    f"pair ({_label(i)}, {_label(j)})", residual=err)
+    return rep
+
+
+def dict_multiplier_indices(T: DictStructureTable, side: str) -> list[int]:
+    """The basis indices whose row (left) or column (right) is total."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    out = []
+    for i in range(T.dim):
+        if side == "left":
+            total = all((i, j) in T.coeff for j in range(T.dim))
+        else:
+            total = all((j, i) in T.coeff for j in range(T.dim))
+        if total:
+            out.append(i)
+    return out
+
+
+def dict_ideal_closure_check(T: DictStructureTable) -> Report:
+    """The ideal closure walked as (i, j) then (j, i) for every ideal i and
+    every j, each pair judged at its first visit only."""
+    atol = tolerances.exact_tol()
+    rep = Report("multiplier-ideal")
+    ideal = sorted(set(dict_multiplier_indices(T, "left"))
+                   & set(dict_multiplier_indices(T, "right")))
+    iset = set(ideal)
+    seen = set()
+    for i in ideal:
+        for j in range(T.dim):
+            for (a, b) in ((i, j), (j, i)):
+                c = T.coeff.get((a, b))
+                if c is None or (a, b) in seen:
+                    continue
+                seen.add((a, b))
+                escape = [k for k in range(T.dim)
+                          if abs(c[k]) > atol and k not in iset]
+                if escape:
+                    rep.add("ideal-closure",
+                            f"product ({_label(a)}, {_label(b)}) has support on "
+                            f"{_label(escape[0])} outside the ideal")
+    return rep
+
+
+def dict_extract_relation(T: DictStructureTable) -> tuple[list[str], list[tuple[str, str]]]:
+    """Basis labels and the declared pairs in row-major order."""
+    labels = [_label(i) for i in range(T.dim)]
+    return labels, [(labels[i], labels[j]) for (i, j) in sorted(T.coeff)]

@@ -496,6 +496,31 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "left multiplier rank: 4" in out
 
+    _ALGEBRA_HEAD = ("left multiplier rank: {0}\nright multiplier rank: {0}\n"
+                     "relation: 4 objects, {1} pairs\n")
+
+    @pytest.mark.parametrize("edit, code, out", [
+        (lambda d: None, 0, _ALGEBRA_HEAD.format(4, 16) + "structure-table: ok\n"),
+        (lambda d: d["star"][0].update(phase=[-1.0, 0.0]), 1,
+         _ALGEBRA_HEAD.format(4, 16) + "structure-table: 4 violation(s)\n"
+         "  [error] star-compatibility: pair (e1, e1) (residual 2)\n"
+         "  [error] star-compatibility: pair (e1, e2) (residual 2)\n"
+         "  [error] star-compatibility: pair (e2, e3) (residual 2)\n"
+         "  [error] star-compatibility: pair (e3, e1) (residual 2)\n"),
+        (lambda d: d["products"].remove(next(p for p in d["products"]
+                                             if (p["left"], p["right"]) == (2, 3))), 1,
+         _ALGEBRA_HEAD.format(3, 15) + "structure-table: 4 violation(s)\n"
+         "  [error] ideal-closure: product (e1, e2) has support on e2 outside the ideal\n"
+         "  [error] ideal-closure: product (e3, e1) has support on e3 outside the ideal\n"
+         "  [error] ideal-closure: product (e2, e4) has support on e2 outside the ideal\n"
+         "  [error] ideal-closure: product (e4, e3) has support on e3 outside the ideal\n"),
+    ], ids=["fixture", "e1-phase-flipped", "e2-e3-removed"])
+    def test_algebra_report_bytes(self, tmp_path, capsys, edit, code, out):
+        path = tmp_path / "st.json"
+        path.write_text(json.dumps(_edited("st-m2-units.json", edit)))
+        assert main(["algebra", str(path)]) == code
+        assert capsys.readouterr().out == out
+
     def test_missing_file_exit2(self, capsys):
         assert main(["validate", "/nonexistent/g.json"]) == 2
 

@@ -1,15 +1,26 @@
 """Structure tables: star compatibility, multipliers, ideal closure, extraction."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupalg import (UndefinedProduct, build_from_relation,
+from groupalg import (ShapeMismatch, UndefinedProduct, build_from_relation,
                       check_star_compatibility, extract_relation,
                       ideal_closure_check, matrix_units_table,
                       multiplier_subspace, validate)
-from groupalg.partial_algebra import StructureTable
+from groupalg.partial_algebra import StructureTable, _multiplier_indices
+
+from oracles import (DictStructureTable, dict_extract_relation, dict_ideal_closure_check,
+                     dict_multiplier_indices, dict_star_compatibility)
+
+
+def declared(T) -> dict:
+    """The table's domain as a dict {(i, j): coefficient vector}."""
+    return {divmod(int(k), T.dim): c for k, c in zip(T.keys, T.coeffs)}
 
 
 def expand_matrix_product(m, i, j):
@@ -26,7 +37,8 @@ def expand_matrix_product(m, i, j):
 class TestStarCompatibility:
     def test_m2_units_clean_via_expansion_oracle(self):
         T = matrix_units_table(2)
-        for (i, j), coeff in T.coeff.items():
+        assert len(declared(T)) == 16
+        for (i, j), coeff in declared(T).items():
             assert np.allclose(np.asarray(coeff).real, expand_matrix_product(2, i, j))
             assert np.allclose(np.asarray(coeff).imag, 0.0)
         assert check_star_compatibility(T).ok
@@ -43,7 +55,7 @@ class TestStarCompatibility:
         T = matrix_units_table(2)
         star = list(zip(T.star_index, T.star_phase))
         star[0] = (0, -1.0)  # flip a diagonal phase; still involutive
-        bad = StructureTable(T.dim, T.coeff, star)
+        bad = StructureTable(T.dim, declared(T), star)
         rep = check_star_compatibility(bad)
         assert not rep.ok
         assert any("(e1, e1)" in e.witness for e in rep.errors)
@@ -68,6 +80,44 @@ class TestStructureTableInvariants:
     def test_star_phase_modulus(self):
         with pytest.raises(ValueError):
             StructureTable(1, {}, [(0, 2.0)])
+
+    @pytest.mark.parametrize("dim, coeff, pair", [
+        (1, {(0, 0): [np.nan]}, "(e1, e1)"),
+        (1, {(0, 0): [np.inf]}, "(e1, e1)"),
+        (2, {(0, 0): [0, 0], (0, 1): [1, 0], (1, 0): [0, complex(0, np.nan)]},
+         "(e2, e1)"),  # in a product of the ideal element e1
+    ], ids=["nan", "inf", "nan-in-ideal-product"])
+    def test_non_finite_coefficients_rejected(self, dim, coeff, pair):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"coefficients of {pair} must be finite")):
+                StructureTable(dim, coeff, [(i, 1.0) for i in range(dim)])
+
+    def test_length_is_checked_before_finiteness(self):
+        with pytest.raises(ValueError, match="must have length 2"):
+            StructureTable(2, {(0, 0): [np.nan]}, [(0, 1.0), (1, 1.0)])
+
+    @pytest.mark.parametrize("phase", [np.nan, np.inf, complex(1, np.nan), complex(np.inf, 0)])
+    def test_non_finite_phase_rejected(self, phase):
+        with pytest.raises(ValueError, match="^star phase of e1 must have unit modulus$"):
+            StructureTable(1, {(0, 0): [0.0]}, [(0, phase)])
+
+    def test_arrays_are_read_only_and_copied(self):
+        v = np.array([0.0, 1.0], dtype=complex)
+        T = StructureTable(2, {(0, 0): v, (0, 1): v, (1, 0): np.zeros(2)},
+                           [(0, 1.0), (1, 1.0)])
+        assert not ideal_closure_check(T).ok
+        for a in (T.keys, T.coeffs, T.star_index, T.star_phase):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[-1]
+        v[:] = 0.0  # the caller's vector is not the table's
+        assert not ideal_closure_check(T).ok
+
+    def test_indices_equal_after_int_keep_the_last_vector_as_a_dict_does(self):
+        coeff = {(0, 0): [1.0], (0.5, 0): [2.0]}
+        T = StructureTable(1, coeff, [(0, 1.0)])
+        assert T.keys.tolist() == [0] and T.coeffs.tolist() == [[2.0]]
+        assert declared(T).keys() == DictStructureTable(1, coeff, [(0, 1.0)]).coeff.keys()
 
     def test_antilinear_double_application_on_vectors(self):
         T = matrix_units_table(2)
@@ -110,10 +160,11 @@ class TestMultiplierSubspace:
         coeff[(0, 1)] = np.zeros(n)
         T = StructureTable(n, coeff, star)
         assert check_star_compatibility(T).ok
+        pairs = declared(T)
         left_idx = {i for i in range(n)
-                    if all((i, j) in T.coeff for j in range(n))}
+                    if all((i, j) in pairs for j in range(n))}
         right_idx = {i for i in range(n)
-                     if all((j, i) in T.coeff for j in range(n))}
+                     if all((j, i) in pairs for j in range(n))}
         assert {T.star_index[i] for i in left_idx} == right_idx
 
 
@@ -138,6 +189,14 @@ class TestIdealClosure:
     def test_empty_domain_vacuous(self):
         T = StructureTable(3, {}, [(i, 1.0) for i in range(3)])
         assert ideal_closure_check(T).ok
+
+    def test_each_pair_reported_once(self):
+        # (e1, e1) is both (i, j) and (j, i) for the ideal element e1
+        coeff = {(0, 0): [0.0, 1.0], (0, 1): [0.0, 0.0], (1, 0): [0.0, 0.0]}
+        T = StructureTable(2, coeff, [(0, 1.0), (1, 1.0)])
+        assert str(ideal_closure_check(T)) == (
+            "multiplier-ideal: 1 violation(s)\n"
+            "  [error] ideal-closure: product (e1, e1) has support on e2 outside the ideal")
 
 
 class TestExtractRelation:
@@ -199,7 +258,109 @@ class TestBilinearity:
         rhs = a * T.product(z, x) + b * T.product(z, y)
         assert np.abs(lhs - rhs).max() <= 1e-12
 
+    @pytest.mark.parametrize("call, shape", [
+        (lambda T: T.star_vector(np.ones(6)), "(6,)"),
+        (lambda T: T.star_vector(np.ones(2)), "(2,)"),
+        (lambda T: T.product([1, 0], [1, 0, 0, 0]), "(2,)"),
+        (lambda T: T.product(np.eye(5)[4], np.eye(4)[0]), "(5,)"),
+    ], ids=["star-long", "star-short", "product-short", "product-long"])
+    def test_vectors_of_the_wrong_length_raise(self, call, shape):
+        with pytest.raises(ShapeMismatch,
+                           match=re.escape(f"vector has shape {shape}, expected (4,)")):
+            call(matrix_units_table(2))
+
     def test_undefined_product_raises(self):
         T = StructureTable(2, {(0, 0): np.zeros(2)}, [(0, 1.0), (1, 1.0)])
         with pytest.raises(UndefinedProduct):
             T.product(np.array([1.0, 0]), np.array([0, 1.0]))
+
+
+_VALUES = [0, 1, -1, 1j, -1j, 0.5]
+_PHASES = [1, -1, 1j, -1j]
+_CORRUPTIONS = ["pair-out-of-range", "short-vector", "not-involutive", "phases-not-cancelling",
+                "phase-off-circle", "star-short"]
+
+
+@st.composite
+def tables(draw):
+    """(dim, coeff, star) of a random table: a random domain with some total
+    rows and columns (so that the ideal is not empty), optionally closed
+    under the star swap, and an involutive star with phases equal on each
+    swapped pair; then up to two of the corruptions the constructor checks."""
+    n = draw(st.integers(1, 6))
+    vector = st.one_of(st.just([0] * n),
+                       st.lists(st.sampled_from(_VALUES), min_size=n, max_size=n))
+    total = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    index = list(range(n))
+    order = draw(st.permutations(range(n)))
+    for t in range(draw(st.integers(0, n // 2))):
+        a, b = order[2 * t], order[2 * t + 1]
+        index[a], index[b] = b, a
+    phase = [draw(st.sampled_from(_PHASES)) for _ in range(n)]
+    phase = [phase[min(i, index[i])] for i in range(n)]
+    coeff = {(i, j): draw(vector) for i in range(n) for j in range(n)
+             if total[i] or total[j] or draw(st.booleans())}
+    if draw(st.booleans()):  # close the domain under (i, j) -> (star j, star i)
+        for (i, j) in list(coeff):
+            coeff.setdefault((index[j], index[i]), draw(vector))
+    star = list(zip(index, phase))
+    kinds = draw(st.lists(st.sampled_from(_CORRUPTIONS), max_size=2, unique=True))
+    for kind in sorted(kinds, key=_CORRUPTIONS.index):  # "star-short" last
+        if kind == "pair-out-of-range":
+            items = list(coeff.items())
+            bad = draw(st.sampled_from([(n, 0), (0, n), (-1, 0)]))
+            items.insert(draw(st.integers(0, len(items))), (bad, [0] * n))
+            coeff = dict(items)
+        elif kind == "short-vector" and coeff:
+            coeff[draw(st.sampled_from(sorted(coeff)))] = [0] * (n - 1)
+        elif kind == "not-involutive":
+            i = draw(st.integers(0, n - 1))
+            star[i] = ((star[i][0] + 1) % n, star[i][1])
+        elif kind == "phases-not-cancelling":  # unless every index is a fixed point
+            i = draw(st.sampled_from([k for k in range(n) if star[k][0] != k] or [0]))
+            star[i] = (star[i][0], -star[i][1])
+        elif kind == "phase-off-circle":
+            i = draw(st.integers(0, n - 1))
+            star[i] = (star[i][0], draw(st.sampled_from([2.0, 0.5, 1 + 1j])))
+        elif kind == "star-short":
+            star = star[:-1]
+    return n, coeff, star
+
+
+def _built(cls, n, coeff, star):
+    try:
+        return cls(n, coeff, star), None
+    except ValueError as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _product(T, u, v):
+    try:
+        return T.product(u, v)
+    except UndefinedProduct as exc:
+        return str(exc)
+
+
+class TestAgainstDictOracle:
+    @settings(max_examples=250, deadline=None)
+    @given(tables(), st.data())
+    def test_reports_lookups_and_errors_match_the_dict_table(self, table, data):
+        T, error = _built(StructureTable, *table)
+        O, oracle_error = _built(DictStructureTable, *table)
+        assert error == oracle_error
+        if T is None:
+            return
+        assert str(check_star_compatibility(T)) == str(dict_star_compatibility(O))
+        assert str(ideal_closure_check(T)) == str(dict_ideal_closure_check(O))
+        for side in ("left", "right"):
+            assert _multiplier_indices(T, side).tolist() == dict_multiplier_indices(O, side)
+        assert extract_relation(T) == dict_extract_relation(O)
+        n = T.dim
+        u, v = (np.array(data.draw(st.lists(st.sampled_from(_VALUES), min_size=n, max_size=n)),
+                         dtype=complex) for _ in range(2))
+        assert np.array_equal(T.star_vector(u), O.star_vector(u))
+        got, want = _product(T, u, v), _product(O, u, v)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.abs(got - want).max() <= 1e-12
