@@ -651,9 +651,9 @@ def validate(G: FiniteGroupoid) -> Report:
 
     # the certificate proves every composable triple associative; failing
     # that, scan every triple (x, y, z) with (x, y) defined and z into src(y)
-    defined = ab >= 0
-    a, b, ab = a[defined], b[defined], ab[defined]
     if not G.certificate().associative:
+        defined = ab >= 0
+        a, b, ab = a[defined], b[defined], ab[defined]
         for rows, z in _triples(G.target_fibers, src[b]):
             x, y, xy = a[rows], b[rows], ab[rows]
             xy_z = G.composites(xy, z)

@@ -22,6 +22,9 @@ from .errors import ShapeMismatch, UndefinedProduct
 from .report import Report
 
 
+_ROW_BATCH = 1 << 12  # products compared per batch in check_star_compatibility
+
+
 def _label(i: int) -> str:
     return f"e{i + 1}"
 
@@ -35,7 +38,7 @@ class StructureTable:
     """
 
     def __init__(self, dim: int, coeff: dict, star: list):
-        self.dim = n = int(dim)
+        n = int(dim)
         if n <= 0:
             raise ValueError("dim must be positive")
         coeff = dict(coeff)
@@ -51,6 +54,20 @@ class StructureTable:
             if not np.isfinite(v).all():
                 raise ValueError(f"coefficients of ({_label(i)}, {_label(j)}) must be finite")
             keys[r], rows[r] = i * n + j, v
+        self._set(n, keys, rows, star)
+
+    @classmethod
+    def _of_arrays(cls, dim: int, keys: np.ndarray, rows: np.ndarray, star: list) -> StructureTable:
+        """The table of the int ``keys`` i * dim + j, each in range, and
+        their finite (P, dim) complex coefficient ``rows``, kept without a
+        copy when the keys ascend."""
+        table = cls.__new__(cls)
+        table._set(int(dim), keys, rows, star)
+        return table
+
+    def _set(self, n: int, keys: np.ndarray, rows: np.ndarray, star: list) -> None:
+        """Check ``star``, then keep the keys sorted, of equal keys the last."""
+        self.dim = n
         if len(star) != n:
             raise ValueError("star must map every basis index")
         s, p = np.empty(n, dtype=np.intp), np.empty(n, dtype=complex)
@@ -67,9 +84,11 @@ class StructureTable:
             i = int(bad[0])
             raise ValueError(f"star is not involutive on {_label(i)}" if not_involutive[i]
                              else f"star phases at {_label(i)} do not cancel")
-        order = np.argsort(keys, kind="stable")
-        keep = order[np.diff(keys[order], append=n * n) != 0]  # of equal keys, the last
-        self._keys, self.coeffs = np.append(keys[keep], n * n), rows[keep]
+        if not (keys[1:] > keys[:-1]).all():
+            order = np.argsort(keys, kind="stable")
+            keep = order[np.diff(keys[order], append=n * n) != 0]  # of equal keys, the last
+            keys, rows = keys[keep], rows[keep]
+        self._keys, self.coeffs = np.append(keys, n * n), rows
         self.star_index, self.star_phase = s, p
         for a in (self._keys, self.coeffs, s, p):
             a.flags.writeable = False
@@ -131,8 +150,10 @@ def check_star_compatibility(T: StructureTable) -> Report:
     si, sj, phase = T.star_index[i], T.star_index[j], T.star_phase
     rows, found = T._rows(sj * T.dim + si)
     err = np.zeros(len(T.keys))
-    err[found] = np.abs(T._star(T.coeffs[found]) - (phase[i] * phase[j])[found, None]
-                        * T.coeffs[rows[found]]).max(axis=1)
+    for lo in range(0, len(T.keys), _ROW_BATCH):  # (batch, dim) temporaries, not (P, dim)
+        r = lo + np.flatnonzero(found[lo:lo + _ROW_BATCH])
+        err[r] = np.abs(T._star(T.coeffs[r]) - (phase[i[r]] * phase[j[r]])[:, None]
+                        * T.coeffs[rows[r]]).max(axis=1)
     for r in np.flatnonzero(~found | ~(err <= atol)):
         if found[r]:
             rep.add("star-compatibility",
@@ -206,9 +227,10 @@ def matrix_units_table(m: int) -> StructureTable:
     delta(b, c) e_(a,d) (declared everywhere), star the transpose.
     """
     n = m * m
-    left, right = np.divmod(np.arange(n * n), n)
+    keys = np.arange(n * n)
+    left, right = np.divmod(keys, n)
     (a, b), (c, d) = np.divmod(left, m), np.divmod(right, m)
     coeffs = np.zeros((n * n, n), dtype=complex)
     coeffs[b == c, (a * m + d)[b == c]] = 1.0
     star = list(zip(np.arange(n).reshape(m, m).T.ravel(), np.ones(n)))
-    return StructureTable(n, zip(zip(left, right), coeffs), star)
+    return StructureTable._of_arrays(n, keys, coeffs, star)

@@ -37,10 +37,11 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances
-from .blocks import BlockOperator, BlockPartition
+from .blocks import BlockOperator, BlockPartition, factored_ratios
 from .errors import NotTransitive, ShapeMismatch
 from .groupoid import FiniteGroupoid, IsotropyGroup, _joined, _ranges, components, isotropy
 from .haar import HaarSystem, _as_function, counting_haar, i_norm, table_convolve
+from .orbits import regular_blocks
 from .randgen import SplitMix64, random_function
 from .report import Report
 
@@ -151,19 +152,18 @@ class IndexRep:
         return _DenseOps(len(self.starts) - 1, self.dense_op)
 
     @cached_property
-    def blocks(self) -> tuple[BlockPartition, np.ndarray, np.ndarray]:
-        """The blocks of every integrated operator of this rep, and where
-        each 1 of the ops falls in them: the connected components of the
-        bundle positions, joined by the (row, column) of each 1, and the
-        group and cell (:meth:`BlockPartition.cells`) of each entry of ``rows``.
-        """
+    def blocks(self) -> tuple[BlockPartition, np.ndarray]:
+        """The blocks of every integrated operator of this rep, each its own
+        slot: the connected components of the bundle positions, joined by the
+        (row, column) of each 1, and the column (:meth:`BlockPartition.cells`)
+        of each entry of ``rows`` in one operator's data."""
         width = np.diff(self.starts)
         arrow = np.repeat(np.arange(len(width)), width)
         offsets = np.array(self.bundle.offsets[:-1], dtype=np.intp)
         r = offsets[self.tgt[arrow]] + self.rows
         c = offsets[self.src[arrow]] + _ranges(np.zeros_like(width), width)
         part = BlockPartition.of(components(self.bundle.total_dim, r, c))
-        return (part, *part.cells(r, c))
+        return part, part.cells(r, c)
 
     def dense_op(self, a: int) -> np.ndarray:
         """op(a) as a dense matrix; raises ShapeMismatch when a column has
@@ -634,7 +634,8 @@ def conjugate_rep_on(G: FiniteGroupoid, rep: IndexRep,
 
 def _coefficients(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure, fs) -> np.ndarray:
     """The coefficient f_i(a) m_o(a) / nu(tgt a) of op(a) in pi(f_i), per row i."""
-    return fs * induced_measures(G, mu, nu).m_o / nu.nu[G.tgt]
+    with np.errstate(over="ignore", invalid="ignore"):  # weights far from 1: inf or NaN
+        return fs * induced_measures(G, mu, nu).m_o / nu.nu[G.tgt]
 
 
 def integrated_blocks(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure,
@@ -644,36 +645,37 @@ def integrated_blocks(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasu
     times op(a) into the (tgt a, src a) slot of the nu-weighted direct sum
     of the fibers (:func:`integrate_rep`).
 
-    The blocks are fixed once per rep: the connected components of the
-    bundle positions joined by the (row, column) of every 1 of its ops
-    (:attr:`IndexRep.blocks`), for the left regular rep one block per
-    source object of the fiber arrows, for the trivial rep one per orbit.
-    The entries come from the same data as the blocks, so none falls
-    outside them.  Batches of about ``_SCATTER_BATCH`` op entries add each
-    coefficient to its entries in arrow order, none where f is 0: the dense
+    Where :func:`orbits.regular_blocks` proves the rep the left regular one
+    (kept per rep and groupoid), each orbit is one data slot gathered
+    through its ``left`` matrix; each entry is one term, 0 plus it where f
+    is not 0, as the scatter adds it.  Any other rep keeps one slot per
+    block of :attr:`IndexRep.blocks` (for the trivial rep one per orbit),
+    scattered in batches of about ``_SCATTER_BATCH`` op entries, each
+    coefficient in arrow order and none where f is 0.  Either way the dense
     matrices equal those of one slice addition per arrow.  Raises
     ShapeMismatch with the witness of :func:`_shape_fault` when an op has
     the wrong shape or a 1 outside its target fiber.
     """
     f = _as_function(G, f, stack=True)
     fs = np.atleast_2d(f)
-    k, bundle = len(fs), rep.bundle
+    k = len(fs)
     _require_shape(G, rep)
-    part, group, cell = rep.blocks
-    slab = np.array([p.size for p in part.groups], dtype=np.intp) * part.sizes
-    start = np.concatenate([[0], np.cumsum(k * slab)]).astype(np.intp)
-    flat = np.zeros(start[-1], dtype=complex)
-    data = tuple(flat[start[g]:start[g + 1]].reshape(k, *p.shape, p.shape[1])
-                 for g, p in enumerate(part.groups))
-    at, width = start[group] + cell, np.diff(rep.starts)  # where each entry falls in operator 0
     coeff = _coefficients(G, mu, nu, fs)
-    step = max(1, _SCATTER_BATCH // max(len(rep.rows), 1))
-    for lo in range(0, k, step):
-        row, used = np.nonzero(fs[lo:lo + step] != 0)  # row by row, arrows ascending
-        term = np.repeat(np.arange(len(used)), width[used])
-        entry, row = _ranges(rep.starts[used], width[used]), lo + row
-        np.add.at(flat, at[entry] + row[term] * slab[group[entry]], coeff[row, used][term])
-    return BlockOperator(*bundle_factors(bundle, nu), part, data, k)
+    if (regular := _kept(G, rep, "_regular", regular_blocks)) is not None:
+        part, take = regular
+        flat = np.add(0.0, coeff, out=np.zeros_like(coeff), where=fs != 0).take(take, axis=1)
+    else:
+        part, column = rep.blocks
+        flat = np.zeros((k, part.width), dtype=complex)
+        width = np.diff(rep.starts)
+        step = max(1, _SCATTER_BATCH // max(len(rep.rows), 1))
+        for lo in range(0, k, step):
+            row, used = np.nonzero(fs[lo:lo + step] != 0)  # row by row, arrows ascending
+            term = np.repeat(np.arange(len(used)), width[used])
+            entry, row = _ranges(rep.starts[used], width[used]), lo + row
+            np.add.at(flat.reshape(-1), column[entry] + row[term] * part.width,
+                      coeff[row, used][term])
+    return BlockOperator(*bundle_factors(rep.bundle, nu), part, part.views(flat), k)
 
 
 def integrate_rep(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure,
@@ -705,9 +707,9 @@ def bundle_metric(bundle: HilbertBundle, nu: QuasiInvariantMeasure) -> np.ndarra
 
 def adjoint_operator(op: np.ndarray, bundle: HilbertBundle,
                      nu: QuasiInvariantMeasure) -> np.ndarray:
-    """Adjoint for the weighted inner product: M^-1 op^H M with M the metric."""
-    m = bundle_metric(bundle, nu)
-    return (op.conj().T * m) / m[:, None]
+    """Adjoint for the weighted inner product: M^-1 op^H M with M the metric,
+    its ratios factored as :meth:`BlockOperator.adjoint` takes them."""
+    return op.conj().T * factored_ratios(*bundle_factors(bundle, nu))
 
 
 def operator_norm(op: np.ndarray, bundle: HilbertBundle,
@@ -715,18 +717,15 @@ def operator_norm(op: np.ndarray, bundle: HilbertBundle,
     """Spectral norm of a dense operator on the bundle in the weighted
     geometry: :meth:`BlockOperator.norms` of the operator split into the
     connected blocks of its nonzero pattern, rows and columns one index set
-    (for the left regular representation, one block per source object of
-    the fiber arrows).  The pattern's edges come from one flat scan of the
-    nonzero mask, in row-major order whatever the layout of ``op``, the
-    order of the 2-D ``np.nonzero``.  NaN for a non-finite entry of the
-    flat similar matrix, or a zero or infinite root of the metric.
+    (:meth:`BlockOperator.of_dense`; for the left regular representation,
+    one block per source object of the fiber arrows).  NaN for a non-finite
+    entry of the flat similar matrix, or a zero or infinite root of the
+    metric.
     """
     n = bundle.total_dim
     if op.shape != (n, n):
         raise ShapeMismatch(f"operator has shape {op.shape}, expected {(n, n)}")
-    part = BlockPartition.of(components(n, *np.divmod(np.flatnonzero(op != 0), max(n, 1))))
-    data = tuple(op[p[:, :, None], p[:, None, :]][None] for p in part.groups)
-    return float(BlockOperator(*bundle_factors(bundle, nu), part, data, 1).norms()[0])
+    return float(BlockOperator.of_dense(op, *bundle_factors(bundle, nu)).norms()[0])
 
 
 def operator_norm_bound_check(G: FiniteGroupoid, mu: HaarSystem,

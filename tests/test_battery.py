@@ -15,6 +15,7 @@ import textwrap
 import tracemalloc
 import types
 import unittest.mock
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -27,18 +28,18 @@ from groupalg.battery import SUITES, BatteryRun, _worst, run_battery
 from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid, pair_groupoid,
                                product, symmetric_table)
 from groupalg.cli import main
-from groupalg.groupoid import FiniteGroupoid
+from groupalg.groupoid import FiniteGroupoid, _ranges
 from groupalg.haar import HaarSystem
 from groupalg.io import GroupoidDocument, load_groupoid, parse_groupoid_document
-from groupalg.orbits import orbit_matrices
+from groupalg.orbits import orbit_matrices, regular_blocks
 from groupalg.randgen import (SplitMix64, random_function, random_groupoid,
                               random_invariant_weights, random_probability,
                               random_unitary_field)
 from groupalg.report import Report
 from groupalg.representations import (HilbertBundle, IndexRep, QuasiInvariantMeasure,
                                       check_representation, conjugate_rep_on,
-                                      integrated_blocks, left_regular_rep, trivial_rep,
-                                      uniform_measure)
+                                      integrated_blocks, left_regular_rep, operator_norm,
+                                      trivial_rep, uniform_measure)
 
 from oracles import (benchmark_documents, big_matrix_transport, per_trial_algebra,
                      per_trial_convergence, per_trial_integrated, per_trial_pair_matrix,
@@ -300,6 +301,84 @@ def test_stacked_trials_equal_the_per_trial_loop_on_a_broken_rep():
     assert min(got) > 1e-3
     for g, w in zip(got, want, strict=True):
         assert math.isclose(g, w, rel_tol=1e-9), (got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), change=st.sampled_from(["none", "op", "weight"]))
+def test_one_slot_per_orbit_exactly_when_the_rep_is_equivariant(seed, change):
+    # a random union with random nu, unchanged, with one op's 1 moved in a
+    # column of a non-base block, or with one Haar weight moved within its
+    # source fiber: the orbit slots are proved exactly when the ops are the
+    # left regular ones and the weights constant on source fibers, and
+    # either way the dense operators are the scatter's to the bit and the
+    # integrated residuals those of the per-trial loop
+    rng = SplitMix64(seed)
+    G = random_groupoid(rng, max_arrows=40)
+    weights = random_invariant_weights(G, rng)
+    nus = [QuasiInvariantMeasure(random_probability(G.n_objects, rng))]
+    if change == "weight":
+        weights[rng.randint(G.n_arrows)] *= 1.25
+    mu = HaarSystem(weights)
+    rep = left_regular_rep(G, mu)
+    if change == "op":  # a column whose arrow leaves a non-base object, of an op of 2+ rows
+        into, first, _ = G.target_fibers
+        width, dims = np.diff(rep.starts), np.array(rep.bundle.dims)
+        arrow = np.repeat(np.arange(G.n_arrows), width)
+        column = into[first[G.src[arrow]] + _ranges(np.zeros_like(width), width)]
+        movable = np.flatnonzero((G.src[column] != G.orbit_index.label[G.src[column]])
+                                 & (dims[G.tgt[arrow]] > 1))
+        if len(movable):
+            k = movable[rng.randint(len(movable))]
+            rows = rep.rows.copy()
+            rows[k] = (rows[k] + 1) % dims[G.tgt[arrow[k]]]
+            rep = IndexRep(rep.bundle, rep.src, rep.tgt, rows, rep.starts)
+    by_source = np.zeros(G.n_objects)
+    by_source[G.src] = weights
+    equivariant = (np.array_equal(rep.rows, left_regular_rep(G, mu).rows)
+                   and (weights == by_source[G.src]).all())
+    assert (regular_blocks(G, rep) is not None) == equivariant
+    fs = rng.complex_boxes(3 * G.n_arrows).reshape(3, G.n_arrows)
+    fs[1, ::2] = 0.0
+    fs[2].real[::3] = -0.0  # a signed zero part in a nonzero term
+    ops = integrated_blocks(G, mu, nus[0], rep, fs)
+    slots, blocks = (sum(len(p) for p in ps) for ps in (ops.partition.leads,
+                                                        ops.partition.groups))
+    assert slots == (len(G.orbits()) if equivariant else blocks)
+    for d, f in zip(ops.dense(), fs, strict=True):
+        assert d.tobytes() == scatter_integrate(G, mu, nus[0], rep, f).tobytes()
+    stacked, looped = SplitMix64(seed), SplitMix64(seed)
+    got = battery._integrated_residuals(G, mu, nus, [rep], stacked, 2)
+    want = per_trial_integrated(G, mu, nus, [rep], looped, 2)
+    assert stacked.state == looped.state
+    for g, w in zip(got, want, strict=True):
+        assert math.isclose(g, w, rel_tol=1e-9, abs_tol=1e-13), (got, want)
+
+
+def test_weights_far_from_one_leave_no_warning_in_the_integrated_layer():
+    # pair(4) with Haar weights x 1e160, where m_o overflows: the integrated
+    # operators and every block-operator method carry the inf and NaN on to
+    # the residuals, and no RuntimeWarning leaves them; a term where f is 0
+    # is skipped, not inf times 0, as the scatter skips it
+    G = pair_groupoid("abcd")
+    rng = SplitMix64(5)
+    mu = HaarSystem(random_invariant_weights(G, rng) * 1e160)
+    nu = QuasiInvariantMeasure(random_probability(G.n_objects, rng))
+    fs = rng.complex_boxes(2 * G.n_arrows).reshape(2, G.n_arrows)
+    fs[0, ::3] = 0.0
+    for rep in (trivial_rep(G), left_regular_rep(G, mu)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ops = integrated_blocks(G, mu, nu, rep, fs)
+            pf, pg = ops[:1], ops[1:]
+            dense = ops.dense()
+            assert not np.isfinite(dense).all()
+            assert np.isnan(pf.gaps(pf.adjoint())).all()
+            assert np.isnan(pf.gaps(pf @ pg)).all()
+            assert np.isnan(ops.norms()).all()
+            assert math.isnan(operator_norm(dense[0], rep.bundle, nu))
+        with np.errstate(all="ignore"):
+            for d, f in zip(dense, fs, strict=True):
+                assert d.tobytes() == scatter_integrate(G, mu, nu, rep, f).tobytes()
 
 
 def test_transport_gaps_take_each_objects_own_fiber_dimension():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from groupalg import representations, tolerances
+from groupalg import blocks, representations, tolerances
 from groupalg import (ConjugatedRep, HaarSystem, IndexRep, NotTransitive,
                       QuasiInvariantMeasure, ShapeMismatch, adjoint_operator, canonical_bundle,
                       check_representation, conjugate_rep_on, convolve,
@@ -27,7 +27,7 @@ from groupalg import (ConjugatedRep, HaarSystem, IndexRep, NotTransitive,
 from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
                                klein_table, pair_groupoid, product,
                                symmetric_table)
-from groupalg.groupoid import FiniteGroupoid, isotropy
+from groupalg.groupoid import FiniteGroupoid, components, isotropy
 from groupalg.orbits import orbit_matrices
 from groupalg.battery import run_battery
 from groupalg.io import GroupoidDocument, load_groupoid, parse_groupoid_document
@@ -455,6 +455,31 @@ class TestBlockOperatorNorm:
         with np.errstate(invalid="ignore"):  # complex inf / real makes a NaN part
             got, want = operator_norm(op, bundle, nu), nonzero_operator_norm(op, bundle, nu)
         assert (math.isnan(got) and math.isnan(want)) or got.hex() == want.hex(), (got, want)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    @pytest.mark.parametrize("dtype", [complex, np.complex64, float, np.int64, bool])
+    def test_the_chunked_scan_gathers_the_blocks_of_op_ne_0(self, chunk, dtype, monkeypatch):
+        # chunks of one entry (a row each), a few rows, or the whole matrix;
+        # complex entries with one part nonzero, a part -0.0, or NaN, in
+        # every layout: the blocks and their data are those of the 2-D mask
+        monkeypatch.setattr(blocks, "_SCAN_CHUNK", chunk)
+        rng = np.random.default_rng(11)
+        n = 13
+        M = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * (rng.random((n, n)) < 0.2)
+        M[2, 5], M[7, 1], M[4, 4], M[9, 3] = 2j, complex(-0.0, 0.0), complex(-0.0, 1.5), 0.5
+        M[11, 6] = complex(math.nan, 0.0)
+        M[0, 12] = complex(0.0, -0.0)
+        op = {complex: M, np.complex64: M.astype(np.complex64), float: M.real,
+              np.int64: np.round(3 * np.nan_to_num(M.real)).astype(np.int64), bool: M.real != 0}[dtype]
+        nu, weight = np.full(n, 1.0 / n), 0.5 + rng.random(n)
+        want = BlockPartition.of(components(n, *np.nonzero(op != 0)))
+        for layout in (op, np.asfortranarray(op), op[::-1][::-1], op.T.copy().T):
+            got = BlockOperator.of_dense(layout, nu, weight)
+            assert len(got.groups) == len(want.groups)
+            for (p, d), q in zip(got.groups, want.groups, strict=True):
+                assert np.array_equal(p, q)
+                assert d.dtype == op.dtype
+                assert d[0].tobytes() == op[q[:, :, None], q[:, None, :]].tobytes()
 
     def test_the_seed_1_pair36_norm_is_unchanged(self):
         # the integrated left regular rep of pair(36) whose norm the
