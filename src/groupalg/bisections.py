@@ -13,10 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainMismatch
-from .groupoid import FiniteGroupoid, _subgroup
-
-# entries in one block of the star table's products and Light's test
-_BLOCK = 1 << 18
+from .groupoid import FiniteGroupoid, components
 
 
 @dataclass(frozen=True)
@@ -152,18 +149,41 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
-def _star_table(G: FiniteGroupoid, S: np.ndarray, T: np.ndarray):
-    """The k x k star table of the rows of ``S``, ``T`` their targets as
-    column indices of ``S``: entry [i, j] is the index of the row
-    ``S[i, T[j, x]] o S[j, x]``, among the sorted row keys of ``S``.  None
-    when a product is not a row (a missing composite reads -1); else the
-    table, whether targets follow it (``T[table] == T o T``) and the row
-    lookup, which answers -1 for a row outside ``S``."""
-    k, n = S.shape
+def _group_by_closure(G: FiniteGroupoid, objs: np.ndarray, S: np.ndarray, T: np.ndarray,
+                      unit: np.ndarray) -> bool:
+    """Whether the rows of ``S`` over ``objs``, ``T`` their targets as
+    column indices and ``unit`` the unit bisection's row, form a group under
+    the star product with targets a homomorphism, on a table that the
+    generator certificate proves associative with every composite's
+    endpoints right.
+
+    The checks: every row picks arrows sourced at its objects; the unit row
+    e is a row, with e * sigma = sigma = sigma * e for every row sigma;
+    then, while some row lies outside e's component, the first such row s
+    is a generator, and sigma_i * s must be a row for every i, each row
+    once: right multiplication by s permutes the rows.  The rows are
+    labelled by the components of the edges (i, index of sigma_i * s) so far.
+
+    Why that proves the laws: on rows sourced at their objects every star
+    product composes composable arrows, so it associates, and each
+    composite has the target of its first arrow, which is
+    T(sigma * tau) = T(sigma) o T(tau).  The generators reach every row
+    from e by right multiplications, so each row is a word w in them, and
+    sigma * w = sigma * e * w stays among the rows, one generator at a
+    time: the rows are closed.  A generator's permutation has a finite
+    order p, so s^p = e and s^(p-1) is its inverse, and every row, a word
+    in generators, is invertible.  A repeated row is never hit twice by a
+    permutation, so repeated rows fail as a product outside the set does.
+    Each generator lies outside the subgroup generated so far, so it at
+    least doubles it: at most log2(k) + 1 generators, k products each.
+    """
+    k = len(S)
+    if (G.src[S] != objs).any():
+        return False
     keys = _row_keys(S)
     order = np.argsort(keys, kind="stable")
     ordered = keys[order]
-    # one spare slot past the end answers "not found" for every key
+    # one spare slot past the end answers -1, "not a row", for every key
     padded, at = np.append(ordered, np.zeros(1, keys.dtype)), np.append(order, -1)
 
     def index_of(rows):
@@ -171,41 +191,22 @@ def _star_table(G: FiniteGroupoid, S: np.ndarray, T: np.ndarray):
         pos = np.searchsorted(ordered, query)
         return np.where(padded[pos] == query, at[pos], -1)
 
-    step = max(_BLOCK // max(k * n, 1), 1)
-    table = np.empty((k, k), dtype=np.intp)
-    hom = True
-    for lo in range(0, k, step):
-        rows = slice(lo, lo + step)
-        products = G.composites(S[rows][:, T], S)  # [i, j, x] = (sigma_i * sigma_j)(x), or -1
-        block = index_of(products.reshape(-1, n)).reshape(-1, k)
-        if (block < 0).any():
-            return None
-        table[rows] = block
-        hom = hom and np.array_equal(T[block], T[rows][:, T])  # T_ij(x) = T_i(T_j(x))
-    return table, hom, index_of
-
-
-def _is_group(table: np.ndarray, e: int, step: int) -> bool:
-    """Whether the star table is a group with unit e (-1: no unit row):
-    the unit law, two-sided inverses, and Light's test over greedy
-    generators, ``step`` rows of the table at a time."""
-    k = len(table)
+    e = int(index_of(unit[None])[0])
+    if e < 0:
+        return False
+    # e * sigma_i, then sigma_i * e, for every row i
+    both = G.composites(np.concatenate([S[e][T], S]),
+                        np.concatenate([S, np.broadcast_to(S[e], S.shape)]))
+    if not np.array_equal(both, np.concatenate([S, S])):
+        return False
     every = np.arange(k)
-    if e < 0 or not (np.array_equal(table[e], every) and np.array_equal(table[:, e], every)):
-        return False
-    if not ((table == e) & (table.T == e)).any(axis=1).all():
-        return False
-    # Light's test, generator by generator: the unit passes by the unit law
-    have = np.zeros(k, dtype=bool)
-    have[e] = True
-    while not have.all():
-        s = int(np.argmin(have))
-        for lo in range(0, k, step):
-            rows = slice(lo, lo + step)
-            if not np.array_equal(table[table[rows, s]], table[rows][:, table[s]]):
-                return False
-        have[s] = True
-        have = _subgroup(table, have)
+    label = every
+    while (label != label[e]).any():
+        s = int(np.argmax(label != label[e]))
+        found = index_of(G.composites(S[:, T[s]], np.broadcast_to(S[s], S.shape)))
+        if not np.array_equal(np.sort(found), every):
+            return False
+        label = components(k, label, label[found])[label]
     return True
 
 
@@ -215,38 +216,34 @@ def factors_form_group(G: FiniteGroupoid, factors) -> bool:
 
     A factor is a pair (objects, rows): the rows ``S[i, j]`` pick an arrow
     at each ``objects[j]``, and the objects hold the targets of their
-    arrows, as an orbit or a union of orbits does.  Column x of a star
-    product reads only the columns of its factors on the orbit of x, so the
-    product is a group with the target homomorphism exactly when every
-    factor is one: each law holds componentwise, at sum k_c^2 n_c products
-    in place of k^2 n.
+    arrows, as an orbit or a union of orbits does; ValueError naming the
+    factor and the row when a target lies outside the factor's objects.
+    Column x of a star product reads only the columns of its factors on
+    the orbit of x, so the product is a group with the target homomorphism
+    exactly when every factor is one: each law holds componentwise.
 
-    Per factor, the star products ``S[i, tgt(S[j, x])] o S[j, x]`` come from
-    one composite lookup per block of rows i, about ``_BLOCK`` entries each,
-    and each product row is found among the sorted row keys of the factor;
-    a product with a missing composite (-1), or a product outside it, makes
-    the answer False.  Only when every product of every factor is found is
-    the groupoid's unit bisection built (which raises ValueError for an
-    object without a unit) and looked up in each factor.  The unit, the
-    inverses and the homomorphism into the target maps are table
-    comparisons.  Associativity is Light's test over greedy generators (see
-    :class:`~groupalg.groupoid.GeneratorCertificate`): the s with
-    ``(x s) y == x (s y)`` for all x, y are closed under the product, so
-    when they generate the table every one of the k^3 triples associates.
-    A group on g generators costs O(g k^2), never more than k^3.
+    False unless :meth:`FiniteGroupoid.certificate` proves the table
+    associative.  Then the groupoid's unit bisection is built (ValueError
+    for an object without a unit), and each factor is closed under greedy
+    generators taken from its own rows (:func:`_group_by_closure`; Holt,
+    Eick & O'Brien, *Handbook of Computational Group Theory*, ch. 4): about
+    k log2 k star products per factor of k rows, in place of its k x k
+    star table, and memory linear in k.
     """
-    local = np.empty(G.n_objects, dtype=np.intp)  # each object's column in its factor
-    stars = []
-    for objs, rows in factors:
+    checked = []
+    for f, (objs, rows) in enumerate(factors):
+        local = np.full(G.n_objects, -1, dtype=np.intp)  # each object's column in the factor
         local[objs] = np.arange(len(objs))
-        star = _star_table(G, rows, local[G.tgt[rows]])
-        if star is None:
-            return False
-        stars.append((objs, *star))
+        T = local[G.tgt[rows]]
+        if (outside := (T < 0).any(axis=1)).any():
+            i = int(np.argmax(outside))
+            raise ValueError(f"row {i} of factor {f} has a target outside the factor's objects "
+                             f"{', '.join(G.objects[x] for x in objs)}")
+        checked.append((objs, rows, T))
+    if not G.certificate().associative:
+        return False
     unit = arrow_array(G, [unit_bisection(G)])[0]
-    return all(hom and _is_group(table, int(index_of(unit[None, objs])[0]),
-                                 max(_BLOCK // max(len(table) * len(objs), 1), 1))
-               for objs, table, hom, index_of in stars)
+    return all(_group_by_closure(G, objs, rows, T, unit[objs]) for objs, rows, T in checked)
 
 
 def forms_group(G: FiniteGroupoid, sigmas: list[Bisection]) -> bool:

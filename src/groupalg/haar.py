@@ -182,12 +182,14 @@ def convolve(G: FiniteGroupoid, mu: HaarSystem, f, g) -> np.ndarray:
     out = np.zeros(f.shape, dtype=complex)
     if len(blocks.rest[0]):
         _table_sum(out, blocks.rest, mu.weights, f, g)
-    fw = f * mu.weights
-    for left, right in zip(blocks.left, blocks.right):
-        step = max(1, _TERM_BATCH // left.size)
-        for lo in range(0, len(f), step):
-            rows = slice(lo, lo + step)
-            out[rows, right] += np.take(fw[rows], left, axis=1) @ np.take(g[rows], right, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # weights far from 1: inf or NaN
+        fw = f * mu.weights
+        for left, right in zip(blocks.left, blocks.right):
+            step = max(1, _TERM_BATCH // left.size)
+            for lo in range(0, len(f), step):
+                rows = slice(lo, lo + step)
+                out[rows, right] += (np.take(fw[rows], left, axis=1)
+                                     @ np.take(g[rows], right, axis=1))
     return out[0] if single else out
 
 
@@ -217,8 +219,9 @@ def i_norm(G: FiniteGroupoid, mu: HaarSystem, f):
     """
     f = _as_function(G, f, stack=True)
     absf, masses = np.abs(f), np.zeros((2,) + f.shape[:-1] + (G.n_objects,))
-    _add_rows(masses[0], G.tgt, absf * mu.weights)
-    _add_rows(masses[1], G.src, absf * mu.weights[G.inverse])
+    with np.errstate(over="ignore"):  # weights far from 1: an inf mass
+        _add_rows(masses[0], G.tgt, absf * mu.weights)
+        _add_rows(masses[1], G.src, absf * mu.weights[G.inverse])
     out = masses.max(axis=(0, -1), initial=0.0)  # masses are >= 0
     return float(out) if f.ndim == 1 else out
 

@@ -24,9 +24,10 @@ block operator, and the block operator's norm with the support's edges
 from the 2-D ``np.nonzero`` of its mask, which one flat scan replaced.  For
 the I-norm and the weight pairing: their sums written out per fiber and per
 arrow.  For the haar weights map, which is converted as one array: the
-reader that checked one weight at a time.  For the bisection group, the star
-table of the whole set from a dict on row bytes with associativity over all
-k^3 triples, and the group laws pair by pair; for their enumeration, which
+reader that checked one weight at a time.  For the bisection group, which
+is proved by closure under greedy generators: the k x k star table of the
+whole set from a dict on row bytes with associativity over all k^3
+triples, and the group laws pair by pair; for their enumeration, which
 builds each orbit's full bisections level by level as one int array: the
 recursive backtracking over all objects.  For the composition lookup,
 which reads each row by its position first: the binary search over the

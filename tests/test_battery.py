@@ -507,12 +507,13 @@ def test_report_max_residual_propagates_nan(residuals):
 
 
 def test_huge_haar_weights_fail_instead_of_aborting():
+    # no errstate around the battery: the error::RuntimeWarning filter of
+    # the test run fails the test on any stray overflow
     G = pair_groupoid("abcd")
     rng = SplitMix64(5)
     weights = random_invariant_weights(G, rng) * 1e160
     gdoc = GroupoidDocument(G, weights, random_probability(G.n_objects, rng), "strict")
-    with np.errstate(all="ignore"):
-        run = run_battery(gdoc, seed=1, trials=20)
+    run = run_battery(gdoc, seed=1, trials=20)
     assert len(run.lines) == 1 + len(SUITES)
     lines = {line.name: line for line in run.lines}
     bound = lines["integrated-norm-bound"]

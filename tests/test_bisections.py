@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupalg import DomainMismatch
 from groupalg.battery import _bisection_images, run_battery
@@ -271,8 +273,9 @@ def test_forms_group_is_false_without_the_unit_bisection():
             brute_force_forms_group(*args)
 
 
-def test_forms_group_memory_is_quadratic_in_the_bisection_count():
-    # pair(3) x Z3 has k = 162 bisections; k^3 int64 tables would take 34 MB each
+def test_forms_group_memory_is_linear_in_the_bisection_count():
+    # pair(3) x Z3 has k = 162 bisections; k^3 int64 tables would take 34 MB
+    # each, and the k x k star table 0.2 MB; the closure holds k x n arrays
     G = product(pair_groupoid("abc"), group_groupoid(*cyclic_table(3)))
     sigmas = enumerate_bisections(G)
     assert len(sigmas) == 162
@@ -282,7 +285,7 @@ def test_forms_group_memory_is_quadratic_in_the_bisection_count():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2 ** 20, peak
+    assert peak < 2 ** 20, peak
 
 
 def _z5_bundle(count):
@@ -313,11 +316,16 @@ def test_forms_group_on_the_empty_groupoid():
         assert row_by_row_forms_group(G, case) is expected
 
 
+# a loop of order 5: unit, two-sided inverses and (one object) the
+# homomorphism all hold, but (1 * 1) * 2 = 2 and 1 * (1 * 2) = 4
+_LOOP = ([f"g{i}" for i in range(5)],
+         [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+
+
 def test_only_lights_test_rejects_a_non_associative_loop():
-    # a loop of order 5: unit, two-sided inverses and (one object) the
-    # homomorphism all hold, but (1 * 1) * 2 = 2 and 1 * (1 * 2) = 4
-    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
-    G = group_groupoid([f"g{i}" for i in range(5)], loop)
+    # the kernel sees it through Light's test in the generator certificate
+    loop = _LOOP[1]
+    G = group_groupoid(*_LOOP)
     sigmas = enumerate_bisections(G)
     assert [s.arrows for s in sigmas] == [(a,) for a in range(5)]
     assert all(bisection_compose(G, s, t).arrows == (loop[i][j],)
@@ -329,8 +337,8 @@ def test_only_lights_test_rejects_a_non_associative_loop():
 
 def test_forms_group_memory_on_a_bundle_of_four_z5_loops():
     # k = 625 over 4 objects: whole k^2 x n int64 product arrays take 12.5 MB
-    # each and the row-by-row form peaks near 60 MB; row blocks keep the
-    # peak near the k^2 table itself
+    # each and the row-by-row form peaks near 60 MB; the closure forms k
+    # products per generator
     G = _z5_bundle(4)
     sigmas = enumerate_bisections(G)
     tracemalloc.start()
@@ -339,7 +347,7 @@ def test_forms_group_memory_on_a_bundle_of_four_z5_loops():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2 ** 20, peak
+    assert peak < 2 * 2 ** 20, peak
 
 
 def test_battery_enumerates_once_and_composes_no_pairs(monkeypatch):
@@ -362,6 +370,118 @@ def test_battery_enumerates_once_and_composes_no_pairs(monkeypatch):
     assert lines["bisection-group"].detail.startswith("24 full bisections")
     assert lines["fundamental-family"].detail.endswith("(arrow indicators and bisection images)")
     assert calls == {"orbit_bisections": 1, "enumerate_bisections": 0, "bisection_compose": 0}
+
+
+def test_a_target_outside_its_factor_raises_naming_the_factor_and_the_row():
+    # pair(4) with a factor of objects {a, b}: its second row sends b to c
+    G = pair_groupoid("abcd")
+    rows = _bisection_rows(G, [0, 1])
+    assert G.tgt[rows[1]].tolist() == [0, 2]
+    with pytest.raises(ValueError, match=r"^row 1 of factor 0 has a target outside the "
+                                         r"factor's objects a, b$"):
+        factors_form_group(G, [(np.array([0, 1]), rows)])
+    # the columns of an earlier factor do not leak into a later one
+    H = disjoint_union(pair_groupoid("ab"), pair_groupoid("cd"))
+    (ab, ab_rows), _ = orbit_bisections(H)
+    cd = H.arrow_by_endpoints(3, 2)
+    with pytest.raises(ValueError, match=r"^row 0 of factor 1 has a target outside the "
+                                         r"factor's objects c$"):
+        factors_form_group(H, [(ab, ab_rows), (np.array([2]), np.array([[cd]]))])
+
+
+def _monoid():
+    """The monoid {1, z} with z z = z: associative, with no inverse of z."""
+    return FiniteGroupoid(["*"], [0, 0], [0, 0], [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]],
+                          [0, 1], [0])
+
+
+def _z3_unit_misplaced():
+    """Z3 with unit_of naming a generator: the unit row is no identity."""
+    G = group_groupoid(*cyclic_table(3))
+    return _with_table(G, G.compose_table, unit_of=[(G.unit_of[0] + 1) % 3])
+
+
+@pytest.mark.parametrize("make", [_monoid, _z3_unit_misplaced], ids=["monoid", "z3-unit"])
+def test_the_closure_rejects_associative_tables_that_are_no_group(make):
+    # the certificate proves both tables associative; in the monoid, right
+    # multiplication by z sends both rows to z, and in Z3, right
+    # multiplication by the true identity joins nothing to the unit row
+    H = make()
+    assert H.certificate().associative
+    sigmas = enumerate_bisections(H)
+    assert forms_group(H, sigmas) is False
+    assert row_by_row_forms_group(H, sigmas) is False
+
+
+def test_rows_not_sourced_at_their_objects_are_no_group_of_bisections():
+    # pair(ab) with its units swapped between the columns: a table that
+    # also composes the two units makes the star table of {e, swapped} Z2,
+    # which the whole-table oracle accepts, but the rows are no bisections
+    G = pair_groupoid("ab")
+    ua, ub = G.unit_of
+    H = _with_table(G, np.concatenate([G.compose_table, [[ua, ub, ua], [ub, ua, ub]]]))
+    assert H.certificate().associative
+    rows = [Bisection((0, 1), (ua, ub)), Bisection((0, 1), (ub, ua))]
+    assert row_by_row_forms_group(H, rows) is True
+    assert forms_group(H, rows) is False
+
+
+_ISOTROPY = {"1": cyclic_table(1), "z2": cyclic_table(2), "z3": cyclic_table(3),
+             "klein": klein_table(), "loop": _LOOP}
+
+
+def _union_bisection_count(shape):
+    return math.prod(math.factorial(n) * len(_ISOTROPY[h][0]) ** n for n, h in shape)
+
+
+_SMALL_UNIONS = st.lists(st.tuples(st.integers(1, 3), st.sampled_from(sorted(_ISOTROPY))),
+                         min_size=1, max_size=3).filter(lambda u: _union_bisection_count(u) <= 150)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SMALL_UNIONS, st.sampled_from(["shuffled", "dropped", "repeated", "redirected"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_the_closure_agrees_with_the_whole_table_on_random_small_unions(shape, case, seed):
+    # every outcome of forms_group on the whole set and of factors_form_group
+    # on the orbit factors, raised exceptions included, as the k x k star
+    # table with Light's test gives it; a union holding the loop is not
+    # associative, and every verdict on it is False
+    rng = np.random.default_rng(seed)
+    G = disjoint_union(*(product(pair_groupoid([f"o{i}" for i in range(n)]),
+                                 group_groupoid(*_ISOTROPY[h])) for n, h in shape))
+    if case == "redirected":
+        table = G.compose_table.copy()
+        table[rng.integers(len(table)), 2] = rng.integers(G.n_arrows)
+        G = _with_table(G, table)
+    sigmas = enumerate_bisections(G)
+    assert len(sigmas) == _union_bisection_count(shape)
+    sigmas = [sigmas[i] for i in rng.permutation(len(sigmas))]
+    if case == "dropped":
+        del sigmas[rng.integers(len(sigmas))]
+    elif case == "repeated":
+        sigmas.append(sigmas[rng.integers(len(sigmas))])
+    want = _outcome(G, sigmas, row_by_row_forms_group)
+    assert _outcome(G, sigmas, forms_group) == want
+    if case in ("shuffled", "redirected"):  # every full bisection: the orbit factors apply
+        assert _outcome(G, orbit_bisections(G), factors_form_group) == want
+    if case == "shuffled":
+        assert want is all(h != "loop" for _, h in shape)
+
+
+def test_the_closure_checks_pair_8_in_linear_memory():
+    # k = 40,320: the k x k star table alone would take 12.1 GiB; the
+    # closure holds a few k x n arrays at a time
+    G = pair_groupoid([f"o{i}" for i in range(8)])
+    factors = orbit_bisections(G)
+    assert [len(rows) for _, rows in factors] == [40320]
+    G.certificate()  # the groupoid's own, kept on it
+    tracemalloc.start()
+    try:
+        assert factors_form_group(G, factors) is True
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2 ** 20, peak
 
 
 def test_forms_group_sees_targets_that_do_not_follow_the_product():
@@ -410,12 +530,13 @@ def test_forms_group_checks_the_benchmark_unions_orbit_by_orbit(monkeypatch):
     # (k = 972) is the one it leaves out; 7 and 10 are the other unions
     # with k <= 5000 of more than one orbit, too large for the whole-set check
     from groupalg import bisections
-    sizes = []  # the row count of each star table built
+    sizes = []  # the rows of each factor that closes to a group
 
-    def counted(G, S, T, real=bisections._star_table):
-        sizes.append(len(S))
-        return real(G, S, T)
-    monkeypatch.setattr(bisections, "_star_table", counted)
+    def counted(G, objs, S, T, unit, real=bisections._group_by_closure):
+        closed = real(G, objs, S, T, unit)
+        sizes.append(len(S) if closed else -1)
+        return closed
+    monkeypatch.setattr(bisections, "_group_by_closure", counted)
     unions = _benchmark_unions()
     for i, k, factors in ((4, 288, [6, 48]), (5, 972, [1, 6, 162]), (11, 288, [72, 4]),
                           (7, 4608, [384, 4, 3]), (10, 3456, [384, 3, 3]), (2, 3, [3])):
@@ -490,9 +611,10 @@ def test_forms_group_on_corrupted_multi_orbit_unions():
     assert verdicts["no-unit"] == {"raised"}
 
 
-def test_forms_group_looks_for_the_unit_only_after_every_product_is_found():
-    # without a unit at one object, a set whose products all lie in it
-    # raises as the whole-set check does; a set missing a product is False
+def test_forms_group_looks_for_the_unit_only_once_the_table_associates():
+    # without a unit at one object, the full set raises as the whole-set
+    # check does; with a product missing too, the certificate fails first
+    # and the answer is False
     G = _three_orbits()
     unit_of = list(G.unit_of)
     unit_of[4] = None
