@@ -11,7 +11,7 @@ from .errors import (DomainMismatch, FileFormatError, GroupalgError, NotClosed,
                      UnknownObject, UsageError)
 from .groupoid import (FiniteGroupoid, GroupoidMorphism, IsotropyGroup,
                        MultiplierSets, build_from_relation, isotropy,
-                       isotropy_bundle, morphism_report, multipliers,
+                       isotropy_bundle, isotropy_parts, morphism_report, multipliers,
                        relation_isomorphism, validate)
 from .haar import (HaarSystem, check_left_invariance, convolve, counting_haar,
                    delta, fiber_integrate, function_to_matrix,

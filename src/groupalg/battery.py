@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bisections, tolerances
-from .groupoid import FiniteGroupoid, _ranges, isotropy_bundle, multipliers
+from .groupoid import FiniteGroupoid, IsotropyParts, _ranges, isotropy_parts, multipliers
 from .haar import (HaarSystem, convolve, counting_haar, fiber_integrate,
                    function_to_matrix, half_density_inner, i_norm, involute,
                    support_fiber_mass, table_convolve, unit_function)
@@ -103,15 +103,18 @@ def _bisection_images(G: FiniteGroupoid, factors) -> np.ndarray:
     return np.concatenate(images)
 
 
-def _is_loop_restriction(G: FiniteGroupoid, xi: FiniteGroupoid) -> bool:
-    """Whether xi is G restricted to its loops: on G's objects, the loops
-    in arrow order with their endpoints, inverses and units, and the rows
-    of G's table on two loops, renumbered, in (first, second) order.
+def _is_loop_restriction(G: FiniteGroupoid, xi: IsotropyParts | FiniteGroupoid) -> bool:
+    """Whether xi, the parts of a bundle or one built from them, is G
+    restricted to its loops: on G's objects, the loops in arrow order with
+    their endpoints, inverses and units, and the rows of G's table on two
+    loops, renumbered, in (first, second) order.
 
     In a groupoid the loops hold every unit and are closed under inversion
     and composition (src(a o b) = src(b) = tgt(b) = src(a) = tgt(a) =
     tgt(a o b)), so the restriction of a G that has passed its axioms
-    passes them too, and an xi equal to it is a groupoid."""
+    passes them too, and an xi equal to it is a groupoid.  Parts equal to
+    it build one, since :class:`FiniteGroupoid` keeps a sorted, unique
+    table and every other part as given."""
     loops = np.flatnonzero(G.tgt == G.src)
     number = np.full(G.n_arrows, -1, dtype=np.intp)
     number[loops] = np.arange(len(loops))
@@ -167,26 +170,28 @@ def _integrated_residuals(G: FiniteGroupoid, mu: HaarSystem,
 
     The trials are stacks: the t (f, g) pairs of every (nu, rep) in turn are
     one draw of 2t functions per (nu, rep), and one :func:`convolve`, one
-    :func:`involute` and one :func:`i_norm` call serve them all.  Per
-    (nu, rep), f, g, f*g and f^* are integrated together by one
-    :func:`integrated_blocks` call, multiplied and adjoined block by block,
-    with one batched SVD per block size for the norms, over the blocks
-    that differ from the block before them
-    (:meth:`~groupalg.blocks.BlockOperator.norms`).
+    :func:`involute` and one :func:`i_norm` call serve them all.  Per rep,
+    f, g, f*g and f^* of every nu are integrated together by one
+    :func:`integrated_blocks` call, block j against nu j (the blocks are the
+    rep's; nu enters only the coefficients and the metric), then multiplied,
+    compared and adjoined block by block in one call each, with one batched
+    SVD per block size for the norms, over the blocks that differ from the
+    block before them (:meth:`~groupalg.blocks.BlockOperator.norms`).
     """
-    pairs = [(nu, rep) for nu in nus for rep in reps]
-    A = G.n_arrows
-    f, g = rng.complex_boxes(2 * t * A * len(pairs)).reshape(-1, 2, A).swapaxes(0, 1)
+    m, R, A = len(nus), len(reps), G.n_arrows
+    f, g = rng.complex_boxes(2 * t * A * m * R).reshape(-1, 2, A).swapaxes(0, 1)
     fg, fstar, norm_f = convolve(G, mu, f, g), involute(G, f), i_norm(G, mu, f)
+    # the trials of (nu j, rep r) are the rows (j R + r) t to (j R + r + 1) t
+    terms = np.stack([f, g, fg, fstar]).reshape(4, m, R, t, A)
+    norm_f = norm_f.reshape(m, R, t)
+    rows = np.arange(4 * m * t).reshape(m, 4, t)  # of a rep's operators: nu, term, trial
     worst_mult = worst_star = worst_bound = 0.0
-    for p, (nu, rep) in enumerate(pairs):
-        trial = slice(p * t, (p + 1) * t)
-        ops = integrated_blocks(G, mu, nu, rep,
-                                np.concatenate([x[trial] for x in (f, g, fg, fstar)]))
-        pf, pg, pfg, pstar = (ops[i * t:(i + 1) * t] for i in range(4))
+    for r, rep in enumerate(reps):
+        ops = integrated_blocks(G, mu, nus, rep, terms[:, :, r].swapaxes(0, 1).reshape(-1, A))
+        pf, pg, pfg, pstar = (ops[rows[:, i].ravel()] for i in range(4))
         worst_mult = _worst(worst_mult, *pfg.gaps(pf @ pg).tolist())
         worst_star = _worst(worst_star, *pstar.gaps(pf.adjoint()).tolist())
-        worst_bound = _worst(worst_bound, *(pf.norms() - norm_f[trial]).tolist(), 0.0)
+        worst_bound = _worst(worst_bound, *(pf.norms() - norm_f[:, r].ravel()).tolist(), 0.0)
     return worst_mult, worst_star, worst_bound
 
 
@@ -368,12 +373,12 @@ def run_battery(gdoc: GroupoidDocument, seed: int = 1, trials: int = 20) -> Batt
     else:
         run.skip("multiplier-ideal", "groupoid has isotropy beyond units")
 
-    # isotropy bundle and orbit structure
-    xi = isotropy_bundle(G)
+    # isotropy bundle, judged as its constructor's arrays, and orbit structure
+    xi = isotropy_parts(G)
     sizes = G.target_fibers.size
     orbit_ok = bool((sizes == sizes[G.orbit_index.label]).all())
     run.record("isotropy-bundle", _is_loop_restriction(G, xi) and orbit_ok,
-               f"bundle with {xi.n_arrows} loops validates; "
+               f"bundle with {len(xi.src)} loops validates; "
                f"fiber sizes constant on orbits")
 
     # transitive isomorphism

@@ -144,6 +144,12 @@ class BlockOperator:
     a ``weight`` constant on each block, so the factored ratios of
     :meth:`adjoint` and :meth:`norms` are one matrix for the whole slot,
     exactly: a weight ratio w/w is 1.
+
+    ``nu`` is one (n,) row that every operator shares, or a (k, n) stack
+    with one row per operator: operators integrated against different
+    measures keep one stack, since the blocks belong to the rep and the
+    measure enters only their entries and the inner product.  Every method
+    reads operator i's own row, and ``metric`` broadcasts.
     """
 
     nu: np.ndarray
@@ -192,35 +198,46 @@ class BlockOperator:
     def __len__(self) -> int:
         return self.k
 
-    def _with(self, data, k: int | None = None) -> BlockOperator:
-        return BlockOperator(self.nu, self.weight, self.partition, tuple(data),
-                             self.k if k is None else k)
+    def _with(self, data, k: int | None = None, nu: np.ndarray | None = None) -> BlockOperator:
+        return BlockOperator(self.nu if nu is None else nu, self.weight, self.partition,
+                             tuple(data), self.k if k is None else k)
 
-    def __getitem__(self, rows: slice) -> BlockOperator:
-        """The operators ``rows`` of the stack, on the same blocks."""
-        return self._with((d[rows] for d in self.data), len(range(*rows.indices(self.k))))
+    def __getitem__(self, rows) -> BlockOperator:
+        """The operators ``rows`` of the stack, a slice or an index array,
+        on the same blocks, each with its own ``nu`` row."""
+        k = len(range(*rows.indices(self.k))) if isinstance(rows, slice) else len(rows)
+        return self._with((d[rows] for d in self.data), k,
+                          self.nu if self.nu.ndim == 1 else self.nu[rows])
 
     def _paired(self, other: BlockOperator):
+        """The data of both stacks, group by group, once they are on one
+        partition, one as long as the other or of one operator, and operator
+        by operator in one geometry (equal ``nu`` rows)."""
         p, q = self.partition, other.partition
         if p is not q and (len(p.groups) != len(q.groups) or not all(
                 np.array_equal(x, y) for x, y in zip(p.groups + p.slots, q.groups + q.slots))):
             raise ShapeMismatch("block operators on different blocks")
+        if self.k != other.k and 1 not in (self.k, other.k):
+            raise ShapeMismatch(f"stacks of {self.k} and {other.k} block operators")
+        if self.nu is not other.nu and not (self.nu == other.nu).all():  # rows broadcast
+            raise ShapeMismatch("block operators with different nu rows")
         return zip(self.data, other.data)
 
     def __matmul__(self, other: BlockOperator) -> BlockOperator:
         """The products, operator by operator and slot by slot."""
+        pairs = self._paired(other)
         with np.errstate(all="ignore"):  # a non-finite entry stays in the data
-            return self._with([np.matmul(d, e) for d, e in self._paired(other)],
-                              max(self.k, other.k))
+            return self._with([np.matmul(d, e) for d, e in pairs], max(self.k, other.k),
+                              self.nu if self.k >= other.k else other.nu)
 
     def adjoint(self) -> BlockOperator:
         """The adjoints for the weighted inner product, M^-1 op^H M, with the
         ratios in factored form, as
         :func:`~groupalg.representations.adjoint_operator` computes them on
-        the dense matrix."""
+        the dense matrix, each operator's from its own ``nu`` row."""
         with np.errstate(all="ignore"):
             return self._with([d.conj().swapaxes(-1, -2)
-                               * factored_ratios(self.nu[q], self.weight[q])
+                               * factored_ratios(self.nu[..., q], self.weight[q])
                                for q, d in zip(self.partition.leads, self.data)])
 
     def gaps(self, other: BlockOperator) -> np.ndarray:
@@ -236,24 +253,26 @@ class BlockOperator:
         largest singular value of its flat similar matrix, exact because the
         blocks' singular values are the matrix's.  Each flat similar slot
         is ``d * (sqrt(nu_r) / sqrt(nu_c)) * (sqrt(w_r) / sqrt(w_c))``, its
-        ratio matrix formed once per block size.  One batched SVD per block
-        size takes the slots that differ from the slot before them in the
-        same operator; a slot equal to it (``==`` on every entry) reuses its
-        largest singular value, exactly, since equal matrices have equal
-        singular values.  NaN for an operator with a non-finite entry of the
-        flat matrix, and for all of them when the metric has a zero or
-        infinite root.  The one weighted norm of the package: a dense
+        ratio matrix formed once per block size, and per operator when each
+        has its own ``nu`` row.  One batched SVD per block size takes the
+        slots that differ from the slot before them in the same operator; a
+        slot equal to it (``==`` on every entry) reuses its largest singular
+        value, exactly, since equal matrices have equal singular values.
+        NaN for an operator with a non-finite entry of the flat matrix, or
+        whose metric row has a zero or infinite root (with one shared row,
+        all of them).  The one weighted norm of the package: a dense
         operator's (:func:`~groupalg.representations.operator_norm`) is
         taken here too."""
         root = np.sqrt(self.metric)
-        if not (np.isfinite(root).all() and root.all()):
+        broken = ~(np.isfinite(root).all(axis=-1) & root.all(axis=-1))  # per nu row
+        if broken.all():
             return np.full(self.k, math.nan)
         root_nu, root_w = np.sqrt(self.nu), np.sqrt(self.weight)
         out = np.zeros(self.k)
         for q, d in zip(self.partition.leads, self.data):
             with np.errstate(all="ignore"):
-                sim = d * factored_ratios(root_nu[q], root_w[q]).swapaxes(-1, -2)
-            bad = ~np.isfinite(sim).all(axis=(1, 2, 3))
+                sim = d * factored_ratios(root_nu[..., q], root_w[q]).swapaxes(-1, -2)
+            bad = ~np.isfinite(sim).all(axis=(1, 2, 3)) | broken
             sim[bad] = 0.0
             new = np.ones(sim.shape[:2], dtype=bool)  # differs from the slot before it
             new[:, 1:] = (sim[:, 1:] != sim[:, :-1]).any(axis=(2, 3))
@@ -265,7 +284,7 @@ class BlockOperator:
     def dense(self, rows: np.ndarray | None = None) -> np.ndarray:
         """The (k, n, n) stack of dense matrices, or their ``rows`` only:
         each slot written out at every block of it, by flat index."""
-        n = len(self.nu)
+        n = self.nu.shape[-1]
         rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
         part = self.partition
         group, block, place = part.group[rows], part.block[rows], part.place[rows]

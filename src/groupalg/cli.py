@@ -70,6 +70,8 @@ def _fixture_paths() -> list[str]:
 
 
 def cmd_check(args) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, not {args.trials}")
     if args.file == "all":
         import os.path
         names = [(p, os.path.basename(p)) for p in _fixture_paths()]

@@ -809,18 +809,43 @@ def isotropy(G: FiniteGroupoid, x: int) -> IsotropyGroup:
     return IsotropyGroup(G, x)
 
 
-def isotropy_bundle(G: FiniteGroupoid) -> FiniteGroupoid:
-    """The disjoint union of all isotropy groups, as a groupoid on the same objects."""
+class IsotropyParts(NamedTuple):
+    """The constructor arguments of the isotropy bundle, named as the
+    :class:`FiniteGroupoid` attributes they become."""
+
+    objects: list[str]
+    src: np.ndarray
+    tgt: np.ndarray
+    compose_table: np.ndarray
+    inverse: np.ndarray
+    unit_of: list[int | None]
+
+
+def isotropy_parts(G: FiniteGroupoid) -> IsotropyParts:
+    """The isotropy bundle as arrays: the loops of G numbered in arrow
+    order, their endpoints, inverses and units, and the products G defines
+    on two loops, renumbered, sorted by (first, second).  The products of
+    :meth:`FiniteGroupoid.products` are one per pair, so the table is sorted
+    and unique, and :class:`FiniteGroupoid` keeps every part as it is."""
     loops = np.flatnonzero(G.tgt == G.src)
+    L = len(loops)
     new_index = np.full(G.n_arrows, -1, dtype=np.intp)
-    new_index[loops] = np.arange(len(loops))
-    table = new_index[np.stack(G.products(), axis=1)]
-    table = table[(table[:, :2] >= 0).all(axis=1)]  # products of two loops
+    new_index[loops] = np.arange(L)
+    a, b, c = G.products()
+    two = (new_index[a] >= 0) & (new_index[b] >= 0)  # products of two loops
+    table = new_index[np.stack([a[two], b[two], c[two]], axis=1)]
+    table = table[np.argsort(table[:, 0] * L + table[:, 1], kind="stable")]
     ends = G.src[loops]
     inverse = new_index[G.inverse[loops]]
     unit_of = [None if u is None or new_index[u] < 0 else int(new_index[u])
                for u in G.unit_of]
-    return FiniteGroupoid(G.objects, ends, ends, table, inverse, unit_of)
+    return IsotropyParts(G.objects, ends, ends, table, inverse, unit_of)
+
+
+def isotropy_bundle(G: FiniteGroupoid) -> FiniteGroupoid:
+    """The disjoint union of all isotropy groups, as a groupoid on the same
+    objects (:func:`isotropy_parts`)."""
+    return FiniteGroupoid(*isotropy_parts(G))
 
 
 # ---------------------------------------------------------------------------

@@ -632,18 +632,37 @@ def conjugate_rep_on(G: FiniteGroupoid, rep: IndexRep,
 # ---------------------------------------------------------------------------
 # integrated representation
 
-def _coefficients(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure, fs) -> np.ndarray:
-    """The coefficient f_i(a) m_o(a) / nu(tgt a) of op(a) in pi(f_i), per row i."""
+def _measures(nu) -> list[QuasiInvariantMeasure]:
+    """One measure, or a sequence of them, as a list."""
+    return [nu] if isinstance(nu, QuasiInvariantMeasure) else list(nu)
+
+
+def _coefficients(G: FiniteGroupoid, mu: HaarSystem, nu, fs) -> np.ndarray:
+    """The coefficient f_i(a) m_o(a) / nu(tgt a) of op(a) in pi(f_i), per row
+    i of the (k, A) ``fs``; with a sequence of m measures, the rows are m
+    equal blocks, block j against measure j."""
+    nus = _measures(nu)
+    at = np.array([x.nu for x in nus])[:, None, G.tgt]
     with np.errstate(over="ignore", invalid="ignore"):  # weights far from 1: inf or NaN
-        return fs * induced_measures(G, mu, nu).m_o / nu.nu[G.tgt]
+        m_o = np.array([induced_measures(G, mu, x).m_o for x in nus])[:, None]
+        return (fs.reshape(len(nus), len(fs) // len(nus), fs.shape[-1]) * m_o / at
+                ).reshape(fs.shape)
 
 
-def integrated_blocks(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure,
+def integrated_blocks(G: FiniteGroupoid, mu: HaarSystem,
+                      nu: QuasiInvariantMeasure | Sequence[QuasiInvariantMeasure],
                       rep: IndexRep, f) -> BlockOperator:
     """The integrated operators of an (A,) function or a (k, A) stack of
     functions, by blocks: operator i accumulates f_i(a) m_o(a) / nu(tgt a)
     times op(a) into the (tgt a, src a) slot of the nu-weighted direct sum
     of the fibers (:func:`integrate_rep`).
+
+    ``nu`` may be a sequence of m measures, with a stack of m equal blocks
+    of functions, block j integrated against measure j: the blocks of an
+    operator are the rep's and the measure enters only its coefficients and
+    its inner product, so one call serves every measure, and each operator
+    keeps its measure's row of ``BlockOperator.nu`` (one shared row when
+    m = 1).  Each operator is, to the bit, the one call per measure gives.
 
     Where :func:`orbits.regular_blocks` proves the rep the left regular one
     (kept per rep and groupoid), each orbit is one data slot gathered
@@ -654,13 +673,18 @@ def integrated_blocks(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasu
     coefficient in arrow order and none where f is 0.  Either way the dense
     matrices equal those of one slice addition per arrow.  Raises
     ShapeMismatch with the witness of :func:`_shape_fault` when an op has
-    the wrong shape or a 1 outside its target fiber.
+    the wrong shape or a 1 outside its target fiber, and when the stack
+    does not split into one block per measure.
     """
     f = _as_function(G, f, stack=True)
     fs = np.atleast_2d(f)
     k = len(fs)
+    nus = _measures(nu)
+    if not nus or k % len(nus):
+        raise ShapeMismatch(f"a stack of {k} functions does not split into one block "
+                            f"per measure of {len(nus)}")
     _require_shape(G, rep)
-    coeff = _coefficients(G, mu, nu, fs)
+    coeff = _coefficients(G, mu, nus, fs)
     if (regular := _kept(G, rep, "_regular", regular_blocks)) is not None:
         part, take = regular
         flat = np.add(0.0, coeff, out=np.zeros_like(coeff), where=fs != 0).take(take, axis=1)
@@ -675,7 +699,10 @@ def integrated_blocks(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasu
             entry, row = _ranges(rep.starts[used], width[used]), lo + row
             np.add.at(flat.reshape(-1), column[entry] + row[term] * part.width,
                       coeff[row, used][term])
-    return BlockOperator(*bundle_factors(rep.bundle, nu), part, part.views(flat), k)
+    rows, weight = bundle_factors(rep.bundle, nus[0])
+    if len(nus) > 1:
+        rows = np.repeat([bundle_factors(rep.bundle, x)[0] for x in nus], k // len(nus), axis=0)
+    return BlockOperator(rows, weight, part, part.views(flat), k)
 
 
 def integrate_rep(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasure,

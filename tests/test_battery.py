@@ -235,7 +235,8 @@ def test_stacked_suites_equal_the_per_trial_oracles_bit_for_bit(monkeypatch):
 def test_the_law_trials_are_stacked_calls(monkeypatch):
     # every law term of the algebra suites is a row of one call per level of
     # its dependencies, and every (nu, rep) of the integrated suites shares
-    # one draw and one call of each law but integrated_blocks
+    # one draw and one call of each law, and every nu of a rep one
+    # integrated_blocks call
     calls = []
     for name in ("convolve", "table_convolve", "involute", "i_norm", "integrated_blocks"):
         def counted(*args, real=getattr(battery, name), name=name):
@@ -258,13 +259,14 @@ def test_the_law_trials_are_stacked_calls(monkeypatch):
     reps = [trivial_rep(G), left_regular_rep(G, mu)]
     battery._integrated_residuals(G, mu, [uniform_measure(G), nu], reps, Stream(1), 2)
     assert Counter(calls) == {"draw": 1, "convolve": 1, "involute": 1, "i_norm": 1,
-                              "integrated_blocks": 4}  # two nus times two reps
+                              "integrated_blocks": 2}  # one per rep, over both nus
 
 
 def test_the_left_regular_blocks_of_an_orbit_share_one_svd(monkeypatch):
     # pair(5) with Haar weights constant on source fibres: the five
-    # left-regular blocks of each of the t = 2 operators whose norm is taken
-    # are equal entry for entry, so each operator is one 5x5 SVD, not five
+    # left-regular blocks of each of the t = 2 operators per nu whose norm is
+    # taken are equal entry for entry, so each operator is one 5x5 SVD, not
+    # five, and the operators of both nus are one batch
     shapes = []
     real = np.linalg.svd
 
@@ -277,7 +279,7 @@ def test_the_left_regular_blocks_of_an_orbit_share_one_svd(monkeypatch):
     nus = [uniform_measure(G), QuasiInvariantMeasure(random_probability(G.n_objects, rng))]
     monkeypatch.setattr(np.linalg, "svd", recorded)
     battery._integrated_residuals(G, mu, nus, [left_regular_rep(G, mu)], rng, 2)
-    assert shapes == [(2, 5, 5)] * 2  # one call per nu, one matrix per operator
+    assert shapes == [(4, 5, 5)]  # one call for both nus, one matrix per operator
 
 
 def test_stacked_trials_equal_the_per_trial_loop_on_a_broken_rep():
@@ -303,19 +305,10 @@ def test_stacked_trials_equal_the_per_trial_loop_on_a_broken_rep():
         assert math.isclose(g, w, rel_tol=1e-9), (got, want)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), change=st.sampled_from(["none", "op", "weight"]))
-def test_one_slot_per_orbit_exactly_when_the_rep_is_equivariant(seed, change):
-    # a random union with random nu, unchanged, with one op's 1 moved in a
-    # column of a non-base block, or with one Haar weight moved within its
-    # source fiber: the orbit slots are proved exactly when the ops are the
-    # left regular ones and the weights constant on source fibers, and
-    # either way the dense operators are the scatter's to the bit and the
-    # integrated residuals those of the per-trial loop
-    rng = SplitMix64(seed)
-    G = random_groupoid(rng, max_arrows=40)
-    weights = random_invariant_weights(G, rng)
-    nus = [QuasiInvariantMeasure(random_probability(G.n_objects, rng))]
+def _left_regular_changed(G, weights, change, rng):
+    """The Haar system and left regular rep of G, unchanged, with one Haar
+    weight moved within its source fiber (``weights`` edited in place), or
+    with one op's 1 moved in a column of a non-base block."""
     if change == "weight":
         weights[rng.randint(G.n_arrows)] *= 1.25
     mu = HaarSystem(weights)
@@ -332,6 +325,23 @@ def test_one_slot_per_orbit_exactly_when_the_rep_is_equivariant(seed, change):
             rows = rep.rows.copy()
             rows[k] = (rows[k] + 1) % dims[G.tgt[arrow[k]]]
             rep = IndexRep(rep.bundle, rep.src, rep.tgt, rows, rep.starts)
+    return mu, rep
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), change=st.sampled_from(["none", "op", "weight"]))
+def test_one_slot_per_orbit_exactly_when_the_rep_is_equivariant(seed, change):
+    # a random union with random nu, unchanged, with one op's 1 moved in a
+    # column of a non-base block, or with one Haar weight moved within its
+    # source fiber: the orbit slots are proved exactly when the ops are the
+    # left regular ones and the weights constant on source fibers, and
+    # either way the dense operators are the scatter's to the bit and the
+    # integrated residuals those of the per-trial loop
+    rng = SplitMix64(seed)
+    G = random_groupoid(rng, max_arrows=40)
+    weights = random_invariant_weights(G, rng)
+    nus = [QuasiInvariantMeasure(random_probability(G.n_objects, rng))]
+    mu, rep = _left_regular_changed(G, weights, change, rng)
     by_source = np.zeros(G.n_objects)
     by_source[G.src] = weights
     equivariant = (np.array_equal(rep.rows, left_regular_rep(G, mu).rows)
@@ -352,6 +362,46 @@ def test_one_slot_per_orbit_exactly_when_the_rep_is_equivariant(seed, change):
     assert stacked.state == looped.state
     for g, w in zip(got, want, strict=True):
         assert math.isclose(g, w, rel_tol=1e-9, abs_tol=1e-13), (got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), change=st.sampled_from(["none", "op", "weight"]),
+       m=st.integers(1, 3))
+def test_a_measure_stack_is_one_call_per_measure_to_the_bit(seed, change, m):
+    # m random measures on a random union, with the left regular rep (its ops
+    # or weights changed as above) and the trivial rep: one call on m blocks
+    # of four functions, block j against measure j, is the m single calls,
+    # bit for bit in the dense operators, their adjoints, the products and
+    # gaps of the first two operators of each block with the last two, and
+    # the norms; each operator keeps its measure's nu row
+    rng = SplitMix64(seed)
+    G = random_groupoid(rng, max_arrows=40)
+    weights = random_invariant_weights(G, rng)
+    nus = [QuasiInvariantMeasure(random_probability(G.n_objects, rng)) for _ in range(m)]
+    mu, lrep = _left_regular_changed(G, weights, change, rng)
+    fs = rng.complex_boxes(4 * m * G.n_arrows).reshape(m, 4, G.n_arrows)
+    fs[:, 1, ::2] = 0.0
+    halves = np.arange(4 * m).reshape(m, 2, 2)
+    for rep in (lrep, trivial_rep(G)):
+        ops = integrated_blocks(G, mu, nus, rep, fs.reshape(-1, G.n_arrows))
+        alone = [integrated_blocks(G, mu, nu, rep, f) for nu, f in zip(nus, fs, strict=True)]
+        assert ops.nu.shape == ((4 * m, rep.bundle.total_dim) if m > 1 else alone[0].nu.shape)
+        first, last = ops[halves[:, 0].ravel()], ops[halves[:, 1].ravel()]
+        for got, want in (
+                (ops.dense(), [op.dense() for op in alone]),
+                (ops.adjoint().dense(), [op.adjoint().dense() for op in alone]),
+                ((first @ last).dense(), [(op[:2] @ op[2:]).dense() for op in alone]),
+                (first.gaps(last), [op[:2].gaps(op[2:]) for op in alone]),
+                (ops.norms(), [op.norms() for op in alone])):
+            assert np.concatenate(want).tobytes() == got.tobytes(), rep
+        # a hand-made nu row with a zero: that operator's norm alone is NaN
+        rows = np.array(np.broadcast_to(ops.nu, (len(ops), ops.nu.shape[-1])))
+        broken = rng.randint(len(ops))
+        rows[broken, rng.randint(rows.shape[1])] = 0.0
+        norms = dataclasses.replace(ops, nu=rows).norms()
+        assert np.isnan(norms[broken])
+        keep = np.arange(len(ops)) != broken
+        assert norms[keep].tobytes() == ops.norms()[keep].tobytes()
 
 
 def test_weights_far_from_one_leave_no_warning_in_the_integrated_layer():
@@ -641,16 +691,16 @@ def _arrow_0_moved(real):
     return convolve
 
 
-def _last_row_dropped(G):
-    # the bundle without the last row of its compose table
-    return FiniteGroupoid(G.objects, G.src, G.tgt, G.compose_table[:-1], G.inverse, G.unit_of)
+def _last_row_dropped(parts):
+    # the bundle's parts without the last row of its compose table
+    return parts._replace(compose_table=parts.compose_table[:-1])
 
 
-def _inverse_redirected(G):
+def _inverse_redirected(parts):
     # the inverse of loop 0 sent to the next loop
-    inverse = G.inverse.copy()
-    inverse[0] = (inverse[0] + 1) % G.n_arrows
-    return FiniteGroupoid(G.objects, G.src, G.tgt, G.compose_table, inverse, G.unit_of)
+    inverse = parts.inverse.copy()
+    inverse[0] = (inverse[0] + 1) % len(inverse)
+    return parts._replace(inverse=inverse)
 
 
 BOTH = ("pair5", "union")
@@ -688,7 +738,7 @@ FAULTS = {
     "convolve-arrow-0-moved": ("convolve", _arrow_0_moved,
                                ["convolution-associativity", "convolution-unit",
                                 "convolution-paths", "integrated-homomorphism"], BOTH),
-    "isotropy-bundle-row-dropped": ("isotropy_bundle",
+    "isotropy-bundle-row-dropped": ("isotropy_parts",
                                     lambda real: lambda G: _last_row_dropped(real(G)),
                                     ["isotropy-bundle"], BOTH),
     "involute-scaled": ("involute", _scaled,
@@ -740,20 +790,22 @@ def test_every_suite_is_failed_by_some_fault_or_is_listed_unfaulted():
 @given(seed=st.integers(0, 10_000), corrupt=st.sampled_from([None, _last_row_dropped,
                                                              _inverse_redirected]))
 def test_the_isotropy_verdict_is_validate_on_the_bundle(seed, corrupt):
-    # the suite compares the bundle with G's restriction to its loops; on a
-    # groupoid that passes its axioms, that verdict is validate's, for the
-    # bundle as built and for one with a row dropped or an inverse moved
+    # the suite compares the bundle's parts with G's restriction to its
+    # loops; on a groupoid that passes its axioms, that verdict is validate's
+    # on the bundle built from them, for the parts as made and for parts with
+    # a row dropped or an inverse moved
     G = random_groupoid(SplitMix64(seed), max_arrows=32)
-    xi = groupoid.isotropy_bundle(G)
-    if corrupt is _inverse_redirected and xi.n_arrows < 2:
+    parts = groupoid.isotropy_parts(G)
+    if corrupt is _inverse_redirected and len(parts.src) < 2:
         return  # a lone loop has no other loop to be sent to
-    made = xi if corrupt is None else corrupt(xi)
-    with unittest.mock.patch.object(battery, "isotropy_bundle", lambda H: made):
+    made = parts if corrupt is None else corrupt(parts)
+    with unittest.mock.patch.object(battery, "isotropy_parts", lambda H: made):
         run = run_battery(GroupoidDocument(G, None, None, "strict"), seed=1, trials=1)
     [line] = [line for line in run.lines if line.name == "isotropy-bundle"]
     sizes = G.target_fibers.size
     orbit_ok = bool((sizes == sizes[G.orbit_index.label]).all())
-    assert line.ok == (groupoid.validate(made).ok and orbit_ok) == (corrupt is None)
+    assert line.ok == (groupoid.validate(FiniteGroupoid(*made)).ok and orbit_ok) == (
+        corrupt is None)
 
 
 @pytest.mark.parametrize("doc", ["pair5", "union"])
@@ -835,8 +887,9 @@ def test_a_battery_proves_associativity_from_the_orbit_matrices(monkeypatch):
 ], ids=["pair4", "two-orbits"])
 def test_a_battery_labels_the_objects_once_per_groupoid_it_builds(make, monkeypatch):
     # every orbit-wise reader takes the orbit index built with the groupoid:
-    # each groupoid made (the pieces, G, and the battery's isotropy bundle)
-    # has its objects labelled once, as it is built, and never again
+    # each groupoid made (the pieces and G; the battery judges the isotropy
+    # bundle as arrays and builds none) has its objects labelled once, as it
+    # is built, and never again
     built, labelled = [], []
 
     def init(self, *args, real=FiniteGroupoid.__init__, **kwargs):
@@ -855,7 +908,7 @@ def test_a_battery_labels_the_objects_once_per_groupoid_it_builds(make, monkeypa
     assert all(line.ok for line in run.lines)
     on_objects = [H for i, j in labelled for H in built if i is H.tgt and j is H.src]
     assert on_objects == built
-    assert built[-2] is G and built[-1].n_arrows == (G.src == G.tgt).sum()  # its loops
+    assert built[-1] is G
 
 
 def test_a_battery_and_check_all_never_import_numpy_ma():

@@ -541,6 +541,17 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert out == "" and err == f"usage error: {message}\n"
 
+    @pytest.mark.parametrize("trials", ["-3", "0"])
+    @pytest.mark.parametrize("target", ["pair3.json", "all"])
+    def test_fewer_than_one_trial_is_a_usage_error(self, trials, target, capsys):
+        # before, the battery clamped K to one trial and the check passed
+        path = target if target == "all" else fx(target)
+        assert main(["check", path, "--trials", trials]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"usage error: --trials must be at least 1, not {trials}\n"
+        assert main(["check", fx("pair3.json"), "--trials", "1"]) == 0
+        assert "1 random triples" in capsys.readouterr().out
+
 
 class TestDeterminism:
     def test_check_byte_identical_runs(self, capsys):

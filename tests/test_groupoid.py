@@ -36,6 +36,15 @@ from oracles import (certificate_out_of_base, components_orbits, derived_decompo
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "groupalg", "fixtures")
 
 
+def _arrows_renumbered(G, order):
+    """G with arrow order[i] renumbered i."""
+    new = np.empty_like(order)
+    new[order] = np.arange(len(order))
+    return FiniteGroupoid(G.objects, G.src[order], G.tgt[order], new[G.compose_table],
+                          new[G.inverse[order]], [new[u] for u in G.unit_of],
+                          [G.arrow_ids[a] for a in order])
+
+
 def brute_force_closure(pairs):
     """Independent oracle: grow the pair set until nothing new appears."""
     closed = set(pairs)
@@ -967,6 +976,25 @@ class TestIsotropy:
         assert xi.n_objects == 3 and xi.n_arrows == 6
         assert validate(xi).ok
         assert xi.orbits() == [[0], [1], [2]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), shuffled=st.booleans())
+    def test_the_bundle_keeps_its_parts_verbatim(self, seed, shuffled):
+        # on a random union, its arrows renumbered at random or not, so that
+        # the loops of different objects interleave: the constructor keeps
+        # every part as isotropy_parts makes it, the table sorted and unique,
+        # so judging the parts judges the bundle
+        rng = SplitMix64(seed)
+        G = random_groupoid(rng, max_arrows=48)
+        if shuffled:
+            G = _arrows_renumbered(G, np.argsort(rng.next_u64s(G.n_arrows), kind="stable"))
+        assert validate(G).ok
+        parts = gmod.isotropy_parts(G)
+        xi = FiniteGroupoid(*parts)
+        assert xi.objects == parts.objects and xi.unit_of == parts.unit_of
+        for name in ("src", "tgt", "compose_table", "inverse"):
+            assert np.array_equal(getattr(xi, name), getattr(parts, name)), name
+        assert validate(xi).ok and xi.n_arrows == (G.src == G.tgt).sum()
 
 
 class TestOrbits:

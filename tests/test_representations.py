@@ -1938,6 +1938,57 @@ class TestIntegratedBlocks:
         with pytest.raises(ShapeMismatch):
             ops.gaps(other)
 
+    def test_stacks_of_two_lengths_other_than_one_do_not_combine(self):
+        # a raw numpy broadcast error before; a stack of one still pairs with any
+        G = pair_groupoid("abc")
+        mu, nu = counting_haar(G), uniform_measure(G)
+        rng = SplitMix64(105)
+        for rep in (left_regular_rep(G, mu), trivial_rep(G)):
+            ops = integrated_blocks(G, mu, nu, rep, [random_function(G, rng) for _ in range(3)])
+            for other in (ops[:2], ops[1:]):
+                with pytest.raises(ShapeMismatch, match="^stacks of 3 and 2 block operators$"):
+                    ops @ other
+                with pytest.raises(ShapeMismatch, match="^stacks of 2 and 3 block operators$"):
+                    other.gaps(ops)
+            one, repeated = ops[1:2], ops[[1, 1, 1]]
+            assert np.array_equal((ops @ one).dense(), (ops @ repeated).dense())
+            assert np.array_equal((one @ ops).dense(), (repeated @ ops).dense())
+            assert np.array_equal(one.gaps(ops), repeated.gaps(ops))
+            assert one.gaps(ops)[1] == 0.0
+
+    def test_operators_with_different_nu_rows_do_not_combine(self):
+        # a product in one geometry of operators made in two would be neither's
+        G = disjoint_union(pair_groupoid("ab"), product(pair_groupoid("cd"),
+                                                        group_groupoid(*cyclic_table(2))))
+        rng = SplitMix64(107)
+        mu = HaarSystem(random_invariant_weights(G, rng))
+        nus = [uniform_measure(G), QuasiInvariantMeasure(random_probability(G.n_objects, rng))]
+        fs = rng.complex_boxes(4 * G.n_arrows).reshape(4, G.n_arrows)
+        for rep in (left_regular_rep(G, mu), trivial_rep(G)):
+            ops = integrated_blocks(G, mu, nus, rep, fs)  # two per measure
+            apart = [integrated_blocks(G, mu, nu, rep, f) for nu, f in zip(nus, (fs[:2], fs[2:]))]
+            for a, b in ((ops[:2], ops[2:]), (ops[[0, 2]], ops[[3, 1]]), tuple(apart),
+                         (apart[0], ops[2:]), (ops[2:3], apart[0])):
+                with pytest.raises(ShapeMismatch, match="^block operators with different nu rows$"):
+                    a @ b
+                with pytest.raises(ShapeMismatch, match="^block operators with different nu rows$"):
+                    a.gaps(b)
+            # operators row by row in one geometry pair, a shared row with a
+            # stack of rows equal to it too
+            assert np.array_equal((ops[[0, 2]] @ ops[[1, 3]]).dense(),
+                                  (ops[[0, 2]] @ ops[[1, 3]][::-1][::-1]).dense())
+            assert np.array_equal((ops[:2] @ apart[0]).dense(), (apart[0] @ apart[0]).dense())
+            assert np.array_equal(apart[1].gaps(ops[2:]), [0.0, 0.0])
+
+    def test_a_stack_splits_into_one_block_per_measure(self):
+        G = pair_groupoid("abc")
+        mu, nu = counting_haar(G), uniform_measure(G)
+        fs = np.ones((3, G.n_arrows))
+        for nus, k in (([nu, nu], 3), ([], 3)):
+            with pytest.raises(ShapeMismatch, match=f"^a stack of {k} functions does not split "
+                                                    f"into one block per measure of {len(nus)}$"):
+                integrated_blocks(G, mu, nus, trivial_rep(G), fs)
+
     def test_an_empty_bundle(self):
         empty = BlockPartition.of(np.zeros(0, dtype=int))
         ops = BlockOperator(np.zeros(0), np.zeros(0), empty, (), 3)
