@@ -42,10 +42,12 @@ def group_groupoid(elements, table) -> FiniteGroupoid:
                           inverts.argmax(axis=1), [unit], arrow_ids=elements)
 
 
-def cyclic_table(n: int) -> tuple[list[str], list[list[int]]]:
+def cyclic_table(n: int) -> tuple[list[str], np.ndarray]:
+    """Z_n: the elements g0..g(n-1) and the (n, n) int table, ``table[i][j]``
+    the index of g(i + j mod n)."""
     elements = [f"g{k}" for k in range(n)]
     i = np.arange(n)
-    return elements, ((i[:, None] + i) % n).tolist()
+    return elements, (i[:, None] + i) % n
 
 
 def klein_table() -> tuple[list[str], list[list[int]]]:

@@ -15,6 +15,7 @@ tolerances (see the tolerances module).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -246,77 +247,87 @@ def cmd_algebra(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command.  Each subcommand stores the name of its
+    function, ``cmd_<name>``, which :func:`main` looks up in this module when
+    it runs, so the parser holds no function and one parser serves every
+    call, a rebound ``cmd_<name>`` included."""
     p = argparse.ArgumentParser(prog="groupalg",
                                 description="finite groupoid convolution algebras")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, **kwargs):
         sp = sub.add_parser(name, **kwargs)
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=f"cmd_{name}")
         return sp
 
-    sp = add("validate", cmd_validate, help="check every file invariant")
+    sp = add("validate", help="check every file invariant")
     sp.add_argument("file")
 
-    sp = add("check", cmd_check, help="run the invariant battery ('all' = fixtures)")
+    sp = add("check", help="run the invariant battery ('all' = fixtures)")
     sp.add_argument("file")
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--trials", type=int, default=20)
 
-    sp = add("fibers", cmd_fibers, help="target/source fiber of an object")
+    sp = add("fibers", help="target/source fiber of an object")
     sp.add_argument("file")
     sp.add_argument("--object", required=True)
 
-    sp = add("multipliers", cmd_multipliers, help="multiplier objects and ideal")
+    sp = add("multipliers", help="multiplier objects and ideal")
     sp.add_argument("file")
 
-    sp = add("convolve", cmd_convolve, help="convolution product of two functions")
+    sp = add("convolve", help="convolution product of two functions")
     sp.add_argument("file")
     sp.add_argument("f")
     sp.add_argument("g")
     sp.add_argument("--out")
     sp.add_argument("--sparse", action="store_true")
 
-    sp = add("involute", cmd_involute, help="involution of a function")
+    sp = add("involute", help="involution of a function")
     sp.add_argument("file")
     sp.add_argument("f")
     sp.add_argument("--out")
     sp.add_argument("--sparse", action="store_true")
 
-    sp = add("inorm", cmd_inorm, help="I-norm of a function")
+    sp = add("inorm", help="I-norm of a function")
     sp.add_argument("file")
     sp.add_argument("f")
     sp.add_argument("--sparse", action="store_true")
 
-    sp = add("rep", cmd_rep, help="representation matrices or axiom report")
+    sp = add("rep", help="representation matrices or axiom report")
     sp.add_argument("file")
     sp.add_argument("kind", choices=["trivial", "left-regular"])
     sp.add_argument("--arrow")
     sp.add_argument("--out")
 
-    sp = add("integrate", cmd_integrate, help="integrated representation of a function")
+    sp = add("integrate", help="integrated representation of a function")
     sp.add_argument("file")
     sp.add_argument("f")
     sp.add_argument("--rep", choices=["trivial", "left-regular"], default="left-regular")
     sp.add_argument("--out")
     sp.add_argument("--sparse", action="store_true")
 
-    sp = add("equiv", cmd_equiv, help="transitive decomposition and isomorphism check")
+    sp = add("equiv", help="transitive decomposition and isomorphism check")
     sp.add_argument("file")
 
-    sp = add("limit", cmd_limit, help="check an inductive system and build its limit")
+    sp = add("limit", help="check an inductive system and build its limit")
     sp.add_argument("manifest")
     sp.add_argument("--out")
 
-    sp = add("algebra", cmd_algebra, help="check a structure-table file")
+    sp = add("algebra", help="check a structure-table file")
     sp.add_argument("file")
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`, built once per process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[args.fn](args)
     except json.JSONDecodeError as exc:
         print(f"parse error: line {exc.lineno} column {exc.colno}: {exc.msg}",
               file=sys.stderr)

@@ -123,7 +123,8 @@ class FiniteGroupoid:
     The composable pairs and their composites, which :func:`validate`, the
     generator certificate and :func:`haar.check_left_invariance` all read,
     are looked up once, on first use, and kept as read-only arrays, as the
-    certificate is kept.
+    certificate is kept; so are the table rows whose endpoints fail, which
+    :func:`validate`, the certificate and the orbit matrices all judge.
     ``compose_table`` holds (first, second, composite) rows sorted by pair;
     when a pair repeats, the last row wins.  Rows given strictly ascending
     by pair, as :func:`build_from_relation` gives them, are kept in their
@@ -196,6 +197,7 @@ class FiniteGroupoid:
         self.orbit_index = _orbit_index(self)
         self._certificate: GeneratorCertificate | None = None
         self._pair_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._faults: tuple[np.ndarray, np.ndarray] | None = None
         self._orbit_matrices = None  # orbits.orbit_matrices keeps its result here
 
     # -- basic structure ---------------------------------------------------
@@ -276,6 +278,26 @@ class FiniteGroupoid:
             for v in self._pair_arrays:
                 v.flags.writeable = False
         return self._pair_arrays
+
+    def _endpoint_faults(self):
+        """The table rows whose endpoints fail, ascending, and for each
+        whether it is off the domain (src(first) != tgt(second)) rather than
+        a composite with the wrong endpoints.  :func:`validate` words its
+        entries from them, the generator certificate and
+        :func:`orbits.orbit_matrices` read their verdicts from them; one
+        pass over the rows, kept read-only, like :meth:`_pair_products`."""
+        if self._faults is None:
+            src, tgt = self.src, self.tgt
+            first, second, composite = self.compose_table.T
+            off = src[first] != tgt[second]
+            bad = tgt[composite] != tgt[first]
+            bad |= src[composite] != src[second]
+            bad |= off
+            rows = np.flatnonzero(bad)
+            self._faults = (rows, off[rows])
+            for v in self._faults:
+                v.flags.writeable = False
+        return self._faults
 
     def products(self):
         """(first, second, composite) arrays of the products the table defines
@@ -401,20 +423,27 @@ def build_from_relation(objects, pairs, closure_policy: str = "strict") -> Finit
     relation that is not reflexive-on-support, symmetric and transitive;
     ``complete`` closes the relation first.  Either way the groupoid lives
     on the objects touched by the pairs, in the order given by ``objects``.
-    The arrows are the sorted keys tgt * n + src over that support.  The
-    table comes out in (first, second) order, as the constructor stores it,
-    with every composite and inverse found by one binary search over the
-    keys, which is also the strict closure check; so the cost follows the
-    pairs, not n^2.  Only a relation that fails the check is scanned again,
-    in pair order, to name its first missing pair.
+    The arrows are the sorted keys tgt * n + src over that support, and the
+    table comes out in (first, second) order, as the constructor stores it.
+    In a closed relation the rows of one class hold the same sources, so
+    (x, y) o (y, z) = (x, z) sits in row x where (y, z) sits in row y, and
+    the inverse (y, x) of (x, y) sits in row y where the unit (x, x) sits in
+    row x: each composite and inverse is read at that position and
+    confirmed by its key, and only the misses are searched for, which is
+    also the strict closure check; so the cost follows the pairs, not n^2.
+    Only a relation that fails the check is scanned again, in pair order,
+    to name its first missing pair.
     """
     objects = [str(o) for o in objects]
     index = {lab: i for i, lab in enumerate(objects)}
     if len(index) != len(objects):
         raise ValueError("object labels must be distinct")
-    # each label read once; -1 marks an unknown one, named in a second pass
-    ends = np.array([(index.get(str(x), -1), index.get(str(y), -1)) for x, y in pairs],
-                    dtype=np.intp).reshape(-1, 2)
+    if not set(map(len, pairs)) <= {2}:
+        raise ValueError("relation entries must be label pairs")
+    # each label read once, in one pass; -1 marks an unknown one, named in a second pass
+    ends = np.fromiter(map(index.get, map(str, itertools.chain.from_iterable(pairs)),
+                           itertools.repeat(-1)), dtype=np.intp, count=2 * len(pairs))
+    ends = ends.reshape(-1, 2)
     if (ends < 0).any():
         row = int(np.argmax((ends < 0).any(axis=1)))
         x, y = (str(p) for p in pairs[row])
@@ -440,20 +469,24 @@ def build_from_relation(objects, pairs, closure_policy: str = "strict") -> Finit
         keys = np.repeat(np.arange(n) * n, width) + order[_ranges(start[label], width)]
 
     # the composable pairs in (first, second) order: each arrow a, then the
-    # arrows into src(a), one run of the keys; one search finds every
-    # composite and inverse, and a strict relation must hold them all
+    # arrows into src(a), one run of the keys, row src(a)
     tgt, src = np.divmod(keys, max(n, 1))
     size = np.bincount(tgt, minlength=n)
+    start = np.cumsum(size) - size
     width = size[src]
     first = np.repeat(np.arange(len(keys)), width)
-    second = _ranges((np.cumsum(size) - size)[src], width)
+    second = _ranges(start[src], width)
+    unit = keys.searchsorted(np.arange(n) * (n + 1))
+    want = np.concatenate([np.repeat(tgt * n, width) + src[second], src * n + tgt])
+    at = np.concatenate([np.repeat(start[tgt] - start[src], width) + second,
+                         start[src] + unit[tgt] - start[tgt]])
     probe = np.append(keys, n * n)  # a sentinel above every pair
-    want = np.concatenate([tgt[first] * n + src[second], src * n + tgt])
-    found = probe.searchsorted(want)
-    if (probe[found] != want).any():
+    miss = np.flatnonzero(probe.take(at, mode="clip") != want)
+    at[miss] = probe.searchsorted(want[miss])
+    if (probe[at[miss]] != want[miss]).any():
         _name_missing(support, t, s, probe)
-    return FiniteGroupoid(support, src, tgt, np.stack([first, second, found[:len(first)]]).T,
-                          found[len(first):], keys.searchsorted(np.arange(n) * (n + 1)))
+    return FiniteGroupoid(support, src, tgt, np.stack([first, second, at[:len(first)]]).T,
+                          at[len(first):], unit)
 
 
 def _name_missing(support: list[str], t, s, probe) -> None:
@@ -556,8 +589,9 @@ def _certify(G: FiniteGroupoid) -> GeneratorCertificate:
 
     src, tgt = G.src, G.tgt
     n, arrows = G.n_objects, np.arange(G.n_arrows)
-    a, b, ab = G._pair_products()
-    if (ab < 0).any() or (tgt[ab] != tgt[a]).any() or (src[ab] != src[b]).any():
+    # every composable pair defined, and so read by a row on the domain,
+    # and no such row with the wrong endpoints
+    if (G._pair_products()[2] < 0).any() or not G._endpoint_faults()[1].all():
         return GeneratorCertificate(np.zeros(0, dtype=np.intp), False)
 
     # the star of each orbit: tau_x off the base, and the first arrow
@@ -627,6 +661,9 @@ def validate(G: FiniteGroupoid) -> Report:
     Checks: composition defined exactly on endpoint-matching pairs with the
     right endpoints, associativity on all composable triples, unit laws, and
     inverse laws.  Each entry carries a minimal witness in arrow/object ids.
+    The table rows whose endpoints fail are those the groupoid keeps from
+    its one pass over the rows, which the certificate and the orbit
+    matrices read too (:meth:`FiniteGroupoid._endpoint_faults`).
     Associativity is proved by the generator certificate when it applies
     (:meth:`FiniteGroupoid.certificate`); otherwise every triple is scanned.
     """
@@ -636,10 +673,9 @@ def validate(G: FiniteGroupoid) -> Report:
     arrows = np.arange(G.n_arrows)
 
     a, b, c = G.compose_table.T
-    off = src[a] != tgt[b]
-    wrong = (tgt[c] != tgt[a]) | (src[c] != src[b])
-    for i in np.flatnonzero(off | wrong).tolist():
-        if off[i]:
+    rows, off = G._endpoint_faults()
+    for i, off_domain in zip(rows.tolist(), off.tolist()):
+        if off_domain:
             rep.add("compose-domain",
                     f"table defines {aid[a[i]]} o {aid[b[i]]} but src/tgt do not match")
         else:

@@ -280,7 +280,7 @@ def parse_groupoid_document(doc: dict, where: str = "groupoid file") -> Groupoid
     if has_rel:
         objects = _require(doc, "objects", list, where)
         pairs = _require(doc, "relation", list, where)
-        if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
             raise FileFormatError(f"{where}: relation entries must be label pairs")
         try:  # build_from_relation reads each label as a string, once
             G = build_from_relation(objects, pairs, policy)

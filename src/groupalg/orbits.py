@@ -9,8 +9,11 @@ whose composition table bears the isomorphism out, and leaves the table's
 other rows to the table sum.  The generator certificate reads the same
 verdict: a kept orbit associates exactly when its labels do, so
 :func:`groupoid.validate` builds the matrices that :func:`haar.convolve`
-then reuses, and :func:`regular_blocks` gathers from them the left regular
-blocks of the integrated representations.  It is a module of its own so
+then reuses.  :func:`translates` proves from them, by one int comparison
+per op entry, that an index rep is the left regular one, which proves it
+multiplicative on an associative table, and :func:`regular_blocks`
+gathers from them the left regular blocks of the integrated
+representations.  It is a module of its own so
 that no module's source grows past the largest: compiling that one sets a
 floor under the peak memory of every process that imports the package from
 source.
@@ -81,12 +84,9 @@ def _build(G: FiniteGroupoid) -> OrbitMatrices:
     # the rows of each orbit: exactly its composable pairs, n^3 h^2 of them,
     # each composite labelled by one product table of the labels (no
     # temporary as large as the table outlives its use; with every orbit
-    # kept the rows are read in place)
-    bad = src[first] != tgt[second]
-    bad |= tgt[composite] != tgt[first]
-    bad |= src[composite] != src[second]
-    good[r[first[bad]]] = False
-    del bad
+    # kept the rows are read in place); a row whose endpoints fail, as the
+    # groupoid keeps them, drops its orbit
+    good[r[first[G._endpoint_faults()[0]]]] = False
     rows = np.flatnonzero(good[r][first])
     if len(rows) == len(first):
         rows = slice(None)
@@ -149,6 +149,47 @@ def orbit_matrices(G: FiniteGroupoid) -> OrbitMatrices:
     return G._orbit_matrices
 
 
+def _kept(G: FiniteGroupoid, rep, name: str, compute):
+    """``compute(G, rep)``, kept on the rep under ``name`` for the last
+    groupoid object it was asked about."""
+    memo = rep.__dict__.get(name)
+    if memo is None or memo[0] is not G:
+        memo = (G, compute(G, rep))
+        object.__setattr__(rep, name, memo)  # the rep is frozen
+    return memo[1]
+
+
+def translates(G: FiniteGroupoid, rep) -> bool:
+    """Whether the ops of the index rep ``rep``, which has its shape on G,
+    are those of the left regular rep, entry for entry: op(a) takes the
+    indicator of h to that of a o h, for every arrow h into src(a), with
+    a o h as the table gives it.  Kept per rep and groupoid.
+
+    It holds when the rep's endpoints are G's, its fibers are the target
+    fibers, every arrow lies in an orbit that :func:`orbit_matrices` keeps,
+    and for every orbit, z, r and c the 1 of op(left[r, c]) in the column of
+    right[c, z] sits at the place of right[r, z].  On a kept orbit the
+    table gives left[r, c] o right[c, z] = right[r, z], and as (r, c) runs
+    over the places of a in ``left`` and z over the objects, right[c, z]
+    runs over the arrows into src(a): the comparison visits each entry of
+    ``rows`` once, as an int comparison, and reads no weight.
+    """
+    def proof(G, rep):
+        if not (np.array_equal(rep.bundle.dims, G.target_fibers.size)
+                and np.array_equal(rep.src, G.src) and np.array_equal(rep.tgt, G.tgt)):
+            return False
+        om = orbit_matrices(G)
+        if sum(r.size for r in om.right) != G.n_arrows:
+            return False
+        rows, starts, place = rep.rows, rep.starts, G._place
+        for left, right in zip(om.left, om.right):
+            p = place[right.transpose(0, 2, 1)]  # [o, z, r]: the place of right[r, z]
+            if not (rows[starts[left][:, None] + p[:, :, None, :]] == p[..., None]).all():
+                return False
+        return True
+    return _kept(G, rep, "_translation", proof)
+
+
 def regular_blocks(G: FiniteGroupoid, rep) -> tuple[BlockPartition, np.ndarray] | None:
     """The blocks of the integrated operators of the index rep ``rep``,
     which has its shape on G, as left regular blocks with one data slot per
@@ -166,33 +207,24 @@ def regular_blocks(G: FiniteGroupoid, rep) -> tuple[BlockPartition, np.ndarray] 
     (C*(orbit) = M_n (x) C*(H): Renault, LNM 793; Muhly, Renault and
     Williams 1987).  The conditions:
 
-    - the rep's ops are those of the left regular rep, entry for entry: its
-      endpoints are G's, its fibers are the target fibers, every arrow lies
-      in a kept orbit, and for every orbit, z, r and c the 1 of
-      op(left[r, c]) in the column of right[c, z] sits at the place of
-      right[r, z].  This int comparison visits each entry of ``rows`` once,
-      so the ops' one term per entry is the gather's;
+    - the rep's ops are those of the left regular rep, entry for entry
+      (:func:`translates`, whose kept verdict this reuses), so the ops' one
+      term per entry is the gather's;
     - the fiber weights are constant on each block (for the target-fiber
       bundle, the Haar weights on each source fiber), so that the factored
       ratios of a slot are one matrix for all its blocks
       (:class:`~groupalg.blocks.BlockOperator`).
     """
-    A = G.n_arrows
-    into, _, size = G.target_fibers
-    om = orbit_matrices(G)
-    if not (np.array_equal(rep.bundle.dims, size) and np.array_equal(rep.src, G.src)
-            and np.array_equal(rep.tgt, G.tgt) and sum(r.size for r in om.right) == A):
+    if not translates(G, rep):
         return None
+    A = G.n_arrows
     position = np.empty(A, dtype=np.intp)  # each arrow's position in the bundle
-    position[into] = np.arange(A)
+    position[G.target_fibers.order] = np.arange(A)
     weight = np.concatenate([np.zeros(0), *rep.bundle.weights])
-    rows, starts, place = rep.rows, rep.starts, G._place
     shapes: dict[int, list] = {}
+    om = orbit_matrices(G)
     for left, right in zip(om.left, om.right):
         at = right.transpose(0, 2, 1)  # [o, z, r]: the arrow at row r of block (o, z)
-        p = place[at]
-        if not (rows[starts[left][:, None] + p[:, :, None, :]] == p[..., None]).all():
-            return None
         blocks = position[at].reshape(-1, at.shape[2])
         if not (weight[blocks] == weight[blocks[:, :1]]).all():
             return None

@@ -41,7 +41,7 @@ from .blocks import BlockOperator, BlockPartition, factored_ratios
 from .errors import NotTransitive, ShapeMismatch
 from .groupoid import FiniteGroupoid, IsotropyGroup, _joined, _ranges, components, isotropy
 from .haar import HaarSystem, _as_function, counting_haar, i_norm, table_convolve
-from .orbits import regular_blocks
+from .orbits import _kept, regular_blocks, translates
 from .randgen import SplitMix64, random_function
 from .report import Report
 
@@ -289,16 +289,6 @@ def _column_gaps(ok, width, lhs, rhs) -> np.ndarray:
     return np.where(ok, bad.astype(float), math.inf)
 
 
-def _kept(G: FiniteGroupoid, rep, name: str, compute):
-    """``compute(G, rep)``, kept on the rep under ``name`` for the last
-    groupoid object it was asked about."""
-    memo = rep.__dict__.get(name)
-    if memo is None or memo[0] is not G:
-        memo = (G, compute(G, rep))
-        object.__setattr__(rep, name, memo)  # the rep is frozen
-    return memo[1]
-
-
 def _shape_fault(G: FiniteGroupoid, rep: IndexRep) -> str | None:
     """:func:`_first_shape_fault` of ``rep`` on ``G``, :func:`_kept`."""
     return _kept(G, rep, "_shape", _first_shape_fault)
@@ -370,13 +360,19 @@ def _index_residuals(G: FiniteGroupoid, rep: IndexRep):
 
     Products of 0/1 matrices with one 1 per column are such matrices again,
     exactly: op(a) op(b) picks the rows ``rows_a[rows_b]``.  So each law but
-    unitarity compares row arrays, with residual 0 or 1.  Where the
-    generator pairs prove multiplicativity
-    (:func:`_multiplicative_by_generators`), every pair would have residual
-    0 and the pair arrays are empty; otherwise every pair is scanned.  The
-    Gram matrix op(a)^H W_tgt op(a) is diagonal with entries W_tgt[rows_a],
-    plus W_tgt[r] off the diagonal wherever two columns share the row r; a
-    non-finite weight in the target fiber makes it NaN.
+    unitarity compares row arrays, with residual 0 or 1.  Where
+    multiplicativity is proved, every pair would have residual 0 and the
+    pair arrays are empty; otherwise every pair is scanned.  It is proved
+    when the certificate proves the table associative and the ops are the
+    left regular ones (:func:`orbits.translates`, kept for the
+    integration): column j of op(a) op(b) is then the place of
+    a o (b o h_j) = (a o b) o h_j.  Other reps ask the generator pairs
+    (:func:`_multiplicative_by_generators`).  The Gram matrix
+    op(a)^H W_tgt op(a) is diagonal with entries W_tgt[rows_a], plus
+    W_tgt[r] off the diagonal wherever two columns share the row r; a
+    non-finite weight in the target fiber makes it NaN.  The shared rows are
+    sorted out only for the ops not shown injective by an exact inverse law
+    op(a^-1) op(a) = I.
     """
     rows, lo = rep.rows, rep.starts[:-1]
     width = np.diff(rep.starts)
@@ -388,7 +384,8 @@ def _index_residuals(G: FiniteGroupoid, rep: IndexRep):
     units = np.full(G.n_objects, math.nan)
     units[has] = _column_gaps((dims[tgt[u]] == dims[has]) & (width[u] == dims[has]), width[u],
                               lambda i, j: rows[lo[u[i]] + j], lambda i, j: j)
-    if _multiplicative_by_generators(G, rep):
+    if ((G.certificate().associative and _shape_fault(G, rep) is None and translates(G, rep))
+            or _multiplicative_by_generators(G, rep)):
         a, b, mult = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
     else:
         a, b, c = G.products()
@@ -404,7 +401,8 @@ def _index_residuals(G: FiniteGroupoid, rep: IndexRep):
     gaps = np.abs(w[at] - w[off[src[arrow]] + _ranges(np.zeros_like(width), width)])
     unitarity = np.zeros(G.n_arrows)
     np.maximum.at(unitarity, arrow, gaps)
-    key = np.sort(arrow * len(w) + at)
+    unshown = ~((inverses[inv] == 0) & (inv[inv] == np.arange(G.n_arrows)))[arrow]
+    key = np.sort(arrow[unshown] * len(w) + at[unshown])
     shared = key[1:][key[1:] == key[:-1]]  # (arrow, row) pairs that two columns share
     np.maximum.at(unitarity, shared // len(w), w[shared % len(w)])
     finite = np.array([np.isfinite(v).all() for v in rep.bundle.weights], dtype=bool)
@@ -555,9 +553,10 @@ def check_representation(G: FiniteGroupoid, rep: IndexRep | ConjugatedRep,
     comparisons (:func:`_index_residuals`, computed once per rep and
     groupoid), after its shape: the first op of the wrong shape, or with a
     1 outside its target fiber, is one ``shape`` entry and ends the check.
-    Multiplicativity is proved from the generator certificate's pairs when
-    they hold, and every composable pair is scanned otherwise; the entries
-    are the same either way.
+    Multiplicativity is proved, for the left regular rep on a table the
+    certificate proves associative, from the kept translation proof, else
+    from the generator pairs when they hold, and every composable pair is
+    scanned otherwise; the entries are the same either way.
     A :class:`ConjugatedRep` is checked so on its base, and each law of its
     ops is bounded from per-object quantities of the field
     (:func:`_conjugation_bounds`): a law whose bound exceeds atol, or is
@@ -665,9 +664,9 @@ def integrated_blocks(G: FiniteGroupoid, mu: HaarSystem,
     m = 1).  Each operator is, to the bit, the one call per measure gives.
 
     Where :func:`orbits.regular_blocks` proves the rep the left regular one
-    (kept per rep and groupoid), each orbit is one data slot gathered
-    through its ``left`` matrix; each entry is one term, 0 plus it where f
-    is not 0, as the scatter adds it.  Any other rep keeps one slot per
+    (the kept :func:`orbits.translates`, then the weights), each orbit is
+    one data slot gathered through its ``left`` matrix; each entry is one
+    term, 0 plus it where f is not 0, as the scatter adds it.  Any other rep keeps one slot per
     block of :attr:`IndexRep.blocks` (for the trivial rep one per orbit),
     scattered in batches of about ``_SCATTER_BATCH`` op entries, each
     coefficient in arrow order and none where f is 0.  Either way the dense
@@ -856,7 +855,8 @@ def _structure_constant_mismatches(G: FiniteGroupoid, dec: TransitiveDecompositi
                      & (left_div[gi[a], gi[cc]] == gi[b]),
                      k == 0)
     first, second, _ = G.compose_table.T
-    off = src[first] != tgt[second]  # a table row on a pair with y != y'
+    rows, off = G._endpoint_faults()
+    off = rows[off]  # the table rows on pairs with y != y'
     bad_a = np.concatenate([a[~agree], first[off]])
     bad_b = np.concatenate([b[~agree], second[off]])
     order = np.lexsort((bad_b, bad_a))

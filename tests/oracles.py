@@ -51,7 +51,17 @@ the index itself one object and one arrow at a time.
 For the generator certificate, which runs Light's test on the loop table
 of each orbit that ``orbit_matrices`` keeps: Light's test on the whole
 table.  For ``validate``'s unit and inverse laws, which are array masks:
-the loops that tested them object by object and arrow by arrow.
+the loops that tested them object by object and arrow by arrow.  For the
+table rows whose endpoints fail, which the groupoid finds once and keeps
+for ``validate``, the certificate and the orbit matrices: the pass each of
+them made over the rows for itself, the compose entries worded row by row,
+and the certificate's premise over the composable pairs.  For the index
+residuals, which take the left regular rep's multiplicativity from its
+translation proof and sort for shared rows only the ops that no exact
+inverse law shows injective: the generator pairs or the scan of every
+pair, and the sort of every entry.  For the relation build, which reads
+each composite and inverse at its position in its class's row: the binary
+search of every key.
 
 With them, the benchmark's small documents, on which the battery's reports
 are pinned and the conjugated rep's bounds are compared with the dense check.
@@ -67,15 +77,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from groupalg import tolerances
+from groupalg import orbits, representations, tolerances
 from groupalg.bisections import (Bisection, arrow_array, bisection_compose, target_map,
                                  unit_bisection)
 from groupalg.blocks import BlockOperator, BlockPartition
 from groupalg.errors import (FileFormatError, NotClosed, NotTransitive, ShapeMismatch,
                              UndefinedProduct, UnknownLabel)
 from groupalg.builders import group_groupoid, pair_groupoid, product, symmetric_table
-from groupalg.groupoid import (FiniteGroupoid, _composable, _fibers, _joined, _ranges,
-                               _triples, components, isotropy)
+from groupalg.groupoid import (FiniteGroupoid, _composable, _fibers, _joined, _name_missing,
+                               _ranges, _triples, components, isotropy)
 from groupalg.haar import (HaarSystem, _as_function, convolve, counting_haar,
                            function_to_matrix, i_norm, involute, support_fiber_mass,
                            table_convolve, unit_function)
@@ -201,6 +211,65 @@ def scanned_index_residuals(G, rep):
     return units, a, b, mult, inverses, unitarity
 
 
+def generator_index_residuals(G, rep):
+    """``representations._index_residuals`` before the left regular rep's
+    translation proof and the injective ops: multiplicativity proved from
+    the generator pairs alone (``_multiplicative_by_generators``), else
+    every composable pair scanned, and the shared-row sort of unitarity
+    over every entry of ``rows``."""
+    out = scanned_index_residuals(G, rep)
+    if representations._multiplicative_by_generators(G, rep):
+        empty = np.zeros(0, dtype=np.intp)
+        return out[0], empty, empty, np.zeros(0), *out[4:]
+    return out
+
+
+def own_pass_endpoint_faults(G):
+    """``G._endpoint_faults()`` as ``validate``, the generator certificate
+    and ``orbits._build`` each computed it for itself, from the off-domain
+    and wrong-endpoint masks of every table row: the faulty rows and
+    whether each is off the domain."""
+    src, tgt = G.src, G.tgt
+    a, b, c = G.compose_table.T
+    off = src[a] != tgt[b]
+    wrong = (tgt[c] != tgt[a]) | (src[c] != src[b])
+    rows = np.flatnonzero(off | wrong)
+    return rows, off[rows]
+
+
+def scanned_compose_entries(G) -> list[tuple[str, str]]:
+    """The compose-domain and compose-endpoints entries of ``validate``,
+    each row judged from its own endpoints, one row at a time."""
+    src, tgt, aid = G.src.tolist(), G.tgt.tolist(), G.arrow_ids
+    out = []
+    for a, b, c in G.compose_table.tolist():
+        if src[a] != tgt[b]:
+            out.append(("compose-domain",
+                        f"table defines {aid[a]} o {aid[b]} but src/tgt do not match"))
+        elif tgt[c] != tgt[a] or src[c] != src[b]:
+            out.append(("compose-endpoints",
+                        f"{aid[a]} o {aid[b]} = {aid[c]} has wrong endpoints"))
+    return out
+
+
+def pair_endpoints_hold(G) -> bool:
+    """The generator certificate's first premise over the composable pairs:
+    each has a composite, and the composite has the endpoints of the pair."""
+    src, tgt = G.src, G.tgt
+    a, b, ab = G._pair_products()
+    return not ((ab < 0).any() or (tgt[ab] != tgt[a]).any() or (src[ab] != src[b]).any())
+
+
+def own_pass_orbit_matrices(G):
+    """``orbit_matrices(G)`` built on a copy of G that holds the faulty rows
+    of :func:`own_pass_endpoint_faults`, so that ``orbits._build`` drops the
+    orbits of its own pass over the rows, as it once did."""
+    H = FiniteGroupoid(G.objects, G.src, G.tgt, G.compose_table, G.inverse, G.unit_of,
+                       G.arrow_ids)
+    H._faults = own_pass_endpoint_faults(G)
+    return orbits._build(H)
+
+
 def right_nested_depths(G, gens):
     """Independent closure: the least k with every arrow a right-nested
     word of length at most k over gens, or None."""
@@ -222,8 +291,7 @@ def whole_table_light(G) -> bool:
     the right endpoints, the certificate's generators reaching every arrow,
     and (x o s) o y == x o (s o y) for every generator s and composable x, y."""
     src, tgt = G.src, G.tgt
-    a, b, ab = G._pair_products()
-    if (ab < 0).any() or (tgt[ab] != tgt[a]).any() or (src[ab] != src[b]).any():
+    if not pair_endpoints_hold(G):
         return False
     gens = G.certificate().generators
     if right_nested_depths(G, gens.tolist()) is None:
@@ -822,6 +890,50 @@ def set_build_from_relation(objects, pairs, closure_policy: str = "strict") -> F
     first, second = _composable(src, tgt, n)
     table = np.stack([first, second, by_pair[tgt[first], src[second]]], axis=1)
     return FiniteGroupoid(support, src, tgt, table, by_pair[src, tgt], by_pair.diagonal())
+
+
+def searched_build_from_relation(objects, pairs, closure_policy: str = "strict") -> FiniteGroupoid:
+    """``build_from_relation`` with each label pair looked up in a list
+    comprehension and every composite and inverse found by one binary search
+    over the sorted keys, not read at its position in the class's row."""
+    objects = [str(o) for o in objects]
+    index = {lab: i for i, lab in enumerate(objects)}
+    if len(index) != len(objects):
+        raise ValueError("object labels must be distinct")
+    ends = np.array([(index.get(str(x), -1), index.get(str(y), -1)) for x, y in pairs],
+                    dtype=np.intp).reshape(-1, 2)
+    if (ends < 0).any():
+        row = int(np.argmax((ends < 0).any(axis=1)))
+        x, y = (str(p) for p in pairs[row])
+        bad = x if ends[row, 0] < 0 else y
+        raise UnknownLabel(f"pair ({x}, {y}) references unknown label {bad!r}")
+    if closure_policy not in ("strict", "complete"):
+        raise ValueError(f"unknown closure_policy {closure_policy!r}")
+    touched = np.zeros(len(objects), dtype=bool)
+    touched[ends] = True
+    support = [objects[i] for i in np.flatnonzero(touched).tolist()]
+    n = len(support)
+    t, s = (np.cumsum(touched) - 1)[ends].T
+    if closure_policy == "strict":
+        keys = np.sort(t * n + s)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+    else:
+        label = components(n, t, s)
+        order, start, size = _fibers(label, n)
+        width = size[label]
+        keys = np.repeat(np.arange(n) * n, width) + order[_ranges(start[label], width)]
+    tgt, src = np.divmod(keys, max(n, 1))
+    size = np.bincount(tgt, minlength=n)
+    width = size[src]
+    first = np.repeat(np.arange(len(keys)), width)
+    second = _ranges((np.cumsum(size) - size)[src], width)
+    probe = np.append(keys, n * n)
+    want = np.concatenate([tgt[first] * n + src[second], src * n + tgt])
+    found = probe.searchsorted(want)
+    if (probe[found] != want).any():
+        _name_missing(support, t, s, probe)
+    return FiniteGroupoid(support, src, tgt, np.stack([first, second, found[:len(first)]]).T,
+                          found[len(first):], keys.searchsorted(np.arange(n) * (n + 1)))
 
 
 def tuple_fibers(G):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupalg import convolve, counting_haar, validate
+from groupalg import cli, convolve, counting_haar, validate
 from groupalg.battery import SUITES, run_battery
 from groupalg.builders import cyclic_table, group_groupoid, pair_groupoid, product
 from groupalg.cli import main
@@ -583,3 +583,35 @@ class TestToleranceOverride:
         captured = capsys.readouterr()
         assert "GROUPALG_TOL" in captured.err
         assert "invariant violated" not in captured.err
+
+
+class TestOneParser:
+    def test_calls_in_one_process_share_one_parser(self, monkeypatch, capsys):
+        # the parser is built at the first call and kept; each call still
+        # runs the module's cmd_<name> of that moment, a rebound one too,
+        # and an argparse error leaves the parser serving the next call
+        built, seen = [], []
+        real = cli.build_parser
+
+        def build_parser():
+            built.append(1)
+            return real()
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        cli._parser.cache_clear()
+        try:
+            assert main(["validate", fx("pair3.json")]) == 0
+            assert capsys.readouterr().out == "file-invariants: ok\n"
+            monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(
+                (args.file, args.seed, args.trials)) or 7)
+            assert main(["check", fx("pair2.json"), "--seed", "5"]) == 7
+            assert seen == [(fx("pair2.json"), 5, 20)]
+            for argv in (["check"], ["nope", fx("pair3.json")], ["check", "x", "--seed", "y"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 2
+                assert capsys.readouterr().err.startswith("usage: groupalg")
+            assert main(["fibers", fx("pair3.json"), "--object", "a"]) == 0
+            assert "a00 a01 a02" in capsys.readouterr().out
+            assert len(built) == 1
+        finally:
+            cli._parser.cache_clear()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from groupalg import (FileFormatError, HaarSystem, NotClosed, NotRelationGroupoid,
                       UnknownLabel, UnknownObject, build_from_relation, isotropy,
-                      isotropy_bundle, multipliers, table_convolve, validate)
+                      convolve, isotropy_bundle, multipliers, table_convolve, validate)
 from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
                                klein_table, pair_groupoid, product, symmetric_table)
 from groupalg import groupoid as gmod
@@ -29,9 +29,11 @@ from groupalg.representations import decompose_transitive
 
 from oracles import (certificate_out_of_base, components_orbits, derived_decomposition,
                      looped_multiplier_certificate, looped_orbit_index,
-                     looped_unit_inverse_laws, norm_groupoids,
-                     right_nested_depths, searched_composites, set_build_from_relation,
-                     tuple_fibers, whole_table_light)
+                     looped_unit_inverse_laws, norm_groupoids, own_pass_endpoint_faults,
+                     own_pass_orbit_matrices, pair_endpoints_hold, right_nested_depths,
+                     scanned_compose_entries, searched_build_from_relation,
+                     searched_composites, set_build_from_relation, tuple_fibers,
+                     whole_table_light)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "groupalg", "fixtures")
 
@@ -177,6 +179,21 @@ def test_build_from_relation_agrees_with_the_set_build(relation, policy):
             == _built(set_build_from_relation, objects, pairs, policy))
 
 
+@settings(max_examples=300, deadline=None)
+@given(relations(), st.sampled_from(["strict", "complete"]))
+def test_the_build_by_position_equals_the_search(relation, policy):
+    # closed or not: the same groupoid, or the same NotClosed message and witness
+    objects, pairs = relation
+    assert (_built(build_from_relation, objects, pairs, policy)
+            == _built(searched_build_from_relation, objects, pairs, policy))
+
+
+def test_a_relation_entry_that_is_no_pair_is_refused():
+    for pairs in ([("a", "b", "a")], [("a",)], [("a", "a"), "ab", "abc"]):
+        with pytest.raises(ValueError, match="^relation entries must be label pairs$"):
+            build_from_relation(["a", "b"], pairs, "strict")
+
+
 def _index(G):
     """What the constructor derives from the table: the stored rows, the
     sorted keys it searches, each arrow's first row, and the maps it keeps."""
@@ -207,6 +224,76 @@ def test_the_sorted_build_equals_the_sorted_constructor_path(relation, policy, r
     for table in tables:
         H = FiniteGroupoid(G.objects, G.src, G.tgt, table, G.inverse, G.unit_of, G.arrow_ids)
         assert _index(H) == _index(G)
+
+
+def _orbit_arrays(om):
+    return ([m.tolist() for m in om.left], [m.tolist() for m in om.right],
+            [v.tolist() for v in om.rest])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.lists(st.sampled_from(["off-domain", "wrong-endpoints", "missing"]), max_size=3),
+       st.randoms(use_true_random=False))
+def test_one_endpoint_pass_judges_as_the_three_passes(seed, edits, rnd):
+    # rows added off the domain (or, by chance, on it, where they win),
+    # composites redirected, rows dropped: validate's compose entries, the
+    # certificate and the kept orbits read from the one kept pass are those
+    # of each reader's own pass over the rows
+    G = random_groupoid(SplitMix64(seed), max_arrows=36)
+    A, rows = G.n_arrows, G.compose_table.tolist()
+    for edit in edits:
+        if edit == "off-domain":
+            rows.append([rnd.randrange(A), rnd.randrange(A), rnd.randrange(A)])
+        elif edit == "wrong-endpoints":
+            rows[rnd.randrange(len(rows))][2] = rnd.randrange(A)
+        elif len(rows) > 1:
+            del rows[rnd.randrange(len(rows))]
+    H = FiniteGroupoid(G.objects, G.src, G.tgt, rows, G.inverse, G.unit_of, G.arrow_ids)
+    got, want = H._endpoint_faults(), own_pass_endpoint_faults(H)
+    assert [v.tolist() for v in got] == [v.tolist() for v in want]
+    entries = [(e.check, e.witness) for e in validate(H).entries]
+    compose = scanned_compose_entries(H)
+    assert entries[:len(compose)] == compose
+    assert not {"compose-domain", "compose-endpoints"} & {c for c, _ in entries[len(compose):]}
+    cert = H.certificate()
+    if not pair_endpoints_hold(H):
+        assert not cert.associative and cert.generators.tolist() == []
+    assert cert.associative == whole_table_light(H)
+    assert _orbit_arrays(orbits.orbit_matrices(H)) == _orbit_arrays(own_pass_orbit_matrices(H))
+
+
+def test_validate_the_certificate_and_the_orbits_read_the_one_kept_pass(monkeypatch):
+    # the pass is made once per groupoid, whichever reader comes first; a
+    # fault planted in it is what all three judge, since none of them
+    # compares the rows' endpoints on its own
+    made = []
+    real = FiniteGroupoid._endpoint_faults
+
+    def counted(self):
+        if self._faults is None:
+            made.append(self)
+        return real(self)
+    monkeypatch.setattr(FiniteGroupoid, "_endpoint_faults", counted)
+    for first in ("validate", "certificate", "orbits", "convolve"):
+        G = product(pair_groupoid("abc"), group_groupoid(*cyclic_table(2)))
+        mu = counting_haar(G)
+        readers = {"validate": lambda: validate(G), "certificate": G.certificate,
+                   "orbits": lambda: orbits.orbit_matrices(G),
+                   "convolve": lambda: convolve(G, mu, np.ones(G.n_arrows), np.ones(G.n_arrows))}
+        readers.pop(first)()
+        for read in readers.values():
+            read()
+        assert made == [G] and validate(G).ok and G.certificate().associative
+        made.clear()
+    G = pair_groupoid("abc")
+    a, b, c = G.compose_table[5].tolist()
+    G._faults = (np.array([5]), np.array([False]))  # row 5 planted as a wrong composite
+    assert [(e.check, e.witness) for e in validate(G).errors] == [
+        ("compose-endpoints", f"{G.arrow_ids[a]} o {G.arrow_ids[b]} = {G.arrow_ids[c]} "
+                              "has wrong endpoints")]
+    assert not G.certificate().associative and orbits.orbit_matrices(G).left == ()
+    assert made == []
 
 
 def test_a_repeated_pair_in_sorted_rows_keeps_its_last_row():
@@ -1145,14 +1232,17 @@ def test_group_groupoid_unit_and_inverses_agree_with_the_pairwise_scan(group):
     assert G.unit_of == [unit]
     assert [[a] for a in G.inverse.tolist()] == inverses
     n = len(table)
-    assert [[G.compose(i, j) for j in range(n)] for i in range(n)] == table
+    assert [[G.compose(i, j) for j in range(n)] for i in range(n)] == np.asarray(table).tolist()
 
 
-def test_cyclic_table_is_lists_of_ints():
+def test_cyclic_table_is_one_int_array():
+    # no list of lists: at n = 2048 it held 144 MB before the groupoid
+    # converted it; reading table[i][j] works on the array as on lists
     elements, table = cyclic_table(7)
     assert elements == [f"g{k}" for k in range(7)]
-    assert table == [[(i + j) % 7 for j in range(7)] for i in range(7)]
-    assert all(type(x) is int for row in table for x in row)
+    assert isinstance(table, np.ndarray) and table.shape == (7, 7) and table.dtype.kind == "i"
+    assert table.tolist() == [[(i + j) % 7 for j in range(7)] for i in range(7)]
+    assert table[3][5] == 1 and table[6][6] == 5
 
 
 @pytest.mark.parametrize("table, message", [

@@ -43,7 +43,7 @@ from oracles import (DenseRep, benchmark_documents, dense_check, dense_of,
                      dense_residuals, every_block_norms, generator_bound, indicators,
                      looped_field_terms,
                      nonzero_operator_norm, norm_groupoids, pair_layers_ops,
-                     scanned_index_residuals,
+                     generator_index_residuals, scanned_index_residuals,
                      scatter_integrate, support_blocks, svd_fundamental_family_check)
 
 
@@ -1686,13 +1686,16 @@ class TestIndexReps:
 
     def test_cyclic_256_passes_on_its_generator_pairs_in_seconds(self, monkeypatch):
         # a dense check multiplied all 65,536 pairs of 256 x 256 matrices;
-        # a passing rep compares the 256 pairs of each generator and scans
-        # no pair, and one corrupted op sends the check to all 65,536 pairs,
-        # with the witnesses of that scan
+        # the left regular rep of a table the certificate proves associative
+        # is multiplicative by its translation proof, so a passing rep
+        # compares no pair, not even a generator's; one corrupted op fails
+        # that proof and sends the check to the 256 pairs of each generator,
+        # then to all 65,536 pairs, with the witnesses of that scan
         G = group_groupoid(*cyclic_table(256))
         mu = HaarSystem(random_invariant_weights(G, SplitMix64(101)))
-        scanned, compared = [], []
+        scanned, compared, by_generators = [], [], []
         real_products, real_gaps = FiniteGroupoid.products, representations._column_gaps
+        real_generators = representations._multiplicative_by_generators
 
         def products(self):
             out = real_products(self)
@@ -1702,20 +1705,28 @@ class TestIndexReps:
         def column_gaps(ok, width, lhs, rhs):
             compared.append(len(width))
             return real_gaps(ok, width, lhs, rhs)
+
+        def multiplicative_by_generators(G, rep):
+            by_generators.append(rep)
+            return real_generators(G, rep)
         monkeypatch.setattr(FiniteGroupoid, "products", products)
         monkeypatch.setattr(representations, "_column_gaps", column_gaps)
+        monkeypatch.setattr(representations, "_multiplicative_by_generators",
+                            multiplicative_by_generators)
         rep = left_regular_rep(G, mu)
         start = time.perf_counter()
         report = check_representation(G, rep)
         assert time.perf_counter() - start < 10
         gens = G.certificate().generators.tolist()
-        assert report.ok and scanned == [] and compared == [1, 256 * len(gens), 256]
+        assert G.certificate().associative
+        assert report.ok and scanned == [] and by_generators == [] and compared == [1, 256]
 
         a = next(a for a in range(G.n_arrows) if a not in gens)
         bad = _swapped(rep, a)
         scanned.clear()
         compared.clear()
         report = check_representation(G, bad)
+        assert by_generators == [bad]
         assert scanned == [256 ** 2] and compared == [1, 256 * len(gens), 256 ** 2, 256]
         x, y = G.arrow_ids[a], G.arrow_ids[1]
         assert f"op({x} o {y}) != op({x}) op({y})" in [e.witness for e in report.errors]
@@ -1804,6 +1815,122 @@ class TestGeneratorPairs:
                 K, conj, residuals(K, _fresh(rep))).tolist(), H)
                 for residuals in (representations._index_residuals, scanned_index_residuals)]
             assert bounds[0] == bounds[1], kind
+
+
+_LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def _corrupted_rep(G, rep, kind, pick):
+    """rep with one op's first two rows swapped, with a row repeated inside
+    one op of two or more columns, or with one fiber weight moved by 1.25;
+    rep itself for any other kind, or where no op has two columns."""
+    if kind == "swapped":
+        return _swapped(rep, pick % G.n_arrows)
+    wide = np.flatnonzero(np.diff(rep.starts) >= 2)
+    if kind == "duplicated" and len(wide):
+        rows, lo = rep.rows.copy(), rep.starts[wide[pick % len(wide)]]
+        rows[lo + 1] = rows[lo]
+        return IndexRep(rep.bundle, rep.src, rep.tgt, rows, rep.starts)
+    if kind == "weight":
+        weights = [w.copy() for w in rep.bundle.weights]
+        x = pick % G.n_objects
+        weights[x][pick % len(weights[x])] *= 1.25
+        return IndexRep(HilbertBundle(rep.bundle.dims, weights), rep.src, rep.tgt, rep.rows,
+                        rep.starts)
+    return rep
+
+
+class TestProvedResiduals:
+    """The index residuals, with multiplicativity proved for the left
+    regular rep from its translation proof and the shared rows sorted only
+    for the ops no exact inverse law shows injective, against the oracle
+    that asks the generator pairs or scans every pair and sorts every entry
+    (``oracles.generator_index_residuals``), array for array."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from(["none", "swapped", "duplicated",
+                                                      "weight", "inverse"]),
+           st.integers(0, 10 ** 6), st.sampled_from(["associative", "redirected", "loop"]))
+    def test_residual_arrays_equal_the_oracle(self, seed, kind, pick, table):
+        G = random_groupoid(SplitMix64(seed), max_arrows=36)
+        if table == "loop":  # labels with correct endpoints that do not associate
+            G = disjoint_union(G, product(pair_groupoid("pq"),
+                                          group_groupoid([f"l{i}" for i in range(5)], _LOOP5)))
+        mu = HaarSystem(random_invariant_weights(G, SplitMix64(seed + 1)))
+        reps = [_corrupted_rep(G, rep, kind, pick)
+                for rep in (left_regular_rep(G, mu), trivial_rep(G))]
+        H = G
+        if table == "redirected":  # one composite sent into its target from another source
+            rows = G.compose_table.copy()
+            a, b, c = rows[pick % len(rows)]
+            news = [d for d in G.target_fiber(G.tgt[c]) if G.src[d] != G.src[b]]
+            rows[pick % len(rows), 2] = news[pick % len(news)] if news else (c + 1) % G.n_arrows
+            H = _rebuilt(G, rows)
+        if kind == "inverse":  # one arrow's inverse moved to the next arrow
+            inverse = G.inverse.copy()
+            a = pick % G.n_arrows
+            inverse[a] = (inverse[a] + 1) % G.n_arrows
+            H = _rebuilt(H, inverse=inverse)
+        if table != "redirected" and kind != "inverse":
+            assert H.certificate().associative == (table == "associative")
+        for rep in reps:
+            if representations._shape_fault(H, rep) is not None:
+                continue
+            got = representations._index_residuals(H, _fresh(rep))
+            want = generator_index_residuals(H, _fresh(rep))
+            for g, w in zip(got, want, strict=True):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert np.array_equal(g, w, equal_nan=True), kind
+
+    def test_the_left_regular_rep_of_an_associative_table_asks_no_generator_pair(
+            self, monkeypatch):
+        asked = []
+        real = representations._multiplicative_by_generators
+
+        def by_generators(G, rep):
+            asked.append(rep)
+            return real(G, rep)
+        monkeypatch.setattr(representations, "_multiplicative_by_generators", by_generators)
+        for G in (pair_groupoid("abcd"), group_groupoid(*cyclic_table(12)),
+                  product(pair_groupoid("abc"), group_groupoid(*symmetric_table(3))),
+                  random_groupoid(SplitMix64(5), max_arrows=64)):
+            mu = HaarSystem(random_invariant_weights(G, SplitMix64(6)))
+            assert G.certificate().associative
+            rep, other = left_regular_rep(G, mu), trivial_rep(G)
+            assert check_representation(G, rep).ok and asked == []
+            assert check_representation(G, other).ok and asked == [other]
+            asked.clear()
+
+    def test_a_valid_rep_sorts_no_shared_row(self, monkeypatch):
+        # every op of a valid rep has its exact inverse law, so none is sorted
+        # for shared rows; a row repeated in op(a) breaks the inverse laws of
+        # a and a^-1 and sends the entries of those two ops, and no other, to
+        # the sort, which finds the row
+        sorted_sizes = []
+
+        class CountedNumpy:  # numpy as representations reads it, np.sort counted
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def sort(a, *args, **kwargs):
+                sorted_sizes.append(np.size(a))
+                return np.sort(a, *args, **kwargs)
+        monkeypatch.setattr(representations, "np", CountedNumpy())
+        G = product(pair_groupoid("abc"), group_groupoid(*cyclic_table(3)))
+        mu = HaarSystem(random_invariant_weights(G, SplitMix64(8)))
+        for rep in (left_regular_rep(G, mu), trivial_rep(G)):
+            assert check_representation(G, rep).ok and sorted_sizes == [0]
+            sorted_sizes.clear()
+        rep = left_regular_rep(G, mu)
+        a = 4
+        assert G.inverse[a] != a
+        bad = _corrupted_rep(G, rep, "duplicated", a)
+        assert bad.rows[bad.starts[a] + 1] == bad.rows[bad.starts[a]]
+        report = check_representation(G, bad)
+        assert sorted_sizes == [2 * 9]  # two ops of nine columns
+        witness = f"op({G.arrow_ids[a]}) is not unitary for the fiber weights"
+        assert report.errors[-1].witness == witness
 
 
 # ---------------------------------------------------------------------------
