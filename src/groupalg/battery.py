@@ -159,7 +159,9 @@ def _transport_bounds(G: FiniteGroupoid, mu: HaarSystem, nu: QuasiInvariantMeasu
     m = int(np.bincount(at).max(initial=0))
     gamma = _gamma(max(max(rep.bundle.dims, default=0), m) + 4)
     al, _, be = _field_terms(G, rep)[:3]
-    return (8 * gamma * al[pair // n, None] * sums * be[pair % n, None]).max(axis=0, initial=0.0)
+    with np.errstate(over="ignore"):  # weights far from 1: an inf bound
+        bound = 8 * gamma * al[pair // n, None] * sums * be[pair % n, None]
+    return bound.max(axis=0, initial=0.0)
 
 
 def _integrated_residuals(G: FiniteGroupoid, mu: HaarSystem,

@@ -13,10 +13,12 @@ then reuses.  :func:`translates` proves from them, by one int comparison
 per op entry, that an index rep is the left regular one, which proves it
 multiplicative on an associative table, and :func:`regular_blocks`
 gathers from them the left regular blocks of the integrated
-representations.  It is a module of its own so
-that no module's source grows past the largest: compiling that one sets a
-floor under the peak memory of every process that imports the package from
-source.
+representations.  :func:`isomorphism_fault` reads from them, by int
+comparisons per arrow and per label, which orbits are *-isomorphic to
+M_n tensor C[H], and names the first that it cannot prove by its base.  It
+is a module of its own so that no module's source grows past the largest:
+compiling that one sets a floor under the peak memory of every process that
+imports the package from source.
 """
 
 from __future__ import annotations
@@ -237,3 +239,56 @@ def regular_blocks(G: FiniteGroupoid, rep) -> tuple[BlockPartition, np.ndarray] 
         slots.append(np.repeat(np.arange(sum(m)), np.repeat(ns, m)))
         take += [left.ravel() for left in lefts]
     return BlockPartition.indexed(A, groups, slots), np.concatenate(take)
+
+
+def isomorphism_fault(G: FiniteGroupoid) -> int | None:
+    """The base of the first orbit, by base, on which the *-isomorphism of
+    its convolution algebra onto M_n tensor C[H] is not proved; None when it
+    is proved on every orbit.
+
+    An orbit's proof holds when the certificate proves the table
+    associative (one verdict for the whole table: where it fails, no orbit
+    is proved), :func:`orbit_matrices` keeps the orbit, its base has its
+    unit, a loop at the base (all that the base isotropy group asks of it),
+    every arrow a: y -> x recomposes as
+    tau_x o g_a o tau_y^-1 with g_a the loop numbered ``g[a]`` at the base,
+    and the involution holds by labels: inverse(a) runs x -> y with the
+    label inverse of ``g[a]``.  Kept, the orbit's composites are
+    (x, g, y) o (y, k, z) = (x, gk, z) for one label table that associates
+    and in which right multiplication permutes the labels.  ``left``'s base
+    block holds at [h, k] the label g with gk = h; when its diagonal is one
+    label e, e is a left identity, so the table is a group (with the inverse
+    of k at [e, k]) and the orbit is a groupoid isomorphic to pair(n) x H,
+    H the loops at the base.  Then every delta product and every star agrees
+    with its image under (x, g, y) -> e_xy tensor g: each check is one int
+    comparison per arrow or per label, and no composable pair is scanned.
+    """
+    base, members, tau, count, g = G.orbit_index
+    proved = np.zeros(G.n_objects, dtype=bool)
+    om = orbit_matrices(G)
+    if om.right and G.certificate().associative:
+        src, tgt, inverse = G.src, G.tgt, G.inverse
+        unit = np.array([-1 if u is None else u for u in G.unit_of], dtype=np.intp)
+        for left, right in zip(om.left, om.right):
+            m, h = len(right), left.shape[1] // right.shape[2]
+            at = right.reshape(m, -1)  # the arrows of each orbit
+            b, u = tgt[at[:, 0]], unit[tgt[at[:, 0]]]  # [o, 0, 0] is a loop at the base
+            div = g[left[:, :h, :h]]  # [o, h, k]: the label g with gk = h
+            e = div[:, 0, 0]
+            inv = inverse[at]
+            proved[b] = ((u >= 0) & (src[u] == b) & (tgt[u] == b)
+                         & (div.diagonal(axis1=1, axis2=2) == e[:, None]).all(axis=1)
+                         & (g[inv] == div[np.arange(m)[:, None], e[:, None], g[at]]).all(axis=1)
+                         & (src[inv] == tgt[at]).all(axis=1) & (tgt[inv] == src[at]).all(axis=1))
+        # the factorization recomposes, through the loops at each base in arrow order
+        arrows = np.concatenate([right.ravel() for right in om.right])
+        loops = np.flatnonzero((src == tgt) & (src == base[src]))
+        loops = loops[np.argsort(src[loops], kind="stable")]
+        x, y = tgt[arrows], src[arrows]
+        into = G.composites(tau[x], loops[(np.cumsum(count) - count)[base[x]] + g[arrows]])
+        out_of = inverse[tau[y]]
+        bad = (G.composites(into, out_of) != arrows) | (src[into] != tgt[out_of])
+        proved[base[x[bad]]] = False
+    bases = np.flatnonzero(members.size)
+    unproved = bases[~proved[bases]]
+    return int(unproved[0]) if len(unproved) else None

@@ -48,6 +48,11 @@ For the orbit index, which factors each orbit once as the groupoid is
 built: the derivations that ``orbits()``, the generator certificate and
 ``decompose_transitive`` each made from their own ``components`` call, and
 the index itself one object and one arrow at a time.
+For the transitive isomorphism, which is read off the orbit matrices that
+``validate`` keeps wherever they prove it: the check that builds the base
+isotropy group, scans every composable pair and every inverse, and pushes
+two random (f, g) pairs through the table sum and an einsum loop over the
+group.
 For the generator certificate, which runs Light's test on the loop table
 of each orbit that ``orbit_matrices`` keeps: Light's test on the whole
 table.  For ``validate``'s unit and inverse laws, which are array masks:
@@ -808,6 +813,80 @@ def derived_decomposition(G) -> TransitiveDecomposition:
         a = int(np.argmin(g_index))
         raise ValueError(f"arrow {G.arrow_ids[a]} does not factor through the base isotropy")
     return TransitiveDecomposition(base, tuple(tau.tolist()), iso, g_index)
+
+
+def group_algebra_product(iso, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Product in M_n tensor C[iso]; tensors indexed [tgt, src, group]."""
+    out = np.zeros_like(A)
+    for g1 in range(iso.order):
+        out += np.einsum("xy,yzg->xzg", A[:, :, g1], B[:, :, iso.left_div[g1]])
+    return out
+
+
+def scanned_transitive_isomorphism_check(G, mu=None, atol=None, trials: int = 2) -> Report:
+    """``transitive_isomorphism_check`` with no proved path: the base
+    isotropy group built, every composable pair and every inverse scanned,
+    and ``trials`` random (f, g) pairs (two by default; 0 leaves out the
+    linearity section) pushed through the table sum and the tensor
+    product, each gap above atol a ``linearity`` entry and all in the
+    summary's residual."""
+    atol = tolerances.exact_tol(atol)
+    out = Report("transitive-isomorphism")
+    dec = representations.decompose_transitive(G)
+    counting = counting_haar(G)
+    if mu is not None and not np.allclose(mu.weights, 1.0):
+        out.add("weights", "comparison uses counting weights, not the supplied system",
+                severity="note")
+    n, h = G.n_objects, dec.iso.order
+    if G.n_arrows != n * n * h:
+        out.add("dimension",
+                f"|arrows| = {G.n_arrows} != {n}^2 * {h} = {n * n * h}")
+        return out
+    codes = np.sort((G.tgt * h + dec.g_index) * n + G.src)  # one per (tgt, g, src) triple
+    if (codes[1:] == codes[:-1]).any():
+        out.add("injectivity", "two arrows factor to the same (tgt, g, src) triple")
+        return out
+    tau, loops = np.asarray(dec.taus), np.asarray(dec.iso.arrows)
+    left, right = G.composites(tau[G.tgt], loops[dec.g_index]), G.inverse[tau[G.src]]
+    fails = (G.composites(left, right) != np.arange(G.n_arrows)) | (G.src[left] != G.tgt[right])
+    if fails.any():
+        a = int(np.argmax(fails))
+        dec.recompose(G, *dec.factor(G, a))
+        out.add("factorization", f"arrow {G.arrow_ids[a]} does not recompose")
+        return out
+
+    bad_a, bad_b = representations._structure_constant_mismatches(G, dec)
+    bad_star = representations._involution_mismatches(G, dec)
+    worst = 1.0 if len(bad_a) or bad_star.any() else 0.0
+    mismatched: dict[int, list[int]] = {}
+    if 1.0 > atol:
+        for a, b in zip(bad_a.tolist(), bad_b.tolist()):
+            mismatched.setdefault(a, []).append(b)
+    for a in range(G.n_arrows):
+        for b in mismatched.get(a, ()):
+            out.add("structure-constants",
+                    f"delta product at ({G.arrow_ids[a]}, {G.arrow_ids[b]})",
+                    residual=1.0)
+        if bad_star[a] and 1.0 > atol:
+            out.add("involution", f"star image of {G.arrow_ids[a]} disagrees",
+                    residual=1.0)
+
+    rng = SplitMix64(0xC0FFEE)
+    tensor = representations.tensor_of_function
+    for _ in range(trials):
+        f = random_function(G, rng)
+        g = random_function(G, rng)
+        lhs = tensor(G, dec, table_convolve(G, counting, f, g))
+        rhs = group_algebra_product(dec.iso, tensor(G, dec, f), tensor(G, dec, g))
+        err = float(np.abs(lhs - rhs).max())
+        worst = max(worst, err)
+        if err > atol:
+            out.add("linearity", "random linear inputs disagree under the map",
+                    residual=err)
+    out.add("summary",
+            f"bijective *-homomorphism onto M_{n} tensor C[iso of order {h}]",
+            severity="note", residual=worst)
+    return out
 
 
 def looped_orbit_index(G):

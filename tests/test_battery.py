@@ -573,6 +573,28 @@ def test_huge_haar_weights_fail_instead_of_aborting():
     assert not run.ok
 
 
+def test_weights_300_orders_apart_fail_without_a_warning():
+    # pair(3) with exactly invariant Haar weights 1e150, 1e-150 and 1 by
+    # source: the conjugation and transport bounds overflow to inf inside
+    # np.errstate, so the error::RuntimeWarning filter of the test run lets
+    # the battery run to its end, with these five FAIL lines
+    G = pair_groupoid("abc")
+    gdoc = GroupoidDocument(G, np.array([1e150, 1e-150, 1.0])[G.src], None, "strict")
+    run = run_battery(gdoc, seed=1, trials=8)
+    assert len(run.lines) == 1 + len(SUITES)
+    assert [line.render() for line in run.lines if not line.ok] == [
+        "FAIL  convolution-associativity          8 random triples"
+        "  max residual 4.2059189588947847e+284",
+        "FAIL  involution-antihomomorphism        (f*g)^* = g^* * f^*"
+        "  max residual 2.0315759952552563e+134",
+        "FAIL  convolution-paths                  orbit matrix products equal the table sum"
+        "  max residual 1.8730205206624879e+134",
+        "FAIL  integrated-homomorphism            pi(f*g) = pi(f) pi(g)"
+        "  max residual 1.1901942510183196e+284",
+        "FAIL  equivalence-transport              conjugating the rep conjugates the"
+        " integrated rep  max residual inf"]
+
+
 # ---------------------------------------------------------------------------
 # every suite can fail: faults monkeypatched into the names battery imports
 
@@ -703,6 +725,20 @@ def _inverse_redirected(parts):
     return parts._replace(inverse=inverse)
 
 
+def _composite_redirected(real):
+    def transitive_isomorphism_check(G, mu):
+        # on a new groupoid, G with the composite of the first row off
+        # object 0 (the factorization reads the rows at it) moved to the
+        # next arrow: the check must judge that groupoid's orbit matrices
+        first, second, composite = G.compose_table.T
+        i = np.flatnonzero((G.tgt[first] != 0) & (G.src[first] != 0) & (G.src[second] != 0))[0]
+        table = G.compose_table.copy()
+        table[i, 2] = (composite[i] + 1) % G.n_arrows
+        return real(FiniteGroupoid(G.objects, G.src, G.tgt, table, G.inverse, G.unit_of,
+                                   G.arrow_ids), mu)
+    return transitive_isomorphism_check
+
+
 BOTH = ("pair5", "union")
 
 # fault: (the name it replaces in battery, the replacement, the suites that
@@ -748,6 +784,9 @@ FAULTS = {
                                ["fiber-integration", "half-density-positivity"], BOTH),
     "half-density-inner-scaled": ("half_density_inner", _times(1.1),
                                   ["half-density-positivity"], BOTH),
+    # the union is not transitive, so the suite is skipped there
+    "composite-redirected": ("transitive_isomorphism_check", _composite_redirected,
+                             ["transitive-isomorphism"], ("pair5",)),
 }
 
 
@@ -773,17 +812,17 @@ ROW_OUTSIDE = [("trivial_rep", {"trivial-rep-axioms"}),
 UNFAULTED = {
     "haar-positivity", "haar-left-invariance", "nu-normalization",
     "inorm-submultiplicative", "haar-integral-invariance", "integrated-norm-bound",
-    "multiplier-ideal", "transitive-isomorphism", "inorm-convergence-bound",
+    "multiplier-ideal", "inorm-convergence-bound",
 }
 
 
 def test_every_suite_is_failed_by_some_fault_or_is_listed_unfaulted():
-    # the list may only shrink: 9 suites are left
+    # the list may only shrink: 8 suites are left
     faulted = {suite for _, _, suites, _ in FAULTS.values() for suite in suites}
     faulted |= {suite for _, suites in ROW_OUTSIDE for suite in suites}
     assert faulted <= set(SUITES)
     assert UNFAULTED == set(SUITES) - faulted
-    assert len(UNFAULTED) <= 9
+    assert len(UNFAULTED) <= 8
 
 
 @settings(max_examples=25, deadline=None)

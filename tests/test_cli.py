@@ -26,6 +26,9 @@ FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir,
                         "src", "groupalg", "fixtures")
 
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
 def fx(name: str) -> str:
     return os.path.join(FIXTURES, name)
 
@@ -419,6 +422,15 @@ class TestCommands:
         assert main(["equiv", fx("iso-z2.json")]) == 0
         out = capsys.readouterr().out
         assert "isotropy order: 2" in out
+
+    @pytest.mark.parametrize("name", ["pair2", "pair3", "pair3-weighted", "pair4", "iso-z2"])
+    def test_equiv_matches_the_committed_output(self, name, capsys):
+        # each file holds the stdout of `groupalg equiv`, then "exit N"; the
+        # summary's residual is 0, as the orbit matrices prove every law exactly
+        code = main(["equiv", fx(f"{name}.json")])
+        with open(os.path.join(DATA, f"equiv_{name}.txt"), encoding="utf-8") as fh:
+            want = fh.read()
+        assert f"{capsys.readouterr().out}exit {code}\n" == want
 
     def test_integrate_writes_blocks(self, tmp_path):
         out = tmp_path / "op.json"

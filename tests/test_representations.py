@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from groupalg import blocks, representations, tolerances
+from groupalg import blocks, groupoid, haar, representations, tolerances
 from groupalg import (ConjugatedRep, HaarSystem, IndexRep, NotTransitive,
                       QuasiInvariantMeasure, ShapeMismatch, adjoint_operator, canonical_bundle,
                       check_representation, conjugate_rep_on, convolve,
@@ -28,7 +28,7 @@ from groupalg.builders import (cyclic_table, disjoint_union, group_groupoid,
                                klein_table, pair_groupoid, product,
                                symmetric_table)
 from groupalg.groupoid import FiniteGroupoid, components, isotropy
-from groupalg.orbits import orbit_matrices
+from groupalg.orbits import isomorphism_fault, orbit_matrices
 from groupalg.battery import run_battery
 from groupalg.io import GroupoidDocument, load_groupoid, parse_groupoid_document
 from groupalg.randgen import (SplitMix64, _group_table, random_function, random_groupoid,
@@ -40,11 +40,12 @@ from groupalg.representations import (HilbertBundle, bundle_metric, integrated_b
                                       tensor_of_function)
 
 from oracles import (DenseRep, benchmark_documents, dense_check, dense_of,
-                     dense_residuals, every_block_norms, generator_bound, indicators,
-                     looped_field_terms,
+                     dense_residuals, every_block_norms, generator_bound,
+                     group_algebra_product, indicators, looped_field_terms,
                      nonzero_operator_norm, norm_groupoids, pair_layers_ops,
                      generator_index_residuals, scanned_index_residuals,
-                     scatter_integrate, support_blocks, svd_fundamental_family_check)
+                     scanned_transitive_isomorphism_check, scatter_integrate,
+                     support_blocks, svd_fundamental_family_check)
 
 
 def weighted_inner(bundle, nu, u, v):
@@ -698,7 +699,8 @@ def _brute_force_group_algebra_star(iso, A):
 def _brute_force_transitive_check(G, mu=None, atol=None):
     """The isomorphism check by convolving every pair of arrow deltas, as the
     table sums them, and multiplying their images: the oracle for
-    transitive_isomorphism_check."""
+    transitive_isomorphism_check.  Linear inputs are judged on their own
+    (TestTransitiveIsomorphism.test_the_tensor_image_is_multiplicative_on_linear_inputs)."""
     atol = tolerances.exact_tol(atol)
     out = Report("transitive-isomorphism")
     dec = decompose_transitive(G)
@@ -741,18 +743,6 @@ def _brute_force_transitive_check(G, mu=None, atol=None):
             out.add("involution", f"star image of {G.arrow_ids[a]} disagrees",
                     residual=err)
 
-    rng = SplitMix64(0xC0FFEE)
-    for _ in range(2):
-        f = random_function(G, rng)
-        g = random_function(G, rng)
-        lhs = tensor_of_function(G, dec, table_convolve(G, counting, f, g))
-        rhs = _brute_force_group_algebra_product(dec.iso, tensor_of_function(G, dec, f),
-                                                 tensor_of_function(G, dec, g))
-        err = float(np.abs(lhs - rhs).max())
-        worst = max(worst, err)
-        if err > atol:
-            out.add("linearity", "random linear inputs disagree under the map",
-                    residual=err)
     out.add("summary",
             f"bijective *-homomorphism onto M_{n} tensor C[iso of order {h}]",
             severity="note", residual=worst)
@@ -1030,14 +1020,147 @@ class TestStructureConstantOracle:
 
     def test_no_delta_convolutions(self, monkeypatch):
         calls = []
-        real = representations.table_convolve
+        real = haar.table_convolve
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
-        monkeypatch.setattr(representations, "table_convolve", counted)
+        monkeypatch.setattr(haar, "table_convolve", counted)
         assert transitive_isomorphism_check(pair_groupoid("abcdef")).ok
-        assert len(calls) <= 2
+        assert not calls
+
+
+_ISOTROPY = {"1": cyclic_table(1), "Z2": cyclic_table(2), "Z3": cyclic_table(3),
+             "Z4": cyclic_table(4), "Klein": klein_table(), "S3": symmetric_table(3)}
+
+
+def _renumbered(G, perm):
+    """G with arrow perm[i] renamed i."""
+    new = np.argsort(perm)
+    return FiniteGroupoid(G.objects, G.src[perm], G.tgt[perm], new[G.compose_table],
+                          new[G.inverse[perm]], new[G.unit_of])
+
+
+class TestProvedTransitiveIsomorphism:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 4), iso=st.sampled_from(sorted(_ISOTROPY)),
+           seed=st.integers(0, 2 ** 32 - 1),
+           corruption=st.sampled_from([None, "redirected", "dropped", "inverse-moved"]),
+           weighted=st.booleans())
+    def test_reports_are_those_of_the_scans(self, n, iso, seed, corruption, weighted):
+        # pair(n) x H with its arrows renumbered at random, so the base's unit
+        # is not always its first loop, clean or with one composite
+        # redirected, one row dropped or one inverse moved: the report, or
+        # what is raised, is the scans', less their linearity trials
+        rng = np.random.default_rng(seed)
+        G = product(pair_groupoid("abcd"[:n]), group_groupoid(*_ISOTROPY[iso]))
+        G = _renumbered(G, rng.permutation(G.n_arrows))
+        A, table, inverse = G.n_arrows, G.compose_table.copy(), G.inverse.copy()
+        i = int(rng.integers(len(table)))
+        if corruption == "redirected" and A > 1:
+            table[i, 2] = (table[i, 2] + rng.integers(1, A)) % A
+        elif corruption == "dropped":
+            table = np.delete(table, i, axis=0)
+        elif corruption == "inverse-moved" and A > 1:
+            a = int(rng.integers(A))
+            inverse[a] = (inverse[a] + rng.integers(1, A)) % A
+        H = _rebuilt(G, table, inverse)
+        mu = HaarSystem(np.full(A, 2.0)) if weighted else None
+        got = _outcome(lambda K: transitive_isomorphism_check(K, mu), H)
+        assert got == _outcome(
+            lambda K: scanned_transitive_isomorphism_check(K, mu, trials=0), H)
+        if corruption is None or A == 1 and corruption != "dropped":
+            assert isomorphism_fault(H) is None
+            assert got.startswith("transitive-isomorphism: ok")
+            assert got.endswith(" (residual 0)")
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_the_fault_names_the_first_orbit_not_proved_on_its_own(self, seed):
+        # a union of renumbered pair(n) x H, some with one inverse moved: the
+        # union's verdict names the base of the first piece whose own verdict
+        # fails, and a piece proved on its own passes the scans
+        rng = np.random.default_rng(seed)
+        pieces, bases = [], [0]
+        for _ in range(int(rng.integers(1, 4))):
+            G = product(pair_groupoid("abc"[:int(rng.integers(1, 4))]),
+                        group_groupoid(*_ISOTROPY[sorted(_ISOTROPY)[int(rng.integers(6))]]))
+            G = _renumbered(G, rng.permutation(G.n_arrows))
+            inverse = G.inverse.copy()
+            if G.n_arrows > 1 and rng.random() < 0.4:
+                a = int(rng.integers(G.n_arrows))
+                inverse[a] = (inverse[a] + rng.integers(1, G.n_arrows)) % G.n_arrows
+            pieces.append(_rebuilt(G, inverse=inverse))
+            bases.append(bases[-1] + G.n_objects)
+        want = next((b for b, G in zip(bases, pieces) if isomorphism_fault(G) is not None),
+                    None)
+        assert isomorphism_fault(disjoint_union(*pieces)) == want
+        for G in pieces:
+            if isomorphism_fault(G) is None:
+                assert scanned_transitive_isomorphism_check(G, trials=0).ok
+
+    @pytest.mark.parametrize("fault, n", [("loop-of-order-5", 1), ("loop-of-order-5", 3),
+                                          ("no-unit", 1), ("no-unit", 3),
+                                          ("unit-off-the-base", 2), ("unit-off-the-base", 3)])
+    def test_an_orbit_kept_but_not_a_group_is_not_proved(self, fault, n):
+        # orbit_matrices keeps these orbits, yet the scans fail or raise:
+        # labels from the smallest loop that does not associate (a Latin
+        # square with identity), or the base without its unit loop
+        if fault == "loop-of-order-5":
+            L5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                  [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+            H = product(pair_groupoid("abc"[:n]), group_groupoid("abcde", L5))
+        else:
+            G = product(pair_groupoid("abc"[:n]), group_groupoid(*cyclic_table(3)))
+            unit_of = list(G.unit_of)
+            unit_of[0] = None if fault == "no-unit" else G.n_arrows - 1
+            H = FiniteGroupoid(G.objects, G.src, G.tgt, G.compose_table, G.inverse, unit_of)
+        assert isomorphism_fault(H) == 0
+        got = _outcome(transitive_isomorphism_check, H)
+        assert got == _outcome(lambda K: scanned_transitive_isomorphism_check(K, trials=0), H)
+        assert not got.startswith("transitive-isomorphism: ok")
+
+    def test_the_clean_pass_path_runs_no_scan(self, monkeypatch):
+        groupoids = {"pair6": pair_groupoid("abcdef"), **_differential_groupoids()}
+        want = {name: str(scanned_transitive_isomorphism_check(G, trials=0))
+                for name, G in groupoids.items()}
+        calls = []
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        for module, name in [(representations, "_structure_constant_mismatches"),
+                             (representations, "_involution_mismatches"),
+                             (representations, "tensor_of_function"),
+                             (representations, "isotropy"), (groupoid, "isotropy"),
+                             (groupoid.IsotropyGroup, "__init__"),
+                             (haar, "table_convolve")]:
+            count(module, name)
+        for name, G in groupoids.items():
+            assert str(transitive_isomorphism_check(G)) == want[name], name
+        assert calls == []
+
+    @pytest.mark.parametrize("name", list(_differential_groupoids()))
+    def test_the_tensor_image_is_multiplicative_on_linear_inputs(self, name):
+        # the law that the random-input trials once judged inside the check:
+        # the image of the table sum is the product of the images
+        G = _differential_groupoids()[name]
+        dec = decompose_transitive(G)
+        counting = counting_haar(G)
+        rng = SplitMix64(0xC0FFEE)
+        for _ in range(4):
+            f, g = random_function(G, rng), random_function(G, rng)
+            lhs = tensor_of_function(G, dec, table_convolve(G, counting, f, g))
+            A, B = tensor_of_function(G, dec, f), tensor_of_function(G, dec, g)
+            rhs = _brute_force_group_algebra_product(dec.iso, A, B)
+            assert np.abs(lhs - rhs).max() <= tolerances.EXACT
+            assert np.array_equal(rhs, group_algebra_product(dec.iso, A, B))
+        # and the scans' own two trials find no linearity gap
+        assert scanned_transitive_isomorphism_check(G).ok
 
 
 class TestFundamentalFamily:
