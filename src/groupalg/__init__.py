@@ -9,10 +9,9 @@ from .errors import (DomainMismatch, FileFormatError, GroupalgError, NotClosed,
                      NotRelationGroupoid, NotTransitive, ShapeMismatch,
                      SystemInvalid, UndefinedProduct, UnknownLabel,
                      UnknownObject, UsageError)
-from .groupoid import (FiniteGroupoid, GroupoidMorphism, IsotropyGroup,
-                       MultiplierSets, build_from_relation, isotropy,
-                       isotropy_bundle, isotropy_parts, morphism_report, multipliers,
-                       relation_isomorphism, validate)
+from .groupoid import (FiniteGroupoid, GroupoidMorphism, MultiplierSets,
+                       build_from_relation, isotropy_bundle, isotropy_parts,
+                       morphism_report, multipliers, relation_isomorphism, validate)
 from .haar import (HaarSystem, check_left_invariance, convolve, counting_haar,
                    delta, fiber_integrate, function_to_matrix,
                    half_density_inner, i_norm, involute, source_haar,
@@ -26,9 +25,8 @@ from .partial_algebra import (StructureTable, SubspaceBasis,
 from .report import Report, ReportEntry
 from .representations import (ConjugatedRep, HilbertBundle, IndexRep,
                               InducedMeasures, QuasiInvariantMeasure,
-                              TransitiveDecomposition, adjoint_operator,
-                              canonical_bundle, check_representation,
-                              conjugate_rep_on, decompose_transitive,
+                              adjoint_operator, canonical_bundle,
+                              check_representation, conjugate_rep_on,
                               fundamental_family_check, induced_measures,
                               integrate_rep, integrated_blocks,
                               left_regular_rep, transitive_isomorphism_check,

@@ -32,8 +32,7 @@ from .inductive import check_system, limit
 from .partial_algebra import (check_star_compatibility, extract_relation,
                               ideal_closure_check, multiplier_subspace)
 from .report import Report
-from .representations import (check_representation, decompose_transitive,
-                              integrate_rep, left_regular_rep,
+from .representations import (check_representation, integrate_rep, left_regular_rep,
                               transitive_isomorphism_check, trivial_rep)
 
 
@@ -203,12 +202,12 @@ def cmd_equiv(args) -> int:
     gdoc = io.load_groupoid(args.file)
     G = gdoc.groupoid
     mu, _ = gdoc.measures()
-    dec = decompose_transitive(G)
-    print(f"base object: {G.objects[dec.base]}")
-    print(f"isotropy order: {dec.iso.order}")
-    print("trivializing arrows:",
-          " ".join(G.arrow_ids[t] for t in dec.taus))
-    return _print_report(transitive_isomorphism_check(G, mu))
+    rep = transitive_isomorphism_check(G, mu)  # raises NotTransitive before a line is printed
+    _, _, tau, loops, _ = G.orbit_index
+    print(f"base object: {G.objects[0]}")
+    print(f"isotropy order: {loops[0]}")
+    print("trivializing arrows:", " ".join(G.arrow_ids[t] for t in tau.tolist()))
+    return _print_report(rep)
 
 
 def cmd_limit(args) -> int:

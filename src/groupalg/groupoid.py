@@ -790,61 +790,6 @@ def multipliers(G: FiniteGroupoid) -> MultiplierSets:
 # ---------------------------------------------------------------------------
 # isotropy
 
-class IsotropyGroup:
-    """The group of loops at one object, with an index-level Cayley table.
-
-    ``position`` maps every arrow to its index among the loops, -1 off
-    them, and has one more slot, -1, so that reading it at the -1 of an
-    undefined product gives -1.
-    """
-
-    def __init__(self, G: FiniteGroupoid, x: int):
-        G._check_object(x)
-        self.groupoid = G
-        self.object = x
-        loops = G.target_fibers.of(x)
-        loops = loops[G.src[loops] == x]
-        self.arrows: tuple[int, ...] = tuple(loops.tolist())
-        u = G.unit_of[x]
-        if u is None or u not in self.arrows:
-            raise ValueError(f"object {G.objects[x]} has no unit loop")
-        self.unit_index = self.arrows.index(u)
-        self.position, products = _cayley(G, loops)
-        self.position.flags.writeable = False
-        if (products < 0).any():  # compose raises on the first undefined product
-            G.compose(*loops[np.argwhere(products < 0)[0]])
-        table = self.position[products]
-        inverse = self.position[G.inverse[loops]]
-        aid, here = G.arrow_ids, G.objects[x]
-        if (table < 0).any():
-            i, j = np.argwhere(table < 0)[0]
-            raise ValueError(f"{aid[loops[i]]} o {aid[loops[j]]} = {aid[products[i, j]]} "
-                             f"is not a loop at {here}")
-        if (inverse < 0).any():
-            a = loops[np.flatnonzero(inverse < 0)[0]]
-            raise ValueError(f"inverse({aid[a]}) = {aid[G.inverse[a]]} is not a loop at {here}")
-        self.table = table.tolist()
-        self.inverse_table = inverse.tolist()
-        # left_div[i, g] = mult(inv(i), g), the g1-th row of the group algebra product
-        self.left_div = table[inverse]
-        self.left_div.flags.writeable = False
-
-    @property
-    def order(self) -> int:
-        return len(self.arrows)
-
-    def mult(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def inv(self, i: int) -> int:
-        return self.inverse_table[i]
-
-
-def isotropy(G: FiniteGroupoid, x: int) -> IsotropyGroup:
-    """The isotropy group at object ``x``: arrows x -> x under composition."""
-    return IsotropyGroup(G, x)
-
-
 class IsotropyParts(NamedTuple):
     """The constructor arguments of the isotropy bundle, named as the
     :class:`FiniteGroupoid` attributes they become."""

@@ -15,7 +15,11 @@ multiplicative on an associative table, and :func:`regular_blocks`
 gathers from them the left regular blocks of the integrated
 representations.  :func:`isomorphism_fault` reads from them, by int
 comparisons per arrow and per label, which orbits are *-isomorphic to
-M_n tensor C[H], and names the first that it cannot prove by its base.  It
+M_n tensor C[H], and names the first that it cannot prove by its base and
+the first condition of the proof that fails there: it is the one path of
+:func:`representations.transitive_isomorphism_check`, whose scans of every
+composable pair and every inverse live on in ``tests/oracles.py`` as its
+reference.  It
 is a module of its own so that no module's source grows past the largest:
 compiling that one sets a floor under the peak memory of every process that
 imports the package from source.
@@ -241,54 +245,66 @@ def regular_blocks(G: FiniteGroupoid, rep) -> tuple[BlockPartition, np.ndarray] 
     return BlockPartition.indexed(A, groups, slots), np.concatenate(take)
 
 
-def isomorphism_fault(G: FiniteGroupoid) -> int | None:
-    """The base of the first orbit, by base, on which the *-isomorphism of
-    its convolution algebra onto M_n tensor C[H] is not proved; None when it
-    is proved on every orbit.
+# the conditions of :func:`isomorphism_fault`'s proof, in the order it tries
+# them, each with the words of a report entry where it fails
+PROOF = {"associativity": "the table is not proved associative",
+         "orbit-matrices": "the table does not factor through the base as M_n tensor C[H]",
+         "unit": "the base has no unit loop",
+         "involution": "the inverses are not those of the labels"}
 
-    An orbit's proof holds when the certificate proves the table
-    associative (one verdict for the whole table: where it fails, no orbit
-    is proved), :func:`orbit_matrices` keeps the orbit, its base has its
-    unit, a loop at the base (all that the base isotropy group asks of it),
-    every arrow a: y -> x recomposes as
-    tau_x o g_a o tau_y^-1 with g_a the loop numbered ``g[a]`` at the base,
-    and the involution holds by labels: inverse(a) runs x -> y with the
-    label inverse of ``g[a]``.  Kept, the orbit's composites are
-    (x, g, y) o (y, k, z) = (x, gk, z) for one label table that associates
-    and in which right multiplication permutes the labels.  ``left``'s base
-    block holds at [h, k] the label g with gk = h; when its diagonal is one
-    label e, e is a left identity, so the table is a group (with the inverse
-    of k at [e, k]) and the orbit is a groupoid isomorphic to pair(n) x H,
-    H the loops at the base.  Then every delta product and every star agrees
-    with its image under (x, g, y) -> e_xy tensor g: each check is one int
-    comparison per arrow or per label, and no composable pair is scanned.
+
+def isomorphism_fault(G: FiniteGroupoid) -> tuple[int, str] | None:
+    """The base of the first orbit, by base, on which the *-isomorphism of
+    its convolution algebra onto M_n tensor C[H] is not proved, and the
+    first condition of :data:`PROOF` that fails there; None when it is
+    proved on every orbit.
+
+    The conditions, in order: the certificate proves the table associative
+    (one verdict for the whole table: where it fails, no orbit is proved);
+    :func:`orbit_matrices` keeps the orbit; its base has its unit, a loop at
+    the base (all that the base isotropy group asks of it); and the
+    involution holds by labels: inverse(a) runs x -> y with the label e'
+    that ``left``'s base block, [h, k] the g with gk = h, holds at
+    [e, g[a]], for e its entry at [0, 0].  Each is one int comparison per
+    arrow or per label, and no composable pair is scanned.
+
+    They prove the orbit isomorphic to pair(n) x H, H the loops at the
+    base b.  Kept and associative, its table is (x, g, y) o (y, k, z) =
+    (x, gk, z) for an associative label table in which right
+    multiplication by each label permutes the labels.  The involution puts
+    i = inverse(tau_b), tau_b the first loop at b, in the orbit, so by the
+    definition of g (:class:`~groupalg.groupoid.OrbitIndex`) a -> i o a o
+    tau_b sends each loop a at b to the loop numbered g[a]: it permutes
+    the loops at b, so l -> g_i l g_tau permutes the labels, and so does
+    l -> g_i l.  The f with f g_i = g_i is then a left identity
+    (f g_i l = g_i l), every k has a k' with k' k = f, and the label table
+    is a group: e is its identity and e' is g[a]^-1.  So inverse is the
+    groupoid's inverse, and every arrow a: y -> x recomposes, as
+    a = tau_x o (tau_x^-1 o a o tau_y) o tau_y^-1 and the middle factor is
+    the loop numbered g[a]: neither a left identity nor the recomposition
+    needs a comparison of its own.  Every delta product and every star then
+    agrees with its image under (x, g, y) -> e_xy tensor g.
     """
-    base, members, tau, count, g = G.orbit_index
-    proved = np.zeros(G.n_objects, dtype=bool)
-    om = orbit_matrices(G)
-    if om.right and G.certificate().associative:
-        src, tgt, inverse = G.src, G.tgt, G.inverse
-        unit = np.array([-1 if u is None else u for u in G.unit_of], dtype=np.intp)
-        for left, right in zip(om.left, om.right):
-            m, h = len(right), left.shape[1] // right.shape[2]
-            at = right.reshape(m, -1)  # the arrows of each orbit
-            b, u = tgt[at[:, 0]], unit[tgt[at[:, 0]]]  # [o, 0, 0] is a loop at the base
-            div = g[left[:, :h, :h]]  # [o, h, k]: the label g with gk = h
-            e = div[:, 0, 0]
-            inv = inverse[at]
-            proved[b] = ((u >= 0) & (src[u] == b) & (tgt[u] == b)
-                         & (div.diagonal(axis1=1, axis2=2) == e[:, None]).all(axis=1)
-                         & (g[inv] == div[np.arange(m)[:, None], e[:, None], g[at]]).all(axis=1)
-                         & (src[inv] == tgt[at]).all(axis=1) & (tgt[inv] == src[at]).all(axis=1))
-        # the factorization recomposes, through the loops at each base in arrow order
-        arrows = np.concatenate([right.ravel() for right in om.right])
-        loops = np.flatnonzero((src == tgt) & (src == base[src]))
-        loops = loops[np.argsort(src[loops], kind="stable")]
-        x, y = tgt[arrows], src[arrows]
-        into = G.composites(tau[x], loops[(np.cumsum(count) - count)[base[x]] + g[arrows]])
-        out_of = inverse[tau[y]]
-        bad = (G.composites(into, out_of) != arrows) | (src[into] != tgt[out_of])
-        proved[base[x[bad]]] = False
+    _, members, _, _, g = G.orbit_index
     bases = np.flatnonzero(members.size)
-    unproved = bases[~proved[bases]]
-    return int(unproved[0]) if len(unproved) else None
+    if not len(bases):
+        return None
+    conditions = list(PROOF)
+    if not G.certificate().associative:
+        return int(bases[0]), conditions[0]
+    src, tgt, inverse = G.src, G.tgt, G.inverse
+    unit = np.array([-1 if u is None else u for u in G.unit_of], dtype=np.intp)
+    held = np.ones(G.n_objects, dtype=np.intp)  # the conditions each base holds, in order
+    om = orbit_matrices(G)
+    for left, right in zip(om.left, om.right):
+        m, h = len(right), left.shape[1] // right.shape[2]
+        at = right.reshape(m, -1)  # the arrows of each orbit
+        b, u = tgt[at[:, 0]], unit[tgt[at[:, 0]]]  # [o, 0, 0] is a loop at the base
+        div = g[left[:, :h, :h]]  # [o, h, k]: the label g with gk = h
+        e, inv = div[:, 0, 0], inverse[at]
+        unit_held = (u >= 0) & (src[u] == b) & (tgt[u] == b)
+        star = ((g[inv] == div[np.arange(m)[:, None], e[:, None], g[at]]).all(axis=1)
+                & (src[inv] == tgt[at]).all(axis=1) & (tgt[inv] == src[at]).all(axis=1))
+        held[b] = 2 + unit_held * (1 + star)
+    unproved = bases[held[bases] < len(conditions)]
+    return (int(unproved[0]), conditions[held[unproved[0]]]) if len(unproved) else None

@@ -48,11 +48,12 @@ For the orbit index, which factors each orbit once as the groupoid is
 built: the derivations that ``orbits()``, the generator certificate and
 ``decompose_transitive`` each made from their own ``components`` call, and
 the index itself one object and one arrow at a time.
-For the transitive isomorphism, which is read off the orbit matrices that
-``validate`` keeps wherever they prove it: the check that builds the base
-isotropy group, scans every composable pair and every inverse, and pushes
-two random (f, g) pairs through the table sum and an einsum loop over the
-group.
+For the transitive isomorphism, which is proved from the orbit matrices
+that ``validate`` keeps (``orbits.isomorphism_fault``) and has no other
+path: the check that builds the base isotropy group (``IsotropyGroup``,
+``isotropy``) and the factorization (``decompose_transitive``), scans
+every composable pair and every inverse, and pushes two random (f, g)
+pairs through the table sum and an einsum loop over the group.
 For the generator certificate, which runs Light's test on the loop table
 of each orbit that ``orbit_matrices`` keeps: Light's test on the whole
 table.  For ``validate``'s unit and inverse laws, which are array masks:
@@ -78,7 +79,7 @@ import os
 import random
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,8 +90,8 @@ from groupalg.blocks import BlockOperator, BlockPartition
 from groupalg.errors import (FileFormatError, NotClosed, NotTransitive, ShapeMismatch,
                              UndefinedProduct, UnknownLabel)
 from groupalg.builders import group_groupoid, pair_groupoid, product, symmetric_table
-from groupalg.groupoid import (FiniteGroupoid, _composable, _fibers, _joined, _name_missing,
-                               _ranges, _triples, components, isotropy)
+from groupalg.groupoid import (FiniteGroupoid, _cayley, _composable, _fibers, _joined,
+                               _name_missing, _ranges, _triples, components)
 from groupalg.haar import (HaarSystem, _as_function, convolve, counting_haar,
                            function_to_matrix, i_norm, involute, support_fiber_mass,
                            table_convolve, unit_function)
@@ -99,9 +100,9 @@ from groupalg.partial_algebra import _label
 from groupalg.randgen import SplitMix64, random_function, random_groupoid
 from groupalg.report import Report, _worst
 from groupalg.representations import (ConjugatedRep, HilbertBundle, IndexRep,
-                                      QuasiInvariantMeasure, TransitiveDecomposition,
-                                      _coefficients, _column_gaps, adjoint_operator,
-                                      bundle_factors, induced_measures, operator_norm)
+                                      QuasiInvariantMeasure, _coefficients, _column_gaps,
+                                      adjoint_operator, bundle_factors, induced_measures,
+                                      operator_norm)
 
 
 @dataclass(frozen=True)
@@ -795,6 +796,159 @@ def certificate_out_of_base(G) -> np.ndarray:
     return out_of_base
 
 
+class IsotropyGroup:
+    """The group of loops at one object, with an index-level Cayley table.
+
+    ``position`` maps every arrow to its index among the loops, -1 off
+    them, and has one more slot, -1, so that reading it at the -1 of an
+    undefined product gives -1.
+    """
+
+    def __init__(self, G: FiniteGroupoid, x: int):
+        G._check_object(x)
+        self.groupoid = G
+        self.object = x
+        loops = G.target_fibers.of(x)
+        loops = loops[G.src[loops] == x]
+        self.arrows: tuple[int, ...] = tuple(loops.tolist())
+        u = G.unit_of[x]
+        if u is None or u not in self.arrows:
+            raise ValueError(f"object {G.objects[x]} has no unit loop")
+        self.unit_index = self.arrows.index(u)
+        self.position, products = _cayley(G, loops)
+        self.position.flags.writeable = False
+        if (products < 0).any():  # compose raises on the first undefined product
+            G.compose(*loops[np.argwhere(products < 0)[0]])
+        table = self.position[products]
+        inverse = self.position[G.inverse[loops]]
+        aid, here = G.arrow_ids, G.objects[x]
+        if (table < 0).any():
+            i, j = np.argwhere(table < 0)[0]
+            raise ValueError(f"{aid[loops[i]]} o {aid[loops[j]]} = {aid[products[i, j]]} "
+                             f"is not a loop at {here}")
+        if (inverse < 0).any():
+            a = loops[np.flatnonzero(inverse < 0)[0]]
+            raise ValueError(f"inverse({aid[a]}) = {aid[G.inverse[a]]} is not a loop at {here}")
+        self.table = table.tolist()
+        self.inverse_table = inverse.tolist()
+        # left_div[i, g] = mult(inv(i), g), the g1-th row of the group algebra product
+        self.left_div = table[inverse]
+        self.left_div.flags.writeable = False
+
+    @property
+    def order(self) -> int:
+        return len(self.arrows)
+
+    def mult(self, i: int, j: int) -> int:
+        return self.table[i][j]
+
+    def inv(self, i: int) -> int:
+        return self.inverse_table[i]
+
+
+def isotropy(G: FiniteGroupoid, x: int) -> IsotropyGroup:
+    """The isotropy group at object ``x``: arrows x -> x under composition."""
+    return IsotropyGroup(G, x)
+
+
+@dataclass(frozen=True)
+class TransitiveDecomposition:
+    """Base object, trivializing arrows, the base isotropy group, and the
+    factorization of every arrow.
+
+    ``taus[x]`` runs base -> x; the factorization of an arrow a: y -> x is
+    the unique triple (x, g, y) with a = taus[x] o g o taus[y]^-1 and g a
+    loop at the base; ``g_index[a]`` is the index of g in ``iso``.
+    """
+
+    base: int
+    taus: tuple[int, ...]
+    iso: IsotropyGroup
+    g_index: np.ndarray = field(compare=False, repr=False)
+
+    def factor(self, G: FiniteGroupoid, a: int) -> tuple[int, int, int]:
+        return int(G.tgt[a]), int(self.g_index[a]), int(G.src[a])
+
+    def recompose(self, G: FiniteGroupoid, x: int, g_index: int, y: int) -> int:
+        g = self.iso.arrows[g_index]
+        return G.compose(G.compose(self.taus[x], g), G.inverse[self.taus[y]])
+
+
+def decompose_transitive(G: FiniteGroupoid) -> TransitiveDecomposition:
+    """The factorization of G's orbit index, on base object 0, checked:
+    every object has its tau, the base loops form a group and every arrow
+    factors."""
+    if not G.is_transitive() or G.n_objects == 0:
+        raise NotTransitive("groupoid is not transitive")
+    base = 0
+    _, _, tau, _, g_index = G.orbit_index
+    if (tau == G.n_arrows).any():
+        raise NotTransitive(f"no arrow from base into {G.objects[np.argmax(tau == G.n_arrows)]}")
+    iso = isotropy(G, base)
+    if (g_index < 0).any():
+        a = int(np.argmin(g_index))
+        raise ValueError(f"arrow {G.arrow_ids[a]} does not factor through the base isotropy")
+    return TransitiveDecomposition(base, tuple(tau.tolist()), iso, g_index)
+
+
+def _structure_constant_mismatches(G: FiniteGroupoid, dec: TransitiveDecomposition):
+    """Arrow pairs (a, b), in (a, b) order, at which the delta product and the
+    product of the images disagree.
+
+    With counting weights delta_a * delta_b is delta_c for the table row
+    (a, b, c), or zero where the table has no row.  The image side
+    e_xy(g_a) e_y'z(g_b) is zero unless y == y', and otherwise e_xz tensor
+    the sum of the group elements g with left_div[g_a, g] == g_b: a single
+    element when the base isotropy table is a group, any number when it is
+    corrupted.  The two sides agree exactly when both are zero or both are
+    the same single (tgt, src, group) entry; every other pair differs by 1.
+    """
+    left_div, h = dec.iso.left_div, dec.iso.order
+    # size[i, j] = |{g : left_div[i, g] == j}|
+    size = np.bincount(np.arange(h).repeat(h) * h + left_div.ravel(),
+                       minlength=h * h).reshape(h, h)
+    src, tgt, gi = G.src, G.tgt, dec.g_index
+    a, b, c = G._pair_products()  # the composable pairs, y == y'
+    k = size[gi[a], gi[b]]
+    cc = np.where(c >= 0, c, 0)
+    agree = np.where(c >= 0,
+                     (k == 1) & (tgt[cc] == tgt[a]) & (src[cc] == src[b])
+                     & (left_div[gi[a], gi[cc]] == gi[b]),
+                     k == 0)
+    first, second, _ = G.compose_table.T
+    rows, off = G._endpoint_faults()
+    off = rows[off]  # the table rows on pairs with y != y'
+    bad_a = np.concatenate([a[~agree], first[off]])
+    bad_b = np.concatenate([b[~agree], second[off]])
+    order = np.lexsort((bad_b, bad_a))
+    return bad_a[order], bad_b[order]
+
+
+def _involution_mismatches(G: FiniteGroupoid, dec: TransitiveDecomposition) -> np.ndarray:
+    """Mask of the arrows a at which the image of the involute of delta_a and
+    the star of the image of delta_a disagree.
+
+    The involute of delta_a is the indicator of {b : inverse[b] == a}, whose
+    image is 1 at the cells (tgt b, src b, g_index[b]); the star of the image
+    of delta_a is 1 at the cells (src a, tgt a, g) with inv(g) == g_index[a].
+    Both are 0/1 tensors (distinct arrows factor to distinct cells), so they
+    differ by exactly 1 unless the two cell sets are equal.  Each (a, cell)
+    pair is coded as one integer; a code found once is in one set only.
+    """
+    n, h = G.n_objects, dec.iso.order
+    src, tgt, gi = G.src, G.tgt, dec.g_index
+    cells = n * n * h
+    inv = np.asarray(dec.iso.inverse_table, dtype=np.intp)
+    a, g = np.nonzero(inv[None, :] == gi[:, None])
+    codes = np.concatenate([
+        G.inverse * cells + (tgt * n + src) * h + gi,
+        a * cells + (src[a] * n + tgt[a]) * h + g])
+    code, count = np.unique(codes, return_counts=True)
+    bad = np.zeros(G.n_arrows, dtype=bool)
+    bad[code[count == 1] // cells] = True
+    return bad
+
+
 def derived_decomposition(G) -> TransitiveDecomposition:
     """``decompose_transitive`` with its own orbits and tau, and g numbered
     by the base isotropy group's positions of a double composites lookup."""
@@ -832,7 +986,7 @@ def scanned_transitive_isomorphism_check(G, mu=None, atol=None, trials: int = 2)
     summary's residual."""
     atol = tolerances.exact_tol(atol)
     out = Report("transitive-isomorphism")
-    dec = representations.decompose_transitive(G)
+    dec = decompose_transitive(G)
     counting = counting_haar(G)
     if mu is not None and not np.allclose(mu.weights, 1.0):
         out.add("weights", "comparison uses counting weights, not the supplied system",
@@ -855,8 +1009,8 @@ def scanned_transitive_isomorphism_check(G, mu=None, atol=None, trials: int = 2)
         out.add("factorization", f"arrow {G.arrow_ids[a]} does not recompose")
         return out
 
-    bad_a, bad_b = representations._structure_constant_mismatches(G, dec)
-    bad_star = representations._involution_mismatches(G, dec)
+    bad_a, bad_b = _structure_constant_mismatches(G, dec)
+    bad_star = _involution_mismatches(G, dec)
     worst = 1.0 if len(bad_a) or bad_star.any() else 0.0
     mismatched: dict[int, list[int]] = {}
     if 1.0 > atol:
@@ -876,8 +1030,8 @@ def scanned_transitive_isomorphism_check(G, mu=None, atol=None, trials: int = 2)
     for _ in range(trials):
         f = random_function(G, rng)
         g = random_function(G, rng)
-        lhs = tensor(G, dec, table_convolve(G, counting, f, g))
-        rhs = group_algebra_product(dec.iso, tensor(G, dec, f), tensor(G, dec, g))
+        lhs = tensor(G, table_convolve(G, counting, f, g))
+        rhs = group_algebra_product(dec.iso, tensor(G, f), tensor(G, g))
         err = float(np.abs(lhs - rhs).max())
         worst = max(worst, err)
         if err > atol:

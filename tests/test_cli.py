@@ -432,6 +432,29 @@ class TestCommands:
             want = fh.read()
         assert f"{capsys.readouterr().out}exit {code}\n" == want
 
+    def test_equiv_on_a_corrupted_table_matches_the_committed_output(self, tmp_path, capsys):
+        # iso-z2.json, pair(3) x Z2, with a03: b -> a made its own inverse:
+        # the header, then one FAIL entry naming the base and the condition
+        doc = _edited("iso-z2.json", lambda d: d["inverse"].__setitem__(3, ["a03", "a03"]))
+        path = tmp_path / "iso-z2-self-inverse.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["equiv", str(path)])
+        with open(os.path.join(DATA, "equiv_iso-z2-self-inverse.txt"), encoding="utf-8") as fh:
+            want = fh.read()
+        assert f"{capsys.readouterr().out}exit {code}\n" == want
+
+    def test_equiv_with_no_arrow_out_of_the_base_is_a_usage_error(self, tmp_path, capsys):
+        # one orbit, but its only arrow between a and b runs b -> a
+        doc = {"objects": ["a", "b"],
+               "arrows": [{"id": "u", "src": "a", "tgt": "a"}, {"id": "t", "src": "b", "tgt": "a"},
+                          {"id": "v", "src": "b", "tgt": "b"}],
+               "compose": [["u", "u", "u"], ["u", "t", "t"], ["t", "v", "t"], ["v", "v", "v"]],
+               "inverse": [["u", "u"], ["t", "t"], ["v", "v"]]}
+        path = tmp_path / "no-arrow-out.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["equiv", str(path)]) == 2
+        assert capsys.readouterr() == ("", "usage error: no arrow from base into b\n")
+
     def test_integrate_writes_blocks(self, tmp_path):
         out = tmp_path / "op.json"
         assert main(["integrate", fx("pair3-weighted.json"), fx("fn-f-pair3.json"),

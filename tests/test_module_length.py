@@ -1,5 +1,8 @@
-"""No module of the package grows past 993 lines, the length of the largest
-(``representations.py``) when this guard was set.
+"""No module of the package grows past 914 lines, the length of the largest
+(``groupoid.py``) when the guard was last lowered: it was set at 993, the
+length of ``representations.py`` then, and lowered when the transitive
+isomorphism check lost its scans, so that the compile headroom they freed
+is kept.
 
 Every process that runs the package from source compiles its modules, and
 the compile of the largest one sets a floor under the process's peak
@@ -13,7 +16,7 @@ import pathlib
 
 import pytest
 
-MAX_LINES = 993
+MAX_LINES = 914
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "groupalg"
 
 
