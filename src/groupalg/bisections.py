@@ -137,11 +137,6 @@ def bisection_compose(G: FiniteGroupoid, sigma: Bisection, tau: Bisection) -> Bi
     return Bisection(tau.domain, tuple(arrows.tolist()))
 
 
-def arrow_array(G: FiniteGroupoid, sigmas: list[Bisection]) -> np.ndarray:
-    """The full bisections as one k x n int array, ``S[i, x] = sigma_i(x)``."""
-    return np.array([s.arrows for s in sigmas], dtype=np.intp).reshape(len(sigmas), G.n_objects)
-
-
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """Each row of a 2-d int array as one big-endian bytes key, equal to
     another row's key exactly when the rows are equal."""
@@ -154,8 +149,8 @@ def _group_by_closure(G: FiniteGroupoid, objs: np.ndarray, S: np.ndarray, T: np.
     """Whether the rows of ``S`` over ``objs``, ``T`` their targets as
     column indices and ``unit`` the unit bisection's row, form a group under
     the star product with targets a homomorphism, on a table that the
-    generator certificate proves associative with every composite's
-    endpoints right.
+    certificate proves associative (:meth:`FiniteGroupoid.certificate`),
+    which also puts every composite's endpoints right.
 
     The checks: every row picks arrows sourced at its objects; the unit row
     e is a row, with e * sigma = sigma = sigma * e for every row sigma;
@@ -242,19 +237,8 @@ def factors_form_group(G: FiniteGroupoid, factors) -> bool:
         checked.append((objs, rows, T))
     if not G.certificate().associative:
         return False
-    unit = arrow_array(G, [unit_bisection(G)])[0]
+    unit = np.array(unit_bisection(G).arrows, dtype=np.intp)
     return all(_group_by_closure(G, objs, rows, T, unit[objs]) for objs, rows, T in checked)
-
-
-def forms_group(G: FiniteGroupoid, sigmas: list[Bisection]) -> bool:
-    """True when the full bisections ``sigmas`` form a group under the star
-    product and taking targets is a homomorphism into object permutations:
-    :func:`factors_form_group` on the k x n array ``S[i, x] = sigma_i(x)``
-    as one factor."""
-    n = G.n_objects
-    if n == 0:  # the empty bisection is the only one
-        return len(sigmas) == 1
-    return factors_form_group(G, [(np.arange(n), arrow_array(G, sigmas))])
 
 
 def bisection_inverse(G: FiniteGroupoid, sigma: Bisection) -> Bisection:

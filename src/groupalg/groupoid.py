@@ -120,11 +120,10 @@ class FiniteGroupoid:
     ``orbit_index`` (:class:`OrbitIndex`, of read-only arrays) holds the
     orbits and each arrow's factorization through its orbit's base, the one
     decomposition that every orbit-wise reader takes.
-    The composable pairs and their composites, which :func:`validate`, the
-    generator certificate and :func:`haar.check_left_invariance` all read,
-    are looked up once, on first use, and kept as read-only arrays, as the
-    certificate is kept; so are the table rows whose endpoints fail, which
-    :func:`validate`, the certificate and the orbit matrices all judge.
+    The composable pairs and their composites, which :func:`validate` and
+    :func:`haar.check_left_invariance` read, are looked up once, on first
+    use, and kept as read-only arrays; so are the table rows whose
+    endpoints fail, which :func:`validate` and the orbit matrices judge.
     ``compose_table`` holds (first, second, composite) rows sorted by pair;
     when a pair repeats, the last row wins.  Rows given strictly ascending
     by pair, as :func:`build_from_relation` gives them, are kept in their
@@ -195,7 +194,6 @@ class FiniteGroupoid:
         # the map has fewer entries than arrows
         self._by_endpoints = dict(zip(zip(self.tgt.tolist(), self.src.tolist()), range(n_arr)))
         self.orbit_index = _orbit_index(self)
-        self._certificate: GeneratorCertificate | None = None
         self._pair_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._faults: tuple[np.ndarray, np.ndarray] | None = None
         self._orbit_matrices = None  # orbits.orbit_matrices keeps its result here
@@ -271,7 +269,7 @@ class FiniteGroupoid:
     def _pair_products(self):
         """Arrays (a, b, a o b) over all composable pairs, in
         :meth:`composable_pairs` order; a o b is -1 where undefined.
-        Computed once and kept read-only, like :meth:`certificate`."""
+        Computed once and kept read-only."""
         if self._pair_arrays is None:
             a, b = _composable(self.src, self.tgt, self.n_objects)
             self._pair_arrays = (a, b, self.composites(a, b))
@@ -283,9 +281,9 @@ class FiniteGroupoid:
         """The table rows whose endpoints fail, ascending, and for each
         whether it is off the domain (src(first) != tgt(second)) rather than
         a composite with the wrong endpoints.  :func:`validate` words its
-        entries from them, the generator certificate and
-        :func:`orbits.orbit_matrices` read their verdicts from them; one
-        pass over the rows, kept read-only, like :meth:`_pair_products`."""
+        entries from them and :func:`orbits.orbit_matrices` reads its
+        verdicts from them; one pass over the rows, kept read-only, like
+        :meth:`_pair_products`."""
         if self._faults is None:
             src, tgt = self.src, self.tgt
             first, second, composite = self.compose_table.T
@@ -346,11 +344,10 @@ class FiniteGroupoid:
         """One orbit or none: every object's base is object 0."""
         return not self.orbit_index.label.any()
 
-    def certificate(self) -> GeneratorCertificate:
-        """The generating set of the arrows and what it proves, computed once."""
-        if self._certificate is None:
-            self._certificate = _certify(self)
-        return self._certificate
+    def certificate(self) -> Certificate:
+        """What the orbit matrices, kept on the groupoid, prove of the table."""
+        from .orbits import orbit_matrices  # orbits imports this module
+        return Certificate(bool(orbit_matrices(self).associative.all()))
 
     # -- convolution support -----------------------------------------------
 
@@ -504,152 +501,25 @@ def _name_missing(support: list[str], t, s, probe) -> None:
 
 
 # ---------------------------------------------------------------------------
-# generator certificate
+# associativity certificate
 
 @dataclass(frozen=True)
-class GeneratorCertificate:
-    """A generating set S of the arrows, and whether it proves the table
-    associative.
+class Certificate:
+    """Whether the orbit matrices prove the table associative.
 
-    ``generators`` is S, ascending.  ``associative`` holds when the table
-    defines every composable pair with the right endpoints, S reaches every
-    arrow by right-nested words ``s1 o (s2 o (... o sk))``, and every orbit
-    associates.  On an orbit that :func:`orbits.orbit_matrices` keeps, the
-    table is (x, g, y) o (y, h, z) = (x, gh, z), so the orbit associates
-    exactly when its base's loops do: Light's test ``(x s) y == x (s y)``
-    runs on their |H| x |H| table, over the base's generators and the loops
-    its star makes.  On every other orbit it runs on the whole table, for
-    every s in S and composable x, y.  The elements that pass the test for
-    every x, y are closed under the product (Clifford & Preston, *Algebraic
-    Theory of Semigroups* I, §1.2), so then every composable triple
-    associates.
+    ``associative`` holds when :func:`orbits.orbit_matrices` keeps every
+    orbit and each kept orbit's label table passes Light's test.  A kept
+    orbit's rows are exactly its composable pairs, each with the right
+    endpoints, and its table is (x, g, y) o (y, h, z) = (x, gh, z), so the
+    orbit associates exactly when its labels do.  Light's test
+    ``(x s) y == x (s y)`` runs on their |H| x |H| table over greedy
+    generators s; the elements that pass it for every x, y are closed under
+    the product (Clifford & Preston, *Algebraic Theory of Semigroups* I,
+    §1.2), so then every composable triple associates.  A table with an
+    orbit that is not kept is not proved, whatever its triples do.
     """
 
-    generators: np.ndarray
     associative: bool
-
-
-def _subgroup(table: np.ndarray, have: np.ndarray) -> np.ndarray:
-    """Close the mask ``have`` under the local product table."""
-    while True:
-        members = np.flatnonzero(have)
-        new = have.copy()
-        new[table[np.ix_(members, members)]] = True
-        if np.array_equal(new, have):
-            return have
-        have = new
-
-
-def _cayley(G: FiniteGroupoid, loops: np.ndarray):
-    """The position of every arrow among ``loops`` (-1 off them, and in a
-    last slot that catches the -1 of an undefined product), and the h x h
-    composites of the loops, row-major."""
-    position = np.full(G.n_arrows + 1, -1, dtype=np.intp)
-    position[loops] = np.arange(len(loops))
-    h = len(loops)
-    return position, G.composites(np.repeat(loops, h), np.tile(loops, h)).reshape(h, h)
-
-
-def _isotropy_generators(table: np.ndarray, made: np.ndarray) -> list[int]:
-    """Greedy generators of the group with the product ``table``, the loops
-    at one base object by position: the first loop not yet generated, with
-    its powers g^2, g^4, ..., so every element is a short word.  Generation
-    starts from the loops marked in ``made``, which it overwrites."""
-    have = _subgroup(table, made)
-    gens: list[int] = []
-    for g in range(len(table)):
-        if have[g]:
-            continue
-        while not have[g]:
-            gens.append(g)
-            have[g] = True
-            g = table[g, g]
-        have = _subgroup(table, have)
-    return gens
-
-
-def _light(table: np.ndarray, gens) -> bool:
-    """Light's test on a product table: (x s) y == x (s y) for every s in
-    ``gens`` and all x, y."""
-    return all(np.array_equal(table[table[:, s]], table[:, table[s]]) for s in gens)
-
-
-def _light_on_the_table(G: FiniteGroupoid, gens: np.ndarray) -> bool:
-    """Light's test on the whole table: (x o s) o y == x o (s o y) for s in
-    ``gens`` and every composable x, y."""
-    x, s = _joined(np.arange(G.n_arrows), gens, G.src, G.tgt, G.n_objects)
-    xs = G.composites(x, s)
-    return not any((G.composites(xs[rows], y)
-                    != G.composites(x[rows], G.composites(s[rows], y))).any()
-                   for rows, y in _triples(G.target_fibers, G.src[s]))
-
-
-def _certify(G: FiniteGroupoid) -> GeneratorCertificate:
-    from .orbits import orbit_matrices  # orbits imports this module
-
-    src, tgt = G.src, G.tgt
-    n, arrows = G.n_objects, np.arange(G.n_arrows)
-    # every composable pair defined, and so read by a row on the domain,
-    # and no such row with the wrong endpoints
-    if (G._pair_products()[2] < 0).any() or not G._endpoint_faults()[1].all():
-        return GeneratorCertificate(np.zeros(0, dtype=np.intp), False)
-
-    # the star of each orbit: tau_x off the base, and the first arrow
-    # x -> base in the source fibre of x
-    base, _, tau, count, _ = G.orbit_index
-    out_of_base = np.where(base == np.arange(n), G.n_arrows, tau)
-    into_base = np.full(n, G.n_arrows)
-    leg = src != tgt
-    to_base = leg & (tgt == base[tgt])
-    np.minimum.at(into_base, src[to_base], arrows[to_base])
-    star = np.concatenate([out_of_base, into_base])
-    star = star[star < G.n_arrows]
-    chosen = np.zeros(G.n_arrows, dtype=bool)
-    chosen[star] = True
-    # the loops at each base the star already makes, (x -> base) o (base -> x),
-    # then greedy generators of what the base's group still lacks; each
-    # base's loop table is kept with the loops that generate it
-    both = (out_of_base < G.n_arrows) & (into_base < G.n_arrows)
-    made = np.zeros(G.n_arrows, dtype=bool)
-    made[G.composites(into_base[both], out_of_base[both])] = True
-    loops = arrows[~leg & (src == base[src])]
-    alone = loops[count[src[loops]] == 1]
-    chosen[alone[~made[alone]]] = True
-    tables = {}
-    for x in np.flatnonzero(count > 1).tolist():
-        at_x = loops[src[loops] == x]
-        position, products = _cayley(G, at_x)
-        table = position[products]
-        gens = _isotropy_generators(table, made[at_x])
-        chosen[at_x[gens]] = True
-        tables[x] = table, [*np.flatnonzero(made[at_x]).tolist(), *gens]
-    gens = np.flatnonzero(chosen)
-
-    # right-nested closure: the words of length k + 1 are S o (those of
-    # length k), less what is reached
-    reached = chosen.copy()
-    frontier = gens
-    while True:
-        s, f = _joined(gens, frontier, src, tgt, n)
-        new = np.zeros(G.n_arrows, dtype=bool)
-        new[G.composites(s, f)] = True
-        new &= ~reached
-        if not new.any():
-            break
-        reached |= new
-        frontier = np.flatnonzero(new)
-    if not reached.all():
-        return GeneratorCertificate(gens, False)
-
-    # Light's test on the loop table of each kept orbit (one loop alone
-    # associates), on the whole table for the generators of the others
-    kept = np.zeros(n, dtype=bool)
-    for right in orbit_matrices(G).right:
-        kept[tgt[right[:, 0, 0]]] = True  # [o, 0, 0] is a loop at the base of orbit o
-    rest = gens[~kept[base[tgt[gens]]]]
-    associative = (all(_light(*tables[x]) for x in tables if kept[x])
-                   and (not len(rest) or _light_on_the_table(G, rest)))
-    return GeneratorCertificate(gens, associative)
 
 
 # ---------------------------------------------------------------------------
@@ -662,9 +532,9 @@ def validate(G: FiniteGroupoid) -> Report:
     right endpoints, associativity on all composable triples, unit laws, and
     inverse laws.  Each entry carries a minimal witness in arrow/object ids.
     The table rows whose endpoints fail are those the groupoid keeps from
-    its one pass over the rows, which the certificate and the orbit
-    matrices read too (:meth:`FiniteGroupoid._endpoint_faults`).
-    Associativity is proved by the generator certificate when it applies
+    its one pass over the rows, which the orbit matrices read too
+    (:meth:`FiniteGroupoid._endpoint_faults`).  Associativity is proved
+    from the orbit matrices' label tables when they apply
     (:meth:`FiniteGroupoid.certificate`); otherwise every triple is scanned.
     """
     rep = Report("groupoid-axioms")

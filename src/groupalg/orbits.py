@@ -6,8 +6,9 @@ C*-Algebras*, LNM 793); a groupoid is the disjoint union of its orbits.
 :func:`orbit_matrices` reads, once per groupoid, the gather indices that
 turn each orbit's convolution into one matrix product, for every orbit
 whose composition table bears the isomorphism out, and leaves the table's
-other rows to the table sum.  The generator certificate reads the same
-verdict: a kept orbit associates exactly when its labels do, so
+other rows to the table sum.  They are the one proof of associativity: a
+kept orbit associates exactly when its label table passes Light's test,
+which runs on the table the build already holds, so
 :func:`groupoid.validate` builds the matrices that :func:`haar.convolve`
 then reuses.  :func:`translates` proves from them, by one int comparison
 per op entry, that an index rep is the left regular one, which proves it
@@ -57,11 +58,45 @@ class OrbitMatrices:
     labels; and right multiplication by each label permutes the labels,
     so that h k^-1, the g with g k = h, is defined.  Then the matrix
     product adds the terms of the table sum, in another order.
+
+    ``associative[x]`` holds when the orbit of x is kept and its |H| x |H|
+    label table passes Light's test (:class:`~groupalg.groupoid.Certificate`).
     """
 
     left: tuple[np.ndarray, ...]
     right: tuple[np.ndarray, ...]
     rest: tuple[np.ndarray, np.ndarray, np.ndarray]
+    associative: np.ndarray
+
+
+def _subgroup(table: np.ndarray, have: np.ndarray) -> np.ndarray:
+    """Close the mask ``have`` under the product ``table``."""
+    while True:
+        members = np.flatnonzero(have)
+        new = have.copy()
+        new[table[np.ix_(members, members)]] = True
+        if np.array_equal(new, have):
+            return have
+        have = new
+
+
+def _isotropy_generators(table: np.ndarray) -> list[int]:
+    """Greedy generators of the labels under the product ``table``: each
+    label that those before it do not generate."""
+    have = np.zeros(len(table), dtype=bool)
+    gens: list[int] = []
+    for g in range(len(table)):
+        if not have[g]:
+            gens.append(g)
+            have[g] = True
+            have = _subgroup(table, have)
+    return gens
+
+
+def _light(table: np.ndarray, gens) -> bool:
+    """Light's test on a product table: (x s) y == x (s y) for every s in
+    ``gens`` and all x, y."""
+    return all(np.array_equal(table[table[:, s]], table[:, table[s]]) for s in gens)
 
 
 def _build(G: FiniteGroupoid) -> OrbitMatrices:
@@ -126,7 +161,16 @@ def _build(G: FiniteGroupoid) -> OrbitMatrices:
         np.put(div, key, np.repeat(np.arange(hh), hh))
         division[hh] = R, div.reshape(len(R), hh, hh)
         del key, div
+    # Light's test on the label table of each kept orbit, over greedy
+    # generators: (x s) y == x (s y) for every generator s and all x, y
+    # (one label alone associates)
+    associative = good.copy()
+    for x in np.flatnonzero(good & (h > 1)).tolist():
+        labels = table[corner[x]:corner[x] + h[x] * h[x]].reshape(h[x], h[x])
+        associative[x] = _light(labels, _isotropy_generators(labels))
     del table
+    associative = associative[base]
+    associative.flags.writeable = False
 
     left, right = [], []
     roots = np.flatnonzero(good)
@@ -144,7 +188,7 @@ def _build(G: FiniteGroupoid) -> OrbitMatrices:
                     .reshape(len(R), nn * hh, nn * hh))
     rest = np.flatnonzero(~good[r][first])
     return OrbitMatrices(tuple(left), tuple(right),
-                         (composite[rest], first[rest], second[rest]))
+                         (composite[rest], first[rest], second[rest]), associative)
 
 
 def orbit_matrices(G: FiniteGroupoid) -> OrbitMatrices:
@@ -247,8 +291,8 @@ def regular_blocks(G: FiniteGroupoid, rep) -> tuple[BlockPartition, np.ndarray] 
 
 # the conditions of :func:`isomorphism_fault`'s proof, in the order it tries
 # them, each with the words of a report entry where it fails
-PROOF = {"associativity": "the table is not proved associative",
-         "orbit-matrices": "the table does not factor through the base as M_n tensor C[H]",
+PROOF = {"orbit-matrices": "the table does not factor through the base as M_n tensor C[H]",
+         "associativity": "the table is not proved associative",
          "unit": "the base has no unit loop",
          "involution": "the inverses are not those of the labels"}
 
@@ -259,14 +303,15 @@ def isomorphism_fault(G: FiniteGroupoid) -> tuple[int, str] | None:
     first condition of :data:`PROOF` that fails there; None when it is
     proved on every orbit.
 
-    The conditions, in order: the certificate proves the table associative
-    (one verdict for the whole table: where it fails, no orbit is proved);
-    :func:`orbit_matrices` keeps the orbit; its base has its unit, a loop at
-    the base (all that the base isotropy group asks of it); and the
-    involution holds by labels: inverse(a) runs x -> y with the label e'
-    that ``left``'s base block, [h, k] the g with gk = h, holds at
-    [e, g[a]], for e its entry at [0, 0].  Each is one int comparison per
-    arrow or per label, and no composable pair is scanned.
+    The conditions, in order: :func:`orbit_matrices` keeps the orbit; its
+    label table passes Light's test (``associative``), so the orbit
+    associates; its base has its unit, a loop at the base (all that the
+    base isotropy group asks of it); and the involution holds by labels:
+    inverse(a) runs x -> y with the label e' that ``left``'s base block,
+    [h, k] the g with gk = h, holds at [e, g[a]], for e its entry at
+    [0, 0].  Each is one int comparison per
+    arrow or per label, and no composable pair is scanned; each orbit's
+    verdict reads only its own rows.
 
     They prove the orbit isomorphic to pair(n) x H, H the loops at the
     base b.  Kept and associative, its table is (x, g, y) o (y, k, z) =
@@ -289,12 +334,9 @@ def isomorphism_fault(G: FiniteGroupoid) -> tuple[int, str] | None:
     bases = np.flatnonzero(members.size)
     if not len(bases):
         return None
-    conditions = list(PROOF)
-    if not G.certificate().associative:
-        return int(bases[0]), conditions[0]
     src, tgt, inverse = G.src, G.tgt, G.inverse
     unit = np.array([-1 if u is None else u for u in G.unit_of], dtype=np.intp)
-    held = np.ones(G.n_objects, dtype=np.intp)  # the conditions each base holds, in order
+    held = np.zeros(G.n_objects, dtype=np.intp)  # the conditions each base holds, in order
     om = orbit_matrices(G)
     for left, right in zip(om.left, om.right):
         m, h = len(right), left.shape[1] // right.shape[2]
@@ -305,6 +347,6 @@ def isomorphism_fault(G: FiniteGroupoid) -> tuple[int, str] | None:
         unit_held = (u >= 0) & (src[u] == b) & (tgt[u] == b)
         star = ((g[inv] == div[np.arange(m)[:, None], e[:, None], g[at]]).all(axis=1)
                 & (src[inv] == tgt[at]).all(axis=1) & (tgt[inv] == src[at]).all(axis=1))
-        held[b] = 2 + unit_held * (1 + star)
-    unproved = bases[held[bases] < len(conditions)]
-    return (int(unproved[0]), conditions[held[unproved[0]]]) if len(unproved) else None
+        held[b] = 1 + om.associative[b] * (1 + unit_held * (1 + star))
+    unproved = bases[held[bases] < len(PROOF)]
+    return (int(unproved[0]), list(PROOF)[held[unproved[0]]]) if len(unproved) else None

@@ -39,7 +39,7 @@ import numpy as np
 from . import tolerances
 from .blocks import BlockOperator, BlockPartition, factored_ratios
 from .errors import NotTransitive, ShapeMismatch
-from .groupoid import FiniteGroupoid, _joined, _ranges, components
+from .groupoid import FiniteGroupoid, _ranges, components
 from .haar import HaarSystem, _as_function, i_norm
 from .orbits import PROOF, _kept, isomorphism_fault, regular_blocks, translates
 from .report import Report
@@ -324,34 +324,6 @@ def _first_shape_fault(G: FiniteGroupoid, rep: IndexRep) -> str | None:
     return None
 
 
-def _multiplicative_by_generators(G: FiniteGroupoid, rep: IndexRep) -> bool:
-    """Whether op(a) op(b) = op(a o b) on every composable pair follows from
-    the pairs (s, y) of a generator s and an arrow y into src(s) alone.
-
-    It does when the generator certificate proves the table associative
-    (:meth:`FiniteGroupoid.certificate`), the ops have their shapes and
-    their 1s inside their rows (:func:`_shape_fault`), and every generator
-    pair holds.  Every arrow b is a right-nested word over the generators,
-    b = s o w, and by induction on its length
-
-        op(b) op(y) = op(s) op(w) op(y) = op(s) op(w o y) = op(s o (w o y)) = op(b o y),
-
-    the first and third steps generator pairs and the last associativity
-    (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, ch. 4).
-    0/1 matrices with one 1 per column compose exactly, so no tolerance
-    enters.
-    """
-    cert = G.certificate()
-    if not cert.associative or _shape_fault(G, rep) is not None:
-        return False
-    rows, lo = rep.rows, rep.starts[:-1]
-    s, y = _joined(cert.generators, np.arange(G.n_arrows), G.src, G.tgt, G.n_objects)
-    sy = G.composites(s, y)
-    return not _column_gaps(np.ones(len(s), dtype=bool), np.diff(rep.starts)[y],
-                            lambda i, j: rows[lo[sy[i]] + j],
-                            lambda i, j: rows[lo[s[i]] + rows[lo[y[i]] + j]]).any()
-
-
 def _index_residuals(G: FiniteGroupoid, rep: IndexRep):
     """The residual of each law from the index data, without building an
     op: per object (units), per composable pair with a composite (pairs and
@@ -362,11 +334,13 @@ def _index_residuals(G: FiniteGroupoid, rep: IndexRep):
     unitarity compares row arrays, with residual 0 or 1.  Where
     multiplicativity is proved, every pair would have residual 0 and the
     pair arrays are empty; otherwise every pair is scanned.  It is proved
-    when the certificate proves the table associative and the ops are the
-    left regular ones (:func:`orbits.translates`, kept for the
-    integration): column j of op(a) op(b) is then the place of
-    a o (b o h_j) = (a o b) o h_j.  Other reps ask the generator pairs
-    (:func:`_multiplicative_by_generators`).  The Gram matrix
+    for ops with their shapes and their 1s inside their rows
+    (:func:`_shape_fault`) in two cases.  When every fiber is
+    one-dimensional every op is [1], so each defined pair has residual 0,
+    on any table.  When the certificate proves the table associative and
+    the ops are the left regular ones (:func:`orbits.translates`, kept for
+    the integration), column j of op(a) op(b) is the place of
+    a o (b o h_j) = (a o b) o h_j.  The Gram matrix
     op(a)^H W_tgt op(a) is diagonal with entries W_tgt[rows_a], plus
     W_tgt[r] off the diagonal wherever two columns share the row r; a
     non-finite weight in the target fiber makes it NaN.  The shared rows are
@@ -383,8 +357,8 @@ def _index_residuals(G: FiniteGroupoid, rep: IndexRep):
     units = np.full(G.n_objects, math.nan)
     units[has] = _column_gaps((dims[tgt[u]] == dims[has]) & (width[u] == dims[has]), width[u],
                               lambda i, j: rows[lo[u[i]] + j], lambda i, j: j)
-    if ((G.certificate().associative and _shape_fault(G, rep) is None and translates(G, rep))
-            or _multiplicative_by_generators(G, rep)):
+    if _shape_fault(G, rep) is None and (
+            (dims == 1).all() or (G.certificate().associative and translates(G, rep))):
         a, b, mult = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
     else:
         a, b, c = G.products()
@@ -554,9 +528,10 @@ def check_representation(G: FiniteGroupoid, rep: IndexRep | ConjugatedRep,
     groupoid), after its shape: the first op of the wrong shape, or with a
     1 outside its target fiber, is one ``shape`` entry and ends the check.
     Multiplicativity is proved, for the left regular rep on a table the
-    certificate proves associative, from the kept translation proof, else
-    from the generator pairs when they hold, and every composable pair is
-    scanned otherwise; the entries are the same either way.
+    certificate proves associative, from the kept translation proof, and
+    for a rep whose fibers are all one-dimensional, such as the trivial
+    rep, from its shape; every composable pair is scanned otherwise, and
+    the entries are the same either way.
     A :class:`ConjugatedRep` is checked so on its base, and each law of its
     ops is bounded from per-object quantities of the field
     (:func:`_conjugation_bounds`): a law whose bound exceeds atol, or is

@@ -7,7 +7,7 @@ per-object bounds of a conjugated rep, which must give the same verdicts
 and bound every residual.  With it, the generator-pair bound on
 multiplicativity that the dense check of the conjugated rep once used, and
 the index check's residuals with every composable pair scanned, which the
-index check now keeps for when its generator pairs prove nothing.
+index check now keeps for when no proof applies.
 For the integrated representations, the paths that the block operators
 replaced: the integrated operator scattered into one (sum of dims)^2 matrix,
 the one integration of a conjugated rep left, and the battery's integrated
@@ -29,7 +29,9 @@ is proved by closure under greedy generators: the k x k star table of the
 whole set from a dict on row bytes with associativity over all k^3
 triples, and the group laws pair by pair; for their enumeration, which
 builds each orbit's full bisections level by level as one int array: the
-recursive backtracking over all objects.  For the composition lookup,
+recursive backtracking over all objects; and the whole set as one factor
+of the kernel (``forms_group``), which ``bisections`` once held.  For the
+composition lookup,
 which reads each row by its position first: the binary search over the
 sorted pair keys that it replaced.  For the battery's other randomized suites,
 which now draw each suite's trials as one block of the stream and run them
@@ -45,7 +47,7 @@ loops with one endpoint-dict lookup per pair.  For the arrows reader, which
 resolves each id column in one pass and finds the units from the table:
 the reader that looked each id up on its own and built the groupoid twice.
 For the orbit index, which factors each orbit once as the groupoid is
-built: the derivations that ``orbits()``, the generator certificate and
+built: the derivations that ``orbits()``, the whole-table certificate and
 ``decompose_transitive`` each made from their own ``components`` call, and
 the index itself one object and one arrow at a time.
 For the transitive isomorphism, which is proved from the orbit matrices
@@ -54,18 +56,23 @@ path: the check that builds the base isotropy group (``IsotropyGroup``,
 ``isotropy``) and the factorization (``decompose_transitive``), scans
 every composable pair and every inverse, and pushes two random (f, g)
 pairs through the table sum and an einsum loop over the group.
-For the generator certificate, which runs Light's test on the loop table
-of each orbit that ``orbit_matrices`` keeps: Light's test on the whole
-table.  For ``validate``'s unit and inverse laws, which are array masks:
-the loops that tested them object by object and arrow by arrow.  For the
+For the certificate, which runs Light's test on the label table of each
+orbit that ``orbit_matrices`` keeps and proves nothing where an orbit is
+not kept: the whole-table certificate (``generator_certificate``), with
+each orbit's star and isotropy generators, their right-nested closure and
+Light's test on the whole table.  For ``validate``'s unit and inverse
+laws, which are array masks: the loops that tested them object by object
+and arrow by arrow.  For the
 table rows whose endpoints fail, which the groupoid finds once and keeps
-for ``validate``, the certificate and the orbit matrices: the pass each of
-them made over the rows for itself, the compose entries worded row by row,
-and the certificate's premise over the composable pairs.  For the index
-residuals, which take the left regular rep's multiplicativity from its
-translation proof and sort for shared rows only the ops that no exact
-inverse law shows injective: the generator pairs or the scan of every
-pair, and the sort of every entry.  For the relation build, which reads
+for ``validate`` and the orbit matrices: the pass each of them made over
+the rows for itself, the compose entries worded row by row, and the
+whole-table certificate's premise over the composable pairs.  For the
+index residuals, which take the left regular rep's multiplicativity from
+its translation proof, that of a rep of one-dimensional fibers from its
+shape, and sort for shared rows only the ops that no exact inverse law
+shows injective: the generator pairs of the whole-table certificate
+(``multiplicative_by_generators``) or the scan of every pair, and the
+sort of every entry.  For the relation build, which reads
 each composite and inverse at its position in its class's row: the binary
 search of every key.
 
@@ -84,14 +91,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from groupalg import orbits, representations, tolerances
-from groupalg.bisections import (Bisection, arrow_array, bisection_compose, target_map,
+from groupalg.bisections import (Bisection, bisection_compose, factors_form_group, target_map,
                                  unit_bisection)
 from groupalg.blocks import BlockOperator, BlockPartition
 from groupalg.errors import (FileFormatError, NotClosed, NotTransitive, ShapeMismatch,
                              UndefinedProduct, UnknownLabel)
 from groupalg.builders import group_groupoid, pair_groupoid, product, symmetric_table
-from groupalg.groupoid import (FiniteGroupoid, _cayley, _composable, _fibers, _joined,
-                               _name_missing, _ranges, _triples, components)
+from groupalg.groupoid import (FiniteGroupoid, _composable, _fibers, _joined, _name_missing,
+                               _ranges, _triples, components)
 from groupalg.haar import (HaarSystem, _as_function, convolve, counting_haar,
                            function_to_matrix, i_norm, involute, support_fiber_mass,
                            table_convolve, unit_function)
@@ -217,14 +224,37 @@ def scanned_index_residuals(G, rep):
     return units, a, b, mult, inverses, unitarity
 
 
+def multiplicative_by_generators(G, rep) -> bool:
+    """Whether op(a) op(b) = op(a o b) on every composable pair follows from
+    the pairs (s, y) of a generator s of :func:`generator_certificate` and
+    an arrow y into src(s) alone: it does when that certificate proves the
+    table associative, the ops have their shapes and their 1s inside their
+    rows, and every generator pair holds.  Every arrow b is a right-nested
+    word over the generators, b = s o w, and by induction on its length
+    op(b) op(y) = op(s) op(w o y) = op(s o (w o y)) = op(b o y)."""
+    cert = generator_certificate(G)
+    if not cert.associative or representations._shape_fault(G, rep) is not None:
+        return False
+    rows, lo = rep.rows, rep.starts[:-1]
+    s, y = _joined(cert.generators, np.arange(G.n_arrows), G.src, G.tgt, G.n_objects)
+    sy = G.composites(s, y)
+    return not _column_gaps(np.ones(len(s), dtype=bool), np.diff(rep.starts)[y],
+                            lambda i, j: rows[lo[sy[i]] + j],
+                            lambda i, j: rows[lo[s[i]] + rows[lo[y[i]] + j]]).any()
+
+
 def generator_index_residuals(G, rep):
     """``representations._index_residuals`` before the left regular rep's
-    translation proof and the injective ops: multiplicativity proved from
-    the generator pairs alone (``_multiplicative_by_generators``), else
-    every composable pair scanned, and the shared-row sort of unitarity
-    over every entry of ``rows``."""
+    translation proof and the injective ops: multiplicativity proved, on a
+    table the certificate proves associative, from the generator pairs
+    alone (:func:`multiplicative_by_generators`), and for a rep of
+    one-dimensional fibers from its shape, else every composable pair
+    scanned; and the shared-row sort of unitarity over every entry of
+    ``rows``."""
     out = scanned_index_residuals(G, rep)
-    if representations._multiplicative_by_generators(G, rep):
+    formed = representations._shape_fault(G, rep) is None
+    if formed and (all(d == 1 for d in rep.bundle.dims) or (
+            G.certificate().associative and multiplicative_by_generators(G, rep))):
         empty = np.zeros(0, dtype=np.intp)
         return out[0], empty, empty, np.zeros(0), *out[4:]
     return out
@@ -290,25 +320,115 @@ def right_nested_depths(G, gens):
     return k
 
 
-def whole_table_light(G) -> bool:
-    """The generator certificate's verdict with Light's test on the whole
-    table, as it was taken before the orbits that ``orbit_matrices`` keeps
-    were judged by their loop tables: every composable pair defined with
-    the right endpoints, the certificate's generators reaching every arrow,
-    and (x o s) o y == x o (s o y) for every generator s and composable x, y."""
+@dataclass(frozen=True)
+class GeneratorCertificate:
+    """A generating set of the arrows, ascending, and whether Light's test
+    over it proves the whole table associative."""
+
+    generators: np.ndarray
+    associative: bool
+
+
+def _cayley(G, loops):
+    """The position of every arrow among ``loops`` (-1 off them, and in a
+    last slot that catches the -1 of an undefined product), and the h x h
+    composites of the loops, row-major."""
+    position = np.full(G.n_arrows + 1, -1, dtype=np.intp)
+    position[loops] = np.arange(len(loops))
+    h = len(loops)
+    return position, G.composites(np.repeat(loops, h), np.tile(loops, h)).reshape(h, h)
+
+
+def _greedy_generators(table, made):
+    """Greedy generators of the group with the product ``table``, starting
+    from the elements the mask ``made`` marks: the first element not yet
+    generated, with its powers g^2, g^4, ..., each time."""
+    def closed(have):
+        while True:
+            members = np.flatnonzero(have)
+            new = have.copy()
+            new[table[np.ix_(members, members)]] = True
+            if np.array_equal(new, have):
+                return have
+            have = new
+    have, gens = closed(made.copy()), []
+    for g in range(len(table)):
+        if have[g]:
+            continue
+        while not have[g]:
+            gens.append(g)
+            have[g] = True
+            g = table[g, g]
+        have = closed(have)
+    return gens
+
+
+def generator_certificate(G) -> GeneratorCertificate:
+    """The whole-table certificate that the orbit matrices' label tables
+    replaced.  Its premise: every composable pair defined with the right
+    endpoints.  Its generators: the star of each orbit (the first arrow
+    base -> x and the first x -> base, for each x off the base), each
+    orbit's lone base loop where the star does not make it, and greedy
+    generators of what each larger base group lacks after the loops its
+    star makes.  It proves the table associative when the generators reach
+    every arrow by right-nested words and (x o s) o y == x o (s o y) for
+    every generator s and composable x, y."""
     src, tgt = G.src, G.tgt
+    n, A, arrows = G.n_objects, G.n_arrows, np.arange(G.n_arrows)
     if not pair_endpoints_hold(G):
-        return False
-    gens = G.certificate().generators
+        return GeneratorCertificate(np.zeros(0, dtype=np.intp), False)
+    base, _, tau, count, _ = G.orbit_index
+    out_of_base = np.where(base == np.arange(n), A, tau)
+    into_base = np.full(n, A)
+    leg = src != tgt
+    to_base = leg & (tgt == base[tgt])
+    np.minimum.at(into_base, src[to_base], arrows[to_base])
+    star = np.concatenate([out_of_base, into_base])
+    chosen = np.zeros(A, dtype=bool)
+    chosen[star[star < A]] = True
+    both = (out_of_base < A) & (into_base < A)
+    made = np.zeros(A, dtype=bool)
+    made[G.composites(into_base[both], out_of_base[both])] = True
+    loops = arrows[~leg & (src == base[src])]
+    alone = loops[count[src[loops]] == 1]
+    chosen[alone[~made[alone]]] = True
+    for x in np.flatnonzero(count > 1).tolist():
+        at_x = loops[src[loops] == x]
+        position, products = _cayley(G, at_x)
+        chosen[at_x[_greedy_generators(position[products], made[at_x])]] = True
+    gens = np.flatnonzero(chosen)
     if right_nested_depths(G, gens.tolist()) is None:
-        return False
-    x, s = _joined(np.arange(G.n_arrows), gens, src, tgt, G.n_objects)
+        return GeneratorCertificate(gens, False)
+    x, s = _joined(arrows, gens, src, tgt, n)
     xs = G.composites(x, s)
-    for rows, y in _triples(G.target_fibers, src[s]):
-        if (G.composites(xs[rows], y)
-                != G.composites(x[rows], G.composites(s[rows], y))).any():
-            return False
-    return True
+    associative = not any((G.composites(xs[rows], y)
+                           != G.composites(x[rows], G.composites(s[rows], y))).any()
+                          for rows, y in _triples(G.target_fibers, src[s]))
+    return GeneratorCertificate(gens, associative)
+
+
+def whole_table_light(G) -> bool:
+    """The verdict of :func:`generator_certificate`: every composable pair
+    defined with the right endpoints, the generators reaching every arrow,
+    and Light's test over them on the whole table."""
+    return generator_certificate(G).associative
+
+
+def arrow_array(G, sigmas) -> np.ndarray:
+    """The full bisections as one k x n int array, ``S[i, x] = sigma_i(x)``."""
+    return np.array([s.arrows for s in sigmas], dtype=np.intp).reshape(len(sigmas), G.n_objects)
+
+
+def forms_group(G, sigmas) -> bool:
+    """Whether the full bisections ``sigmas`` form a group under the star
+    product with targets a homomorphism into object permutations:
+    ``factors_form_group`` on the k x n array ``S[i, x] = sigma_i(x)`` as
+    one factor, and on no objects whether ``sigmas`` is the one empty
+    bisection."""
+    n = G.n_objects
+    if n == 0:
+        return len(sigmas) == 1
+    return factors_form_group(G, [(np.arange(n), arrow_array(G, sigmas))])
 
 
 def looped_unit_inverse_laws(G) -> list[tuple[str, str]]:
@@ -365,7 +485,8 @@ def generator_bound(G, rep) -> float:
     generator pairs alone; inf when the table has no certificate, NaN when
     an op is not finite.
 
-    Norms are max row sums.  With S the certificate's generators, L the
+    Norms are max row sums.  With S the generators of
+    :func:`generator_certificate`, L the
     longest right-nested word over S needed to reach an arrow, kappa the
     largest norm of an op and gamma the rounding bound of a complex product
     of inner dimension d (the largest fiber dimension; Higham §3.6), let r
@@ -377,7 +498,7 @@ def generator_bound(G, rep) -> float:
     E_k <= rho (1 + kappa) + kappa E_(k-1); every computed residual is at
     most (1 + 3u) (E_L + gamma kappa^2), and E_L + gamma kappa^2 is returned.
     """
-    cert = G.certificate()
+    cert = generator_certificate(G)
     if not cert.associative:
         return math.inf
     ops = rep.ops
@@ -831,6 +952,13 @@ class IsotropyGroup:
             raise ValueError(f"inverse({aid[a]}) = {aid[G.inverse[a]]} is not a loop at {here}")
         self.table = table.tolist()
         self.inverse_table = inverse.tolist()
+        # each label's inverse read off the table alone, not off the unit or
+        # the inverse table: the first k with i k = e, for e the first left
+        # identity; -1 where row i holds no e, or no row is the identity's
+        identity = (table == np.arange(len(loops))).all(axis=1)
+        hit = table == (np.argmax(identity) if identity.any() else -1)
+        self.label_inverse = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+        self.label_inverse.flags.writeable = False
         # left_div[i, g] = mult(inv(i), g), the g1-th row of the group algebra product
         self.left_div = table[inverse]
         self.left_div.flags.writeable = False
@@ -930,7 +1058,9 @@ def _involution_mismatches(G: FiniteGroupoid, dec: TransitiveDecomposition) -> n
 
     The involute of delta_a is the indicator of {b : inverse[b] == a}, whose
     image is 1 at the cells (tgt b, src b, g_index[b]); the star of the image
-    of delta_a is 1 at the cells (src a, tgt a, g) with inv(g) == g_index[a].
+    of delta_a is 1 at the cells (src a, tgt a, g) with inv(g) == g_index[a],
+    inv the label inverses of the Cayley table (``label_inverse``), not of
+    the groupoid's inverse table.
     Both are 0/1 tensors (distinct arrows factor to distinct cells), so they
     differ by exactly 1 unless the two cell sets are equal.  Each (a, cell)
     pair is coded as one integer; a code found once is in one set only.
@@ -938,8 +1068,7 @@ def _involution_mismatches(G: FiniteGroupoid, dec: TransitiveDecomposition) -> n
     n, h = G.n_objects, dec.iso.order
     src, tgt, gi = G.src, G.tgt, dec.g_index
     cells = n * n * h
-    inv = np.asarray(dec.iso.inverse_table, dtype=np.intp)
-    a, g = np.nonzero(inv[None, :] == gi[:, None])
+    a, g = np.nonzero(dec.iso.label_inverse[None, :] == gi[:, None])
     codes = np.concatenate([
         G.inverse * cells + (tgt * n + src) * h + gi,
         a * cells + (src[a] * n + tgt[a]) * h + g])
@@ -979,7 +1108,8 @@ def group_algebra_product(iso, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def scanned_transitive_isomorphism_check(G, mu=None, atol=None, trials: int = 2) -> Report:
     """``transitive_isomorphism_check`` with no proved path: the base
-    isotropy group built, every composable pair and every inverse scanned,
+    isotropy group built, every composable pair and every inverse scanned
+    (the star against the label inverses of the group's own table),
     and ``trials`` random (f, g) pairs (two by default; 0 leaves out the
     linearity section) pushed through the table sum and the tensor
     product, each gap above atol a ``linearity`` entry and all in the

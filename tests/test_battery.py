@@ -894,28 +894,29 @@ def test_the_left_regular_index_check_runs_once_per_battery(monkeypatch):
 
 
 def test_a_battery_proves_associativity_from_the_orbit_matrices(monkeypatch):
-    # every orbit of a verified document is kept by orbit_matrices, so no
-    # certificate runs Light's test on a whole table, and the matrices that
-    # validate builds are the ones convolve reads: one build, of G, as the
-    # isotropy bundle is judged by comparison and never validated
+    # every orbit of a verified document is kept by orbit_matrices, so
+    # Light's test runs on the one |H| x |H| label table of the Z2 orbit (a
+    # single label associates), and the matrices that validate builds are
+    # the ones convolve reads: one build, of G, as the isotropy bundle is
+    # judged by comparison and never validated
     from groupalg import orbits
     G = disjoint_union(product(pair_groupoid("ab"), group_groupoid(*cyclic_table(2))),
                        pair_groupoid("cde"))
     gdoc = _random_document(G, SplitMix64(3))
-    whole, built = [], []
+    tables, built = [], []
 
-    def light(G, gens, real=groupoid._light_on_the_table):
-        whole.append(gens)
-        return real(G, gens)
+    def light(table, gens, real=orbits._light):
+        tables.append(table.shape)
+        return real(table, gens)
 
     def build(G, real=orbits._build):
         built.append(G)
         return real(G)
-    monkeypatch.setattr(groupoid, "_light_on_the_table", light)
+    monkeypatch.setattr(orbits, "_light", light)
     monkeypatch.setattr(orbits, "_build", build)
     run = run_battery(gdoc, seed=1, trials=4)
     assert all(line.ok for line in run.lines)
-    assert whole == []
+    assert tables == [(2, 2)]
     assert built == [G]
 
 

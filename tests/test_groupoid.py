@@ -32,7 +32,7 @@ from oracles import (certificate_out_of_base, components_orbits, derived_decompo
                      own_pass_orbit_matrices, pair_endpoints_hold, right_nested_depths,
                      scanned_compose_entries, searched_build_from_relation,
                      searched_composites, set_build_from_relation, tuple_fibers,
-                     whole_table_light)
+                     generator_certificate, whole_table_light)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "groupalg", "fixtures")
 
@@ -227,7 +227,18 @@ def test_the_sorted_build_equals_the_sorted_constructor_path(relation, policy, r
 
 def _orbit_arrays(om):
     return ([m.tolist() for m in om.left], [m.tolist() for m in om.right],
-            [v.tolist() for v in om.rest])
+            [v.tolist() for v in om.rest], om.associative.tolist())
+
+
+def _every_orbit_kept(G):
+    return sum(len(right) for right in orbits.orbit_matrices(G).right) == len(G.orbits())
+
+
+def _certified_as_the_oracle(G):
+    """The certificate's verdict, as the whole-table certificate of
+    ``oracles.generator_certificate`` gives it on a table whose every orbit
+    the orbit matrices keep; any other table is not proved."""
+    return _every_orbit_kept(G) and whole_table_light(G)
 
 
 @settings(max_examples=200, deadline=None)
@@ -255,10 +266,11 @@ def test_one_endpoint_pass_judges_as_the_three_passes(seed, edits, rnd):
     compose = scanned_compose_entries(H)
     assert entries[:len(compose)] == compose
     assert not {"compose-domain", "compose-endpoints"} & {c for c, _ in entries[len(compose):]}
-    cert = H.certificate()
+    oracle = generator_certificate(H)
     if not pair_endpoints_hold(H):
-        assert not cert.associative and cert.generators.tolist() == []
-    assert cert.associative == whole_table_light(H)
+        assert not oracle.associative and oracle.generators.tolist() == []
+        assert not H.certificate().associative
+    assert H.certificate().associative == _certified_as_the_oracle(H)
     assert _orbit_arrays(orbits.orbit_matrices(H)) == _orbit_arrays(own_pass_orbit_matrices(H))
 
 
@@ -557,7 +569,7 @@ def test_validate_matches_the_triple_scan_on_random_groupoids(seed, kind, row, p
         _validate_with_the_triple_scan(H)
     if kind == "none":
         assert H.certificate().associative
-    assert H.certificate().associative == whole_table_light(H)
+    assert H.certificate().associative == _certified_as_the_oracle(H)
 
 
 def _fixture_groupoids():
@@ -581,8 +593,16 @@ _CERTIFIED = {
 
 @pytest.mark.parametrize("case", sorted(_CERTIFIED))
 def test_the_orbit_certificate_agrees_with_lights_test_on_the_whole_table(case):
+    # a table with an orbit that is not kept is not proved: of these, only
+    # the row off the domain leaves a table that the whole-table test proves,
+    # and validate scans it to the same report
     G = _CERTIFIED[case]()
-    assert G.certificate().associative == whole_table_light(G)
+    assert G.certificate().associative == _certified_as_the_oracle(G)
+    flipped = G.certificate().associative != whole_table_light(G)
+    assert flipped == (case == "corrupted-off-domain")
+    if flipped:
+        assert [(e.check, e.witness) for e in validate(G).entries] == \
+            _validate_with_the_triple_scan(G)
 
 
 # loops of order 5 that are no groups, Latin squares with identity 0: in
@@ -614,34 +634,53 @@ def _pair2_times(table, back):
 
 
 @pytest.mark.parametrize("loop, back", [("self-inverse", 0), ("generated-by-2", 2)])
-def test_a_kept_orbit_with_a_non_associative_label_table_is_refused(loop, back, monkeypatch):
+def test_a_kept_orbit_with_a_non_associative_label_table_is_refused(loop, back):
     L = np.array(_LOOPS5[loop])
     assert (np.sort(L, axis=0) == np.arange(5)[:, None]).all()
     assert (np.sort(L, axis=1) == np.arange(5)).all()
     assert not (L[L] == L[:, L]).all()  # (x y) z == x (y z) fails somewhere
     G = _pair2_times(_LOOPS5[loop], back)
-    whole = []
-
-    def counted(G, gens, real=gmod._light_on_the_table):
-        whole.append(gens)
-        return real(G, gens)
-    monkeypatch.setattr(gmod, "_light_on_the_table", counted)
-    # the orbit matrices keep the one orbit, so its loop table decides
-    assert len(orbits.orbit_matrices(G).left) == 1 and len(orbits.orbit_matrices(G).rest[0]) == 0
-    assert right_nested_depths(G, G.certificate().generators.tolist()) is not None
-    assert not G.certificate().associative and not whole
+    # the orbit matrices keep the one orbit, so its loop table decides, as
+    # the whole-table test over generators that reach every arrow does
+    om = orbits.orbit_matrices(G)
+    assert len(om.left) == 1 and len(om.rest[0]) == 0 and not om.associative.any()
+    assert right_nested_depths(G, generator_certificate(G).generators.tolist()) is not None
+    assert not G.certificate().associative
     assert not whole_table_light(G)
     entries = [(e.check, e.witness) for e in validate(G).entries]
     assert [e for e in entries if e[0] == "associativity"] == _all_triples_associativity(G) != []
     assert entries == _validate_with_the_triple_scan(G)
 
 
+def test_each_orbit_is_judged_on_its_own_rows():
+    # a clean pair(2) x Z3 beside pair(2) x a loop that is no group: the
+    # loop orbit's label table fails Light's test, so validate scans every
+    # triple, to the triple scan's entries; the isomorphism proof names the
+    # loop orbit's base with associativity and proves the clean orbit
+    clean = product(pair_groupoid("ab"), group_groupoid(*cyclic_table(3)))
+    G = disjoint_union(clean, _pair2_times(_LOOPS5["self-inverse"], 0))
+    bases = np.flatnonzero(G.orbit_index.members.size).tolist()
+    om = orbits.orbit_matrices(G)
+    assert len(bases) == 2 and sum(len(right) for right in om.right) == 2
+    assert om.associative[bases].tolist() == [True, False]
+    assert not G.certificate().associative
+    entries = [(e.check, e.witness) for e in validate(G).entries]
+    assert [e for e in entries if e[0] == "associativity"] == _all_triples_associativity(G) != []
+    assert entries == _validate_with_the_triple_scan(G)
+    assert orbits.isomorphism_fault(G) == (bases[1], "associativity")
+    assert orbits.isomorphism_fault(clean) is None
+
+
 class TestGeneratorCertificate:
+    """The certificate beside the whole-table one of
+    ``oracles.generator_certificate``, its reference: the generators that
+    reference takes, and tables neither proves."""
+
     @pytest.mark.parametrize("n", [1, 2, 5, 36])
     def test_pair_groupoid_star(self, n):
         G = pair_groupoid([f"x{i}" for i in range(n)])
-        cert = G.certificate()
-        assert cert.associative and G.certificate() is cert
+        cert = generator_certificate(G)
+        assert cert.associative and G.certificate().associative
         # one arrow each way between the base and every other object; at
         # n = 1 the unit, which no star makes
         assert len(cert.generators) == max(2 * (n - 1), 1)
@@ -655,14 +694,14 @@ class TestGeneratorCertificate:
         ("pair3xs3", product(pair_groupoid("abc"), group_groupoid(*symmetric_table(3)))),
     ])
     def test_the_generators_reach_every_arrow(self, name, G):
-        cert = G.certificate()
-        assert cert.associative
+        cert = generator_certificate(G)
+        assert cert.associative and G.certificate().associative
         assert right_nested_depths(G, cert.generators.tolist()) is not None
 
     def test_isotropy_powers_keep_words_short(self):
         # Z_128 from one generator would need words of length 127
         G = group_groupoid(*cyclic_table(128))
-        gens = G.certificate().generators.tolist()
+        gens = generator_certificate(G).generators.tolist()
         assert len(gens) <= 8 and right_nested_depths(G, gens) <= 7
 
     def test_a_category_the_generators_do_not_reach_gets_the_scan(self):
@@ -686,7 +725,7 @@ class TestGeneratorCertificate:
         for case in ("dropped", "wrong-endpoints", "iso-associativity"):
             assert not _CORRUPTIONS[case][0]().certificate().associative
 
-    def test_validate_looks_up_generator_triples_not_all_triples(self, monkeypatch):
+    def test_validate_looks_up_pairs_not_triples(self, monkeypatch):
         n = 12
         G = pair_groupoid([f"x{i}" for i in range(n)])
         looked = []
@@ -698,16 +737,16 @@ class TestGeneratorCertificate:
 
         monkeypatch.setattr(FiniteGroupoid, "composites", counted)
         assert validate(G).ok
-        size = len(G.certificate().generators)
-        # Light's test makes 3 lookups per triple (s, x, y), |S| n^2 triples;
-        # the triple scan it replaces makes 3 per composable triple, 3 n^4
-        assert size == 2 * (n - 1)
-        assert sum(looked) <= 5 * size * n ** 2 < 3 * n ** 4
+        # the orbit matrices read the table's rows and look nothing up: one
+        # lookup per composable pair, n^3, and four per arrow for the unit
+        # and inverse laws; the triple scan they replace makes 3 per
+        # composable triple, 3 n^4
+        assert sum(looked) == n ** 3 + 4 * n ** 2 < 3 * n ** 4
 
 
 def test_one_pass_looks_the_pair_products_up_once(monkeypatch):
-    # validate, the generator certificate and the Haar invariance check all
-    # read the composable pairs and their composites, kept on the groupoid
+    # validate and the Haar invariance check both read the composable pairs
+    # and their composites, kept on the groupoid
     made = []
     real = gmod._composable
 
@@ -829,7 +868,7 @@ _DEGENERATE = {
 @pytest.mark.parametrize("case", sorted(_DEGENERATE))
 def test_degenerate_shapes_get_the_oracle_paths_report(case):
     G = _DEGENERATE[case]()
-    assert G.certificate().associative == whole_table_light(G)
+    assert G.certificate().associative == _certified_as_the_oracle(G)
     assert [(e.check, e.witness) for e in validate(G).entries] == \
         _validate_with_the_triple_scan(G)
 

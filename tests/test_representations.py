@@ -40,9 +40,10 @@ from groupalg.blocks import BlockOperator, BlockPartition
 from groupalg.representations import (HilbertBundle, bundle_metric, integrated_blocks,
                                       tensor_of_function)
 
-from oracles import (DenseRep, benchmark_documents, decompose_transitive, dense_check,
-                     dense_of, dense_residuals, every_block_norms, generator_bound,
-                     group_algebra_product, indicators, isotropy, looped_field_terms,
+from oracles import (DenseRep, arrow_array, benchmark_documents, decompose_transitive,
+                     dense_check, dense_of, dense_residuals, every_block_norms,
+                     generator_bound, generator_certificate, group_algebra_product, indicators,
+                     isotropy, looped_field_terms, multiplicative_by_generators,
                      nonzero_operator_norm, norm_groupoids, pair_layers_ops,
                      generator_index_residuals, scanned_index_residuals,
                      scanned_transitive_isomorphism_check, scatter_integrate,
@@ -693,9 +694,16 @@ def _brute_force_group_algebra_product(iso, A, B):
 
 
 def _brute_force_group_algebra_star(iso, A):
-    """Star in M_n tensor C[iso]: conjugate transpose, group element inverted."""
-    inv = [iso.inv(g) for g in range(iso.order)]
-    return np.conj(np.transpose(A, (1, 0, 2)))[:, :, inv]
+    """Star in M_n tensor C[iso]: conjugate transpose, group element
+    inverted by the Cayley table alone, as the first k with g k = e for the
+    first left identity e (0 where the table holds none)."""
+    h, out = iso.order, np.zeros_like(A)
+    e = next((e for e in range(h) if all(iso.mult(e, g) == g for g in range(h))), None)
+    for g in range(h):
+        k = next((k for k in range(h) if e is not None and iso.mult(g, k) == e), None)
+        if k is not None:
+            out[:, :, g] = np.conj(A[:, :, k].T)
+    return out
 
 
 def _brute_force_transitive_check(G, mu=None, atol=None):
@@ -966,10 +974,9 @@ class TestStructureConstantOracle:
             want = _outcome(_scans, H)
             assert want == _outcome(_brute_force_transitive_check, H), case
             assert not want.startswith("transitive-isomorphism: ok"), case
-            # on a group the isotropy inverses are corrupted alike, and only
-            # the structure constants can tell the scans; the proof reads
-            # the inverses by labels on every orbit
-            assert ("involution" in want) == (G.n_objects > 1), case
+            # the scans, like the proof, read the label inverses off the
+            # Cayley table, so on a group too the stars tell the corruption
+            assert "involution" in want, case
             got = _judged_as_by_the_scans(H)
             assert [e.check for e in got.errors] == ["involution"], case
 
@@ -1001,8 +1008,8 @@ class TestStructureConstantOracle:
         base = [_outcome(lambda K: isotropy(K, 0).table, H) for H in tables]
         assert sum(not b.startswith("raised") and "do not compose" in w
                    for w, b in zip(want, base)) == 6
-        # a composable pair left undefined, the certificate proves nothing
-        assert all(_failed_on(_judged_as_by_the_scans(H), "associativity") for H in tables)
+        # a composable pair left undefined, the orbit matrices keep nothing
+        assert all(_failed_on(_judged_as_by_the_scans(H), "orbit-matrices") for H in tables)
 
     def test_one_row_dropped_tables_raise_like_the_per_pair_oracles(self):
         tables = _one_row_dropped(product(pair_groupoid("ab"), group_groupoid(*cyclic_table(2))))
@@ -1199,16 +1206,19 @@ class TestProvedTransitiveIsomorphism:
             f"  [note] summary: bijective *-homomorphism onto M_{n} tensor C[iso of order {h}]"
             f" (residual 1)")
 
-    def test_the_scans_pass_a_star_that_only_the_labels_refuse(self):
+    def test_the_scans_and_the_proof_refuse_a_star_the_labels_refuse(self):
         # Z2 on one object with the inverses of its two loops exchanged: the
-        # unit's star is the other loop, so the table is no groupoid, yet the
-        # scans read their target's star from the same inverses and find
-        # every delta product and every star borne out; the proof reads the
-        # label inverses off the table and fails the involution
+        # unit's star is the other loop, so the table is no groupoid.  Every
+        # delta product is borne out, since the arrows' labels and the
+        # group's left division both read the same exchanged inverses; the
+        # scans and the proof both read the label inverses off the table,
+        # and both fail the involution
         G = group_groupoid(*cyclic_table(2))
         H = _rebuilt(G, inverse=G.inverse[::-1])
         assert not validate(H).ok
-        assert _scans(H).ok
+        want = _scans(H)
+        assert str(want) == str(_brute_force_transitive_check(H))
+        assert {e.check for e in want.errors} == {"involution"}
         assert _failed_on(transitive_isomorphism_check(H), "involution", base="*")
 
     def test_the_clean_pass_path_runs_no_scan(self, monkeypatch):
@@ -1263,7 +1273,6 @@ class TestFundamentalFamily:
 
     def test_bisection_images_span_pair_groupoids(self):
         from groupalg import enumerate_bisections
-        from groupalg.bisections import arrow_array
         for n in (2, 3, 4):
             G = pair_groupoid([f"o{i}" for i in range(n)])
             S = arrow_array(G, enumerate_bisections(G))
@@ -1300,7 +1309,6 @@ class TestFundamentalFamily:
         # arrow indicators, whole bisection-image families and subsets of
         # their rows, on seeded random groupoids with invariant weights
         from groupalg import enumerate_bisections
-        from groupalg.bisections import arrow_array
         families = deficient = 0
         for seed in range(60):
             rng = SplitMix64(seed)
@@ -1848,7 +1856,6 @@ class TestIndexReps:
         conj = ConjugatedRep(bad, good.field, good.inverses)
         for r in (bad, conj):
             assert [(e.check, e.witness) for e in check_representation(G, r).entries] == want
-        assert not representations._multiplicative_by_generators(G, bad)
         f = np.ones(G.n_arrows)
         for read in (lambda: conjugate_rep_on(G, bad, eye),
                      lambda: integrated_blocks(G, mu, nu, bad, f),
@@ -1893,18 +1900,16 @@ class TestIndexReps:
         with pytest.raises(AssertionError, match="built densely"):
             left_regular_rep(G, mu).ops[0]
 
-    def test_cyclic_256_passes_on_its_generator_pairs_in_seconds(self, monkeypatch):
+    def test_cyclic_256_passes_on_its_translation_proof_in_seconds(self, monkeypatch):
         # a dense check multiplied all 65,536 pairs of 256 x 256 matrices;
         # the left regular rep of a table the certificate proves associative
         # is multiplicative by its translation proof, so a passing rep
-        # compares no pair, not even a generator's; one corrupted op fails
-        # that proof and sends the check to the 256 pairs of each generator,
-        # then to all 65,536 pairs, with the witnesses of that scan
+        # compares no pair; one corrupted op fails that proof and sends the
+        # check to all 65,536 pairs, with the witnesses of that scan
         G = group_groupoid(*cyclic_table(256))
         mu = HaarSystem(random_invariant_weights(G, SplitMix64(101)))
-        scanned, compared, by_generators = [], [], []
+        scanned, compared = [], []
         real_products, real_gaps = FiniteGroupoid.products, representations._column_gaps
-        real_generators = representations._multiplicative_by_generators
 
         def products(self):
             out = real_products(self)
@@ -1914,29 +1919,22 @@ class TestIndexReps:
         def column_gaps(ok, width, lhs, rhs):
             compared.append(len(width))
             return real_gaps(ok, width, lhs, rhs)
-
-        def multiplicative_by_generators(G, rep):
-            by_generators.append(rep)
-            return real_generators(G, rep)
         monkeypatch.setattr(FiniteGroupoid, "products", products)
         monkeypatch.setattr(representations, "_column_gaps", column_gaps)
-        monkeypatch.setattr(representations, "_multiplicative_by_generators",
-                            multiplicative_by_generators)
         rep = left_regular_rep(G, mu)
         start = time.perf_counter()
         report = check_representation(G, rep)
         assert time.perf_counter() - start < 10
-        gens = G.certificate().generators.tolist()
         assert G.certificate().associative
-        assert report.ok and scanned == [] and by_generators == [] and compared == [1, 256]
+        assert report.ok and scanned == [] and compared == [1, 256]
 
+        gens = generator_certificate(G).generators.tolist()
         a = next(a for a in range(G.n_arrows) if a not in gens)
         bad = _swapped(rep, a)
         scanned.clear()
         compared.clear()
         report = check_representation(G, bad)
-        assert by_generators == [bad]
-        assert scanned == [256 ** 2] and compared == [1, 256 * len(gens), 256 ** 2, 256]
+        assert scanned == [256 ** 2] and compared == [1, 256 ** 2, 256]
         x, y = G.arrow_ids[a], G.arrow_ids[1]
         assert f"op({x} o {y}) != op({x}) op({y})" in [e.witness for e in report.errors]
         monkeypatch.setattr(representations, "_index_residuals", scanned_index_residuals)
@@ -1968,8 +1966,13 @@ def _fresh(rep):
 
 
 class TestGeneratorPairs:
-    """Multiplicativity proved from the generator pairs against the scan of
-    every composable pair (``oracles.scanned_index_residuals``)."""
+    """The index check, which proves multiplicativity or scans every pair,
+    against the scan of every composable pair
+    (``oracles.scanned_index_residuals``), on reps corrupted at a generator
+    of the whole-table certificate (``oracles.generator_certificate``), at
+    another arrow or at a unit, and on redirected tables; with the
+    generator pairs' proof (``oracles.multiplicative_by_generators``)
+    beside it."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2 ** 32),
@@ -1979,7 +1982,7 @@ class TestGeneratorPairs:
         G = random_groupoid(SplitMix64(seed), max_arrows=36)
         mu = HaarSystem(random_invariant_weights(G, SplitMix64(seed + 1)))
         H, reps = G, [left_regular_rep(G, mu), trivial_rep(G)]
-        gens = G.certificate().generators.tolist()
+        gens = generator_certificate(G).generators.tolist()
         pools = {"generator": gens,
                  "non-generator": [a for a in range(G.n_arrows) if a not in gens],
                  "unit": G.unit_of}
@@ -2006,11 +2009,11 @@ class TestGeneratorPairs:
                 with pytest.raises(ShapeMismatch):
                     conjugate_rep_on(H, rep, field)
                 conj = ConjugatedRep(rep, tuple(field), tuple(map(np.linalg.inv, field)))
-            proved = representations._multiplicative_by_generators(H, rep)
+            proved = multiplicative_by_generators(H, rep)
             assert not proved or formed
             if formed:  # the premises hold, and no pair fails, exactly when proved
                 mult = scanned_index_residuals(H, rep)[3]
-                assert proved == (H.certificate().associative and not mult.any())
+                assert proved == (generator_certificate(H).associative and not mult.any())
             for r in (rep, conj):
                 def lines(K):
                     return "\n".join(_entries(check_representation(K, _fresh(r), atol).entries))
@@ -2051,9 +2054,10 @@ def _corrupted_rep(G, rep, kind, pick):
 
 class TestProvedResiduals:
     """The index residuals, with multiplicativity proved for the left
-    regular rep from its translation proof and the shared rows sorted only
-    for the ops no exact inverse law shows injective, against the oracle
-    that asks the generator pairs or scans every pair and sorts every entry
+    regular rep from its translation proof and for one-dimensional fibers
+    from their shape, and the shared rows sorted only for the ops no exact
+    inverse law shows injective, against the oracle that asks the generator
+    pairs or scans every pair and sorts every entry
     (``oracles.generator_index_residuals``), array for array."""
 
     @settings(max_examples=120, deadline=None)
@@ -2091,24 +2095,55 @@ class TestProvedResiduals:
                 assert g.dtype == w.dtype and g.shape == w.shape
                 assert np.array_equal(g, w, equal_nan=True), kind
 
-    def test_the_left_regular_rep_of_an_associative_table_asks_no_generator_pair(
+    def test_the_left_regular_and_trivial_reps_of_an_associative_table_scan_no_pair(
             self, monkeypatch):
-        asked = []
-        real = representations._multiplicative_by_generators
+        scanned = []
+        real = FiniteGroupoid.products
 
-        def by_generators(G, rep):
-            asked.append(rep)
-            return real(G, rep)
-        monkeypatch.setattr(representations, "_multiplicative_by_generators", by_generators)
+        def products(self):
+            scanned.append(self)
+            return real(self)
+        monkeypatch.setattr(FiniteGroupoid, "products", products)
         for G in (pair_groupoid("abcd"), group_groupoid(*cyclic_table(12)),
                   product(pair_groupoid("abc"), group_groupoid(*symmetric_table(3))),
                   random_groupoid(SplitMix64(5), max_arrows=64)):
             mu = HaarSystem(random_invariant_weights(G, SplitMix64(6)))
             assert G.certificate().associative
-            rep, other = left_regular_rep(G, mu), trivial_rep(G)
-            assert check_representation(G, rep).ok and asked == []
-            assert check_representation(G, other).ok and asked == [other]
-            asked.clear()
+            for rep in (left_regular_rep(G, mu), trivial_rep(G)):
+                assert check_representation(G, rep).ok and scanned == []
+
+    def test_one_dimensional_fibers_are_multiplicative_on_a_refused_table(self, monkeypatch):
+        # pair(3) with one composite redirected: the certificate refuses the
+        # table, yet every op of a rep on one-dimensional fibers is [1], so
+        # each defined pair has residual 0 and none is scanned; the entries
+        # are the dense check's
+        G = pair_groupoid("abc")
+        rows = G.compose_table.copy()
+        i = next(i for i, (a, b, _) in enumerate(rows.tolist())
+                 if not (G.is_unit(a) or G.is_unit(b)))
+        rows[i, 2] = (rows[i, 2] + 1) % G.n_arrows
+        H = _rebuilt(G, rows)
+        assert not validate(H).ok and not H.certificate().associative
+        scanned = []
+        real = FiniteGroupoid.products
+
+        def products(self):
+            scanned.append(self)
+            return real(self)
+        monkeypatch.setattr(FiniteGroupoid, "products", products)
+        rep = trivial_rep(H)
+        got = [(e.check, e.witness, e.residual) for e in check_representation(H, rep).entries]
+        assert scanned == []
+        want = [(e.check, e.witness, e.residual) for e in dense_check(H, dense_of(rep)).entries]
+        assert got == want
+        # with a 1 outside its row the shape fails first, and nothing is proved
+        rows = rep.rows.copy()
+        rows[4] = -1
+        bad = IndexRep(rep.bundle, rep.src, rep.tgt, rows, rep.starts)
+        assert [e.check for e in check_representation(H, bad).entries] == ["shape"]
+        scanned.clear()
+        assert len(representations._index_residuals(H, bad)[1]) == len(real(H)[0])
+        assert scanned == [H]
 
     def test_a_valid_rep_sorts_no_shared_row(self, monkeypatch):
         # every op of a valid rep has its exact inverse law, so none is sorted
